@@ -9,6 +9,17 @@ zeta block is a rational vector of fixed length.
 
 All arithmetic is exact; there is no floating point and no evaluation at
 complex points anywhere.
+
+Products run through one integer kernel, ``_convolve``.  On the way in,
+a and t are multiplied by the series denominator ``den`` (the constructor
+guarantees that ``den`` divides their denominators), zeta entries by the
+lcm of the operands' zeta denominators, and each operand's coefficients by
+the lcm of its coefficient denominators.  Every scaled number is therefore
+an integer, and scaling commutes with the sums and products the kernel
+forms, so the integer result divided by the same scales is the exact
+rational result.  A bound r on an exponent becomes floor(r * scale), which
+admits exactly the integers x with x / scale <= r.  Each output term is
+turned back into Fractions once, so ``.terms`` keeps its Fraction keys.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -63,6 +75,8 @@ class TruncatedSeries:
         prefactor: Monomial | None = None,
         den: int = DEFAULT_DEN,
     ):
+        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+            raise ValueError(f"den must be an integer >= 1, got {den!r}")
         if prefactor is None:
             prefactor = Monomial.zero(rank)
         if len(prefactor.b) != rank:
@@ -186,20 +200,26 @@ class TruncatedSeries:
         fa2, ft2 = other.floors()
         ra = min(self.rect[0] + fa2, other.rect[0] + fa1)
         rt = min(self.rect[1] + ft2, other.rect[1] + ft1)
-        out: dict[Key, Q] = {}
-        for (a1, l1, t1), c1 in self.terms.items():
-            for (a2, l2, t2), c2 in other.terms.items():
-                a, t = a1 + a2, t1 + t2
-                if a > ra or t > rt:
-                    continue
-                key = (a, tuple(x + y for x, y in zip(l1, l2)), t)
-                val = out.get(key)
-                out[key] = c1 * c2 if val is None else val + c1 * c2
-                if len(out) > DEFAULT_TERM_CAP:
-                    raise SeriesOverflowError(
-                        f"product exceeded {DEFAULT_TERM_CAP} stored terms"
-                    )
-        return TruncatedSeries(self.rank, out, (ra, rt), pref, den)
+        z = math.lcm(
+            *{x.denominator for series in (self, other) for (_, l, _) in series.terms for x in l}
+        )
+        d1 = math.lcm(*{c.denominator for c in self.terms.values()})
+        d2 = math.lcm(*{c.denominator for c in other.terms.values()})
+        out = _convolve(
+            _scaled(self.terms, den, z, d1),
+            _scaled(other.terms, den, z, d2),
+            _floor_scaled(ra, den),
+            _floor_scaled(rt, den),
+            cap=DEFAULT_TERM_CAP,
+        )
+        if len(out) > DEFAULT_TERM_CAP:
+            raise SeriesOverflowError(
+                f"product of {len(self.terms)} and {len(other.terms)} terms on "
+                f"rect ({ra}, {rt}) exceeded the cap of {DEFAULT_TERM_CAP} stored terms"
+            )
+        return TruncatedSeries(
+            self.rank, _unscaled(_rows(out), den, z, d1 * d2), (ra, rt), pref, den
+        )
 
     # -- calculus -----------------------------------------------------------
 
@@ -289,6 +309,83 @@ def monomial(
 class WeightedSeries(NamedTuple):
     series: TruncatedSeries
     weight: int
+
+
+# ---------------------------------------------------------------------------
+# the convolution kernel, on integer-scaled terms (a, l, t, c)
+# ---------------------------------------------------------------------------
+
+_by_a = itemgetter(0)
+
+
+def _convolve(left, right, a_hi, t_hi, a_lo=None, cap=None) -> dict:
+    """Sparse product of two integer term lists, truncated to a box.
+
+    Pairs with a > a_hi, t > t_hi or a < a_lo are skipped; a_hi or a_lo of
+    None leaves that side open.  Both operands are sorted by a, so a row
+    stops at the first partner past a_hi.  Returns the map (a, l, t) -> c
+    with zero sums kept, and returns as soon as it holds more than cap keys.
+    """
+    left = sorted(left, key=_by_a)
+    right = sorted(right, key=_by_a)
+    if not left or not right:
+        return {}
+    if a_hi is None:
+        a_hi = left[-1][0] + right[-1][0]
+    if a_lo is None:
+        a_lo = left[0][0] + right[0][0]
+    lowest = left[0][0]
+    out: dict = {}
+    get = out.get
+    for a2, l2, t2, c2 in right:
+        if a2 + lowest > a_hi:
+            break
+        for a1, l1, t1, c1 in left:
+            a = a1 + a2
+            if a > a_hi:
+                break
+            t = t1 + t2
+            if t > t_hi or a < a_lo:
+                continue
+            key = (a, tuple(map(add, l1, l2)), t)
+            val = get(key)
+            out[key] = c1 * c2 if val is None else val + c1 * c2
+        if cap is not None and len(out) > cap:
+            break
+    return out
+
+
+def _floor_scaled(r: Q, scale: int) -> int:
+    """Largest integer x with x / scale <= r."""
+    return r.numerator * scale // r.denominator
+
+
+def _scaled(terms: Mapping[Key, Q], s: int, z: int, d: int) -> list:
+    """Integer terms: a and t times s, zeta entries times z, coefficients times d."""
+    return [
+        (
+            a.numerator * (s // a.denominator),
+            tuple([x.numerator * (z // x.denominator) for x in l]),
+            t.numerator * (s // t.denominator),
+            c.numerator * (d // c.denominator),
+        )
+        for (a, l, t), c in terms.items()
+    ]
+
+
+def _rows(out: dict) -> list:
+    """The nonzero terms of a kernel result, as integer terms again."""
+    return [(a, l, t, c) for (a, l, t), c in out.items() if c]
+
+
+def _unscaled(rows, s: int, z: int, d: int) -> dict[Key, Q]:
+    """Fraction-keyed map of integer terms: the inverse of _scaled."""
+    qs = {v: Q(v, s) for v in {a for a, _, _, _ in rows} | {t for _, _, t, _ in rows}}
+    qz = {v: Q(v, z) for v in {x for _, l, _, _ in rows for x in l}}
+    ql = {l: tuple([qz[x] for x in l]) for l in {l for _, l, _, _ in rows}}
+    if d == 1:
+        return {(qs[a], ql[l], qs[t]): Q(c) for a, l, t, c in rows}
+    return {(qs[a], ql[l], qs[t]): Q(c, d) for a, l, t, c in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -390,46 +487,53 @@ def expand_product(
     # factors with n < 0 go first: once they are in, every remaining factor
     # only raises the q-exponent, so truncation at a_max is sound
     factors.sort(key=lambda f: (f.n >= 0, f.m, f.n, f.l))
-    acc: dict[Key, Q] = {(Q(0), tuple(Q(0) for _ in range(rank)), Q(0)): Q(1)}
+    terms = _multiply_out(
+        factors, rank, a_max, t_max, max_neg,
+        a_hi=math.floor(a_max), a_lo=math.ceil(debt_floor), term_cap=term_cap,
+    )
+    pref = Monomial(_q(weyl.a), tuple(_q(x) for x in weyl.b), _q(weyl.c))
+    return TruncatedSeries(rank, terms, (a_max, t_max), pref, den)
+
+
+def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, a_lo, term_cap):
+    """Terms of the product of the factors' binomials, one factor at a time.
+
+    Exponents a and t are integers here; zeta entries are scaled by the lcm
+    of the factors' zeta denominators.  Products leaving the box
+    a_lo <= a <= a_hi, t <= t_max are dropped after every factor (None
+    leaves a side open), and more than term_cap nonzero terms after any
+    factor raises SeriesOverflowError.
+    """
+    z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
+    t_hi = math.floor(t_max)
+    acc = [(0, (0,) * rank, 0, 1)]
     for fac in factors:
-        poly = _factor_terms(fac, a_max, t_max, max_neg)
-        new: dict[Key, Q] = {}
-        for (a1, l1, t1), c1 in acc.items():
-            for (a2, l2, t2), c2 in poly:
-                a, t = a1 + a2, t1 + t2
-                if a > a_max or t > t_max or a < debt_floor:
-                    continue
-                key = (a, tuple(x + y for x, y in zip(l1, l2)), t)
-                val = new.get(key)
-                new[key] = c1 * c2 if val is None else val + c1 * c2
-        new = {k: v for k, v in new.items() if v}
-        if len(new) > term_cap:
+        poly = _factor_terms(fac, a_max, t_max, max_neg, z)
+        acc = _rows(_convolve(acc, poly, a_hi, t_hi, a_lo))
+        if term_cap is not None and len(acc) > term_cap:
             raise SeriesOverflowError(
                 f"expansion exceeded {term_cap} stored terms at factor {fac}"
             )
-        acc = new
-    pref = Monomial(_q(weyl.a), tuple(_q(x) for x in weyl.b), _q(weyl.c))
-    return TruncatedSeries(rank, acc, (a_max, t_max), pref, den)
+    return _unscaled(acc, 1, z, 1)
 
 
-def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int):
-    """Terms of (1 - u)^exponent with u = q^n zeta^l xi^m, up to the budget."""
+def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int, z: int):
+    """Terms of (1 - u)^exponent with u = q^n zeta^l xi^m, up to the budget.
+
+    Integer terms (a, l, t, c) with the zeta entries scaled by z.
+    """
     if fac.m > 0:
         j_max = math.floor(t_max / fac.m)
     elif fac.n > 0:
         j_max = math.floor((a_max + t_max * max_neg) / fac.n)
     else:
         j_max = fac.exponent
+    l = [x.numerator * (z // x.denominator) for x in fac.l]
     out = []
     for j in range(j_max + 1):
         coeff = _binomial_coefficient(fac.exponent, j)
         if coeff:
-            out.append(
-                (
-                    (Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)),
-                    Q(coeff),
-                )
-            )
+            out.append((j * fac.n, tuple([j * x for x in l]), j * fac.m, coeff))
     return out
 
 
@@ -467,13 +571,15 @@ def log_derivative_residual(
     rhs = p.scale(_q(weyl.c))
     for fac in xi_factors:
         u = monomial(rank, (a_max, t_max), fac.n, fac.l, fac.m, den=den)
-        geo = zero(rank, (a_max, t_max), den)
-        j = 0
-        while j * fac.m <= t_max:
-            geo = geo + monomial(
-                rank, (a_max, t_max), j * fac.n, tuple(j * x for x in fac.l), j * fac.m, den=den
-            )
-            j += 1
+        geo = TruncatedSeries(
+            rank,
+            {
+                (Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)): Q(1)
+                for j in range(math.floor(t_max / fac.m) + 1)
+            },
+            (a_max, t_max),
+            den=den,
+        )
         p_over = p * geo  # exact: (1-u) * geo = 1 - u^(j_max+1), beyond the rectangle
         rhs = rhs + (u * p_over).scale(Q(-fac.m * fac.exponent))
     lhs = g0.derive("omega") * p
@@ -491,8 +597,8 @@ def principal_block_residual(
 ) -> TruncatedSeries:
     """Difference of the full expansion and (n >= 0 block) * (n < 0 block).
 
-    The n < 0 factors are finite binomials, assembled here by a literal
-    convolution, so this checks the debt handling of the full expansion on
+    The n < 0 factors are finite binomials, multiplied out here on their own
+    with no q bound, so this checks the debt handling of the full expansion on
     the largest rectangle both sides are exact on.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
@@ -501,17 +607,9 @@ def principal_block_residual(
     g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
     neg_factors = [f for f in product_factors(coeffs, rect, rank) if f.n < 0]
     max_neg = max((-f.n for f in neg_factors), default=0)
-    block: dict[Key, Q] = {(Q(0), tuple(Q(0) for _ in range(rank)), Q(0)): Q(1)}
-    for fac in neg_factors:
-        poly = _factor_terms(fac, a_max, t_max, max_neg)
-        new: dict[Key, Q] = {}
-        for (a1, l1, t1), c1 in block.items():
-            for (a2, l2, t2), c2 in poly:
-                if t1 + t2 > t_max:
-                    continue
-                key = (a1 + a2, tuple(x + y for x, y in zip(l1, l2)), t1 + t2)
-                new[key] = new.get(key, Q(0)) + c1 * c2
-        block = {k: v for k, v in new.items() if v}
+    block = _multiply_out(
+        neg_factors, rank, a_max, t_max, max_neg, a_hi=None, a_lo=None, term_cap=None
+    )
     b = TruncatedSeries(rank, block, (a_max, t_max), den=den)
     product = g0 * b
     cut = product.rect
@@ -665,21 +763,54 @@ def series_to_json(x: TruncatedSeries) -> dict:
     }
 
 
+def _json_list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        shape = "a list" if length is None else f"a list of length {length}"
+        raise ValueError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _json_q(value, what: str) -> Q:
+    try:
+        return parse_q(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a rational 'p/q', got {value!r}") from None
+
+
 def series_from_json(doc: dict) -> TruncatedSeries:
-    rank = int(doc["rank"])
+    """Inverse of series_to_json; a malformed document raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a series must be a JSON object, got {doc!r}")
+    rank = _json_int(doc["rank"], "rank")
+    den = _json_int(doc.get("den", DEFAULT_DEN), "den")
     pref = doc.get("prefactor", {})
+    if not isinstance(pref, dict):
+        raise ValueError(f"prefactor must be an object, got {pref!r}")
     prefactor = Monomial(
-        parse_q(pref.get("A", "0/1")),
-        tuple(parse_q(v) for v in pref.get("B", ["0/1"] * rank)),
-        parse_q(pref.get("C", "0/1")),
+        _json_q(pref.get("A", "0/1"), "prefactor A"),
+        tuple(
+            _json_q(v, "prefactor B entry")
+            for v in _json_list(pref.get("B", ["0/1"] * rank), "prefactor B", rank)
+        ),
+        _json_q(pref.get("C", "0/1"), "prefactor C"),
     )
     terms = {}
-    for item in doc.get("terms", []):
+    for i, item in enumerate(_json_list(doc.get("terms", []), "terms")):
+        if not isinstance(item, dict) or not {"a", "l", "t", "c"} <= item.keys():
+            raise ValueError(f"terms[{i}] must be an object with a, l, t and c, got {item!r}")
+        l = _json_list(item["l"], f"terms[{i}].l", rank)
         key = (
-            parse_q(item["a"]),
-            tuple(parse_q(v) for v in item["l"]),
-            parse_q(item["t"]),
+            _json_q(item["a"], f"terms[{i}].a"),
+            tuple(_json_q(v, f"terms[{i}].l entry") for v in l),
+            _json_q(item["t"], f"terms[{i}].t"),
         )
-        terms[key] = parse_q(item["c"])
-    rect = tuple(parse_q(v) for v in doc["rect"])
-    return TruncatedSeries(rank, terms, rect, prefactor, int(doc.get("den", DEFAULT_DEN)))
+        terms[key] = _json_q(item["c"], f"terms[{i}].c")
+    rect = tuple(_json_q(v, "rect entry") for v in _json_list(doc["rect"], "rect", 2))
+    return TruncatedSeries(rank, terms, rect, prefactor, den)

@@ -174,6 +174,13 @@ class TestBorch:
         assert x.prefactor.a == 1
         assert dict(x.terms) == {(Q(0), (Q(0),), Q(0)): Q(1)}
 
+    def test_den_zero_rejected(self, capsys, tmp_path):
+        path = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        code, out, err = run(capsys, "borch", path, "--rect", "1,1", "--den", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "den" in err
+
 
 class TestJacobian:
     def series_doc(self, a, l, t):
@@ -229,6 +236,19 @@ class TestJacobian:
         p = write_json(tmp_path / "f.json", self.series_doc(1, 0, 0))
         code, _, err = run(capsys, "jacobian", p, p, "--weights", "1,1,1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [("den", 0, "den"), ("terms", 5, "terms"), ("rect", ["4/1"], "rect")],
+    )
+    def test_malformed_series_file(self, capsys, tmp_path, field, value, named):
+        doc = self.series_doc(1, 0, 0)
+        doc[field] = value
+        p = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and named in err
 
 
 class TestClassify:

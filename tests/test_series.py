@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import json
+import math
 import random
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoforms import builtin_lattice
+from orthoforms import series as series_mod
 from orthoforms.series import (
     Monomial,
     SeriesOverflowError,
@@ -18,6 +24,7 @@ from orthoforms.series import (
     monomial,
     one,
     principal_block_residual,
+    product_factors,
     series_from_json,
     series_to_json,
     syzygy_sum,
@@ -409,3 +416,231 @@ class TestJson:
         assert doc["rank"] == 1 and doc["den"] == 24
         assert doc["prefactor"]["A"] == "0/1"
         assert doc["rect"] == ["4/1", "4/1"]
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a naive Fraction-keyed convolution
+# ---------------------------------------------------------------------------
+
+def naive_convolve(xs, ys, keep):
+    """All pairs of Fraction terms whose sum satisfies keep(a, t).
+
+    Returns the sums per key, zero sums included, exactly as accumulated.
+    """
+    out = {}
+    for (a1, l1, t1), c1 in xs:
+        for (a2, l2, t2), c2 in ys:
+            a, t = a1 + a2, t1 + t2
+            if keep(a, t):
+                k = (a, tuple(x + y for x, y in zip(l1, l2)), t)
+                out[k] = out.get(k, Q(0)) + c1 * c2
+    return out
+
+
+def nonzero(terms):
+    return {k: v for k, v in terms.items() if v}
+
+
+ZETA = st.sampled_from([1, 2, 3, 6]).flatmap(
+    lambda d: st.integers(-2 * d, 2 * d).map(lambda n: Q(n, d))
+)
+COEFF = st.builds(Q, st.integers(-9, 9), st.integers(1, 6))
+
+
+# rectangle bounds, some of them off the (1/24)Z grid the exponents live on
+BOUND = st.sampled_from([24, 48, 7]).flatmap(
+    lambda d: st.integers(0, 3 * d).map(lambda n: Q(n, d))
+)
+
+
+@st.composite
+def fractional_series(draw, rank):
+    """Terms with a, t in (1/24)Z, negative a allowed, some exactly on the rectangle."""
+    a_max, t_max = draw(BOUND), draw(BOUND)
+
+    def exponent(bound, lo):
+        grid = st.integers(lo, 72).map(lambda n: Q(n, 24))
+        return st.one_of(st.just(bound), grid) if 24 % bound.denominator == 0 else grid
+
+    entries = draw(
+        st.lists(
+            st.tuples(exponent(a_max, -48), st.tuples(*[ZETA] * rank), exponent(t_max, 0), COEFF),
+            max_size=7,
+        )
+    )
+    terms = {}
+    for a, l, t, c in entries:
+        terms[(a, l, t)] = terms.get((a, l, t), Q(0)) + c
+    return TruncatedSeries(rank, terms, (a_max, t_max))
+
+
+SERIES_PAIRS = st.integers(1, 2).flatmap(
+    lambda r: st.tuples(fractional_series(r), fractional_series(r))
+)
+
+
+def naive_product(x, y):
+    """The product's rectangle and its accumulated terms, zero sums included."""
+    fa1 = min((k[0] for k in x.terms), default=Q(0))
+    ft1 = min((k[2] for k in x.terms), default=Q(0))
+    fa2 = min((k[0] for k in y.terms), default=Q(0))
+    ft2 = min((k[2] for k in y.terms), default=Q(0))
+    ra = min(x.rect[0] + fa2, y.rect[0] + fa1)
+    rt = min(x.rect[1] + ft2, y.rect[1] + ft1)
+    keep = lambda a, t: a <= ra and t <= rt
+    return (ra, rt), naive_convolve(x.terms.items(), y.terms.items(), keep)
+
+
+class TestKernelAgainstNaive:
+    @settings(max_examples=150, deadline=None)
+    @given(SERIES_PAIRS)
+    def test_mul(self, pair):
+        x, y = pair
+        product = x * y
+        if x.is_zero or y.is_zero:
+            assert product.is_zero
+            return
+        rect, expected = naive_product(x, y)
+        assert product.rect == rect
+        assert dict(product.terms) == nonzero(expected)
+        assert all(
+            type(v) is Q for (a, l, t), c in product.terms.items() for v in (a, *l, t, c)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(SERIES_PAIRS)
+    def test_mul_term_cap(self, pair):
+        # the cap counts every key a kept pair reaches, zero sums included
+        x, y = pair
+        if x.is_zero or y.is_zero:
+            return
+        _, expected = naive_product(x, y)
+        keys = len(expected)
+        with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", keys):
+            assert dict((x * y).terms) == nonzero(expected)
+        if keys:
+            with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", keys - 1):
+                sizes = f"product of {len(x.terms)} and {len(y.terms)} terms on rect"
+                with pytest.raises(SeriesOverflowError, match=f"{sizes} .* cap of {keys - 1} "):
+                    x * y
+
+
+def naive_binomial(e, j):
+    num = 1
+    for i in range(j):
+        num *= e - i
+    return (-1) ** j * num // math.factorial(j)
+
+
+def naive_expand(coeffs, rect, rank, term_cap):
+    """expand_product's reduced terms by Fraction convolution, or None on overflow."""
+    a_max, t_max = rect
+    factors = product_factors(coeffs, rect, rank)
+    budget = 1
+    for fac in factors:
+        if fac.m == 0 and fac.n == 0:
+            budget *= fac.exponent + 1
+            if budget > term_cap:
+                return None
+    max_neg = max((-f.n for f in factors if f.n < 0), default=0)
+    floor = -t_max * max_neg
+    keep = lambda a, t: floor <= a <= a_max and t <= t_max
+    acc = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
+    for fac in sorted(factors, key=lambda f: (f.n >= 0, f.m, f.n, f.l)):
+        if fac.m > 0:
+            j_max = math.floor(t_max / fac.m)
+        elif fac.n > 0:
+            j_max = math.floor((a_max + t_max * max_neg) / fac.n)
+        else:
+            j_max = fac.exponent
+        poly = [
+            (
+                (Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)),
+                Q(naive_binomial(fac.exponent, j)),
+            )
+            for j in range(j_max + 1)
+        ]
+        acc = nonzero(naive_convolve(acc.items(), poly, keep))
+        if len(acc) > term_cap:
+            return None
+    return acc
+
+
+@st.composite
+def coefficient_tables(draw, rank):
+    table = {}
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(-1, 2))
+        l = draw(st.tuples(*[ZETA] * rank))
+        # boundary factors need positive exponents
+        table[(n, l)] = draw(st.integers(1, 2) if n == 0 else st.sampled_from([-2, -1, 1, 2, 3]))
+    return table
+
+
+class TestExpandAgainstNaive:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
+        st.integers(0, 48).map(lambda n: Q(n, 24)),
+        st.integers(0, 48).map(lambda n: Q(n, 24)),
+        st.integers(0, 40),
+    )
+    def test_expand_product(self, table_of_rank, a_max, t_max, term_cap):
+        rank, table = table_of_rank
+        rect = (a_max, t_max)
+        wv = WeylVector(Q(1, 24), (Q(1, 2),) * rank, Q(-5, 24))
+        expected = naive_expand(table, rect, rank, term_cap)
+        if expected is None:
+            with pytest.raises(SeriesOverflowError):
+                expand_product(table, wv, rect, rank, term_cap=term_cap)
+            return
+        g = expand_product(table, wv, rect, rank, term_cap=term_cap)
+        assert dict(g.terms) == expected
+        assert g.rect == rect
+        assert g.prefactor == Monomial(wv.a, wv.b, wv.c)
+
+
+# SHA-256 of series_to_json(expand_product(...)) on rect (3,3), recorded
+# before the integer kernel replaced the Fraction-keyed loops
+EXPANSION_DIGESTS = {
+    "A1 plain": "47f1ad7e5548eb42e3caaa83cf609ee21d33769313b53c62e052215d94cb0a0d",
+    "A1 subcase i": "2e15cd7e470304411474c630274dc77753457370dbb46a6277c7b75552d76757",
+    "A2": "9d79c45080d38a959b5ae436706820ca1cbf9db65f2970969da6bfd68350f51f",
+    "B2 plain": "6efd3b3006bbd0a20d7bf9495cec91c0b7e096d55e53e8e7df424d26f972cd07",
+    "G2": "5f642f348d5c45f4c0f2c848edc31f2f1cc0264f460b82660f69b3b452e300a7",
+    "empty weight 12": "da394b23d824b790d12d4709e8815964ea1d243bb19e85b77b014358638a5480",
+}
+
+
+def acceptance_dataset(name):
+    from orthoforms import (
+        QZeroData,
+        build_dual_set,
+        qzero_from_dual_sets,
+        realize,
+        solve_weight,
+        weyl_vector,
+    )
+
+    if name == "empty weight 12":
+        phi = QZeroData(builtin_lattice("A1"), {(-1, (Q(0),)): 1}, 12)
+        return phi, weyl_vector(phi)
+    args, changes = {
+        "A1 plain": (("A", 1, 1), {"short_div": 1}),
+        "A1 subcase i": (("A", 1, 1), {"subcase": "i"}),
+        "A2": (("A", 2, 1), {}),
+        "B2 plain": (("B", 2, 1), {"short_div": 1}),
+        "G2": (("G2", 2, 1), {}),
+    }[name]
+    comp = dataclasses.replace(realize(*args), **changes)
+    phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)])
+    phi = phi.with_weight(solve_weight(phi))
+    return phi, weyl_vector(phi)
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_DIGESTS))
+def test_expansion_json_unchanged(name):
+    phi, wv = acceptance_dataset(name)
+    g = expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), phi.lattice.rank)
+    text = json.dumps(series_to_json(g), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
