@@ -74,15 +74,27 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
     lat_ref = doc["lattice"]
     lat = _load_lattice(lat_ref) if isinstance(lat_ref, str) else lattice_mod.lattice_from_json(lat_ref)
     raw = doc.get("coeffs", [])
+    if not isinstance(raw, list):
+        raise CliError(f"{path}: 'coeffs' must be a list of objects, got {raw!r}")
     entries: dict[tuple[int, tuple], int] = {}
-    for item in raw:
+    for index, item in enumerate(raw):
+        if not isinstance(item, dict):
+            raise CliError(f"{path}: coefficient entry {index} must be an object, got {item!r}")
+        for field in ("n", "f"):
+            value = item.get(field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise CliError(
+                    f"{path}: coefficient entry {index} {item!r}: '{field}' must be an integer, got {value!r}"
+                )
+        if not isinstance(item.get("l"), list):
+            raise CliError(
+                f"{path}: coefficient entry {index} {item!r}: 'l' must be a list, got {item.get('l')!r}"
+            )
         try:
-            n = int(item["n"])
             coords = tuple(parse_q(str(v)) for v in item["l"])
-            f = int(item["f"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise CliError(f"{path}: bad coefficient entry {item!r}: {exc}")
-        entries[(n, coords)] = f
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"{path}: bad coefficient entry {index} {item!r}: {exc}")
+        entries[(item["n"], coords)] = item["f"]
     # structural completeness of the stored layer: principal part and
     # evenness partners must be present
     missing = []

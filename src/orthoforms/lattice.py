@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -40,7 +41,7 @@ class Lattice:
             raise ValueError("gram matrix must be square and nonempty")
         for i in range(n):
             for j in range(n):
-                if not isinstance(g[i][j], int):
+                if not isinstance(g[i][j], int) or isinstance(g[i][j], bool):
                     raise ValueError(f"gram entry ({i},{j}) is not an integer")
                 if g[i][j] != g[j][i]:
                     raise ValueError(
@@ -69,7 +70,7 @@ class Lattice:
         acc = 0
         for i, row in enumerate(self.gram):
             if u[i]:
-                acc += u[i] * sum(x * y for x, y in zip(row, v))
+                acc += u[i] * sum(map(mul, row, v))
         return acc
 
     def norm(self, v: Sequence) -> Q:
@@ -92,7 +93,7 @@ class Lattice:
 
     def in_dual(self, v: Sequence) -> bool:
         """Whether a rational coordinate vector pairs integrally with the lattice."""
-        return all(Q(x).denominator == 1 for x in self.gram_times(v))
+        return linalg._int_image(self.gram, v)[1] == 1
 
     def __repr__(self):
         name = self.label or f"rank{self.rank}"

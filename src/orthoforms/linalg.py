@@ -2,12 +2,25 @@
 
 All routines operate on immutable tuple-of-tuples matrices whose entries
 are ints or Fractions.  Nothing here ever touches floating point.
+
+The hot routines scale to ints instead of running Fraction loops, and each
+scaling is exact:
+
+- ``rank`` multiplies every row by the lcm of its denominators; scaling a
+  row by a nonzero number does not change the rank.
+- ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
+  with D the lcm of the denominators of x; so x lies in the dual lattice
+  exactly when D divides every entry of G·(D·x).
+- ``short_vectors_of_form`` multiplies the LDL form by a common denominator
+  D that makes every pivot weight an integer; the norm of an integer vector
+  then becomes an integer, and the bound an exact integer comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
@@ -32,7 +45,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vec_dot(u: Sequence, v: Sequence) -> Q:
@@ -124,27 +137,59 @@ def solve(m: Mat, rhs: Sequence) -> Vec | None:
     return tuple(x)
 
 
+def _int_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators, as ints."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def rank(m: Mat) -> int:
-    if not m:
-        return 0
-    n = len(m)
-    cols = len(m[0])
-    a = [[Q(x) for x in row] for row in m]
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        for i in range(r + 1, n):
-            if a[i][c]:
-                f = a[i][c] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == n:
+    """Rank of an int or Fraction matrix, by fraction-free integer elimination.
+
+    Each row is first scaled by the lcm of its denominators; a nonzero row
+    scaling does not change the rank, so the elimination runs on ints.  Rows
+    are reduced one at a time against the echelon rows kept so far, each
+    update divided by the gcd of its entries to keep it small; the scan stops
+    once the rank reaches the column count.
+    """
+    cols = len(m[0]) if m else 0
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in m:
+        if len(echelon) == cols:
             break
-    return r
+        v = _int_row(row)
+        for c, top in echelon:
+            f = v[c]
+            if f:
+                p = top[c]
+                v = [p * x - f * y for x, y in zip(v, top)]
+                g = vec_gcd(v)
+                if g > 1:
+                    v = [x // g for x in v]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, v))
+    return len(echelon)
+
+
+def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:
+    """G·x over the integers: (y, e) with G·x = y / e and e >= 1 minimal.
+
+    With D the lcm of the denominators of x, D·x is integral, so
+    y' = G·(D·x) is an integer vector and G·x = y' / D; dividing y' and D by
+    their gcd gives (y, e).  For an integral Gram matrix, x lies in the dual
+    lattice exactly when D divides G·(D·x), that is when e == 1.
+    """
+    d = lcm(*(c.denominator for c in x))
+    xs = [c.numerator * (d // c.denominator) for c in x]
+    y = [sum(map(mul, row, xs)) for row in gram]
+    if d == 1:
+        return tuple(y), 1
+    g = gcd(d, *y)
+    if g > 1:
+        d //= g
+        y = [v // g for v in y]
+    return tuple(y), d
 
 
 def ldl(gram: Mat) -> tuple[Vec, Mat]:
@@ -242,34 +287,55 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with v^T gram v <= max_norm, both signs.
 
-    Uses the LDL pivots for exact branch-and-prune enumeration; requires a
-    positive definite form.  Output is sorted lexicographically.
+    Fincke-Pohst branch-and-prune on the LDL pivots, in integer arithmetic;
+    requires a positive definite form.  Output is sorted lexicographically.
+
+    The form is sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.  With L_i the lcm of
+    the denominators of row i of u and D the lcm over i of den(d_i) * L_i^2,
+    every w_i = D d_i / L_i^2 and every U_ij = L_i u_ij is an integer, and
+    D v^T gram v = sum_i w_i (L_i x_i + sum_{j>i} U_ij x_j)^2.  The left side
+    is an integer, so the bound is exactly D v^T gram v <= floor(D max_norm),
+    and each coordinate's range comes from isqrt of the remaining budget
+    over w_i with no slack and no after-the-fact filtering.
     """
     n = len(gram)
     pivots, u = ldl(gram)
     if any(p <= 0 for p in pivots):
         raise ArithmeticError("form is not positive definite")
+    row_den = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    scale = lcm(*(p.denominator * l * l for p, l in zip(pivots, row_den)))
+    weights = [int(scale * p / (l * l)) for p, l in zip(pivots, row_den)]
+    offsets = [
+        [(j, int(u[i][j] * row_den[i])) for j in range(i + 1, n) if u[i][j]]
+        for i in range(n)
+    ]
+    bound = Q(max_norm) * scale
+    budget = bound.numerator // bound.denominator
     out: list[tuple[int, ...]] = []
+    if budget < 0:
+        return out
     coords = [0] * n
 
-    def descend(i: int, remaining) -> None:
-        if i < 0:
-            v = tuple(coords)
-            if any(v):
-                out.append(v)
+    def descend(i: int, remaining: int) -> None:
+        w, l = weights[i], row_den[i]
+        shift = sum(c * coords[j] for j, c in offsets[i])
+        s = isqrt(remaining // w)
+        # all x with -s <= l*x + shift <= s
+        xs = range(-((s + shift) // l), (s - shift) // l + 1)
+        if i == 0:
+            skip_zero = not any(coords)
+            for x in xs:
+                if x or not skip_zero:
+                    coords[0] = x
+                    out.append(tuple(coords))
+            coords[0] = 0
             return
-        center = sum(u[i][j] * coords[j] for j in range(i + 1, n))
-        budget = remaining / pivots[i]
-        # conservative integer radius, then exact filtering
-        radius = isqrt(int(budget)) + 1
-        base = int(center)
-        for x in range(-base - radius - 2, -base + radius + 3):
-            contribution = pivots[i] * (x + center) ** 2
-            if contribution <= remaining:
-                coords[i] = x
-                descend(i - 1, remaining - contribution)
+        for x in xs:
+            t = l * x + shift
+            coords[i] = x
+            descend(i - 1, remaining - w * t * t)
         coords[i] = 0
 
-    descend(n - 1, Q(max_norm))
+    descend(n - 1, budget)
     out.sort()
     return out

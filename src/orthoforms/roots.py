@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -220,6 +222,7 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
     if not rd.roots:
         raise ValueError("cannot decompose an empty root set")
     roots = list(rd.roots)
+    images = [rd.lattice.gram_times(r) for r in roots]
     parent = list(range(len(roots)))
 
     def find(i):
@@ -228,12 +231,13 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
             i = parent[i]
         return i
 
-    for i in range(len(roots)):
+    # (r_i, r_j) = (G r_i) . r_j on ints; pairs already joined are skipped
+    for i, image in enumerate(images):
+        ri = find(i)
         for j in range(i + 1, len(roots)):
-            if rd.lattice.pairing(roots[i], roots[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+            rj = find(j)
+            if rj != ri and sum(map(mul, image, roots[j])):
+                parent[rj] = ri
     groups: dict[int, list] = {}
     for i in range(len(roots)):
         groups.setdefault(find(i), []).append(roots[i])
@@ -317,45 +321,83 @@ def _require_subcase(comp: IrreducibleComponent) -> str:
     return comp.subcase
 
 
+def _rank_one_sum(gram, weighted_vectors) -> tuple[list[list[int]], int]:
+    """sum_x w_x (G x)(G x)^T as an integer matrix M over a denominator den.
+
+    Each G x comes from ``linalg._int_image`` as y / e, so a term is
+    w.numerator / (w.denominator e^2) times the integer matrix y y^T.  The
+    common denominator grows only when a term needs it, which never happens
+    for integer weights on dual vectors (e = 1).
+    """
+    n = len(gram)
+    m = [[0] * n for _ in range(n)]
+    den = 1
+    for x, w in weighted_vectors:
+        num, t = w.numerator, w.denominator
+        if not num:
+            continue
+        y, e = linalg._int_image(gram, x)
+        t *= e * e
+        if den % t:
+            grow = t // gcd(den, t)
+            m = [[v * grow for v in row] for row in m]
+            den *= grow
+        num *= den // t
+        support = [(i, v) for i, v in enumerate(y) if v]
+        for i, yi in support:
+            row, a = m[i], num * yi
+            for j, yj in support:
+                row[j] += a * yj
+    return m, den
+
+
+def _gram_ratio(lhs, rhs) -> tuple[Q | None, str | None]:
+    """The c with lhs = c rhs entrywise, for integer matrices.
+
+    Entries are visited row by row.  Returns (c, None) on success; (None,
+    "zero") at the first entry where rhs is zero and lhs is not; (None,
+    "ratio") at the first entry whose ratio differs from the earlier ones;
+    and (None, None) when rhs is all zero.
+    """
+    c = None
+    for lrow, rrow in zip(lhs, rhs):
+        for a, b in zip(lrow, rrow):
+            if b == 0:
+                if a != 0:
+                    return None, "zero"
+            elif c is None:
+                c = Q(a, b)
+            elif a * c.denominator != b * c.numerator:
+                return None, "ratio"
+    return c, None
+
+
 def sum_rule_constant(gram, weighted_vectors) -> Q | None:
     """The constant c with sum_x w_x (x,z)^2 = 2c (z,z) on the span, or None.
 
     ``weighted_vectors`` is an iterable of (coords, weight) pairs with
     rational coordinates in the basis of ``gram``.  The identity is checked
-    as an exact matrix equation restricted to the span of the vectors.
+    as an exact matrix equation restricted to the span of the vectors: with
+    B a basis of the span, B S B^T = 2c B G B^T, where S = sum_x w_x
+    (G x)(G x)^T.  Scaling the rows of B to integers scales both sides
+    alike, so the check runs on ints.
     """
-    vectors = [(tuple(Q(x) for x in v), Q(w)) for v, w in weighted_vectors]
+    vectors = [(v, Q(w)) for v, w in weighted_vectors]
     if not vectors:
         return None
-    n = len(gram)
-    s = [[Q(0)] * n for _ in range(n)]
-    for v, w in vectors:
-        gv = linalg.mat_vec(gram, v)
-        for i in range(n):
-            if gv[i]:
-                for j in range(n):
-                    s[i][j] += w * gv[i] * gv[j]
+    s, den = _rank_one_sum(gram, vectors)
     basis = []
     for v, _ in vectors:
+        if len(basis) == len(gram):
+            break
         if linalg.rank(tuple(basis) + (v,)) > len(basis):
             basis.append(v)
-    b = tuple(basis)
+    b = tuple(tuple(linalg._int_row(v)) for v in basis)
     bt = linalg.transpose(b)
-    lhs = linalg.mat_mul(linalg.mat_mul(b, linalg.freeze(s)), bt)
+    lhs = linalg.mat_mul(linalg.mat_mul(b, s), bt)
     rhs = linalg.mat_mul(linalg.mat_mul(b, gram), bt)
-    c = None
-    for i in range(len(b)):
-        for j in range(len(b)):
-            if rhs[i][j] == 0:
-                if lhs[i][j] != 0:
-                    return None
-                continue
-            ratio = lhs[i][j] / rhs[i][j]
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-    return None if c is None else c / 2
+    c, _ = _gram_ratio(lhs, rhs)
+    return None if c is None else c / (2 * den)
 
 
 def coxeter_number(comp: IrreducibleComponent) -> int:

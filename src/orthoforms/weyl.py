@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .lattice import AmbientVector, Lattice
-from .roots import DualRoot, sum_rule_constant
+from .roots import DualRoot, _gram_ratio, _rank_one_sum
 
 
 class CoefficientConflictError(ValueError):
@@ -30,7 +30,7 @@ Coords = tuple[Q, ...]
 
 
 def _normalize_coords(coords) -> Coords:
-    return tuple(Q(x) for x in coords)
+    return tuple(x if type(x) is Q else Q(x) for x in coords)
 
 
 def is_positive_direction(coords: Sequence) -> bool:
@@ -72,18 +72,17 @@ class QZeroData:
                 raise ValueError("coefficients must be integers")
             if n > 0:
                 raise ValueError("q^0 data stores indices n <= 0 only")
-            if n < 0 and (n != -1 or coords != zero or value != 1):
+            if n < 0 and (n != -1 or any(coords) or value != 1):
                 raise ValueError(
                     "principal part must be exactly f(-1, 0) = 1"
                 )
-            if n == 0 and coords == zero:
+            if n == 0 and not any(coords):
                 raise ValueError("f(0, 0) is carried by k, not by the table")
             if not lattice.in_dual(coords):
                 raise ValueError(f"vector {coords} does not pair integrally")
             key = (n, coords)
-            if key in table and table[key] != value:
+            if table.setdefault(key, value) != value:
                 raise CoefficientConflictError(f"conflicting values at {key}")
-            table[key] = value
         if (-1, zero) not in table:
             raise ValueError("missing principal part f(-1, 0) = 1")
         for (n, coords), value in table.items():
@@ -112,9 +111,11 @@ class QZeroData:
 
     def q0_entries(self) -> list[tuple[Coords, int]]:
         """The (l, f(0, l)) pairs with l nonzero, sorted."""
-        out = [(c, v) for (n, c), v in self._map.items() if n == 0]
-        out.sort()
-        return out
+        return sorted(self._q0_items())
+
+    def _q0_items(self) -> list[tuple[Coords, int]]:
+        """The same pairs unsorted, for sums that do not depend on the order."""
+        return [(c, v) for (n, c), v in self._map.items() if n == 0]
 
     def coefficient_table(self) -> dict[tuple[int, Coords], int]:
         """Copy of the stored table including f(0,0) when known."""
@@ -128,8 +129,12 @@ class QZeroData:
         return table
 
     def with_weight(self, k: Q | int) -> "QZeroData":
-        entries = {key: val for key, val in self._map.items()}
-        return QZeroData(self.lattice, entries, k)
+        """A copy with f(0,0) = 2k; the table was validated when self was built."""
+        out = QZeroData.__new__(QZeroData)
+        out.lattice = self.lattice
+        out.k = Q(k)
+        out._map = dict(self._map)
+        return out
 
     def __eq__(self, other):
         return (
@@ -228,38 +233,23 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
     multiple of the Gram matrix, and a diagnostic report otherwise (for
     instance when the support does not span the lattice).
     """
-    entries = phi.q0_entries()
+    entries = phi._q0_items()
     if not entries:
         return SumRuleReport(None, "no nonzero q^0 coefficients")
-    gram = phi.lattice.gram
-    n = phi.lattice.rank
-    s = [[Q(0)] * n for _ in range(n)]
-    for coords, value in entries:
-        gv = linalg.mat_vec(gram, coords)
-        for i in range(n):
-            if gv[i]:
-                for j in range(n):
-                    s[i][j] += value * gv[i] * gv[j]
-    frozen = linalg.freeze(s)
-    c = None
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] == 0:
-                if frozen[i][j] != 0:
-                    return SumRuleReport(None, "left side is not a Gram multiple")
-                continue
-            ratio = Q(frozen[i][j], gram[i][j]) if isinstance(frozen[i][j], int) else frozen[i][j] / gram[i][j]
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                rk = linalg.rank(frozen)
-                return SumRuleReport(
-                    None,
-                    f"left side has rank {rk} and is not proportional to the Gram matrix",
-                )
+    # integer values on dual vectors: the rank-one sum is an integer matrix (den 1)
+    s, den = _rank_one_sum(phi.lattice.gram, entries)
+    c, failure = _gram_ratio(s, phi.lattice.gram)
+    if failure == "zero":
+        return SumRuleReport(None, "left side is not a Gram multiple")
+    if failure == "ratio":
+        rk = linalg.rank(linalg.freeze(s))
+        return SumRuleReport(
+            None,
+            f"left side has rank {rk} and is not proportional to the Gram matrix",
+        )
     if c is None:
         return SumRuleReport(None, "empty Gram matrix")
-    return SumRuleReport(c / 2)
+    return SumRuleReport(c / (2 * den))
 
 
 def solve_weight(phi: QZeroData) -> Q:
@@ -267,7 +257,7 @@ def solve_weight(phi: QZeroData) -> Q:
     report = quadratic_weyl_constant(phi)
     if not report.ok:
         raise ValueError(f"sum rule failed: {report.reason}")
-    total = sum(v for _, v in phi.q0_entries())
+    total = sum(v for _, v in phi._q0_items())
     return (24 * (report.c + 1) - total) / 2
 
 

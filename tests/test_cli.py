@@ -50,6 +50,13 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", "no-such-file.json")
         assert code == 2
 
+    def test_bool_gram_rejected(self, capsys, tmp_path):
+        path = write_json(tmp_path / "bool.json", {"gram": [[True]]})
+        code, out, err = run(capsys, "lattice", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "gram entry (0,0) is not an integer" in err
+
 
 class TestRoots:
     def test_d4_norm4(self, capsys):
@@ -146,6 +153,25 @@ class TestWeyl:
         code, _, err = run(capsys, "weyl", path)
         assert code == 3
         assert "n=-1" in err
+
+    @pytest.mark.parametrize(
+        "coeffs, named",
+        [
+            (5, "'coeffs' must be a list"),
+            ([7], "entry 0 must be an object"),
+            ([{"n": -1, "l": ["0/1"], "f": 1.5}], "'f' must be an integer, got 1.5"),
+            ([{"n": -1, "l": ["0/1"], "f": True}], "'f' must be an integer, got True"),
+            ([{"n": -1.0, "l": ["0/1"], "f": 1}], "'n' must be an integer, got -1.0"),
+            ([{"n": -1, "l": ["0/1"]}], "'f' must be an integer, got None"),
+            ([{"n": -1, "l": "0", "f": 1}], "'l' must be a list, got '0'"),
+        ],
+    )
+    def test_malformed_coeffs(self, capsys, tmp_path, coeffs, named):
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs})
+        code, out, err = run(capsys, "weyl", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and named in err
 
 
 class TestBorch:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthoforms import (
     AmbientVector,
@@ -58,6 +59,12 @@ class TestLatticeBasics:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             Lattice(((2.0, 0), (0, 2)))
+
+    def test_bool_rejected(self):
+        with pytest.raises(ValueError, match=r"gram entry \(0,0\) is not an integer"):
+            Lattice(((True,),))
+        with pytest.raises(ValueError, match=r"gram entry \(1,1\) is not an integer"):
+            Lattice(((2, 0), (0, False)))
 
     def test_builtin_determinants(self):
         expected = {"A1": 2, "A2": 3, "A7": 8, "D4": 4, "D8": 4, "E6": 3, "E7": 2, "E8": 1, "4A1": 16}
@@ -308,3 +315,35 @@ class TestEichler:
         a = ambient(A2, 0, 0, (0, 0), 0, 1)  # pairs with e1
         with pytest.raises(ValueError):
             eichler_transvection(c, a)
+
+
+# ---------------------------------------------------------------------------
+# in_dual against its Fraction definition
+# ---------------------------------------------------------------------------
+
+IN_DUAL_LATTICES = ["A1", "A2", "A3", "D4", "D5", "E6", "E7", "E8", "3A1", "A2(3)", "D4(2)"]
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    """A built-in lattice and a rational vector: a dual combination plus noise."""
+    lat = builtin_lattice(draw(st.sampled_from(IN_DUAL_LATTICES)))
+    n = lat.rank
+    weights = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    dual = lat.dual_basis()
+    v = [sum(w * row[i] for w, row in zip(weights, dual)) for i in range(n)]
+    den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    noise = [Q(k, den) for k in draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        v = [x + y for x, y in zip(v, noise)]
+    if draw(st.booleans()):
+        v = [Q(x).numerator if Q(x).denominator == 1 else x for x in v]
+    return lat, tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices_and_vectors())
+def test_in_dual_against_fraction_definition(case):
+    lat, v = case
+    expected = all(Q(x).denominator == 1 for x in lat.gram_times(tuple(Q(c) for c in v)))
+    assert lat.in_dual(v) is expected

@@ -1,6 +1,10 @@
 from fractions import Fraction as Q
+from itertools import product
+from math import isqrt
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from orthoforms import linalg
 
@@ -71,3 +75,101 @@ def test_rank_and_solve():
     assert linalg.rank(((1, 2), (2, 4))) == 1
     assert linalg.solve(((2, 0), (0, 3)), (4, 9)) == (Q(2), Q(3))
     assert linalg.solve(((1, 1), (1, 1)), (1, 2)) is None
+
+
+# ---------------------------------------------------------------------------
+# properties against independent oracles: box enumeration and sympy
+# ---------------------------------------------------------------------------
+
+SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def positive_definite_grams(draw):
+    """B B^T (times a scale, plus an optional diagonal) for nonsingular B."""
+    n = draw(st.integers(1, 3))
+    b = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(linalg.det(linalg.freeze(b)) != 0)
+    scale = draw(st.integers(1, 3))
+    shift = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    gram = linalg.mat_mul(b, linalg.transpose(b))
+    return tuple(
+        tuple(scale * x + (shift[i] if i == j else 0) for j, x in enumerate(row))
+        for i, row in enumerate(gram)
+    )
+
+
+BOUNDS = st.builds(Q, st.integers(0, 24), st.sampled_from([1, 2, 3, 5]))
+
+
+def box_radii(gram, bound):
+    """|x_i| <= sqrt(bound * (G^-1)_ii) on the ellipsoid x^T G x <= bound."""
+    inv = linalg.inverse(gram)
+    return [isqrt(int(bound * inv[i][i])) + 1 for i in range(len(gram))]
+
+
+def box_short_vectors(gram, radii, bound):
+    """Every nonzero integer vector in the box with x^T G x <= bound."""
+    n = len(gram)
+    return [
+        x
+        for x in product(*[range(-r, r + 1) for r in radii])
+        if any(x) and sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) <= bound
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_definite_grams(), BOUNDS)
+def test_short_vectors_of_form_against_box(gram, bound):
+    radii = box_radii(gram, bound)
+    volume = 1
+    for r in radii:
+        volume *= 2 * r + 1
+    assume(volume <= 20000)
+    expected = box_short_vectors(gram, radii, bound)
+    assert linalg.short_vectors_of_form(gram, bound) == sorted(expected)
+
+
+def test_short_vectors_of_form_rejects_indefinite():
+    with pytest.raises(ArithmeticError):
+        linalg.short_vectors_of_form(((1, 0), (0, -1)), 4)
+
+
+ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Q, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Random int/Fraction matrices, with products of thin factors for low rank and zero rows."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        a = draw(st.lists(st.lists(ENTRIES, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+        b = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+        m = [list(r) for r in linalg.mat_mul(a, b)]
+    else:
+        m = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        m[i] = [0] * cols
+    return linalg.freeze(m)
+
+
+def sympy_rank(m):
+    return sympy.Matrix([[sympy.Rational(Q(x).numerator, Q(x).denominator) for x in row] for row in m]).rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_against_sympy(m):
+    assert linalg.rank(m) == sympy_rank(m)
+
+
+def test_rank_edge_cases():
+    assert linalg.rank(()) == 0
+    assert linalg.rank(((0, 0), (0, 0))) == 0
+    assert linalg.rank(((Q(1, 2), Q(1, 3)), (3, 2))) == 1
+    assert linalg.rank(((1, 0, 0),) * 4 + ((0, 0, 1),)) == 2

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from orthoforms import (
     Lattice,
@@ -12,6 +14,7 @@ from orthoforms import (
     builtin_lattice,
     coxeter_number,
     decompose,
+    direct_sum,
     detect_roots,
     modified_coxeter,
     modified_coxeter_value,
@@ -20,6 +23,7 @@ from orthoforms import (
     rescale,
     sum_rule_constant,
 )
+from orthoforms import linalg
 from orthoforms.roots import _identify
 
 
@@ -271,3 +275,130 @@ class TestSumRuleOracle:
             for comp in self.variants(realize(tag, rank, d)):
                 phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)])
                 assert quadratic_weyl_constant(phi).c == modified_coxeter(comp), comp.label
+
+
+# ---------------------------------------------------------------------------
+# decompose and the sum rule against naive Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def fraction_pairing(gram, u, v):
+    n = len(gram)
+    return sum(Q(u[i]) * gram[i][j] * Q(v[j]) for i in range(n) for j in range(n))
+
+
+def naive_components(lat, roots):
+    """Connected components of the non-orthogonality graph, by Fraction pairings."""
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if fraction_pairing(lat.gram, roots[i], roots[j]) != 0:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def check_decompose(lat, max_norm):
+    rd = detect_roots(lat, max_norm)
+    comps = decompose(rd)
+    assert sorted(c.roots for c in comps) == naive_components(lat, rd.roots)
+    return comps
+
+
+class TestDecomposeAgainstNaive:
+    def test_a2_a1_d4(self):
+        lat = direct_sum(*(builtin_lattice(x) for x in ("A2", "A1", "D4")))
+        comps = check_decompose(lat, 2)
+        assert [(c.type_tag, c.rank) for c in comps] == [("A", 1), ("A", 2), ("D", 4)]
+
+    def test_3a1_a2(self):
+        lat = direct_sum(builtin_lattice("3A1"), builtin_lattice("A2"))
+        comps = check_decompose(lat, 2)
+        assert [(c.type_tag, c.rank) for c in comps] == [("A", 1)] * 3 + [("A", 2)]
+
+    def test_d4_a2_norm4(self):
+        lat = direct_sum(builtin_lattice("D4"), builtin_lattice("A2"))
+        comps = check_decompose(lat, 4)
+        assert [(c.type_tag, c.rank) for c in comps] == [("A", 2), ("F4", 4)]
+
+    def test_rescaled_summands(self):
+        lat = direct_sum(*(builtin_lattice(x) for x in ("A2", "A2(2)", "A3(2)")))
+        comps = check_decompose(lat, 4)
+        assert [(c.type_tag, c.rank, c.d) for c in comps] == [("A", 2, 1), ("A", 2, 2), ("A", 3, 2)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(["A1", "A2", "A3", "D4", "2A1"]), min_size=1, max_size=3))
+    def test_random_direct_sums(self, names):
+        lattices = [builtin_lattice(x) for x in names]
+        if sum(l.rank for l in lattices) > 7:
+            lattices = lattices[:1]
+        check_decompose(direct_sum(*lattices), 2)
+
+
+def naive_sum_rule(gram, weighted):
+    """The sum rule constant in Fractions, with sympy choosing the spanning basis."""
+    vectors = [(tuple(Q(x) for x in v), Q(w)) for v, w in weighted]
+    n = len(gram)
+    s = [[sum(w * g[i] * g[j] for g, w in ((linalg.mat_vec(gram, v), w) for v, w in vectors))
+          for j in range(n)] for i in range(n)]
+    basis = []
+    for v, _ in vectors:
+        if sympy.Matrix([list(b) for b in basis] + [list(v)]).rank() > len(basis):
+            basis.append(v)
+    c = None
+    for x in basis:
+        for y in basis:
+            lhs = sum(x[i] * s[i][j] * y[j] for i in range(n) for j in range(n))
+            rhs = fraction_pairing(gram, x, y)
+            if rhs == 0:
+                if lhs != 0:
+                    return None
+            elif c is None:
+                c = lhs / rhs
+            elif c != lhs / rhs:
+                return None
+    return None if c is None else c / 2
+
+
+SCALES = st.sampled_from([Q(1), Q(2), Q(1, 2), Q(1, 3), Q(-3, 2)])
+
+
+class TestSumRuleAgainstNaive:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([("A", 2), ("A", 3), ("D", 4), ("G2", 2), ("B", 3), ("C", 3)]),
+        st.integers(1, 2),
+        st.builds(Q, st.integers(-5, 5), st.integers(1, 6)),
+        st.data(),
+    )
+    def test_rescaled_roots(self, spec, d, weight, data):
+        # x -> x/lam with weight lam^2 leaves each term unchanged, so c stays w h d
+        comp = realize(spec[0], spec[1], d)
+        lams = data.draw(st.lists(SCALES, min_size=len(comp.roots), max_size=len(comp.roots)))
+        weighted = [
+            (tuple(Q(x) / lam for x in r), weight * lam * lam)
+            for r, lam in zip(comp.roots, lams)
+        ]
+        got = sum_rule_constant(comp.lattice.gram, weighted)
+        assert got == naive_sum_rule(comp.lattice.gram, weighted)
+        if weight:
+            assert got == weight * sum_rule_constant(comp.lattice.gram, [(r, 1) for r in comp.roots])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["A1", "A2", "3A1", "D4"]), st.data())
+    def test_random_vectors(self, name, data):
+        gram = builtin_lattice(name).gram
+        coord = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+        weighted = data.draw(st.lists(
+            st.tuples(st.tuples(*[coord] * len(gram)), st.builds(Q, st.integers(-3, 3), st.integers(1, 3))),
+            min_size=1, max_size=5,
+        ))
+        assert sum_rule_constant(gram, weighted) == naive_sum_rule(gram, weighted)
