@@ -7,7 +7,8 @@ and it is at least total rank + 1.  Each surviving candidate either maps
 to one of the 26 accepted (lattice, group) pairs or is excluded with a
 machine-readable reason, a literature citation, and, where possible, an
 exact arithmetic check run through the same machinery the accepted cases
-use.
+use.  Both outcomes are rows of one table keyed by candidate components
+(ACCEPTED and EXCLUDED below).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from typing import Callable
 
 from .roots import build_dual_set, modified_coxeter_value, realize
 from .series import q_str
@@ -115,6 +117,9 @@ def enumerate_candidates(max_rank: int = 8) -> list[CandidateSystem]:
     return out
 
 
+Pairs = tuple[tuple[str, str], ...]
+
+
 @dataclass(frozen=True)
 class ClassificationRecord:
     candidate: CandidateSystem
@@ -123,17 +128,15 @@ class ClassificationRecord:
     group_label: str | None = None
     reason: str | None = None
     citation: str | None = None
-    checks: tuple[tuple[str, str], ...] = ()
+    checks: Pairs = ()
 
 
-def _accept(candidate, lattice, group) -> ClassificationRecord:
-    return ClassificationRecord(candidate, "accepted", lattice, group)
-
-
-def _exclude(candidate, reason, citation, checks=()) -> ClassificationRecord:
-    return ClassificationRecord(
-        candidate, "excluded", reason=reason, citation=citation, checks=tuple(checks)
-    )
+@dataclass(frozen=True)
+class LedgerCheck:
+    code: str
+    statement: str
+    values: Pairs
+    passed: bool
 
 
 @lru_cache(maxsize=None)
@@ -150,135 +153,172 @@ def _solved_data(family: str, rank: int, d: int):
     return k, wv.a, wv.c
 
 
-def resolve(candidate: CandidateSystem) -> ClassificationRecord:
-    """Accepted (lattice, group) pair or cited exclusion for one candidate."""
-    comps = candidate.components
-    if len(comps) > 1:
-        if all(c == ("F4", 4, 1) for c in comps) and len(comps) == 2:
-            return _exclude(
-                candidate,
-                "mirror-span-deficient",
-                "the 4-reflective vectors in the first copy of D4 do not span "
-                "the whole space of dimension 8",
-            )
-        return ClassificationRecord(candidate, "unresolved")
-    (family, n, d) = comps[0]
-    if family == "A" and d == 1:
-        if n == 8:
-            return _exclude(
-                candidate,
-                "no-complete-2-divisor",
-                "2U + A8(-1) has no modular forms with complete 2-divisor "
-                "(Wang 2019)",
-            )
-        group = GROUP_FULL if n == 1 else GROUP_DK
-        return _accept(candidate, f"A{n}", group)
-    if family == "B" and d == 1:
-        if 2 <= n <= 4:
-            return _accept(candidate, f"{n}A1", GROUP_FULL)
-        checks = []
-        if n == 8:
-            k, a, c = _solved_data("B", 8, 1)
-            checks = [
-                ("weight", q_str(k)),
-                ("weyl_A", q_str(a)),
-                ("weyl_C", q_str(c)),
-                ("generator-weights", "10*4 + 6 = 46 = 56 - 10"),
-                ("leading-order-conflict", "10 != 9"),
-            ]
-            if not (k == 56 and a == 10 and c == 9 and 10 * 4 + 6 == 46 == 56 - 10):
-                raise ClassificationError("N8 bookkeeping failed")
-        return _exclude(
-            candidate,
-            "no-complete-2-divisor",
-            "there is no modular form with complete 2-divisor for "
-            "2U + nA1(-1) when n >= 5 (Wang 2019); for the Nikulin "
-            "overlattice N8 the Weyl vector (10,*,9) contradicts the "
-            "forced leading order",
-            checks,
-        )
-    if family == "C" and d == 1:
-        if n == 3:
-            return _accept(candidate, "A3", GROUP_FULL)
-        if n == 4:
-            return _accept(candidate, "D4", GROUP_O1)
-        return _accept(candidate, f"D{n}", GROUP_FULL)
-    if family == "D" and d == 1:
-        return _accept(candidate, f"D{n}", GROUP_DK)
-    if family == "E6" and d == 1:
-        return _accept(candidate, "E6", GROUP_DK)
-    if family == "E7" and d == 1:
-        return _accept(candidate, "E7", GROUP_FULL)
-    if family == "E8" and d == 1:
-        return _accept(candidate, "E8", GROUP_FULL)
-    if family == "G2" and d == 1:
-        return _accept(candidate, "A2", GROUP_FULL)
-    if family == "F4" and d == 1:
-        return _accept(candidate, "D4", GROUP_FULL)
-    if family == "E8" and d == 3:
-        k, a, c = _solved_data("E8", 8, 3)
-        if k != 12:
-            raise ClassificationError("E8 scale-3 weight check failed")
-        return _exclude(
-            candidate,
-            "weight-12-impossible",
-            "which follows that k=12",
-            [("k", q_str(k)), ("weyl_A", q_str(a)), ("weyl_C", q_str(c))],
-        )
-    if family == "E8" and d == 2:
-        k, a, c = _solved_data("E8", 8, 2)
-        if not (k == 72 and 12 + 60 < 10 + 4 + 6 + 8 * 9):
-            raise ClassificationError("E8 scale-2 weight check failed")
-        return _exclude(
-            candidate,
-            "weight-deficit",
-            "the 2-reflective and 4-reflective modular forms have weights 12 "
-            "and 60, and 12+60 < 10+4+6+8*9",
-            [("weight", q_str(k)), ("deficit", "72 < 92")],
-        )
-    if family == "E7" and d == 2:
-        k, a, c = _solved_data("E7", 7, 2)
-        if not (k == 57 and a == 10 and c == 9 and 57 - 9 < 4 * 3 + 6 * 7):
-            raise ClassificationError("E7 scale-2 weight check failed")
-        return _exclude(
-            candidate,
-            "weight-deficit",
-            "the Jacobian would have weight 57 and Weyl vector (10,*,9), "
-            "but 57-9 < 4*3+6*7",
-            [("weight", q_str(k)), ("weyl_A", q_str(a)), ("weyl_C", q_str(c))],
-        )
-    return ClassificationRecord(candidate, "unresolved")
+def _deficit(code: str, statement: str, lhs: int, rhs: int, solved_ok: bool = True) -> LedgerCheck:
+    return LedgerCheck(code, statement, (("lhs", str(lhs)), ("rhs", str(rhs))), lhs < rhs and solved_ok)
 
 
-# the 26 accepted pairs in display order
-TABLE_ORDER: tuple[tuple[str, str], ...] = (
-    ("A1", GROUP_FULL),
-    ("2A1", GROUP_FULL),
-    ("3A1", GROUP_FULL),
-    ("4A1", GROUP_FULL),
-    ("A2", GROUP_DK),
-    ("A2", GROUP_FULL),
-    ("A3", GROUP_DK),
-    ("A3", GROUP_FULL),
-    ("A4", GROUP_DK),
-    ("A5", GROUP_DK),
-    ("A6", GROUP_DK),
-    ("A7", GROUP_DK),
-    ("D4", GROUP_DK),
-    ("D5", GROUP_DK),
-    ("D6", GROUP_DK),
-    ("D7", GROUP_DK),
-    ("D8", GROUP_DK),
-    ("D4", GROUP_FULL),
-    ("D5", GROUP_FULL),
-    ("D6", GROUP_FULL),
-    ("D7", GROUP_FULL),
-    ("D8", GROUP_FULL),
-    ("D4", GROUP_O1),
-    ("E6", GROUP_DK),
-    ("E7", GROUP_FULL),
-    ("E8", GROUP_FULL),
+def _weyl_pairs(weight_name: str, k, a, c) -> Pairs:
+    return ((weight_name, q_str(k)), ("weyl_A", q_str(a)), ("weyl_C", q_str(c)))
+
+
+def _e8_scale2_deficit(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+    lhs, rhs = 12 + 60, 10 + 4 + 6 + 8 * 9
+    solved_ok, pairs = True, ()
+    if record:
+        k, _, _ = _solved_data(*comp)
+        solved_ok, pairs = k == lhs, (("weight", q_str(k)), ("deficit", f"{lhs} < {rhs}"))
+    return _deficit("e8-scale2-weight-deficit", "12 + 60 < 10 + 4 + 6 + 8*9", lhs, rhs, solved_ok), pairs
+
+
+def _e7_scale2_deficit(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+    k, a, c = 57, 10, 9  # the Jacobian's weight and Weyl vector (10, *, 9)
+    lhs, rhs = k - c, 4 * 3 + 6 * 7
+    solved_ok, pairs = True, ()
+    if record:
+        solved = _solved_data(*comp)
+        solved_ok, pairs = solved == (k, a, c), _weyl_pairs("weight", *solved)
+    return _deficit("e7-scale2-weight-deficit", "57 - 9 < 4*3 + 6*7", lhs, rhs, solved_ok), pairs
+
+
+def _e8_scale3_weight(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+    k, a, c = _solved_data(*comp)
+    values = _weyl_pairs("k", k, a, c)
+    return LedgerCheck("e8-scale3-weight", "solved weight k = 12", values, k == 12), values
+
+
+def _n8_bookkeeping(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+    k, a, c = _solved_data(*comp)
+    solved = _weyl_pairs("weight", k, a, c)
+    entry = LedgerCheck(
+        "n8-bookkeeping",
+        "10*4 + 6 = 46 = 56 - 10 with leading-order conflict 10 vs 9",
+        solved + (("conflict", "10 != 9"),),
+        10 * 4 + 6 == 46 == 56 - 10 and (k, a, c) == (56, 10, 9) and 10 != 9,
+    )
+    return entry, solved + (
+        ("generator-weights", "10*4 + 6 = 46 = 56 - 10"),
+        ("leading-order-conflict", "10 != 9"),
+    )
+
+
+def _checked(entry: LedgerCheck) -> LedgerCheck:
+    if not entry.passed:
+        raise ClassificationError(f"arithmetic check failed: {entry.code}")
+    return entry
+
+
+# ---------------------------------------------------------------------------
+# the classification table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Exclusion:
+    """Why a candidate is excluded, and the check of the arithmetic, if any.
+
+    ``check(component, record)`` evaluates the exclusion's arithmetic once
+    and returns its ledger entry with the record's check pairs.  With
+    record=False it returns the ledger entry alone, and the E8(2) and E7(2)
+    entries are plain integer arithmetic that solves nothing; with
+    record=True the entry passes only if the solved component also has the
+    weight and Weyl vector the argument uses.
+    """
+
+    reason: str
+    citation: str
+    check: Callable[[Component, bool], tuple[LedgerCheck, Pairs]] | None = None
+
+
+# the 26 accepted pairs, keyed by candidate components, in display order
+ACCEPTED: dict[tuple[Component, ...], tuple[str, str]] = {
+    (("A", 1, 1),): ("A1", GROUP_FULL),
+    (("B", 2, 1),): ("2A1", GROUP_FULL),
+    (("B", 3, 1),): ("3A1", GROUP_FULL),
+    (("B", 4, 1),): ("4A1", GROUP_FULL),
+    (("A", 2, 1),): ("A2", GROUP_DK),
+    (("G2", 2, 1),): ("A2", GROUP_FULL),
+    (("A", 3, 1),): ("A3", GROUP_DK),
+    (("C", 3, 1),): ("A3", GROUP_FULL),
+    (("A", 4, 1),): ("A4", GROUP_DK),
+    (("A", 5, 1),): ("A5", GROUP_DK),
+    (("A", 6, 1),): ("A6", GROUP_DK),
+    (("A", 7, 1),): ("A7", GROUP_DK),
+    (("D", 4, 1),): ("D4", GROUP_DK),
+    (("D", 5, 1),): ("D5", GROUP_DK),
+    (("D", 6, 1),): ("D6", GROUP_DK),
+    (("D", 7, 1),): ("D7", GROUP_DK),
+    (("D", 8, 1),): ("D8", GROUP_DK),
+    (("F4", 4, 1),): ("D4", GROUP_FULL),
+    (("C", 5, 1),): ("D5", GROUP_FULL),
+    (("C", 6, 1),): ("D6", GROUP_FULL),
+    (("C", 7, 1),): ("D7", GROUP_FULL),
+    (("C", 8, 1),): ("D8", GROUP_FULL),
+    (("C", 4, 1),): ("D4", GROUP_O1),
+    (("E6", 6, 1),): ("E6", GROUP_DK),
+    (("E7", 7, 1),): ("E7", GROUP_FULL),
+    (("E8", 8, 1),): ("E8", GROUP_FULL),
+}
+
+_NO_2_DIVISOR_NA1 = Exclusion(
+    "no-complete-2-divisor",
+    "there is no modular form with complete 2-divisor for "
+    "2U + nA1(-1) when n >= 5 (Wang 2019); for the Nikulin "
+    "overlattice N8 the Weyl vector (10,*,9) contradicts the "
+    "forced leading order",
 )
+
+# the 9 excluded candidates; the rows with a check are in ledger order
+EXCLUDED: dict[tuple[Component, ...], Exclusion] = {
+    (("E8", 8, 2),): Exclusion(
+        "weight-deficit",
+        "the 2-reflective and 4-reflective modular forms have weights 12 "
+        "and 60, and 12+60 < 10+4+6+8*9",
+        _e8_scale2_deficit,
+    ),
+    (("E7", 7, 2),): Exclusion(
+        "weight-deficit",
+        "the Jacobian would have weight 57 and Weyl vector (10,*,9), "
+        "but 57-9 < 4*3+6*7",
+        _e7_scale2_deficit,
+    ),
+    (("E8", 8, 3),): Exclusion("weight-12-impossible", "which follows that k=12", _e8_scale3_weight),
+    (("B", 5, 1),): _NO_2_DIVISOR_NA1,
+    (("B", 6, 1),): _NO_2_DIVISOR_NA1,
+    (("B", 7, 1),): _NO_2_DIVISOR_NA1,
+    (("B", 8, 1),): dataclasses.replace(_NO_2_DIVISOR_NA1, check=_n8_bookkeeping),
+    (("A", 8, 1),): Exclusion(
+        "no-complete-2-divisor",
+        "2U + A8(-1) has no modular forms with complete 2-divisor (Wang 2019)",
+    ),
+    (("F4", 4, 1), ("F4", 4, 1)): Exclusion(
+        "mirror-span-deficient",
+        "the 4-reflective vectors in the first copy of D4 do not span "
+        "the whole space of dimension 8",
+    ),
+}
+
+
+def resolve(candidate: CandidateSystem) -> ClassificationRecord:
+    """Accepted (lattice, group) pair or cited exclusion for one candidate.
+
+    A lookup in ACCEPTED and EXCLUDED; an exclusion's check runs here and
+    raises ClassificationError if it fails.  Candidates in neither table
+    stay unresolved.
+    """
+    key = candidate.components
+    if key in ACCEPTED:
+        lattice, group = ACCEPTED[key]
+        return ClassificationRecord(candidate, "accepted", lattice, group)
+    exclusion = EXCLUDED.get(key)
+    if exclusion is None:
+        return ClassificationRecord(candidate, "unresolved")
+    checks: Pairs = ()
+    if exclusion.check:
+        entry, checks = exclusion.check(key[0], True)
+        _checked(entry)
+    return ClassificationRecord(
+        candidate, "excluded", reason=exclusion.reason, citation=exclusion.citation, checks=checks
+    )
 
 
 @dataclass(frozen=True)
@@ -299,8 +339,8 @@ def full_table(max_rank: int = 8) -> ClassificationReport:
     accepted = [r for r in records if r.verdict == "accepted"]
     excluded = [r for r in records if r.verdict == "excluded"]
     unresolved = [r for r in records if r.verdict == "unresolved"]
-    order = {pair: i for i, pair in enumerate(TABLE_ORDER)}
-    accepted.sort(key=lambda r: order.get((r.lattice_label, r.group_label), 99))
+    order = {key: i for i, key in enumerate(ACCEPTED)}
+    accepted.sort(key=lambda r: order[r.candidate.components])
     excluded.sort(key=lambda r: (r.candidate.total_rank, r.candidate.components))
     report = ClassificationReport(
         tuple(accepted), tuple(excluded), tuple(unresolved), max_rank
@@ -312,68 +352,15 @@ def full_table(max_rank: int = 8) -> ClassificationReport:
     return report
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
-    code: str
-    statement: str
-    values: tuple[tuple[str, str], ...]
-    passed: bool
-
-
 def ledger_arithmetic_checks() -> tuple[LedgerCheck, ...]:
-    """Exact evaluation of the exclusion inequalities and weight equations."""
-    checks = []
-    checks.append(
-        LedgerCheck(
-            "rank-bound-weight-deficit",
-            "132 < 8*19 + 18",
-            (("lhs", "132"), ("rhs", str(8 * 19 + 18))),
-            132 < 8 * 19 + 18,
-        )
-    )
-    checks.append(
-        LedgerCheck(
-            "e8-scale2-weight-deficit",
-            "12 + 60 < 10 + 4 + 6 + 8*9",
-            (("lhs", str(12 + 60)), ("rhs", str(10 + 4 + 6 + 8 * 9))),
-            12 + 60 < 10 + 4 + 6 + 8 * 9,
-        )
-    )
-    checks.append(
-        LedgerCheck(
-            "e7-scale2-weight-deficit",
-            "57 - 9 < 4*3 + 6*7",
-            (("lhs", str(57 - 9)), ("rhs", str(4 * 3 + 6 * 7))),
-            57 - 9 < 4 * 3 + 6 * 7,
-        )
-    )
-    k, a, c = _solved_data("E8", 8, 3)
-    checks.append(
-        LedgerCheck(
-            "e8-scale3-weight",
-            "solved weight k = 12",
-            (("k", q_str(k)), ("weyl_A", q_str(a)), ("weyl_C", q_str(c))),
-            k == 12,
-        )
-    )
-    k8, a8, c8 = _solved_data("B", 8, 1)
-    checks.append(
-        LedgerCheck(
-            "n8-bookkeeping",
-            "10*4 + 6 = 46 = 56 - 10 with leading-order conflict 10 vs 9",
-            (
-                ("weight", q_str(k8)),
-                ("weyl_A", q_str(a8)),
-                ("weyl_C", q_str(c8)),
-                ("conflict", "10 != 9"),
-            ),
-            10 * 4 + 6 == 46 == 56 - 10 and k8 == 56 and a8 == 10 and c8 == 9 and 10 != 9,
-        )
-    )
-    if not all(ch.passed for ch in checks):
-        failing = [ch.code for ch in checks if not ch.passed]
-        raise ClassificationError(f"arithmetic checks failed: {failing}")
-    return tuple(checks)
+    """Exact evaluation of the exclusion inequalities and weight equations.
+
+    The free-algebra rank bound first, then the ledger entry of every
+    checked exclusion row.
+    """
+    entries = [_deficit("rank-bound-weight-deficit", "132 < 8*19 + 18", 132, 8 * 19 + 18)]
+    entries += [ex.check(key[0], False)[0] for key, ex in EXCLUDED.items() if ex.check]
+    return tuple(map(_checked, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction as Q
 
@@ -25,19 +24,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INVALID):
         super().__init__(message)
         self.code = code
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("ORTHOFORMS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"ORTHOFORMS_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise CliError(f"ORTHOFORMS_THREADS must be a positive integer, got {raw!r}")
-    return cap  # all computations are single-threaded today; the cap is honored trivially
 
 
 def _parse_rect(text: str) -> tuple[Q, Q]:
@@ -393,7 +379,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,82 +59,48 @@ def vec_gcd(v: Sequence[int]) -> int:
     return g
 
 
-def det(m: Mat):
-    """Exact determinant by fraction-free style Gaussian elimination."""
+def _gauss_jordan(m: Mat, augment: bool = False) -> tuple[Q, list[list[Q]]]:
+    """Gauss-Jordan elimination of m over the rationals, optionally of [m | I].
+
+    Returns the determinant of m, the signed product of the pivots, with the
+    reduced rows; with augment the right half of the rows is then m^-1.  On a
+    singular m the determinant is 0 and the rows are left part-reduced.
+    """
     n = len(m)
-    a = [[Q(x) for x in row] for row in m]
-    sign = 1
-    result = Q(1)
+    a = [
+        [Q(x) for x in row] + ([Q(int(i == j)) for j in range(n)] if augment else [])
+        for i, row in enumerate(m)
+    ]
+    d = Q(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return 0 if all(isinstance(x, int) for row in m for x in row) else Q(0)
+            return Q(0), a
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
+            d = -d
         p = a[col][col]
-        result *= p
-        for r in range(col + 1, n):
-            factor = a[r][col] / p
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    result *= sign
-    if result.denominator == 1 and all(
-        isinstance(x, int) for row in m for x in row
-    ):
-        return int(result)
-    return result
-
-
-def inverse(m: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
-    n = len(m)
-    a = [[Q(x) for x in row] + [Q(1 if i == j else 0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
+        d *= p
         a[col] = [x / p for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return freeze(row[n:] for row in a)
+    return d, a
 
 
-def solve(m: Mat, rhs: Sequence) -> Vec | None:
-    """Solve m x = rhs exactly; None if inconsistent or underdetermined."""
-    n = len(m)
-    cols = len(m[0])
-    a = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(m)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][cols] != 0:
-            return None
-    if len(piv_cols) < cols:
-        return None
-    x = [Q(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][cols]
-    return tuple(x)
+def det(m: Mat):
+    """Exact determinant: an int for int input, else a Fraction (Q(0) if singular)."""
+    d, _ = _gauss_jordan(m)
+    return int(d) if all(isinstance(x, int) for row in m for x in row) else d
+
+
+def inverse(m: Mat) -> Mat:
+    """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
+    d, rows = _gauss_jordan(m, augment=True)
+    if d == 0:
+        raise ValueError("singular matrix")
+    return freeze(row[len(m):] for row in rows)
 
 
 def _int_row(row: Sequence) -> list[int]:

@@ -64,8 +64,8 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
         raise ValueError("root detection is limited to rank <= 8")
     roots = []
     for v in short_vectors(lat, max_norm):
-        nn = int(lat.norm(v))
-        if (2 * lat.div(v)) % nn == 0:
+        gv = lat.gram_times(v)  # norm and divisor both read G·v
+        if (2 * linalg.vec_gcd(gv)) % sum(map(mul, v, gv)) == 0:
             roots.append(v)
     return RootDatum(lat, tuple(roots))
 

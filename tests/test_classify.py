@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -11,18 +13,24 @@ from orthoforms import (
     realize,
     resolve,
 )
+from orthoforms import classify
 from orthoforms.classify import (
     GROUP_DK,
     GROUP_FULL,
+    ACCEPTED,
+    EXCLUDED,
     GROUP_O1,
     POOL,
+    ClassificationError,
     CandidateSystem,
     pool_modified_coxeter,
     report_to_json,
     report_to_text,
 )
+from orthoforms.cli import main
 
-EXPECTED_26 = {
+# the 26 accepted pairs in display order
+EXPECTED_26 = (
     ("A1", GROUP_FULL),
     ("2A1", GROUP_FULL),
     ("3A1", GROUP_FULL),
@@ -49,7 +57,7 @@ EXPECTED_26 = {
     ("E6", GROUP_DK),
     ("E7", GROUP_FULL),
     ("E8", GROUP_FULL),
-}
+)
 
 
 class TestPool:
@@ -161,7 +169,7 @@ class TestFullTable:
     def test_matches_expected_set(self):
         report = full_table()
         got = {(r.lattice_label, r.group_label) for r in report.accepted}
-        assert got == EXPECTED_26
+        assert got == set(EXPECTED_26)
 
     def test_d4_o1_appears_once(self):
         report = full_table()
@@ -201,6 +209,81 @@ class TestFullTable:
                 assert quadratic_weyl_constant(phi).c == cand.common_h
 
 
+class TestTable:
+    def test_every_row_reached_by_one_candidate(self):
+        reached = Counter(c.components for c in enumerate_candidates(8))
+        rows = list(ACCEPTED) + list(EXCLUDED)
+        assert len(rows) == 26 + 9
+        assert all(reached[row] == 1 for row in rows)
+        assert set(reached) == set(rows)
+
+    def test_display_order(self):
+        assert tuple(ACCEPTED.values()) == EXPECTED_26
+        report = full_table()
+        assert tuple((r.lattice_label, r.group_label) for r in report.accepted) == EXPECTED_26
+
+    def test_unknown_components_unresolved(self):
+        rec = resolve(CandidateSystem((("A", 2, 1), ("A", 2, 1)), 4, Q(3)))
+        assert rec.verdict == "unresolved"
+
+    def test_ledger_solves_only_its_own_entries(self):
+        classify._solved_data.cache_clear()
+        ledger_arithmetic_checks()
+        assert classify._solved_data.cache_info().currsize == 2
+        classify._solved_data.cache_clear()
+        full_table(4)
+        assert classify._solved_data.cache_info().currsize == 0
+
+
+def _corrupt_solved_data(monkeypatch, comp, index, value):
+    """Make _solved_data return a wrong k (index 0), A (1) or C (2) for comp."""
+    real = classify._solved_data
+
+    def fake(*key):
+        data = real(*key)
+        if key != comp:
+            return data
+        return data[:index] + (Q(value),) + data[index + 1:]
+
+    monkeypatch.setattr(classify, "_solved_data", fake)
+
+
+SOLVED_CHECKS = [
+    # (component, index into (k, A, C), wrong value, check code, ledger solves it)
+    (("E8", 8, 3), 0, 13, "e8-scale3-weight", True),
+    (("B", 8, 1), 2, 10, "n8-bookkeeping", True),
+    (("E8", 8, 2), 0, 71, "e8-scale2-weight-deficit", False),
+    (("E7", 7, 2), 1, 11, "e7-scale2-weight-deficit", False),
+]
+
+
+class TestGuards:
+    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
+    def test_resolve_raises(self, monkeypatch, comp, index, value, code, ledger_solves):
+        _corrupt_solved_data(monkeypatch, comp, index, value)
+        candidate = next(c for c in enumerate_candidates() if c.components == (comp,))
+        with pytest.raises(ClassificationError, match=code):
+            resolve(candidate)
+
+    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
+    def test_ledger(self, monkeypatch, comp, index, value, code, ledger_solves):
+        _corrupt_solved_data(monkeypatch, comp, index, value)
+        if ledger_solves:
+            with pytest.raises(ClassificationError, match=code):
+                ledger_arithmetic_checks()
+        else:
+            assert all(c.passed for c in ledger_arithmetic_checks())
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
+    def test_cli_exits_1(self, monkeypatch, capsys, fmt, comp, index, value, code, ledger_solves):
+        _corrupt_solved_data(monkeypatch, comp, index, value)
+        assert main(["classify", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal check failed: arithmetic check failed: {code}\n"
+
+
 class TestLedgerChecks:
     def test_all_pass(self):
         checks = ledger_arithmetic_checks()
@@ -232,3 +315,33 @@ class TestRendering:
         assert text.count("(") >= 26
         assert "(D4, O1+)" in text
         assert "excluded candidates: 9" in text
+
+
+# SHA-256 of `orthoforms classify --format FMT --max-rank R` stdout, recorded
+# before the classification moved into one table; the output must not change
+CLASSIFY_DIGESTS = {
+    ("json", 1): "0dcd326ceb63a7fea9bbda1a344f45959c8378b44e7f8d43ee4eb7bcfe781e7e",
+    ("json", 2): "6a0dbe0c98ca454f198d5d883d282beefdb7d36f246cf7da6fc501e7b1115713",
+    ("json", 3): "9cce12167e40398cfaae09cbfad4e7eb350b4c760ebface326559cdec1b119ac",
+    ("json", 4): "45f97b2327897d61cefe9ca428f7b4a4feaac0068dd904f26b9a6f08d5830895",
+    ("json", 5): "0eaeba7d99cfe74a78ac1efb26c47932e97e3166c02075aff3cd82f3f95eac97",
+    ("json", 6): "63a30f2f5c8ed94a53780d52dd0a1f5310cdb38fceea6dd8589faf6f80789295",
+    ("json", 7): "10459b90495dec64bb7b230864313ec2d6d7c4b972cb63f8b930f71626b9c76b",
+    ("json", 8): "b5b61fb3c8c5d550fac1f82f6b8dc4fc88e77a52ffefeacf496957be36be1688",
+    ("table", 1): "90834a6aa454ab3c6c14bb1f41d792fe0c34abcdd54f15e15df24d6b3bd424b0",
+    ("table", 2): "abf88e4622a3d1d76a7712975e8caf554bbc8528021291a034ec1327f4c77cb8",
+    ("table", 3): "30ab67c46b8554d175d83d3e775cbd4921c846180c16dbfc8f5d89c216365cfe",
+    ("table", 4): "fd08c0413ceca760f148f3612a3aa923188b2d5b40418ca3eb7d04071f282ac1",
+    ("table", 5): "0ef9316b30ee458629918b73aacd187a5112e5a7af4cdd9b01837379934c9df3",
+    ("table", 6): "030f1baf0faf84df71940f7913d8a27a0e5226bd901f8d64bce185ba789f325a",
+    ("table", 7): "8ee3712b292d9b9bb36683c3293f8b07baa1ac49bbd17cb547e72b9b69e0ddfd",
+    ("table", 8): "901df4b148ae037039f28cca209aa696b35583ccb13235ad0e3e0fbaad736d36",
+}
+
+
+@pytest.mark.parametrize("fmt,max_rank", sorted(CLASSIFY_DIGESTS))
+def test_classify_output_pinned(capsys, fmt, max_rank):
+    code = main(["classify", "--format", fmt, "--max-rank", str(max_rank)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_DIGESTS[fmt, max_rank]

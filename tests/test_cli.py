@@ -305,19 +305,6 @@ class TestClassify:
         assert out1 == out2
 
 
-class TestEnvironment:
-    def test_thread_cap_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORTHOFORMS_THREADS", "zero")
-        code, _, err = run(capsys, "lattice", "builtin:A1")
-        assert code == 2
-        assert "ORTHOFORMS_THREADS" in err
-
-    def test_thread_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("ORTHOFORMS_THREADS", "4")
-        code, _, _ = run(capsys, "lattice", "builtin:A1")
-        assert code == 0
-
-
 class TestRoundTrip:
     def test_series_output_reparses(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)

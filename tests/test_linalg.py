@@ -71,10 +71,8 @@ def test_short_vectors_of_form_matches_box_enumeration():
     assert got == box
 
 
-def test_rank_and_solve():
+def test_rank_known():
     assert linalg.rank(((1, 2), (2, 4))) == 1
-    assert linalg.solve(((2, 0), (0, 3)), (4, 9)) == (Q(2), Q(3))
-    assert linalg.solve(((1, 1), (1, 1)), (1, 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,16 @@ def matrices(draw):
     return linalg.freeze(m)
 
 
+def sympy_matrix(m):
+    return sympy.Matrix([[sympy.Rational(Q(x).numerator, Q(x).denominator) for x in row] for row in m])
+
+
 def sympy_rank(m):
-    return sympy.Matrix([[sympy.Rational(Q(x).numerator, Q(x).denominator) for x in row] for row in m]).rank()
+    return sympy_matrix(m).rank()
+
+
+def from_sympy(x):
+    return Q(int(x.p), int(x.q))
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,3 +179,50 @@ def test_rank_edge_cases():
     assert linalg.rank(((0, 0), (0, 0))) == 0
     assert linalg.rank(((Q(1, 2), Q(1, 3)), (3, 2))) == 1
     assert linalg.rank(((1, 0, 0),) * 4 + ((0, 0, 1),)) == 2
+
+
+@st.composite
+def square_matrices(draw):
+    """Square int or int/Fraction matrices; about half are made singular."""
+    n = draw(st.integers(1, 4))
+    entries = draw(st.sampled_from([st.integers(-4, 4), ENTRIES]))
+    m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        m[i] = [c * x for x in m[j]] if i != j else [0] * n
+    return linalg.freeze(m)
+
+
+def all_ints(m):
+    return all(isinstance(x, int) for row in m for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_against_sympy(m):
+    got = linalg.det(m)
+    assert got == from_sympy(sympy_matrix(m).det())
+    if all_ints(m):
+        assert type(got) is int
+    else:
+        assert type(got) is Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_inverse_against_sympy(m):
+    expected = sympy_matrix(m)
+    if expected.det() == 0:
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.inverse(m)
+        return
+    got = linalg.inverse(m)
+    assert got == tuple(tuple(from_sympy(x) for x in row) for row in expected.inv().tolist())
+    assert all(type(x) is Q for row in got for x in row)
+
+
+def test_det_singular_types():
+    assert type(linalg.det(((1, 2), (2, 4)))) is int
+    assert linalg.det(((Q(1, 2), 1), (1, 2))) == Q(0)
+    assert type(linalg.det(((Q(1, 2), 1), (1, 2)))) is Q
