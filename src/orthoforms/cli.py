@@ -321,8 +321,6 @@ def cmd_classify(args) -> int:
     else:
         sys.stdout.write(classify.report_to_text(report))
         print("arithmetic checks: " + ", ".join(f"{c.code} ok" for c in checks))
-    if report.complete and len(report.accepted) != 26:
-        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -129,11 +129,9 @@ class TruncatedSeries:
         return not self.terms
 
     def floors(self) -> tuple[Q, Q]:
-        if not self.terms:
-            return Q(0), Q(0)
         return (
-            min(a for (a, _, _) in self.terms),
-            min(t for (_, _, t) in self.terms),
+            min((a for (a, _, _) in self.terms), default=Q(0)),
+            min((t for (_, _, t) in self.terms), default=Q(0)),
         )
 
     def __repr__(self):
@@ -144,34 +142,14 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_compatible(self, other: "TruncatedSeries"):
-        if self.rank != other.rank:
-            raise ValueError("series rank mismatch")
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        den = math.lcm(self.den, other.den)
-        pa = min(self.prefactor.a, other.prefactor.a)
-        pc = min(self.prefactor.c, other.prefactor.c)
-        pb = self.prefactor.b
-        common = Monomial(pa, pb, pc)
-        merged: dict[Key, Q] = {}
-        for series in (self, other):
-            da = series.prefactor.a - pa
-            dc = series.prefactor.c - pc
-            db = tuple(x - y for x, y in zip(series.prefactor.b, pb))
-            for (a, l, t), c in series.terms.items():
-                key = (a + da, tuple(x + y for x, y in zip(l, db)), t + dc)
-                merged[key] = merged.get(key, Q(0)) + c
-        ra = min(self.prefactor.a + self.rect[0], other.prefactor.a + other.rect[0]) - pa
-        rt = min(self.prefactor.c + self.rect[1], other.prefactor.c + other.rect[1]) - pc
-        return TruncatedSeries(self.rank, merged, (ra, rt), common, den)
+        return _signed_sum(((1, self), (1, other)))
 
     def __neg__(self):
         return self.scale(Q(-1))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _signed_sum(((1, self), (-1, other)))
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = _q(factor)
@@ -184,7 +162,8 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
+        if self.rank != other.rank:
+            raise ValueError("series rank mismatch")
         den = math.lcm(self.den, other.den)
         pref = Monomial(
             self.prefactor.a + other.prefactor.a,
@@ -251,11 +230,8 @@ class TruncatedSeries:
         """Minimal q-exponent and minimal xi-exponent, prefactor included."""
         if not self.terms:
             raise ZeroSeriesError("vanishes to rectangle order")
-        p = self.prefactor
-        return (
-            min(a for (a, _, _) in self.terms) + p.a,
-            min(t for (_, _, t) in self.terms) + p.c,
-        )
+        fa, ft = self.floors()
+        return fa + self.prefactor.a, ft + self.prefactor.c
 
     def invert(self) -> "TruncatedSeries":
         """Geometric-series inverse; the reduced constant term must be 1.
@@ -290,9 +266,43 @@ class TruncatedSeries:
         return TruncatedSeries(rank, acc.terms, self.rect, inv_pref, self.den)
 
 
+def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
+    """Sum of sign * series over (sign, series) parts, signs +-1, merged once.
+
+    Equals the left fold of ``+`` (``-`` for sign -1): each of its steps takes
+    the min of the prefactors' a and c, the first operand's b, the lcm of the
+    dens and the min of the absolute rects (prefactor plus rect), as done here
+    over all parts.  A term a step drops lies outside that step's absolute
+    rect, which only shrinks, so the final constructor drops it too; zero sums
+    are dropped in both.  Off the den grid (a prefactor not in (1/den)Z) the
+    two may raise on different inputs: each fold step checks its own den.
+    """
+    first = parts[0][1]
+    if any(x.rank != first.rank for _, x in parts):
+        raise ValueError("series rank mismatch")
+    pa = min(x.prefactor.a for _, x in parts)
+    pc = min(x.prefactor.c for _, x in parts)
+    pb = first.prefactor.b
+    merged: dict[Key, Q] = {}
+    get = merged.get
+    for sign, x in parts:
+        p = x.prefactor
+        da, dc, db = p.a - pa, p.c - pc, tuple(map(sub, p.b, pb))
+        items = x.terms.items()
+        if da or dc or any(db):
+            items = (((a + da, tuple(map(add, l, db)), t + dc), c) for (a, l, t), c in items)
+        for key, c in items:
+            c = c if sign > 0 else -c
+            v = get(key)
+            merged[key] = c if v is None else v + c
+    ra = min(x.prefactor.a + x.rect[0] for _, x in parts) - pa
+    rt = min(x.prefactor.c + x.rect[1] for _, x in parts) - pc
+    den = math.lcm(*(x.den for _, x in parts))
+    return TruncatedSeries(first.rank, merged, (ra, rt), Monomial(pa, pb, pc), den)
+
+
 def one(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
-    key = (Q(0), tuple(Q(0) for _ in range(rank)), Q(0))
-    return TruncatedSeries(rank, {key: Q(1)}, rect, den=den)
+    return monomial(rank, rect, 0, (0,) * rank, 0, den=den)
 
 
 def zero(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
@@ -619,9 +629,7 @@ def principal_block_residual(
 
 
 def _binomial_series(fac: ProductFactor, rank: int, rect, den: int) -> TruncatedSeries:
-    key0 = (Q(0), tuple(Q(0) for _ in range(rank)), Q(0))
-    key1 = (Q(fac.n), fac.l, Q(fac.m))
-    return TruncatedSeries(rank, {key0: Q(1), key1: Q(-1)}, rect, den=den)
+    return one(rank, rect, den) - monomial(rank, rect, fac.n, fac.l, fac.m, den=den)
 
 
 # ---------------------------------------------------------------------------
@@ -636,69 +644,70 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     domain coordinate tau, z_1..z_s, omega, plus one): the matrix rows are
     the weighted forms, then the derivatives along tau, z_1..z_s, omega.
     """
-    if not forms:
-        raise ValueError("no forms given")
-    s = forms[0].series.rank
-    size = s + 3
-    if len(forms) != size:
-        raise ValueError(f"rank {s} needs exactly {size} forms, got {len(forms)}")
-    if any(f.series.rank != s for f in forms):
-        raise ValueError("series rank mismatch")
-    rect = (
-        min(f.series.rect[0] for f in forms),
-        min(f.series.rect[1] for f in forms),
-    )
-    den = math.lcm(*(f.series.den for f in forms))
-    axes = ["tau"] + [f"z{i}" for i in range(1, s + 1)] + ["omega"]
-    rows = [[f.series.scale(f.weight) for f in forms]]
-    for axis in axes:
-        rows.append([f.series.derive(axis) for f in forms])
-    return _det(rows, s, rect, den)
-
-
-def _det(rows, rank, rect, den) -> TruncatedSeries:
-    size = len(rows)
-    memo: dict[tuple[int, tuple[int, ...]], TruncatedSeries] = {}
-
-    def minor(i: int, cols: tuple[int, ...]) -> TruncatedSeries:
-        if not cols:
-            return one(rank, rect, den)
-        key = (i, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = zero(rank, rect, den)
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if entry.is_zero:
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(size)))
+    s, det = _determinants(forms, 3, "")
+    return det(tuple(range(s + 3)))
 
 
 def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     """Alternating sum (-1)^t k_t f_t J_t over one extra form; identically zero.
 
     J_t is the Jacobian of all forms except the t-th (1-indexed), so for
-    rank s this takes s + 4 forms.
+    rank s this takes s + 4 forms.  The sum is the first-row Laplace expansion
+    of the (s+4)x(s+4) determinant whose first two rows are both k_i f_i, and
+    J_t is its minor on rows 2.. over the columns other than t.  The J_t share
+    one minor memo keyed by (row, columns, rect, den), with J_t's own rect
+    and den (the min of the other forms' rects, the lcm of their dens).
     """
-    if not forms:
-        raise ValueError("no forms given")
-    s = forms[0].series.rank
-    if len(forms) != s + 4:
-        raise ValueError(f"rank {s} syzygy needs exactly {s + 4} forms")
+    s, det = _determinants(forms, 4, "syzygy ")
     total = None
     for idx, f in enumerate(forms):
-        others = list(forms[:idx]) + list(forms[idx + 1 :])
-        jt = jacobian(others)
+        jt = det(tuple(j for j in range(s + 4) if j != idx))
         term = (f.series * jt).scale(f.weight)
         signed = -term if (idx + 1) % 2 else term
         total = signed if total is None else total + signed
+    return total
+
+
+def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
+    """(s, det): the forms' common rank and their Jacobians det(cols), one memo."""
+    if not forms:
+        raise ValueError("no forms given")
+    s = forms[0].series.rank
+    if len(forms) != s + extra:
+        raise ValueError(f"rank {s} {what}needs exactly {s + extra} forms, got {len(forms)}")
+    if any(f.series.rank != s for f in forms):
+        raise ValueError("series rank mismatch")
+    axes = ["tau"] + [f"z{i}" for i in range(1, s + 1)] + ["omega"]
+    rows = [[f.series.scale(f.weight) for f in forms]]
+    rows += [[f.series.derive(axis) for f in forms] for axis in axes]
+    memo: dict[tuple, TruncatedSeries] = {}
+
+    def det(cols: tuple[int, ...]) -> TruncatedSeries:
+        series = [forms[j].series for j in cols]
+        rect = (min(x.rect[0] for x in series), min(x.rect[1] for x in series))
+        return _minor(rows, memo, 0, cols, rect, math.lcm(*(x.den for x in series)))
+
+    return s, det
+
+
+def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], rect, den: int) -> TruncatedSeries:
+    """Minor on rows i.., columns cols, along row i from zero(rect) to one(rect).
+
+    A module function, not a closure, so the memo is freed with its last
+    caller instead of waiting for the cycle collector.
+    """
+    rank = rows[0][0].rank
+    if not cols:
+        return one(rank, rect, den)
+    key = (i, cols, rect, den)
+    total = memo.get(key)
+    if total is None:
+        parts = [(1, zero(rank, rect, den))]
+        for pos, j in enumerate(cols):
+            if not rows[i][j].is_zero:
+                rest = _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], rect, den)
+                parts.append((-1 if pos % 2 else 1, rows[i][j] * rest))
+        total = memo[key] = _signed_sum(parts)
     return total
 
 
@@ -713,22 +722,12 @@ def jacobi_support_class(entries, lattice, index: int) -> str:
     Returns the strongest of "cusp", "holomorphic", "weak",
     "weakly-holomorphic" admitted by the listed (n, l) support.
     """
-    cusp = holomorphic = weak = True
-    for n, l in entries:
-        hyper = 2 * n * index - lattice.norm(l)
-        if hyper <= 0:
-            cusp = False
-        if hyper < 0:
-            holomorphic = False
-        if n < 0:
-            weak = False
-    if cusp:
+    pairs = [(n, 2 * n * index - lattice.norm(l)) for n, l in entries]
+    if all(hyper > 0 for _, hyper in pairs):
         return "cusp"
-    if holomorphic:
+    if all(hyper >= 0 for _, hyper in pairs):
         return "holomorphic"
-    if weak:
-        return "weak"
-    return "weakly-holomorphic"
+    return "weak" if all(n >= 0 for n, _ in pairs) else "weakly-holomorphic"
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +769,10 @@ def _json_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def _json_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+def _json_int(value, what: str, least: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def _json_q(value, what: str) -> Q:
@@ -788,8 +786,8 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     """Inverse of series_to_json; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a series must be a JSON object, got {doc!r}")
-    rank = _json_int(doc["rank"], "rank")
-    den = _json_int(doc.get("den", DEFAULT_DEN), "den")
+    rank = _json_int(doc["rank"], "rank", 0)
+    den = _json_int(doc.get("den", DEFAULT_DEN), "den", 1)
     pref = doc.get("prefactor", {})
     if not isinstance(pref, dict):
         raise ValueError(f"prefactor must be an object, got {pref!r}")

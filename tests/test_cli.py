@@ -265,7 +265,16 @@ class TestJacobian:
 
     @pytest.mark.parametrize(
         "field, value, named",
-        [("den", 0, "den"), ("terms", 5, "terms"), ("rect", ["4/1"], "rect")],
+        [
+            ("den", 0, "den"),
+            ("terms", 5, "terms"),
+            ("rect", ["4/1"], "rect"),
+            ("rank", 1.7, "rank"),
+            ("rank", True, "rank"),
+            ("rank", "1", "rank"),
+            ("rank", -1, "rank"),
+            ("den", 24.9, "den"),
+        ],
     )
     def test_malformed_series_file(self, capsys, tmp_path, field, value, named):
         doc = self.series_doc(1, 0, 0)

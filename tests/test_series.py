@@ -644,3 +644,236 @@ def test_expansion_json_unchanged(name):
     g = expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), phi.lattice.rank)
     text = json.dumps(series_to_json(g), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# Jacobians, syzygies and sums against the Fraction fold they replaced
+# ---------------------------------------------------------------------------
+#
+# The reference below is the fold-based code that the shared-minor syzygy_sum
+# and the one-pass signed merge replaced, kept verbatim except that `+` is
+# spelled reference_add and the rank check is written out.
+
+
+def reference_add(self, other):
+    if self.rank != other.rank:
+        raise ValueError("series rank mismatch")
+    den = math.lcm(self.den, other.den)
+    pa = min(self.prefactor.a, other.prefactor.a)
+    pc = min(self.prefactor.c, other.prefactor.c)
+    pb = self.prefactor.b
+    common = Monomial(pa, pb, pc)
+    merged = {}
+    for series in (self, other):
+        da = series.prefactor.a - pa
+        dc = series.prefactor.c - pc
+        db = tuple(x - y for x, y in zip(series.prefactor.b, pb))
+        for (a, l, t), c in series.terms.items():
+            key = (a + da, tuple(x + y for x, y in zip(l, db)), t + dc)
+            merged[key] = merged.get(key, Q(0)) + c
+    ra = min(self.prefactor.a + self.rect[0], other.prefactor.a + other.rect[0]) - pa
+    rt = min(self.prefactor.c + self.rect[1], other.prefactor.c + other.rect[1]) - pc
+    return TruncatedSeries(self.rank, merged, (ra, rt), common, den)
+
+
+def reference_jacobian(forms):
+    if not forms:
+        raise ValueError("no forms given")
+    s = forms[0].series.rank
+    size = s + 3
+    if len(forms) != size:
+        raise ValueError(f"rank {s} needs exactly {size} forms, got {len(forms)}")
+    if any(f.series.rank != s for f in forms):
+        raise ValueError("series rank mismatch")
+    rect = (
+        min(f.series.rect[0] for f in forms),
+        min(f.series.rect[1] for f in forms),
+    )
+    den = math.lcm(*(f.series.den for f in forms))
+    axes = ["tau"] + [f"z{i}" for i in range(1, s + 1)] + ["omega"]
+    rows = [[f.series.scale(f.weight) for f in forms]]
+    for axis in axes:
+        rows.append([f.series.derive(axis) for f in forms])
+    return reference_det(rows, s, rect, den)
+
+
+def reference_det(rows, rank, rect, den):
+    size = len(rows)
+    memo = {}
+
+    def minor(i, cols):
+        if not cols:
+            return one(rank, rect, den)
+        key = (i, cols)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        total = zero(rank, rect, den)
+        for pos, j in enumerate(cols):
+            entry = rows[i][j]
+            if entry.is_zero:
+                continue
+            sub = minor(i + 1, cols[:pos] + cols[pos + 1 :])
+            term = entry * sub
+            total = reference_add(total, term if pos % 2 == 0 else -term)
+        memo[key] = total
+        return total
+
+    return minor(0, tuple(range(size)))
+
+
+def reference_syzygy_sum(forms):
+    if not forms:
+        raise ValueError("no forms given")
+    s = forms[0].series.rank
+    if len(forms) != s + 4:
+        raise ValueError(f"rank {s} syzygy needs exactly {s + 4} forms")
+    total = None
+    for idx, f in enumerate(forms):
+        others = list(forms[:idx]) + list(forms[idx + 1 :])
+        jt = reference_jacobian(others)
+        term = (f.series * jt).scale(f.weight)
+        signed = -term if (idx + 1) % 2 else term
+        total = signed if total is None else reference_add(total, signed)
+    return total
+
+
+def json_of(x):
+    return json.dumps(series_to_json(x), sort_keys=True, separators=(",", ":"))
+
+
+def digest_of(x):
+    return hashlib.sha256(json_of(x).encode()).hexdigest()
+
+
+ZETA_12 = st.sampled_from([1, 2]).flatmap(
+    lambda d: st.integers(-2 * d, 2 * d).map(lambda n: Q(n, d))
+)
+
+
+@st.composite
+def grid_series(draw, rank):
+    """One to four terms on the series' own den grid (den 12, 24 or 48).
+
+    The rect lies on (1/12)Z, the prefactor's a and c on (1/den)Z, and zeta
+    entries have denominator 1 or 2.  Exponents and prefactors stay small
+    enough that most Jacobians keep terms inside their rect.
+    """
+    den = draw(st.sampled_from([12, 24, 48]))
+    exponent = st.integers(0, den).map(lambda n: Q(n, den))
+    pref_part = st.integers(-den // 2, den // 4).map(lambda n: Q(n, den))
+    entries = draw(
+        st.lists(
+            st.tuples(exponent, st.tuples(*[ZETA_12] * rank), exponent, COEFF),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    terms = {}
+    for a, l, t, c in entries:
+        terms[(a, l, t)] = terms.get((a, l, t), Q(0)) + c
+    rect = tuple(draw(st.integers(30, 60).map(lambda n: Q(n, 12))) for _ in range(2))
+    pref = Monomial(draw(pref_part), draw(st.tuples(*[ZETA_12] * rank)), draw(pref_part))
+    return TruncatedSeries(rank, terms, rect, pref, den)
+
+
+def weighted_forms(rank):
+    form = st.builds(WeightedSeries, grid_series(rank), st.integers(0, 6))
+    return st.lists(form, min_size=rank + 4, max_size=rank + 4)
+
+
+class TestAgainstFold:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([1, 1, 2]).flatmap(weighted_forms))
+    def test_jacobian_and_syzygy(self, forms):
+        assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
+        assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda r: st.tuples(grid_series(r), grid_series(r))))
+    def test_add_and_sub(self, pair):
+        x, y = pair
+        assert json_of(x + y) == json_of(reference_add(x, y))
+        assert json_of(x - y) == json_of(reference_add(x, -y))
+        assert json_of(x - x) == json_of(reference_add(x, -x))
+        assert json_of(y + (-y)) == json_of(reference_add(y, -y))
+
+
+def seeded_forms(s, seed, count):
+    """Forms of mixed den, rect and prefactor, drawn from a fixed seed."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(count):
+        den = rng.choice([12, 24, 48])
+        terms = {}
+        for _ in range(4):
+            k = (
+                Q(rng.randint(0, 18), 12),
+                tuple(Q(rng.randint(-4, 4), 2) for _ in range(s)),
+                Q(rng.randint(0, 18), 12),
+            )
+            terms[k] = terms.get(k, Q(0)) + Q(rng.randint(-4, 4), rng.randint(1, 3))
+        rect = (Q(rng.randint(36, 60), 12), Q(rng.randint(36, 60), 12))
+        pref = Monomial(
+            Q(rng.randint(-den, den), den),
+            tuple(Q(rng.randint(-2, 2), 2) for _ in range(s)),
+            Q(rng.randint(-den, den), den),
+        )
+        series = TruncatedSeries(s, terms, rect, pref, den)
+        forms.append(WeightedSeries(series, rng.randint(1, 6)))
+    return forms
+
+
+# SHA-256 of series_to_json for seeded_forms(s, 100 * s + seed, s + 4), recorded
+# before syzygy_sum shared its minors and _det merged its terms in one pass
+JACOBIAN_DIGESTS = {
+    ("jacobian", 1, 1): "202e0472f70d3dd61bf071ec5db5c6bed34ca69394142e13cc77fa9fa4d7b4c4",
+    ("syzygy_sum", 1, 1): "d64e30f032776312fa344497b57ef4ed517a77a9d29295045d2dbc493bd14e78",
+    ("jacobian", 1, 3): "e830f86bd5c10fe46b55edebabd7ad394dcf344aa052d6035b3120d04790554d",
+    ("syzygy_sum", 1, 3): "93305c8187bb517d5c12429a105988cf8d35f2363ee7b5b778693d1c82339109",
+    ("jacobian", 2, 3): "af4ca00c10c0f83fd52adf7a19ed8d6b92b7a7ec0a230dae2fbe9a8c0f52ebbd",
+    ("syzygy_sum", 2, 3): "f5fbcd4eed47645bfa63df278462badda9aca822967f53d379ede183b9d6b807",
+    ("jacobian", 2, 5): "fa49c2d6c4a791d794477e616fc8e67150c3b8143d3e96d342dbc34d61d0ba72",
+    ("syzygy_sum", 2, 5): "bd5fba359a6b0437e6501288c36cc200fb85ac7f4225224be0e35365eab97080",
+}
+
+
+@pytest.mark.parametrize("what, s, seed", sorted(JACOBIAN_DIGESTS))
+def test_jacobian_json_unchanged(what, s, seed):
+    forms = seeded_forms(s, 100 * s + seed, s + 4)
+    out = jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
+    assert digest_of(out) == JACOBIAN_DIGESTS[(what, s, seed)]
+
+
+def pool_forms(s, index):
+    """The benchmark's jacobian pool instance: s + 4 four-term forms on rect (3,3)."""
+    rng = random.Random(1000 * s + index)
+    forms = []
+    for _ in range(s + 4):
+        terms = {}
+        for _ in range(4):
+            k = (
+                Q(rng.randint(0, 3)),
+                tuple(Q(rng.randint(-2, 2)) for _ in range(s)),
+                Q(rng.randint(0, 3)),
+            )
+            terms[k] = terms.get(k, Q(0)) + Q(rng.randint(-4, 4), rng.randint(1, 3))
+        series = TruncatedSeries(s, {k: c for k, c in terms.items() if c}, (Q(3), Q(3)))
+        forms.append(WeightedSeries(series, rng.randint(1, 6)))
+    return forms
+
+
+# series products per syzygy_sum: C(s+4, i) minors on row i, each with s+3-i
+# entries, plus s+4 top-level products; the per-J_t expansion needed 165 and 486
+@pytest.mark.parametrize("s, products", [(1, 80), (2, 192)])
+def test_syzygy_shares_minors(monkeypatch, s, products):
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    assert syzygy_sum(pool_forms(s, 0)).is_zero
+    assert len(calls) == products
