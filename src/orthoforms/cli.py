@@ -41,6 +41,8 @@ def _load_lattice(ref: str) -> lattice_mod.Lattice:
         return lattice_mod.load_lattice(ref)
     except FileNotFoundError:
         raise CliError(f"no such file: {ref}")
+    except OSError as exc:
+        raise CliError(f"cannot read {ref}: {exc.strerror}")
     except KeyError as exc:
         raise CliError(str(exc))
     except (ValueError, json.JSONDecodeError) as exc:
@@ -53,6 +55,8 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
             doc = json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict) or "lattice" not in doc:
@@ -80,7 +84,10 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
             coords = tuple(parse_q(str(v)) for v in item["l"])
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"{path}: bad coefficient entry {index} {item!r}: {exc}")
-        entries[(item["n"], coords)] = item["f"]
+        if entries.setdefault((item["n"], coords), item["f"]) != item["f"]:
+            raise CliError(
+                f"{path}: coefficient entry {index} {item!r} conflicts with an earlier entry for the same n and l"
+            )
     # structural completeness of the stored layer: principal part and
     # evenness partners must be present
     missing = []
@@ -238,6 +245,11 @@ def cmd_borch(args) -> int:
             )
         phi = phi.with_weight(weyl_mod.solve_weight(phi))
     wv = weyl_mod.weyl_vector(phi)
+    if args.den >= 1 and (args.den % wv.a.denominator or args.den % wv.c.denominator):
+        raise CliError(
+            f"--den {args.den} puts exponents on the (1/{args.den})Z grid, but the Weyl "
+            f"vector has A = {q_str(wv.a)}, C = {q_str(wv.c)}"
+        )
     table = {}
     for (n, coords), f in phi.coefficient_table().items():
         table[(n, coords)] = f
@@ -274,6 +286,8 @@ def cmd_jacobian(args) -> int:
                 loaded.append(series_mod.series_from_json(json.load(fh)))
         except FileNotFoundError:
             raise CliError(f"no such file: {path}")
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror}")
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise CliError(f"invalid series file {path}: {exc}")
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]

@@ -48,10 +48,6 @@ def mat_vec(m: Mat, v: Sequence) -> Vec:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def vec_dot(u: Sequence, v: Sequence) -> Q:
-    return sum(x * y for x, y in zip(u, v))
-
-
 def vec_gcd(v: Sequence[int]) -> int:
     g = 0
     for x in v:
@@ -136,6 +132,12 @@ def rank(m: Mat) -> int:
         if pivot is not None:
             echelon.append((pivot, v))
     return len(echelon)
+
+
+def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:
+    """Each integer vector divided by den, with one Fraction per distinct entry."""
+    q = {v: Q(v, den) for v in {v for x in vectors for v in x}}
+    return [tuple(map(q.__getitem__, x)) for x in vectors]
 
 
 def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:

@@ -6,6 +6,10 @@ identifies each piece by rank, root count and norm multiset.  Modified
 Coxeter numbers follow the thirteen-case table keyed by the divisor data
 of the short roots and, where that data is ambiguous, an explicit subcase
 tag supplied by the caller.
+
+Dual sets are built on integers: r/m is the integer tuple r (s/m) over
+s = lcm of the m in use, which sorts like the Fractions because s > 0, and
+each distinct coordinate becomes one Fraction.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Sequence
 
 from . import linalg
@@ -259,58 +263,34 @@ class DualRoot:
     half_in_dual: bool
 
 
-def _scaled(r, k: Q) -> tuple[Q, ...]:
-    return tuple(Q(x) * k for x in r)
-
-
 def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
-    """The dual vector set supporting the component's mirrors.
+    """The dual vector set supporting the component's mirrors, sorted by coordinates.
 
-    Follows the case table: plain components dualize each root by its div;
-    A1 and B components with short div 2d branch on the subcase tag, which
-    records whether r/d and r/(2d) both support mirrors.
+    Follows the case table: short roots r of div d dualize as r/d, long
+    roots (B, C, F4, G2) as s/div(s).  Short roots of A1 and B with div 2d
+    branch on the subcase tag, which records whether r/d and r/(2d) both
+    support mirrors: i keeps r/(2d), ii keeps r/d (flagged: its half pairs
+    integrally) and r/(2d), iii keeps r/d flagged.
     """
-    t, d = comp.type_tag, comp.d
-    shorts = comp.short_roots()
-    longs = comp.long_roots()
-    out: list[DualRoot] = []
-    if t in ("A", "D", "E6", "E7", "E8") and not (t == "A" and comp.rank == 1):
-        out = [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-    elif t == "C":
-        out = [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-        out += [DualRoot(_scaled(s, Q(1, 2 * d)), False) for s in longs]
-    elif t == "G2":
-        out = [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-        out += [DualRoot(_scaled(s, Q(1, 3 * d)), False) for s in longs]
-    elif t == "F4":
-        out = [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-        out += [DualRoot(_scaled(s, Q(1, 2 * d)), False) for s in longs]
-    elif t == "A":  # A1
-        if comp.short_div == d:
-            out = [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-        else:
-            sub = _require_subcase(comp)
-            if sub == "i":
-                out = [DualRoot(_scaled(r, Q(1, 2 * d)), False) for r in shorts]
-            elif sub == "ii":
-                out = [DualRoot(_scaled(r, Q(1, d)), True) for r in shorts]
-                out += [DualRoot(_scaled(r, Q(1, 2 * d)), False) for r in shorts]
-            else:
-                out = [DualRoot(_scaled(r, Q(1, d)), True) for r in shorts]
-    elif t == "B":
-        out = [DualRoot(_scaled(s, Q(1, 2 * d)), False) for s in longs]
-        if comp.short_div == d:
-            out += [DualRoot(_scaled(r, Q(1, d)), False) for r in shorts]
-        else:
-            sub = _require_subcase(comp)
-            if sub == "i":
-                out += [DualRoot(_scaled(r, Q(1, 2 * d)), False) for r in shorts]
-            elif sub == "ii":
-                out += [DualRoot(_scaled(r, Q(1, d)), True) for r in shorts]
-                out += [DualRoot(_scaled(r, Q(1, 2 * d)), False) for r in shorts]
-            else:
-                out += [DualRoot(_scaled(r, Q(1, d)), True) for r in shorts]
-    return tuple(sorted(out, key=lambda x: x.coords))
+    d, shorts = comp.d, comp.short_roots()
+    if comp.short_div == d:
+        parts = [(shorts, d, False)]
+    else:
+        parts = {
+            "i": [(shorts, 2 * d, False)],
+            "ii": [(shorts, d, True), (shorts, 2 * d, False)],
+            "iii": [(shorts, d, True)],
+        }[_require_subcase(comp)]
+    if comp.long_div is not None:
+        parts.append((comp.long_roots(), comp.long_div, False))
+    # sort on r * (scale / m) = scale * (r / m), integers in the order of the Fractions
+    scale = lcm(*(m for _, m, _ in parts))
+    keyed = sorted(
+        ((tuple([v * (scale // m) for v in r]), half) for vectors, m, half in parts for r in vectors),
+        key=itemgetter(0),
+    )
+    coords = linalg._divided([x for x, _ in keyed], scale)
+    return tuple(DualRoot(c, half) for c, (_, half) in zip(coords, keyed))
 
 
 def _require_subcase(comp: IrreducibleComponent) -> str:
@@ -321,23 +301,19 @@ def _require_subcase(comp: IrreducibleComponent) -> str:
     return comp.subcase
 
 
-def _rank_one_sum(gram, weighted_vectors) -> tuple[list[list[int]], int]:
-    """sum_x w_x (G x)(G x)^T as an integer matrix M over a denominator den.
+def _rank_one_sum(n: int, weighted_images) -> tuple[list[list[int]], int]:
+    """sum_y w_y y y^T over integer vectors y, as an n x n integer matrix M over den.
 
-    Each G x comes from ``linalg._int_image`` as y / e, so a term is
-    w.numerator / (w.denominator e^2) times the integer matrix y y^T.  The
+    A term with weight w = p / t is p / t times the integer matrix y y^T; the
     common denominator grows only when a term needs it, which never happens
-    for integer weights on dual vectors (e = 1).
+    for integer weights.
     """
-    n = len(gram)
     m = [[0] * n for _ in range(n)]
     den = 1
-    for x, w in weighted_vectors:
+    for y, w in weighted_images:
         num, t = w.numerator, w.denominator
         if not num:
             continue
-        y, e = linalg._int_image(gram, x)
-        t *= e * e
         if den % t:
             grow = t // gcd(den, t)
             m = [[v * grow for v in row] for row in m]
@@ -379,13 +355,15 @@ def sum_rule_constant(gram, weighted_vectors) -> Q | None:
     rational coordinates in the basis of ``gram``.  The identity is checked
     as an exact matrix equation restricted to the span of the vectors: with
     B a basis of the span, B S B^T = 2c B G B^T, where S = sum_x w_x
-    (G x)(G x)^T.  Scaling the rows of B to integers scales both sides
-    alike, so the check runs on ints.
+    (G x)(G x)^T.  Each G x is y / e with y integral (``linalg._int_image``),
+    so S sums w / e^2 times y y^T; scaling the rows of B to integers scales
+    both sides alike, so the check runs on ints.
     """
     vectors = [(v, Q(w)) for v, w in weighted_vectors]
     if not vectors:
         return None
-    s, den = _rank_one_sum(gram, vectors)
+    images = [(linalg._int_image(gram, v), w) for v, w in vectors]
+    s, den = _rank_one_sum(len(gram), [(y, w / (e * e)) for (y, e), w in images])
     basis = []
     for v, _ in vectors:
         if len(basis) == len(gram):

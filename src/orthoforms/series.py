@@ -81,6 +81,10 @@ class TruncatedSeries:
             prefactor = Monomial.zero(rank)
         if len(prefactor.b) != rank:
             raise ValueError("prefactor zeta block has wrong length")
+        if den % prefactor.a.denominator or den % prefactor.c.denominator:
+            raise ValueError(
+                f"prefactor exponents A = {prefactor.a}, C = {prefactor.c} are not in (1/{den})Z"
+            )
         a_max, t_max = _q(rect[0]), _q(rect[1])
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Key, Q] = {}
@@ -799,6 +803,9 @@ def series_from_json(doc: dict) -> TruncatedSeries:
         ),
         _json_q(pref.get("C", "0/1"), "prefactor C"),
     )
+    for name, x in (("A", prefactor.a), ("C", prefactor.c)):
+        if den % x.denominator:
+            raise ValueError(f"prefactor {name} must be in (1/den)Z = (1/{den})Z, got {q_str(x)!r}")
     terms = {}
     for i, item in enumerate(_json_list(doc.get("terms", []), "terms")):
         if not isinstance(item, dict) or not {"a", "l", "t", "c"} <= item.keys():

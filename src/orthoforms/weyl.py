@@ -5,12 +5,22 @@ f(n, l) of a weight-0, index-1 input form over a positive definite lattice.
 From it we compute the Weyl vector (A, B, C), solve for the weight via the
 linear relation A = C + 1, evaluate divisor multiplicities, and extract the
 character datum of the (tau, omega)-swap involution.
+
+Dual coordinates are kept as integer tuples x = D l over one D per table,
+the lcm of the input denominators, and the scaling is exact.  In
+qzero_from_dual_sets D is doubled, so every half l/2 is integral too, and
+members, halves, doubles and negatives are integer operations.  l pairs
+integrally with the lattice (``in_dual``) exactly when G x = 0 mod D, and
+G l = G x / D is then the integer image the sum rule reads; D > 0 keeps
+the order and the signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul, neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -27,10 +37,20 @@ class SymbolicWeightError(ValueError):
 
 
 Coords = tuple[Q, ...]
+Ints = tuple[int, ...]
 
 
 def _normalize_coords(coords) -> Coords:
     return tuple(x if type(x) is Q else Q(x) for x in coords)
+
+
+def _scaled(coords: Coords, den: int) -> Ints:
+    """den * l as ints, for den a multiple of every coordinate's denominator."""
+    return tuple([x.numerator * (den // x.denominator) for x in coords])
+
+
+def _coords(x: Ints, den: int) -> Coords:
+    return tuple(Q(v, den) for v in x)
 
 
 def is_positive_direction(coords: Sequence) -> bool:
@@ -47,10 +67,11 @@ class QZeroData:
     Exactly one negative-index entry is admitted, f(-1, 0) = 1; other
     principal parts are rejected because the weight relation solved here is
     specific to that shape.  ``k`` is half of f(0, 0) and may be None while
-    still symbolic.
+    still symbolic.  The table is kept on integers, l as den * l (see the
+    module docstring); every method shows Fraction coordinates.
     """
 
-    __slots__ = ("lattice", "k", "_map")
+    __slots__ = ("lattice", "k", "_den", "_map")
 
     def __init__(
         self,
@@ -58,13 +79,17 @@ class QZeroData:
         entries: Mapping[tuple[int, Sequence], int],
         k: Q | int | None = None,
     ):
-        self.lattice = lattice
-        self.k = None if k is None else Q(k)
-        table: dict[tuple[int, Coords], int] = {}
-        zero = tuple(Q(0) for _ in range(lattice.rank))
-        for (n, coords), value in entries.items():
-            coords = _normalize_coords(coords)
-            if len(coords) != lattice.rank:
+        k = None if k is None else Q(k)
+        rational = [(n, _normalize_coords(c), v) for (n, c), v in entries.items()]
+        den = lcm(*(x.denominator for _, c, _ in rational for x in c))
+        self._store(lattice, k, den, (((n, _scaled(c, den)), v) for n, c, v in rational))
+
+    def _store(self, lattice: Lattice, k: Q | None, den: int, entries) -> "QZeroData":
+        """Validate ((n, den * l), f(n, l)) pairs on integers and keep them."""
+        rank, gram = lattice.rank, lattice.gram
+        table: dict[tuple[int, Ints], int] = {}
+        for (n, x), value in entries:
+            if len(x) != rank:
                 raise ValueError("coefficient vector has wrong length")
             if value == 0:
                 continue
@@ -72,26 +97,25 @@ class QZeroData:
                 raise ValueError("coefficients must be integers")
             if n > 0:
                 raise ValueError("q^0 data stores indices n <= 0 only")
-            if n < 0 and (n != -1 or any(coords) or value != 1):
+            if n < 0 and (n != -1 or any(x) or value != 1):
                 raise ValueError(
                     "principal part must be exactly f(-1, 0) = 1"
                 )
-            if n == 0 and not any(coords):
+            if n == 0 and not any(x):
                 raise ValueError("f(0, 0) is carried by k, not by the table")
-            if not lattice.in_dual(coords):
-                raise ValueError(f"vector {coords} does not pair integrally")
-            key = (n, coords)
-            if table.setdefault(key, value) != value:
-                raise CoefficientConflictError(f"conflicting values at {key}")
-        if (-1, zero) not in table:
+            if any(sum(map(mul, row, x)) % den for row in gram):
+                raise ValueError(f"vector {_coords(x, den)} does not pair integrally")
+            if table.setdefault((n, x), value) != value:
+                raise CoefficientConflictError(f"conflicting values at {(n, _coords(x, den))}")
+        if (-1, (0,) * rank) not in table:
             raise ValueError("missing principal part f(-1, 0) = 1")
-        for (n, coords), value in table.items():
-            neg = (n, tuple(-x for x in coords))
-            if table.get(neg) != value:
+        for (n, x), value in table.items():
+            if table.get((n, tuple(map(neg, x)))) != value:
                 raise ValueError(
-                    f"coefficients are not even in l: f{(n, coords)} has no partner"
+                    f"coefficients are not even in l: f{(n, _coords(x, den))} has no partner"
                 )
-        self._map = table
+        self.lattice, self.k, self._den, self._map = lattice, k, den, table
+        return self
 
     @property
     def zero_coords(self) -> Coords:
@@ -107,25 +131,30 @@ class QZeroData:
             if two_k.denominator != 1:
                 raise ValueError("f(0,0) must be an integer")
             return int(two_k)
-        return self._map.get((n, coords), 0)
+        if any(self._den % x.denominator for x in coords):
+            return 0  # off the table's grid, so not stored
+        return self._map.get((n, _scaled(coords, self._den)), 0)
 
     def q0_entries(self) -> list[tuple[Coords, int]]:
         """The (l, f(0, l)) pairs with l nonzero, sorted."""
-        return sorted(self._q0_items())
+        items = sorted(self._q0_items())
+        coords = linalg._divided([x for x, _ in items], self._den)
+        return [(c, v) for c, (_, v) in zip(coords, items)]
 
-    def _q0_items(self) -> list[tuple[Coords, int]]:
-        """The same pairs unsorted, for sums that do not depend on the order."""
-        return [(c, v) for (n, c), v in self._map.items() if n == 0]
+    def _q0_items(self) -> list[tuple[Ints, int]]:
+        """The (den * l, f(0, l)) pairs unsorted, for sums that do not depend on the order."""
+        return [(x, v) for (n, x), v in self._map.items() if n == 0]
+
+    def _rational_map(self) -> dict[tuple[int, Coords], int]:
+        """The stored table with Fraction coordinates, in storage order."""
+        coords = linalg._divided([x for _, x in self._map], self._den)
+        return {(n, c): v for ((n, _), v), c in zip(self._map.items(), coords)}
 
     def coefficient_table(self) -> dict[tuple[int, Coords], int]:
         """Copy of the stored table including f(0,0) when known."""
-        table = dict(self._map)
-        if self.k is not None:
-            two_k = 2 * self.k
-            if two_k.denominator != 1:
-                raise ValueError("f(0,0) must be an integer")
-            if two_k:
-                table[(0, self.zero_coords)] = int(two_k)
+        table = self._rational_map()
+        if self.k:  # known and nonzero
+            table[(0, self.zero_coords)] = self.f(0, self.zero_coords)
         return table
 
     def with_weight(self, k: Q | int) -> "QZeroData":
@@ -133,7 +162,7 @@ class QZeroData:
         out = QZeroData.__new__(QZeroData)
         out.lattice = self.lattice
         out.k = Q(k)
-        out._map = dict(self._map)
+        out._den, out._map = self._den, dict(self._map)
         return out
 
     def __eq__(self, other):
@@ -141,7 +170,7 @@ class QZeroData:
             isinstance(other, QZeroData)
             and self.lattice.gram == other.lattice.gram
             and self.k == other.k
-            and self._map == other._map
+            and self._rational_map() == other._rational_map()
         )
 
     def __repr__(self):
@@ -157,37 +186,27 @@ def qzero_from_dual_sets(
 
     Membership gives f(0, x) = 1 except where x already appears as twice
     another member; a member x whose half pairs integrally but supports no
-    mirror acquires the compensating f(0, x/2) = -1.
+    mirror acquires the compensating f(0, x/2) = -1.  A half is never a
+    member when it is assigned -1, so the two rules cannot conflict.
     """
-    members: set[Coords] = set()
-    half_flags: dict[Coords, bool] = {}
-    for ds in dual_sets:
-        for dr in ds:
-            coords = _normalize_coords(dr.coords)
-            if coords in half_flags and half_flags[coords] != dr.half_in_dual:
-                raise CoefficientConflictError(
-                    f"inconsistent duality flags for {coords}"
-                )
-            members.add(coords)
-            half_flags[coords] = dr.half_in_dual
-    contributions: dict[Coords, int] = {}
-    for x in members:
-        half = tuple(v / 2 for v in x)
-        double = tuple(2 * v for v in x)
-        if half_flags[x]:
+    rational = [(_normalize_coords(dr.coords), dr.half_in_dual) for ds in dual_sets for dr in ds]
+    den = 2 * lcm(*(x.denominator for c, _ in rational for x in c))
+    flags: dict[Ints, bool] = {}
+    for coords, flag in rational:
+        if flags.setdefault(_scaled(coords, den), flag) != flag:
+            raise CoefficientConflictError(f"inconsistent duality flags for {coords}")
+    contributions: dict[Ints, int] = {}
+    for x, flag in flags.items():
+        if flag:
             contributions[x] = contributions.get(x, 0) + 1
-            if half not in members:
-                if contributions.get(half, 0) > 0:
-                    raise CoefficientConflictError(f"conflict at {half}")
+            half = tuple([v // 2 for v in x])
+            if half not in flags:
                 contributions[half] = contributions.get(half, 0) - 1
-        elif double not in members:
+        elif tuple([2 * v for v in x]) not in flags:
             contributions[x] = contributions.get(x, 0) + 1
-    entries: dict[tuple[int, Coords], int] = {
-        (0, coords): value for coords, value in contributions.items() if value
-    }
-    zero = tuple(Q(0) for _ in range(lattice.rank))
-    entries[(-1, zero)] = 1
-    return QZeroData(lattice, entries, k)
+    entries = [((0, x), v) for x, v in contributions.items() if v]
+    entries.append(((-1, (0,) * lattice.rank), 1))
+    return QZeroData.__new__(QZeroData)._store(lattice, None if k is None else Q(k), den, entries)
 
 
 @dataclass(frozen=True)
@@ -201,17 +220,18 @@ def weyl_vector(phi: QZeroData) -> WeylVector:
     """Exact (A, B, C) of the product with input phi."""
     if phi.k is None:
         raise SymbolicWeightError("Weyl vector needs a numeric f(0,0); solve k first")
-    entries = phi.q0_entries()
-    total = sum(v for _, v in entries) + 2 * phi.k
-    a = Q(total, 24)
-    b = [Q(0)] * phi.lattice.rank
-    for coords, value in entries:
-        if is_positive_direction(coords):
-            for i, x in enumerate(coords):
-                b[i] += Q(value, 2) * x
-    c = sum(value * phi.lattice.norm(coords) for coords, value in entries)
-    c = Q(c, 2 * phi.lattice.rank)
-    return WeylVector(a, tuple(b), c)
+    lat, den = phi.lattice, phi._den
+    entries = phi._q0_items()
+    a = Q(sum(v for _, v in entries) + 2 * phi.k, 24)
+    b = [0] * lat.rank
+    c = 0
+    for x, value in entries:
+        if is_positive_direction(x):
+            for i, v in enumerate(x):
+                b[i] += value * v
+        c += value * lat.norm(x)
+    # x = l * den, so b sums value/2 * l and c sums value * (l, l)
+    return WeylVector(a, tuple(Q(v, 2 * den) for v in b), Q(c, 2 * lat.rank * den * den))
 
 
 @dataclass(frozen=True)
@@ -236,9 +256,12 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
     entries = phi._q0_items()
     if not entries:
         return SumRuleReport(None, "no nonzero q^0 coefficients")
-    # integer values on dual vectors: the rank-one sum is an integer matrix (den 1)
-    s, den = _rank_one_sum(phi.lattice.gram, entries)
-    c, failure = _gram_ratio(s, phi.lattice.gram)
+    # G l = G x / den is integral on dual vectors, and x, -x add the same term
+    gram, den = phi.lattice.gram, phi._den
+    images = [(tuple([sum(map(mul, row, x)) // den for row in gram]), 2 * v)
+              for x, v in entries if is_positive_direction(x)]
+    s, s_den = _rank_one_sum(len(gram), images)
+    c, failure = _gram_ratio(s, gram)
     if failure == "zero":
         return SumRuleReport(None, "left side is not a Gram multiple")
     if failure == "ratio":
@@ -249,7 +272,7 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
         )
     if c is None:
         return SumRuleReport(None, "empty Gram matrix")
-    return SumRuleReport(c / (2 * den))
+    return SumRuleReport(c / (2 * s_den))
 
 
 def solve_weight(phi: QZeroData) -> Q:
@@ -304,9 +327,7 @@ def divisor_multiplicity(phi: QZeroData, v: AmbientVector) -> MultiplicityResult
             m += 1
         return MultiplicityResult(total, True)
     # n == 0: finitely many multiples of l can hit the stored support
-    max_norm = Q(0)
-    for coords, _ in phi.q0_entries():
-        max_norm = max(max_norm, lat.norm(coords))
+    max_norm = Q(max([0] + [lat.norm(x) for x, _ in phi._q0_items()]), phi._den ** 2)
     ell_norm = lat.norm(ell)
     m = 1
     while m * m * ell_norm <= max_norm:
@@ -336,8 +357,7 @@ def character_data_from_map(principal: Mapping[int, int]) -> tuple[int, int]:
 
 def character_data(phi: QZeroData) -> tuple[int, int]:
     """Character datum of the (tau, omega) swap: D and the sign (-1)^D."""
-    zero = phi.zero_coords
-    principal = {n: v for (n, c), v in phi._map.items() if n < 0 and c == zero}
+    principal = {n: v for (n, x), v in phi._map.items() if n < 0 and not any(x)}
     return character_data_from_map(principal)
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from orthoforms import build_dual_set, qzero_from_dual_sets, realize
 from orthoforms.cli import main
 from orthoforms.series import series_from_json
 
@@ -164,6 +167,10 @@ class TestWeyl:
             ([{"n": -1.0, "l": ["0/1"], "f": 1}], "'n' must be an integer, got -1.0"),
             ([{"n": -1, "l": ["0/1"]}], "'f' must be an integer, got None"),
             ([{"n": -1, "l": "0", "f": 1}], "'l' must be a list, got '0'"),
+            (
+                [{"n": -1, "l": ["0/1"], "f": 1}, {"n": 0, "l": ["1/2"], "f": 1}, {"n": 0, "l": ["2/4"], "f": 2}],
+                "entry 2 {'n': 0, 'l': ['2/4'], 'f': 2} conflicts with an earlier entry",
+            ),
         ],
     )
     def test_malformed_coeffs(self, capsys, tmp_path, coeffs, named):
@@ -172,6 +179,14 @@ class TestWeyl:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and named in err
+
+
+    def test_lattice_path_is_a_directory(self, capsys, tmp_path):
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice=str(tmp_path)))
+        code, out, err = run(capsys, "weyl", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cannot read" in err
 
 
 class TestBorch:
@@ -206,6 +221,24 @@ class TestBorch:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "den" in err
+
+
+    def test_den_off_the_weyl_vector_grid(self, capsys, tmp_path):
+        # the A1 subcase-i product has Weyl vector A = 3/2, C = 1/2
+        comp = dataclasses.replace(realize("A", 1, 1), subcase="i")
+        phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)])
+        coeffs = [
+            {"n": n, "l": [str(x) for x in l], "f": f}
+            for (n, l), f in phi.coefficient_table().items()
+        ]
+        doc = {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"}
+        path = write_json(tmp_path / "phi.json", doc)
+        code, out, err = run(capsys, "borch", path, "--rect", "1,1", "--den", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--den 1" in err and "A = 3/2" in err
+        code, out, _ = run(capsys, "borch", path, "--rect", "1,1", "--den", "2")
+        assert code == 0 and "A = 3/2, B = [1/4], C = 1/2" in out
 
 
 class TestJacobian:
@@ -274,6 +307,8 @@ class TestJacobian:
             ("rank", "1", "rank"),
             ("rank", -1, "rank"),
             ("den", 24.9, "den"),
+            ("prefactor", {"A": "1/7", "B": ["0/1"], "C": "0/1"}, "prefactor A"),
+            ("prefactor", {"A": "0/1", "B": ["0/1"], "C": "1/48"}, "prefactor C"),
         ],
     )
     def test_malformed_series_file(self, capsys, tmp_path, field, value, named):
@@ -322,3 +357,78 @@ class TestRoundTrip:
         assert code == 0
         x = series_from_json(json.loads(out_path.read_text()))
         assert x == series_from_json(json.loads(out_path.read_text()))
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated coefficient files
+# ---------------------------------------------------------------------------
+
+RATIONAL = st.builds("{}/{}".format, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({"p": 1}),
+)
+LATTICES = {
+    1: ["builtin:A1", "builtin:A1(3)", {"gram": [[2]]}, {"gram": [[6]], "label": 5}],
+    2: ["builtin:A2", "builtin:2A1", "builtin:A2(2)", {"gram": [[2, -1], [-1, 2]]}, {"gram": [[4, 1], [1, 2]]}],
+}
+BAD_LATTICES = [
+    "builtin:Z9", "builtin:A2(x)", "builtin:A2(0)", ".", "missing.json", {"gram": [[0]]},
+    {"gram": [[1, 2]]}, {"gram": [[2.5]]}, {"gram": "x"}, {}, 5, None,
+]
+
+
+def negated(x):
+    """-x for ints and rational strings; anything else unchanged."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return -x
+    try:
+        return str(-Q(x)) if isinstance(x, str) else x
+    except (ValueError, ZeroDivisionError):
+        return x
+
+
+@st.composite
+def coefficient_docs(draw):
+    """Coefficient files: wrong types, odd tables, vectors off the dual lattice, repeats."""
+
+    def mostly(common, rare=JUNK):
+        return draw(rare) if draw(st.integers(0, 9)) == 0 else draw(common)
+
+    rank = draw(st.sampled_from([1, 2]))
+    lattice = mostly(st.sampled_from(LATTICES[rank]), st.sampled_from(BAD_LATTICES))
+    coeffs = []
+    if draw(st.integers(0, 5)):
+        coeffs.append({"n": -1, "l": ["0/1"] * rank, "f": 1})
+    for _ in range(draw(st.integers(0, 4))):
+        size = mostly(st.just(rank), st.integers(0, 3))
+        item = {
+            "n": mostly(st.sampled_from([0, 0, 0, -1, 1])),
+            "l": [mostly(RATIONAL | st.integers(-2, 2)) for _ in range(size)],
+            "f": mostly(st.integers(-2, 2)),
+        }
+        coeffs.append(item)
+        partner = draw(st.sampled_from(["even", "even", "even", "odd", "repeat", "conflict", None]))
+        f = item["f"]
+        if partner in ("even", "odd"):
+            odd = partner == "odd" and isinstance(f, int)
+            coeffs.append(dict(item, l=[negated(x) for x in item["l"]], f=-f if odd else f))
+        elif partner:
+            coeffs.append(dict(item, f=f + 1 if partner == "conflict" and isinstance(f, int) else f))
+    doc = {"lattice": lattice, "coeffs": draw(st.permutations(coeffs))}
+    doc["k"] = mostly(st.sampled_from(["symbolic", "symbolic", 12, 30, "35/1", "5/2"]))
+    doc.pop(mostly(st.just(None), st.sampled_from(["lattice", "coeffs", "k"])), None)
+    return doc
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(coefficient_docs(), st.sampled_from(["weyl", "borch"]))
+def test_coefficient_file_contract(capsys, tmp_path, doc, command):
+    path = write_json(tmp_path / "phi.json", doc)
+    argv = [command, path] + (["--rect", "1,1"] if command == "borch" else [])
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""

@@ -226,3 +226,38 @@ def test_det_singular_types():
     assert type(linalg.det(((1, 2), (2, 4)))) is int
     assert linalg.det(((Q(1, 2), 1), (1, 2))) == Q(0)
     assert type(linalg.det(((Q(1, 2), 1), (1, 2)))) is Q
+
+
+# ---------------------------------------------------------------------------
+# smith_normal_form against sympy's
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square and rectangular integer matrices with negative entries; some made singular."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(-9, 9), min_size=cols, max_size=cols)
+    m = draw(st.lists(row, min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        # one row a combination of two others drops the rank
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_smith_normal_form_against_sympy(m):
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    diag = (abs(int(snf[i, i])) for i in range(min(snf.shape)))
+    assert linalg.smith_normal_form(m) == tuple(d for d in diag if d)
+
+
+def test_smith_normal_form_zero_and_negative():
+    assert linalg.smith_normal_form([[0, 0], [0, 0], [0, 0]]) == ()
+    assert linalg.smith_normal_form([[-2, 0], [0, 3]]) == (1, 6)
+    assert linalg.smith_normal_form([[-4, -6, 2]]) == (2,)

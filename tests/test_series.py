@@ -109,6 +109,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             TruncatedSeries(1, {key(Q(1, 7), (0,), 0): 1}, RECT)
 
+    def test_prefactor_off_den_grid_rejected(self):
+        for a, c in ((Q(1, 7), Q(0)), (Q(0), Q(1, 48))):
+            with pytest.raises(ValueError, match=r"prefactor exponents .* not in \(1/24\)Z"):
+                TruncatedSeries(1, {}, RECT, Monomial(a, (Q(0),), c), 24)
+        # zeta exponents are unrestricted; ints are accepted as exponents
+        x = TruncatedSeries(1, {}, RECT, Monomial(Q(1, 8), (Q(1, 7),), Q(5, 12)), 24)
+        assert x.prefactor.a == Q(1, 8)
+        assert TruncatedSeries(1, {}, RECT, Monomial(2, (0,), 1), 1).prefactor.c == 1
+
 
 class TestDerive:
     def test_examples(self):

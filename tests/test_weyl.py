@@ -1,7 +1,13 @@
 import dataclasses
+import hashlib
+import json
+import re
 from fractions import Fraction as Q
+from functools import lru_cache
+from typing import Iterable, Mapping, Sequence
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from orthoforms import (
     AmbientVector,
@@ -18,7 +24,9 @@ from orthoforms import (
     solve_weight,
     weyl_vector,
 )
-from orthoforms.weyl import SymbolicWeightError
+from orthoforms.lattice import Lattice
+from orthoforms.roots import DualRoot
+from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError, is_positive_direction
 
 A1 = builtin_lattice("A1")
 
@@ -235,3 +243,292 @@ class TestDivisorLabel:
         label = divisor_label(v)
         assert label.m == Q(-1, 4)
         assert label.lam == (Q(0), Q(0), Q(1, 2), Q(0), Q(0))
+
+
+# ---------------------------------------------------------------------------
+# the integer q^0 table against the Fraction code it replaced
+# ---------------------------------------------------------------------------
+#
+# ReferenceQZeroData.__init__ and reference_qzero_from_dual_sets are verbatim
+# copies of the Fraction-keyed QZeroData.__init__ and qzero_from_dual_sets
+# (with the class renamed); their table is ``_map``.  The copy's "conflict at
+# {half}" error cannot fire: only members get +1, and a half gets -1 only
+# when it is not a member.  The integer code has no such check.
+
+
+def _normalize_coords(coords) -> Coords:
+    return tuple(x if type(x) is Q else Q(x) for x in coords)
+
+
+class ReferenceQZeroData:
+    def __init__(
+        self,
+        lattice: Lattice,
+        entries: Mapping[tuple[int, Sequence], int],
+        k: Q | int | None = None,
+    ):
+        self.lattice = lattice
+        self.k = None if k is None else Q(k)
+        table: dict[tuple[int, Coords], int] = {}
+        zero = tuple(Q(0) for _ in range(lattice.rank))
+        for (n, coords), value in entries.items():
+            coords = _normalize_coords(coords)
+            if len(coords) != lattice.rank:
+                raise ValueError("coefficient vector has wrong length")
+            if value == 0:
+                continue
+            if not isinstance(value, int):
+                raise ValueError("coefficients must be integers")
+            if n > 0:
+                raise ValueError("q^0 data stores indices n <= 0 only")
+            if n < 0 and (n != -1 or any(coords) or value != 1):
+                raise ValueError(
+                    "principal part must be exactly f(-1, 0) = 1"
+                )
+            if n == 0 and not any(coords):
+                raise ValueError("f(0, 0) is carried by k, not by the table")
+            if not lattice.in_dual(coords):
+                raise ValueError(f"vector {coords} does not pair integrally")
+            key = (n, coords)
+            if table.setdefault(key, value) != value:
+                raise CoefficientConflictError(f"conflicting values at {key}")
+        if (-1, zero) not in table:
+            raise ValueError("missing principal part f(-1, 0) = 1")
+        for (n, coords), value in table.items():
+            neg = (n, tuple(-x for x in coords))
+            if table.get(neg) != value:
+                raise ValueError(
+                    f"coefficients are not even in l: f{(n, coords)} has no partner"
+                )
+        self._map = table
+
+
+def reference_qzero_from_dual_sets(
+    lattice: Lattice,
+    dual_sets: Iterable[Sequence[DualRoot]],
+    k: Q | int | None = None,
+) -> ReferenceQZeroData:
+    members: set[Coords] = set()
+    half_flags: dict[Coords, bool] = {}
+    for ds in dual_sets:
+        for dr in ds:
+            coords = _normalize_coords(dr.coords)
+            if coords in half_flags and half_flags[coords] != dr.half_in_dual:
+                raise CoefficientConflictError(
+                    f"inconsistent duality flags for {coords}"
+                )
+            members.add(coords)
+            half_flags[coords] = dr.half_in_dual
+    contributions: dict[Coords, int] = {}
+    for x in members:
+        half = tuple(v / 2 for v in x)
+        double = tuple(2 * v for v in x)
+        if half_flags[x]:
+            contributions[x] = contributions.get(x, 0) + 1
+            if half not in members:
+                if contributions.get(half, 0) > 0:
+                    raise CoefficientConflictError(f"conflict at {half}")
+                contributions[half] = contributions.get(half, 0) - 1
+        elif double not in members:
+            contributions[x] = contributions.get(x, 0) + 1
+    entries: dict[tuple[int, Coords], int] = {
+        (0, coords): value for coords, value in contributions.items() if value
+    }
+    zero = tuple(Q(0) for _ in range(lattice.rank))
+    entries[(-1, zero)] = 1
+    return ReferenceQZeroData(lattice, entries, k)
+
+
+def table_cases():
+    """The 165 (type, rank, d, subcase, short_div override) components of the table."""
+    out = []
+    for d in (1, 2, 3):
+        out.append(("A", 1, d, None, d))
+        out += [("A", 1, d, sub, None) for sub in ("i", "ii", "iii")]
+        out += [("A", n, d, None, None) for n in range(2, 9)]
+        for n in range(2, 9):
+            out.append(("B", n, d, None, d))
+            out += [("B", n, d, sub, None) for sub in ("i", "ii", "iii")]
+        out += [("C", n, d, None, None) for n in range(3, 9)]
+        out += [("D", n, d, None, None) for n in range(4, 9)]
+        out += [(tag, int(tag[1]), d, None, None) for tag in ("E6", "E7", "E8")]
+        out += [("G2", 2, d, None, None), ("F4", 4, d, None, None)]
+    return out
+
+
+@lru_cache(maxsize=None)
+def table_component(case):
+    tag, n, d, sub, short_div = case
+    comp = realize(tag, n, d)
+    if short_div is not None:
+        return dataclasses.replace(comp, short_div=short_div, subcase=None)
+    return comp if sub is None else dataclasses.replace(comp, subcase=sub)
+
+
+@lru_cache(maxsize=None)
+def table_dual_set(case):
+    return build_dual_set(table_component(case))
+
+
+# sha256 of the q0_entries() and of the build_dual_set() of the 165
+# components, recorded with the Fraction code before the integer code replaced it
+Q0_ENTRIES_DIGEST = "c69e9310684c46eeb83a4fd2c450942df4ae46f9905c65bb41497950748822c3"
+DUAL_SETS_DIGEST = "2bf9aab6e8ceef32be52675dea9e0abf3000baa2888fa6d56c9a6fbd75cc7a12"
+
+
+def digest(docs):
+    return hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+
+
+def test_table_components_against_reference():
+    cases = table_cases()
+    assert len(cases) == 165
+    entries, dual_sets = [], []
+    for case in cases:
+        lat, ds = table_component(case).lattice, table_dual_set(case)
+        phi = qzero_from_dual_sets(lat, [ds])
+        assert phi.coefficient_table() == reference_qzero_from_dual_sets(lat, [ds])._map, case
+        label = list(map(str, case))
+        entries.append([label, [[[str(x) for x in c], v] for c, v in phi.q0_entries()]])
+        dual_sets.append([label, [[[str(x) for x in dr.coords], dr.half_in_dual] for dr in ds]])
+    assert digest(entries) == Q0_ENTRIES_DIGEST
+    assert digest(dual_sets) == DUAL_SETS_DIGEST
+
+
+# rank <= 4 components, with D > 1 from d = 2, 3 and the A1/B subcases
+SMALL_CASES = [
+    c for c in table_cases()
+    if c[1] <= 4 and (c[0] in ("A", "B", "G2") or c[2] > 1)
+]
+FRACTION_TUPLE = re.compile(r"\((?:Fraction\(-?\d+, \d+\)(?:, )?)+,?\)")
+
+
+def outcome(build):
+    """(coefficient table, None) or (None, (exception type, message))."""
+    try:
+        phi = build()
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+    if isinstance(phi, ReferenceQZeroData):  # the old coefficient_table(): 2k is an int here
+        f00 = {(0, tuple(Q(0) for _ in range(phi.lattice.rank))): int(2 * phi.k)} if phi.k else {}
+        return {**phi._map, **f00}, None
+    return phi.coefficient_table(), None
+
+
+def negated(dr):
+    return DualRoot(tuple(-x for x in dr.coords), dr.half_in_dual)
+
+
+@st.composite
+def even_dual_sets(draw):
+    """A sublist of a component's dual set closed under negation, flags chosen per pair.
+
+    A flag is set only where the half pairs integrally, so the table has at
+    most one faulty vector: the injected one (a vector off the dual lattice,
+    or a repeat with the other flag).
+    """
+    case = draw(st.sampled_from(SMALL_CASES))
+    lat = table_component(case).lattice
+    positive = [dr for dr in table_dual_set(case) if is_positive_direction(dr.coords)]
+    chosen = draw(st.lists(st.sampled_from(positive), unique=True))
+    out = []
+    for dr in chosen:
+        half_ok = lat.in_dual(tuple(x / 2 for x in dr.coords))
+        dr = DualRoot(dr.coords, half_ok and draw(st.booleans()))
+        out += [dr, negated(dr)]
+    out = draw(st.permutations(out))
+    fault = draw(st.sampled_from([None, "flags", "off dual"]))
+    if fault == "flags" and out:
+        i = draw(st.integers(0, len(out) - 1))
+        dr = out[i]
+        out.insert(draw(st.integers(i + 1, len(out))), DualRoot(dr.coords, not dr.half_in_dual))
+    elif fault == "off dual":
+        coords = tuple(
+            Q(draw(st.integers(-6, 6)), draw(st.integers(1, 6))) for _ in range(lat.rank)
+        )
+        assume(not lat.in_dual(coords))
+        out.insert(draw(st.integers(0, len(out))), DualRoot(coords, draw(st.booleans())))
+    return lat, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_dual_sets(), st.sampled_from([None, 0, 12]))
+def test_dual_sets_against_reference(lat_ds, k):
+    lat, ds = lat_ds
+    got = outcome(lambda: qzero_from_dual_sets(lat, [ds], k))
+    assert got == outcome(lambda: reference_qzero_from_dual_sets(lat, [ds], k))
+
+
+@st.composite
+def any_dual_sets(draw):
+    """Any sublist of a component's dual set with any flags, split into one or two sets."""
+    case = draw(st.sampled_from(SMALL_CASES))
+    lat = table_component(case).lattice
+    ds = draw(st.lists(st.sampled_from(table_dual_set(case)), unique=True))
+    ds = [DualRoot(dr.coords, draw(st.booleans())) for dr in ds]
+    cut = draw(st.integers(0, len(ds)))
+    return lat, [ds[:cut], ds[cut:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_dual_sets())
+def test_any_dual_sets_against_reference(lat_sets):
+    """Where several vectors fail one check, each code names the first in its own order.
+
+    The Fraction code visited its members in set (hash) order, the integer
+    code visits them in input order, so only the failing check, the
+    exception type and the message up to the vector named must agree.
+    """
+    lat, sets = lat_sets
+    got, got_err = outcome(lambda: qzero_from_dual_sets(lat, sets))
+    want, want_err = outcome(lambda: reference_qzero_from_dual_sets(lat, sets))
+    assert got == want
+    if want_err is not None:
+        assert got_err[0] is want_err[0]
+        assert FRACTION_TUPLE.sub("l", got_err[1]) == FRACTION_TUPLE.sub("l", want_err[1])
+
+
+COORD = st.one_of(
+    st.integers(-2, 2), st.builds(Q, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6]))
+)
+
+
+@st.composite
+def raw_entries(draw):
+    """Coefficient maps for QZeroData(...): odd, off-dual, conflicting or wrongly shaped."""
+    lat = builtin_lattice(draw(st.sampled_from(["A1", "A2", "A1(3)", "2A1", "A2(2)"])))
+    entries = {}
+    if draw(st.integers(0, 4)):
+        entries[(-1, (0,) * lat.rank)] = 1
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        size = lat.rank if draw(st.integers(0, 9)) else draw(st.integers(0, 3))
+        l = tuple(draw(st.lists(COORD, min_size=size, max_size=size)))
+        value = draw(st.integers(-2, 2))
+        entries[(n, l)] = value
+        partner = draw(st.sampled_from(["even", "odd", "conflict", None]))
+        if partner == "conflict":  # the same key spelled as strings
+            entries[(n, tuple(str(x) for x in l))] = value + 1
+        elif partner:
+            entries[(n, tuple(-Q(x) for x in l))] = value if partner == "even" else -value
+    return lat, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_entries(), st.sampled_from([None, 3]))
+def test_constructor_against_reference(lat_entries, k):
+    lat, entries = lat_entries
+    assert outcome(lambda: QZeroData(lat, entries, k)) == outcome(
+        lambda: ReferenceQZeroData(lat, entries, k)
+    )
+
+
+def test_equality_across_denominators():
+    phi = phi_for("A", 1, 1, subcase="ii")  # from members 1 and 1/2: kept over 4
+    same = QZeroData(A1, phi.coefficient_table())  # the table is f(0, +-1) = 1: over 1
+    assert same == phi and QZeroData(A1, phi.coefficient_table(), 1) != phi
+    quarters = QZeroData(
+        builtin_lattice("A1(2)"), {(-1, (0,)): 1, (0, (Q(1, 4),)): 1, (0, (Q(-1, 4),)): 1}
+    )
+    # 1/3 is off the grid of quarters: it must not be read as 1 * (4 // 3) / 4
+    assert quarters.f(0, (Q(1, 4),)) == 1 and quarters.f(0, (Q(1, 3),)) == 0
