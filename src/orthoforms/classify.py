@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Callable
 
-from .roots import build_dual_set, modified_coxeter_value, realize
+from .roots import TYPES, build_dual_set, display_name, modified_coxeter_value, realize
 from .series import q_str
 from .weyl import qzero_from_dual_sets, quadratic_weyl_constant, solve_weight, weyl_vector
 
@@ -40,19 +40,12 @@ class ClassificationError(RuntimeError):
 
 # admissible pool: (family, d, admissible ranks); every member's modified
 # Coxeter number is an integer realized by at least one admissible rank
-POOL: tuple[tuple[str, int, tuple[int, ...]], ...] = (
-    ("A", 1, tuple(range(1, 9))),
-    ("B", 1, tuple(range(2, 9))),
-    ("C", 1, tuple(range(3, 9))),
-    ("D", 1, tuple(range(4, 9))),
-    ("E6", 1, (6,)),
-    ("E7", 1, (7,)),
-    ("E7", 2, (7,)),
-    ("E8", 1, (8,)),
-    ("E8", 2, (8,)),
-    ("E8", 3, (8,)),
-    ("G2", 1, (2,)),
-    ("F4", 1, (4,)),
+POOL: tuple[tuple[str, int, tuple[int, ...]], ...] = tuple(
+    (family, d, tuple(TYPES[family].ranks))
+    for family, d in (
+        ("A", 1), ("B", 1), ("C", 1), ("D", 1), ("E6", 1), ("E7", 1), ("E7", 2),
+        ("E8", 1), ("E8", 2), ("E8", 3), ("G2", 1), ("F4", 1),
+    )
 )
 
 
@@ -74,8 +67,7 @@ class CandidateSystem:
         parts = []
         seen: dict[str, int] = {}
         for family, rank, d in self.components:
-            name = family if family not in "ABCD" else f"{family}{rank}"
-            scale = 2 * d if family in ("B", "F4") else d
+            name, scale = display_name(family, rank, d)
             text = f"{name}({scale})" if scale != 1 else name
             seen[text] = seen.get(text, 0) + 1
         for text, count in sorted(seen.items()):

@@ -36,29 +36,33 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
         raise CliError(f"cannot parse rectangle bounds {text!r}")
 
 
-def _load_lattice(ref: str) -> lattice_mod.Lattice:
+def _read_json(path: str, what: str, parse=None):
+    """The JSON document in path, through parse; any failure is one exit-2 line naming the path."""
     try:
-        return lattice_mod.load_lattice(ref)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {ref}")
-    except OSError as exc:
-        raise CliError(f"cannot read {ref}: {exc.strerror}")
-    except KeyError as exc:
-        raise CliError(str(exc))
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid lattice {ref!r}: {exc}")
-
-
-def _load_qzero(path: str) -> weyl_mod.QZeroData:
-    try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        return doc if parse is None else parse(doc)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}")
+    except (ValueError, KeyError, RecursionError) as exc:
+        raise CliError(f"invalid {what} {path}: {exc}")
+
+
+def _load_lattice(ref: str) -> lattice_mod.Lattice:
+    if not ref.startswith("builtin:"):
+        return _read_json(ref, "lattice", lattice_mod.lattice_from_json)
+    try:
+        return lattice_mod.builtin_lattice(ref[len("builtin:"):])
+    except KeyError as exc:
+        raise CliError(exc.args[0])
+    except ValueError as exc:
+        raise CliError(f"invalid lattice {ref}: {exc}")
+
+
+def _load_qzero(path: str) -> weyl_mod.QZeroData:
+    doc = _read_json(path, "JSON in")
     if not isinstance(doc, dict) or "lattice" not in doc:
         raise CliError(f"{path}: coefficient file needs a 'lattice' field")
     lat_ref = doc["lattice"]
@@ -104,7 +108,12 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
         )
         raise CliError(f"{path}: missing required coefficients: {listing}", EXIT_MISSING)
     k_raw = doc.get("k", "symbolic")
-    k = None if k_raw == "symbolic" else Q(str(k_raw))
+    try:
+        if isinstance(k_raw, bool) or not isinstance(k_raw, (int, str)):
+            raise ValueError
+        k = None if k_raw == "symbolic" else parse_q(k_raw)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"{path}: 'k' must be \"symbolic\", an integer or a rational string, got {k_raw!r}")
     try:
         return weyl_mod.QZeroData(lat, entries, k)
     except ValueError as exc:
@@ -158,35 +167,30 @@ def cmd_roots(args) -> int:
         comps = roots_mod.decompose(rd) if rd.roots else []
     except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc))
-    reports = []
-    for comp in comps:
-        reports.append(
-            {
-                "type": comp.type_tag[0] if comp.type_tag[0] in "ABCD" else comp.type_tag,
-                "rank": comp.rank,
-                "d": comp.d,
-                "scale": comp.scale,
-                "roots": len(comp.roots),
-                "coxeter": roots_mod.coxeter_number(comp),
-                "modified_coxeter": _mc_field(comp),
-                "subcase": comp.subcase,
-                "short_div": comp.short_div,
-                "long_div": comp.long_div,
-            }
-        )
+    reports = [
+        {
+            "type": comp.type_tag,
+            "rank": comp.rank,
+            "d": comp.d,
+            "scale": comp.scale,
+            "roots": len(comp.roots),
+            "coxeter": roots_mod.coxeter_number(comp),
+            "modified_coxeter": _mc_field(comp),
+            "subcase": comp.subcase,
+            "short_div": comp.short_div,
+            "long_div": comp.long_div,
+        }
+        for comp in comps
+    ]
     doc = {"lattice": lat.label, "total_roots": len(rd.roots), "components": reports}
     if args.format == "json":
         _emit(doc, args)
     else:
         print(f"{len(rd.roots)} reflective vectors up to norm {args.max_norm}")
-        for rep in reports:
-            mc = rep["modified_coxeter"]
-            name = rep["type"]
-            if name in ("A", "B", "C", "D"):
-                name = f"{name}{rep['rank']}"
+        for comp, rep in zip(comps, reports):
             print(
-                f"  {name}({rep['scale']}): {rep['roots']} roots, "
-                f"coxeter {rep['coxeter']}, modified {mc}"
+                f"  {comp.label}: {rep['roots']} roots, "
+                f"coxeter {rep['coxeter']}, modified {rep['modified_coxeter']}"
             )
     return EXIT_OK
 
@@ -250,12 +254,9 @@ def cmd_borch(args) -> int:
             f"--den {args.den} puts exponents on the (1/{args.den})Z grid, but the Weyl "
             f"vector has A = {q_str(wv.a)}, C = {q_str(wv.c)}"
         )
-    table = {}
-    for (n, coords), f in phi.coefficient_table().items():
-        table[(n, coords)] = f
     try:
         expansion = series_mod.expand_product(
-            table, wv, rect, phi.lattice.rank, den=args.den
+            phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den
         )
     except series_mod.SeriesOverflowError as exc:
         raise CliError(str(exc), EXIT_INTERNAL)
@@ -279,17 +280,7 @@ def cmd_jacobian(args) -> int:
         raise CliError(
             f"{len(args.series)} series but {len(weights)} weights"
         )
-    loaded = []
-    for path in args.series:
-        try:
-            with open(path) as fh:
-                loaded.append(series_mod.series_from_json(json.load(fh)))
-        except FileNotFoundError:
-            raise CliError(f"no such file: {path}")
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise CliError(f"invalid series file {path}: {exc}")
+    loaded = [_read_json(path, "series file", series_mod.series_from_json) for path in args.series]
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]
     try:
         if args.syzygy:

@@ -199,31 +199,45 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
     Returns the nonzero invariant factors, nonnegative, each dividing the
     next.  For a nondegenerate square matrix the product equals |det|.
+
+    A nondegenerate square matrix is eliminated modulo r, the order of the
+    cokernel of its trailing block (|det| at the start).  That order kills
+    the cokernel, so the columns r e_i lie in the column lattice: entries
+    may be taken mod r, which stops them from growing, and a pivot p
+    contributes gcd(p, r).  Other matrices are eliminated over the integers.
     """
     a = [[int(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
+    r = abs(det(a)) if rows == cols > 0 else 0
+
+    def red(x):
+        return x % r if r else x
+
     diag = []
     s = 0
     while s < min(rows, cols):
+        for row in a[s:]:
+            row[s:] = map(red, row[s:])
         # locate a minimal nonzero entry in the trailing block
         best = None
         for i in range(s, rows):
             for j in range(s, cols):
                 if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                     best = (i, j)
-        if best is None:
+        if best is None and not r:
             break
-        i, j = best
-        a[s], a[i] = a[i], a[s]
-        for row in a:
-            row[s], row[j] = row[j], row[s]
-        while True:
+        if best is not None:  # else the block is 0 mod r, so r = 1 or it is 1 x 1
+            i, j = best
+            a[s], a[i] = a[i], a[s]
+            for row in a:
+                row[s], row[j] = row[j], row[s]
+        while best is not None:
             changed = False
             for i in range(s + 1, rows):
                 if a[i][s]:
                     q = a[i][s] // a[s][s]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
+                    a[i] = [red(x - q * y) for x, y in zip(a[i], a[s])]
                     if a[i][s]:
                         a[s], a[i] = a[i], a[s]
                     changed = True
@@ -231,14 +245,15 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 if a[s][j]:
                     q = a[s][j] // a[s][s]
                     for row in a:
-                        row[j] -= q * row[s]
+                        row[j] = red(row[j] - q * row[s])
                     if a[s][j]:
                         for row in a:
                             row[s], row[j] = row[j], row[s]
                     changed = True
             if not changed:
                 break
-        diag.append(abs(a[s][s]))
+        diag.append(gcd(a[s][s], r))  # gcd(p, 0) = |p|
+        r //= diag[-1]
         s += 1
     # enforce the divisibility chain; diag(a, b) and diag(gcd, lcm) are equivalent
     changed = True

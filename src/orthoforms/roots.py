@@ -7,6 +7,10 @@ Coxeter numbers follow the thirteen-case table keyed by the divisor data
 of the short roots and, where that data is ambiguous, an explicit subcase
 tag supplied by the caller.
 
+``TYPES`` is the single source of the facts of the nine Cartan types; the
+component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
+``display_name`` (both labels) and the pool of ``classify`` read it.
+
 Dual sets are built on integers: r/m is the integer tuple r (s/m) over
 s = lcm of the m in use, which sorts like the Fractions because s > 0, and
 each distinct coordinate becomes one Fraction.
@@ -15,14 +19,15 @@ each distinct coordinate becomes one Fraction.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
-from .lattice import Lattice, builtin_lattice, rescale, short_vectors
+from .lattice import Lattice, builtin_lattice, short_vectors
 
 
 class UnrecognizedRootSystemError(ValueError):
@@ -37,9 +42,57 @@ class InconsistentDivProfileError(ValueError):
     pass
 
 
-SIMPLY_LACED = ("A", "D", "E6", "E7", "E8")
-DOUBLY_LACED = ("B", "C", "F4")
-ALL_TYPES = SIMPLY_LACED + DOUBLY_LACED + ("G2",)
+@dataclass(frozen=True)
+class CartanType:
+    """One Cartan type (Bourbaki, Lie Groups and Lie Algebras, VI, Plates I-IX).
+
+    ``ratio`` is the long/short norm ratio, None when simply laced (long roots
+    have div ratio * d); ``counts(n)`` the (short, long) root counts; ``h(n)``
+    the modified Coxeter number times d at short-root div d; ``lattice(n)``
+    the built-in lattice ``realize`` uses.
+    """
+
+    ranks: range
+    ratio: int | None
+    counts: Callable[[int], tuple[int, int]]
+    h: Callable[[int], int]
+    lattice: Callable[[int], str]
+    scale: int = 1  # labels show scale * d
+
+
+TYPES: dict[str, CartanType] = {
+    "A": CartanType(range(1, 9), None, lambda n: (n * (n + 1), 0), lambda n: n + 1, lambda n: f"A{n}"),
+    "B": CartanType(range(2, 9), 2, lambda n: (2 * n, 2 * n * (n - 1)), lambda n: n + 1, lambda n: f"{n}A1", 2),
+    "C": CartanType(range(3, 9), 2, lambda n: (2 * n * (n - 1), 2 * n), lambda n: 2 * n - 1,
+                    lambda n: f"D{n}" if n > 3 else "A3"),
+    "D": CartanType(range(4, 9), None, lambda n: (2 * n * (n - 1), 0), lambda n: 2 * n - 2, lambda n: f"D{n}"),
+    "E6": CartanType(range(6, 7), None, lambda n: (72, 0), lambda n: 12, lambda n: "E6"),
+    "E7": CartanType(range(7, 8), None, lambda n: (126, 0), lambda n: 18, lambda n: "E7"),
+    "E8": CartanType(range(8, 9), None, lambda n: (240, 0), lambda n: 30, lambda n: "E8"),
+    "F4": CartanType(range(4, 5), 2, lambda n: (24, 24), lambda n: 9, lambda n: "D4", 2),
+    "G2": CartanType(range(2, 3), 3, lambda n: (6, 6), lambda n: 4, lambda n: "A2"),
+}
+SUBCASES = ("i", "ii", "iii")
+
+
+def _checked(type_tag: str, rank: int, unknown: str) -> CartanType:
+    """The table entry of a known type whose rank is in range."""
+    if type_tag not in TYPES:
+        raise ValueError(unknown)
+    ct = TYPES[type_tag]
+    if rank not in ct.ranks:
+        raise ValueError(f"rank {rank} out of range for type {type_tag}")
+    return ct
+
+
+def _short_div_may_double(type_tag: str, rank: int) -> bool:
+    """A1 and B short roots may have div 2d, which the subcase tag i/ii/iii resolves."""
+    return type_tag == "B" or (type_tag == "A" and rank == 1)
+
+
+def display_name(type_tag: str, rank: int, d: int) -> tuple[str, int]:
+    """Label name and scale: A-D names carry the rank, B and F4 show 2d."""
+    return (f"{type_tag}{rank}" if len(type_tag) == 1 else type_tag), TYPES[type_tag].scale * d
 
 
 @dataclass(frozen=True)
@@ -53,10 +106,7 @@ class RootDatum:
         return len(self.roots)
 
     def norms(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.roots:
-            out[int(self.lattice.norm(r))] = out.get(int(self.lattice.norm(r)), 0) + 1
-        return out
+        return dict(Counter(int(self.lattice.norm(r)) for r in self.roots))
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
@@ -98,37 +148,24 @@ class IrreducibleComponent:
 
     def __post_init__(self):
         t, n = self.type_tag, self.rank
-        if t not in ALL_TYPES:
-            raise ValueError(f"unknown type tag {t!r}")
-        bounds = {"A": (1, 8), "B": (2, 8), "C": (3, 8), "D": (4, 8)}
-        if t in bounds and not bounds[t][0] <= n <= bounds[t][1]:
-            raise ValueError(f"rank {n} out of range for type {t}")
-        if t in ("E6", "E7", "E8") and n != int(t[1]):
-            raise ValueError(f"type {t} must have rank {t[1]}")
-        if t == "F4" and n != 4 or t == "G2" and n != 2:
-            raise ValueError(f"bad rank {n} for {t}")
+        ratio = _checked(t, n, f"unknown type tag {t!r}").ratio
         if self.d < 1:
             raise ValueError("rescale must be positive")
-        ambiguous = t == "B" or (t == "A" and n == 1)
-        if ambiguous:
-            if self.short_div not in (self.d, 2 * self.d):
-                raise InconsistentDivProfileError(
-                    f"short-root div {self.short_div} must be d or 2d for {t}{n}"
-                )
-        elif self.short_div != self.d:
+        ambiguous = _short_div_may_double(t, n)
+        if self.short_div not in ((self.d, 2 * self.d) if ambiguous else (self.d,)):
             raise InconsistentDivProfileError(
-                f"short-root div {self.short_div} must equal d={self.d} for {t}{n}"
+                f"short-root div {self.short_div} must be d or 2d for {t}{n}"
+                if ambiguous
+                else f"short-root div {self.short_div} must equal d={self.d} for {t}{n}"
             )
-        expected_long = {"B": 2, "C": 2, "F4": 2, "G2": 3}
-        if t in expected_long:
-            if self.long_div != expected_long[t] * self.d:
-                raise InconsistentDivProfileError(
-                    f"long-root div {self.long_div} inconsistent for {t}{n}(d={self.d})"
-                )
-        elif self.long_div is not None:
+        if ratio and self.long_div != ratio * self.d:
+            raise InconsistentDivProfileError(
+                f"long-root div {self.long_div} inconsistent for {t}{n}(d={self.d})"
+            )
+        if not ratio and self.long_div is not None:
             raise InconsistentDivProfileError(f"type {t} has no long roots")
         if self.subcase is not None:
-            if self.subcase not in ("i", "ii", "iii"):
+            if self.subcase not in SUBCASES:
                 raise ValueError(f"bad subcase {self.subcase!r}")
             if not (ambiguous and self.short_div == 2 * self.d):
                 raise ValueError("subcase tag only applies to A1/B with div 2d")
@@ -136,12 +173,11 @@ class IrreducibleComponent:
     @property
     def scale(self) -> int:
         """Form-scale parameter as used in component labels: 2d for B and F4."""
-        return 2 * self.d if self.type_tag in ("B", "F4") else self.d
+        return display_name(self.type_tag, self.rank, self.d)[1]
 
     @property
     def label(self) -> str:
-        base = self.type_tag if self.type_tag not in ("A", "B", "C", "D") else f"{self.type_tag}{self.rank}"
-        return f"{base}({self.scale})"
+        return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
 
     def short_roots(self):
         return tuple(r for r in self.roots if self.lattice.norm(r) == 2 * self.d)
@@ -159,61 +195,44 @@ def _class_div(lat: Lattice, vectors) -> int:
     return divs.pop()
 
 
+def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
+    """The tag of the type with this rank, long/short norm ratio and (short, long) counts."""
+    return next(
+        (t for t, ct in TYPES.items() if ct.ratio == ratio and rank in ct.ranks and ct.counts(rank) == counts),
+        None,
+    )
+
+
 def _identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> IrreducibleComponent:
     by_norm: dict[int, list] = {}
     for r in roots:
         by_norm.setdefault(int(lat.norm(r)), []).append(r)
     norms = sorted(by_norm)
     k = linalg.rank(tuple(roots))
-    count = len(roots)
     if len(norms) == 1:
         nn = norms[0]
         if nn % 2:
             raise UnrecognizedRootSystemError(f"odd root norm {nn}")
-        d = nn // 2
-        if k == 1 and count == 2:
-            tag = "A"
-        elif count == k * (k + 1):
-            tag = "A"
-        elif k >= 4 and count == 2 * k * (k - 1):
-            tag = "D"
-        elif (k, count) in ((6, 72), (7, 126), (8, 240)):
-            tag = f"E{k}"
-        else:
-            raise UnrecognizedRootSystemError(
-                f"single-norm system: rank {k}, {count} roots, norm {nn}"
-            )
-        return IrreducibleComponent(
-            lat, tag, k, d, tuple(roots), _class_div(lat, roots), None
-        )
+        tag = _match(k, None, (len(roots), 0))
+        if tag is None:
+            raise UnrecognizedRootSystemError(f"single-norm system: rank {k}, {len(roots)} roots, norm {nn}")
+        return IrreducibleComponent(lat, tag, k, nn // 2, tuple(roots), _class_div(lat, roots), None)
     if len(norms) == 2:
         n1, n2 = norms
         c1, c2 = len(by_norm[n1]), len(by_norm[n2])
         if n1 % 2:
             raise UnrecognizedRootSystemError(f"odd short norm {n1}")
-        d = n1 // 2
-        short_div = _class_div(lat, by_norm[n1])
-        long_div = _class_div(lat, by_norm[n2])
-        if n2 == 3 * n1 and k == 2 and c1 == c2 == 6:
-            tag = "G2"
-        elif n2 == 2 * n1:
-            if k == 4 and c1 == c2 == 24:
-                tag = "F4"
-            elif c1 == 2 * k and c2 == 2 * k * (k - 1):
-                tag = "B"
-            elif k >= 3 and c1 == 2 * k * (k - 1) and c2 == 2 * k:
-                tag = "C"
-            else:
-                raise UnrecognizedRootSystemError(
-                    f"two-norm system: rank {k}, counts ({c1},{c2}), norms ({n1},{n2})"
-                )
-        else:
+        short_div, long_div = _class_div(lat, by_norm[n1]), _class_div(lat, by_norm[n2])
+        ratio = Q(n2, n1)
+        tag = _match(k, ratio, (c1, c2))
+        if tag is None:
+            # at ratio 2 (B, C, F4) it is the counts that failed to match
             raise UnrecognizedRootSystemError(
-                f"norm ratio {Q(n2, n1)} matches no crystallographic type"
+                f"two-norm system: rank {k}, counts ({c1},{c2}), norms ({n1},{n2})"
+                if ratio == 2
+                else f"norm ratio {ratio} matches no crystallographic type"
             )
-        return IrreducibleComponent(
-            lat, tag, k, d, tuple(roots), short_div, long_div
-        )
+        return IrreducibleComponent(lat, tag, k, n1 // 2, tuple(roots), short_div, long_div)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
 
@@ -280,7 +299,7 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
             "i": [(shorts, 2 * d, False)],
             "ii": [(shorts, d, True), (shorts, 2 * d, False)],
             "iii": [(shorts, d, True)],
-        }[_require_subcase(comp)]
+        }[_require_subcase(f"component {comp.label}", comp.subcase)]
     if comp.long_div is not None:
         parts.append((comp.long_roots(), comp.long_div, False))
     # sort on r * (scale / m) = scale * (r / m), integers in the order of the Fractions
@@ -293,12 +312,10 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     return tuple(DualRoot(c, half) for c, (_, half) in zip(coords, keyed))
 
 
-def _require_subcase(comp: IrreducibleComponent) -> str:
-    if comp.subcase is None:
-        raise SubcaseRequiredError(
-            f"component {comp.label} with short div 2d requires a subcase tag"
-        )
-    return comp.subcase
+def _require_subcase(what: str, subcase: str | None) -> str:
+    if subcase not in SUBCASES:
+        raise SubcaseRequiredError(f"{what} with short div 2d requires a subcase tag")
+    return subcase
 
 
 def _rank_one_sum(n: int, weighted_images) -> tuple[list[list[int]], int]:
@@ -398,52 +415,22 @@ def coxeter_number(comp: IrreducibleComponent) -> int:
     return int(h)
 
 
-def modified_coxeter_value(
-    type_tag: str, rank: int, d: int, div_case: str, subcase: str | None
-) -> Q:
+def modified_coxeter_value(type_tag: str, rank: int, d: int, div_case: str, subcase: str | None) -> Q:
     """Table of modified Coxeter numbers keyed by (type, d, div case, subcase).
 
     ``div_case`` is "d" or "2d" and describes the div of the short roots in
-    the ambient lattice; it only branches for A1 and B components.
+    the ambient lattice; it only branches for A1 and B components, where
+    B's three subcase formulas give A1's values at n = 1.
     """
     n = rank
-    if type_tag == "A" and n == 1:
-        if div_case == "d":
-            return Q(2, d)
-        return {"i": Q(1, 2 * d), "ii": Q(2, d), "iii": Q(3, 2 * d)}[
-            _subcase_key(type_tag, subcase)
-        ]
-    if type_tag == "B":
-        if div_case == "d":
-            return Q(n + 1, d)
-        return {
-            "i": Q(2 * n - 1, 2 * d),
-            "ii": Q(n + 1, d),
-            "iii": Q(2 * n + 1, 2 * d),
-        }[_subcase_key(type_tag, subcase)]
     if div_case != "d":
-        raise InconsistentDivProfileError(f"div 2d does not occur for type {type_tag}")
-    if type_tag == "A":
-        return Q(n + 1, d)
-    if type_tag == "C":
-        return Q(2 * n - 1, d)
-    if type_tag == "D":
-        return Q(2 * (n - 1), d)
-    if type_tag in ("E6", "E7", "E8"):
-        return Q({"E6": 12, "E7": 18, "E8": 30}[type_tag], d)
-    if type_tag == "G2":
-        return Q(4, d)
-    if type_tag == "F4":
-        return Q(9, d)
-    raise ValueError(f"unknown type {type_tag}")
-
-
-def _subcase_key(type_tag: str, subcase: str | None) -> str:
-    if subcase not in ("i", "ii", "iii"):
-        raise SubcaseRequiredError(
-            f"type {type_tag} with short div 2d requires a subcase tag"
-        )
-    return subcase
+        if not _short_div_may_double(type_tag, n):
+            raise InconsistentDivProfileError(f"div 2d does not occur for type {type_tag}")
+        values = {"i": Q(2 * n - 1, 2 * d), "ii": Q(n + 1, d), "iii": Q(2 * n + 1, 2 * d)}
+        return values[_require_subcase(f"type {type_tag}", subcase)]
+    if type_tag not in TYPES:
+        raise ValueError(f"unknown type {type_tag}")
+    return Q(TYPES[type_tag].h(n), d)
 
 
 def modified_coxeter(comp: IrreducibleComponent) -> Q:
@@ -459,57 +446,30 @@ def modified_coxeter(comp: IrreducibleComponent) -> Q:
 
 
 def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
-    """Build a concrete component of the given type on a built-in lattice.
+    """Build a concrete component of the given type on its built-in lattice.
 
-    A_n, D_n, E_n come from their own root lattices; B_n lives on nA1, C_n
-    on D_n (with an orthogonal long frame), G2 on A2, F4 on D4.
+    The lattice ``TYPES`` names is rescaled by d and searched up to norm
+    2d * ratio; C_n keeps an orthogonal frame of its long vectors.
     """
-    if type_tag == "A":
-        lat = _maybe_rescale(builtin_lattice(f"A{rank}"), d)
-        comps = decompose(detect_roots(lat, 2 * d))
-    elif type_tag == "D":
-        lat = _maybe_rescale(builtin_lattice(f"D{rank}"), d)
-        comps = decompose(detect_roots(lat, 2 * d))
-    elif type_tag in ("E6", "E7", "E8"):
-        lat = _maybe_rescale(builtin_lattice(type_tag), d)
-        comps = decompose(detect_roots(lat, 2 * d))
-    elif type_tag == "B":
-        base = builtin_lattice(f"{rank}A1") if rank >= 2 else builtin_lattice("A1")
-        lat = _maybe_rescale(base, d)
-        comps = decompose(detect_roots(lat, 4 * d))
-    elif type_tag == "G2":
-        lat = _maybe_rescale(builtin_lattice("A2"), d)
-        comps = decompose(detect_roots(lat, 6 * d))
-    elif type_tag == "F4":
-        lat = _maybe_rescale(builtin_lattice("D4"), d)
-        comps = decompose(detect_roots(lat, 4 * d))
-    elif type_tag == "C":
-        base = builtin_lattice("A3") if rank == 3 else builtin_lattice(f"D{rank}")
-        lat = _maybe_rescale(base, d)
-        rd = detect_roots(lat, 4 * d)
+    ct = _checked(type_tag, rank, f"unknown type {type_tag}")
+    lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
+    rd = detect_roots(lat, 2 * d * (ct.ratio or 1))
+    if type_tag == "C":
         shorts = [r for r in rd.roots if lat.norm(r) == 2 * d]
         frame = _orthogonal_frame(lat, [r for r in rd.roots if lat.norm(r) == 4 * d])
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
-        comps = decompose(RootDatum(lat, tuple(sorted(shorts + frame))))
-    else:
-        raise ValueError(f"unknown type {type_tag}")
+        rd = RootDatum(lat, tuple(sorted(shorts + frame)))
+    comps = decompose(rd)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
     return comps[0]
-
-
-def _maybe_rescale(lat: Lattice, d: int) -> Lattice:
-    return rescale(lat, d) if d != 1 else lat
 
 
 def _orthogonal_frame(lat: Lattice, vectors) -> list:
     """Greedy maximal pairwise-orthogonal subset closed under negation."""
     frame: list = []
     for v in sorted(vectors):
-        if tuple(-x for x in v) in {tuple(w) for w in frame}:
-            frame.append(v)
-            continue
-        if all(lat.pairing(v, w) == 0 for w in frame):
+        if tuple(-x for x in v) in frame or all(lat.pairing(v, w) == 0 for w in frame):
             frame.append(v)
     return frame

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orthoforms import build_dual_set, qzero_from_dual_sets, realize
+from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
 from orthoforms.cli import main
 from orthoforms.series import series_from_json
 
@@ -349,6 +349,51 @@ class TestClassify:
         assert out1 == out2
 
 
+class TestInputFiles:
+    """Every file input goes through one reader: a failure is one exit-2 line naming the file."""
+
+    ARGV = {
+        "lattice": lambda p: ["lattice", p],
+        "roots": lambda p: ["roots", p],
+        "weyl": lambda p: ["weyl", p],
+        "borch": lambda p: ["borch", p],
+        "jacobian": lambda p: ["jacobian", p, p, p, p, "--weights", "1,1,1,1"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000 + b"]" * 100_000, b'\xff{"gram": [[2]]}'], ids=["deep", "non-utf8"]
+    )
+    def test_unparseable_file(self, capsys, tmp_path, command, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, *self.ARGV[command](str(path)))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    def test_utf8_label(self, capsys, tmp_path):
+        path = tmp_path / "lattice.json"
+        path.write_bytes('{"gram": [[2]], "label": "\u039b"}'.encode("utf-8"))
+        code, out, _ = run(capsys, "lattice", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["label"] == "\u039b"
+
+    def test_unknown_builtin(self, capsys):
+        assert run(capsys, "lattice", "builtin:Z9") == (2, "", "error: unknown built-in lattice 'Z9'\n")
+
+    @pytest.mark.parametrize("k", [None, [1], {}, True, 1.5, "abc", "1/0", "symbolic "])
+    def test_bad_weight(self, capsys, tmp_path, k):
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))
+        code, out, err = run(capsys, "weyl", path)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and path in err and "'k' must be" in err and repr(k) in err
+
+    @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
+    def test_weight_spellings(self, capsys, tmp_path, k, weight):
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))
+        code, out, _ = run(capsys, "weyl", path, "--format", "json")
+        assert code == 0 and json.loads(out)["weight"] == weight
+
+
 class TestRoundTrip:
     def test_series_output_reparses(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
@@ -386,6 +431,15 @@ def negated(x):
         return str(-Q(x)) if isinstance(x, str) else x
     except (ValueError, ZeroDivisionError):
         return x
+
+
+def contract(code, out, err):
+    """Exit 0, 2 or 3; an error is one stderr line and no stdout."""
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 @st.composite
@@ -426,9 +480,103 @@ def coefficient_docs(draw):
 def test_coefficient_file_contract(capsys, tmp_path, doc, command):
     path = write_json(tmp_path / "phi.json", doc)
     argv = [command, path] + (["--rect", "1,1"] if command == "borch" else [])
-    code, out, err = run(capsys, *argv)
-    assert code in (0, 2, 3)
-    if code:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert err == ""
+    contract(*run(capsys, *argv))
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under generated lattice and series documents
+# ---------------------------------------------------------------------------
+
+GOOD_BUILTINS = ["A1", "A2", "A3(2)", "D4", "E6", "E8(3)", "2A1", "3A1(3)", "D5(2)", "A2(-1)"]
+BAD_BUILTINS = ["Z9", "A9", "D3", "E9", "1A1", "9A1", "A2(x)", "A2(0)", "A2(", "A2()", "A2(1)(2)", ""]
+ENTRY_JUNK = st.one_of(
+    st.booleans(), st.floats(allow_nan=False), st.just("2"), st.none(), st.just([2]), st.just([[1]])
+)
+
+
+@st.composite
+def gram_docs(draw, max_rank):
+    """Lattice documents: Gram matrices M M^T + D, then bent out of shape, or junk."""
+    n = draw(st.integers(1, max_rank))
+    m = [[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)]
+    shift = [draw(st.sampled_from([0, 0, 1, 2, -3])) for _ in range(n)]
+    gram = [[sum(a * b for a, b in zip(m[i], m[j])) + (shift[i] if i == j else 0) for j in range(n)] for i in range(n)]
+    bend = draw(st.sampled_from(["none", "none", "none", "entry", "asymmetric", "ragged", "rows", "doc"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if bend == "entry":
+        gram[i][j] = draw(ENTRY_JUNK)
+    elif bend == "asymmetric":
+        gram[i][j] += 1 if i != j else 0
+    elif bend == "ragged":
+        gram[i].append(0)
+    elif bend == "rows":
+        gram = draw(st.sampled_from([[], [[]], [5], "x", None, [[2], 2]]))
+    doc = {"gram": gram}
+    if draw(st.booleans()):
+        doc["label"] = draw(st.one_of(st.text(max_size=3), st.integers(), st.none(), st.just([1])))
+    if bend == "doc":
+        doc = draw(st.sampled_from([[], 5, None, "gram", {"label": "x"}, {"gram": {"0": [2]}}]))
+    return doc
+
+
+@st.composite
+def lattice_refs(draw, tmp_path, max_rank):
+    kind = draw(st.sampled_from(["file", "file", "file", "builtin", "bad builtin"]))
+    if kind == "builtin":
+        return "builtin:" + draw(st.sampled_from([b for b in GOOD_BUILTINS if builtin_lattice(b).rank <= max_rank]))
+    if kind == "bad builtin":
+        return "builtin:" + draw(st.sampled_from(BAD_BUILTINS))
+    return write_json(tmp_path / "lattice.json", draw(gram_docs(max_rank)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from(["table", "json"]))
+def test_lattice_file_contract(capsys, tmp_path, data, fmt):
+    ref = data.draw(lattice_refs(tmp_path, 10))
+    contract(*run(capsys, "lattice", ref, "--format", fmt))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.sampled_from([2, 4, 6, 3, 0]), st.sampled_from(["table", "json"]))
+def test_roots_file_contract(capsys, tmp_path, data, max_norm, fmt):
+    ref = data.draw(lattice_refs(tmp_path, 4))
+    contract(*run(capsys, "roots", ref, "--max-norm", str(max_norm), "--format", fmt))
+
+
+@st.composite
+def series_docs(draw, rank):
+    """Series documents: valid ones, and ones with one field bent out of the schema."""
+    terms = [
+        {"a": draw(RATIONAL), "l": [draw(RATIONAL) for _ in range(rank)], "t": draw(RATIONAL), "c": draw(RATIONAL)}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    doc = {
+        "rank": rank,
+        "den": draw(st.sampled_from([24, 12, 6])),
+        "prefactor": {"A": draw(RATIONAL), "B": [draw(RATIONAL) for _ in range(rank)], "C": draw(RATIONAL)},
+        "terms": terms,
+        "rect": [draw(RATIONAL), draw(RATIONAL)],
+    }
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(["drop"] + list(doc) + ["term"] * 2))
+        junk = JUNK | st.integers(-1, 3) | RATIONAL | st.lists(RATIONAL, max_size=3)
+        if field == "drop":
+            doc.pop(draw(st.sampled_from(list(doc))))
+        elif field == "term" and terms:
+            terms[0][draw(st.sampled_from(["a", "l", "t", "c"]))] = draw(junk)
+        elif field == "prefactor":
+            doc["prefactor"][draw(st.sampled_from(["A", "B", "C"]))] = draw(junk)
+        else:
+            doc[field] = draw(junk)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.integers(0, 2), st.booleans())
+def test_series_file_contract(capsys, tmp_path, data, rank, syzygy):
+    count = data.draw(st.sampled_from([rank + 3 + syzygy] * 6 + [1, rank + 4 - syzygy]))
+    paths = [write_json(tmp_path / f"f{i}.json", data.draw(series_docs(rank))) for i in range(count)]
+    weights = [str(data.draw(st.integers(-2, 5))) for _ in range(count)]
+    weights = data.draw(st.sampled_from([",".join(weights)] * 6 + [",".join(weights[1:]), "1,x", ""]))
+    argv = ["jacobian", *paths, f"--weights={weights}"] + (["--syzygy"] if syzygy else [])
+    contract(*run(capsys, *argv))

@@ -261,3 +261,23 @@ def test_smith_normal_form_zero_and_negative():
     assert linalg.smith_normal_form([[0, 0], [0, 0], [0, 0]]) == ()
     assert linalg.smith_normal_form([[-2, 0], [0, 3]]) == (1, 6)
     assert linalg.smith_normal_form([[-4, -6, 2]]) == (2,)
+
+
+# positive definite Gram of rank 10 from the CLI lattice fuzz: over the
+# integers the elimination's entries grew without bound and did not finish
+FUZZ_GRAM = [
+    [10, -3, 2, 0, -3, -2, -1, 1, 0, 1], [-3, 6, 1, 1, 0, 4, -1, -5, 2, -1],
+    [2, 1, 3, 0, -1, 2, 0, 0, -4, 1], [0, 1, 0, 9, 1, 2, 1, -1, -1, -1],
+    [-3, 0, -1, 1, 7, 1, 2, 0, -3, 1], [-2, 4, 2, 2, 1, 5, 0, 0, -3, 2],
+    [-1, -1, 0, 1, 2, 0, 3, -1, 0, 4], [1, -5, 0, -1, 0, 0, -1, 7, -3, -2],
+    [0, 2, -4, -1, -3, -3, 0, -3, 7, -1], [1, -1, 1, -1, 1, 2, 4, -2, -1, 8],
+]
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_smith_normal_form_rank_ten_gram(n):
+    from sympy.matrices.normalforms import smith_normal_form
+
+    m = [row[:n] for row in FUZZ_GRAM[:n]]
+    snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+    assert linalg.smith_normal_form(m) == tuple(abs(int(snf[i, i])) for i in range(n))

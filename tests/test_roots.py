@@ -1,6 +1,9 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as Q
+from types import SimpleNamespace
+from typing import Sequence
 
 import pytest
 import sympy
@@ -24,7 +27,15 @@ from orthoforms import (
     sum_rule_constant,
 )
 from orthoforms import linalg
-from orthoforms.roots import _identify
+from orthoforms.roots import (
+    TYPES,
+    InconsistentDivProfileError,
+    IrreducibleComponent,
+    RootDatum,
+    _class_div,
+    _identify,
+    _orthogonal_frame,
+)
 
 
 class TestDetect:
@@ -402,3 +413,300 @@ class TestSumRuleAgainstNaive:
             min_size=1, max_size=5,
         ))
         assert sum_rule_constant(gram, weighted) == naive_sum_rule(gram, weighted)
+
+
+# ---------------------------------------------------------------------------
+# the Cartan-type table against the per-type code it replaced
+# ---------------------------------------------------------------------------
+# Verbatim copies of the per-type chains that roots.TYPES replaced (only the
+# names of the top-level functions carry a chain_ prefix).  The table-driven
+# code must agree with them on every case below, up to two differences:
+# the E6/E7/E8/F4/G2 rank messages take the A-D wording, and realize rejects
+# a rank outside the type's range with a ValueError up front.
+
+SIMPLY_LACED = ("A", "D", "E6", "E7", "E8")
+DOUBLY_LACED = ("B", "C", "F4")
+ALL_TYPES = SIMPLY_LACED + DOUBLY_LACED + ("G2",)
+
+
+def chain_post_init(self):
+    t, n = self.type_tag, self.rank
+    if t not in ALL_TYPES:
+        raise ValueError(f"unknown type tag {t!r}")
+    bounds = {"A": (1, 8), "B": (2, 8), "C": (3, 8), "D": (4, 8)}
+    if t in bounds and not bounds[t][0] <= n <= bounds[t][1]:
+        raise ValueError(f"rank {n} out of range for type {t}")
+    if t in ("E6", "E7", "E8") and n != int(t[1]):
+        raise ValueError(f"type {t} must have rank {t[1]}")
+    if t == "F4" and n != 4 or t == "G2" and n != 2:
+        raise ValueError(f"bad rank {n} for {t}")
+    if self.d < 1:
+        raise ValueError("rescale must be positive")
+    ambiguous = t == "B" or (t == "A" and n == 1)
+    if ambiguous:
+        if self.short_div not in (self.d, 2 * self.d):
+            raise InconsistentDivProfileError(
+                f"short-root div {self.short_div} must be d or 2d for {t}{n}"
+            )
+    elif self.short_div != self.d:
+        raise InconsistentDivProfileError(
+            f"short-root div {self.short_div} must equal d={self.d} for {t}{n}"
+        )
+    expected_long = {"B": 2, "C": 2, "F4": 2, "G2": 3}
+    if t in expected_long:
+        if self.long_div != expected_long[t] * self.d:
+            raise InconsistentDivProfileError(
+                f"long-root div {self.long_div} inconsistent for {t}{n}(d={self.d})"
+            )
+    elif self.long_div is not None:
+        raise InconsistentDivProfileError(f"type {t} has no long roots")
+    if self.subcase is not None:
+        if self.subcase not in ("i", "ii", "iii"):
+            raise ValueError(f"bad subcase {self.subcase!r}")
+        if not (ambiguous and self.short_div == 2 * self.d):
+            raise ValueError("subcase tag only applies to A1/B with div 2d")
+
+
+def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> IrreducibleComponent:
+    by_norm: dict[int, list] = {}
+    for r in roots:
+        by_norm.setdefault(int(lat.norm(r)), []).append(r)
+    norms = sorted(by_norm)
+    k = linalg.rank(tuple(roots))
+    count = len(roots)
+    if len(norms) == 1:
+        nn = norms[0]
+        if nn % 2:
+            raise UnrecognizedRootSystemError(f"odd root norm {nn}")
+        d = nn // 2
+        if k == 1 and count == 2:
+            tag = "A"
+        elif count == k * (k + 1):
+            tag = "A"
+        elif k >= 4 and count == 2 * k * (k - 1):
+            tag = "D"
+        elif (k, count) in ((6, 72), (7, 126), (8, 240)):
+            tag = f"E{k}"
+        else:
+            raise UnrecognizedRootSystemError(
+                f"single-norm system: rank {k}, {count} roots, norm {nn}"
+            )
+        return IrreducibleComponent(
+            lat, tag, k, d, tuple(roots), _class_div(lat, roots), None
+        )
+    if len(norms) == 2:
+        n1, n2 = norms
+        c1, c2 = len(by_norm[n1]), len(by_norm[n2])
+        if n1 % 2:
+            raise UnrecognizedRootSystemError(f"odd short norm {n1}")
+        d = n1 // 2
+        short_div = _class_div(lat, by_norm[n1])
+        long_div = _class_div(lat, by_norm[n2])
+        if n2 == 3 * n1 and k == 2 and c1 == c2 == 6:
+            tag = "G2"
+        elif n2 == 2 * n1:
+            if k == 4 and c1 == c2 == 24:
+                tag = "F4"
+            elif c1 == 2 * k and c2 == 2 * k * (k - 1):
+                tag = "B"
+            elif k >= 3 and c1 == 2 * k * (k - 1) and c2 == 2 * k:
+                tag = "C"
+            else:
+                raise UnrecognizedRootSystemError(
+                    f"two-norm system: rank {k}, counts ({c1},{c2}), norms ({n1},{n2})"
+                )
+        else:
+            raise UnrecognizedRootSystemError(
+                f"norm ratio {Q(n2, n1)} matches no crystallographic type"
+            )
+        return IrreducibleComponent(
+            lat, tag, k, d, tuple(roots), short_div, long_div
+        )
+    raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
+
+
+def chain_modified_coxeter_value(
+    type_tag: str, rank: int, d: int, div_case: str, subcase: str | None
+) -> Q:
+    """Table of modified Coxeter numbers keyed by (type, d, div case, subcase).
+
+    ``div_case`` is "d" or "2d" and describes the div of the short roots in
+    the ambient lattice; it only branches for A1 and B components.
+    """
+    n = rank
+    if type_tag == "A" and n == 1:
+        if div_case == "d":
+            return Q(2, d)
+        return {"i": Q(1, 2 * d), "ii": Q(2, d), "iii": Q(3, 2 * d)}[
+            _subcase_key(type_tag, subcase)
+        ]
+    if type_tag == "B":
+        if div_case == "d":
+            return Q(n + 1, d)
+        return {
+            "i": Q(2 * n - 1, 2 * d),
+            "ii": Q(n + 1, d),
+            "iii": Q(2 * n + 1, 2 * d),
+        }[_subcase_key(type_tag, subcase)]
+    if div_case != "d":
+        raise InconsistentDivProfileError(f"div 2d does not occur for type {type_tag}")
+    if type_tag == "A":
+        return Q(n + 1, d)
+    if type_tag == "C":
+        return Q(2 * n - 1, d)
+    if type_tag == "D":
+        return Q(2 * (n - 1), d)
+    if type_tag in ("E6", "E7", "E8"):
+        return Q({"E6": 12, "E7": 18, "E8": 30}[type_tag], d)
+    if type_tag == "G2":
+        return Q(4, d)
+    if type_tag == "F4":
+        return Q(9, d)
+    raise ValueError(f"unknown type {type_tag}")
+
+
+def _subcase_key(type_tag: str, subcase: str | None) -> str:
+    if subcase not in ("i", "ii", "iii"):
+        raise SubcaseRequiredError(
+            f"type {type_tag} with short div 2d requires a subcase tag"
+        )
+    return subcase
+
+
+def chain_realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
+    """Build a concrete component of the given type on a built-in lattice.
+
+    A_n, D_n, E_n come from their own root lattices; B_n lives on nA1, C_n
+    on D_n (with an orthogonal long frame), G2 on A2, F4 on D4.
+    """
+    if type_tag == "A":
+        lat = _maybe_rescale(builtin_lattice(f"A{rank}"), d)
+        comps = decompose(detect_roots(lat, 2 * d))
+    elif type_tag == "D":
+        lat = _maybe_rescale(builtin_lattice(f"D{rank}"), d)
+        comps = decompose(detect_roots(lat, 2 * d))
+    elif type_tag in ("E6", "E7", "E8"):
+        lat = _maybe_rescale(builtin_lattice(type_tag), d)
+        comps = decompose(detect_roots(lat, 2 * d))
+    elif type_tag == "B":
+        base = builtin_lattice(f"{rank}A1") if rank >= 2 else builtin_lattice("A1")
+        lat = _maybe_rescale(base, d)
+        comps = decompose(detect_roots(lat, 4 * d))
+    elif type_tag == "G2":
+        lat = _maybe_rescale(builtin_lattice("A2"), d)
+        comps = decompose(detect_roots(lat, 6 * d))
+    elif type_tag == "F4":
+        lat = _maybe_rescale(builtin_lattice("D4"), d)
+        comps = decompose(detect_roots(lat, 4 * d))
+    elif type_tag == "C":
+        base = builtin_lattice("A3") if rank == 3 else builtin_lattice(f"D{rank}")
+        lat = _maybe_rescale(base, d)
+        rd = detect_roots(lat, 4 * d)
+        shorts = [r for r in rd.roots if lat.norm(r) == 2 * d]
+        frame = _orthogonal_frame(lat, [r for r in rd.roots if lat.norm(r) == 4 * d])
+        if len(frame) != 2 * rank:
+            raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
+        comps = decompose(RootDatum(lat, tuple(sorted(shorts + frame))))
+    else:
+        raise ValueError(f"unknown type {type_tag}")
+    if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
+        raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
+    return comps[0]
+
+
+def _maybe_rescale(lat: Lattice, d: int) -> Lattice:
+    return rescale(lat, d) if d != 1 else lat
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # every exception is compared, not just ValueError
+        return type(exc), str(exc)
+
+
+GRID_TAGS = list(TYPES) + ["Z"]
+
+
+class TestTableAgainstChains:
+    def test_component_checks(self):
+        reworded = 0
+        lat = builtin_lattice("A1")
+        for tag, n, d in itertools.product(GRID_TAGS, range(10), range(4)):
+            for short_div, long_div, subcase in itertools.product(
+                (d, 2 * d, d + 1), (None, 2 * d, 3 * d), (None, "i", "ii", "iii", "iv")
+            ):
+                fields = (tag, n, d, (), short_div, long_div, subcase)
+                names = ("type_tag", "rank", "d", "roots", "short_div", "long_div", "subcase")
+                old = outcome(chain_post_init, SimpleNamespace(**dict(zip(names, fields))))
+                new = outcome(IrreducibleComponent, lat, *fields)
+                if old is None:
+                    assert isinstance(new, IrreducibleComponent)
+                elif old != new:
+                    assert old[0] is ValueError and old[1] in (f"type {tag} must have rank {tag[1]}", f"bad rank {n} for {tag}")
+                    assert new == (ValueError, f"rank {n} out of range for type {tag}")
+                    reworded += 1
+        # of 18,000 cases: E6, E7, E8, F4 and G2 at the nine ranks outside their range
+        assert reworded == 5 * 9 * 4 * 45
+
+    def test_modified_coxeter_value(self):
+        for tag, n, d, div_case, subcase in itertools.product(
+            GRID_TAGS, range(10), range(4), ("d", "2d"), (None, "i", "ii", "iii", "iv")
+        ):
+            args = (tag, n, d, div_case, subcase)
+            assert outcome(modified_coxeter_value, *args) == outcome(chain_modified_coxeter_value, *args), args
+
+    def test_realize(self):
+        for tag, n, d in itertools.product(GRID_TAGS, range(10), range(4)):
+            new = outcome(realize, tag, n, d)
+            if tag in TYPES and n not in TYPES[tag].ranks:
+                assert new == (ValueError, f"rank {n} out of range for type {tag}")
+            else:
+                assert new == outcome(chain_realize, tag, n, d), (tag, n, d)
+
+
+def check_identify(lat, roots):
+    """_identify and decompose against the copy of the chain _identify, group by group."""
+    groups = naive_components(lat, roots)
+    old = [outcome(chain_identify, lat, g) for g in groups]
+    assert [outcome(_identify, lat, g) for g in groups] == old
+    if roots:
+        new = outcome(decompose, RootDatum(lat, tuple(roots)))
+        if all(isinstance(c, IrreducibleComponent) for c in old):
+            assert new == sorted(old, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
+        else:
+            assert not isinstance(new, list) and new in old
+    return old
+
+
+SUMMANDS = ["A1", "A2", "A3", "D4", "2A1", "3A1"]
+ODD = [Lattice(((1,),)), Lattice(((3,),)), Lattice(((2, 1), (1, 3))), Lattice(((1, 0), (0, 2)))]
+
+
+class TestIdentifyAgainstChains:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(SUMMANDS), st.integers(1, 3)), min_size=1, max_size=3),
+        st.sampled_from([2, 4, 6]),
+        st.booleans(),
+    )
+    def test_rescaled_direct_sums(self, parts, max_norm, odd):
+        lattices = [builtin_lattice(f"{name}({d})") for name, d in parts]
+        if odd:
+            lattices.append(ODD[len(parts)])
+        while sum(l.rank for l in lattices) > 6:
+            lattices.pop(0)
+        lat = direct_sum(*lattices)
+        check_identify(lat, detect_roots(lat, max_norm).roots)
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.sampled_from([("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("F4", 4), ("G2", 2)]),
+        st.integers(1, 2),
+        st.data(),
+    )
+    def test_subsets_of_realized_roots(self, spec, d, data):
+        comp = realize(spec[0], spec[1], d)
+        subset = data.draw(st.lists(st.sampled_from(comp.roots), unique=True, max_size=len(comp.roots)))
+        check_identify(comp.lattice, sorted(subset))
