@@ -329,8 +329,26 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one exit-2 line from main."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _joined_weights(argv) -> list[str]:
+    """'--weights -2,1' spelled '--weights=-2,1': argparse reads a leading '-' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--weights" and arg.startswith("-"):
+            out[-1] = f"--weights={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthoforms",
         description="exact lattice, root-system and modular-form-product toolkit",
     )
@@ -379,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_joined_weights(argv))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

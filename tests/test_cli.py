@@ -285,6 +285,18 @@ class TestJacobian:
         assert code == 0
         assert "vanishes to rectangle order" in out
 
+    @pytest.mark.parametrize("spelling", [["--weights", "-2,1,1,1"], ["--weights=-2,1,1,1"]])
+    def test_negative_first_weight(self, capsys, tmp_path, spelling):
+        paths = []
+        for i, (a, l, t) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            paths.append(write_json(tmp_path / f"f{i}.json", self.series_doc(a, l, t)))
+        code, out, err = run(capsys, "jacobian", *paths, *spelling)
+        assert (code, err) == (0, "")
+        assert "leading order: q^1/1 xi^1/1" in out
+        assert json.loads(out.split("\n", 2)[2])["terms"] == [
+            {"a": "1/1", "l": ["1/1"], "t": "1/1", "c": "-2/1"}
+        ]
+
     def test_count_mismatch(self, capsys, tmp_path):
         p = write_json(tmp_path / "f.json", self.series_doc(1, 0, 0))
         code, _, err = run(capsys, "jacobian", p, p, p, "--weights", "1,1,1")
@@ -319,6 +331,24 @@ class TestJacobian:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and named in err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["jacobian"],
+            ["jacobian", "f.json", "--weights"],
+            ["borch", "f.json", "--den", "two"],
+            ["classify", "--format", "yaml"],
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestClassify:
