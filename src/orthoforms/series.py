@@ -5,28 +5,36 @@ map from exponent triples (a, l, t) to nonzero rational coefficients,
 together with an exactness rectangle (a_max, t_max): every term with
 a <= a_max and t <= t_max is guaranteed present.  Exponents a may go
 negative (the product expansion's principal-part factors demand it); the
-zeta block is a rational vector of fixed length.
+zeta block is a rational vector of fixed length.  All arithmetic is exact;
+there is no floating point and no evaluation at complex points anywhere.
 
-All arithmetic is exact; there is no floating point and no evaluation at
-complex points anywhere.
+The representation is integer.  a, t, A and C lie in (1/den)Z; z is one
+zeta denominator per series (a multiple of the denominators of every l and
+of B) and d one coefficient denominator.  A term is stored as the int key
+(a*den, l*z, t*den) with the int numerator c*d, the prefactor as (A*den,
+B*z, C*den).  d is kept reduced (its gcd with the numerators is 1), so it
+is the lcm of the coefficient denominators and does not grow along product
+chains.  A rect bound r is stored as floor(r*den) and the exact remainder
+r*den - floor(r*den): an int key x is inside iff x <= floor(r*den), and
+adding a grid exponent moves only the floor.  Scaling commutes with the sums
+and products the operations form, and an operand on another den or z is
+first rescaled by the integer ratio, so every int result divided by its
+scales is the exact rational one.  Products run through one integer kernel,
+``_convolve``.
 
-Products run through one integer kernel, ``_convolve``.  On the way in,
-a and t are multiplied by the series denominator ``den`` (the constructor
-guarantees that ``den`` divides their denominators), zeta entries by the
-lcm of the operands' zeta denominators, and each operand's coefficients by
-the lcm of its coefficient denominators.  Every scaled number is therefore
-an integer, and scaling commutes with the sums and products the kernel
-forms, so the integer result divided by the same scales is the exact
-rational result.  A bound r on an exponent becomes floor(r * scale), which
-admits exactly the integers x with x / scale <= r.  Each output term is
-turned back into Fractions once, so ``.terms`` keeps its Fraction keys.
+Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
+``one``, ``zero`` and ``series_from_json`` check and scale rational input
+once; internal results are built from ints by ``_new`` with no re-checks.
+``.terms`` is a read-only Fraction view built on first access and cached;
+``.rect`` and ``.prefactor`` are Fractions built from the ints on access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from itertools import count
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -37,6 +45,7 @@ DEFAULT_DEN = 24
 DEFAULT_TERM_CAP = 200_000
 
 Key = tuple[Q, tuple[Q, ...], Q]
+Coeffs = Mapping[tuple[int, tuple[Q, ...]], int]
 
 
 class SeriesOverflowError(RuntimeError):
@@ -62,87 +71,119 @@ def _q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
+def _int(x: Q, scale: int) -> int:
+    """A rational whose denominator divides scale, times scale."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _ints(xs, scale: int) -> tuple[int, ...]:
+    return tuple([_int(x, scale) for x in xs])
+
+
+def _bound(r: Q, den: int) -> tuple:
+    """(floor(r*den), r*den - floor(r*den)): the rect bound r on the den grid."""
+    floor, rem = divmod(r.numerator * den, r.denominator)
+    return (floor, Q(rem, r.denominator) if rem else 0)
+
+
+def _value(b: tuple, den: int) -> Q:
+    return (b[0] + b[1]) / den if b[1] else Q(b[0], den)
+
+
+def _checked_prefactor(prefactor: Monomial, rank: int, den: int) -> tuple[Q, tuple[Q, ...], Q]:
+    """The prefactor as Fractions, checked: den >= 1 and A, C in (1/den)Z."""
+    if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+        raise ValueError(f"den must be an integer >= 1, got {den!r}")
+    a, b, c = _q(prefactor.a), tuple(_q(x) for x in prefactor.b), _q(prefactor.c)
+    if len(b) != rank:
+        raise ValueError("prefactor zeta block has wrong length")
+    if den % a.denominator or den % c.denominator:
+        raise ValueError(f"prefactor exponents A = {a}, C = {c} are not in (1/{den})Z")
+    return a, b, c
+
+
 class TruncatedSeries:
     """Immutable sparse series over an exactness rectangle."""
 
-    __slots__ = ("rank", "den", "prefactor", "terms", "rect")
+    __slots__ = ("rank", "den", "_z", "_d", "_terms", "_pa", "_pb", "_pc", "_ra", "_rt", "_view", "_rect")
 
-    def __init__(
-        self,
-        rank: int,
-        terms: Mapping[Key, Q] | Iterable[tuple[Key, Q]],
-        rect: tuple[Q, Q],
-        prefactor: Monomial | None = None,
-        den: int = DEFAULT_DEN,
-    ):
-        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-            raise ValueError(f"den must be an integer >= 1, got {den!r}")
-        if prefactor is None:
-            prefactor = Monomial.zero(rank)
-        if len(prefactor.b) != rank:
-            raise ValueError("prefactor zeta block has wrong length")
-        if den % prefactor.a.denominator or den % prefactor.c.denominator:
-            raise ValueError(
-                f"prefactor exponents A = {prefactor.a}, C = {prefactor.c} are not in (1/{den})Z"
-            )
+    def __init__(self, rank: int, terms: Mapping[Key, Q] | Iterable[tuple[Key, Q]],
+                 rect: tuple[Q, Q], prefactor: Monomial | None = None, den: int = DEFAULT_DEN):
+        pa, pb, pc = _checked_prefactor(prefactor or Monomial.zero(rank), rank, den)
         a_max, t_max = _q(rect[0]), _q(rect[1])
-        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Key, Q] = {}
-        for (a, l, t), coeff in items:
+        for (a, l, t), coeff in terms.items() if isinstance(terms, Mapping) else terms:
             coeff = _q(coeff)
             if coeff == 0:
                 continue
-            a, t = _q(a), _q(t)
-            l = tuple(_q(x) for x in l)
+            a, t, l = _q(a), _q(t), tuple(_q(x) for x in l)
             if len(l) != rank:
                 raise ValueError("term zeta exponent has wrong length")
             if den % a.denominator or den % t.denominator:
-                raise ValueError(
-                    f"exponent denominator of ({a}, {t}) does not divide {den}"
-                )
-            if a > a_max or t > t_max:
-                continue
-            clean[(a, l, t)] = coeff
-        self.rank = rank
-        self.den = den
-        self.prefactor = prefactor
-        self.terms = MappingProxyType(clean)
-        self.rect = (a_max, t_max)
+                raise ValueError(f"exponent denominator of ({a}, {t}) does not divide {den}")
+            if a <= a_max and t <= t_max:
+                clean[(a, l, t)] = coeff
+        z = math.lcm(*{x.denominator for l in (pb, *(l for _, l, _ in clean)) for x in l})
+        d = math.lcm(*{c.denominator for c in clean.values()})
+        ints = {(_int(a, den), _ints(l, z), _int(t, den)): _int(c, d) for (a, l, t), c in clean.items()}
+        _fill(self, rank, den, z, d, ints, _int(pa, den), _ints(pb, z), _int(pc, den),
+              _bound(a_max, den), _bound(t_max, den))
+        self._rect = (a_max, t_max)
+
+    # -- Fraction views -----------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping[Key, Q]:
+        if self._view is None:
+            den, z, d, terms = self.den, self._z, self._d, self._terms
+            qs = {v: Q(v, den) for v in {k[0] for k in terms} | {k[2] for k in terms}}
+            ql = {l: tuple([Q(x, z) for x in l]) for l in {k[1] for k in terms}}
+            view = {(qs[a], ql[l], qs[t]): Q(c, d) for (a, l, t), c in terms.items()}
+            self._view = MappingProxyType(view)
+        return self._view
+
+    @property
+    def rect(self) -> tuple[Q, Q]:
+        if self._rect is None:
+            self._rect = (_value(self._ra, self.den), _value(self._rt, self.den))
+        return self._rect
+
+    @property
+    def prefactor(self) -> Monomial:
+        b = tuple(Q(x, self._z) for x in self._pb)
+        return Monomial(Q(self._pa, self.den), b, Q(self._pc, self.den))
 
     # -- value semantics ----------------------------------------------------
 
     def absolute_terms(self) -> dict[Key, Q]:
         p = self.prefactor
-        return {
-            (a + p.a, tuple(x + y for x, y in zip(l, p.b)), t + p.c): c
-            for (a, l, t), c in self.terms.items()
-        }
+        return {(a + p.a, tuple(map(add, l, p.b)), t + p.c): c for (a, l, t), c in self.terms.items()}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.rank == other.rank
-            and self.absolute_terms() == other.absolute_terms()
-        )
+        if not isinstance(other, TruncatedSeries) or self.rank != other.rank:
+            return False
+        den, z = math.lcm(self.den, other.den), math.lcm(self._z, other._z)
+
+        def absolute(x, mult):  # absolute int terms on one grid, numerators over both d
+            terms, pa, pb, pc, _, _ = _on(x, den, z)
+            return {(a + pa, tuple(map(add, l, pb)), t + pc): c * mult for (a, l, t), c in terms.items()}
+
+        return absolute(self, other._d) == absolute(other, self._d)
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.absolute_terms().items())))
+        return hash((self.rank, len(self._terms), Q(sum(self._terms.values()), self._d)))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def floors(self) -> tuple[Q, Q]:
-        return (
-            min((a for (a, _, _) in self.terms), default=Q(0)),
-            min((t for (_, _, t) in self.terms), default=Q(0)),
-        )
+        fa, ft = _floors(self._terms)
+        return Q(fa, self.den), Q(ft, self.den)
 
     def __repr__(self):
-        return (
-            f"TruncatedSeries(rank={self.rank}, {len(self.terms)} terms, "
-            f"rect=({self.rect[0]},{self.rect[1]}))"
-        )
+        ra, rt = self.rect
+        return f"TruncatedSeries(rank={self.rank}, {len(self._terms)} terms, rect=({ra},{rt}))"
 
     # -- ring operations ----------------------------------------------------
 
@@ -150,59 +191,50 @@ class TruncatedSeries:
         return _signed_sum(((1, self), (1, other)))
 
     def __neg__(self):
-        return self.scale(Q(-1))
+        return self._with({k: -c for k, c in self._terms.items()}, self._d)
 
     def __sub__(self, other):
         return _signed_sum(((1, self), (-1, other)))
 
     def scale(self, factor) -> "TruncatedSeries":
-        factor = _q(factor)
-        return TruncatedSeries(
-            self.rank,
-            {k: c * factor for k, c in self.terms.items()},
-            self.rect,
-            self.prefactor,
-            self.den,
-        )
+        factor = factor if isinstance(factor, int) else _q(factor)
+        num = factor.numerator
+        terms = {k: c * num for k, c in self._terms.items()} if num else {}
+        return self._with(terms, self._d * factor.denominator)
+
+    def _with(self, terms: dict, d: int, ra=None, rt=None) -> "TruncatedSeries":
+        """New nonzero int terms over d with this den and prefactor, on its rect or ra, rt."""
+        ra, rt = ra or self._ra, rt or self._rt
+        return _new(self.rank, self.den, self._z, d, terms, self._pa, self._pb, self._pc, ra, rt)
+
+    def _cut(self, ra: tuple, rt: tuple) -> "TruncatedSeries":
+        """The same series re-truncated to the bounds ra, rt on its den grid."""
+        terms = {k: c for k, c in self._terms.items() if k[0] <= ra[0] and k[2] <= rt[0]}
+        return self._with(terms, self._d, ra, rt)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.rank != other.rank:
             raise ValueError("series rank mismatch")
-        den = math.lcm(self.den, other.den)
-        pref = Monomial(
-            self.prefactor.a + other.prefactor.a,
-            tuple(x + y for x, y in zip(self.prefactor.b, other.prefactor.b)),
-            self.prefactor.c + other.prefactor.c,
-        )
-        if self.is_zero or other.is_zero:
-            rect = (min(self.rect[0], other.rect[0]), min(self.rect[1], other.rect[1]))
-            return TruncatedSeries(self.rank, {}, rect, pref, den)
+        den = self.den if self.den == other.den else math.lcm(self.den, other.den)
+        z = self._z if self._z == other._z else math.lcm(self._z, other._z)
+        t1, pa1, pb1, pc1, ra1, rt1 = _on(self, den, z)
+        t2, pa2, pb2, pc2, ra2, rt2 = _on(other, den, z)
+        pa, pb, pc = pa1 + pa2, tuple(map(add, pb1, pb2)), pc1 + pc2
+        if not t1 or not t2:
+            return _new(self.rank, den, z, 1, {}, pa, pb, pc, min(ra1, ra2), min(rt1, rt2))
         # a product term at exponent a needs one factor known up to a minus
         # the other factor's lowest exponent, so rectangles shift by floors
-        fa1, ft1 = self.floors()
-        fa2, ft2 = other.floors()
-        ra = min(self.rect[0] + fa2, other.rect[0] + fa1)
-        rt = min(self.rect[1] + ft2, other.rect[1] + ft1)
-        z = math.lcm(
-            *{x.denominator for series in (self, other) for (_, l, _) in series.terms for x in l}
-        )
-        d1 = math.lcm(*{c.denominator for c in self.terms.values()})
-        d2 = math.lcm(*{c.denominator for c in other.terms.values()})
-        out = _convolve(
-            _scaled(self.terms, den, z, d1),
-            _scaled(other.terms, den, z, d2),
-            _floor_scaled(ra, den),
-            _floor_scaled(rt, den),
-            cap=DEFAULT_TERM_CAP,
-        )
+        (fa1, ft1), (fa2, ft2) = _floors(t1), _floors(t2)
+        ra = min((ra1[0] + fa2, ra1[1]), (ra2[0] + fa1, ra2[1]))
+        rt = min((rt1[0] + ft2, rt1[1]), (rt2[0] + ft1, rt2[1]))
+        out = _convolve(t1.items(), t2.items(), ra[0], rt[0], cap=DEFAULT_TERM_CAP)
         if len(out) > DEFAULT_TERM_CAP:
             raise SeriesOverflowError(
-                f"product of {len(self.terms)} and {len(other.terms)} terms on "
-                f"rect ({ra}, {rt}) exceeded the cap of {DEFAULT_TERM_CAP} stored terms"
+                f"product of {len(t1)} and {len(t2)} terms on rect ({_value(ra, den)}, "
+                f"{_value(rt, den)}) exceeded the cap of {DEFAULT_TERM_CAP} stored terms"
             )
-        return TruncatedSeries(
-            self.rank, _unscaled(_rows(out), den, z, d1 * d2), (ra, rt), pref, den
-        )
+        terms = {k: c for k, c in out.items() if c}
+        return _new(self.rank, den, z, self._d * other._d, terms, pa, pb, pc, ra, rt)
 
     # -- calculus -----------------------------------------------------------
 
@@ -213,29 +245,26 @@ class TruncatedSeries:
         part through the product rule.  The 1/(2 pi i) normalization is
         implicit, keeping all coefficients rational.
         """
-        p = self.prefactor
         if axis == "tau":
-            mult = lambda a, l, t: p.a + a
+            p, exponent, scale = self._pa, itemgetter(0), self.den
         elif axis == "omega":
-            mult = lambda a, l, t: p.c + t
+            p, exponent, scale = self._pc, itemgetter(2), self.den
         elif axis.startswith("z") and axis[1:].isdigit():
             i = int(axis[1:]) - 1
             if not 0 <= i < self.rank:
                 raise ValueError(f"axis {axis!r} out of range for rank {self.rank}")
-            mult = lambda a, l, t: p.b[i] + l[i]
+            p, exponent, scale = self._pb[i], lambda key: key[1][i], self._z
         else:
             raise ValueError(f"invalid derivation axis {axis!r}")
-        out = {
-            key: c * mult(*key) for key, c in self.terms.items() if mult(*key) != 0
-        }
-        return TruncatedSeries(self.rank, out, self.rect, p, self.den)
+        out = {key: c * m for key, c in self._terms.items() if (m := p + exponent(key))}
+        return self._with(out, self._d * scale)
 
     def leading_order(self) -> tuple[Q, Q]:
         """Minimal q-exponent and minimal xi-exponent, prefactor included."""
-        if not self.terms:
+        if not self._terms:
             raise ZeroSeriesError("vanishes to rectangle order")
-        fa, ft = self.floors()
-        return fa + self.prefactor.a, ft + self.prefactor.c
+        fa, ft = _floors(self._terms)
+        return Q(fa + self._pa, self.den), Q(ft + self._pc, self.den)
 
     def invert(self) -> "TruncatedSeries":
         """Geometric-series inverse; the reduced constant term must be 1.
@@ -245,29 +274,65 @@ class TruncatedSeries:
         boundary slice (those would need infinitely many terms at fixed
         (a, t)).
         """
-        rank = self.rank
-        zero_key = (Q(0), tuple(Q(0) for _ in range(rank)), Q(0))
-        if self.terms.get(zero_key) != 1:
+        rank, den, z = self.rank, self.den, self._z
+        zero_key = (0, (0,) * rank, 0)
+        if self._terms.get(zero_key) != self._d:
             raise ValueError("inversion requires reduced constant term 1")
-        nilpotent = {k: c for k, c in self.terms.items() if k != zero_key}
+        nilpotent = {k: c for k, c in self._terms.items() if k != zero_key}
         for a, _, t in nilpotent:
             if a < 0 or t < 0 or (a == 0 and t == 0):
                 raise ValueError("inversion blocked by terms on the boundary slice")
-        n = TruncatedSeries(rank, nilpotent, self.rect, den=self.den)
-        acc = one(rank, self.rect, self.den)
-        power = one(rank, self.rect, self.den)
-        j = 0
-        while True:
+        n = _new(rank, den, z, self._d, nilpotent, 0, zero_key[1], 0, self._ra, self._rt)
+        acc = power = _unit(rank, den, self._ra, self._rt)
+        for j in count(1):
             # re-truncate to the original rectangle; the product rectangle
             # may grow with the power's floor, which would never terminate
-            power = TruncatedSeries(rank, (power * n).terms, self.rect, den=self.den)
-            j += 1
+            power = (power * n)._cut(self._ra, self._rt)
             if power.is_zero:
                 break
-            acc = acc + (power.scale(Q(-1)) if j % 2 else power)
-        p = self.prefactor
-        inv_pref = Monomial(-p.a, tuple(-x for x in p.b), -p.c)
-        return TruncatedSeries(rank, acc.terms, self.rect, inv_pref, self.den)
+            acc = acc + (-power if j % 2 else power)
+        inv = tuple(-x for x in self._pb)
+        return _new(rank, den, z, acc._d, _on(acc, den, z)[0], -self._pa, inv, -self._pc, self._ra, self._rt)
+
+
+def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
+    x.rank, x.den, x._z, x._d, x._terms = rank, den, z, d, terms
+    x._pa, x._pb, x._pc, x._ra, x._rt = pa, pb, pc, ra, rt
+    x._view = x._rect = None
+
+
+def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
+    """A series of nonzero int terms inside the bounds, over d reduced here."""
+    if not terms:
+        d = 1
+    elif d != 1 and (g := math.gcd(d, *terms.values())) != 1:
+        d //= g
+        terms = {k: c // g for k, c in terms.items()}
+    x = object.__new__(TruncatedSeries)
+    _fill(x, rank, den, z, d, terms, pa, pb, pc, ra, rt)
+    return x
+
+
+def _unit(rank: int, den: int, ra: tuple, rt: tuple) -> TruncatedSeries:
+    """one(rank, rect, den) for the rect with bounds ra, rt on the den grid."""
+    zeros = (0,) * rank
+    terms = {(0, zeros, 0): 1} if ra[0] >= 0 and rt[0] >= 0 else {}
+    return _new(rank, den, 1, 1, terms, 0, zeros, 0, ra, rt)
+
+
+def _floors(terms) -> tuple[int, int]:
+    """Lowest a and lowest t of int keys, 0 when there are none."""
+    return (min(terms)[0], min(t for _, _, t in terms)) if terms else (0, 0)
+
+
+def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
+    """(terms, A, B, C, a bound, t bound) of x on the grid of den and z, multiples of x's."""
+    k, m = den // x.den, z // x._z
+    if k == 1 and m == 1:
+        return x._terms, x._pa, x._pb, x._pc, x._ra, x._rt
+    terms = {(a * k, tuple([v * m for v in l]), t * k): c for (a, l, t), c in x._terms.items()}
+    rebound = lambda b: _bound(_value(b, x.den), den)
+    return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, rebound(x._ra), rebound(x._rt)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -277,32 +342,34 @@ def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries
     the min of the prefactors' a and c, the first operand's b, the lcm of the
     dens and the min of the absolute rects (prefactor plus rect), as done here
     over all parts.  A term a step drops lies outside that step's absolute
-    rect, which only shrinks, so the final constructor drops it too; zero sums
-    are dropped in both.  Off the den grid (a prefactor not in (1/den)Z) the
-    two may raise on different inputs: each fold step checks its own den.
+    rect, which only shrinks, so the final truncation drops it too; zero sums
+    are dropped in both.
     """
     first = parts[0][1]
     if any(x.rank != first.rank for _, x in parts):
         raise ValueError("series rank mismatch")
-    pa = min(x.prefactor.a for _, x in parts)
-    pc = min(x.prefactor.c for _, x in parts)
-    pb = first.prefactor.b
-    merged: dict[Key, Q] = {}
+    den = math.lcm(*{x.den for _, x in parts})
+    z = math.lcm(*{x._z for _, x in parts})
+    d = math.lcm(*{x._d for _, x in parts})
+    grids = [(sign * (d // x._d), _on(x, den, z)) for sign, x in parts]
+    pa = min(g[1] for _, g in grids)
+    pc = min(g[3] for _, g in grids)
+    pb = grids[0][1][2]
+    merged: dict = {}
     get = merged.get
-    for sign, x in parts:
-        p = x.prefactor
-        da, dc, db = p.a - pa, p.c - pc, tuple(map(sub, p.b, pb))
-        items = x.terms.items()
+    for mult, (terms, xa, xb, xc, _, _) in grids:
+        da, dc, db = xa - pa, xc - pc, tuple(map(sub, xb, pb))
+        items = terms.items()
         if da or dc or any(db):
             items = (((a + da, tuple(map(add, l, db)), t + dc), c) for (a, l, t), c in items)
         for key, c in items:
-            c = c if sign > 0 else -c
+            c = c if mult == 1 else c * mult
             v = get(key)
             merged[key] = c if v is None else v + c
-    ra = min(x.prefactor.a + x.rect[0] for _, x in parts) - pa
-    rt = min(x.prefactor.c + x.rect[1] for _, x in parts) - pc
-    den = math.lcm(*(x.den for _, x in parts))
-    return TruncatedSeries(first.rank, merged, (ra, rt), Monomial(pa, pb, pc), den)
+    ra = min((xa + b[0] - pa, b[1]) for _, (_, xa, _, _, b, _) in grids)
+    rt = min((xc + b[0] - pc, b[1]) for _, (_, _, _, xc, _, b) in grids)
+    terms = {k: c for k, c in merged.items() if c and k[0] <= ra[0] and k[2] <= rt[0]}
+    return _new(first.rank, den, z, d, terms, pa, pb, pc, ra, rt)
 
 
 def one(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
@@ -313,9 +380,7 @@ def zero(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
     return TruncatedSeries(rank, {}, rect, den=den)
 
 
-def monomial(
-    rank: int, rect, a, l, t, coeff=1, den: int = DEFAULT_DEN
-) -> TruncatedSeries:
+def monomial(rank: int, rect, a, l, t, coeff=1, den: int = DEFAULT_DEN) -> TruncatedSeries:
     key = (_q(a), tuple(_q(x) for x in l), _q(t))
     return TruncatedSeries(rank, {key: _q(coeff)}, rect, den=den)
 
@@ -326,35 +391,32 @@ class WeightedSeries(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the convolution kernel, on integer-scaled terms (a, l, t, c)
+# the convolution kernel, on int terms ((a, l, t), c)
 # ---------------------------------------------------------------------------
-
-_by_a = itemgetter(0)
 
 
 def _convolve(left, right, a_hi, t_hi, a_lo=None, cap=None) -> dict:
-    """Sparse product of two integer term lists, truncated to a box.
+    """Sparse product of two int term lists, truncated to a box.
 
     Pairs with a > a_hi, t > t_hi or a < a_lo are skipped; a_hi or a_lo of
     None leaves that side open.  Both operands are sorted by a, so a row
     stops at the first partner past a_hi.  Returns the map (a, l, t) -> c
     with zero sums kept, and returns as soon as it holds more than cap keys.
     """
-    left = sorted(left, key=_by_a)
-    right = sorted(right, key=_by_a)
+    left, right = sorted(left), sorted(right)
     if not left or not right:
         return {}
     if a_hi is None:
-        a_hi = left[-1][0] + right[-1][0]
+        a_hi = left[-1][0][0] + right[-1][0][0]
     if a_lo is None:
-        a_lo = left[0][0] + right[0][0]
-    lowest = left[0][0]
+        a_lo = left[0][0][0] + right[0][0][0]
+    lowest = left[0][0][0]
     out: dict = {}
     get = out.get
-    for a2, l2, t2, c2 in right:
+    for (a2, l2, t2), c2 in right:
         if a2 + lowest > a_hi:
             break
-        for a1, l1, t1, c1 in left:
+        for (a1, l1, t1), c1 in left:
             a = a1 + a2
             if a > a_hi:
                 break
@@ -369,39 +431,6 @@ def _convolve(left, right, a_hi, t_hi, a_lo=None, cap=None) -> dict:
     return out
 
 
-def _floor_scaled(r: Q, scale: int) -> int:
-    """Largest integer x with x / scale <= r."""
-    return r.numerator * scale // r.denominator
-
-
-def _scaled(terms: Mapping[Key, Q], s: int, z: int, d: int) -> list:
-    """Integer terms: a and t times s, zeta entries times z, coefficients times d."""
-    return [
-        (
-            a.numerator * (s // a.denominator),
-            tuple([x.numerator * (z // x.denominator) for x in l]),
-            t.numerator * (s // t.denominator),
-            c.numerator * (d // c.denominator),
-        )
-        for (a, l, t), c in terms.items()
-    ]
-
-
-def _rows(out: dict) -> list:
-    """The nonzero terms of a kernel result, as integer terms again."""
-    return [(a, l, t, c) for (a, l, t), c in out.items() if c]
-
-
-def _unscaled(rows, s: int, z: int, d: int) -> dict[Key, Q]:
-    """Fraction-keyed map of integer terms: the inverse of _scaled."""
-    qs = {v: Q(v, s) for v in {a for a, _, _, _ in rows} | {t for _, _, t, _ in rows}}
-    qz = {v: Q(v, z) for v in {x for _, l, _, _ in rows for x in l}}
-    ql = {l: tuple([qz[x] for x in l]) for l in {l for _, l, _, _ in rows}}
-    if d == 1:
-        return {(qs[a], ql[l], qs[t]): Q(c) for a, l, t, c in rows}
-    return {(qs[a], ql[l], qs[t]): Q(c, d) for a, l, t, c in rows}
-
-
 # ---------------------------------------------------------------------------
 # product expansion
 # ---------------------------------------------------------------------------
@@ -410,14 +439,8 @@ def _unscaled(rows, s: int, z: int, d: int) -> dict[Key, Q]:
 def _binomial_coefficient(exponent: int, j: int) -> int:
     """Coefficient of u^j in (1-u)^exponent, exact for any integer exponent."""
     if exponent >= 0:
-        if j > exponent:
-            return 0
         return (-1) ** j * math.comb(exponent, j)
-    # generalized binomial: (-1)^j * C(exponent, j) with falling factorial
-    num = 1
-    for i in range(j):
-        num *= exponent - i
-    return (-1) ** j * num // math.factorial(j)
+    return math.comb(j - exponent - 1, j)  # (-1)^j C(exponent, j), generalized
 
 
 @dataclass(frozen=True)
@@ -428,11 +451,7 @@ class ProductFactor:
     exponent: int
 
 
-def product_factors(
-    coeffs: Mapping[tuple[int, tuple[Q, ...]], int],
-    rect: tuple[Q, Q],
-    rank: int,
-) -> list[ProductFactor]:
+def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[ProductFactor]:
     """Factors (n, l, m) > 0 with nonzero exponent f(nm, l) meeting the rectangle.
 
     The triple ordering means m > 0, or m = 0 and n > 0, or m = n = 0 and
@@ -464,14 +483,8 @@ def product_factors(
     return factors
 
 
-def expand_product(
-    coeffs: Mapping[tuple[int, tuple[Q, ...]], int],
-    weyl: WeylVector,
-    rect: tuple[Q, Q],
-    rank: int,
-    den: int = DEFAULT_DEN,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> TruncatedSeries:
+def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
+                   den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
     """Expand q^A zeta^B xi^C prod (1 - q^n zeta^l xi^m)^{f(nm, l)} exactly.
 
     Binomial expansion of every factor to the order the rectangle needs.
@@ -501,40 +514,48 @@ def expand_product(
     # factors with n < 0 go first: once they are in, every remaining factor
     # only raises the q-exponent, so truncation at a_max is sound
     factors.sort(key=lambda f: (f.n >= 0, f.m, f.n, f.l))
-    terms = _multiply_out(
+    terms, z = _multiply_out(
         factors, rank, a_max, t_max, max_neg,
         a_hi=math.floor(a_max), a_lo=math.ceil(debt_floor), term_cap=term_cap,
     )
-    pref = Monomial(_q(weyl.a), tuple(_q(x) for x in weyl.b), _q(weyl.c))
-    return TruncatedSeries(rank, terms, (a_max, t_max), pref, den)
+    return _from_integral(rank, terms, z, (a_max, t_max), Monomial(weyl.a, weyl.b, weyl.c), den)
+
+
+def _from_integral(rank, terms, z, rect, prefactor: Monomial, den) -> TruncatedSeries:
+    """The series on rect of int terms with a, t in Z and zeta entries over z."""
+    pa, pb, pc = _checked_prefactor(prefactor, rank, den)
+    zz = math.lcm(z, *(x.denominator for x in pb))
+    m, bounds = zz // z, (_bound(rect[0], den), _bound(rect[1], den))
+    out = {(a * den, tuple([x * m for x in l]), t * den): c for (a, l, t), c in terms.items()}
+    return _new(rank, den, zz, 1, out, _int(pa, den), _ints(pb, zz), _int(pc, den), *bounds)._cut(*bounds)
 
 
 def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, a_lo, term_cap):
     """Terms of the product of the factors' binomials, one factor at a time.
 
-    Exponents a and t are integers here; zeta entries are scaled by the lcm
-    of the factors' zeta denominators.  Products leaving the box
-    a_lo <= a <= a_hi, t <= t_max are dropped after every factor (None
-    leaves a side open), and more than term_cap nonzero terms after any
-    factor raises SeriesOverflowError.
+    Returns (terms, z): exponents a and t are integers here, and zeta entries
+    are scaled by z, the lcm of the factors' zeta denominators.  Products
+    leaving the box a_lo <= a <= a_hi, t <= t_max are dropped after every
+    factor (None leaves a side open), and more than term_cap nonzero terms
+    after any factor raises SeriesOverflowError.
     """
     z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
     t_hi = math.floor(t_max)
-    acc = [(0, (0,) * rank, 0, 1)]
+    acc = {(0, (0,) * rank, 0): 1}
     for fac in factors:
         poly = _factor_terms(fac, a_max, t_max, max_neg, z)
-        acc = _rows(_convolve(acc, poly, a_hi, t_hi, a_lo))
+        acc = {k: c for k, c in _convolve(acc.items(), poly, a_hi, t_hi, a_lo).items() if c}
         if term_cap is not None and len(acc) > term_cap:
             raise SeriesOverflowError(
                 f"expansion exceeded {term_cap} stored terms at factor {fac}"
             )
-    return _unscaled(acc, 1, z, 1)
+    return acc, z
 
 
 def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int, z: int):
     """Terms of (1 - u)^exponent with u = q^n zeta^l xi^m, up to the budget.
 
-    Integer terms (a, l, t, c) with the zeta entries scaled by z.
+    Int terms ((a, l, t), c) with the zeta entries scaled by z.
     """
     if fac.m > 0:
         j_max = math.floor(t_max / fac.m)
@@ -547,18 +568,12 @@ def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int, z: int):
     for j in range(j_max + 1):
         coeff = _binomial_coefficient(fac.exponent, j)
         if coeff:
-            out.append((j * fac.n, tuple([j * x for x in l]), j * fac.m, coeff))
+            out.append(((j * fac.n, tuple([j * x for x in l]), j * fac.m), coeff))
     return out
 
 
-def log_derivative_residual(
-    coeffs: Mapping[tuple[int, tuple[Q, ...]], int],
-    weyl: WeylVector,
-    rect: tuple[Q, Q],
-    rank: int,
-    den: int = DEFAULT_DEN,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> TruncatedSeries:
+def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
+                            den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
     """Difference of the two sides of the logarithmic xi-derivative identity.
 
     With G0 the expanded product over the factors with n >= 0, the identity
@@ -585,30 +600,16 @@ def log_derivative_residual(
     rhs = p.scale(_q(weyl.c))
     for fac in xi_factors:
         u = monomial(rank, (a_max, t_max), fac.n, fac.l, fac.m, den=den)
-        geo = TruncatedSeries(
-            rank,
-            {
-                (Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)): Q(1)
-                for j in range(math.floor(t_max / fac.m) + 1)
-            },
-            (a_max, t_max),
-            den=den,
-        )
+        z = math.lcm(*(x.denominator for x in fac.l))
+        geo = dict(_factor_terms(replace(fac, exponent=-1), a_max, t_max, 0, z))
+        geo = _from_integral(rank, geo, z, (a_max, t_max), Monomial.zero(rank), den)
         p_over = p * geo  # exact: (1-u) * geo = 1 - u^(j_max+1), beyond the rectangle
         rhs = rhs + (u * p_over).scale(Q(-fac.m * fac.exponent))
-    lhs = g0.derive("omega") * p
-    rhs = g0 * rhs
-    return lhs - rhs
+    return g0.derive("omega") * p - g0 * rhs
 
 
-def principal_block_residual(
-    coeffs: Mapping[tuple[int, tuple[Q, ...]], int],
-    weyl: WeylVector,
-    rect: tuple[Q, Q],
-    rank: int,
-    den: int = DEFAULT_DEN,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> TruncatedSeries:
+def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
+                             den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
     """Difference of the full expansion and (n >= 0 block) * (n < 0 block).
 
     The n < 0 factors are finite binomials, multiplied out here on their own
@@ -621,15 +622,11 @@ def principal_block_residual(
     g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
     neg_factors = [f for f in product_factors(coeffs, rect, rank) if f.n < 0]
     max_neg = max((-f.n for f in neg_factors), default=0)
-    block = _multiply_out(
+    block, z = _multiply_out(
         neg_factors, rank, a_max, t_max, max_neg, a_hi=None, a_lo=None, term_cap=None
     )
-    b = TruncatedSeries(rank, block, (a_max, t_max), den=den)
-    product = g0 * b
-    cut = product.rect
-    g_cut = TruncatedSeries(rank, g.terms, cut, g.prefactor, den)
-    prod_cut = TruncatedSeries(rank, product.terms, cut, product.prefactor, den)
-    return g_cut - prod_cut
+    product = g0 * _from_integral(rank, block, z, (a_max, t_max), Monomial.zero(rank), den)
+    return g._cut(product._ra, product._rt) - product._cut(product._ra, product._rt)
 
 
 def _binomial_series(fac: ProductFactor, rank: int, rect, den: int) -> TruncatedSeries:
@@ -688,28 +685,30 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
 
     def det(cols: tuple[int, ...]) -> TruncatedSeries:
         series = [forms[j].series for j in cols]
-        rect = (min(x.rect[0] for x in series), min(x.rect[1] for x in series))
-        return _minor(rows, memo, 0, cols, rect, math.lcm(*(x.den for x in series)))
+        den = math.lcm(*(x.den for x in series))
+        bounds = tuple(min(_bound(x.rect[i], den) for x in series) for i in (0, 1))
+        return _minor(rows, memo, 0, cols, bounds, den)
 
     return s, det
 
 
-def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], rect, den: int) -> TruncatedSeries:
+def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], bounds, den: int) -> TruncatedSeries:
     """Minor on rows i.., columns cols, along row i from zero(rect) to one(rect).
 
-    A module function, not a closure, so the memo is freed with its last
-    caller instead of waiting for the cycle collector.
+    The rect is given by its bounds on the den grid.  A module function, not
+    a closure, so the memo is freed with its last caller instead of waiting
+    for the cycle collector.
     """
     rank = rows[0][0].rank
     if not cols:
-        return one(rank, rect, den)
-    key = (i, cols, rect, den)
+        return _unit(rank, den, *bounds)
+    key = (i, cols, bounds, den)
     total = memo.get(key)
     if total is None:
-        parts = [(1, zero(rank, rect, den))]
+        parts = [(1, _new(rank, den, 1, 1, {}, 0, (0,) * rank, 0, *bounds))]
         for pos, j in enumerate(cols):
             if not rows[i][j].is_zero:
-                rest = _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], rect, den)
+                rest = _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], bounds, den)
                 parts.append((-1 if pos % 2 else 1, rows[i][j] * rest))
         total = memo[key] = _signed_sum(parts)
     return total

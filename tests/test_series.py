@@ -119,6 +119,18 @@ class TestArithmetic:
         assert TruncatedSeries(1, {}, RECT, Monomial(2, (0,), 1), 1).prefactor.c == 1
 
 
+class TestFractionView:
+    def test_built_only_on_access(self):
+        rng = random.Random(5)
+        x, y = random_series(rng, 2), random_series(rng, 2)
+        z = x * y - x
+        z.is_zero, z.floors(), z.leading_order(), z.rect, hash(z), z == x * y - x
+        assert z._view is None
+        assert z.terms is z.terms and z._view is not None
+        with pytest.raises(TypeError):
+            z.terms[key(0, (0, 0), 0)] = Q(1)
+
+
 class TestDerive:
     def test_examples(self):
         q3 = monomial(1, RECT, 3, (0,), 0)
@@ -1073,6 +1085,7 @@ class TestRectSoundness:
     def test_invert(self, pair):
         x, x_big = pair
         assert_sound(x.invert(), x_big.invert())
+        assert x * x.invert() == one(x.rank, x.rect)
 
     @pytest.mark.xfail(
         strict=True,
