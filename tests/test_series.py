@@ -1019,7 +1019,7 @@ def extended_series(draw, rank):
         st.tuples(sound_exponent(-1, 2), zeta, sound_exponent(-1, 2)), SOUND_COEFF, min_size=1, max_size=4
     ))
     inner = {k: c for k, c in inner.items() if k[0] <= rect[0] and k[2] <= rect[1]} or {
-        (min(rect[0], Q(-1, 2)), (Q(0),) * rank, Q(0)): Q(1)
+        (Q(-1, 2), (Q(0),) * rank, Q(0)): Q(1)
     }
     fa, ft = min(k[0] for k in inner), min(k[2] for k in inner)
     between = lambda lo, hi: st.integers(int(lo * GRID), int(hi * GRID)).map(lambda n: Q(n, GRID))
