@@ -1,7 +1,8 @@
 """Root sets in positive definite lattices.
 
-Detection enumerates all short vectors whose reflections preserve the
-lattice; decomposition splits them along the non-orthogonality graph and
+Detection keeps the short vectors, up to norm 4e² (e the exponent of L*/L),
+whose reflections preserve the lattice; decomposition grows the components
+of the non-orthogonality graph one root at a time, one G·r per root, and
 identifies each piece by rank, root count and norm multiset.  Modified
 Coxeter numbers follow the thirteen-case table keyed by the divisor data
 of the short roots and, where that data is ambiguous, an explicit subcase
@@ -101,6 +102,8 @@ class RootDatum:
 
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
+    # G·r for each root, as detect_roots records them; None makes decompose compute them
+    images: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.roots)
@@ -112,16 +115,28 @@ class RootDatum:
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     """All vectors of norm <= max_norm whose reflection preserves the lattice.
 
-    A vector qualifies exactly when its norm divides twice its divisor.
+    A root is a v with norm(v) | 2 div(v), div(v) = gcd(G·v); as div(v) divides
+    norm(v), that holds when h = norm / gcd(norm, 2) divides each entry of G·v.
+
+    Roots have norm <= 4e², e the exponent of L*/L: a root v = k·w, w
+    primitive, has div(w) | e and k·norm(w) <= 2 div(w) <= 2e, so norm(v) =
+    k·(k·norm(w)) <= (2e)².  A larger even max_norm is clamped to 4e²; as
+    e >= c, the gcd of the Gram entries, e is only computed above 4c².
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    roots = []
+    c = linalg.vec_gcd([x for row in lat.gram for x in row])
+    if max_norm > 4 * c * c and not max_norm % 2:
+        e = lcm(*(x.denominator for row in lat.dual_basis() for x in row))
+        max_norm = min(max_norm, 4 * e * e)
+    found = []  # (v, G·v)
     for v in short_vectors(lat, max_norm):
-        gv = lat.gram_times(v)  # norm and divisor both read G·v
-        if (2 * linalg.vec_gcd(gv)) % sum(map(mul, v, gv)) == 0:
-            roots.append(v)
-    return RootDatum(lat, tuple(roots))
+        gv = lat.gram_times(v)
+        norm = sum(map(mul, v, gv))
+        h = norm // gcd(norm, 2)
+        if h == 1 or not any(x % h for x in gv):
+            found.append((v, gv))
+    return RootDatum(lat, tuple(v for v, _ in found), tuple(gv for _, gv in found))
 
 
 @dataclass(frozen=True)
@@ -180,19 +195,21 @@ class IrreducibleComponent:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
 
     def short_roots(self):
-        return tuple(r for r in self.roots if self.lattice.norm(r) == 2 * self.d)
-
-    def long_roots(self):
-        return tuple(r for r in self.roots if self.lattice.norm(r) != 2 * self.d)
+        return tuple(_split_by_norm(self.lattice, self.roots, 2 * self.d)[0])
 
 
-def _class_div(lat: Lattice, vectors) -> int:
-    divs = {lat.div(v) for v in vectors}
-    if len(divs) != 1:
-        raise UnrecognizedRootSystemError(
-            f"length class has non-constant div values {sorted(divs)}"
-        )
-    return divs.pop()
+def _split_by_norm(lat: Lattice, roots, norm: int) -> tuple[list, list]:
+    """The roots of the given norm and the others, reading each norm once."""
+    split: tuple[list, list] = ([], [])
+    for r in roots:
+        split[lat.norm(r) != norm].append(r)
+    return split
+
+
+def _class_div(divs: list[int]) -> int:
+    if len(set(divs)) != 1:
+        raise UnrecognizedRootSystemError(f"length class has non-constant div values {sorted(set(divs))}")
+    return divs[0]
 
 
 def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
@@ -203,12 +220,14 @@ def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
     )
 
 
-def _identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> IrreducibleComponent:
-    by_norm: dict[int, list] = {}
-    for r in roots:
-        by_norm.setdefault(int(lat.norm(r)), []).append(r)
+def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]]) -> IrreducibleComponent:
+    """The component of the (root, norm, div) entries, sorted by root."""
+    roots = tuple(r for r, _, _ in entries)
+    by_norm: dict[int, list] = {}  # the divs of each norm class
+    for _, nn, div in entries:
+        by_norm.setdefault(nn, []).append(div)
     norms = sorted(by_norm)
-    k = linalg.rank(tuple(roots))
+    k = linalg.rank(roots)
     if len(norms) == 1:
         nn = norms[0]
         if nn % 2:
@@ -216,13 +235,13 @@ def _identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> IrreducibleComp
         tag = _match(k, None, (len(roots), 0))
         if tag is None:
             raise UnrecognizedRootSystemError(f"single-norm system: rank {k}, {len(roots)} roots, norm {nn}")
-        return IrreducibleComponent(lat, tag, k, nn // 2, tuple(roots), _class_div(lat, roots), None)
+        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None)
     if len(norms) == 2:
         n1, n2 = norms
         c1, c2 = len(by_norm[n1]), len(by_norm[n2])
         if n1 % 2:
             raise UnrecognizedRootSystemError(f"odd short norm {n1}")
-        short_div, long_div = _class_div(lat, by_norm[n1]), _class_div(lat, by_norm[n2])
+        short_div, long_div = _class_div(by_norm[n1]), _class_div(by_norm[n2])
         ratio = Q(n2, n1)
         tag = _match(k, ratio, (c1, c2))
         if tag is None:
@@ -232,41 +251,32 @@ def _identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> IrreducibleComp
                 if ratio == 2
                 else f"norm ratio {ratio} matches no crystallographic type"
             )
-        return IrreducibleComponent(lat, tag, k, n1 // 2, tuple(roots), short_div, long_div)
+        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
 
 def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
     """Connected components of the non-orthogonality graph, identified.
 
-    Unidentifiable components raise UnrecognizedRootSystemError; nothing is
-    dropped silently.
+    Each root joins, and so merges, every component found so far with a
+    member it pairs nonzero with, which is exact for any vector set; its G·r
+    gives those pairings, its norm and its div.  Components are identified
+    in the order of their first root: of several unidentifiable ones the
+    first raises UnrecognizedRootSystemError, and nothing is dropped.
     """
     if not rd.roots:
         raise ValueError("cannot decompose an empty root set")
-    roots = list(rd.roots)
-    images = [rd.lattice.gram_times(r) for r in roots]
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # (r_i, r_j) = (G r_i) . r_j on ints; pairs already joined are skipped
-    for i, image in enumerate(images):
-        ri = find(i)
-        for j in range(i + 1, len(roots)):
-            rj = find(j)
-            if rj != ri and sum(map(mul, image, roots[j])):
-                parent[rj] = ri
-    groups: dict[int, list] = {}
-    for i in range(len(roots)):
-        groups.setdefault(find(i), []).append(roots[i])
-    comps = [_identify(rd.lattice, sorted(g)) for g in groups.values()]
-    comps.sort(key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
-    return comps
+    groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
+    for r, gr in zip(rd.roots, rd.images or map(rd.lattice.gram_times, rd.roots)):
+        hit = [g for g in groups if any(sum(map(mul, gr, s)) for s, _, _ in g)] or [[]]
+        if not hit[0]:  # r pairs with no component yet: a new one
+            groups.append(hit[0])
+        for g in hit[1:]:  # into the hit with the earliest first root
+            hit[0] += g
+            g.clear()
+        hit[0].append((r, sum(map(mul, gr, r)), linalg.vec_gcd(gr)))
+    comps = (_identify(rd.lattice, sorted(g)) for g in groups if g)
+    return sorted(comps, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +301,15 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     support mirrors: i keeps r/(2d), ii keeps r/d (flagged: its half pairs
     integrally) and r/(2d), iii keeps r/d flagged.
     """
-    d, shorts = comp.d, comp.short_roots()
-    if comp.short_div == d:
-        parts = [(shorts, d, False)]
-    else:
-        parts = {
-            "i": [(shorts, 2 * d, False)],
-            "ii": [(shorts, d, True), (shorts, 2 * d, False)],
-            "iii": [(shorts, d, True)],
-        }[_require_subcase(f"component {comp.label}", comp.subcase)]
+    d = comp.d
+    shorts, longs = _split_by_norm(comp.lattice, comp.roots, 2 * d)
+    parts = [(shorts, d, False)] if comp.short_div == d else {
+        "i": [(shorts, 2 * d, False)],
+        "ii": [(shorts, d, True), (shorts, 2 * d, False)],
+        "iii": [(shorts, d, True)],
+    }[_require_subcase(f"component {comp.label}", comp.subcase)]
     if comp.long_div is not None:
-        parts.append((comp.long_roots(), comp.long_div, False))
+        parts.append((longs, comp.long_div, False))
     # sort on r * (scale / m) = scale * (r / m), integers in the order of the Fractions
     scale = lcm(*(m for _, m, _ in parts))
     keyed = sorted(
@@ -455,8 +463,8 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
     rd = detect_roots(lat, 2 * d * (ct.ratio or 1))
     if type_tag == "C":
-        shorts = [r for r in rd.roots if lat.norm(r) == 2 * d]
-        frame = _orthogonal_frame(lat, [r for r in rd.roots if lat.norm(r) == 4 * d])
+        shorts, longs = _split_by_norm(lat, rd.roots, 2 * d)
+        frame = _orthogonal_frame(lat, longs)
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
         rd = RootDatum(lat, tuple(sorted(shorts + frame)))

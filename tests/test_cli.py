@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
+from orthoforms import roots as roots_mod
 from orthoforms.cli import main
+from orthoforms.lattice import short_vectors
 from orthoforms.series import series_from_json
 
 
@@ -108,6 +110,26 @@ class TestRoots:
             "subcase": None,
         }.items():
             assert comp[field] == value
+
+    def test_large_max_norm_matches_norm_2(self, capsys, monkeypatch):
+        # E8 has e = 1, so no root has norm above 4e^2 = 4 and the search stops there
+        def bounded(lat, max_norm):
+            assert max_norm <= 4, f"short vectors enumerated up to norm {max_norm}"
+            return short_vectors(lat, max_norm)
+
+        monkeypatch.setattr(roots_mod, "short_vectors", bounded)
+        outs = {}
+        for fmt in ("json", "table"):
+            for max_norm in ("2", "1000000"):
+                code, outs[fmt, max_norm], _ = run(
+                    capsys, "roots", "builtin:E8", "--max-norm", max_norm, "--format", fmt
+                )
+                assert code == 0
+        assert outs["json", "1000000"] == outs["json", "2"]
+        assert json.loads(outs["json", "2"])["total_roots"] == 240
+        head, *components = outs["table", "1000000"].splitlines()
+        assert head == "240 reflective vectors up to norm 1000000"
+        assert components == outs["table", "2"].splitlines()[1:]
 
 
 class TestWeyl:

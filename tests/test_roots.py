@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
+from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from orthoforms import (
     sum_rule_constant,
 )
 from orthoforms import linalg
+from orthoforms import roots as roots_mod
 from orthoforms.roots import (
     TYPES,
     InconsistentDivProfileError,
@@ -36,6 +38,7 @@ from orthoforms.roots import (
     _identify,
     _orthogonal_frame,
 )
+from orthoforms.lattice import short_vectors
 
 
 class TestDetect:
@@ -117,7 +120,7 @@ class TestDecompose:
         # a fake "component" that matches no crystallographic shape
         lat = builtin_lattice("A2")
         with pytest.raises(UnrecognizedRootSystemError):
-            _identify(lat, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+            _identify(lat, entries(lat, [(1, 0), (-1, 0), (0, 1), (0, -1)]))
 
 
 REALIZATION_COUNTS = [
@@ -296,6 +299,11 @@ class TestSumRuleOracle:
 def fraction_pairing(gram, u, v):
     n = len(gram)
     return sum(Q(u[i]) * gram[i][j] * Q(v[j]) for i in range(n) for j in range(n))
+
+
+def entries(lat, roots):
+    """The (root, norm, div) entries _identify reads, computed one by one."""
+    return [(r, int(lat.norm(r)), lat.div(r)) for r in roots]
 
 
 def naive_components(lat, roots):
@@ -492,7 +500,7 @@ def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> Irreducibl
                 f"single-norm system: rank {k}, {count} roots, norm {nn}"
             )
         return IrreducibleComponent(
-            lat, tag, k, d, tuple(roots), _class_div(lat, roots), None
+            lat, tag, k, d, tuple(roots), _class_div([lat.div(r) for r in roots]), None
         )
     if len(norms) == 2:
         n1, n2 = norms
@@ -500,8 +508,8 @@ def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> Irreducibl
         if n1 % 2:
             raise UnrecognizedRootSystemError(f"odd short norm {n1}")
         d = n1 // 2
-        short_div = _class_div(lat, by_norm[n1])
-        long_div = _class_div(lat, by_norm[n2])
+        short_div = _class_div([lat.div(r) for r in by_norm[n1]])
+        long_div = _class_div([lat.div(r) for r in by_norm[n2]])
         if n2 == 3 * n1 and k == 2 and c1 == c2 == 6:
             tag = "G2"
         elif n2 == 2 * n1:
@@ -666,17 +674,30 @@ class TestTableAgainstChains:
                 assert new == outcome(chain_realize, tag, n, d), (tag, n, d)
 
 
+def first_root_order(roots, groups):
+    """The groups ordered by the position of their first member in roots."""
+    position = {}
+    for i, r in enumerate(roots):
+        position.setdefault(r, i)
+    return sorted(groups, key=lambda g: min(position[r] for r in g))
+
+
 def check_identify(lat, roots):
-    """_identify and decompose against the copy of the chain _identify, group by group."""
-    groups = naive_components(lat, roots)
+    """_identify and decompose against the copy of the chain _identify, group by group.
+
+    decompose identifies the groups in the order of their first root, so
+    when some cannot be identified it must raise the first one's error.
+    """
+    groups = first_root_order(roots, naive_components(lat, roots))
     old = [outcome(chain_identify, lat, g) for g in groups]
-    assert [outcome(_identify, lat, g) for g in groups] == old
+    assert [outcome(_identify, lat, entries(lat, g)) for g in groups] == old
     if roots:
         new = outcome(decompose, RootDatum(lat, tuple(roots)))
-        if all(isinstance(c, IrreducibleComponent) for c in old):
-            assert new == sorted(old, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
+        failed = [c for c in old if not isinstance(c, IrreducibleComponent)]
+        if failed:
+            assert new == failed[0]
         else:
-            assert not isinstance(new, list) and new in old
+            assert new == sorted(old, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
     return old
 
 
@@ -710,3 +731,96 @@ class TestIdentifyAgainstChains:
         comp = realize(spec[0], spec[1], d)
         subset = data.draw(st.lists(st.sampled_from(comp.roots), unique=True, max_size=len(comp.roots)))
         check_identify(comp.lattice, sorted(subset))
+
+
+@st.composite
+def small_lattices(draw):
+    """Direct sums of rank <= 4 of rescaled built-ins and the odd lattices."""
+    summand = st.one_of(
+        st.sampled_from(ODD),
+        st.builds(lambda name, d: builtin_lattice(f"{name}({d})"), st.sampled_from(SUMMANDS), st.integers(1, 3)),
+    )
+    lattices = draw(st.lists(summand, min_size=1, max_size=3))
+    while sum(l.rank for l in lattices) > 4:
+        lattices.pop(0)
+    return direct_sum(*lattices)
+
+
+class TestDetectAgainstDefinition:
+    @settings(max_examples=80, deadline=None)
+    @given(small_lattices(), st.sampled_from([2, 4, 6]))
+    def test_box_enumeration(self, lat, max_norm):
+        # |v_i| <= sqrt(max_norm (G^-1)_ii) on the ellipsoid, independent of short_vectors
+        dual = lat.dual_basis()
+        radii = [isqrt(int(max_norm * dual[i][i])) for i in range(lat.rank)]
+        box = [
+            v for v in itertools.product(*(range(-r, r + 1) for r in radii))
+            if any(v) and lat.norm(v) <= max_norm
+        ]
+        expected = [v for v in box if (2 * lat.div(v)) % lat.norm(v) == 0]
+        rd = detect_roots(lat, max_norm)
+        assert rd.roots == tuple(sorted(expected))
+        assert rd.images == tuple(lat.gram_times(v) for v in rd.roots)
+
+
+def exponent(lat):
+    """The exponent of L*/L: the lcm of the dual basis denominators."""
+    return lcm(*(x.denominator for row in lat.dual_basis() for x in row))
+
+
+class TestMaxNormClamp:
+    @pytest.mark.parametrize("lat", [builtin_lattice("E8"), builtin_lattice("A2"), builtin_lattice("D4(2)"), *ODD])
+    def test_large_max_norm_is_clamped_to_4e2(self, lat, monkeypatch):
+        asked = []
+
+        def spy(lat, max_norm):
+            asked.append(max_norm)
+            return short_vectors(lat, max_norm)
+
+        monkeypatch.setattr(roots_mod, "short_vectors", spy)
+        bound = 4 * exponent(lat) ** 2
+        assert detect_roots(lat, 10**6) == detect_roots(lat, bound)
+        assert asked == [bound, bound]
+
+    def test_e8(self):
+        e8 = builtin_lattice("E8")
+        assert detect_roots(e8, 10**6) == detect_roots(e8, 2)
+
+    def test_bound_is_attained(self):
+        # on Z, e = 1 and 2 is a root of norm 4 = 4e^2: (2, Z) = 2Z and 4 | 2 * 2
+        assert detect_roots(Lattice(((1,),)), 10**6).roots == ((-2,), (-1,), (1,), (2,))
+
+    def test_odd_max_norm_still_rejected(self):
+        with pytest.raises(ValueError, match="positive even"):
+            detect_roots(builtin_lattice("E8"), 10**6 + 1)
+
+
+@st.composite
+def vector_sets(draw, rank):
+    """Sets of distinct nonzero integer vectors, in drawn order."""
+    vector = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    return draw(st.lists(vector, unique=True, min_size=1, max_size=12))
+
+
+class TestDecomposeArbitraryVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(small_lattices(), st.data())
+    def test_partition_entries_and_order(self, lat, data):
+        vectors = data.draw(vector_sets(lat.rank))
+        seen = []
+
+        def record(lat_, group):
+            assert group == sorted(group) and group == entries(lat, [r for r, _, _ in group])
+            seen.append(tuple(r for r, _, _ in group))
+            return SimpleNamespace(rank=0, type_tag="", d=0, roots=seen[-1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots_mod, "_identify", record)
+            decompose(RootDatum(lat, tuple(vectors)))
+        assert sorted(seen) == naive_components(lat, vectors)
+        assert seen == first_root_order(vectors, seen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_lattices(), st.data())
+    def test_identify_against_chain(self, lat, data):
+        check_identify(lat, data.draw(vector_sets(lat.rank)))
