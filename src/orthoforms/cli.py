@@ -165,6 +165,8 @@ def cmd_roots(args) -> int:
     try:
         rd = roots_mod.detect_roots(lat, args.max_norm)
         comps = roots_mod.decompose(rd) if rd.roots else []
+    except lattice_mod.NotPositiveDefiniteError:
+        raise CliError(f"lattice {args.ref} is not positive definite, so it has no finite root set")
     except (ValueError, ArithmeticError) as exc:
         raise CliError(str(exc))
     reports = [

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -135,13 +135,15 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     return DiscriminantGroup(divisors, order, _level(lat))
 
 
+def discriminant_exponent(lat: Lattice) -> int:
+    """The exponent of L*/L: the lcm of the denominators of the dual basis."""
+    return lcm(*(x.denominator for row in lat.dual_basis() for x in row))
+
+
 def _level(lat: Lattice) -> int:
     """Minimal N with N(x,x) in 2Z for all dual vectors x."""
     dual = lat.dual_basis()
-    n0 = 1
-    for row in dual:
-        for x in row:
-            n0 = n0 * x.denominator // gcd(n0, x.denominator)
+    n0 = discriminant_exponent(lat)
     if any((n0 * dual[i][i]) % 2 for i in range(lat.rank)):
         return 2 * n0
     return n0

@@ -3,23 +3,30 @@
 All routines operate on immutable tuple-of-tuples matrices whose entries
 are ints or Fractions.  Nothing here ever touches floating point.
 
-The hot routines scale to ints instead of running Fraction loops, and each
-scaling is exact:
+One elimination on ints, ``_echelon``, serves ``det``, ``inverse``,
+``rank``, ``is_positive_definite`` and ``short_vectors_of_form``: Bareiss's
+fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+A row with Fractions is first multiplied by the lcm of its denominators
+(``_int_row``); that keeps the rank, and ``det`` divides the lcm back out.
+Rows are taken one at a time, and a row v is reduced against the pivot rows
+r_1, ..., r_k kept so far (pivot columns c_j, pivots p_j = r_j[c_j],
+p_0 = 1) by v <- (p_j v - v[c_j] r_j) / p_{j-1}.  Each division is exact:
+by Sylvester's identity, after step j each v[c] is the integer minor of the
+original rows of r_1, ..., r_j, v on the columns c_1, ..., c_j, c.  So p_j
+is the minor of the first j pivot rows on their pivot columns, no entry
+outgrows a minor, and a row that reduces to zero, being in the span of the
+pivot rows, is dropped.
 
-- ``rank`` multiplies every row by the lcm of its denominators; scaling a
-  row by a nonzero number does not change the rank.
-- ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
-  with D the lcm of the denominators of x; so x lies in the dual lattice
-  exactly when D divides every entry of G·(D·x).
-- ``short_vectors_of_form`` multiplies the LDL form by a common denominator
-  D that makes every pivot weight an integer; the norm of an integer vector
-  then becomes an integer, and the bound an exact integer comparison.
+``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
+with D the lcm of the denominators of x; so x lies in the dual lattice
+exactly when D divides every entry of G·(D·x).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -55,83 +62,82 @@ def vec_gcd(v: Sequence[int]) -> int:
     return g
 
 
-def _gauss_jordan(m: Mat, augment: bool = False) -> tuple[Q, list[list[Q]]]:
-    """Gauss-Jordan elimination of m over the rationals, optionally of [m | I].
-
-    Returns the determinant of m, the signed product of the pivots, with the
-    reduced rows; with augment the right half of the rows is then m^-1.  On a
-    singular m the determinant is 0 and the rows are left part-reduced.
-    """
-    n = len(m)
-    a = [
-        [Q(x) for x in row] + ([Q(int(i == j)) for j in range(n)] if augment else [])
-        for i, row in enumerate(m)
-    ]
-    d = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Q(0), a
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            d = -d
-        p = a[col][col]
-        d *= p
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return d, a
-
-
-def det(m: Mat):
-    """Exact determinant: an int for int input, else a Fraction (Q(0) if singular)."""
-    d, _ = _gauss_jordan(m)
-    return int(d) if all(isinstance(x, int) for row in m for x in row) else d
-
-
-def inverse(m: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises ValueError on singular input."""
-    d, rows = _gauss_jordan(m, augment=True)
-    if d == 0:
-        raise ValueError("singular matrix")
-    return freeze(row[len(m):] for row in rows)
-
-
 def _int_row(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators, as ints."""
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
-def rank(m: Mat) -> int:
-    """Rank of an int or Fraction matrix, by fraction-free integer elimination.
+def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
+    """The (pivot column, pivot row) pairs of the fraction-free elimination.
 
-    Each row is first scaled by the lcm of its denominators; a nonzero row
-    scaling does not change the rank, so the elimination runs on ints.  Rows
-    are reduced one at a time against the echelon rows kept so far, each
-    update divided by the gcd of its entries to keep it small; the scan stops
-    once the rank reaches the column count.
+    Integer rows are reduced one at a time against the pivot rows kept so
+    far, as the module docstring describes; a row that reduces to zero is
+    dropped, and the scan stops at full column rank.  Pivot row j is zero on
+    the pivot columns before its own.
     """
-    cols = len(m[0]) if m else 0
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row in m:
-        if len(echelon) == cols:
+    echelon: list[tuple[int, list[int]]] = []
+    for v in rows:
+        if len(echelon) == len(v):
             break
-        v = _int_row(row)
-        for c, top in echelon:
-            f = v[c]
-            if f:
-                p = top[c]
-                v = [p * x - f * y for x, y in zip(v, top)]
-                g = vec_gcd(v)
-                if g > 1:
-                    v = [x // g for x in v]
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, v))
-    return len(echelon)
+        prev = 1
+        for c, r in echelon:
+            p, f = r[c], v[c]
+            v = [(p * x - f * y) // prev for x, y in zip(v, r)]
+            prev = p
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is not None:
+            echelon.append((c, v))
+    return echelon
+
+
+def det(m: Mat):
+    """Exact determinant: an int for int input, else a Fraction (Q(0) if singular).
+
+    With every row kept, the last pivot is the determinant of the scaled rows
+    on the pivot columns c_1, ..., c_n, which differs from det(m) by the sign
+    of that column order and by the product of the row scalings.
+    """
+    echelon = _echelon(map(_int_row, m))
+    d = 0
+    if len(echelon) == len(m):
+        cols = [c for c, _ in echelon]
+        d = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+        d *= echelon[-1][1][cols[-1]] if m else 1
+    if all(isinstance(x, int) for row in m for x in row):
+        return d
+    return Q(d, prod(lcm(*(x.denominator for x in row)) for row in m))
+
+
+def inverse(m: Mat) -> Mat:
+    """Exact inverse adj(m) / det(m); raises ValueError on singular input.
+
+    Scaled to ints, [m | I] is [S m | S], and the elimination makes it
+    [T | R] = M [S m | S], so m^-1 = T^-1 R.  It keeps all n rows, and m is
+    singular exactly when a pivot column falls in the right block.  Else T is
+    triangular on the pivot columns, and with d = p_n = +-det(S m) the rows
+    of Z = d T^-1 R are +-rows of adj(S m) S, integers: back substitution
+    p_j z_j = d R_j - sum_{k>j} T_j[c_k] z_k divides exactly, and row c_j
+    of m^-1 is z_j / d.
+    """
+    n = len(m)
+    echelon = _echelon(_int_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(m))
+    if any(c >= n for c, _ in echelon):
+        raise ValueError("singular matrix")
+    d = echelon[-1][1][echelon[-1][0]] if m else 1
+    solved: dict[int, list[int]] = {}  # pivot column c_k -> z_k
+    for c, r in reversed(echelon):
+        z = [d * x for x in r[n:]]
+        for ck, zk in solved.items():
+            if r[ck]:
+                z = [x - r[ck] * y for x, y in zip(z, zk)]
+        solved[c] = [x // r[c] for x in z]
+    return tuple(tuple(Q(x, d) for x in solved[i]) for i in range(n))
+
+
+def rank(m: Mat) -> int:
+    """Rank of an int or Fraction matrix: the number of pivot rows."""
+    return len(_echelon(map(_int_row, m)))
 
 
 def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:
@@ -160,38 +166,24 @@ def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(y), d
 
 
-def ldl(gram: Mat) -> tuple[Vec, Mat]:
-    """LDL^T data of a symmetric matrix: pivots d and unit upper factor u.
+def _definite_rows(gram: Mat) -> tuple[int, list[list[int]]] | None:
+    """(den, b) with b the pivot rows of the integer form den·gram, or None.
 
-    The quadratic form becomes sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2.
-    Raises ArithmeticError when a zero pivot blocks the decomposition.
+    den is the lcm of the denominators of the entries.  By Sylvester's
+    criterion a symmetric matrix is positive definite exactly when every
+    leading minor is positive.  When the pivot columns are 0, ..., n-1, pivot
+    b_i[i] is the leading minor of order i + 1; otherwise some leading minor
+    is zero.  None unless every pivot column is in place and positive.
     """
-    n = len(gram)
-    a = [[Q(x) for x in row] for row in gram]
-    d = []
-    for i in range(n):
-        p = a[i][i]
-        if p == 0:
-            raise ArithmeticError("zero pivot in LDL decomposition")
-        d.append(p)
-        for j in range(i + 1, n):
-            a[i][j] = a[i][j] / p
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= p * a[i][j] * a[i][k]
-    u = freeze(
-        [Q(1) if j == i else (a[i][j] if j > i else Q(0)) for j in range(n)]
-        for i in range(n)
-    )
-    return tuple(d), u
+    d = lcm(*(x.denominator for row in gram for x in row))
+    echelon = _echelon([x.numerator * (d // x.denominator) for x in row] for row in gram)
+    if [c for c, _ in echelon] != list(range(len(gram))) or any(r[c] <= 0 for c, r in echelon):
+        return None
+    return d, [r for _, r in echelon]
 
 
 def is_positive_definite(gram: Mat) -> bool:
-    try:
-        pivots, _ = ldl(gram)
-    except ArithmeticError:
-        return False
-    return all(p > 0 for p in pivots)
+    return _definite_rows(gram) is not None
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -270,29 +262,35 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with v^T gram v <= max_norm, both signs.
 
-    Fincke-Pohst branch-and-prune on the LDL pivots, in integer arithmetic;
-    requires a positive definite form.  Output is sorted lexicographically.
+    Fincke-Pohst branch-and-prune on the pivot rows of the elimination, in
+    integer arithmetic; requires a positive definite form.  Output is sorted
+    lexicographically.
 
-    The form is sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.  With L_i the lcm of
-    the denominators of row i of u and D the lcm over i of den(d_i) * L_i^2,
-    every w_i = D d_i / L_i^2 and every U_ij = L_i u_ij is an integer, and
-    D v^T gram v = sum_i w_i (L_i x_i + sum_{j>i} U_ij x_j)^2.  The left side
-    is an integer, so the bound is exactly D v^T gram v <= floor(D max_norm),
-    and each coordinate's range comes from isqrt of the remaining budget
-    over w_i with no slack and no after-the-fact filtering.
+    ``_definite_rows`` makes the Gram integral (scaling the norm and the
+    bound alike) and gives its pivot rows b_i, with leading minors
+    Delta_i = b_i[i] and Delta_{-1} = 1.  Then v^T gram v is
+    sum_i (b_i . v)^2 / (Delta_{i-1} Delta_i), the LDL form with pivots
+    d_i = Delta_i / Delta_{i-1} and unit rows b_i / Delta_i.  With g_i the
+    content of b_i, L_i = Delta_i / g_i and D the lcm over i of
+    den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an integer, and
+    D v^T gram v = sum_i w_i (b_i . v / g_i)^2, where b_i . v / g_i is
+    L_i x_i plus integer multiples of the x_j, j > i.  The left side is an
+    integer, so the bound is exactly D v^T gram v <= floor(D max_norm), and
+    each coordinate's range comes from isqrt of the remaining budget over
+    w_i with no slack and no after-the-fact filtering.
     """
     n = len(gram)
-    pivots, u = ldl(gram)
-    if any(p <= 0 for p in pivots):
+    found = _definite_rows(gram)
+    if found is None:
         raise ArithmeticError("form is not positive definite")
-    row_den = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    scale = lcm(*(p.denominator * l * l for p, l in zip(pivots, row_den)))
-    weights = [int(scale * p / (l * l)) for p, l in zip(pivots, row_den)]
-    offsets = [
-        [(j, int(u[i][j] * row_den[i])) for j in range(i + 1, n) if u[i][j]]
-        for i in range(n)
-    ]
-    bound = Q(max_norm) * scale
+    den, rows = found
+    minors = [1] + [r[i] for i, r in enumerate(rows)]
+    rows = [[x // g for x in r] for r, g in zip(rows, map(vec_gcd, rows))]
+    row_den = [r[i] for i, r in enumerate(rows)]
+    scale = lcm(*(minors[i] // gcd(minors[i], minors[i + 1]) * l * l for i, l in enumerate(row_den)))
+    weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
+    offsets = [[(j, r[j]) for j in range(i + 1, n) if r[j]] for i, r in enumerate(rows)]
+    bound = Q(max_norm) * scale * den
     budget = bound.numerator // bound.denominator
     out: list[tuple[int, ...]] = []
     if budget < 0:

@@ -28,7 +28,7 @@ from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from . import linalg
-from .lattice import Lattice, builtin_lattice, short_vectors
+from .lattice import Lattice, builtin_lattice, discriminant_exponent, short_vectors
 
 
 class UnrecognizedRootSystemError(ValueError):
@@ -127,7 +127,7 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
         raise ValueError("root detection is limited to rank <= 8")
     c = linalg.vec_gcd([x for row in lat.gram for x in row])
     if max_norm > 4 * c * c and not max_norm % 2:
-        e = lcm(*(x.denominator for row in lat.dual_basis() for x in row))
+        e = discriminant_exponent(lat)
         max_norm = min(max_norm, 4 * e * e)
     found = []  # (v, G·v)
     for v in short_vectors(lat, max_norm):
@@ -380,22 +380,17 @@ def sum_rule_constant(gram, weighted_vectors) -> Q | None:
     rational coordinates in the basis of ``gram``.  The identity is checked
     as an exact matrix equation restricted to the span of the vectors: with
     B a basis of the span, B S B^T = 2c B G B^T, where S = sum_x w_x
-    (G x)(G x)^T.  Each G x is y / e with y integral (``linalg._int_image``),
-    so S sums w / e^2 times y y^T; scaling the rows of B to integers scales
-    both sides alike, so the check runs on ints.
+    (G x)(G x)^T.  Any basis gives the same c; B is the integer pivot rows of
+    one elimination of the vectors (``linalg._echelon``).  Each G x is y / e
+    with y integral (``linalg._int_image``), so S sums w / e^2 times y y^T,
+    and the check runs on ints.
     """
     vectors = [(v, Q(w)) for v, w in weighted_vectors]
     if not vectors:
         return None
     images = [(linalg._int_image(gram, v), w) for v, w in vectors]
     s, den = _rank_one_sum(len(gram), [(y, w / (e * e)) for (y, e), w in images])
-    basis = []
-    for v, _ in vectors:
-        if len(basis) == len(gram):
-            break
-        if linalg.rank(tuple(basis) + (v,)) > len(basis):
-            basis.append(v)
-    b = tuple(tuple(linalg._int_row(v)) for v in basis)
+    b = [r for _, r in linalg._echelon(linalg._int_row(v) for v, _ in vectors)]
     bt = linalg.transpose(b)
     lhs = linalg.mat_mul(linalg.mat_mul(b, s), bt)
     rhs = linalg.mat_mul(linalg.mat_mul(b, gram), bt)

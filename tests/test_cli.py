@@ -131,6 +131,13 @@ class TestRoots:
         assert head == "240 reflective vectors up to norm 1000000"
         assert components == outs["table", "2"].splitlines()[1:]
 
+    @pytest.mark.parametrize("gram", [[[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[2, 3], [3, 2]]])
+    def test_not_positive_definite_names_the_lattice(self, capsys, tmp_path, gram):
+        for ref in ("builtin:A2(-1)", write_json(tmp_path / "indefinite.json", {"gram": gram})):
+            code, out, err = run(capsys, "roots", ref, "--max-norm", "2")
+            assert code == 2 and out == ""
+            assert err == f"error: lattice {ref} is not positive definite, so it has no finite root set\n"
+
 
 class TestWeyl:
     def test_empty_phi(self, capsys, tmp_path):

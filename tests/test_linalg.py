@@ -4,9 +4,10 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orthoforms import linalg
+from orthoforms.lattice import builtin_lattice, builtin_names
 
 
 def test_inverse_known():
@@ -46,18 +47,6 @@ def test_ldl_positive_definite():
     assert linalg.is_positive_definite(((2, -1), (-1, 2)))
     assert not linalg.is_positive_definite(((1, 0), (0, -1)))
     assert not linalg.is_positive_definite(((0, 1), (1, 0)))
-
-
-def test_ldl_reconstructs_form():
-    gram = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
-    d, u = linalg.ldl(gram)
-    v = (3, -2, 5)
-    direct = sum(gram[i][j] * v[i] * v[j] for i in range(3) for j in range(3))
-    via_ldl = sum(
-        d[i] * (v[i] + sum(u[i][j] * v[j] for j in range(i + 1, 3))) ** 2
-        for i in range(3)
-    )
-    assert direct == via_ldl
 
 
 def test_short_vectors_of_form_matches_box_enumeration():
@@ -126,6 +115,47 @@ def test_short_vectors_of_form_against_box(gram, bound):
     assume(volume <= 20000)
     expected = box_short_vectors(gram, radii, bound)
     assert linalg.short_vectors_of_form(gram, bound) == sorted(expected)
+    # a Fraction Gram: the same form over 3 with the bound over 3
+    thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
+    assert linalg.short_vectors_of_form(thirds, bound / 3) == sorted(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_definite_grams(), st.data())
+def test_pivot_rows_reconstruct_form(gram, data):
+    """x^T G x = sum_i (b_i . x)^2 / (D_{i-1} D_i), with D_i sympy's leading minors."""
+    n = len(gram)
+    echelon = linalg._echelon([list(row) for row in gram])
+    assert [c for c, _ in echelon] == list(range(n))
+    minors = [1] + [r[c] for c, r in echelon]
+    assert minors[1:] == [sympy.Matrix(gram)[:k, :k].det() for k in range(1, n + 1)]
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    via_rows = sum(
+        Q(sum(b * v for b, v in zip(r, x)) ** 2, minors[i] * minors[i + 1])
+        for i, (_, r) in enumerate(echelon)
+    )
+    assert via_rows == sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices: arbitrary, or B^T B for a possibly singular B (semidefinite)."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        b = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=draw(st.integers(1, n)), max_size=n))
+        return linalg.mat_mul(linalg.transpose(b), b)
+    upper = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    return tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example(((0, 1), (1, 0)))
+@example(((0, 0), (0, 1)))
+@example(((1, 1), (1, 1)))
+@example(((1, 1, 0), (1, 1, 1), (0, 1, 1)))
+def test_is_positive_definite_against_sympy(gram):
+    assert linalg.is_positive_definite(gram) == sympy.Matrix(gram).is_positive_definite
 
 
 def test_short_vectors_of_form_rejects_indefinite():
@@ -281,3 +311,20 @@ def test_smith_normal_form_rank_ten_gram(n):
     m = [row[:n] for row in FUZZ_GRAM[:n]]
     snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     assert linalg.smith_normal_form(m) == tuple(abs(int(snf[i, i])) for i in range(n))
+
+
+def oracle_grams():
+    """The built-in Grams at scales 1 and 3 and negated, plus FUZZ_GRAM."""
+    for name in builtin_names():
+        gram = builtin_lattice(name).gram
+        for scale in (1, 3, -1):
+            yield pytest.param(tuple(tuple(scale * x for x in row) for row in gram), id=f"{name}({scale})")
+    yield pytest.param(linalg.freeze(FUZZ_GRAM), id="fuzz")
+
+
+@pytest.mark.parametrize("gram", oracle_grams())
+def test_det_inverse_definiteness_against_sympy(gram):
+    expected = sympy_matrix(gram)
+    assert linalg.det(gram) == expected.det()
+    assert linalg.inverse(gram) == tuple(tuple(from_sympy(x) for x in row) for row in expected.inv().tolist())
+    assert linalg.is_positive_definite(gram) == expected.is_positive_definite
