@@ -19,8 +19,15 @@ r*den - floor(r*den): an int key x is inside iff x <= floor(r*den), and
 adding a grid exponent moves only the floor.  Scaling commutes with the sums
 and products the operations form, and an operand on another den or z is
 first rescaled by the integer ratio, so every int result divided by its
-scales is the exact rational one.  Products run through one integer kernel,
-``_convolve``.
+scales is the exact rational one.
+
+``__mul__`` runs through the flat int kernel ``_convolve``.  The product
+expansion multiplies its binomials on rows instead: a map from integral
+(a, t) to {packed l: c}, where a packed key is the zeta vector as one int of
+signed base-2^w digits (Kronecker substitution), so keys add as ints.  That
+is safe because w puts 2^(w-1) above the sum over factors of the largest
+zeta entry in each factor's binomial, which bounds every digit a product
+can reach.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
@@ -227,7 +234,7 @@ class TruncatedSeries:
         (fa1, ft1), (fa2, ft2) = _floors(t1), _floors(t2)
         ra = min((ra1[0] + fa2, ra1[1]), (ra2[0] + fa1, ra2[1]))
         rt = min((rt1[0] + ft2, rt1[1]), (rt2[0] + ft1, rt2[1]))
-        out = _convolve(t1.items(), t2.items(), ra[0], rt[0], cap=DEFAULT_TERM_CAP)
+        out = _convolve(t1.items(), t2.items(), ra[0], rt[0], DEFAULT_TERM_CAP)
         if len(out) > DEFAULT_TERM_CAP:
             raise SeriesOverflowError(
                 f"product of {len(t1)} and {len(t2)} terms on rect ({_value(ra, den)}, "
@@ -391,25 +398,19 @@ class WeightedSeries(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the convolution kernel, on int terms ((a, l, t), c)
+# the kernels: flat int terms for __mul__, packed rows for the expansion
 # ---------------------------------------------------------------------------
 
 
-def _convolve(left, right, a_hi, t_hi, a_lo=None, cap=None) -> dict:
-    """Sparse product of two int term lists, truncated to a box.
+def _convolve(left, right, a_hi, t_hi, cap) -> dict:
+    """Sparse product of two nonempty int term lists, truncated to a box.
 
-    Pairs with a > a_hi, t > t_hi or a < a_lo are skipped; a_hi or a_lo of
-    None leaves that side open.  Both operands are sorted by a, so a row
-    stops at the first partner past a_hi.  Returns the map (a, l, t) -> c
-    with zero sums kept, and returns as soon as it holds more than cap keys.
+    Pairs with a > a_hi or t > t_hi are skipped.  Both operands are sorted by
+    a, so a row stops at the first partner past a_hi.  Returns the map
+    (a, l, t) -> c with zero sums kept, and returns as soon as it holds more
+    than cap keys.
     """
     left, right = sorted(left), sorted(right)
-    if not left or not right:
-        return {}
-    if a_hi is None:
-        a_hi = left[-1][0][0] + right[-1][0][0]
-    if a_lo is None:
-        a_lo = left[0][0][0] + right[0][0][0]
     lowest = left[0][0][0]
     out: dict = {}
     get = out.get
@@ -421,14 +422,33 @@ def _convolve(left, right, a_hi, t_hi, a_lo=None, cap=None) -> dict:
             if a > a_hi:
                 break
             t = t1 + t2
-            if t > t_hi or a < a_lo:
+            if t > t_hi:
                 continue
             key = (a, tuple(map(add, l1, l2)), t)
             val = get(key)
             out[key] = c1 * c2 if val is None else val + c1 * c2
-        if cap is not None and len(out) > cap:
+        if len(out) > cap:
             break
     return out
+
+
+def _pack(l, w: int) -> int:
+    """The int vector l as one int of signed base-2^w digits, l[0] lowest.
+
+    Linear: _pack(l1 + l2) == _pack(l1) + _pack(l2).
+    """
+    return sum(x << (w * i) for i, x in enumerate(l))
+
+
+def _unpack(k: int, rank: int, w: int) -> tuple[int, ...]:
+    """Inverse of _pack for rank digits below 2^(w-1) in absolute value."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    l = []
+    for _ in range(rank):
+        x = ((k + half) & mask) - half
+        l.append(x)
+        k = (k - x) >> w
+    return tuple(l)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +469,10 @@ class ProductFactor:
     l: tuple[Q, ...]
     m: int
     exponent: int
+
+    def __str__(self):
+        l = ",".join(q_str(x) for x in self.l)
+        return f"(1 - q^{self.n} zeta^({l}) xi^{self.m})^{self.exponent}"
 
 
 def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[ProductFactor]:
@@ -538,24 +562,56 @@ def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, a_lo, term_cap):
     leaving the box a_lo <= a <= a_hi, t <= t_max are dropped after every
     factor (None leaves a side open), and more than term_cap nonzero terms
     after any factor raises SeriesOverflowError.
+
+    The accumulator maps each (a, t) to a row {_pack(l, w): c} with no zero
+    c.  A product term's zeta entry sums one binomial term's entry per
+    factor, so with 2^(w-1) above the sum over factors of their largest
+    entry no digit can overflow, and a pair's key is the int k1 + k2.  The
+    box is tested once per pair of rows; keys are unpacked once at the end.
     """
     z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
     t_hi = math.floor(t_max)
-    acc = {(0, (0,) * rank, 0): 1}
-    for fac in factors:
-        poly = _factor_terms(fac, a_max, t_max, max_neg, z)
-        acc = {k: c for k, c in _convolve(acc.items(), poly, a_hi, t_hi, a_lo).items() if c}
-        if term_cap is not None and len(acc) > term_cap:
+    a_hi = math.inf if a_hi is None else a_hi
+    a_lo = -math.inf if a_lo is None else a_lo
+    ls = [_ints(fac.l, z) for fac in factors]
+    binomials = [_binomial(fac, a_max, t_max, max_neg) for fac in factors]
+    bound = sum(b[-1][0] * max(map(abs, l), default=0) for l, b in zip(ls, binomials))
+    w = bound.bit_length() + 1
+    inside = lambda a, t: a_lo <= a <= a_hi and t <= t_hi
+    acc = {(0, 0): {0: 1}}
+    for i, (fac, l, binomial) in enumerate(zip(factors, ls, binomials), 1):
+        # the j = 0 term of a binomial is 1: the rows inside the box, copied
+        key, out = _pack(l, w), {at: row.copy() for at, row in acc.items() if inside(*at)}
+        for j, c2 in binomial[1:]:
+            a2, k2, t2 = j * fac.n, j * key, j * fac.m
+            for (a1, t1), row1 in acc.items():
+                a, t = a1 + a2, t1 + t2
+                if not inside(a, t):
+                    continue
+                row = out.get((a, t))
+                if row is None:
+                    out[(a, t)] = {k1 + k2: c1 * c2 for k1, c1 in row1.items()}
+                    continue
+                get = row.get
+                for k1, c1 in row1.items():
+                    k = k1 + k2
+                    if c := get(k, 0) + c1 * c2:
+                        row[k] = c
+                    else:
+                        del row[k]
+        acc = {at: row for at, row in out.items() if row}
+        if term_cap is not None and sum(map(len, acc.values())) > term_cap:
             raise SeriesOverflowError(
-                f"expansion exceeded {term_cap} stored terms at factor {fac}"
+                f"expansion exceeded {term_cap} stored terms at factor {i} of {len(factors)}: {fac}"
             )
-    return acc, z
+    terms = {(a, _unpack(k, rank, w), t): c for (a, t), row in acc.items() for k, c in row.items()}
+    return terms, z
 
 
-def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int, z: int):
-    """Terms of (1 - u)^exponent with u = q^n zeta^l xi^m, up to the budget.
+def _binomial(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int) -> list[tuple[int, int]]:
+    """Pairs (j, coefficient of u^j) of (1 - u)^exponent, u = q^n zeta^l xi^m.
 
-    Int terms ((a, l, t), c) with the zeta entries scaled by z.
+    The nonzero coefficients up to the budget, j = 0 (coefficient 1) first.
     """
     if fac.m > 0:
         j_max = math.floor(t_max / fac.m)
@@ -563,13 +619,7 @@ def _factor_terms(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int, z: int):
         j_max = math.floor((a_max + t_max * max_neg) / fac.n)
     else:
         j_max = fac.exponent
-    l = [x.numerator * (z // x.denominator) for x in fac.l]
-    out = []
-    for j in range(j_max + 1):
-        coeff = _binomial_coefficient(fac.exponent, j)
-        if coeff:
-            out.append(((j * fac.n, tuple([j * x for x in l]), j * fac.m), coeff))
-    return out
+    return [(j, c) for j in range(j_max + 1) if (c := _binomial_coefficient(fac.exponent, j))]
 
 
 def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
@@ -601,7 +651,9 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     for fac in xi_factors:
         u = monomial(rank, (a_max, t_max), fac.n, fac.l, fac.m, den=den)
         z = math.lcm(*(x.denominator for x in fac.l))
-        geo = dict(_factor_terms(replace(fac, exponent=-1), a_max, t_max, 0, z))
+        l = _ints(fac.l, z)
+        geo = {(j * fac.n, tuple([j * x for x in l]), j * fac.m): c
+               for j, c in _binomial(replace(fac, exponent=-1), a_max, t_max, 0)}
         geo = _from_integral(rank, geo, z, (a_max, t_max), Monomial.zero(rank), den)
         p_over = p * geo  # exact: (1-u) * geo = 1 - u^(j_max+1), beyond the rectangle
         rhs = rhs + (u * p_over).scale(Q(-fac.m * fac.exponent))

@@ -235,6 +235,17 @@ class TestExpandProduct:
         with pytest.raises(SeriesOverflowError):
             expand_product(coeffs, weyl(1), (Q(1), Q(1)), 1, term_cap=50)
 
+    def test_overflow_message_names_the_factor(self):
+        phi, wv = acceptance_dataset("G2")
+        with pytest.raises(SeriesOverflowError) as exc:
+            expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), 2, term_cap=500)
+        message = str(exc.value)
+        assert "Fraction(" not in message
+        assert message == (
+            "expansion exceeded 500 stored terms at factor 16 of 124: "
+            "(1 - q^1 zeta^(1/3,-1/3) xi^0)^1"
+        )
+
 
 class TestLogDerivativeOracle:
     def small_dataset(self):
@@ -587,12 +598,19 @@ def naive_expand(coeffs, rect, rank, term_cap):
     return acc
 
 
+# zeta entries up to 40 in magnitude, so packed digits run wide and carry
+WIDE_ZETA = st.one_of(
+    ZETA,
+    st.sampled_from([1, 2, 3, 6]).flatmap(lambda d: st.integers(-40 * d, 40 * d).map(lambda n: Q(n, d))),
+)
+
+
 @st.composite
 def coefficient_tables(draw, rank):
     table = {}
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(-1, 2))
-        l = draw(st.tuples(*[ZETA] * rank))
+        l = draw(st.tuples(*[WIDE_ZETA] * rank))
         # boundary factors need positive exponents
         table[(n, l)] = draw(st.integers(1, 2) if n == 0 else st.sampled_from([-2, -1, 1, 2, 3]))
     return table
@@ -601,7 +619,7 @@ def coefficient_tables(draw, rank):
 class TestExpandAgainstNaive:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 2).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
+        st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
         st.integers(0, 48).map(lambda n: Q(n, 24)),
         st.integers(0, 48).map(lambda n: Q(n, 24)),
         st.integers(0, 40),
@@ -619,6 +637,56 @@ class TestExpandAgainstNaive:
         assert dict(g.terms) == expected
         assert g.rect == rect
         assert g.prefactor == Monomial(wv.a, wv.b, wv.c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.one_of(st.none(), st.integers(-3, 3)),
+        st.integers(0, 2),
+    )
+    def test_multiply_out_box(self, table_of_rank, a_lo, a_hi, t_max):
+        # the kernel on its own, with boxes expand_product never asks for:
+        # there every term already has a >= -max_neg * t
+        rank, table = table_of_rank
+        rect = (Q(2), Q(t_max))
+        factors = product_factors(table, rect, rank)
+        max_neg = max((-f.n for f in factors if f.n < 0), default=0)
+        keep = lambda a, t: (a_lo is None or a_lo <= a) and (a_hi is None or a <= a_hi) and t <= t_max
+        expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
+        for fac in factors:
+            poly = [
+                ((Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)), Q(c))
+                for j, c in series_mod._binomial(fac, rect[0], rect[1], max_neg)
+            ]
+            expected = nonzero(naive_convolve(expected.items(), poly, keep))
+        terms, z = series_mod._multiply_out(factors, rank, *rect, max_neg, a_hi, a_lo, None)
+        got = {(Q(a), tuple(Q(x, z) for x in l), Q(t)): Q(c) for (a, l, t), c in terms.items()}
+        assert got == expected
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda w: st.tuples(
+        st.just(w),
+        st.lists(st.one_of(
+            st.sampled_from([(1 << (w - 1)) - 1, 1 - (1 << (w - 1)), 0]),
+            st.integers(1 - (1 << (w - 1)), (1 << (w - 1)) - 1),
+        ), max_size=5),
+    )))
+    def test_round_trip_at_the_digit_boundary(self, wl):
+        w, l = wl
+        assert series_mod._unpack(series_mod._pack(l, w), len(l), w) == tuple(l)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda w: st.tuples(
+        st.just(w), *[st.lists(st.integers(-(1 << (w - 3)), 1 << (w - 3)), min_size=4, max_size=4)] * 2
+    )))
+    def test_keys_add(self, wl):
+        # digits up to a quarter of 2^w: sums of two stay inside the digit range
+        w, l1, l2 = wl
+        k = series_mod._pack(l1, w) + series_mod._pack(l2, w)
+        assert series_mod._unpack(k, 4, w) == tuple(x + y for x, y in zip(l1, l2))
 
 
 # SHA-256 of series_to_json(expand_product(...)) on rect (3,3), recorded
@@ -652,6 +720,9 @@ def acceptance_dataset(name):
         "A2": (("A", 2, 1), {}),
         "B2 plain": (("B", 2, 1), {"short_div": 1}),
         "G2": (("G2", 2, 1), {}),
+        "A3": (("A", 3, 1), {}),
+        "C3": (("C", 3, 1), {}),
+        "D4": (("D", 4, 1), {}),
     }[name]
     comp = dataclasses.replace(realize(*args), **changes)
     phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)])
@@ -659,12 +730,34 @@ def acceptance_dataset(name):
     return phi, weyl_vector(phi)
 
 
+# SHA-256 of series_to_json(expand_product(...)) on rect (r, r), recorded
+# before the expansion moved to packed zeta keys: rank >= 3 is where a
+# packed key holds more than one digit
+RANK3_EXPANSION_DIGESTS = {
+    ("A3", 1): "7e7e21d6acfbda8f0f35a8cb469de4a0917faf0f8b0490d9d50013f25fdac37c",
+    ("C3", 1): "6eb6525a19210402e432fbc275b250405138cc516e001cf7ecbbc552dd7f36ae",
+    ("D4", 1): "088ebfa65006deaa58f971a87de3c519670bed81ee94f442a7d0de660dbb226f",
+    ("A3", 2): "61fabdd1f0957e1acee6bac097ca8d3a05a0c12df3c04e74721ec99c955fa172",
+}
+
+
+def _digest(g):
+    text = json.dumps(series_to_json(g), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(EXPANSION_DIGESTS))
 def test_expansion_json_unchanged(name):
     phi, wv = acceptance_dataset(name)
     g = expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), phi.lattice.rank)
-    text = json.dumps(series_to_json(g), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == EXPANSION_DIGESTS[name]
+    assert _digest(g) == EXPANSION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, r", sorted(RANK3_EXPANSION_DIGESTS))
+def test_rank3_expansion_json_unchanged(name, r):
+    phi, wv = acceptance_dataset(name)
+    g = expand_product(phi.coefficient_table(), wv, (Q(r), Q(r)), phi.lattice.rank)
+    assert _digest(g) == RANK3_EXPANSION_DIGESTS[(name, r)]
 
 
 # ---------------------------------------------------------------------------
