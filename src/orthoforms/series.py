@@ -39,7 +39,7 @@ once; internal results are built from ints by ``_new`` with no re-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import count
 from operator import add, itemgetter, sub
@@ -534,13 +534,12 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
                     f"{boundary_budget} zeta monomials"
                 )
     max_neg = max((-f.n for f in factors if f.n < 0), default=0)
-    debt_floor = -t_max * max_neg
-    # factors with n < 0 go first: once they are in, every remaining factor
-    # only raises the q-exponent, so truncation at a_max is sound
+    # factors with n < 0 go first: their terms all have a <= 0, so a bound of
+    # at least 0 drops none of them, and once they are in every remaining
+    # factor only raises the q-exponent, so truncation at a_max is sound
     factors.sort(key=lambda f: (f.n >= 0, f.m, f.n, f.l))
     terms, z = _multiply_out(
-        factors, rank, a_max, t_max, max_neg,
-        a_hi=math.floor(a_max), a_lo=math.ceil(debt_floor), term_cap=term_cap,
+        factors, rank, a_max, t_max, max_neg, a_hi=max(math.floor(a_max), 0), term_cap=term_cap
     )
     return _from_integral(rank, terms, z, (a_max, t_max), Monomial(weyl.a, weyl.b, weyl.c), den)
 
@@ -554,14 +553,17 @@ def _from_integral(rank, terms, z, rect, prefactor: Monomial, den) -> TruncatedS
     return _new(rank, den, zz, 1, out, _int(pa, den), _ints(pb, zz), _int(pc, den), *bounds)._cut(*bounds)
 
 
-def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, a_lo, term_cap):
+def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
     """Terms of the product of the factors' binomials, one factor at a time.
 
     Returns (terms, z): exponents a and t are integers here, and zeta entries
     are scaled by z, the lcm of the factors' zeta denominators.  Products
-    leaving the box a_lo <= a <= a_hi, t <= t_max are dropped after every
-    factor (None leaves a side open), and more than term_cap nonzero terms
-    after any factor raises SeriesOverflowError.
+    leaving the box a <= a_hi, t <= t_max are dropped after every factor
+    (None leaves a_hi open), and more than term_cap nonzero terms after any
+    factor raises SeriesOverflowError (None: no cap).  No lower q bound is
+    needed: n >= -max_neg, and m >= 1 where n < 0, so a binomial term has
+    a = j*n >= -max_neg * j*m = -max_neg * t, hence so does every product,
+    and t <= t_max bounds a below by -max_neg * t_max.
 
     The accumulator maps each (a, t) to a row {_pack(l, w): c} with no zero
     c.  A product term's zeta entry sums one binomial term's entry per
@@ -572,12 +574,11 @@ def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, a_lo, term_cap):
     z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
     t_hi = math.floor(t_max)
     a_hi = math.inf if a_hi is None else a_hi
-    a_lo = -math.inf if a_lo is None else a_lo
     ls = [_ints(fac.l, z) for fac in factors]
     binomials = [_binomial(fac, a_max, t_max, max_neg) for fac in factors]
     bound = sum(b[-1][0] * max(map(abs, l), default=0) for l, b in zip(ls, binomials))
     w = bound.bit_length() + 1
-    inside = lambda a, t: a_lo <= a <= a_hi and t <= t_hi
+    inside = lambda a, t: a <= a_hi and t <= t_hi
     acc = {(0, 0): {0: 1}}
     for i, (fac, l, binomial) in enumerate(zip(factors, ls, binomials), 1):
         # the j = 0 term of a binomial is 1: the rows inside the box, copied
@@ -626,38 +627,37 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
                             den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
     """Difference of the two sides of the logarithmic xi-derivative identity.
 
-    With G0 the expanded product over the factors with n >= 0, the identity
-    D_omega(G0)/G0 = C + sum f(nm,l) (-m) u/(1-u) is verified with
-    denominators cleared:
+    With G0 the expanded product over the factors with n >= 0, u_i their
+    monomials q^n zeta^l xi^m with m > 0 and f_i their exponents, returns
 
-        D_omega(G0) * P  ==  G0 * (C * P + sum_i f_i (-m_i) u_i * P_i)
+        D_omega(G0)  -  G0 * (C + S),    S = sum_i f_i (-m_i) sum_{j >= 1} u_i^j
 
-    where P is the product of (1-u_i) over those factors with m > 0 and
-    P_i = P/(1-u_i) is computed by an exact terminating geometric series.
-    The factors with n < 0 contribute their definitional binomials and are
-    covered by principal_block_residual instead; keeping them out of this
-    identity keeps every exponent floor nonnegative, so the rectangle
-    bookkeeping stays sharp.  The returned series is identically zero iff
-    the identity holds on the rectangle.
+    where sum_{j >= 1} u_i^j is u_i/(1 - u_i), exact on the rectangle because
+    m_i >= 1 makes it terminate at j = floor(t_max/m_i).  S is built directly
+    as one term map, so the check costs a single series product, taken with
+    ``__mul__`` and not with the expansion's own kernel.  The factors with
+    n < 0 contribute their definitional binomials and are covered by
+    principal_block_residual instead; keeping them out of this identity keeps
+    every exponent floor nonnegative, so the rectangle bookkeeping stays
+    sharp.  Clearing denominators would multiply this residual by the unit
+    P = prod_i (1 - u_i), whose constant term is 1 and whose other exponents
+    are all nonnegative, so the two vanish together on the rectangle: the
+    returned series is identically zero iff the identity holds there.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
     g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
     xi_factors = [f for f in product_factors(nonneg, rect, rank) if f.m > 0]
-    p = one(rank, (a_max, t_max), den)
+    z = math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
+    terms: dict = {}
     for fac in xi_factors:
-        p = p * _binomial_series(fac, rank, (a_max, t_max), den)
-    rhs = p.scale(_q(weyl.c))
-    for fac in xi_factors:
-        u = monomial(rank, (a_max, t_max), fac.n, fac.l, fac.m, den=den)
-        z = math.lcm(*(x.denominator for x in fac.l))
         l = _ints(fac.l, z)
-        geo = {(j * fac.n, tuple([j * x for x in l]), j * fac.m): c
-               for j, c in _binomial(replace(fac, exponent=-1), a_max, t_max, 0)}
-        geo = _from_integral(rank, geo, z, (a_max, t_max), Monomial.zero(rank), den)
-        p_over = p * geo  # exact: (1-u) * geo = 1 - u^(j_max+1), beyond the rectangle
-        rhs = rhs + (u * p_over).scale(Q(-fac.m * fac.exponent))
-    return g0.derive("omega") * p - g0 * rhs
+        for j in range(1, math.floor(t_max / fac.m) + 1):
+            key = (j * fac.n, tuple([j * x for x in l]), j * fac.m)
+            terms[key] = terms.get(key, 0) - fac.m * fac.exponent
+    terms = {k: c for k, c in terms.items() if c}
+    s = _from_integral(rank, terms, z, (a_max, t_max), Monomial.zero(rank), den)
+    return g0.derive("omega") - g0 * (s + one(rank, (a_max, t_max), den).scale(_q(weyl.c)))
 
 
 def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
@@ -674,15 +674,9 @@ def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q]
     g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
     neg_factors = [f for f in product_factors(coeffs, rect, rank) if f.n < 0]
     max_neg = max((-f.n for f in neg_factors), default=0)
-    block, z = _multiply_out(
-        neg_factors, rank, a_max, t_max, max_neg, a_hi=None, a_lo=None, term_cap=None
-    )
+    block, z = _multiply_out(neg_factors, rank, a_max, t_max, max_neg, a_hi=None, term_cap=None)
     product = g0 * _from_integral(rank, block, z, (a_max, t_max), Monomial.zero(rank), den)
     return g._cut(product._ra, product._rt) - product._cut(product._ra, product._rt)
-
-
-def _binomial_series(fac: ProductFactor, rank: int, rect, den: int) -> TruncatedSeries:
-    return one(rank, rect, den) - monomial(rank, rect, fac.n, fac.l, fac.m, den=den)
 
 
 # ---------------------------------------------------------------------------

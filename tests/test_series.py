@@ -217,6 +217,15 @@ class TestExpandProduct:
         assert g.terms[key(-1, (0,), 1)] == -1
         assert g.terms[key(1, (0,), 0)] == -24
 
+    def test_negative_a_max_keeps_the_debt_terms(self):
+        # q^-1 zeta xi needs the unit term times the second factor's u, so
+        # no term may be cut at a <= a_max while the n < 0 factors go in
+        coeffs = {(-1, (Q(0),)): 1, (-1, (Q(1),)): 1}
+        g = expand_product(coeffs, weyl(1), (Q(-1), Q(2)), 1)
+        wide = expand_product(coeffs, weyl(1), (Q(4), Q(2)), 1)
+        assert dict(g.terms) == {k: c for k, c in wide.terms.items() if k[0] <= -1}
+        assert g.terms[key(-1, (1,), 1)] == -1
+
     def test_moderate_boundary_block_succeeds(self):
         coeffs = {}
         for i in range(4):
@@ -274,7 +283,7 @@ class TestLogDerivativeOracle:
     def test_identity_detects_tampered_expansion(self):
         # the two sides agree for a correct expansion; flipping one stored
         # coefficient of the expansion must break the cleared identity
-        from orthoforms.series import _binomial_series, product_factors
+        from orthoforms.series import product_factors
 
         phi, wv = self.small_dataset()
         table = {k: v for k, v in phi.coefficient_table().items() if k[0] >= 0}
@@ -284,7 +293,7 @@ class TestLogDerivativeOracle:
         xi_factors = [f for f in product_factors(table, rect, rank) if f.m > 0]
         p = one(rank, rect)
         for fac in xi_factors:
-            p = p * _binomial_series(fac, rank, rect, 24)
+            p = p * (one(rank, rect) - monomial(rank, rect, fac.n, fac.l, fac.m))
         rhs_bracket = p.scale(wv.c)
         for fac in xi_factors:
             u = monomial(rank, rect, fac.n, fac.l, fac.m)
@@ -302,6 +311,40 @@ class TestLogDerivativeOracle:
         tampered_terms[bump] = tampered_terms.get(bump, Q(0)) + 1
         g_bad = TruncatedSeries(rank, tampered_terms, g0.rect, g0.prefactor, g0.den)
         assert not (g_bad.derive("omega") * p - g_bad * rhs_bracket).is_zero
+
+    @pytest.mark.parametrize("oracle", [log_derivative_residual, principal_block_residual])
+    def test_oracles_detect_tampered_expansion(self, monkeypatch, oracle):
+        # bump one coefficient of the expansion the oracle checks; for
+        # principal_block_residual that is the full one, not the n >= 0 block
+        phi, wv = self.small_dataset()
+        table, rank = phi.coefficient_table(), phi.lattice.rank
+        expand = series_mod.expand_product
+
+        def tampered(coeffs, *args, **kwargs):
+            g = expand(coeffs, *args, **kwargs)
+            if oracle is principal_block_residual and coeffs is not table:
+                return g
+            terms = dict(g.terms)
+            bump = (Q(1), (Q(0),) * rank, Q(1))
+            terms[bump] = terms.get(bump, Q(0)) + 1
+            return TruncatedSeries(rank, terms, g.rect, g.prefactor, g.den)
+
+        assert oracle(table, wv, (Q(2), Q(2)), rank).is_zero
+        monkeypatch.setattr(series_mod, "expand_product", tampered)
+        assert not oracle(table, wv, (Q(2), Q(2)), rank).is_zero
+
+    def test_one_series_product(self, monkeypatch):
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counting(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+        phi, wv = acceptance_dataset("G2")
+        assert log_derivative_residual(phi.coefficient_table(), wv, (Q(2), Q(2)), 2).is_zero
+        assert len(calls) == 1
 
 
 class TestJacobian:
@@ -606,13 +649,16 @@ WIDE_ZETA = st.one_of(
 
 
 @st.composite
-def coefficient_tables(draw, rank):
+def coefficient_tables(draw, rank, principal=0):
     table = {}
     for _ in range(draw(st.integers(0, 3))):
         n = draw(st.integers(-1, 2))
         l = draw(st.tuples(*[WIDE_ZETA] * rank))
         # boundary factors need positive exponents
         table[(n, l)] = draw(st.integers(1, 2) if n == 0 else st.sampled_from([-2, -1, 1, 2, 3]))
+    # that many more entries at n = -1, each a factor (1 - q^-1 zeta^l xi)^f
+    for _ in range(principal):
+        table[(-1, draw(st.tuples(*[WIDE_ZETA] * rank)))] = draw(st.sampled_from([-2, -1, 1, 2, 3]))
     return table
 
 
@@ -640,19 +686,34 @@ class TestExpandAgainstNaive:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-72, -1).map(lambda n: Q(n, 24)),
+        st.integers(24, 48).map(lambda n: Q(n, 24)),
+    )
+    def test_negative_a_max(self, table_of_rank, a_max, t_max):
+        # a rect below a = 0 is the a_max = 0 expansion cut to a <= a_max:
+        # the factors it adds all lie above a_max; two or more principal-part
+        # factors are where a cut at a_max during the n < 0 block loses terms
+        rank, table = table_of_rank
+        wv = WeylVector(Q(1, 24), (Q(1, 2),) * rank, Q(-5, 24))
+        expected = naive_expand(table, (Q(0), t_max), rank, math.inf)
+        g = expand_product(table, wv, (a_max, t_max), rank)
+        assert dict(g.terms) == {k: c for k, c in expected.items() if k[0] <= a_max}
+        assert g.rect == (a_max, t_max)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
-        st.one_of(st.none(), st.integers(-3, 3)),
         st.one_of(st.none(), st.integers(-3, 3)),
         st.integers(0, 2),
     )
-    def test_multiply_out_box(self, table_of_rank, a_lo, a_hi, t_max):
-        # the kernel on its own, with boxes expand_product never asks for:
-        # there every term already has a >= -max_neg * t
+    def test_multiply_out_box(self, table_of_rank, a_hi, t_max):
+        # the kernel on its own, with q bounds expand_product never asks for
         rank, table = table_of_rank
         rect = (Q(2), Q(t_max))
         factors = product_factors(table, rect, rank)
         max_neg = max((-f.n for f in factors if f.n < 0), default=0)
-        keep = lambda a, t: (a_lo is None or a_lo <= a) and (a_hi is None or a <= a_hi) and t <= t_max
+        keep = lambda a, t: (a_hi is None or a <= a_hi) and t <= t_max
         expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
         for fac in factors:
             poly = [
@@ -660,7 +721,7 @@ class TestExpandAgainstNaive:
                 for j, c in series_mod._binomial(fac, rect[0], rect[1], max_neg)
             ]
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
-        terms, z = series_mod._multiply_out(factors, rank, *rect, max_neg, a_hi, a_lo, None)
+        terms, z = series_mod._multiply_out(factors, rank, *rect, max_neg, a_hi, None)
         got = {(Q(a), tuple(Q(x, z) for x in l), Q(t)): Q(c) for (a, l, t), c in terms.items()}
         assert got == expected
 
@@ -758,6 +819,33 @@ def test_rank3_expansion_json_unchanged(name, r):
     phi, wv = acceptance_dataset(name)
     g = expand_product(phi.coefficient_table(), wv, (Q(r), Q(r)), phi.lattice.rank)
     assert _digest(g) == RANK3_EXPANSION_DIGESTS[(name, r)]
+
+
+# SHA-256 of series_to_json of the two residual oracles on rect (3,3),
+# recorded while log_derivative_residual still cleared denominators
+RESIDUAL_DIGESTS = {
+    ("A1 plain", "log"): "30e1bdc2fe2069a0f003ba8fd8caf98fbbff8e5fa37873463dc07f1f782b85d3",
+    ("A1 plain", "principal"): "869b9de925fbbc7b6e846887e7422ccb68d452a38e587c77d841d649d7b5d5ce",
+    ("A1 subcase i", "log"): "b11627be84b35a95a76052ca630f27cedf1131f27abe72b8d6f6e4109cee6fac",
+    ("A1 subcase i", "principal"): "78e593083a8a5a893b31c396a70787162de4479b792ef42d53750cc4fccfc2f3",
+    ("A2", "log"): "381f5de6602c8a72998f39a37fd9929a3c11c75cf82b6414712f2f638c32e623",
+    ("A2", "principal"): "e6c6f8e6281b010473858c79af0972ed0ca52aedc9ad10e7b60fecf702f4590f",
+    ("B2 plain", "log"): "73b8c55e4087f27c2c2661f6f86f3ee4417f424bcd0a6b026a1a78f81c0439b3",
+    ("B2 plain", "principal"): "b586f94f82aca73a4a1023e53f33179998bf87dad0e9ff1feec4dc57ae712712",
+    ("G2", "log"): "f73a82c86ee8c184179476cb2beb6f069226cf10374ed9e3408edf62cf852d30",
+    ("G2", "principal"): "6295320335af2351d4e8a6c55b2a59c78bd0b5dd32cdf169c50f75101c6eda1b",
+    ("empty weight 12", "log"): "ca748192486a70135b82c830b4071e1a75eb8a302647ee8dd05ac6d31bb71aed",
+    ("empty weight 12", "principal"): "d3bf603224ee434c187d0e5b16a8d787e255bc4643a96c4f1a07cb8964715f9b",
+}
+
+
+@pytest.mark.parametrize("name, oracle", sorted(RESIDUAL_DIGESTS))
+def test_residual_json_unchanged(name, oracle):
+    phi, wv = acceptance_dataset(name)
+    residual = {"log": log_derivative_residual, "principal": principal_block_residual}[oracle]
+    res = residual(phi.coefficient_table(), wv, (Q(3), Q(3)), phi.lattice.rank)
+    assert res.is_zero
+    assert _digest(res) == RESIDUAL_DIGESTS[(name, oracle)]
 
 
 # ---------------------------------------------------------------------------
