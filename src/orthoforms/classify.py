@@ -1,14 +1,14 @@
 """Enumeration and resolution of candidate root-system decompositions.
 
-Candidates are multisets of rescaled irreducible components drawn from a
-fixed admissible pool, filtered by three arithmetic conditions: all
-components share one modified Coxeter number, that number is an integer,
-and it is at least total rank + 1.  Each surviving candidate either maps
-to one of the 26 accepted (lattice, group) pairs or is excluded with a
-machine-readable reason, a literature citation, and, where possible, an
-exact arithmetic check run through the same machinery the accepted cases
-use.  Both outcomes are rows of one table keyed by candidate components
-(ACCEPTED and EXCLUDED below).
+Candidates are multisets of rescaled irreducible components, each of a
+Cartan type of ``roots.TYPES`` with short roots of div d, filtered by three
+arithmetic conditions: all components share one modified Coxeter number,
+that number is an integer, and it is at least total rank + 1.  Each
+surviving candidate either maps to one of the 26 accepted (lattice, group)
+pairs or is excluded with a machine-readable reason, a literature citation,
+and, where possible, an exact arithmetic check run through the same
+machinery the accepted cases use.  Both outcomes are rows of one table
+keyed by candidate components (ACCEPTED and EXCLUDED below).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Callable
 
-from .roots import TYPES, build_dual_set, display_name, modified_coxeter_value, realize
+from .roots import TYPES, build_dual_set, display_name, realize
 from .series import q_str
 from .weyl import qzero_from_dual_sets, quadratic_weyl_constant, solve_weight, weyl_vector
 
@@ -36,21 +36,6 @@ GROUP_NAMES = {
 
 class ClassificationError(RuntimeError):
     pass
-
-
-# admissible pool: (family, d, admissible ranks); every member's modified
-# Coxeter number is an integer realized by at least one admissible rank
-POOL: tuple[tuple[str, int, tuple[int, ...]], ...] = tuple(
-    (family, d, tuple(TYPES[family].ranks))
-    for family, d in (
-        ("A", 1), ("B", 1), ("C", 1), ("D", 1), ("E6", 1), ("E7", 1), ("E7", 2),
-        ("E8", 1), ("E8", 2), ("E8", 3), ("G2", 1), ("F4", 1),
-    )
-)
-
-
-def pool_modified_coxeter(family: str, rank: int, d: int) -> Q:
-    return modified_coxeter_value(family, rank, d, "d", None)
 
 
 Component = tuple[str, int, int]  # (family, rank, d)
@@ -76,22 +61,27 @@ class CandidateSystem:
 
 
 def enumerate_candidates(max_rank: int = 8) -> list[CandidateSystem]:
-    """All admissible multisets with a shared integral modified Coxeter number.
+    """All multisets of components with a shared integral modified Coxeter number.
 
-    The filters: equal modified Coxeter numbers across components, the
-    common value an integer, and at least total rank + 1; total rank capped
-    by the free-algebra rank bound.
+    The components are (t, n, d) for each type t of ``TYPES``, each rank n
+    in its range and each d dividing h(n) = ``TYPES[t].h(n)`` with
+    h(n)/d >= n + 1, which bounds d by h(n)/(n + 1).  Multisets keep the
+    common value h(n)/d at least total rank + 1, with total rank capped by
+    the free-algebra rank bound.
     """
     if max_rank > 8:
         raise ValueError("rank bound is 8")
-    members: list[tuple[Component, Q]] = []
-    for family, d, ranks in POOL:
-        for n in ranks:
-            members.append(((family, n, d), pool_modified_coxeter(family, n, d)))
+    # Assumption: every component has short roots of div d.  A1 and B2-B8
+    # at d = 1 with short div 2d (subcase ii) pass the same two filters,
+    # with h = n + 1, but are not enumerated, so no row of the table below
+    # accepts or excludes them.
     by_h: dict[Q, list[Component]] = {}
-    for comp, h in members:
-        if h.denominator == 1:
-            by_h.setdefault(h, []).append(comp)
+    for family, ct in TYPES.items():
+        for n in ct.ranks:
+            h = ct.h(n)
+            for d in range(1, h // (n + 1) + 1):
+                if h % d == 0:
+                    by_h.setdefault(Q(h // d), []).append((family, n, d))
     out: list[CandidateSystem] = []
     for h, comps in sorted(by_h.items()):
         comps = sorted(comps)
@@ -133,7 +123,7 @@ class LedgerCheck:
 
 @lru_cache(maxsize=None)
 def _solved_data(family: str, rank: int, d: int):
-    """(k, A, C) computed from the realized plain dual set of a pool component."""
+    """(k, A, C) computed from the realized plain dual set of an enumerated component."""
     comp = realize(family, rank, d)
     plain = dataclasses.replace(comp, short_div=comp.d, subcase=None)
     phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(plain)])
@@ -153,32 +143,28 @@ def _weyl_pairs(weight_name: str, k, a, c) -> Pairs:
     return ((weight_name, q_str(k)), ("weyl_A", q_str(a)), ("weyl_C", q_str(c)))
 
 
-def _e8_scale2_deficit(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+def _e8_scale2_deficit(comp: Component) -> tuple[LedgerCheck, Pairs]:
     lhs, rhs = 12 + 60, 10 + 4 + 6 + 8 * 9
-    solved_ok, pairs = True, ()
-    if record:
-        k, _, _ = _solved_data(*comp)
-        solved_ok, pairs = k == lhs, (("weight", q_str(k)), ("deficit", f"{lhs} < {rhs}"))
-    return _deficit("e8-scale2-weight-deficit", "12 + 60 < 10 + 4 + 6 + 8*9", lhs, rhs, solved_ok), pairs
+    k, _, _ = _solved_data(*comp)
+    entry = _deficit("e8-scale2-weight-deficit", "12 + 60 < 10 + 4 + 6 + 8*9", lhs, rhs, k == lhs)
+    return entry, (("weight", q_str(k)), ("deficit", f"{lhs} < {rhs}"))
 
 
-def _e7_scale2_deficit(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+def _e7_scale2_deficit(comp: Component) -> tuple[LedgerCheck, Pairs]:
     k, a, c = 57, 10, 9  # the Jacobian's weight and Weyl vector (10, *, 9)
+    solved = _solved_data(*comp)
     lhs, rhs = k - c, 4 * 3 + 6 * 7
-    solved_ok, pairs = True, ()
-    if record:
-        solved = _solved_data(*comp)
-        solved_ok, pairs = solved == (k, a, c), _weyl_pairs("weight", *solved)
-    return _deficit("e7-scale2-weight-deficit", "57 - 9 < 4*3 + 6*7", lhs, rhs, solved_ok), pairs
+    entry = _deficit("e7-scale2-weight-deficit", "57 - 9 < 4*3 + 6*7", lhs, rhs, solved == (k, a, c))
+    return entry, _weyl_pairs("weight", *solved)
 
 
-def _e8_scale3_weight(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+def _e8_scale3_weight(comp: Component) -> tuple[LedgerCheck, Pairs]:
     k, a, c = _solved_data(*comp)
     values = _weyl_pairs("k", k, a, c)
     return LedgerCheck("e8-scale3-weight", "solved weight k = 12", values, k == 12), values
 
 
-def _n8_bookkeeping(comp: Component, record: bool) -> tuple[LedgerCheck, Pairs]:
+def _n8_bookkeeping(comp: Component) -> tuple[LedgerCheck, Pairs]:
     k, a, c = _solved_data(*comp)
     solved = _weyl_pairs("weight", k, a, c)
     entry = LedgerCheck(
@@ -208,17 +194,16 @@ def _checked(entry: LedgerCheck) -> LedgerCheck:
 class Exclusion:
     """Why a candidate is excluded, and the check of the arithmetic, if any.
 
-    ``check(component, record)`` evaluates the exclusion's arithmetic once
-    and returns its ledger entry with the record's check pairs.  With
-    record=False it returns the ledger entry alone, and the E8(2) and E7(2)
-    entries are plain integer arithmetic that solves nothing; with
-    record=True the entry passes only if the solved component also has the
-    weight and Weyl vector the argument uses.
+    ``check(component)`` evaluates the exclusion's arithmetic once, on the
+    component's solved weight and Weyl vector, and returns its ledger entry
+    with the record's check pairs.  The entry passes only if the arithmetic
+    holds and the solved values are the ones the argument uses; ``resolve``
+    and ``ledger_arithmetic_checks`` both run it.
     """
 
     reason: str
     citation: str
-    check: Callable[[Component, bool], tuple[LedgerCheck, Pairs]] | None = None
+    check: Callable[[Component], tuple[LedgerCheck, Pairs]] | None = None
 
 
 # the 26 accepted pairs, keyed by candidate components, in display order
@@ -306,7 +291,7 @@ def resolve(candidate: CandidateSystem) -> ClassificationRecord:
         return ClassificationRecord(candidate, "unresolved")
     checks: Pairs = ()
     if exclusion.check:
-        entry, checks = exclusion.check(key[0], True)
+        entry, checks = exclusion.check(key[0])
         _checked(entry)
     return ClassificationRecord(
         candidate, "excluded", reason=exclusion.reason, citation=exclusion.citation, checks=checks
@@ -351,7 +336,7 @@ def ledger_arithmetic_checks() -> tuple[LedgerCheck, ...]:
     checked exclusion row.
     """
     entries = [_deficit("rank-bound-weight-deficit", "132 < 8*19 + 18", 132, 8 * 19 + 18)]
-    entries += [ex.check(key[0], False)[0] for key, ex in EXCLUDED.items() if ex.check]
+    entries += [ex.check(key[0])[0] for key, ex in EXCLUDED.items() if ex.check]
     return tuple(map(_checked, entries))
 
 

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .series import parse_q, q_str
+from .series import q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -31,7 +31,7 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     if len(parts) != 2:
         raise CliError(f"--rect expects 'A,T', got {text!r}")
     try:
-        return parse_q(parts[0]), parse_q(parts[1])
+        return Q(parts[0]), Q(parts[1])
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse rectangle bounds {text!r}")
 
@@ -85,7 +85,7 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
                 f"{path}: coefficient entry {index} {item!r}: 'l' must be a list, got {item.get('l')!r}"
             )
         try:
-            coords = tuple(parse_q(str(v)) for v in item["l"])
+            coords = tuple(Q(str(v)) for v in item["l"])
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"{path}: bad coefficient entry {index} {item!r}: {exc}")
         if entries.setdefault((item["n"], coords), item["f"]) != item["f"]:
@@ -111,7 +111,7 @@ def _load_qzero(path: str) -> weyl_mod.QZeroData:
     try:
         if isinstance(k_raw, bool) or not isinstance(k_raw, (int, str)):
             raise ValueError
-        k = None if k_raw == "symbolic" else parse_q(k_raw)
+        k = None if k_raw == "symbolic" else Q(k_raw)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"{path}: 'k' must be \"symbolic\", an integer or a rational string, got {k_raw!r}")
     try:
@@ -204,16 +204,21 @@ def _mc_field(comp) -> str | None:
         return None
 
 
+def _with_weight(phi, report=None):
+    """phi with a symbolic weight solved; exit 3 when the sum rule (report, if given) fails."""
+    if phi.k is not None:
+        return phi
+    if report is None:
+        report = weyl_mod.quadratic_weyl_constant(phi)
+    if not report.ok:
+        raise CliError(f"weight is symbolic and the sum rule failed: {report.reason}", EXIT_MISSING)
+    return phi.with_weight(weyl_mod.solve_weight(phi))
+
+
 def cmd_weyl(args) -> int:
     phi = _load_qzero(args.coeffs)
     report = weyl_mod.quadratic_weyl_constant(phi)
-    if phi.k is None:
-        if not report.ok:
-            raise CliError(
-                f"weight is symbolic and the sum rule failed: {report.reason}",
-                EXIT_MISSING,
-            )
-        phi = phi.with_weight(weyl_mod.solve_weight(phi))
+    phi = _with_weight(phi, report)
     wv = weyl_mod.weyl_vector(phi)
     d, sign = weyl_mod.character_data(phi)
     doc = {
@@ -242,14 +247,7 @@ def cmd_weyl(args) -> int:
 def cmd_borch(args) -> int:
     phi = _load_qzero(args.coeffs)
     rect = _parse_rect(args.rect)
-    if phi.k is None:
-        report = weyl_mod.quadratic_weyl_constant(phi)
-        if not report.ok:
-            raise CliError(
-                f"weight is symbolic and the sum rule failed: {report.reason}",
-                EXIT_MISSING,
-            )
-        phi = phi.with_weight(weyl_mod.solve_weight(phi))
+    phi = _with_weight(phi)
     wv = weyl_mod.weyl_vector(phi)
     if args.den >= 1 and (args.den % wv.a.denominator or args.den % wv.c.denominator):
         raise CliError(

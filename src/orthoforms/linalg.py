@@ -140,6 +140,11 @@ def rank(m: Mat) -> int:
     return len(_echelon(map(_int_row, m)))
 
 
+def _scaled(coords: Sequence, den: int) -> tuple[int, ...]:
+    """den * x as ints, for den a multiple of every entry's denominator."""
+    return tuple([x.numerator * (den // x.denominator) for x in coords])
+
+
 def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:
     """Each integer vector divided by den, with one Fraction per distinct entry."""
     q = {v: Q(v, den) for v in {v for x in vectors for v in x}}

@@ -10,7 +10,8 @@ tag supplied by the caller.
 
 ``TYPES`` is the single source of the facts of the nine Cartan types; the
 component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
-``display_name`` (both labels) and the pool of ``classify`` read it.
+``display_name`` (both labels) and the candidate enumeration of
+``classify`` read it.
 
 Dual sets are built on integers: r/m is the integer tuple r (s/m) over
 s = lcm of the m in use, which sorts like the Fractions because s > 0, and

@@ -46,6 +46,7 @@ from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .linalg import _scaled
 from .weyl import WeylVector, is_positive_direction
 
 DEFAULT_DEN = 24
@@ -81,10 +82,6 @@ def _q(x) -> Q:
 def _int(x: Q, scale: int) -> int:
     """A rational whose denominator divides scale, times scale."""
     return x.numerator * (scale // x.denominator)
-
-
-def _ints(xs, scale: int) -> tuple[int, ...]:
-    return tuple([_int(x, scale) for x in xs])
 
 
 def _bound(r: Q, den: int) -> tuple:
@@ -132,8 +129,8 @@ class TruncatedSeries:
                 clean[(a, l, t)] = coeff
         z = math.lcm(*{x.denominator for l in (pb, *(l for _, l, _ in clean)) for x in l})
         d = math.lcm(*{c.denominator for c in clean.values()})
-        ints = {(_int(a, den), _ints(l, z), _int(t, den)): _int(c, d) for (a, l, t), c in clean.items()}
-        _fill(self, rank, den, z, d, ints, _int(pa, den), _ints(pb, z), _int(pc, den),
+        ints = {(_int(a, den), _scaled(l, z), _int(t, den)): _int(c, d) for (a, l, t), c in clean.items()}
+        _fill(self, rank, den, z, d, ints, _int(pa, den), _scaled(pb, z), _int(pc, den),
               _bound(a_max, den), _bound(t_max, den))
         self._rect = (a_max, t_max)
 
@@ -481,6 +478,11 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
     The triple ordering means m > 0, or m = 0 and n > 0, or m = n = 0 and
     l < 0.  Absent coefficients are read as zero.  The q budget extends past
     a_max by the debt that principal-part factors with negative n can carry.
+
+    The factors come in expansion order, by (n >= 0, m, n, l): those with
+    n < 0 go first, as every one of their terms has a <= 0, so a bound of at
+    least 0 drops none of them, and once they are in every remaining factor
+    only raises the q-exponent, so truncation at a_max is sound.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     support: dict[int, list[tuple[tuple[Q, ...], int]]] = {}
@@ -503,7 +505,7 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
                 continue
             for l, f in support.get(n * m, []):
                 factors.append(ProductFactor(n, l, m, f))
-    factors.sort(key=lambda fac: (fac.m, fac.n, fac.l))
+    factors.sort(key=lambda fac: (fac.n >= 0, fac.m, fac.n, fac.l))
     return factors
 
 
@@ -534,10 +536,6 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
                     f"{boundary_budget} zeta monomials"
                 )
     max_neg = max((-f.n for f in factors if f.n < 0), default=0)
-    # factors with n < 0 go first: their terms all have a <= 0, so a bound of
-    # at least 0 drops none of them, and once they are in every remaining
-    # factor only raises the q-exponent, so truncation at a_max is sound
-    factors.sort(key=lambda f: (f.n >= 0, f.m, f.n, f.l))
     terms, z = _multiply_out(
         factors, rank, a_max, t_max, max_neg, a_hi=max(math.floor(a_max), 0), term_cap=term_cap
     )
@@ -550,7 +548,7 @@ def _from_integral(rank, terms, z, rect, prefactor: Monomial, den) -> TruncatedS
     zz = math.lcm(z, *(x.denominator for x in pb))
     m, bounds = zz // z, (_bound(rect[0], den), _bound(rect[1], den))
     out = {(a * den, tuple([x * m for x in l]), t * den): c for (a, l, t), c in terms.items()}
-    return _new(rank, den, zz, 1, out, _int(pa, den), _ints(pb, zz), _int(pc, den), *bounds)._cut(*bounds)
+    return _new(rank, den, zz, 1, out, _int(pa, den), _scaled(pb, zz), _int(pc, den), *bounds)._cut(*bounds)
 
 
 def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
@@ -574,7 +572,7 @@ def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
     z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
     t_hi = math.floor(t_max)
     a_hi = math.inf if a_hi is None else a_hi
-    ls = [_ints(fac.l, z) for fac in factors]
+    ls = [_scaled(fac.l, z) for fac in factors]
     binomials = [_binomial(fac, a_max, t_max, max_neg) for fac in factors]
     bound = sum(b[-1][0] * max(map(abs, l), default=0) for l, b in zip(ls, binomials))
     w = bound.bit_length() + 1
@@ -651,7 +649,7 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     z = math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
     terms: dict = {}
     for fac in xi_factors:
-        l = _ints(fac.l, z)
+        l = _scaled(fac.l, z)
         for j in range(1, math.floor(t_max / fac.m) + 1):
             key = (j * fac.n, tuple([j * x for x in l]), j * fac.m)
             terms[key] = terms.get(key, 0) - fac.m * fac.exponent
@@ -789,10 +787,6 @@ def q_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_q(s: str) -> Q:
-    return Q(s)
-
-
 def series_to_json(x: TruncatedSeries) -> dict:
     terms = [
         {"a": q_str(a), "l": [q_str(v) for v in l], "t": q_str(t), "c": q_str(c)}
@@ -825,10 +819,13 @@ def _json_int(value, what: str, least: int) -> int:
 
 
 def _json_q(value, what: str) -> Q:
-    try:
-        return parse_q(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError(f"{what} must be a rational 'p/q', got {value!r}") from None
+    """A rational from a string or an integer; floats and booleans are rejected."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return Q(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")
 
 
 def series_from_json(doc: dict) -> TruncatedSeries:

@@ -44,11 +44,6 @@ def _normalize_coords(coords) -> Coords:
     return tuple(x if type(x) is Q else Q(x) for x in coords)
 
 
-def _scaled(coords: Coords, den: int) -> Ints:
-    """den * l as ints, for den a multiple of every coordinate's denominator."""
-    return tuple([x.numerator * (den // x.denominator) for x in coords])
-
-
 def _coords(x: Ints, den: int) -> Coords:
     return tuple(Q(v, den) for v in x)
 
@@ -82,7 +77,7 @@ class QZeroData:
         k = None if k is None else Q(k)
         rational = [(n, _normalize_coords(c), v) for (n, c), v in entries.items()]
         den = lcm(*(x.denominator for _, c, _ in rational for x in c))
-        self._store(lattice, k, den, (((n, _scaled(c, den)), v) for n, c, v in rational))
+        self._store(lattice, k, den, (((n, linalg._scaled(c, den)), v) for n, c, v in rational))
 
     def _store(self, lattice: Lattice, k: Q | None, den: int, entries) -> "QZeroData":
         """Validate ((n, den * l), f(n, l)) pairs on integers and keep them."""
@@ -133,7 +128,7 @@ class QZeroData:
             return int(two_k)
         if any(self._den % x.denominator for x in coords):
             return 0  # off the table's grid, so not stored
-        return self._map.get((n, _scaled(coords, self._den)), 0)
+        return self._map.get((n, linalg._scaled(coords, self._den)), 0)
 
     def q0_entries(self) -> list[tuple[Coords, int]]:
         """The (l, f(0, l)) pairs with l nonzero, sorted."""
@@ -193,7 +188,7 @@ def qzero_from_dual_sets(
     den = 2 * lcm(*(x.denominator for c, _ in rational for x in c))
     flags: dict[Ints, bool] = {}
     for coords, flag in rational:
-        if flags.setdefault(_scaled(coords, den), flag) != flag:
+        if flags.setdefault(linalg._scaled(coords, den), flag) != flag:
             raise CoefficientConflictError(f"inconsistent duality flags for {coords}")
     contributions: dict[Ints, int] = {}
     for x, flag in flags.items():

@@ -20,14 +20,13 @@ from orthoforms.classify import (
     ACCEPTED,
     EXCLUDED,
     GROUP_O1,
-    POOL,
     ClassificationError,
     CandidateSystem,
-    pool_modified_coxeter,
     report_to_json,
     report_to_text,
 )
 from orthoforms.cli import main
+from orthoforms.roots import TYPES
 
 # the 26 accepted pairs in display order
 EXPECTED_26 = (
@@ -60,44 +59,64 @@ EXPECTED_26 = (
 )
 
 
+def _scan_modified_coxeter(max_d=12):
+    """(family, n, d, div case, subcase) of every table branch passing both filters.
+
+    A branch passes when its modified Coxeter number is an integer of at
+    least rank + 1; the short roots have div d, or div 2d in a subcase for
+    A1 and B.
+    """
+    families = {
+        "A": range(1, 9),
+        "B": range(2, 9),
+        "C": range(3, 9),
+        "D": range(4, 9),
+        "E6": (6,),
+        "E7": (7,),
+        "E8": (8,),
+        "G2": (2,),
+        "F4": (4,),
+    }
+    passing = set()
+    for family, ranks in families.items():
+        for d in range(1, max_d + 1):
+            for n in ranks:
+                branches = [("d", None)]
+                if family == "B" or (family == "A" and n == 1):
+                    branches += [("2d", s) for s in ("i", "ii", "iii")]
+                for div_case, sub in branches:
+                    h = modified_coxeter_value(family, n, d, div_case, sub)
+                    if h.denominator == 1 and h >= n + 1:
+                        passing.add((family, n, d, div_case, sub))
+    return passing
+
+
 class TestPool:
     def test_regenerated_by_brute_force(self):
-        """The admissible pool must match a scan over all table cases.
+        """The enumerated (family, d) pairs match a scan over all table cases.
 
         A (family, d) pair is admissible when some rank <= 8 gives an
         integral modified Coxeter number of at least rank + 1, for at least
         one div/subcase branch.
         """
-        families = {
-            "A": range(1, 9),
-            "B": range(2, 9),
-            "C": range(3, 9),
-            "D": range(4, 9),
-            "E6": (6,),
-            "E7": (7,),
-            "E8": (8,),
-            "G2": (2,),
-            "F4": (4,),
-        }
-        regenerated = set()
-        for family, ranks in families.items():
-            for d in range(1, 13):
-                for n in ranks:
-                    branches = [("d", None)]
-                    if family == "B" or (family == "A" and n == 1):
-                        branches += [("2d", s) for s in ("i", "ii", "iii")]
-                    for div_case, sub in branches:
-                        h = modified_coxeter_value(family, n, d, div_case, sub)
-                        if h.denominator == 1 and h >= n + 1:
-                            regenerated.add((family, d))
-        declared = {(family, d) for family, d, _ in POOL}
-        assert regenerated == declared
+        regenerated = {(family, d) for family, _, d, _, _ in _scan_modified_coxeter()}
+        enumerated = {(family, d) for c in enumerate_candidates() for family, _, d in c.components}
+        assert regenerated == enumerated
 
     def test_pool_values_integral(self):
-        for family, d, ranks in POOL:
-            for n in ranks:
-                h = pool_modified_coxeter(family, n, d)
-                assert h >= 1
+        """Each enumerated component's TYPES value h(n)/d is the table's integral value."""
+        components = {comp for c in enumerate_candidates() for comp in c.components}
+        assert len(components) == 34
+        for family, n, d in components:
+            h = modified_coxeter_value(family, n, d, "d", None)
+            assert h == Q(TYPES[family].h(n), d)
+            assert h.denominator == 1 and h >= n + 1
+
+    def test_short_div_2d_branches_not_enumerated(self):
+        """The enumeration's stated assumption: only these div-2d branches pass both filters."""
+        passing = {row for row in _scan_modified_coxeter() if row[3] == "2d"}
+        expected = {("A", 1, 1, "2d", "ii")} | {("B", n, 1, "2d", "ii") for n in range(2, 9)}
+        assert passing == expected
 
 
 class TestEnumeration:
@@ -115,7 +134,7 @@ class TestEnumeration:
             assert c.common_h.denominator == 1
             assert c.common_h >= c.total_rank + 1
             assert c.total_rank <= 8
-            hs = {pool_modified_coxeter(f, n, d) for f, n, d in c.components}
+            hs = {modified_coxeter_value(f, n, d, "d", None) for f, n, d in c.components}
             assert hs == {c.common_h}
 
     def test_monotone_in_rank_bound(self):
@@ -229,7 +248,7 @@ class TestTable:
     def test_ledger_solves_only_its_own_entries(self):
         classify._solved_data.cache_clear()
         ledger_arithmetic_checks()
-        assert classify._solved_data.cache_info().currsize == 2
+        assert classify._solved_data.cache_info().currsize == 4
         classify._solved_data.cache_clear()
         full_table(4)
         assert classify._solved_data.cache_info().currsize == 0
@@ -249,34 +268,38 @@ def _corrupt_solved_data(monkeypatch, comp, index, value):
 
 
 SOLVED_CHECKS = [
-    # (component, index into (k, A, C), wrong value, check code, ledger solves it)
+    # (component, index into (k, A, C), wrong value, check code, solved values alone decide it)
     (("E8", 8, 3), 0, 13, "e8-scale3-weight", True),
     (("B", 8, 1), 2, 10, "n8-bookkeeping", True),
+    # typed deficits, which also require the solved values the argument uses
     (("E8", 8, 2), 0, 71, "e8-scale2-weight-deficit", False),
     (("E7", 7, 2), 1, 11, "e7-scale2-weight-deficit", False),
 ]
 
 
 class TestGuards:
-    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
-    def test_resolve_raises(self, monkeypatch, comp, index, value, code, ledger_solves):
+    @pytest.mark.parametrize("comp,index,value,code,solved_only", SOLVED_CHECKS)
+    def test_resolve_raises(self, monkeypatch, comp, index, value, code, solved_only):
         _corrupt_solved_data(monkeypatch, comp, index, value)
         candidate = next(c for c in enumerate_candidates() if c.components == (comp,))
         with pytest.raises(ClassificationError, match=code):
             resolve(candidate)
 
-    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
-    def test_ledger(self, monkeypatch, comp, index, value, code, ledger_solves):
+    @pytest.mark.parametrize("comp,index,value,code,solved_only", SOLVED_CHECKS)
+    def test_ledger(self, monkeypatch, comp, index, value, code, solved_only):
         _corrupt_solved_data(monkeypatch, comp, index, value)
-        if ledger_solves:
-            with pytest.raises(ClassificationError, match=code):
-                ledger_arithmetic_checks()
-        else:
-            assert all(c.passed for c in ledger_arithmetic_checks())
+        with pytest.raises(ClassificationError, match=code):
+            ledger_arithmetic_checks()
+        entry, _ = EXCLUDED[(comp,)].check(comp)
+        assert not entry.passed
+        if not solved_only:
+            # the typed inequality still holds; the wrong solved value fails it
+            values = dict(entry.values)
+            assert int(values["lhs"]) < int(values["rhs"])
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
-    @pytest.mark.parametrize("comp,index,value,code,ledger_solves", SOLVED_CHECKS)
-    def test_cli_exits_1(self, monkeypatch, capsys, fmt, comp, index, value, code, ledger_solves):
+    @pytest.mark.parametrize("comp,index,value,code,solved_only", SOLVED_CHECKS)
+    def test_cli_exits_1(self, monkeypatch, capsys, fmt, comp, index, value, code, solved_only):
         _corrupt_solved_data(monkeypatch, comp, index, value)
         assert main(["classify", "--format", fmt]) == 1
         captured = capsys.readouterr()

@@ -362,6 +362,24 @@ class TestJacobian:
         assert err.count("\n") == 1 and named in err
 
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("terms", [{"a": "1/1", "l": ["0/1"], "t": "0/1", "c": 0.1}], "terms[0].c"),
+            ("terms", [{"a": "1/1", "l": ["0/1"], "t": "0/1", "c": True}], "terms[0].c"),
+            ("rect", [float("inf"), "4/1"], "rect entry"),
+        ],
+    )
+    def test_non_integer_number_in_series_file(self, capsys, tmp_path, field, value, named):
+        doc = self.series_doc(1, 0, 0)
+        doc[field] = value
+        p = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert p in err and f"{named} must be a rational 'p/q'" in err
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as Q
 from unittest import mock
 
@@ -492,6 +493,33 @@ class TestJson:
         assert doc["prefactor"]["A"] == "0/1"
         assert doc["rect"] == ["4/1", "4/1"]
 
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("terms", 0, "c"), 0.1, "terms[0].c"),
+            (("terms", 0, "c"), True, "terms[0].c"),
+            (("terms", 0, "l", 0), 2.0, "terms[0].l entry"),
+            (("terms", 0, "a"), None, "terms[0].a"),
+            (("prefactor", "A"), False, "prefactor A"),
+            (("rect", 0), math.inf, "rect entry"),
+            (("rect", 1), [4], "rect entry"),
+        ],
+    )
+    def test_only_strings_and_integers_are_rationals(self, path, value, named):
+        doc = json.loads(json.dumps(series_to_json(monomial(1, RECT, 1, (0,), 2, 3))))
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} must be a rational 'p/q', got "):
+            series_from_json(json.loads(json.dumps(doc)))
+
+    def test_integers_are_rationals(self):
+        doc = series_to_json(monomial(1, RECT, 1, (0,), 2, 3))
+        doc["terms"][0].update(a=1, l=[0], t=2, c=3)
+        doc["rect"] = [4, "4"]
+        assert series_from_json(doc) == monomial(1, RECT, 1, (0,), 2, 3)
+
 
 # ---------------------------------------------------------------------------
 # the integer kernel against a naive Fraction-keyed convolution
@@ -724,6 +752,21 @@ class TestExpandAgainstNaive:
         terms, z = series_mod._multiply_out(factors, rank, *rect, max_neg, a_hi, None)
         got = {(Q(a), tuple(Q(x, z) for x in l), Q(t)): Q(c) for (a, l, t), c in terms.items()}
         assert got == expected
+
+
+class TestProductFactors:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-48, 48).map(lambda n: Q(n, 24)),
+        st.integers(0, 72).map(lambda n: Q(n, 24)),
+    )
+    def test_principal_factors_come_first(self, table_of_rank, a_max, t_max):
+        # expand_product multiplies the factors in this order, and its
+        # truncation is sound only if every n < 0 factor precedes every other
+        rank, table = table_of_rank
+        nonneg = [f.n >= 0 for f in product_factors(table, (a_max, t_max), rank)]
+        assert nonneg == sorted(nonneg)
 
 
 class TestPacking:
