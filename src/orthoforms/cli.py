@@ -1,7 +1,9 @@
 """Command-line front end: JSON in, JSON or plain text out.
 
 Exit codes form a stable contract: 0 success, 1 internal check failure,
-2 input validation error, 3 missing data.
+2 input validation error, 3 missing data.  An error is one ``error:`` line
+on stderr: ``_read_json`` maps a file that cannot be read or parsed, naming
+the file, and ``main`` maps the library's ValueError and ArithmeticError.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .series import q_str
+from .series import _json_int, _json_list, _json_q, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -62,62 +64,36 @@ def _load_lattice(ref: str) -> lattice_mod.Lattice:
 
 
 def _load_qzero(path: str) -> weyl_mod.QZeroData:
-    doc = _read_json(path, "JSON in")
+    return _read_json(path, "coefficient file", lambda doc: _qzero_from_json(doc, path))
+
+
+def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
+    """The QZeroData of a coefficient file; a malformed field is a ValueError naming its entry, a gap exit 3."""
     if not isinstance(doc, dict) or "lattice" not in doc:
-        raise CliError(f"{path}: coefficient file needs a 'lattice' field")
-    lat_ref = doc["lattice"]
-    lat = _load_lattice(lat_ref) if isinstance(lat_ref, str) else lattice_mod.lattice_from_json(lat_ref)
-    raw = doc.get("coeffs", [])
-    if not isinstance(raw, list):
-        raise CliError(f"{path}: 'coeffs' must be a list of objects, got {raw!r}")
+        raise ValueError("the document must contain a 'lattice' field")
+    ref = doc["lattice"]
+    lat = _load_lattice(ref) if isinstance(ref, str) else lattice_mod.lattice_from_json(ref)
     entries: dict[tuple[int, tuple], int] = {}
-    for index, item in enumerate(raw):
+    for index, item in enumerate(_json_list(doc.get("coeffs", []), "'coeffs'")):
         if not isinstance(item, dict):
-            raise CliError(f"{path}: coefficient entry {index} must be an object, got {item!r}")
-        for field in ("n", "f"):
-            value = item.get(field)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise CliError(
-                    f"{path}: coefficient entry {index} {item!r}: '{field}' must be an integer, got {value!r}"
-                )
-        if not isinstance(item.get("l"), list):
-            raise CliError(
-                f"{path}: coefficient entry {index} {item!r}: 'l' must be a list, got {item.get('l')!r}"
-            )
-        try:
-            coords = tuple(Q(str(v)) for v in item["l"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{path}: bad coefficient entry {index} {item!r}: {exc}")
-        if entries.setdefault((item["n"], coords), item["f"]) != item["f"]:
-            raise CliError(
-                f"{path}: coefficient entry {index} {item!r} conflicts with an earlier entry for the same n and l"
-            )
-    # structural completeness of the stored layer: principal part and
-    # evenness partners must be present
-    missing = []
+            raise ValueError(f"coefficient entry {index} must be an object, got {item!r}")
+        entry = f"coefficient entry {index} {item!r}"
+        n, f = (_json_int(item.get(field), f"{entry}: '{field}'") for field in ("n", "f"))
+        coords = tuple(_json_q(v, f"{entry}: 'l' entry") for v in _json_list(item.get("l"), f"{entry}: 'l'"))
+        if entries.setdefault((n, coords), f) != f:
+            raise ValueError(f"{entry} conflicts with an earlier entry for the same n and l")
+    # structural completeness: the principal part and every evenness partner are stored
     zero = tuple(Q(0) for _ in range(lat.rank))
-    if entries.get((-1, zero)) != 1:
-        missing.append((-1, zero))
+    missing = [] if entries.get((-1, zero)) == 1 else [(-1, zero)]
     for (n, coords), f in entries.items():
         neg = (n, tuple(-x for x in coords))
         if f and entries.get(neg, 0) != f:
             missing.append(neg)
     if missing:
-        listing = ", ".join(
-            f"(n={n}, l=[{', '.join(q_str(x) for x in coords)}])" for n, coords in sorted(missing)
-        )
+        listing = ", ".join(f"(n={n}, l=[{', '.join(map(q_str, coords))}])" for n, coords in sorted(missing))
         raise CliError(f"{path}: missing required coefficients: {listing}", EXIT_MISSING)
-    k_raw = doc.get("k", "symbolic")
-    try:
-        if isinstance(k_raw, bool) or not isinstance(k_raw, (int, str)):
-            raise ValueError
-        k = None if k_raw == "symbolic" else Q(k_raw)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"{path}: 'k' must be \"symbolic\", an integer or a rational string, got {k_raw!r}")
-    try:
-        return weyl_mod.QZeroData(lat, entries, k)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}")
+    k = doc.get("k", "symbolic")
+    return weyl_mod.QZeroData(lat, entries, None if k == "symbolic" else _json_q(k, "'k'"))
 
 
 def _emit(doc, args) -> None:
@@ -167,8 +143,6 @@ def cmd_roots(args) -> int:
         comps = roots_mod.decompose(rd) if rd.roots else []
     except lattice_mod.NotPositiveDefiniteError:
         raise CliError(f"lattice {args.ref} is not positive definite, so it has no finite root set")
-    except (ValueError, ArithmeticError) as exc:
-        raise CliError(str(exc))
     reports = [
         {
             "type": comp.type_tag,
@@ -236,10 +210,7 @@ def cmd_weyl(args) -> int:
     else:
         print(f"A = {doc['A']}, B = [{', '.join(doc['B'])}], C = {doc['C']}")
         print(f"weight k = {doc['weight']}")
-        if report.ok:
-            print(f"sum rule: C = {doc['sum_rule_C']}")
-        else:
-            print(f"sum rule failed: {report.reason}")
+        print(f"sum rule: C = {doc['sum_rule_C']}" if report.ok else f"sum rule failed: {report.reason}")
         print(f"character: D = {d}, sign = {sign:+d}")
     return EXIT_OK
 
@@ -255,13 +226,9 @@ def cmd_borch(args) -> int:
             f"vector has A = {q_str(wv.a)}, C = {q_str(wv.c)}"
         )
     try:
-        expansion = series_mod.expand_product(
-            phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den
-        )
+        expansion = series_mod.expand_product(phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den)
     except series_mod.SeriesOverflowError as exc:
         raise CliError(str(exc), EXIT_INTERNAL)
-    except ValueError as exc:
-        raise CliError(str(exc))
     d, sign = weyl_mod.character_data(phi)
     print(f"A = {q_str(wv.a)}, B = [{', '.join(q_str(x) for x in wv.b)}], C = {q_str(wv.c)}")
     print(f"weight = {q_str(phi.k)}")
@@ -277,23 +244,14 @@ def cmd_jacobian(args) -> int:
     except ValueError:
         raise CliError(f"--weights expects comma-separated integers, got {args.weights!r}")
     if len(weights) != len(args.series):
-        raise CliError(
-            f"{len(args.series)} series but {len(weights)} weights"
-        )
+        raise CliError(f"{len(args.series)} series but {len(weights)} weights")
     loaded = [_read_json(path, "series file", series_mod.series_from_json) for path in args.series]
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]
-    try:
-        if args.syzygy:
-            result = series_mod.syzygy_sum(forms)
-        else:
-            result = series_mod.jacobian(forms)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
     s = forms[0].series.rank
     try:
         lead = result.leading_order()
-        target = (Q(s + 1), Q(s + 1))
-        meets = lead[0] >= target[0] and lead[1] >= target[1]
+        meets = min(lead) >= s + 1
         print(f"leading order: q^{q_str(lead[0])} xi^{q_str(lead[1])}")
         print(f"meets (s+1, s+1) = ({s + 1}, {s + 1}): {'yes' if meets else 'no'}")
     except series_mod.ZeroSeriesError:
@@ -310,11 +268,8 @@ def cmd_classify(args) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if report.unresolved:
-        print(
-            f"internal check failed: unresolved candidates "
-            f"{[r.candidate.label for r in report.unresolved]}",
-            file=sys.stderr,
-        )
+        labels = [r.candidate.label for r in report.unresolved]
+        print(f"internal check failed: unresolved candidates {labels}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
         doc = classify.report_to_json(report)
@@ -354,44 +309,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def outputs(p, func, table=True):
+        """The options every command shares, after its own: --format (for commands with a table) and -o."""
+        if table:
+            p.add_argument("--format", choices=("json", "table"), default="table")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=func)
+
     p = sub.add_parser("lattice", help="inspect a lattice")
     p.add_argument("ref", help="JSON file path or builtin:NAME")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_lattice)
+    outputs(p, cmd_lattice)
 
     p = sub.add_parser("roots", help="detect and identify root systems")
     p.add_argument("ref")
     p.add_argument("--max-norm", type=int, default=2)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_roots)
+    outputs(p, cmd_roots)
 
     p = sub.add_parser("weyl", help="Weyl vector and weight of a coefficient file")
     p.add_argument("coeffs")
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_weyl)
+    outputs(p, cmd_weyl)
 
     p = sub.add_parser("borch", help="expand the product of a coefficient file")
     p.add_argument("coeffs")
     p.add_argument("--rect", default="2,2", help="exactness rectangle 'A,T'")
     p.add_argument("--den", type=int, default=series_mod.DEFAULT_DEN)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_borch)
+    outputs(p, cmd_borch, table=False)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant of series files")
     p.add_argument("series", nargs="+")
     p.add_argument("--weights", required=True, help="comma-separated weights")
     p.add_argument("--syzygy", action="store_true", help="alternating-sum mode")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_jacobian)
+    outputs(p, cmd_jacobian, table=False)
 
     p = sub.add_parser("classify", help="emit the 26-pair classification table")
     p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_classify)
+    outputs(p, cmd_classify)
 
     return parser
 
@@ -400,13 +352,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_joined_weights(argv))
+        if args.output and getattr(args, "format", "json") == "table":
+            raise CliError("-o writes the JSON document, so it needs --format json")
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return getattr(exc, "code", EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -812,9 +812,10 @@ def _json_list(value, what: str, length: int | None = None) -> list:
     return value
 
 
-def _json_int(value, what: str, least: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+def _json_int(value, what: str, least: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
 

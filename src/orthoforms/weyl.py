@@ -265,8 +265,7 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
             None,
             f"left side has rank {rk} and is not proportional to the Gram matrix",
         )
-    if c is None:
-        return SumRuleReport(None, "empty Gram matrix")
+    # a Lattice is nondegenerate, so its Gram matrix has a nonzero entry and c is set
     return SumRuleReport(c / (2 * s_den))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from fractions import Fraction as Q
@@ -7,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
 from orthoforms import roots as roots_mod
-from orthoforms.cli import main
+from orthoforms.cli import build_parser, main
 from orthoforms.lattice import short_vectors
 from orthoforms.series import series_from_json
 
@@ -209,6 +210,21 @@ class TestWeyl:
         assert out == ""
         assert err.count("\n") == 1 and named in err
 
+
+    @pytest.mark.parametrize("l", [[0.5], [0.0], [True], [None]])
+    def test_non_rational_l_entry(self, capsys, tmp_path, l):
+        coeffs = [{"n": -1, "l": ["0/1"], "f": 1}, {"n": 0, "l": l, "f": 1}]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs})
+        code, out, err = run(capsys, "weyl", path)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and path in err
+        assert f"coefficient entry 1 {coeffs[1]!r}: 'l' entry must be a rational 'p/q', got {l[0]!r}" in err
+
+    def test_invalid_inline_lattice_names_the_file(self, capsys, tmp_path):
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice={"gram": [[0]]}))
+        code, out, err = run(capsys, "weyl", path)
+        assert code == 2 and out == ""
+        assert err == f"error: invalid coefficient file {path}: degenerate lattice\n"
 
     def test_lattice_path_is_a_directory(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice=str(tmp_path)))
@@ -479,6 +495,70 @@ class TestRoundTrip:
         assert code == 0
         x = series_from_json(json.loads(out_path.read_text()))
         assert x == series_from_json(json.loads(out_path.read_text()))
+
+
+class TestOutputOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [["lattice", "builtin:A2"], ["roots", "builtin:A2"], ["weyl", None], ["classify", "--max-rank", "4"]],
+        ids=["lattice", "roots", "weyl", "classify"],
+    )
+    def test_table_with_output_file_is_refused(self, capsys, tmp_path, argv):
+        argv = [a or write_json(tmp_path / "phi.json", EMPTY_PHI) for a in argv]
+        out_path = tmp_path / "out.json"
+        for fmt in ([], ["--format", "table"]):
+            code, out, err = run(capsys, *argv, *fmt, "-o", str(out_path))
+            assert code == 2 and out == "" and not out_path.exists()
+            assert err == "error: -o writes the JSON document, so it needs --format json\n"
+        code, out, _ = run(capsys, *argv, "--format", "json", "-o", str(out_path))
+        assert code == 0 and out == "" and json.loads(out_path.read_text())
+
+
+def _action(a):
+    return (
+        tuple(a.option_strings), a.dest, a.default, a.choices, a.required, a.nargs,
+        None if a.type is None else a.type.__name__, a.help,
+    )
+
+
+HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, 0, None, "show this help message and exit")
+FORMAT = (("--format",), "format", "table", ("json", "table"), False, None, None, None)
+OUTPUT = (("-o", "--output"), "output", None, None, False, None, None, None)
+
+
+class TestParser:
+    """Every subcommand's actions, field by field (argparse's help layout differs between versions)."""
+
+    STRUCTURE = [
+        ("lattice", [HELP, ((), "ref", None, None, True, None, None, "JSON file path or builtin:NAME"), FORMAT, OUTPUT]),
+        ("roots", [
+            HELP,
+            ((), "ref", None, None, True, None, None, None),
+            (("--max-norm",), "max_norm", 2, None, False, None, "int", None),
+            FORMAT,
+            OUTPUT,
+        ]),
+        ("weyl", [HELP, ((), "coeffs", None, None, True, None, None, None), FORMAT, OUTPUT]),
+        ("borch", [
+            HELP,
+            ((), "coeffs", None, None, True, None, None, None),
+            (("--rect",), "rect", "2,2", None, False, None, None, "exactness rectangle 'A,T'"),
+            (("--den",), "den", 24, None, False, None, "int", None),
+            OUTPUT,
+        ]),
+        ("jacobian", [
+            HELP,
+            ((), "series", None, None, True, "+", None, None),
+            (("--weights",), "weights", None, None, True, None, None, "comma-separated weights"),
+            (("--syzygy",), "syzygy", False, None, False, 0, None, "alternating-sum mode"),
+            OUTPUT,
+        ]),
+        ("classify", [HELP, (("--max-rank",), "max_rank", 8, None, False, None, "int", None), FORMAT, OUTPUT]),
+    ]
+
+    def test_structure(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert [(name, [_action(a) for a in p._actions]) for name, p in sub.choices.items()] == self.STRUCTURE
 
 
 # ---------------------------------------------------------------------------
