@@ -38,12 +38,12 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
         raise CliError(f"cannot parse rectangle bounds {text!r}")
 
 
-def _read_json(path: str, what: str, parse=None):
+def _read_json(path: str, what: str, parse):
     """The JSON document in path, through parse; any failure is one exit-2 line naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        return doc if parse is None else parse(doc)
+        return parse(doc)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
     except OSError as exc:

@@ -121,15 +121,18 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
 
     Roots have norm <= 4e², e the exponent of L*/L: a root v = k·w, w
     primitive, has div(w) | e and k·norm(w) <= 2 div(w) <= 2e, so norm(v) =
-    k·(k·norm(w)) <= (2e)².  A larger even max_norm is clamped to 4e²; as
-    e >= c, the gcd of the Gram entries, e is only computed above 4c².
+    k·(k·norm(w)) <= (2e)².  On an even lattice norm(w) >= 2, so k <= div(w)
+    and norm(v) <= k·2 div(w) <= 2 div(w)² <= 2e².  A larger even max_norm is
+    clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
+    the gcd of the Gram entries, e is only computed above 2c² or 4c².
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
     c = linalg.vec_gcd([x for row in lat.gram for x in row])
-    if max_norm > 4 * c * c and not max_norm % 2:
+    scale = 2 if lat.is_even else 4
+    if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
-        max_norm = min(max_norm, 4 * e * e)
+        max_norm = min(max_norm, scale * e * e)
     found = []  # (v, G·v)
     for v in short_vectors(lat, max_norm):
         gv = lat.gram_times(v)

@@ -21,8 +21,11 @@ and products the operations form, and an operand on another den or z is
 first rescaled by the integer ratio, so every int result divided by its
 scales is the exact rational one.
 
-``__mul__`` runs through the flat int kernel ``_convolve``.  The product
-expansion multiplies its binomials on rows instead: a map from integral
+Products run through one flat int kernel, ``_sum_of_products``, which
+evaluates a signed sum of products sum m*x*y into a single accumulator:
+``__mul__`` is one pair, and every Jacobian minor and the syzygy sum are one
+call each, so no intermediate product series is built and merged again.  The
+product expansion multiplies its binomials on rows instead: a map from integral
 (a, t) to {packed l: c}, where a packed key is the zeta vector as one int of
 signed base-2^w digits (Kronecker substitution), so keys add as ints.  That
 is safe because w puts 2^(w-1) above the sum over factors of the largest
@@ -109,7 +112,8 @@ def _checked_prefactor(prefactor: Monomial, rank: int, den: int) -> tuple[Q, tup
 class TruncatedSeries:
     """Immutable sparse series over an exactness rectangle."""
 
-    __slots__ = ("rank", "den", "_z", "_d", "_terms", "_pa", "_pb", "_pc", "_ra", "_rt", "_view", "_rect")
+    __slots__ = ("rank", "den", "_z", "_d", "_terms", "_pa", "_pb", "_pc", "_ra", "_rt",
+                 "_view", "_rect", "_items")
 
     def __init__(self, rank: int, terms: Mapping[Key, Q] | Iterable[tuple[Key, Q]],
                  rect: tuple[Q, Q], prefactor: Monomial | None = None, den: int = DEFAULT_DEN):
@@ -219,26 +223,7 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.rank != other.rank:
             raise ValueError("series rank mismatch")
-        den = self.den if self.den == other.den else math.lcm(self.den, other.den)
-        z = self._z if self._z == other._z else math.lcm(self._z, other._z)
-        t1, pa1, pb1, pc1, ra1, rt1 = _on(self, den, z)
-        t2, pa2, pb2, pc2, ra2, rt2 = _on(other, den, z)
-        pa, pb, pc = pa1 + pa2, tuple(map(add, pb1, pb2)), pc1 + pc2
-        if not t1 or not t2:
-            return _new(self.rank, den, z, 1, {}, pa, pb, pc, min(ra1, ra2), min(rt1, rt2))
-        # a product term at exponent a needs one factor known up to a minus
-        # the other factor's lowest exponent, so rectangles shift by floors
-        (fa1, ft1), (fa2, ft2) = _floors(t1), _floors(t2)
-        ra = min((ra1[0] + fa2, ra1[1]), (ra2[0] + fa1, ra2[1]))
-        rt = min((rt1[0] + ft2, rt1[1]), (rt2[0] + ft1, rt2[1]))
-        out = _convolve(t1.items(), t2.items(), ra[0], rt[0], DEFAULT_TERM_CAP)
-        if len(out) > DEFAULT_TERM_CAP:
-            raise SeriesOverflowError(
-                f"product of {len(t1)} and {len(t2)} terms on rect ({_value(ra, den)}, "
-                f"{_value(rt, den)}) exceeded the cap of {DEFAULT_TERM_CAP} stored terms"
-            )
-        terms = {k: c for k, c in out.items() if c}
-        return _new(self.rank, den, z, self._d * other._d, terms, pa, pb, pc, ra, rt)
+        return _sum_of_products(self.rank, ((1, self, other),))
 
     # -- calculus -----------------------------------------------------------
 
@@ -302,7 +287,7 @@ class TruncatedSeries:
 def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
     x.rank, x.den, x._z, x._d, x._terms = rank, den, z, d, terms
     x._pa, x._pb, x._pc, x._ra, x._rt = pa, pb, pc, ra, rt
-    x._view = x._rect = None
+    x._view = x._rect = x._items = None
 
 
 def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
@@ -337,6 +322,20 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
     terms = {(a * k, tuple([v * m for v in l]), t * k): c for (a, l, t), c in x._terms.items()}
     rebound = lambda b: _bound(_value(b, x.den), den)
     return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, rebound(x._ra), rebound(x._rt)
+
+
+def _sorted_on(x: TruncatedSeries, den: int, z: int) -> tuple:
+    """(items, floors, A, B, C, a bound, t bound) of x on the grid of den and z.
+
+    items are the int terms sorted by key and floors is _floors of their keys;
+    both are cached on x for its own grid.
+    """
+    if den == x.den and z == x._z:
+        if x._items is None:
+            x._items = (sorted(x._terms.items()), _floors(x._terms), x._pa, x._pb, x._pc, x._ra, x._rt)
+        return x._items
+    terms, *rest = _on(x, den, z)
+    return sorted(terms.items()), _floors(terms), *rest
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -395,38 +394,93 @@ class WeightedSeries(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the kernels: flat int terms for __mul__, packed rows for the expansion
+# the kernels: a signed sum of products on flat int terms, packed rows for
+# the expansion
 # ---------------------------------------------------------------------------
 
 
-def _convolve(left, right, a_hi, t_hi, cap) -> dict:
-    """Sparse product of two nonempty int term lists, truncated to a box.
+def _sum_of_products(rank: int, pairs: Sequence[tuple[int, TruncatedSeries, TruncatedSeries]],
+                     seed: TruncatedSeries | None = None) -> TruncatedSeries:
+    """Sum of m * x * y over the pairs (m, x, y), m an int, plus seed, in one accumulator.
 
-    Pairs with a > a_hi or t > t_hi are skipped.  Both operands are sorted by
-    a, so a row stops at the first partner past a_hi.  Returns the map
-    (a, l, t) -> c with zero sums kept, and returns as soon as it holds more
-    than cap keys.
+    Equals ``_signed_sum([(1, seed)] + [(1, (x * y).scale(m)) for m, x, y in
+    pairs])``, the seed part left out when seed is None: the left fold of
+    ``+``.  A product's prefactor is the sum of its operands'.  Its rect is the
+    tighter of each operand's rect shifted by the other operand's floors, as a
+    product term at exponent a needs one factor known up to a minus the other
+    factor's lowest exponent; with an empty operand it has no terms and takes
+    the smaller of the two rects.  The sum takes the min a and the min c of
+    its parts' prefactors, the b of its first part and the min of their
+    absolute rects.  That rect lies inside every product's shifted rect, so
+    cutting every pair at the sum's rect drops only terms the merge of the
+    products would drop too.
+
+    All operands go onto one den and zeta grid and all numerators over D, the
+    lcm of the d_x * d_y.  Per pair, each term of the outer operand y takes
+    the shift from the product's prefactor to the sum's and the factor
+    m * D / (d_x * d_y) once; the inner loop then runs over x.  Both are
+    sorted by a, so a row stops at the first partner past the rect, and
+    pairs past its t bound are skipped.  More than DEFAULT_TERM_CAP keys in
+    the shared accumulator, zero sums included, raise SeriesOverflowError.
     """
-    left, right = sorted(left), sorted(right)
-    lowest = left[0][0][0]
+    operands = [s for _, x, y in pairs for s in (x, y)] + ([] if seed is None else [seed])
+    den, z = math.lcm(*{s.den for s in operands}), math.lcm(*{s._z for s in operands})
+    # (A, B, C, absolute a bound, absolute t bound) of every summand, first part first
+    heads, products = [], []
+    if seed is not None:
+        seed_terms, pa, pb, pc, ra, rt = _on(seed, den, z)
+        heads.append((pa, pb, pc, (pa + ra[0], ra[1]), (pc + rt[0], rt[1])))
+    for m, x, y in pairs:
+        i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1 = _sorted_on(x, den, z)
+        i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2 = _sorted_on(y, den, z)
+        if i1 and i2:
+            ra1, rt1 = (ra1[0] + fa2, ra1[1]), (rt1[0] + ft2, rt1[1])
+            ra2, rt2 = (ra2[0] + fa1, ra2[1]), (rt2[0] + ft1, rt2[1])
+            if m:
+                products.append((len(heads), m, x._d * y._d, i1, i2))
+        pa, pc, ra, rt = pa1 + pa2, pc1 + pc2, min(ra1, ra2), min(rt1, rt2)
+        heads.append((pa, tuple(map(add, pb1, pb2)), pc, (pa + ra[0], ra[1]), (pc + rt[0], rt[1])))
+    pas, pbs, pcs, ras, rts = zip(*heads)
+    pa, pb, pc, ra, rt = min(pas), pbs[0], min(pcs), min(ras), min(rts)
+    ra, rt = (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])
+    a_hi, t_hi, cap = ra[0], rt[0], DEFAULT_TERM_CAP
+    d = math.lcm(1 if seed is None else seed._d, *{p[2] for p in products})
     out: dict = {}
+    if seed is not None:
+        da, db, dc, mult = pas[0] - pa, tuple(map(sub, pbs[0], pb)), pcs[0] - pc, d // seed._d
+        for (a, l, t), c in seed_terms.items():
+            if a + da <= a_hi and t + dc <= t_hi:
+                out[(a + da, tuple(map(add, l, db)), t + dc)] = c * mult
     get = out.get
-    for (a2, l2, t2), c2 in right:
-        if a2 + lowest > a_hi:
-            break
-        for (a1, l1, t1), c1 in left:
-            a = a1 + a2
-            if a > a_hi:
+    for i, m, xd, left, right in products:
+        da, db, dc, mult = pas[i] - pa, tuple(map(sub, pbs[i], pb)), pcs[i] - pc, m * (d // xd)
+        shift, lowest = any(db), left[0][0][0]
+        for (a2, l2, t2), c2 in right:
+            a2 += da
+            if a2 + lowest > a_hi:
                 break
-            t = t1 + t2
-            if t > t_hi:
-                continue
-            key = (a, tuple(map(add, l1, l2)), t)
-            val = get(key)
-            out[key] = c1 * c2 if val is None else val + c1 * c2
-        if len(out) > cap:
-            break
-    return out
+            t2, c2 = t2 + dc, c2 * mult
+            if shift:
+                l2 = tuple(map(add, l2, db))
+            for (a1, l1, t1), c1 in left:
+                a = a1 + a2
+                if a > a_hi:
+                    break
+                t = t1 + t2
+                if t > t_hi:
+                    continue
+                key = (a, tuple(map(add, l1, l2)), t)
+                val = get(key)
+                out[key] = c1 * c2 if val is None else val + c1 * c2
+            if len(out) > cap:
+                what = (f"product of {len(left)} and {len(right)} terms" if len(pairs) == 1
+                        else f"sum of {len(pairs)} products")
+                raise SeriesOverflowError(
+                    f"{what} on rect ({_value(ra, den)}, {_value(rt, den)}) "
+                    f"exceeded the cap of {cap} stored terms"
+                )
+    terms = {k: c for k, c in out.items() if c}
+    return _new(rank, den, z, d, terms, pa, pb, pc, ra, rt)
 
 
 def _pack(l, w: int) -> int:
@@ -701,16 +755,15 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     of the (s+4)x(s+4) determinant whose first two rows are both k_i f_i, and
     J_t is its minor on rows 2.. over the columns other than t.  The J_t share
     one minor memo keyed by (row, columns, rect, den), with J_t's own rect
-    and den (the min of the other forms' rects, the lcm of their dens).
+    and den (the min of the other forms' rects, the lcm of their dens).  The
+    sum is one kernel call over the pairs (+-k_t, f_t, J_t).
     """
     s, det = _determinants(forms, 4, "syzygy ")
-    total = None
-    for idx, f in enumerate(forms):
-        jt = det(tuple(j for j in range(s + 4) if j != idx))
-        term = (f.series * jt).scale(f.weight)
-        signed = -term if (idx + 1) % 2 else term
-        total = signed if total is None else total + signed
-    return total
+    pairs = [
+        (f.weight if idx % 2 else -f.weight, f.series, det(tuple(j for j in range(s + 4) if j != idx)))
+        for idx, f in enumerate(forms)
+    ]
+    return _sum_of_products(s, pairs)
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
@@ -731,30 +784,33 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         series = [forms[j].series for j in cols]
         den = math.lcm(*(x.den for x in series))
         bounds = tuple(min(_bound(x.rect[i], den) for x in series) for i in (0, 1))
-        return _minor(rows, memo, 0, cols, bounds, den)
+        return _minor(rows, memo, 0, cols, _new(s, den, 1, 1, {}, 0, (0,) * s, 0, *bounds))
 
     return s, det
 
 
-def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], bounds, den: int) -> TruncatedSeries:
-    """Minor on rows i.., columns cols, along row i from zero(rect) to one(rect).
+def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], seed: TruncatedSeries) -> TruncatedSeries:
+    """Minor on rows i.., columns cols: one kernel call along row i, one(rect) when cols is empty.
 
-    The rect is given by its bounds on the den grid.  A module function, not
+    seed is zero(rect): no terms, prefactor 0 and the rect's bounds on its den
+    grid, which key the memo together with the rows and columns.  Every minor
+    sums its pairs (+-1, entry, minor below) onto it.  A module function, not
     a closure, so the memo is freed with its last caller instead of waiting
     for the cycle collector.
     """
-    rank = rows[0][0].rank
-    if not cols:
-        return _unit(rank, den, *bounds)
-    key = (i, cols, bounds, den)
+    key = (i, cols, seed._ra, seed._rt, seed.den)
     total = memo.get(key)
     if total is None:
-        parts = [(1, _new(rank, den, 1, 1, {}, 0, (0,) * rank, 0, *bounds))]
-        for pos, j in enumerate(cols):
-            if not rows[i][j].is_zero:
-                rest = _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], bounds, den)
-                parts.append((-1 if pos % 2 else 1, rows[i][j] * rest))
-        total = memo[key] = _signed_sum(parts)
+        if not cols:
+            total = _unit(seed.rank, seed.den, seed._ra, seed._rt)
+        else:
+            pairs = [
+                (-1 if pos % 2 else 1, rows[i][j], _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], seed))
+                for pos, j in enumerate(cols)
+                if not rows[i][j].is_zero
+            ]
+            total = _sum_of_products(seed.rank, pairs, seed)
+        memo[key] = total
     return total
 
 

@@ -2,13 +2,13 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from types import SimpleNamespace
 from typing import Sequence
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthoforms import (
     Lattice,
@@ -769,6 +769,7 @@ def exponent(lat):
 
 
 class TestMaxNormClamp:
+    # the clamp is 4e² on the odd lattices and 2e² on the even ones (E8, A2, D4(2))
     @pytest.mark.parametrize("lat", [builtin_lattice("E8"), builtin_lattice("A2"), builtin_lattice("D4(2)"), *ODD])
     def test_large_max_norm_is_clamped_to_4e2(self, lat, monkeypatch):
         asked = []
@@ -778,9 +779,24 @@ class TestMaxNormClamp:
             return short_vectors(lat, max_norm)
 
         monkeypatch.setattr(roots_mod, "short_vectors", spy)
-        bound = 4 * exponent(lat) ** 2
+        bound = (2 if lat.is_even else 4) * exponent(lat) ** 2
         assert detect_roots(lat, 10**6) == detect_roots(lat, bound)
         assert asked == [bound, bound]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_lattices().filter(lambda lat: lat.is_even))
+    def test_even_roots_are_at_most_2e2(self, lat):
+        # every root up to the general bound 4e², by box enumeration as in
+        # TestDetectAgainstDefinition; boxes above 20,000 points are skipped
+        e = exponent(lat)
+        dual = lat.dual_basis()
+        radii = [isqrt(int(4 * e * e * dual[i][i])) for i in range(lat.rank)]
+        assume(prod(2 * r + 1 for r in radii) <= 20_000)
+        norms = [
+            n for v in itertools.product(*(range(-r, r + 1) for r in radii))
+            if any(v) and (n := lat.norm(v)) <= 4 * e * e and (2 * lat.div(v)) % n == 0
+        ]
+        assert max(norms, default=0) <= 2 * e * e
 
     def test_e8(self):
         e8 = builtin_lattice("E8")

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from fractions import Fraction as Q
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1044,6 +1045,45 @@ class TestAgainstFold:
         assert json_of(y + (-y)) == json_of(reference_add(y, -y))
 
 
+def naive_mul(x, y):
+    """x * y built from naive_product, without the series kernel.
+
+    A product with an empty operand has no terms and the smaller rects.
+    """
+    if x.is_zero or y.is_zero:
+        rect, terms = (min(x.rect[0], y.rect[0]), min(x.rect[1], y.rect[1])), {}
+    else:
+        rect, terms = naive_product(x, y)
+    p, r = x.prefactor, y.prefactor
+    prefactor = Monomial(p.a + r.a, tuple(map(sum, zip(p.b, r.b))), p.c + r.c)
+    return TruncatedSeries(x.rank, nonzero(terms), rect, prefactor, math.lcm(x.den, y.den))
+
+
+@st.composite
+def product_sums(draw, rank):
+    """(pairs, seed): one to four pairs (m, x, y) and a seed or None.
+
+    Operands come from grid_series, so den, zeta denominators and prefactors
+    differ between them; some are emptied by scale(0), which keeps their
+    prefactor and rect.
+    """
+    operand = st.one_of(grid_series(rank), grid_series(rank).map(lambda x: x.scale(0)))
+    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), operand, operand), min_size=1, max_size=4))
+    return pairs, draw(st.one_of(st.none(), operand))
+
+
+class TestSumOfProducts:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2).flatmap(product_sums))
+    def test_equals_merged_products(self, case):
+        pairs, seed = case
+        rank = pairs[0][1].rank
+        parts = [] if seed is None else [(1, seed)]
+        parts += [(1, naive_mul(x, y).scale(m)) for m, x, y in pairs]
+        got = series_mod._sum_of_products(rank, pairs, seed)
+        assert json_of(got) == json_of(series_mod._signed_sum(parts))
+
+
 def seeded_forms(s, seed, count):
     """Forms of mixed den, rect and prefactor, drawn from a fixed seed."""
     rng = random.Random(seed)
@@ -1108,20 +1148,39 @@ def pool_forms(s, index):
     return forms
 
 
-# series products per syzygy_sum: C(s+4, i) minors on row i, each with s+3-i
-# entries, plus s+4 top-level products; the per-J_t expansion needed 165 and 486
+# the benchmark's digests of every pool instance, read from its reference file
+POOL_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+POOL_JOBS = [f"{what}:s{s}#{i}" for what in ("jacobian", "syzygy_sum") for s in (1, 2) for i in range(24)]
+
+
+@pytest.fixture(scope="module")
+def pool_reference():
+    return json.loads(POOL_REFERENCE.read_text())
+
+
+@pytest.mark.parametrize("job", POOL_JOBS)
+def test_pool_json_unchanged(pool_reference, job):
+    what, s, i = re.fullmatch(r"(\w+):s(\d)#(\d+)", job).groups()
+    forms = pool_forms(int(s), int(i))
+    out = jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
+    assert digest_of(out) == pool_reference[job]
+
+
+# pairs the kernel evaluates per syzygy_sum: C(s+4, i) minors on row i, each
+# with s+3-i entries, plus s+4 top-level pairs; the per-J_t expansion needed
+# 165 and 486 products
 @pytest.mark.parametrize("s, products", [(1, 80), (2, 192)])
 def test_syzygy_shares_minors(monkeypatch, s, products):
-    calls = []
-    mul = TruncatedSeries.__mul__
+    pairs = []
+    kernel = series_mod._sum_of_products
 
-    def counting(x, y):
-        calls.append(1)
-        return mul(x, y)
+    def counting(rank, terms, seed=None):
+        pairs.extend(terms)
+        return kernel(rank, terms, seed)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(series_mod, "_sum_of_products", counting)
     assert syzygy_sum(pool_forms(s, 0)).is_zero
-    assert len(calls) == products
+    assert len(pairs) == products
 
 
 # ---------------------------------------------------------------------------
