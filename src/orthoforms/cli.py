@@ -3,7 +3,8 @@
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
 on stderr: ``_read_json`` maps a file that cannot be read or parsed, naming
-the file, and ``main`` maps the library's ValueError and ArithmeticError.
+the file, and ``main`` maps the library's ValueError and ArithmeticError to
+exit 2 and its SeriesOverflowError (a series past the term cap) to exit 1.
 """
 
 from __future__ import annotations
@@ -225,10 +226,7 @@ def cmd_borch(args) -> int:
             f"--den {args.den} puts exponents on the (1/{args.den})Z grid, but the Weyl "
             f"vector has A = {q_str(wv.a)}, C = {q_str(wv.c)}"
         )
-    try:
-        expansion = series_mod.expand_product(phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den)
-    except series_mod.SeriesOverflowError as exc:
-        raise CliError(str(exc), EXIT_INTERNAL)
+    expansion = series_mod.expand_product(phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den)
     d, sign = weyl_mod.character_data(phi)
     print(f"A = {q_str(wv.a)}, B = [{', '.join(q_str(x) for x in wv.b)}], C = {q_str(wv.c)}")
     print(f"weight = {q_str(phi.k)}")
@@ -355,6 +353,9 @@ def main(argv=None) -> int:
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
         return args.func(args)
+    except series_mod.SeriesOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INVALID)

@@ -21,16 +21,16 @@ and products the operations form, and an operand on another den or z is
 first rescaled by the integer ratio, so every int result divided by its
 scales is the exact rational one.
 
-Products run through one flat int kernel, ``_sum_of_products``, which
-evaluates a signed sum of products sum m*x*y into a single accumulator:
-``__mul__`` is one pair, and every Jacobian minor and the syzygy sum are one
-call each, so no intermediate product series is built and merged again.  The
-product expansion multiplies its binomials on rows instead: a map from integral
-(a, t) to {packed l: c}, where a packed key is the zeta vector as one int of
-signed base-2^w digits (Kronecker substitution), so keys add as ints.  That
-is safe because w puts 2^(w-1) above the sum over factors of the largest
-zeta entry in each factor's binomial, which bounds every digit a product
-can reach.
+Products run through one int pair loop, ``_accumulate``, which sums m*x*y
+over operands on one grid in a single accumulator: ``__mul__`` and the
+syzygy sum are one call each, and a Jacobian runs its whole Laplace
+expansion on one integer grid, each minor one call on plain int terms, and
+wraps only the result as a series.  The product expansion multiplies its
+binomials on rows: a map from integral (a, t) to {packed l: c}, where a
+packed key is the zeta vector as one int of signed base-2^w digits
+(Kronecker substitution), so keys add as ints.  That is safe because w puts
+2^(w-1) above the sum over factors of the largest zeta entry in each
+factor's binomial, which bounds every digit a product can reach.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
@@ -113,7 +113,7 @@ class TruncatedSeries:
     """Immutable sparse series over an exactness rectangle."""
 
     __slots__ = ("rank", "den", "_z", "_d", "_terms", "_pa", "_pb", "_pc", "_ra", "_rt",
-                 "_view", "_rect", "_items")
+                 "_view", "_rect")
 
     def __init__(self, rank: int, terms: Mapping[Key, Q] | Iterable[tuple[Key, Q]],
                  rect: tuple[Q, Q], prefactor: Monomial | None = None, den: int = DEFAULT_DEN):
@@ -272,7 +272,7 @@ class TruncatedSeries:
             if a < 0 or t < 0 or (a == 0 and t == 0):
                 raise ValueError("inversion blocked by terms on the boundary slice")
         n = _new(rank, den, z, self._d, nilpotent, 0, zero_key[1], 0, self._ra, self._rt)
-        acc = power = _unit(rank, den, self._ra, self._rt)
+        acc = power = one(rank, self.rect, den)
         for j in count(1):
             # re-truncate to the original rectangle; the product rectangle
             # may grow with the power's floor, which would never terminate
@@ -287,7 +287,7 @@ class TruncatedSeries:
 def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
     x.rank, x.den, x._z, x._d, x._terms = rank, den, z, d, terms
     x._pa, x._pb, x._pc, x._ra, x._rt = pa, pb, pc, ra, rt
-    x._view = x._rect = x._items = None
+    x._view = x._rect = None
 
 
 def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
@@ -300,13 +300,6 @@ def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
     x = object.__new__(TruncatedSeries)
     _fill(x, rank, den, z, d, terms, pa, pb, pc, ra, rt)
     return x
-
-
-def _unit(rank: int, den: int, ra: tuple, rt: tuple) -> TruncatedSeries:
-    """one(rank, rect, den) for the rect with bounds ra, rt on the den grid."""
-    zeros = (0,) * rank
-    terms = {(0, zeros, 0): 1} if ra[0] >= 0 and rt[0] >= 0 else {}
-    return _new(rank, den, 1, 1, terms, 0, zeros, 0, ra, rt)
 
 
 def _floors(terms) -> tuple[int, int]:
@@ -324,18 +317,15 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
     return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, rebound(x._ra), rebound(x._rt)
 
 
-def _sorted_on(x: TruncatedSeries, den: int, z: int) -> tuple:
-    """(items, floors, A, B, C, a bound, t bound) of x on the grid of den and z.
+def _operand(items: list, *head) -> tuple:
+    """The grid operand (items, _floors of their keys, *head) of int terms sorted by key."""
+    return (items, (items[0][0][0], min(k[2] for k, _ in items)) if items else (0, 0), *head)
 
-    items are the int terms sorted by key and floors is _floors of their keys;
-    both are cached on x for its own grid.
-    """
-    if den == x.den and z == x._z:
-        if x._items is None:
-            x._items = (sorted(x._terms.items()), _floors(x._terms), x._pa, x._pb, x._pc, x._ra, x._rt)
-        return x._items
-    terms, *rest = _on(x, den, z)
-    return sorted(terms.items()), _floors(terms), *rest
+
+def _sorted_on(x: TruncatedSeries, den: int, z: int) -> tuple:
+    """x as a grid operand on den and z."""
+    terms, *head = _on(x, den, z)
+    return _operand(sorted(terms.items()), *head)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -394,66 +384,64 @@ class WeightedSeries(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the kernels: a signed sum of products on flat int terms, packed rows for
-# the expansion
+# the pair loop of series products, and packed rows for the expansion
 # ---------------------------------------------------------------------------
 
 
-def _sum_of_products(rank: int, pairs: Sequence[tuple[int, TruncatedSeries, TruncatedSeries]],
-                     seed: TruncatedSeries | None = None) -> TruncatedSeries:
-    """Sum of m * x * y over the pairs (m, x, y), m an int, plus seed, in one accumulator.
-
-    Equals ``_signed_sum([(1, seed)] + [(1, (x * y).scale(m)) for m, x, y in
-    pairs])``, the seed part left out when seed is None: the left fold of
-    ``+``.  A product's prefactor is the sum of its operands'.  Its rect is the
-    tighter of each operand's rect shifted by the other operand's floors, as a
-    product term at exponent a needs one factor known up to a minus the other
-    factor's lowest exponent; with an empty operand it has no terms and takes
-    the smaller of the two rects.  The sum takes the min a and the min c of
-    its parts' prefactors, the b of its first part and the min of their
-    absolute rects.  That rect lies inside every product's shifted rect, so
-    cutting every pair at the sum's rect drops only terms the merge of the
-    products would drop too.
+def _sum_of_products(rank: int, pairs: Sequence[tuple[int, TruncatedSeries, TruncatedSeries]]) -> TruncatedSeries:
+    """Sum of m * x * y over the pairs (m, x, y), m an int: ``_signed_sum`` of the products.
 
     All operands go onto one den and zeta grid and all numerators over D, the
-    lcm of the d_x * d_y.  Per pair, each term of the outer operand y takes
-    the shift from the product's prefactor to the sum's and the factor
-    m * D / (d_x * d_y) once; the inner loop then runs over x.  Both are
-    sorted by a, so a row stops at the first partner past the rect, and
-    pairs past its t bound are skipped.  More than DEFAULT_TERM_CAP keys in
-    the shared accumulator, zero sums included, raise SeriesOverflowError.
+    lcm of the d_x * d_y, so each pair enters ``_accumulate`` as m * D / (d_x * d_y).
     """
-    operands = [s for _, x, y in pairs for s in (x, y)] + ([] if seed is None else [seed])
+    operands = [s for _, x, y in pairs for s in (x, y)]
     den, z = math.lcm(*{s.den for s in operands}), math.lcm(*{s._z for s in operands})
-    # (A, B, C, absolute a bound, absolute t bound) of every summand, first part first
-    heads, products = [], []
-    if seed is not None:
-        seed_terms, pa, pb, pc, ra, rt = _on(seed, den, z)
-        heads.append((pa, pb, pc, (pa + ra[0], ra[1]), (pc + rt[0], rt[1])))
-    for m, x, y in pairs:
-        i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1 = _sorted_on(x, den, z)
-        i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2 = _sorted_on(y, den, z)
+    d = math.lcm(*{x._d * y._d for m, x, y in pairs if m and x._terms and y._terms})
+    grid = [(m * (d // (x._d * y._d)), _sorted_on(x, den, z), _sorted_on(y, den, z)) for m, x, y in pairs]
+    what = lambda: (f"sum of {len(pairs)} products" if len(pairs) > 1
+                    else "product of {} and {} terms".format(*(len(x._terms) for x in pairs[0][1:])))
+    return _new(rank, den, z, d, *_accumulate(grid, None, den, what))
+
+
+def _accumulate(pairs, head, den: int, what) -> tuple:
+    """(nonzero int terms, A, B, C, a bound, t bound) of the sum of m * x * y over the pairs.
+
+    The one pair loop of the series products, on grid operands x, y (see
+    ``_operand``) on one den and zeta grid with numerators over one
+    denominator; m is an int, head the (A, B, C, absolute a bound, absolute t
+    bound) of a zero summand put first, or None.
+
+    A product's rect is the tighter of each operand's rect shifted by the
+    other's floors (a term at a needs one factor up to a minus the other's
+    lowest exponent); with an empty operand, the smaller rect.  The sum takes
+    ``_signed_sum``'s rule: the min a and c of the parts' prefactors, the
+    first part's b and the min absolute rect, which lies inside every
+    product's, so cutting every pair at it drops only terms the merge of the
+    products would drop too.
+
+    y runs outside, shifted to the sum's prefactor and times m once per term;
+    x and y are sorted by a, so a row stops at the first partner past the
+    rect.  More than DEFAULT_TERM_CAP keys in the accumulator, zero sums
+    included, raise SeriesOverflowError naming what(), the sum being built.
+    """
+    heads, products = [] if head is None else [head], []
+    for m, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
         if i1 and i2:
             ra1, rt1 = (ra1[0] + fa2, ra1[1]), (rt1[0] + ft2, rt1[1])
             ra2, rt2 = (ra2[0] + fa1, ra2[1]), (rt2[0] + ft1, rt2[1])
             if m:
-                products.append((len(heads), m, x._d * y._d, i1, i2))
-        pa, pc, ra, rt = pa1 + pa2, pc1 + pc2, min(ra1, ra2), min(rt1, rt2)
+                products.append((len(heads), m, i1, i2))
+        pa, pc = pa1 + pa2, pc1 + pc2
+        ra, rt = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
         heads.append((pa, tuple(map(add, pb1, pb2)), pc, (pa + ra[0], ra[1]), (pc + rt[0], rt[1])))
     pas, pbs, pcs, ras, rts = zip(*heads)
     pa, pb, pc, ra, rt = min(pas), pbs[0], min(pcs), min(ras), min(rts)
     ra, rt = (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])
     a_hi, t_hi, cap = ra[0], rt[0], DEFAULT_TERM_CAP
-    d = math.lcm(1 if seed is None else seed._d, *{p[2] for p in products})
     out: dict = {}
-    if seed is not None:
-        da, db, dc, mult = pas[0] - pa, tuple(map(sub, pbs[0], pb)), pcs[0] - pc, d // seed._d
-        for (a, l, t), c in seed_terms.items():
-            if a + da <= a_hi and t + dc <= t_hi:
-                out[(a + da, tuple(map(add, l, db)), t + dc)] = c * mult
     get = out.get
-    for i, m, xd, left, right in products:
-        da, db, dc, mult = pas[i] - pa, tuple(map(sub, pbs[i], pb)), pcs[i] - pc, m * (d // xd)
+    for h, mult, left, right in products:
+        da, db, dc = pas[h] - pa, tuple(map(sub, pbs[h], pb)), pcs[h] - pc
         shift, lowest = any(db), left[0][0][0]
         for (a2, l2, t2), c2 in right:
             a2 += da
@@ -473,14 +461,11 @@ def _sum_of_products(rank: int, pairs: Sequence[tuple[int, TruncatedSeries, Trun
                 val = get(key)
                 out[key] = c1 * c2 if val is None else val + c1 * c2
             if len(out) > cap:
-                what = (f"product of {len(left)} and {len(right)} terms" if len(pairs) == 1
-                        else f"sum of {len(pairs)} products")
                 raise SeriesOverflowError(
-                    f"{what} on rect ({_value(ra, den)}, {_value(rt, den)}) "
+                    f"{what()} on rect ({_value(ra, den)}, {_value(rt, den)}) "
                     f"exceeded the cap of {cap} stored terms"
                 )
-    terms = {k: c for k, c in out.items() if c}
-    return _new(rank, den, z, d, terms, pa, pb, pc, ra, rt)
+    return {k: c for k, c in out.items() if c}, pa, pb, pc, ra, rt
 
 
 def _pack(l, w: int) -> int:
@@ -741,7 +726,8 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
 
     For zeta-block rank s this takes exactly s + 3 forms (one per tube
     domain coordinate tau, z_1..z_s, omega, plus one): the matrix rows are
-    the weighted forms, then the derivatives along tau, z_1..z_s, omega.
+    the weighted forms, then the derivatives along tau, z_1..z_s, omega.  The
+    Laplace expansion runs on int terms on one grid; see ``_determinants``.
     """
     s, det = _determinants(forms, 3, "")
     return det(tuple(range(s + 3)))
@@ -753,10 +739,10 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     J_t is the Jacobian of all forms except the t-th (1-indexed), so for
     rank s this takes s + 4 forms.  The sum is the first-row Laplace expansion
     of the (s+4)x(s+4) determinant whose first two rows are both k_i f_i, and
-    J_t is its minor on rows 2.. over the columns other than t.  The J_t share
-    one minor memo keyed by (row, columns, rect, den), with J_t's own rect
-    and den (the min of the other forms' rects, the lcm of their dens).  The
-    sum is one kernel call over the pairs (+-k_t, f_t, J_t).
+    J_t is its minor on rows 2.. over the columns other than t.  All J_t are
+    expanded on the grid of all s + 4 forms and share its minors wherever
+    their rects agree (J_t's is the min of the other forms' rects); the sum is
+    one ``_sum_of_products`` over the pairs (+-k_t, f_t, J_t).
     """
     s, det = _determinants(forms, 4, "syzygy ")
     pairs = [
@@ -767,7 +753,16 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
-    """(s, det): the forms' common rank and their Jacobians det(cols), one memo."""
+    """(s, det): the forms' common rank and their Jacobians det(cols), on one grid.
+
+    The grid is the lcm den of the forms' dens and the lcm z of their zeta
+    denominators.  Entry (r, j) is f_j as a grid operand, its terms times k_j in
+    row 0 and times their exponent along tau, z_1..z_s, omega below (ints on the
+    grid), with numerators over d_j, f_j's coefficient denominator, times the
+    row's scale 1, den, z, .., z, den.  So the minor on rows i.. and columns
+    cols is over the product of its d_j and its rows' scales, its Laplace pairs
+    all enter with m = +-1, and only det(cols) reduces.
+    """
     if not forms:
         raise ValueError("no forms given")
     s = forms[0].series.rank
@@ -775,41 +770,46 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         raise ValueError(f"rank {s} {what}needs exactly {s + extra} forms, got {len(forms)}")
     if any(f.series.rank != s for f in forms):
         raise ValueError("series rank mismatch")
-    axes = ["tau"] + [f"z{i}" for i in range(1, s + 1)] + ["omega"]
-    rows = [[f.series.scale(f.weight) for f in forms]]
-    rows += [[f.series.derive(axis) for f in forms] for axis in axes]
-    memo: dict[tuple, TruncatedSeries] = {}
+    den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
+    grid = [_sorted_on(f.series, den, z) for f in forms]
+    columns = []
+    for f, (items, _, pa, pb, pc, ra, rt) in zip(forms, grid):
+        # each term's factor per row: k_j, then its exponents plus the prefactor's
+        flat = [(key, c, (f.weight, pa + key[0], *map(add, pb, key[1]), pc + key[2])) for key, c in items]
+        columns.append([_operand([(k, c * e[r]) for k, c, e in flat if e[r]], pa, pb, pc, ra, rt)
+                        for r in range(s + 3)])
+    rows = list(zip(*columns))
+    scale, zeros, memo = den * den * z**s, (0,) * s, {}
 
     def det(cols: tuple[int, ...]) -> TruncatedSeries:
-        series = [forms[j].series for j in cols]
-        den = math.lcm(*(x.den for x in series))
-        bounds = tuple(min(_bound(x.rect[i], den) for x in series) for i in (0, 1))
-        return _minor(rows, memo, 0, cols, _new(s, den, 1, 1, {}, 0, (0,) * s, 0, *bounds))
+        # the zero summand every minor starts from: prefactor 0 and the forms' smallest rect
+        head = (0, zeros, 0, min(grid[j][5] for j in cols), min(grid[j][6] for j in cols))
+        items, _, pa, pb, pc, ra, rt = _minor(rows, memo.setdefault(head, {}), den, 0, cols, head)
+        d = math.prod(forms[j].series._d for j in cols) * scale
+        return _new(s, den, z, d, dict(items), pa, pb, pc, ra, rt)
 
     return s, det
 
 
-def _minor(rows, memo: dict, i: int, cols: tuple[int, ...], seed: TruncatedSeries) -> TruncatedSeries:
-    """Minor on rows i.., columns cols: one kernel call along row i, one(rect) when cols is empty.
+def _minor(rows, memo: dict, den: int, i: int, cols: tuple[int, ...], head: tuple) -> tuple:
+    """The grid operand of the minor on rows i.., columns cols; the unit when cols is empty.
 
-    seed is zero(rect): no terms, prefactor 0 and the rect's bounds on its den
-    grid, which key the memo together with the rows and columns.  Every minor
-    sums its pairs (+-1, entry, minor below) onto it.  A module function, not
-    a closure, so the memo is freed with its last caller instead of waiting
-    for the cycle collector.
+    One ``_accumulate`` call along row i over the pairs (+-1, entry, minor
+    below) after head, the determinant's zero summand; memo holds the minors
+    from that head.  A module function, not a closure, so the memo is freed
+    with its last caller instead of waiting for the cycle collector.
     """
-    key = (i, cols, seed._ra, seed._rt, seed.den)
+    key = (i, cols)
     total = memo.get(key)
     if total is None:
-        if not cols:
-            total = _unit(seed.rank, seed.den, seed._ra, seed._rt)
+        if not cols:  # one term 1 at the origin, if the head's rect holds it
+            total = _operand([((0, head[1], 0), 1)] if head[3][0] >= 0 and head[4][0] >= 0 else [], *head)
         else:
-            pairs = [
-                (-1 if pos % 2 else 1, rows[i][j], _minor(rows, memo, i + 1, cols[:pos] + cols[pos + 1 :], seed))
-                for pos, j in enumerate(cols)
-                if not rows[i][j].is_zero
-            ]
-            total = _sum_of_products(seed.rank, pairs, seed)
+            below = lambda pos: _minor(rows, memo, den, i + 1, cols[:pos] + cols[pos + 1 :], head)
+            pairs = [(-1 if pos % 2 else 1, rows[i][j], below(pos)) for pos, j in enumerate(cols) if rows[i][j][0]]
+            what = lambda: f"{len(cols)}x{len(cols)} minor at row {i}, columns {list(cols)},"
+            terms, *rest = _accumulate(pairs, head, den, what)
+            total = _operand(sorted(terms.items()), *rest)
         memo[key] = total
     return total
 

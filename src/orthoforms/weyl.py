@@ -44,8 +44,9 @@ def _normalize_coords(coords) -> Coords:
     return tuple(x if type(x) is Q else Q(x) for x in coords)
 
 
-def _coords(x: Ints, den: int) -> Coords:
-    return tuple(Q(v, den) for v in x)
+def _shown(x: Ints, den: int) -> str:
+    """The stored den * l as the vector l for messages: (1/10, -1)."""
+    return f"({', '.join(str(Q(v, den)) for v in x)})"
 
 
 def is_positive_direction(coords: Sequence) -> bool:
@@ -99,15 +100,15 @@ class QZeroData:
             if n == 0 and not any(x):
                 raise ValueError("f(0, 0) is carried by k, not by the table")
             if any(sum(map(mul, row, x)) % den for row in gram):
-                raise ValueError(f"vector {_coords(x, den)} does not pair integrally")
+                raise ValueError(f"vector {_shown(x, den)} does not pair integrally")
             if table.setdefault((n, x), value) != value:
-                raise CoefficientConflictError(f"conflicting values at {(n, _coords(x, den))}")
+                raise CoefficientConflictError(f"conflicting values at ({n}, {_shown(x, den)})")
         if (-1, (0,) * rank) not in table:
             raise ValueError("missing principal part f(-1, 0) = 1")
         for (n, x), value in table.items():
             if table.get((n, tuple(map(neg, x)))) != value:
                 raise ValueError(
-                    f"coefficients are not even in l: f{(n, _coords(x, den))} has no partner"
+                    f"coefficients are not even in l: f({n}, {_shown(x, den)}) has no partner"
                 )
         self.lattice, self.k, self._den, self._map = lattice, k, den, table
         return self

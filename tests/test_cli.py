@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
-from orthoforms import roots as roots_mod
+from orthoforms import roots as roots_mod, series as series_mod
 from orthoforms.cli import build_parser, main
 from orthoforms.lattice import short_vectors
 from orthoforms.series import series_from_json
@@ -180,6 +180,16 @@ class TestWeyl:
         assert code == 3
         assert "l=[-1/1]" in err
 
+    def test_off_dual_vector_reads_as_a_rational(self, capsys, tmp_path):
+        phi = {
+            "lattice": "builtin:A1",
+            "coeffs": [{"n": -1, "l": ["0/1"], "f": 1}] + [{"n": 0, "l": [l], "f": 1} for l in ("1/10", "-1/10")],
+        }
+        path = write_json(tmp_path / "phi.json", phi)
+        code, out, err = run(capsys, "weyl", path)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "vector (1/10) does not pair integrally" in err
+
     def test_missing_principal_part(self, capsys, tmp_path):
         phi = {"lattice": "builtin:A1", "coeffs": []}
         path = write_json(tmp_path / "phi.json", phi)
@@ -250,6 +260,14 @@ class TestBorch:
         assert x.prefactor.a == 1 and x.prefactor.c == 0
         # constant term of the reduced series is 1
         assert x.terms[(Q(0), (Q(0),), Q(0))] == 1
+
+    def test_boundary_block_over_the_term_cap(self, capsys, tmp_path):
+        # (1 - zeta^-1)^300000 alone has 300001 terms, past the default cap
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 300000} for l in ("1/1", "-1/1")]
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, coeffs=coeffs))
+        code, out, err = run(capsys, "borch", path, "--rect", "1,1")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and "exceeds the term cap" in err
 
     def test_truncation_zero_keeps_prefactor_only(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
@@ -341,6 +359,17 @@ class TestJacobian:
         assert json.loads(out.split("\n", 2)[2])["terms"] == [
             {"a": "1/1", "l": ["1/1"], "t": "1/1", "c": "-2/1"}
         ]
+
+    @pytest.mark.parametrize("syzygy", [[], ["--syzygy"]])
+    def test_term_cap_overflow(self, capsys, tmp_path, monkeypatch, syzygy):
+        doc = self.series_doc(0, 0, 0)
+        # four terms with every exponent nonzero, so each 1x1 minor on the omega row has four
+        doc["terms"] = [{"a": f"{j}/1", "l": [f"{j}/1"], "t": f"{j}/1", "c": "1/1"} for j in range(1, 5)]
+        paths = [write_json(tmp_path / "f.json", doc)] * (5 if syzygy else 4)
+        monkeypatch.setattr(series_mod, "DEFAULT_TERM_CAP", 3)
+        code, out, err = run(capsys, "jacobian", *paths, "--weights", ",".join(["1"] * len(paths)), *syzygy)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 1x1 minor at row 3") and err.count("\n") == 1 and "cap of 3" in err
 
     def test_count_mismatch(self, capsys, tmp_path):
         p = write_json(tmp_path / "f.json", self.series_doc(1, 0, 0))

@@ -1059,28 +1059,24 @@ def naive_mul(x, y):
     return TruncatedSeries(x.rank, nonzero(terms), rect, prefactor, math.lcm(x.den, y.den))
 
 
-@st.composite
-def product_sums(draw, rank):
-    """(pairs, seed): one to four pairs (m, x, y) and a seed or None.
+def product_sums(rank):
+    """One to four pairs (m, x, y).
 
     Operands come from grid_series, so den, zeta denominators and prefactors
     differ between them; some are emptied by scale(0), which keeps their
     prefactor and rect.
     """
     operand = st.one_of(grid_series(rank), grid_series(rank).map(lambda x: x.scale(0)))
-    pairs = draw(st.lists(st.tuples(st.integers(-6, 6), operand, operand), min_size=1, max_size=4))
-    return pairs, draw(st.one_of(st.none(), operand))
+    return st.lists(st.tuples(st.integers(-6, 6), operand, operand), min_size=1, max_size=4)
 
 
 class TestSumOfProducts:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 2).flatmap(product_sums))
-    def test_equals_merged_products(self, case):
-        pairs, seed = case
+    def test_equals_merged_products(self, pairs):
         rank = pairs[0][1].rank
-        parts = [] if seed is None else [(1, seed)]
-        parts += [(1, naive_mul(x, y).scale(m)) for m, x, y in pairs]
-        got = series_mod._sum_of_products(rank, pairs, seed)
+        parts = [(1, naive_mul(x, y).scale(m)) for m, x, y in pairs]
+        got = series_mod._sum_of_products(rank, pairs)
         assert json_of(got) == json_of(series_mod._signed_sum(parts))
 
 
@@ -1166,21 +1162,30 @@ def test_pool_json_unchanged(pool_reference, job):
     assert digest_of(out) == pool_reference[job]
 
 
-# pairs the kernel evaluates per syzygy_sum: C(s+4, i) minors on row i, each
-# with s+3-i entries, plus s+4 top-level pairs; the per-J_t expansion needed
-# 165 and 486 products
+# pairs the pair loop evaluates per syzygy_sum: C(s+4, i) minors on row i,
+# each with s+3-i entries, plus s+4 top-level pairs; the per-J_t expansion
+# needed 165 and 486 products
 @pytest.mark.parametrize("s, products", [(1, 80), (2, 192)])
 def test_syzygy_shares_minors(monkeypatch, s, products):
     pairs = []
-    kernel = series_mod._sum_of_products
+    kernel = series_mod._accumulate
 
-    def counting(rank, terms, seed=None):
+    def counting(terms, *args):
         pairs.extend(terms)
-        return kernel(rank, terms, seed)
+        return kernel(terms, *args)
 
-    monkeypatch.setattr(series_mod, "_sum_of_products", counting)
+    monkeypatch.setattr(series_mod, "_accumulate", counting)
     assert syzygy_sum(pool_forms(s, 0)).is_zero
     assert len(pairs) == products
+
+
+@pytest.mark.parametrize("what", ["jacobian", "syzygy_sum"])
+def test_jacobian_term_cap(monkeypatch, what):
+    # the 1x1 minors on the last row already hold up to four terms each
+    forms = pool_forms(1, 0)
+    monkeypatch.setattr(series_mod, "DEFAULT_TERM_CAP", 3)
+    with pytest.raises(SeriesOverflowError, match=r"^1x1 minor at row 3, columns \[\d\], on rect \(3, 3\) .* cap of 3 "):
+        jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -1260,8 +1265,8 @@ class TestJacobianAgainstSympy:
 # q^5 zeta xi * det((4, 6, 10, 12), (1, 2, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1))
 @pytest.mark.xfail(
     strict=True,
-    reason="_minor seeds every minor with zero(rect), whose prefactor is 0, so the "
-    "Jacobian's absolute rect is capped at the forms' relative rect",
+    reason="_determinants' det starts every minor from a zero head whose prefactor is 0, "
+    "so _accumulate caps the Jacobian's absolute rect at the forms' relative rect",
 )
 def test_jacobian_of_forms_with_positive_prefactor():
     q = Monomial(Q(1), (Q(0),), Q(0))
