@@ -17,11 +17,8 @@ from .lattice import (
     builtin_names,
     direct_sum,
     discriminant_group,
-    eichler_transvection,
     is_reflective,
     lattice_from_json,
-    lattice_to_json,
-    load_lattice,
     rescale,
     reflect,
     short_vectors,

@@ -69,8 +69,8 @@ def enumerate_candidates(max_rank: int = 8) -> list[CandidateSystem]:
     common value h(n)/d at least total rank + 1, with total rank capped by
     the free-algebra rank bound.
     """
-    if max_rank > 8:
-        raise ValueError("rank bound is 8")
+    if not 1 <= max_rank <= 8:
+        raise ValueError(f"rank bound must be between 1 and 8, got {max_rank}")
     # Assumption: every component has short roots of div d.  A1 and B2-B8
     # at d = 1 with short div 2d (subcase ii) pass the same two filters,
     # with h = n + 1, but are not enumerated, so no row of the table below

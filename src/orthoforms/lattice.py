@@ -8,13 +8,12 @@ the sign twist structurally instead of storing negative Gram blocks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 
@@ -229,12 +228,17 @@ def _nA1_gram(n):
     return tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+# name -> (Gram builder, rank), in the order builtin_names lists them
+_BUILTINS = {
+    **{f"A{n}": (_a_gram, n) for n in range(1, 9)},
+    **{f"D{n}": (_d_gram, n) for n in range(4, 9)},
+    **{f"E{n}": (_e_gram, n) for n in (6, 7, 8)},
+    **{f"{n}A1": (_nA1_gram, n) for n in range(2, 9)},
+}
+
+
 def builtin_names() -> list[str]:
-    names = [f"A{n}" for n in range(1, 9)]
-    names += [f"D{n}" for n in range(4, 9)]
-    names += ["E6", "E7", "E8"]
-    names += [f"{k}A1" for k in range(2, 9)]
-    return names
+    return list(_BUILTINS)
 
 
 @lru_cache(maxsize=None)
@@ -245,26 +249,16 @@ def builtin_lattice(name: str) -> Lattice:
     if name.endswith(")") and "(" in name:
         base, rest = name.split("(", 1)
         scale = int(rest[:-1])
-    if base.startswith("A") and base[1:].isdigit() and 1 <= int(base[1:]) <= 8:
-        lat = Lattice(_a_gram(int(base[1:])), base)
-    elif base.startswith("D") and base[1:].isdigit() and 4 <= int(base[1:]) <= 8:
-        lat = Lattice(_d_gram(int(base[1:])), base)
-    elif base in ("E6", "E7", "E8"):
-        lat = Lattice(_e_gram(int(base[1])), base)
-    elif base.endswith("A1") and base[:-2].isdigit() and 2 <= int(base[:-2]) <= 8:
-        lat = Lattice(_nA1_gram(int(base[:-2])), base)
-    else:
+    if base not in _BUILTINS:
         raise KeyError(f"unknown built-in lattice {name!r}")
+    gram, n = _BUILTINS[base]
+    lat = Lattice(gram(n), base)
     return rescale(lat, scale) if scale != 1 else lat
 
 
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
-
-
-def lattice_to_json(lat: Lattice) -> dict:
-    return {"label": lat.label, "gram": [list(row) for row in lat.gram]}
 
 
 def lattice_from_json(doc: dict) -> Lattice:
@@ -275,14 +269,6 @@ def lattice_from_json(doc: dict) -> Lattice:
         raise ValueError("'gram' must be a list of integer rows")
     frozen = linalg.freeze(gram)
     return Lattice(frozen, doc.get("label"))
-
-
-def load_lattice(ref: str) -> Lattice:
-    """Resolve "builtin:NAME" or a JSON file path to a Lattice."""
-    if ref.startswith("builtin:"):
-        return builtin_lattice(ref[len("builtin:"):])
-    with open(ref) as fh:
-        return lattice_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +329,6 @@ class AmbientVector:
         return g
 
 
-def ambient_gram(lat: Lattice) -> linalg.Mat:
-    n = lat.rank
-    size = n + 4
-    g = [[0] * size for _ in range(size)]
-    g[0][size - 1] = g[size - 1][0] = 1  # (e1, f1)
-    g[1][size - 2] = g[size - 2][1] = 1  # (e2, f2)
-    for i in range(n):
-        for j in range(n):
-            g[2 + i][2 + j] = -lat.gram[i][j]
-    return linalg.freeze(g)
-
-
 def is_reflective(v: AmbientVector) -> tuple[bool, str | None]:
     """Reflectivity test for a primitive negative-norm ambient vector.
 
@@ -375,34 +349,3 @@ def is_reflective(v: AmbientVector) -> tuple[bool, str | None]:
     if dv == d:
         return True, "div=d"
     return False, None
-
-
-def eichler_transvection(c: AmbientVector, a: AmbientVector) -> linalg.Mat:
-    """Matrix of v -> v - (a,v)c + (c,v)a - (a,a)(c,v)c/2 on the ambient basis.
-
-    Requires c isotropic and orthogonal to a.  The result preserves the
-    ambient Gram matrix and acts trivially on the discriminant group.
-    """
-    if c.norm() != 0:
-        raise ValueError("transvection base vector must be isotropic")
-    if c.pairing(a) != 0:
-        raise ValueError("transvection arguments must be orthogonal")
-    lat = c.lattice
-    n = lat.rank
-    size = n + 4
-    cc = c.coords()
-    ac = a.coords()
-    a_pair = a.basis_pairings()
-    c_pair = c.basis_pairings()
-    aa = a.norm()
-    cols = []
-    for j in range(size):
-        # image of the j-th basis vector
-        col = [Q(0)] * size
-        col[j] = Q(1)
-        av = a_pair[j]
-        cv = c_pair[j]
-        for i in range(size):
-            col[i] += -av * Q(cc[i]) + cv * Q(ac[i]) - Q(aa, 2) * cv * Q(cc[i])
-        cols.append(col)
-    return linalg.freeze(zip(*cols))

@@ -198,9 +198,6 @@ class IrreducibleComponent:
     def label(self) -> str:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
 
-    def short_roots(self):
-        return tuple(_split_by_norm(self.lattice, self.roots, 2 * self.d)[0])
-
 
 def _split_by_norm(lat: Lattice, roots, norm: int) -> tuple[list, list]:
     """The roots of the given norm and the others, reading each norm once."""

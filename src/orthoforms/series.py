@@ -549,13 +549,14 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
 
 
 def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
-                   den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
+                   den: int = DEFAULT_DEN) -> TruncatedSeries:
     """Expand q^A zeta^B xi^C prod (1 - q^n zeta^l xi^m)^{f(nm, l)} exactly.
 
     Binomial expansion of every factor to the order the rectangle needs.
     Factors with m = n = 0 must have positive exponents (otherwise the
     expansion is meromorphic along the toric boundary and is rejected), and
-    their combined support is capped: overflow raises SeriesOverflowError.
+    their combined support is capped at DEFAULT_TERM_CAP, as are the terms
+    stored after every factor: overflow raises SeriesOverflowError.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     factors = product_factors(coeffs, rect, rank)
@@ -568,7 +569,7 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
                     "meromorphic along the toric boundary"
                 )
             boundary_budget *= fac.exponent + 1
-            if boundary_budget > term_cap:
+            if boundary_budget > DEFAULT_TERM_CAP:
                 raise SeriesOverflowError(
                     "the m = n = 0 factor block alone exceeds the term cap; "
                     "its expansion has at least "
@@ -576,7 +577,7 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
                 )
     max_neg = max((-f.n for f in factors if f.n < 0), default=0)
     terms, z = _multiply_out(
-        factors, rank, a_max, t_max, max_neg, a_hi=max(math.floor(a_max), 0), term_cap=term_cap
+        factors, rank, a_max, t_max, max_neg, a_hi=max(math.floor(a_max), 0), term_cap=DEFAULT_TERM_CAP
     )
     return _from_integral(rank, terms, z, (a_max, t_max), Monomial(weyl.a, weyl.b, weyl.c), den)
 
@@ -661,7 +662,7 @@ def _binomial(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int) -> list[tupl
 
 
 def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
-                            den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
+                            den: int = DEFAULT_DEN) -> TruncatedSeries:
     """Difference of the two sides of the logarithmic xi-derivative identity.
 
     With G0 the expanded product over the factors with n >= 0, u_i their
@@ -683,7 +684,7 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
-    g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
+    g0 = expand_product(nonneg, weyl, rect, rank, den)
     xi_factors = [f for f in product_factors(nonneg, rect, rank) if f.m > 0]
     z = math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
     terms: dict = {}
@@ -698,7 +699,7 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
 
 
 def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
-                             den: int = DEFAULT_DEN, term_cap: int = DEFAULT_TERM_CAP) -> TruncatedSeries:
+                             den: int = DEFAULT_DEN) -> TruncatedSeries:
     """Difference of the full expansion and (n >= 0 block) * (n < 0 block).
 
     The n < 0 factors are finite binomials, multiplied out here on their own
@@ -706,9 +707,9 @@ def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q]
     the largest rectangle both sides are exact on.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
-    g = expand_product(coeffs, weyl, rect, rank, den, term_cap)
+    g = expand_product(coeffs, weyl, rect, rank, den)
     nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
-    g0 = expand_product(nonneg, weyl, rect, rank, den, term_cap)
+    g0 = expand_product(nonneg, weyl, rect, rank, den)
     neg_factors = [f for f in product_factors(coeffs, rect, rank) if f.n < 0]
     max_neg = max((-f.n for f in neg_factors), default=0)
     block, z = _multiply_out(neg_factors, rank, a_max, t_max, max_neg, a_hi=None, term_cap=None)

@@ -24,7 +24,7 @@ from operator import mul, neg
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .lattice import AmbientVector, Lattice
+from .lattice import AmbientVector, Lattice, is_reflective
 from .roots import DualRoot, _gram_ratio, _rank_one_sum
 
 
@@ -294,16 +294,14 @@ def divisor_multiplicity(phi: QZeroData, v: AmbientVector) -> MultiplicityResult
     lat = phi.lattice
     if v.lattice.gram != lat.gram:
         raise ValueError("vector lives over a different lattice")
-    ell = _normalize_coords(v.l)
-    if not lat.in_dual(ell):
+    # v is in the dual of 2U + L(-1) iff it pairs integrally with the basis,
+    # and primitive there iff those pairings have gcd 1
+    pairings = v.basis_pairings()
+    if any(Q(x).denominator != 1 for x in pairings):
         raise ValueError("vector is not in the dual ambient lattice")
-    u_parts = [v.e1, v.e2, v.f2, v.f1]
-    if any(Q(x).denominator != 1 for x in u_parts):
-        raise ValueError("hyperbolic coordinates must be integral")
-    pair_ints = [int(x) for x in lat.gram_times(ell)]
-    g = linalg.vec_gcd([int(x) for x in u_parts] + pair_ints)
-    if g != 1:
+    if linalg.vec_gcd(pairings) != 1:
         raise ValueError("vector is not primitive in the dual ambient lattice")
+    ell = _normalize_coords(v.l)
     norm = v.norm()
     if norm >= 0:
         raise ValueError("divisor multiplicity needs negative norm")
@@ -370,8 +368,6 @@ class DivisorLabel:
 
 def divisor_label(v: AmbientVector) -> DivisorLabel:
     """Heegner label of a reflective vector: lambda = v/div mod 1, m = norm/2."""
-    from .lattice import is_reflective
-
     flag, _ = is_reflective(v)
     if not flag:
         raise ValueError("vector is not reflective")

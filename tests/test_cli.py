@@ -457,6 +457,12 @@ class TestClassify:
         assert "PARTIAL" in out
         assert "(A4, O~+)" in out
 
+    @pytest.mark.parametrize("bound", ["-3", "0", "9"])
+    def test_rank_bound_out_of_range(self, capsys, bound):
+        code, out, err = run(capsys, "classify", "--max-rank", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: rank bound must be between 1 and 8, got {bound}\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "classify", "--format", "json")
         assert code == 0
@@ -501,6 +507,10 @@ class TestInputFiles:
 
     def test_unknown_builtin(self, capsys):
         assert run(capsys, "lattice", "builtin:Z9") == (2, "", "error: unknown built-in lattice 'Z9'\n")
+
+    @pytest.mark.parametrize("name", ["A01", "02A1", "D05(2)"])
+    def test_leading_zero_builtin_is_unknown(self, capsys, name):
+        assert run(capsys, "lattice", f"builtin:{name}") == (2, "", f"error: unknown built-in lattice {name!r}\n")
 
     @pytest.mark.parametrize("k", [None, [1], {}, True, 1.5, "abc", "1/0", "symbolic "])
     def test_bad_weight(self, capsys, tmp_path, k):

@@ -14,16 +14,13 @@ from orthoforms import (
     builtin_names,
     direct_sum,
     discriminant_group,
-    eichler_transvection,
     is_reflective,
     lattice_from_json,
-    lattice_to_json,
     rescale,
     reflect,
     short_vectors,
 )
 from orthoforms import linalg
-from orthoforms.lattice import ambient_gram
 
 
 A1 = builtin_lattice("A1")
@@ -74,6 +71,18 @@ class TestLatticeBasics:
     def test_builtin_even(self):
         for name in builtin_names():
             assert builtin_lattice(name).is_even
+
+    def test_builtin_names(self):
+        names = [
+            "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
+            "D4", "D5", "D6", "D7", "D8",
+            "E6", "E7", "E8",
+            "2A1", "3A1", "4A1", "5A1", "6A1", "7A1", "8A1",
+        ]
+        assert builtin_names() == names
+        lats = [builtin_lattice(name) for name in names]
+        assert [lat.label for lat in lats] == names
+        assert [lat.rank for lat in lats] == [*range(1, 9), *range(4, 9), 6, 7, 8, *range(2, 9)]
 
 
 class TestDiscriminantGroup:
@@ -219,7 +228,7 @@ class TestReflect:
 
 class TestJson:
     def test_round_trip(self):
-        doc = lattice_to_json(A2)
+        doc = {"label": "A2", "gram": [[2, -1], [-1, 2]]}
         again = lattice_from_json(json.loads(json.dumps(doc)))
         assert again.gram == A2.gram
         assert again.label == A2.label
@@ -268,53 +277,6 @@ class TestAmbient:
     def test_positive_norm_rejected(self):
         with pytest.raises(ValueError):
             is_reflective(ambient(A1, 1, 0, (0,), 0, 1))
-
-
-class TestEichler:
-    def c_vector(self, lat):
-        return ambient(lat, 1, 0, (0,) * lat.rank, 0, 0)  # e1 is isotropic
-
-    def test_zero_gives_identity(self):
-        c = self.c_vector(A2)
-        a = ambient(A2, 0, 0, (0, 0), 0, 0)
-        assert eichler_transvection(c, a) == linalg.identity(A2.rank + 4)
-
-    def test_group_law(self):
-        c = self.c_vector(A2)
-        a = ambient(A2, 0, 0, (1, -2), 0, 0)
-        neg_a = ambient(A2, 0, 0, (-1, 2), 0, 0)
-        g = eichler_transvection(c, a)
-        h = eichler_transvection(c, neg_a)
-        assert linalg.mat_mul(g, h) == linalg.identity(A2.rank + 4)
-
-    def test_gram_preserved_and_discriminant_trivial(self):
-        rng = random.Random(11)
-        gm = ambient_gram(A2)
-        dual = linalg.inverse(gm)
-        c = self.c_vector(A2)
-        for _ in range(20):
-            l_part = tuple(rng.randint(-3, 3) for _ in range(2))
-            a = ambient(A2, 0, rng.randint(-2, 2), l_part, rng.randint(-2, 2), 0)
-            if c.pairing(a) != 0:
-                continue
-            g = eichler_transvection(c, a)
-            assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), gm), g) == gm
-            # trivial action on the discriminant group: g x - x integral
-            for row in dual:
-                image = linalg.mat_vec(g, row)
-                assert all((u - v).denominator == 1 for u, v in zip(image, row))
-
-    def test_non_isotropic_rejected(self):
-        c = ambient(A2, 1, 0, (0, 0), 0, 1)  # norm 2
-        a = ambient(A2, 0, 0, (1, 0), 0, 0)
-        with pytest.raises(ValueError):
-            eichler_transvection(c, a)
-
-    def test_non_orthogonal_rejected(self):
-        c = self.c_vector(A2)
-        a = ambient(A2, 0, 0, (0, 0), 0, 1)  # pairs with e1
-        with pytest.raises(ValueError):
-            eichler_transvection(c, a)
 
 
 # ---------------------------------------------------------------------------

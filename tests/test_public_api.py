@@ -1,0 +1,61 @@
+"""Every name exported from orthoforms has a caller outside the tests.
+
+A name counts as called when the code of another module of the package or
+of the perfbench harness refers to it, or when README.md names it.  The
+few names whose caller is still planned are kept by KEEP, each with the
+ROADMAP item that will call it.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "orthoforms"
+
+KEEP = {
+    "divisor_label": "item 9 picks item 1's mirrors with it",
+    "divisor_multiplicity": "item 1 checks multiplicity one at every mirror",
+    "jacobi_support_class": "item 3 classifies the Gritsenko lifts with it",
+    "reflect": "item 5 generates the Weyl group from simple reflections",
+    "direct_sum": "tests build decompose inputs with it",
+}
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def code_references(path: Path) -> set[str]:
+    """Names and attributes the module's code reads, outside the definition of each name."""
+    refs: set[str] = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+        refs |= names - {getattr(stmt, "name", None)}
+    return refs
+
+
+def referenced_names() -> set[str]:
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    modules += sorted((ROOT / "perfbench").glob("*.py"))
+    refs = set().union(*map(code_references, modules))
+    refs.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    return refs
+
+
+def test_every_export_has_a_caller():
+    uncalled = exported_names() - referenced_names() - set(KEEP)
+    assert not uncalled, f"exported with no caller outside the tests: {sorted(uncalled)}"
+
+
+def test_keep_list_names_only_uncalled_exports():
+    # a kept name that gains a caller, or stops being exported, leaves KEEP
+    assert set(KEEP) <= exported_names()
+    assert not set(KEEP) & referenced_names()

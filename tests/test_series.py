@@ -243,13 +243,13 @@ class TestExpandProduct:
         for i in range(10):
             coeffs[(0, (Q(-i - 1),))] = 3
             coeffs[(0, (Q(i + 1),))] = 3
-        with pytest.raises(SeriesOverflowError):
-            expand_product(coeffs, weyl(1), (Q(1), Q(1)), 1, term_cap=50)
+        with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 50), pytest.raises(SeriesOverflowError):
+            expand_product(coeffs, weyl(1), (Q(1), Q(1)), 1)
 
     def test_overflow_message_names_the_factor(self):
         phi, wv = acceptance_dataset("G2")
-        with pytest.raises(SeriesOverflowError) as exc:
-            expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), 2, term_cap=500)
+        with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 500), pytest.raises(SeriesOverflowError) as exc:
+            expand_product(phi.coefficient_table(), wv, (Q(3), Q(3)), 2)
         message = str(exc.value)
         assert "Fraction(" not in message
         assert message == (
@@ -704,11 +704,12 @@ class TestExpandAgainstNaive:
         rect = (a_max, t_max)
         wv = WeylVector(Q(1, 24), (Q(1, 2),) * rank, Q(-5, 24))
         expected = naive_expand(table, rect, rank, term_cap)
-        if expected is None:
-            with pytest.raises(SeriesOverflowError):
-                expand_product(table, wv, rect, rank, term_cap=term_cap)
-            return
-        g = expand_product(table, wv, rect, rank, term_cap=term_cap)
+        with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", term_cap):
+            if expected is None:
+                with pytest.raises(SeriesOverflowError):
+                    expand_product(table, wv, rect, rank)
+                return
+            g = expand_product(table, wv, rect, rank)
         assert dict(g.terms) == expected
         assert g.rect == rect
         assert g.prefactor == Monomial(wv.a, wv.b, wv.c)

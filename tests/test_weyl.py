@@ -216,6 +216,26 @@ class TestDivisorMultiplicity:
         with pytest.raises(ValueError):
             divisor_multiplicity(self.phi, v)
 
+    def test_rejects_lattice_part_outside_the_dual(self):
+        # E8 is unimodular, so r/3 is not in L'
+        v = self.ambient(0, 0, tuple(Q(x, 3) for x in self.root), 1, 0)
+        with pytest.raises(ValueError, match="not in the dual ambient lattice"):
+            divisor_multiplicity(self.phi, v)
+
+    def test_rejects_half_hyperbolic_coordinate(self):
+        v = self.ambient(0, Q(-1, 2), (0,) * 8, 1, 0)
+        with pytest.raises(ValueError):
+            divisor_multiplicity(self.phi, v)
+
+    def test_rejects_zero_vector(self):
+        with pytest.raises(ValueError, match="not primitive"):
+            divisor_multiplicity(self.phi, self.ambient(0, 0, (0,) * 8, 0, 0))
+
+    def test_rejects_vector_over_another_lattice(self):
+        v = AmbientVector(builtin_lattice("D8"), 0, -1, (0,) * 8, 1, 0)
+        with pytest.raises(ValueError, match="different lattice"):
+            divisor_multiplicity(self.phi, v)
+
 
 class TestCharacter:
     def test_standard_shape(self):
