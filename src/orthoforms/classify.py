@@ -27,12 +27,6 @@ GROUP_DK = "O~+"  # discriminant kernel
 GROUP_FULL = "O+"  # full orthogonal group (positive part)
 GROUP_O1 = "O1+"  # kernel extended by an odd sign change of D4
 
-GROUP_NAMES = {
-    GROUP_DK: "discriminant_kernel",
-    GROUP_FULL: "full_O_plus",
-    GROUP_O1: "O1_plus",
-}
-
 
 class ClassificationError(RuntimeError):
     pass

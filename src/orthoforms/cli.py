@@ -289,12 +289,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _joined_weights(argv) -> list[str]:
-    """'--weights -2,1' spelled '--weights=-2,1': argparse reads a leading '-' as an option."""
+def _joined_lists(argv) -> list[str]:
+    """'--weights -2,1' and '--rect -1,2' joined by '=': argparse reads a leading '-' as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--weights" and arg.startswith("-"):
-            out[-1] = f"--weights={arg}"
+        if out and out[-1] in ("--weights", "--rect") and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_joined_weights(argv))
+        args = build_parser().parse_args(_joined_lists(argv))
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
         return args.func(args)

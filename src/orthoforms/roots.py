@@ -106,9 +106,6 @@ class RootDatum:
     # G·r for each root, as detect_roots records them; None makes decompose compute them
     images: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
 
-    def __len__(self):
-        return len(self.roots)
-
     def norms(self) -> dict[int, int]:
         return dict(Counter(int(self.lattice.norm(r)) for r in self.roots))
 

@@ -555,30 +555,26 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
     Binomial expansion of every factor to the order the rectangle needs.
     Factors with m = n = 0 must have positive exponents (otherwise the
     expansion is meromorphic along the toric boundary and is rejected), and
-    their combined support is capped at DEFAULT_TERM_CAP, as are the terms
-    stored after every factor: overflow raises SeriesOverflowError.
+    the product of their (exponent + 1), a bound on their block's zeta
+    monomials, is capped at DEFAULT_TERM_CAP, as are the terms stored after
+    every factor: overflow raises SeriesOverflowError.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     factors = product_factors(coeffs, rect, rank)
-    boundary_budget = 1
-    for fac in factors:
-        if fac.m == 0 and fac.n == 0:
-            if fac.exponent < 0:
-                raise ValueError(
-                    "negative exponent on a boundary factor: expansion is "
-                    "meromorphic along the toric boundary"
-                )
-            boundary_budget *= fac.exponent + 1
-            if boundary_budget > DEFAULT_TERM_CAP:
-                raise SeriesOverflowError(
-                    "the m = n = 0 factor block alone exceeds the term cap; "
-                    "its expansion has at least "
-                    f"{boundary_budget} zeta monomials"
-                )
-    max_neg = max((-f.n for f in factors if f.n < 0), default=0)
-    terms, z = _multiply_out(
-        factors, rank, a_max, t_max, max_neg, a_hi=max(math.floor(a_max), 0), term_cap=DEFAULT_TERM_CAP
-    )
+    bound = 1
+    for k, fac in enumerate((f for f in factors if f.m == f.n == 0), 1):
+        if fac.exponent < 0:
+            raise ValueError(
+                "negative exponent on a boundary factor: expansion is "
+                "meromorphic along the toric boundary"
+            )
+        bound *= fac.exponent + 1
+        if bound > DEFAULT_TERM_CAP:
+            raise SeriesOverflowError(
+                "the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
+                f"{bound} over its first {k} factors, which exceeds the term cap of {DEFAULT_TERM_CAP}"
+            )
+    terms, z = _multiply_out(factors, rank, a_max, t_max)
     return _from_integral(rank, terms, z, (a_max, t_max), Monomial(weyl.a, weyl.b, weyl.c), den)
 
 
@@ -591,17 +587,17 @@ def _from_integral(rank, terms, z, rect, prefactor: Monomial, den) -> TruncatedS
     return _new(rank, den, zz, 1, out, _int(pa, den), _scaled(pb, zz), _int(pc, den), *bounds)._cut(*bounds)
 
 
-def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
+def _multiply_out(factors, rank, a_max, t_max):
     """Terms of the product of the factors' binomials, one factor at a time.
 
     Returns (terms, z): exponents a and t are integers here, and zeta entries
     are scaled by z, the lcm of the factors' zeta denominators.  Products
-    leaving the box a <= a_hi, t <= t_max are dropped after every factor
-    (None leaves a_hi open), and more than term_cap nonzero terms after any
-    factor raises SeriesOverflowError (None: no cap).  No lower q bound is
-    needed: n >= -max_neg, and m >= 1 where n < 0, so a binomial term has
-    a = j*n >= -max_neg * j*m = -max_neg * t, hence so does every product,
-    and t <= t_max bounds a below by -max_neg * t_max.
+    leaving the box a <= max(a_max, 0), t <= t_max are dropped after every
+    factor, and more than DEFAULT_TERM_CAP nonzero terms after any factor
+    raises SeriesOverflowError.  No lower q bound is needed: n >= -max_neg,
+    and m >= 1 where n < 0, so a binomial term has a = j*n >= -max_neg * j*m
+    = -max_neg * t, hence so does every product, and t <= t_max bounds a
+    below by -max_neg * t_max.
 
     The accumulator maps each (a, t) to a row {_pack(l, w): c} with no zero
     c.  A product term's zeta entry sums one binomial term's entry per
@@ -610,8 +606,8 @@ def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
     box is tested once per pair of rows; keys are unpacked once at the end.
     """
     z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
-    t_hi = math.floor(t_max)
-    a_hi = math.inf if a_hi is None else a_hi
+    a_hi, t_hi = max(math.floor(a_max), 0), math.floor(t_max)
+    max_neg = max((-fac.n for fac in factors if fac.n < 0), default=0)
     ls = [_scaled(fac.l, z) for fac in factors]
     binomials = [_binomial(fac, a_max, t_max, max_neg) for fac in factors]
     bound = sum(b[-1][0] * max(map(abs, l), default=0) for l, b in zip(ls, binomials))
@@ -639,9 +635,9 @@ def _multiply_out(factors, rank, a_max, t_max, max_neg, a_hi, term_cap):
                     else:
                         del row[k]
         acc = {at: row for at, row in out.items() if row}
-        if term_cap is not None and sum(map(len, acc.values())) > term_cap:
+        if sum(map(len, acc.values())) > DEFAULT_TERM_CAP:
             raise SeriesOverflowError(
-                f"expansion exceeded {term_cap} stored terms at factor {i} of {len(factors)}: {fac}"
+                f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}"
             )
     terms = {(a, _unpack(k, rank, w), t): c for (a, t), row in acc.items() for k, c in row.items()}
     return terms, z
@@ -661,8 +657,7 @@ def _binomial(fac: ProductFactor, a_max: Q, t_max: Q, max_neg: int) -> list[tupl
     return [(j, c) for j in range(j_max + 1) if (c := _binomial_coefficient(fac.exponent, j))]
 
 
-def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
-                            den: int = DEFAULT_DEN) -> TruncatedSeries:
+def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int) -> TruncatedSeries:
     """Difference of the two sides of the logarithmic xi-derivative identity.
 
     With G0 the expanded product over the factors with n >= 0, u_i their
@@ -684,7 +679,7 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
-    g0 = expand_product(nonneg, weyl, rect, rank, den)
+    g0 = expand_product(nonneg, weyl, rect, rank)
     xi_factors = [f for f in product_factors(nonneg, rect, rank) if f.m > 0]
     z = math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
     terms: dict = {}
@@ -694,26 +689,25 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
             key = (j * fac.n, tuple([j * x for x in l]), j * fac.m)
             terms[key] = terms.get(key, 0) - fac.m * fac.exponent
     terms = {k: c for k, c in terms.items() if c}
-    s = _from_integral(rank, terms, z, (a_max, t_max), Monomial.zero(rank), den)
-    return g0.derive("omega") - g0 * (s + one(rank, (a_max, t_max), den).scale(_q(weyl.c)))
+    s = _from_integral(rank, terms, z, (a_max, t_max), Monomial.zero(rank), DEFAULT_DEN)
+    return g0.derive("omega") - g0 * (s + one(rank, (a_max, t_max)).scale(_q(weyl.c)))
 
 
-def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
-                             den: int = DEFAULT_DEN) -> TruncatedSeries:
+def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int) -> TruncatedSeries:
     """Difference of the full expansion and (n >= 0 block) * (n < 0 block).
 
-    The n < 0 factors are finite binomials, multiplied out here on their own
-    with no q bound, so this checks the debt handling of the full expansion on
-    the largest rectangle both sides are exact on.
+    The n < 0 block is expand_product of the table's n < 0 entries with a
+    zero prefactor.  Its factors are finite binomials whose every term has
+    a <= 0, so the expansion's box a <= max(a_max, 0) drops none of them, and
+    the full expansion multiplies the same factors first under the same cap:
+    the block is their whole product cut at the rectangle.  This checks the
+    debt handling of the full expansion on the largest rectangle both sides
+    are exact on.
     """
-    a_max, t_max = _q(rect[0]), _q(rect[1])
-    g = expand_product(coeffs, weyl, rect, rank, den)
-    nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
-    g0 = expand_product(nonneg, weyl, rect, rank, den)
-    neg_factors = [f for f in product_factors(coeffs, rect, rank) if f.n < 0]
-    max_neg = max((-f.n for f in neg_factors), default=0)
-    block, z = _multiply_out(neg_factors, rank, a_max, t_max, max_neg, a_hi=None, term_cap=None)
-    product = g0 * _from_integral(rank, block, z, (a_max, t_max), Monomial.zero(rank), den)
+    g = expand_product(coeffs, weyl, rect, rank)
+    g0 = expand_product({key: f for key, f in coeffs.items() if key[0] >= 0}, weyl, rect, rank)
+    neg = {key: f for key, f in coeffs.items() if key[0] < 0}
+    product = g0 * expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), rect, rank)
     return g._cut(product._ra, product._rt) - product._cut(product._ra, product._rt)
 
 

@@ -311,15 +311,11 @@ def divisor_multiplicity(phi: QZeroData, v: AmbientVector) -> MultiplicityResult
     n = int(two_n) // 2
     if n > 0:
         return MultiplicityResult(0, False)
-    total = 0
     if n < 0:
-        # stored principal part is f(-1, 0) alone
-        m = 1
-        while m * m * (-n) <= 1:
-            total += phi.f(m * m * n, tuple(m * x for x in ell))
-            m += 1
-        return MultiplicityResult(total, True)
+        # the stored principal part is f(-1, 0) alone, so m = 1 is the only multiple
+        return MultiplicityResult(phi.f(n, ell), True)
     # n == 0: finitely many multiples of l can hit the stored support
+    total = 0
     max_norm = Q(max([0] + [lat.norm(x) for x, _ in phi._q0_items()]), phi._den ** 2)
     ell_norm = lat.norm(ell)
     m = 1

@@ -278,6 +278,21 @@ class TestBorch:
         assert x.prefactor.a == 1
         assert dict(x.terms) == {(Q(0), (Q(0),), Q(0)): Q(1)}
 
+    @pytest.mark.parametrize("rect, a_max", [("-1,2", "-1/1"), ("-1/2,2", "-1/2")])
+    def test_negative_rect_bound(self, capsys, tmp_path, rect, a_max):
+        # README's A1 file; '--rect -1,2' reads as '--rect=-1,2'
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 1} for l in ("1/1", "-1/1")]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        docs = []
+        for spelling in (["--rect", rect], [f"--rect={rect}"]):
+            out_path = tmp_path / "series.json"
+            code, out, err = run(capsys, "borch", path, *spelling, "-o", str(out_path))
+            assert (code, err) == (0, "")
+            assert "terms stored: 6" in out
+            docs.append(json.loads(out_path.read_text()))
+        assert docs[0] == docs[1]
+        assert docs[0]["rect"] == [a_max, "2/1"]
+
     def test_den_zero_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
         code, out, err = run(capsys, "borch", path, "--rect", "1,1", "--den", "0")

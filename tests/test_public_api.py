@@ -1,4 +1,5 @@
-"""Every name exported from orthoforms has a caller outside the tests.
+"""Every name exported from orthoforms has a caller outside the tests, and
+every module-level name of the package is referred to somewhere.
 
 A name counts as called when the code of another module of the package or
 of the perfbench harness refers to it, or when README.md names it.  The
@@ -32,30 +33,58 @@ def exported_names() -> set[str]:
     }
 
 
+def defined_names(stmt: ast.stmt) -> set[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
 def code_references(path: Path) -> set[str]:
     """Names and attributes the module's code reads, outside the definition of each name."""
     refs: set[str] = set()
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-        refs |= names - {getattr(stmt, "name", None)}
+        names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names |= {
+            node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        refs |= names - defined_names(stmt)
     return refs
 
 
-def referenced_names() -> set[str]:
-    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    modules += sorted((ROOT / "perfbench").glob("*.py"))
-    refs = set().union(*map(code_references, modules))
+def referenced_names(files) -> set[str]:
+    """What the code of the files refers to, and every word of README.md."""
+    refs = set().union(*map(code_references, files))
     refs.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     return refs
 
 
+MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+# the callers an export needs: another package module, the harness or README.md
+CALLERS = [p for p in MODULES if p.name != "__init__.py"] + PERFBENCH
+
+
 def test_every_export_has_a_caller():
-    uncalled = exported_names() - referenced_names() - set(KEEP)
+    uncalled = exported_names() - referenced_names(CALLERS) - set(KEEP)
     assert not uncalled, f"exported with no caller outside the tests: {sorted(uncalled)}"
 
 
 def test_keep_list_names_only_uncalled_exports():
     # a kept name that gains a caller, or stops being exported, leaves KEEP
     assert set(KEEP) <= exported_names()
-    assert not set(KEEP) & referenced_names()
+    assert not set(KEEP) & referenced_names(CALLERS)
+
+
+def test_every_module_level_name_is_referred_to():
+    # anywhere outside its own definition: the package, perfbench, the tests or README.md
+    refs = referenced_names(MODULES + PERFBENCH + sorted((ROOT / "tests").glob("*.py")))
+    unreferenced = sorted(
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        for name in defined_names(stmt) - refs
+        if not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not unreferenced, f"defined but never referred to: {unreferenced}"

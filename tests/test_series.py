@@ -246,6 +246,17 @@ class TestExpandProduct:
         with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 50), pytest.raises(SeriesOverflowError):
             expand_product(coeffs, weyl(1), (Q(1), Q(1)), 1)
 
+    def test_boundary_overflow_message_is_a_bound(self):
+        # A6's 21 boundary factors have 7! = 5040 zeta monomials in all; the
+        # guard trips on the bound 2^18 after 18 of them, before any product
+        phi, wv = acceptance_dataset("A6")
+        with pytest.raises(SeriesOverflowError) as exc:
+            expand_product(phi.coefficient_table(), wv, (Q(1), Q(1)), 6)
+        assert str(exc.value) == (
+            "the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block "
+            "is 262144 over its first 18 factors, which exceeds the term cap of 200000"
+        )
+
     def test_overflow_message_names_the_factor(self):
         phi, wv = acceptance_dataset("G2")
         with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 500), pytest.raises(SeriesOverflowError) as exc:
@@ -734,26 +745,49 @@ class TestExpandAgainstNaive:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
-        st.one_of(st.none(), st.integers(-3, 3)),
+        st.integers(-72, 72).map(lambda n: Q(n, 24)),
         st.integers(0, 2),
     )
-    def test_multiply_out_box(self, table_of_rank, a_hi, t_max):
-        # the kernel on its own, with q bounds expand_product never asks for
+    def test_multiply_out_box(self, table_of_rank, a_max, t_max):
+        # the kernel on its own, before the cut at the rectangle: it keeps
+        # a <= max(floor(a_max), 0) and t <= t_max after every factor
         rank, table = table_of_rank
-        rect = (Q(2), Q(t_max))
+        rect = (a_max, Q(t_max))
         factors = product_factors(table, rect, rank)
         max_neg = max((-f.n for f in factors if f.n < 0), default=0)
-        keep = lambda a, t: (a_hi is None or a <= a_hi) and t <= t_max
+        keep = lambda a, t: a <= max(math.floor(a_max), 0) and t <= t_max
         expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
         for fac in factors:
             poly = [
                 ((Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)), Q(c))
-                for j, c in series_mod._binomial(fac, rect[0], rect[1], max_neg)
+                for j, c in series_mod._binomial(fac, *rect, max_neg)
             ]
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
-        terms, z = series_mod._multiply_out(factors, rank, *rect, max_neg, a_hi, None)
+        terms, z = series_mod._multiply_out(factors, rank, *rect)
         got = {(Q(a), tuple(Q(x, z) for x in l), Q(t)): Q(c) for (a, l, t), c in terms.items()}
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-72, 72).map(lambda n: Q(n, 24)),
+        st.integers(0, 72).map(lambda n: Q(n, 24)),
+    )
+    def test_principal_block(self, table_of_rank, a_max, t_max):
+        # principal_block_residual's n < 0 block: the whole product of the
+        # binomials (1 - q^n zeta^l xi^m)^f(nm, l), m | nm, with no q bound, cut at the rect
+        rank, table = table_of_rank
+        neg = {key: f for key, f in table.items() if key[0] < 0}
+        expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
+        for (nm, l), f in neg.items():
+            for m in (m for m in range(1, math.floor(t_max) + 1) if nm % m == 0):
+                poly = [
+                    ((Q(j * nm // m), tuple(j * x for x in l), Q(j * m)), Q(naive_binomial(f, j)))
+                    for j in range(math.floor(t_max / m) + 1)
+                ]
+                expected = nonzero(naive_convolve(expected.items(), poly, lambda a, t: t <= t_max))
+        g = expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), (a_max, t_max), rank)
+        assert dict(g.terms) == {k: c for k, c in expected.items() if k[0] <= a_max}
 
 
 class TestProductFactors:
@@ -827,6 +861,7 @@ def acceptance_dataset(name):
         "B2 plain": (("B", 2, 1), {"short_div": 1}),
         "G2": (("G2", 2, 1), {}),
         "A3": (("A", 3, 1), {}),
+        "A6": (("A", 6, 1), {}),
         "C3": (("C", 3, 1), {}),
         "D4": (("D", 4, 1), {}),
     }[name]

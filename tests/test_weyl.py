@@ -195,6 +195,18 @@ class TestDivisorMultiplicity:
         v = self.ambient(0, -4, (0,) * 8, 1, 0)
         assert divisor_multiplicity(self.phi, v) == (0, True)
 
+    def test_principal_index_off_the_zero_vector(self):
+        # n = -1 with l = r: the principal part stores f(-1, 0) alone
+        v = self.ambient(0, -1, self.root, 1, 0)
+        assert divisor_multiplicity(self.phi, v) == (0, True)
+
+    @pytest.mark.parametrize("n", [-2, -3])
+    @pytest.mark.parametrize("on_root", [False, True])
+    def test_index_below_the_principal_part(self, n, on_root):
+        l = self.root if on_root else (0,) * 8
+        v = self.ambient(0, n, l, 1, 0)
+        assert divisor_multiplicity(self.phi, v) == (0, True)
+
     def test_non_reflective_direction(self):
         # n = 0 and no multiple of 2r is in the support
         v = self.ambient(0, 0, tuple(2 * x for x in self.root), 1, 0)
