@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -292,6 +293,16 @@ class TestBorch:
             docs.append(json.loads(out_path.read_text()))
         assert docs[0] == docs[1]
         assert docs[0]["rect"] == [a_max, "2/1"]
+
+    def test_huge_rect_is_one_error_line(self, capsys, tmp_path):
+        # two factors per n <= 10^400: counted and refused before any is built
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 1} for l in ("1/1", "-1/1")]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "borch", path, "--rect", "1e400,1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
 
     def test_den_zero_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)

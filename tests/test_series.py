@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 from unittest import mock
@@ -15,6 +16,7 @@ from orthoforms import builtin_lattice
 from orthoforms import series as series_mod
 from orthoforms.series import (
     Monomial,
+    ProductFactor,
     SeriesOverflowError,
     TruncatedSeries,
     WeightedSeries,
@@ -755,12 +757,13 @@ class TestExpandAgainstNaive:
         rect = (a_max, Q(t_max))
         factors = product_factors(table, rect, rank)
         max_neg = max((-f.n for f in factors if f.n < 0), default=0)
+        n_hi = math.floor(a_max + t_max * max_neg)
         keep = lambda a, t: a <= max(math.floor(a_max), 0) and t <= t_max
         expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
         for fac in factors:
             poly = [
                 ((Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)), Q(c))
-                for j, c in series_mod._binomial(fac, *rect, max_neg)
+                for j, c in series_mod._binomial(fac, t_max, n_hi)
             ]
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
         terms, z = series_mod._multiply_out(factors, rank, *rect)
@@ -803,6 +806,51 @@ class TestProductFactors:
         rank, table = table_of_rank
         nonneg = [f.n >= 0 for f in product_factors(table, (a_max, t_max), rank)]
         assert nonneg == sorted(nonneg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-72, 72).map(lambda n: Q(n, 24)),
+        st.integers(-24, 72).map(lambda n: Q(n, 24)),
+    )
+    def test_factors_and_their_count(self, table_of_rank, a_max, t_max):
+        # the factors of a walk over every (n, m) in the budget, sorted on
+        # Fraction tuples; the cap counts them exactly
+        rank, table = table_of_rank
+        factors = product_factors(table, (a_max, t_max), rank)
+        assert factors == sorted(naive_factors(table, a_max, t_max), key=lambda f: (f.n >= 0, f.m, f.n, f.l))
+        with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", len(factors)):
+            assert product_factors(table, (a_max, t_max), rank) == factors
+        if factors:
+            with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", len(factors) - 1):
+                match = f"has {len(factors)} factors, .* cap of {len(factors) - 1}$"
+                with pytest.raises(SeriesOverflowError, match=match):
+                    product_factors(table, (a_max, t_max), rank)
+
+    def test_huge_rect_is_refused_before_any_factor_is_built(self):
+        # one factor per n <= n_hi for each n = 0 entry: counted, not built
+        phi, wv = acceptance_dataset("A2")
+        start = time.perf_counter()
+        match = r"^the expansion has \d+ factors, more than the term cap of 200000$"
+        with pytest.raises(SeriesOverflowError, match=match):
+            expand_product(phi.coefficient_table(), wv, (Q(10**400), Q(1)), phi.lattice.rank)
+        assert time.perf_counter() - start < 1
+
+
+def naive_factors(table, a_max, t_max):
+    """The factors (n, l, m) > 0 of the table meeting the rect, by a walk over every n and m."""
+    max_neg = max((-n0 for (n0, _), f in table.items() if f and n0 < 0), default=0)
+    n_hi = math.floor(a_max + t_max * max_neg)
+    factors = []
+    for (n0, l), f in table.items():
+        if f and n0 == 0 and next((x for x in l if x), 0) < 0:  # l < 0: its first nonzero entry
+            factors.append(ProductFactor(0, l, 0, f))
+    # m = 0 and n = 0 are taken on any rect, as every n = 0 entry has its factors along both
+    for m in range(0, max(math.floor(t_max), 0) + 1):
+        for n in range(-max_neg, max(n_hi, 0) + 1):
+            if (n, m) != (0, 0) and (n >= 0 or m > 0) and (n <= n_hi or n == 0):
+                factors += [ProductFactor(n, l, m, f) for (n0, l), f in table.items() if f and n0 == n * m]
+    return factors
 
 
 class TestPacking:
@@ -1034,19 +1082,20 @@ ZETA_12 = st.sampled_from([1, 2]).flatmap(
 
 
 @st.composite
-def grid_series(draw, rank):
+def grid_series(draw, rank, zeta=ZETA_12):
     """One to four terms on the series' own den grid (den 12, 24 or 48).
 
     The rect lies on (1/12)Z, the prefactor's a and c on (1/den)Z, and zeta
-    entries have denominator 1 or 2.  Exponents and prefactors stay small
-    enough that most Jacobians keep terms inside their rect.
+    entries, drawn from zeta, have denominator 1 or 2 by default.  Exponents
+    and prefactors stay small enough that most Jacobians keep terms inside
+    their rect.
     """
     den = draw(st.sampled_from([12, 24, 48]))
     exponent = st.integers(0, den).map(lambda n: Q(n, den))
     pref_part = st.integers(-den // 2, den // 4).map(lambda n: Q(n, den))
     entries = draw(
         st.lists(
-            st.tuples(exponent, st.tuples(*[ZETA_12] * rank), exponent, COEFF),
+            st.tuples(exponent, st.tuples(*[zeta] * rank), exponent, COEFF),
             min_size=1,
             max_size=4,
         )
@@ -1055,7 +1104,7 @@ def grid_series(draw, rank):
     for a, l, t, c in entries:
         terms[(a, l, t)] = terms.get((a, l, t), Q(0)) + c
     rect = tuple(draw(st.integers(30, 60).map(lambda n: Q(n, 12))) for _ in range(2))
-    pref = Monomial(draw(pref_part), draw(st.tuples(*[ZETA_12] * rank)), draw(pref_part))
+    pref = Monomial(draw(pref_part), draw(st.tuples(*[zeta] * rank)), draw(pref_part))
     return TruncatedSeries(rank, terms, rect, pref, den)
 
 
@@ -1114,6 +1163,22 @@ class TestSumOfProducts:
         parts = [(1, naive_mul(x, y).scale(m)) for m, x, y in pairs]
         got = series_mod._sum_of_products(rank, pairs)
         assert json_of(got) == json_of(series_mod._signed_sum(parts))
+
+
+def packed_operands(rank):
+    """grid_series operands, some with zeta entries up to 40 so packed digits carry, some emptied by scale(0)."""
+    operand = st.one_of(grid_series(rank), grid_series(rank, WIDE_ZETA))
+    return st.one_of(operand, operand.map(lambda x: x.scale(0)))
+
+
+class TestPackedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda r: st.tuples(packed_operands(r), packed_operands(r))))
+    def test_equals_the_pair_loop(self, pair):
+        # __mul__'s loop on packed rows against _accumulate's on tuple keys:
+        # terms, rect, prefactor and den agree
+        x, y = pair
+        assert json_of(x * y) == json_of(series_mod._sum_of_products(x.rank, [(1, x, y)]))
 
 
 def seeded_forms(s, seed, count):
