@@ -90,10 +90,6 @@ class Lattice:
         """Rows are the dual basis vectors, in lattice-basis coordinates."""
         return _dual_cached(self.gram)
 
-    def in_dual(self, v: Sequence) -> bool:
-        """Whether a rational coordinate vector pairs integrally with the lattice."""
-        return linalg._int_image(self.gram, v)[1] == 1
-
     def __repr__(self):
         name = self.label or f"rank{self.rank}"
         return f"Lattice({name})"

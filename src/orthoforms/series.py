@@ -23,24 +23,24 @@ scales is the exact rational one.
 
 Products run through three int loops, each serving the callers it measured
 fastest on (in-process A/Bs, best of 20 per job, on a 2-CPU x86-64 host).
-``__mul__`` multiplies two large sparse series, as the residual oracles and
-``invert`` do: x as rows {(a, t): {packed l: c}} times y as a list of
-packed terms, the box tested once per y term and x row.  That made the 18
-perfbench expand jobs x1.18 faster than ``_accumulate`` did.  ``_accumulate``
-sums m*x*y over many pairs of tiny operands on plain int tuple keys: the
-syzygy sum is one call, and a Jacobian runs its whole Laplace expansion on
-one integer grid, each minor one call.  A prototype with packed keys there
-measured jacobian x0.91 and expand only x1.05, as packing costs more than it
-saves on 4-term operands.  ``_multiply_out`` multiplies the product
-expansion's binomials factor by factor on rows.  It and ``__mul__`` do not
-call each other, so ``log_derivative_residual`` checks the expansion with a
-loop other than its own; they share only ``_pack`` and ``_unpack``.  The
-rect rule of ``__mul__`` and ``_accumulate`` lives in ``_product_heads``.  A
-packed key is the zeta vector as one int of signed base-2^w digits
-(Kronecker substitution), so keys add as ints.  That is safe because w puts
-2^(w-1) above every digit a product can reach: the sum of the operands'
-largest zeta entries, or over factors of the largest entry in each factor's
-binomial.
+``__mul__`` multiplies two large sparse series, as the residual oracles do:
+x as rows {(a, t): {packed l: c}} times y as a list of packed terms, the box
+tested once per y term and x row.  That made the 18 perfbench expand jobs
+x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
+pairs of tiny operands on plain int tuple keys, and every such sum is one
+step of a Laplace expansion on one integer grid: each Jacobian minor is one
+call, and the syzygy sum's expansion along its first row one more.  A
+prototype with packed keys there measured jacobian x0.91 and expand only
+x1.05, as packing costs more than it saves on 4-term operands.
+``_multiply_out`` multiplies the product expansion's binomials factor by
+factor on rows.  It and ``__mul__`` do not call each other, so
+``log_derivative_residual`` checks the expansion with a loop other than its
+own; they share only ``_pack`` and ``_unpack``.  The rect rule of ``__mul__``
+and ``_accumulate`` lives in ``_product_heads``.  A packed key is the zeta
+vector as one int of signed base-2^w digits (Kronecker substitution), so
+keys add as ints.  That is safe because w puts 2^(w-1) above every digit a
+product can reach: the sum of the operands' largest zeta entries, or over
+factors of the largest entry in each factor's binomial.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import count
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -195,10 +194,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def floors(self) -> tuple[Q, Q]:
-        fa, ft = _floors(self._terms)
-        return Q(fa, self.den), Q(ft, self.den)
-
     def __repr__(self):
         ra, rt = self.rect
         return f"TruncatedSeries(rank={self.rank}, {len(self._terms)} terms, rect=({ra},{rt}))"
@@ -265,34 +260,6 @@ class TruncatedSeries:
         fa, ft = _floors(self._terms)
         return Q(fa + self._pa, self.den), Q(ft + self._pc, self.den)
 
-    def invert(self) -> "TruncatedSeries":
-        """Geometric-series inverse; the reduced constant term must be 1.
-
-        Requires every other term to raise the q- or xi-exponent without
-        lowering the other, so it refuses data with pure zeta terms on the
-        boundary slice (those would need infinitely many terms at fixed
-        (a, t)).
-        """
-        rank, den, z = self.rank, self.den, self._z
-        zero_key = (0, (0,) * rank, 0)
-        if self._terms.get(zero_key) != self._d:
-            raise ValueError("inversion requires reduced constant term 1")
-        nilpotent = {k: c for k, c in self._terms.items() if k != zero_key}
-        for a, _, t in nilpotent:
-            if a < 0 or t < 0 or (a == 0 and t == 0):
-                raise ValueError("inversion blocked by terms on the boundary slice")
-        n = _new(rank, den, z, self._d, nilpotent, 0, zero_key[1], 0, self._ra, self._rt)
-        acc = power = one(rank, self.rect, den)
-        for j in count(1):
-            # re-truncate to the original rectangle; the product rectangle
-            # may grow with the power's floor, which would never terminate
-            power = (power * n)._cut(self._ra, self._rt)
-            if power.is_zero:
-                break
-            acc = acc + (-power if j % 2 else power)
-        inv = tuple(-x for x in self._pb)
-        return _new(rank, den, z, acc._d, _on(acc, den, z)[0], -self._pa, inv, -self._pc, self._ra, self._rt)
-
 
 def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
     x.rank, x.den, x._z, x._d, x._terms = rank, den, z, d, terms
@@ -330,12 +297,6 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
 def _operand(items: list, *head) -> tuple:
     """The grid operand (items, _floors of their keys, *head) of int terms sorted by key."""
     return (items, (items[0][0][0], min(k[2] for k, _ in items)) if items else (0, 0), *head)
-
-
-def _sorted_on(x: TruncatedSeries, den: int, z: int) -> tuple:
-    """x as a grid operand on den and z."""
-    terms, *head = _on(x, den, z)
-    return _operand(sorted(terms.items()), *head)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -398,19 +359,6 @@ class WeightedSeries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _sum_of_products(rank: int, pairs: Sequence[tuple[int, TruncatedSeries, TruncatedSeries]]) -> TruncatedSeries:
-    """Sum of m * x * y over the pairs (m, x, y), m an int: ``_signed_sum`` of the products.
-
-    All operands go onto one den and zeta grid and all numerators over D, the
-    lcm of the d_x * d_y, so each pair enters ``_accumulate`` as m * D / (d_x * d_y).
-    """
-    operands = [s for _, x, y in pairs for s in (x, y)]
-    den, z = math.lcm(*{s.den for s in operands}), math.lcm(*{s._z for s in operands})
-    d = math.lcm(*{x._d * y._d for m, x, y in pairs if m and x._terms and y._terms})
-    grid = [(m * (d // (x._d * y._d)), _sorted_on(x, den, z), _sorted_on(y, den, z)) for m, x, y in pairs]
-    return _new(rank, den, z, d, *_accumulate(grid, None, den, lambda: f"sum of {len(pairs)} products"))
-
-
 def _product_heads(pairs, head) -> tuple[list, list]:
     """(heads, products) of the pairs (m, x, y) of grid operands, after head.
 
@@ -460,10 +408,11 @@ def _overflow(what: str, ra: tuple, rt: tuple, den: int, cap: int) -> SeriesOver
 def _accumulate(pairs, head, den: int, what) -> tuple:
     """(nonzero int terms, A, B, C, a bound, t bound) of the sum of m * x * y over the pairs.
 
-    The pair loop of sums of products, on grid operands x, y (see
-    ``_operand``) on one den and zeta grid with numerators over one
-    denominator; m is an int, head the (A, B, C, absolute a bound, absolute t
-    bound) of a zero summand put first, or None.
+    The pair loop of the Laplace expansions: ``_minor`` calls it once per
+    minor and ``syzygy_sum`` once for its first row.  x and y are grid
+    operands (see ``_operand``) on one den and zeta grid, every product's
+    numerators over one denominator; m is an int, head the (A, B, C, absolute
+    a bound, absolute t bound) of a zero summand put first, or None.
 
     Each product takes the prefactor and rect of ``_product_heads``.  The sum
     takes ``_signed_sum``'s rule: the min a and c of the parts' prefactors, the
@@ -772,6 +721,7 @@ def _binomial(fac: ProductFactor, t_hi: int, n_hi: int) -> list[tuple[int, int]]
     The nonzero coefficients up to the budget, j = 0 (coefficient 1) first:
     j*m <= t_hi = floor(t_max), or for m = 0 j*n <= n_hi = floor(a_max +
     t_max * max_neg), where floor(r / k) = floor(r) // k for ints k >= 1.
+    An exponent e >= 0 has no terms past u^e, so j stops at e.
     """
     if fac.m > 0:
         j_max = t_hi // fac.m
@@ -779,6 +729,8 @@ def _binomial(fac: ProductFactor, t_hi: int, n_hi: int) -> list[tuple[int, int]]
         j_max = n_hi // fac.n
     else:
         j_max = fac.exponent
+    if fac.exponent >= 0:
+        j_max = min(j_max, fac.exponent)
     return [(j, c) for j in range(j_max + 1) if (c := _binomial_coefficient(fac.exponent, j))]
 
 
@@ -851,8 +803,9 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     the weighted forms, then the derivatives along tau, z_1..z_s, omega.  The
     Laplace expansion runs on int terms on one grid; see ``_determinants``.
     """
-    s, det = _determinants(forms, 3, "")
-    return det(tuple(range(s + 3)))
+    s, den, z, _, det = _determinants(forms, 3, "")
+    (items, _, *head), d = det(tuple(range(s + 3)))
+    return _new(s, den, z, d, dict(items), *head)
 
 
 def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
@@ -863,27 +816,30 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     of the (s+4)x(s+4) determinant whose first two rows are both k_i f_i, and
     J_t is its minor on rows 2.. over the columns other than t.  All J_t are
     expanded on the grid of all s + 4 forms and share its minors wherever
-    their rects agree (J_t's is the min of the other forms' rects); the sum is
-    one ``_sum_of_products`` over the pairs (+-k_t, f_t, J_t).
+    their rects agree (J_t's is the min of the other forms' rects).  The last
+    step stays on that grid: one ``_accumulate`` call over the pairs (+-k_t,
+    f_t's grid operand, J_t's), each product's numerators over the same
+    d = d_1 .. d_(s+4) den^2 z^s, so only the sum reduces.
     """
-    s, det = _determinants(forms, 4, "syzygy ")
-    pairs = [
-        (f.weight if idx % 2 else -f.weight, f.series, det(tuple(j for j in range(s + 4) if j != idx)))
-        for idx, f in enumerate(forms)
-    ]
-    return _sum_of_products(s, pairs)
+    s, den, z, grid, det = _determinants(forms, 4, "syzygy ")
+    minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
+    pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
+    d = forms[0].series._d * minors[0][1]
+    return _new(s, den, z, d, *_accumulate(pairs, None, den, lambda: f"sum of {len(pairs)} products"))
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
-    """(s, det): the forms' common rank and their Jacobians det(cols), on one grid.
+    """(s, den, z, grid, det): the forms' rank, grid and Jacobians on that grid.
 
     The grid is the lcm den of the forms' dens and the lcm z of their zeta
-    denominators.  Entry (r, j) is f_j as a grid operand, its terms times k_j in
-    row 0 and times their exponent along tau, z_1..z_s, omega below (ints on the
-    grid), with numerators over d_j, f_j's coefficient denominator, times the
-    row's scale 1, den, z, .., z, den.  So the minor on rows i.. and columns
-    cols is over the product of its d_j and its rows' scales, its Laplace pairs
-    all enter with m = +-1, and only det(cols) reduces.
+    denominators; grid[j] is f_j as a grid operand, numerators over d_j, f_j's
+    coefficient denominator.  Entry (r, j) of the matrix is grid[j] with its
+    terms times k_j in row 0 and times their exponent along tau, z_1..z_s,
+    omega below (ints on the grid), numerators over d_j times the row's scale
+    1, den, z, .., z, den.  So the minor on rows i.. and columns cols is over
+    the product of its d_j and its rows' scales, and its Laplace pairs all
+    enter with m = +-1.  det(cols) is (the grid operand of the minor on all
+    s + 3 rows and the columns cols, unreduced, its denominator d).
     """
     if not forms:
         raise ValueError("no forms given")
@@ -893,7 +849,10 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     if any(f.series.rank != s for f in forms):
         raise ValueError("series rank mismatch")
     den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
-    grid = [_sorted_on(f.series, den, z) for f in forms]
+    grid = []
+    for f in forms:
+        terms, *head = _on(f.series, den, z)
+        grid.append(_operand(sorted(terms.items()), *head))
     columns = []
     for f, (items, _, pa, pb, pc, ra, rt) in zip(forms, grid):
         # each term's factor per row: k_j, then its exponents plus the prefactor's
@@ -903,14 +862,13 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     rows = list(zip(*columns))
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
 
-    def det(cols: tuple[int, ...]) -> TruncatedSeries:
+    def det(cols: tuple[int, ...]) -> tuple:
         # the zero summand every minor starts from: prefactor 0 and the forms' smallest rect
         head = (0, zeros, 0, min(grid[j][5] for j in cols), min(grid[j][6] for j in cols))
-        items, _, pa, pb, pc, ra, rt = _minor(rows, memo.setdefault(head, {}), den, 0, cols, head)
-        d = math.prod(forms[j].series._d for j in cols) * scale
-        return _new(s, den, z, d, dict(items), pa, pb, pc, ra, rt)
+        minor = _minor(rows, memo.setdefault(head, {}), den, 0, cols, head)
+        return minor, math.prod(forms[j].series._d for j in cols) * scale
 
-    return s, det
+    return s, den, z, grid, det
 
 
 def _minor(rows, memo: dict, den: int, i: int, cols: tuple[int, ...], head: tuple) -> tuple:

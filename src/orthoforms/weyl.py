@@ -10,7 +10,7 @@ Dual coordinates are kept as integer tuples x = D l over one D per table,
 the lcm of the input denominators, and the scaling is exact.  In
 qzero_from_dual_sets D is doubled, so every half l/2 is integral too, and
 members, halves, doubles and negatives are integer operations.  l pairs
-integrally with the lattice (``in_dual``) exactly when G x = 0 mod D, and
+integrally with the lattice (lies in its dual) exactly when G x = 0 mod D, and
 G l = G x / D is then the integer image the sum rule reads; D > 0 keeps
 the order and the signs.
 """

@@ -294,15 +294,27 @@ class TestBorch:
         assert docs[0] == docs[1]
         assert docs[0]["rect"] == [a_max, "2/1"]
 
-    def test_huge_rect_is_one_error_line(self, capsys, tmp_path):
+    def test_huge_rect_is_one_error_line(self, capsys, tmp_path, deadline):
         # two factors per n <= 10^400: counted and refused before any is built
         coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 1} for l in ("1/1", "-1/1")]
         path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
         start = time.perf_counter()
-        code, out, err = run(capsys, "borch", path, "--rect", "1e400,1")
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path, "--rect", "1e400,1")
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
+
+    def test_principal_part_only_on_a_huge_rect(self, capsys, tmp_path, deadline):
+        # one factor (1 - q^-1 xi)^1, whose binomial stops at u^1 however far t_max reaches
+        doc = {"lattice": "builtin:A1", "k": "0", "coeffs": [{"n": -1, "l": ["0"], "f": 1}]}
+        path = write_json(tmp_path / "phi.json", doc)
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path, "--rect", "0,1e400")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert "terms stored: 2" in out
 
     def test_den_zero_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
