@@ -15,7 +15,6 @@ from .lattice import (
     NotPositiveDefiniteError,
     builtin_lattice,
     builtin_names,
-    direct_sum,
     discriminant_group,
     is_reflective,
     lattice_from_json,

@@ -152,19 +152,6 @@ def rescale(lat: Lattice, a: int) -> Lattice:
     return Lattice(gram, label)
 
 
-def direct_sum(*lats: Lattice) -> Lattice:
-    n = sum(l.rank for l in lats)
-    gram = [[0] * n for _ in range(n)]
-    offset = 0
-    for l in lats:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                gram[offset + i][offset + j] = l.gram[i][j]
-        offset += l.rank
-    label = "+".join(l.label or "?" for l in lats)
-    return Lattice(linalg.freeze(gram), label)
-
-
 def short_vectors(lat: Lattice, max_norm: int) -> list[tuple[int, ...]]:
     """All nonzero vectors of norm <= max_norm, both signs, lex sorted."""
     if max_norm <= 0 or max_norm % 2:

@@ -21,6 +21,11 @@ pivot rows, is dropped.
 ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
 with D the lcm of the denominators of x; so x lies in the dual lattice
 exactly when D divides every entry of G·(D·x).
+
+``_sum_rule`` is the one check of the quadratic sum rule
+sum_y w_y y y^T = 2c G on integer images y.  ``weyl.quadratic_weyl_constant``
+runs it on the whole lattice; ``roots.sum_rule_constant`` runs it on the
+span of its vectors, as a change of Gram matrix.
 """
 
 from __future__ import annotations
@@ -36,19 +41,6 @@ Mat = tuple[tuple[Q, ...], ...]
 
 def freeze(rows: Iterable[Iterable]) -> Mat:
     return tuple(tuple(x for x in row) for row in rows)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m))
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def mat_vec(m: Mat, v: Sequence) -> Vec:
@@ -154,9 +146,9 @@ def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:
 def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:
     """G·x over the integers: (y, e) with G·x = y / e and e >= 1 minimal.
 
-    With D the lcm of the denominators of x, D·x is integral, so
-    y' = G·(D·x) is an integer vector and G·x = y' / D; dividing y' and D by
-    their gcd gives (y, e).  For an integral Gram matrix, x lies in the dual
+    G is any integer matrix, given by its rows.  With D the lcm of the
+    denominators of x, D·x is integral, so y' = G·(D·x) is an integer vector
+    and G·x = y' / D; dividing y' and D by their gcd gives (y, e).  For an integral Gram matrix, x lies in the dual
     lattice exactly when D divides G·(D·x), that is when e == 1.
     """
     d = lcm(*(c.denominator for c in x))
@@ -169,6 +161,46 @@ def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:
         d //= g
         y = [v // g for v in y]
     return tuple(y), d
+
+
+def _sum_rule(gram: Sequence[Sequence[int]], weighted_images) -> tuple[Q | None, str | None]:
+    """(c, None) with sum_y w_y y y^T = 2c G for integer vectors y, or (None, reason).
+
+    S = sum_y w_y y y^T is built on ints over one denominator den: a term
+    with weight w = p / t is p / t times y y^T, and den grows only when a
+    term needs it, which never happens for integer weights.  S is then
+    compared with the integer Gram matrix G entry by entry, row by row: the
+    first entry where G is zero and S is not, or whose ratio differs from
+    the earlier ones, fails with the reason.  (None, None) when G is zero.
+    """
+    n = len(gram)
+    s = [[0] * n for _ in range(n)]
+    den = 1
+    for y, w in weighted_images:
+        num, t = w.numerator, w.denominator
+        if not num:
+            continue
+        if den % t:
+            grow = t // gcd(den, t)
+            s = [[v * grow for v in row] for row in s]
+            den *= grow
+        num *= den // t
+        support = [(i, v) for i, v in enumerate(y) if v]
+        for i, yi in support:
+            row, a = s[i], num * yi
+            for j, yj in support:
+                row[j] += a * yj
+    c = None
+    for srow, gram_row in zip(s, gram):
+        for a, b in zip(srow, gram_row):
+            if b == 0:
+                if a != 0:
+                    return None, "left side is not a Gram multiple"
+            elif c is None:
+                c = Q(a, b)
+            elif a * c.denominator != b * c.numerator:
+                return None, f"left side has rank {rank(s)} and is not proportional to the Gram matrix"
+    return (None if c is None else c / (2 * den)), None
 
 
 def _definite_rows(gram: Mat) -> tuple[int, list[list[int]]] | None:

@@ -21,7 +21,6 @@ each distinct coordinate becomes one Fraction.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
@@ -105,9 +104,6 @@ class RootDatum:
     roots: tuple[tuple[int, ...], ...]
     # G·r for each root, as detect_roots records them; None makes decompose compute them
     images: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
-
-    def norms(self) -> dict[int, int]:
-        return dict(Counter(int(self.lattice.norm(r)) for r in self.roots))
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
@@ -324,76 +320,29 @@ def _require_subcase(what: str, subcase: str | None) -> str:
     return subcase
 
 
-def _rank_one_sum(n: int, weighted_images) -> tuple[list[list[int]], int]:
-    """sum_y w_y y y^T over integer vectors y, as an n x n integer matrix M over den.
-
-    A term with weight w = p / t is p / t times the integer matrix y y^T; the
-    common denominator grows only when a term needs it, which never happens
-    for integer weights.
-    """
-    m = [[0] * n for _ in range(n)]
-    den = 1
-    for y, w in weighted_images:
-        num, t = w.numerator, w.denominator
-        if not num:
-            continue
-        if den % t:
-            grow = t // gcd(den, t)
-            m = [[v * grow for v in row] for row in m]
-            den *= grow
-        num *= den // t
-        support = [(i, v) for i, v in enumerate(y) if v]
-        for i, yi in support:
-            row, a = m[i], num * yi
-            for j, yj in support:
-                row[j] += a * yj
-    return m, den
-
-
-def _gram_ratio(lhs, rhs) -> tuple[Q | None, str | None]:
-    """The c with lhs = c rhs entrywise, for integer matrices.
-
-    Entries are visited row by row.  Returns (c, None) on success; (None,
-    "zero") at the first entry where rhs is zero and lhs is not; (None,
-    "ratio") at the first entry whose ratio differs from the earlier ones;
-    and (None, None) when rhs is all zero.
-    """
-    c = None
-    for lrow, rrow in zip(lhs, rhs):
-        for a, b in zip(lrow, rrow):
-            if b == 0:
-                if a != 0:
-                    return None, "zero"
-            elif c is None:
-                c = Q(a, b)
-            elif a * c.denominator != b * c.numerator:
-                return None, "ratio"
-    return c, None
-
-
 def sum_rule_constant(gram, weighted_vectors) -> Q | None:
     """The constant c with sum_x w_x (x,z)^2 = 2c (z,z) on the span, or None.
 
     ``weighted_vectors`` is an iterable of (coords, weight) pairs with
-    rational coordinates in the basis of ``gram``.  The identity is checked
-    as an exact matrix equation restricted to the span of the vectors: with
-    B a basis of the span, B S B^T = 2c B G B^T, where S = sum_x w_x
-    (G x)(G x)^T.  Any basis gives the same c; B is the integer pivot rows of
-    one elimination of the vectors (``linalg._echelon``).  Each G x is y / e
-    with y integral (``linalg._int_image``), so S sums w / e^2 times y y^T,
-    and the check runs on ints.
+    rational coordinates in the basis of ``gram``.  The identity is the
+    matrix equation S = 2c G, S = sum_x w_x (G x)(G x)^T, restricted to the
+    span of the vectors.  With B a basis of the span, the restriction is
+    B S B^T = 2c B G B^T, and B S B^T = sum_x w_x (B G x)(B G x)^T: so the
+    restriction is a change of Gram matrix, to B G B^T with images B G x,
+    and ``linalg._sum_rule`` checks it.  Any basis gives the same c; B is
+    the integer pivot rows of one elimination of the vectors
+    (``linalg._echelon``).  Each B G x is z / e with z integral
+    (``linalg._int_image`` on the rows of B G), so the term is w / e^2
+    times z z^T, and the check runs on ints.
     """
     vectors = [(v, Q(w)) for v, w in weighted_vectors]
     if not vectors:
         return None
-    images = [(linalg._int_image(gram, v), w) for v, w in vectors]
-    s, den = _rank_one_sum(len(gram), [(y, w / (e * e)) for (y, e), w in images])
     b = [r for _, r in linalg._echelon(linalg._int_row(v) for v, _ in vectors)]
-    bt = linalg.transpose(b)
-    lhs = linalg.mat_mul(linalg.mat_mul(b, s), bt)
-    rhs = linalg.mat_mul(linalg.mat_mul(b, gram), bt)
-    c, _ = _gram_ratio(lhs, rhs)
-    return None if c is None else c / (2 * den)
+    bg = [linalg.mat_vec(gram, r) for r in b]  # B G, as G is symmetric
+    images = [(linalg._int_image(bg, v), w) for v, w in vectors]
+    span_gram = [linalg.mat_vec(b, r) for r in bg]
+    return linalg._sum_rule(span_gram, [(z, w / (e * e)) for (z, e), w in images])[0]
 
 
 def coxeter_number(comp: IrreducibleComponent) -> int:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .lattice import AmbientVector, Lattice, is_reflective
-from .roots import DualRoot, _gram_ratio, _rank_one_sum
+from .roots import DualRoot
 
 
 class CoefficientConflictError(ValueError):
@@ -243,11 +243,12 @@ class SumRuleReport:
 
 
 def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
-    """Evaluate the quadratic sum rule for the q^0 coefficients.
+    """Evaluate the quadratic sum rule for the q^0 coefficients on the whole lattice.
 
     Returns the constant C when the weighted rank-one sum is an exact
     multiple of the Gram matrix, and a diagnostic report otherwise (for
-    instance when the support does not span the lattice).
+    instance when the support does not span the lattice), both from
+    ``linalg._sum_rule`` on the Gram matrix and the integer images G l.
     """
     entries = phi._q0_items()
     if not entries:
@@ -256,18 +257,7 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
     gram, den = phi.lattice.gram, phi._den
     images = [(tuple([sum(map(mul, row, x)) // den for row in gram]), 2 * v)
               for x, v in entries if is_positive_direction(x)]
-    s, s_den = _rank_one_sum(len(gram), images)
-    c, failure = _gram_ratio(s, gram)
-    if failure == "zero":
-        return SumRuleReport(None, "left side is not a Gram multiple")
-    if failure == "ratio":
-        rk = linalg.rank(linalg.freeze(s))
-        return SumRuleReport(
-            None,
-            f"left side has rank {rk} and is not proportional to the Gram matrix",
-        )
-    # a Lattice is nondegenerate, so its Gram matrix has a nonzero entry and c is set
-    return SumRuleReport(c / (2 * s_den))
+    return SumRuleReport(*linalg._sum_rule(gram, images))
 
 
 def solve_weight(phi: QZeroData) -> Q:

@@ -1,0 +1,22 @@
+"""Matrix and lattice builders the tests share; the package itself has no use for them."""
+
+from operator import mul
+
+from orthoforms import Lattice
+
+
+def mat_mul(a, b):
+    """The product of two matrices of ints and Fractions, as a tuple of tuples."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def direct_sum(*lats: Lattice) -> Lattice:
+    """The orthogonal direct sum, labelled like "A2+A1"."""
+    n = sum(l.rank for l in lats)
+    gram = [[0] * n for _ in range(n)]
+    offset = 0
+    for l in lats:
+        for i, row in enumerate(l.gram):
+            gram[offset + i][offset:offset + l.rank] = row
+        offset += l.rank
+    return Lattice(tuple(map(tuple, gram)), "+".join(l.label or "?" for l in lats))

@@ -168,6 +168,30 @@ class TestWeyl:
         assert doc["weight"] == "35/1"
         assert doc["C"] == "2/1" and doc["sum_rule_C"] == "2/1"
 
+    @staticmethod
+    def non_spanning(tmp_path, lattice, l, k):
+        """A coefficient file whose support ±l does not give a Gram multiple."""
+        coeffs = [{"n": -1, "l": ["0/1", "0/1"], "f": 1}]
+        coeffs += [{"n": 0, "l": [f"{s * x}/1" for x in l], "f": 1} for s in (1, -1)]
+        return write_json(tmp_path / "phi.json", {"lattice": lattice, "coeffs": coeffs, "k": k})
+
+    def test_symbolic_weight_with_failed_sum_rule(self, capsys, tmp_path):
+        path = self.non_spanning(tmp_path, "builtin:A2", (1, 0), "symbolic")
+        code, out, err = run(capsys, "weyl", path)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: weight is symbolic and the sum rule failed: "
+            "left side has rank 1 and is not proportional to the Gram matrix\n"
+        )
+
+    def test_numeric_weight_reports_the_failed_sum_rule(self, capsys, tmp_path):
+        path = self.non_spanning(tmp_path, "builtin:2A1", (1, 1), 12)
+        code, out, _ = run(capsys, "weyl", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sum_rule_C"] is None
+        assert doc["sum_rule_failure"] == "left side is not a Gram multiple"
+
     def test_missing_evenness_partner(self, capsys, tmp_path):
         phi = {
             "lattice": "builtin:A1",

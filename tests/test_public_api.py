@@ -1,10 +1,15 @@
-"""Every name exported from orthoforms has a caller outside the tests, and
-every module-level name of the package is referred to somewhere.
+"""Every name exported from orthoforms has a caller outside the tests, every
+method and property of a package class is read outside the tests, and every
+module-level name of the package is referred to somewhere.
 
 A name counts as called when the code of another module of the package or
 of the perfbench harness refers to it, or when README.md names it.  The
 few names whose caller is still planned are kept by KEEP, each with the
-ROADMAP item that will call it.
+ROADMAP item that will call it.  A method counts as read when an attribute
+of that name is read in the package or the harness, or README.md names it;
+KEEP_METHODS holds the ones kept on purpose.  The method scan goes by name
+alone, not by class: a read of ``AmbientVector.div`` also counts for
+``Lattice.div``, so a method hides behind any other attribute of its name.
 """
 
 import ast
@@ -19,7 +24,9 @@ KEEP = {
     "divisor_multiplicity": "item 1 checks multiplicity one at every mirror",
     "jacobi_support_class": "item 3 classifies the Gritsenko lifts with it",
     "reflect": "item 5 generates the Weyl group from simple reflections",
-    "direct_sum": "tests build decompose inputs with it",
+}
+KEEP_METHODS = {
+    "series.TruncatedSeries.absolute_terms": "tests state other operations' results with it",
 }
 
 
@@ -88,3 +95,39 @@ def test_every_module_level_name_is_referred_to():
         if not (name.startswith("__") and name.endswith("__"))
     )
     assert not unreferenced, f"defined but never referred to: {unreferenced}"
+
+
+def methods():
+    """The qualified names (module.Class.method) of the non-dunder methods and properties."""
+    return {
+        f"{path.stem}.{cls.name}.{node.name}": node.name
+        for path in MODULES
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def attribute_reads(files) -> set[str]:
+    """The attributes the code of the files reads, and every word of README.md."""
+    reads = {
+        node.attr
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return reads | set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+
+
+def test_every_method_is_read_outside_the_tests():
+    reads = attribute_reads(CALLERS)
+    unread = sorted(q for q, name in methods().items() if name not in reads and q not in KEEP_METHODS)
+    assert not unread, f"methods read by no caller outside the tests: {unread}"
+
+
+def test_kept_methods_are_unread_methods():
+    # a kept method that gains a reader, or goes, leaves KEEP_METHODS
+    reads = attribute_reads(CALLERS)
+    found = methods()
+    assert all(q in found and found[q] not in reads for q in KEEP_METHODS)

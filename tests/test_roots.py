@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import isqrt, lcm, prod
 from types import SimpleNamespace
@@ -18,7 +19,6 @@ from orthoforms import (
     builtin_lattice,
     coxeter_number,
     decompose,
-    direct_sum,
     detect_roots,
     modified_coxeter,
     modified_coxeter_value,
@@ -40,6 +40,8 @@ from orthoforms.roots import (
 )
 from orthoforms.lattice import short_vectors
 
+from helpers import direct_sum
+
 
 class TestDetect:
     def test_a2(self):
@@ -47,7 +49,7 @@ class TestDetect:
 
     def test_d4_includes_norm4_class(self):
         rd = detect_roots(builtin_lattice("D4"), 4)
-        assert rd.norms() == {2: 24, 4: 24}
+        assert Counter(rd.lattice.norm(r) for r in rd.roots) == {2: 24, 4: 24}
 
     def test_rank_one_norm_six(self):
         rd = detect_roots(Lattice(((6,),), "L6"), 6)
@@ -286,7 +288,10 @@ class TestSumRuleOracle:
         for tag, rank in specs:
             for comp in self.variants(realize(tag, rank, d)):
                 phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)])
-                assert quadratic_weyl_constant(phi).c == modified_coxeter(comp), comp.label
+                c = quadratic_weyl_constant(phi).c
+                assert c == modified_coxeter(comp), comp.label
+                # the support spans the lattice, so the span-restricted rule agrees
+                assert c == sum_rule_constant(comp.lattice.gram, phi.q0_entries()), comp.label
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,7 @@ def naive_sum_rule(gram, weighted):
     return None if c is None else c / 2
 
 
+HYPERBOLIC = ((0, 1), (1, 0))  # the hyperbolic plane, indefinite
 SCALES = st.sampled_from([Q(1), Q(2), Q(1, 2), Q(1, 3), Q(-3, 2)])
 
 
@@ -410,15 +416,22 @@ class TestSumRuleAgainstNaive:
             assert got == weight * sum_rule_constant(comp.lattice.gram, [(r, 1) for r in comp.roots])
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(["A1", "A2", "3A1", "D4"]), st.data())
-    def test_random_vectors(self, name, data):
-        gram = builtin_lattice(name).gram
+    @given(
+        st.sampled_from([builtin_lattice(name).gram for name in ("A1", "A2", "3A1", "D4")] + [HYPERBOLIC]),
+        st.data(),
+    )
+    def test_random_vectors(self, gram, data):
         coord = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
         weighted = data.draw(st.lists(
             st.tuples(st.tuples(*[coord] * len(gram)), st.builds(Q, st.integers(-3, 3), st.integers(1, 3))),
             min_size=1, max_size=5,
         ))
         assert sum_rule_constant(gram, weighted) == naive_sum_rule(gram, weighted)
+
+    def test_isotropic_span(self):
+        # (1, 0) spans an isotropic line: the Gram matrix on the span is zero
+        assert sum_rule_constant(HYPERBOLIC, [((1, 0), 1)]) is None
+        assert naive_sum_rule(HYPERBOLIC, [((1, 0), 1)]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -131,14 +131,20 @@ class TestSumRule:
     def test_g2_constant(self):
         assert quadratic_weyl_constant(phi_for("G2", 2, 1)).c == 4
 
-    def test_non_spanning_failure(self):
-        lat = builtin_lattice("A2")
-        phi = QZeroData(
-            lat, {(-1, (Q(0), Q(0))): 1, (0, (Q(1), Q(0))): 1, (0, (Q(-1), Q(0))): 1}
-        )
+    @pytest.mark.parametrize(
+        "name,l,reason",
+        [
+            ("A2", (1, 0), "left side has rank 1 and is not proportional to the Gram matrix"),
+            ("2A1", (1, 1), "left side is not a Gram multiple"),
+        ],
+        ids=["A2", "2A1"],
+    )
+    def test_non_spanning_failure(self, name, l, reason):
+        lat = builtin_lattice(name)
+        phi = QZeroData(lat, {(-1, (0, 0)): 1, (0, l): 1, (0, tuple(-x for x in l)): 1})
         report = quadratic_weyl_constant(phi)
         assert not report.ok
-        assert "rank" in report.reason
+        assert report.reason == reason
 
     def test_weyl_c_equals_sum_rule_c(self):
         for args in (("A", 3, 1), ("C", 4, 1), ("F4", 4, 2), ("E7", 7, 2)):
