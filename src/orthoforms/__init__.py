@@ -8,7 +8,6 @@ detection and rescaled irreducible types with modified Coxeter numbers
 """
 
 from .lattice import (
-    AmbientVector,
     DegenerateLatticeError,
     DiscriminantGroup,
     Lattice,
@@ -16,10 +15,8 @@ from .lattice import (
     builtin_lattice,
     builtin_names,
     discriminant_group,
-    is_reflective,
     lattice_from_json,
     rescale,
-    reflect,
     short_vectors,
 )
 from .roots import (
@@ -38,15 +35,11 @@ from .roots import (
     sum_rule_constant,
 )
 from .weyl import (
-    DivisorLabel,
-    MultiplicityResult,
     QZeroData,
     SumRuleReport,
     WeylVector,
     character_data,
     character_data_from_map,
-    divisor_label,
-    divisor_multiplicity,
     quadratic_weyl_constant,
     qzero_from_dual_sets,
     solve_weight,
@@ -59,7 +52,6 @@ from .series import (
     WeightedSeries,
     ZeroSeriesError,
     expand_product,
-    jacobi_support_class,
     jacobian,
     log_derivative_residual,
     monomial,

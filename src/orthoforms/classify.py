@@ -306,13 +306,13 @@ class ClassificationReport:
 
 def full_table(max_rank: int = 8) -> ClassificationReport:
     """Resolve every candidate; at full rank the accepted set must have 26 rows."""
+    # excluded and unresolved rows keep enumerate_candidates' (total_rank, components) order
     records = [resolve(c) for c in enumerate_candidates(max_rank)]
     accepted = [r for r in records if r.verdict == "accepted"]
     excluded = [r for r in records if r.verdict == "excluded"]
     unresolved = [r for r in records if r.verdict == "unresolved"]
     order = {key: i for i, key in enumerate(ACCEPTED)}
     accepted.sort(key=lambda r: order[r.candidate.components])
-    excluded.sort(key=lambda r: (r.candidate.total_rank, r.candidate.components))
     report = ClassificationReport(
         tuple(accepted), tuple(excluded), tuple(unresolved), max_rank
     )

@@ -1,9 +1,7 @@
 """Even lattices with exact integer Gram matrices.
 
 Vectors are plain coordinate tuples in the fixed basis of a lattice; dual
-vectors carry Fraction coordinates in the same basis.  The ambient
-hyperbolic extension 2U + L(-1) is modelled by AmbientVector, which applies
-the sign twist structurally instead of storing negative Gram blocks.
+vectors carry Fraction coordinates in the same basis.
 """
 
 from __future__ import annotations
@@ -164,15 +162,6 @@ def short_vectors(lat: Lattice, max_norm: int) -> list[tuple[int, ...]]:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def reflect(lat: Lattice, x: Sequence, r: Sequence) -> tuple:
-    """Reflection of x in the hyperplane orthogonal to r: x - 2(r,x)/(r,r) r."""
-    rr = lat.norm(r)
-    if rr == 0:
-        raise ValueError("cannot reflect in an isotropic vector")
-    factor = Q(2) * lat.pairing(r, x) / rr
-    return tuple(Q(a) - factor * b for a, b in zip(x, r))
-
-
 # ---------------------------------------------------------------------------
 # built-in Gram matrices
 # ---------------------------------------------------------------------------
@@ -252,83 +241,3 @@ def lattice_from_json(doc: dict) -> Lattice:
         raise ValueError("'gram' must be a list of integer rows")
     frozen = linalg.freeze(gram)
     return Lattice(frozen, doc.get("label"))
-
-
-# ---------------------------------------------------------------------------
-# the ambient lattice 2U + L(-1)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmbientVector:
-    """Vector of 2U + L(-1) in the basis (e1, e2, L-part, f2, f1).
-
-    The hyperbolic blocks satisfy (e_i, f_i) = 1 and the L block enters with
-    its bilinear form negated.
-    """
-
-    lattice: Lattice
-    e1: Q
-    e2: Q
-    l: tuple
-    f2: Q
-    f1: Q
-
-    def coords(self) -> tuple:
-        return (self.e1, self.e2) + tuple(self.l) + (self.f2, self.f1)
-
-    def pairing(self, other: "AmbientVector") -> Q:
-        if other.lattice.gram != self.lattice.gram:
-            raise ValueError("ambient vectors live over different lattices")
-        hyper = (
-            self.e1 * other.f1
-            + self.f1 * other.e1
-            + self.e2 * other.f2
-            + self.f2 * other.e2
-        )
-        return hyper - self.lattice.pairing(self.l, other.l)
-
-    def norm(self) -> Q:
-        return self.pairing(self)
-
-    def is_primitive(self) -> bool:
-        c = self.coords()
-        if any(Q(x).denominator != 1 for x in c):
-            return False
-        return linalg.vec_gcd([int(x) for x in c]) == 1
-
-    def basis_pairings(self) -> tuple:
-        """Pairings with the ambient basis vectors, in basis order."""
-        gl = self.lattice.gram_times(self.l)
-        return (self.f1, self.f2) + tuple(-x for x in gl) + (self.e2, self.e1)
-
-    def div(self) -> int:
-        pairings = self.basis_pairings()
-        if any(Q(x).denominator != 1 for x in pairings):
-            raise ValueError("div is defined for integral vectors only")
-        g = linalg.vec_gcd([int(x) for x in pairings])
-        if g == 0:
-            raise ValueError("div of the zero vector is undefined")
-        return g
-
-
-def is_reflective(v: AmbientVector) -> tuple[bool, str | None]:
-    """Reflectivity test for a primitive negative-norm ambient vector.
-
-    Returns (flag, tag) where the tag records which of the two admissible
-    divisor cases holds: "div=d" or "div=2d" for (v,v) = -2d.
-    """
-    if not v.is_primitive():
-        raise ValueError("reflectivity is defined for primitive vectors")
-    nn = v.norm()
-    if nn >= 0:
-        raise ValueError("reflectivity requires negative norm")
-    if nn.denominator != 1 or int(nn) % 2:
-        raise ValueError("ambient vector has non-even norm")
-    d = -int(nn) // 2
-    dv = v.div()
-    if dv == 2 * d:
-        return True, "div=2d"
-    if dv == d:
-        return True, "div=d"
-    return False, None

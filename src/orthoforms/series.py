@@ -895,25 +895,6 @@ def _minor(rows, memo: dict, den: int, i: int, cols: tuple[int, ...], head: tupl
 
 
 # ---------------------------------------------------------------------------
-# support classification
-# ---------------------------------------------------------------------------
-
-
-def jacobi_support_class(entries, lattice, index: int) -> str:
-    """Support class of one Fourier-Jacobi slice: how 2nt - (l,l) behaves.
-
-    Returns the strongest of "cusp", "holomorphic", "weak",
-    "weakly-holomorphic" admitted by the listed (n, l) support.
-    """
-    pairs = [(n, 2 * n * index - lattice.norm(l)) for n, l in entries]
-    if all(hyper > 0 for _, hyper in pairs):
-        return "cusp"
-    if all(hyper >= 0 for _, hyper in pairs):
-        return "holomorphic"
-    return "weak" if all(n >= 0 for n, _ in pairs) else "weakly-holomorphic"
-
-
-# ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
 

@@ -3,8 +3,8 @@
 A QZeroData object stores the principal part and q^0 Fourier coefficients
 f(n, l) of a weight-0, index-1 input form over a positive definite lattice.
 From it we compute the Weyl vector (A, B, C), solve for the weight via the
-linear relation A = C + 1, evaluate divisor multiplicities, and extract the
-character datum of the (tau, omega)-swap involution.
+linear relation A = C + 1, and extract the character datum of the
+(tau, omega)-swap involution.
 
 Dual coordinates are kept as integer tuples x = D l over one D per table,
 the lcm of the input denominators, and the scaling is exact.  In
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul, neg
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .lattice import AmbientVector, Lattice, is_reflective
+from .lattice import Lattice
 from .roots import DualRoot
 
 
@@ -269,52 +269,6 @@ def solve_weight(phi: QZeroData) -> Q:
     return (24 * (report.c + 1) - total) / 2
 
 
-class MultiplicityResult(NamedTuple):
-    value: int
-    complete: bool
-
-
-def divisor_multiplicity(phi: QZeroData, v: AmbientVector) -> MultiplicityResult:
-    """Multiplicity of the rational quadratic divisor of a primitive vector.
-
-    Sums f(m^2 n, m l) over positive integers m.  Absent coefficients are
-    read as zero; when the sum would need coefficients with positive first
-    index (outside the stored layer), the result is flagged incomplete.
-    """
-    lat = phi.lattice
-    if v.lattice.gram != lat.gram:
-        raise ValueError("vector lives over a different lattice")
-    # v is in the dual of 2U + L(-1) iff it pairs integrally with the basis,
-    # and primitive there iff those pairings have gcd 1
-    pairings = v.basis_pairings()
-    if any(Q(x).denominator != 1 for x in pairings):
-        raise ValueError("vector is not in the dual ambient lattice")
-    if linalg.vec_gcd(pairings) != 1:
-        raise ValueError("vector is not primitive in the dual ambient lattice")
-    ell = _normalize_coords(v.l)
-    norm = v.norm()
-    if norm >= 0:
-        raise ValueError("divisor multiplicity needs negative norm")
-    two_n = norm + lat.norm(ell)
-    if two_n.denominator != 1 or int(two_n) % 2:
-        raise ValueError("vector has no integral hyperbolic index")
-    n = int(two_n) // 2
-    if n > 0:
-        return MultiplicityResult(0, False)
-    if n < 0:
-        # the stored principal part is f(-1, 0) alone, so m = 1 is the only multiple
-        return MultiplicityResult(phi.f(n, ell), True)
-    # n == 0: finitely many multiples of l can hit the stored support
-    total = 0
-    max_norm = Q(max([0] + [lat.norm(x) for x, _ in phi._q0_items()]), phi._den ** 2)
-    ell_norm = lat.norm(ell)
-    m = 1
-    while m * m * ell_norm <= max_norm:
-        total += phi.f(0, tuple(m * x for x in ell))
-        m += 1
-    return MultiplicityResult(total, True)
-
-
 def sigma0(n: int) -> int:
     """Number of positive divisors."""
     if n <= 0:
@@ -338,27 +292,3 @@ def character_data(phi: QZeroData) -> tuple[int, int]:
     """Character datum of the (tau, omega) swap: D and the sign (-1)^D."""
     principal = {n: v for (n, x), v in phi._map.items() if n < 0 and not any(x)}
     return character_data_from_map(principal)
-
-
-@dataclass(frozen=True)
-class DivisorLabel:
-    """Discriminant label (lambda, m) of a reflective divisor."""
-
-    lam: tuple[Q, ...]
-    m: Q
-
-    def __post_init__(self):
-        if self.m >= 0:
-            raise ValueError("divisor label needs m < 0")
-
-
-def divisor_label(v: AmbientVector) -> DivisorLabel:
-    """Heegner label of a reflective vector: lambda = v/div mod 1, m = norm/2."""
-    flag, _ = is_reflective(v)
-    if not flag:
-        raise ValueError("vector is not reflective")
-    dv = v.div()
-    scaled = tuple(Q(x, dv) for x in v.coords())
-    reduced = tuple(x - (x.numerator // x.denominator) for x in scaled)
-    m = v.norm() / Q(2 * dv * dv)
-    return DivisorLabel(reduced, m)

@@ -1,5 +1,6 @@
-"""Matrix and lattice builders the tests share; the package itself has no use for them."""
+"""Matrix, lattice and reflection helpers the tests share; the package itself has no use for them."""
 
+from fractions import Fraction as Q
 from operator import mul
 
 from orthoforms import Lattice
@@ -20,3 +21,12 @@ def direct_sum(*lats: Lattice) -> Lattice:
             gram[offset + i][offset:offset + l.rank] = row
         offset += l.rank
     return Lattice(tuple(map(tuple, gram)), "+".join(l.label or "?" for l in lats))
+
+
+def reflect(lat: Lattice, x, r) -> tuple:
+    """Reflection of x in the hyperplane orthogonal to r: x - 2(r,x)/(r,r) r."""
+    rr = lat.norm(r)
+    if rr == 0:
+        raise ValueError("cannot reflect in an isotropic vector")
+    factor = Q(2) * lat.pairing(r, x) / rr
+    return tuple(Q(a) - factor * b for a, b in zip(x, r))

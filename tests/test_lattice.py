@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthoforms import (
-    AmbientVector,
     DegenerateLatticeError,
     Lattice,
     NotPositiveDefiniteError,
     builtin_lattice,
     builtin_names,
     discriminant_group,
-    is_reflective,
     lattice_from_json,
     rescale,
-    reflect,
     short_vectors,
 )
 from orthoforms import linalg
 
-from helpers import direct_sum, mat_mul
+from helpers import direct_sum, mat_mul, reflect
 
 
 A1 = builtin_lattice("A1")
@@ -239,47 +236,6 @@ class TestJson:
     def test_bad_document(self):
         with pytest.raises(ValueError):
             lattice_from_json({"label": "x"})
-
-
-def ambient(lat, e1, e2, l, f2, f1):
-    return AmbientVector(lat, e1, e2, tuple(l), f2, f1)
-
-
-class TestAmbient:
-    def test_norm_conventions(self):
-        v = ambient(A1, 0, 0, (1,), 1, 0)
-        assert v.norm() == -2
-        w = ambient(A1, 0, -1, (0,), 1, 0)
-        assert w.norm() == -2
-        assert ambient(A1, 1, 0, (0,), 0, 1).norm() == 2
-
-    def test_reflective_root_with_unit_hyperbolic(self):
-        v = ambient(A1, 0, 0, (1,), 1, 0)
-        flag, tag = is_reflective(v)
-        assert flag and tag == "div=d"
-
-    def test_reflective_hyperbolic_minus2(self):
-        v = ambient(A1, 0, -1, (0,), 1, 0)
-        flag, tag = is_reflective(v)
-        assert flag and tag == "div=d"
-
-    def test_reflective_div_2d(self):
-        v = ambient(A1, 0, 0, (1,), 0, 0)  # the root itself, div 2 = 2d
-        flag, tag = is_reflective(v)
-        assert flag and tag == "div=2d"
-
-    def test_not_reflective(self):
-        v = ambient(A1, 0, -3, (0,), 1, 0)  # norm -6, div 1, 1 not in {3, 6}
-        flag, tag = is_reflective(v)
-        assert not flag and tag is None
-
-    def test_non_primitive_rejected(self):
-        with pytest.raises(ValueError):
-            is_reflective(ambient(A1, 0, -2, (0,), 2, 0))
-
-    def test_positive_norm_rejected(self):
-        with pytest.raises(ValueError):
-            is_reflective(ambient(A1, 1, 0, (0,), 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@ method and property of a package class is read outside the tests, and every
 module-level name of the package is referred to somewhere.
 
 A name counts as called when the code of another module of the package or
-of the perfbench harness refers to it, or when README.md names it.  The
-few names whose caller is still planned are kept by KEEP, each with the
-ROADMAP item that will call it.  A method counts as read when an attribute
+of the perfbench harness refers to it, or when README.md names it.  A name
+whose caller is still planned is kept by KEEP, with the ROADMAP item that
+will call it; none is kept now.  A method counts as read when an attribute
 of that name is read in the package or the harness, or README.md names it;
-KEEP_METHODS holds the ones kept on purpose.  The method scan goes by name
-alone, not by class: a read of ``AmbientVector.div`` also counts for
-``Lattice.div``, so a method hides behind any other attribute of its name.
+KEEP_METHODS holds the ones kept on purpose.  Both scans go by the word
+alone, not by its meaning or class: ``Lattice.div`` is read only by the
+tests, yet it counts as read because README.md uses the word "div", so a
+method hides behind any README word or other attribute of its name.
 """
 
 import ast
@@ -19,12 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orthoforms"
 
-KEEP = {
-    "divisor_label": "item 9 picks item 1's mirrors with it",
-    "divisor_multiplicity": "item 1 checks multiplicity one at every mirror",
-    "jacobi_support_class": "item 3 classifies the Gritsenko lifts with it",
-    "reflect": "item 5 generates the Weyl group from simple reflections",
-}
+KEEP: dict[str, str] = {}
 KEEP_METHODS = {
     "series.TruncatedSeries.absolute_terms": "tests state other operations' results with it",
 }

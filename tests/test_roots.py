@@ -23,7 +23,6 @@ from orthoforms import (
     modified_coxeter,
     modified_coxeter_value,
     realize,
-    reflect,
     rescale,
     sum_rule_constant,
 )
@@ -40,7 +39,7 @@ from orthoforms.roots import (
 )
 from orthoforms.lattice import short_vectors
 
-from helpers import direct_sum
+from helpers import direct_sum, reflect
 
 
 class TestDetect:

@@ -22,7 +22,6 @@ from orthoforms.series import (
     WeightedSeries,
     ZeroSeriesError,
     expand_product,
-    jacobi_support_class,
     jacobian,
     log_derivative_residual,
     monomial,
@@ -475,22 +474,6 @@ class TestSyzygy:
                 syzygy_sum(forms)
         with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 23):
             assert syzygy_sum(forms).is_zero
-
-
-class TestSupportClass:
-    A1 = builtin_lattice("A1")
-
-    def test_constant_is_holomorphic(self):
-        assert jacobi_support_class([(0, (0,))], self.A1, 1) == "holomorphic"
-
-    def test_positive_index_is_cusp(self):
-        assert jacobi_support_class([(1, (0,))], self.A1, 1) == "cusp"
-
-    def test_weak_but_not_holomorphic(self):
-        assert jacobi_support_class([(0, (1,))], self.A1, 1) == "weak"
-
-    def test_weakly_holomorphic(self):
-        assert jacobi_support_class([(-1, (0,))], self.A1, 1) == "weakly-holomorphic"
 
 
 class TestJson:

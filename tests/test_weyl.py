@@ -10,14 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from orthoforms import (
-    AmbientVector,
     QZeroData,
     build_dual_set,
     builtin_lattice,
     character_data,
     character_data_from_map,
-    divisor_label,
-    divisor_multiplicity,
     quadratic_weyl_constant,
     qzero_from_dual_sets,
     realize,
@@ -75,6 +72,15 @@ class TestQZeroData:
         assert phi.f(0, (1,)) == 0
         with pytest.raises(SymbolicWeightError):
             QZeroData(A1, {(-1, (Q(0),)): 1}).f(0, (0,))
+        # the E8 table at k = 252: 240 roots of f(0, r) = 1, no principal part off 0
+        comp = realize("E8", 8, 1)
+        phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(comp)], 252)
+        r = comp.roots[0]
+        assert phi.f(-1, (0,) * 8) == 1
+        assert phi.f(-1, r) == 0
+        assert phi.f(0, r) == 1
+        assert phi.f(0, tuple(2 * x for x in r)) == 0
+        assert phi.f(0, (0,) * 8) == 504
 
 
 class TestAssembly:
@@ -179,82 +185,6 @@ class TestSolveWeight:
             solve_weight(phi)
 
 
-class TestDivisorMultiplicity:
-    def setup_method(self):
-        comp = realize("E8", 8, 1)
-        self.lat = comp.lattice
-        self.phi = qzero_from_dual_sets(self.lat, [build_dual_set(comp)], 252)
-        self.root = comp.roots[0]
-
-    def ambient(self, e1, e2, l, f2, f1):
-        return AmbientVector(self.lat, e1, e2, tuple(l), f2, f1)
-
-    def test_hyperbolic_principal(self):
-        v = self.ambient(0, -1, (0,) * 8, 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (1, True)
-
-    def test_root_divisor(self):
-        v = self.ambient(0, 0, self.root, 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (1, True)
-
-    def test_norm_minus8_zero(self):
-        v = self.ambient(0, -4, (0,) * 8, 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (0, True)
-
-    def test_principal_index_off_the_zero_vector(self):
-        # n = -1 with l = r: the principal part stores f(-1, 0) alone
-        v = self.ambient(0, -1, self.root, 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (0, True)
-
-    @pytest.mark.parametrize("n", [-2, -3])
-    @pytest.mark.parametrize("on_root", [False, True])
-    def test_index_below_the_principal_part(self, n, on_root):
-        l = self.root if on_root else (0,) * 8
-        v = self.ambient(0, n, l, 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (0, True)
-
-    def test_non_reflective_direction(self):
-        # n = 0 and no multiple of 2r is in the support
-        v = self.ambient(0, 0, tuple(2 * x for x in self.root), 1, 0)
-        assert divisor_multiplicity(self.phi, v) == (0, True)
-
-    def test_incomplete_when_positive_index_needed(self):
-        # (v,v) = -2 with (l,l) = 8 gives n = 3 > 0, outside the stored layer
-        v = self.ambient(3, 0, tuple(2 * x for x in self.root), 1, 1)
-        res = divisor_multiplicity(self.phi, v)
-        assert res == (0, False)
-
-    def test_rejects_non_primitive(self):
-        v = self.ambient(0, -2, (0,) * 8, 2, 0)
-        with pytest.raises(ValueError):
-            divisor_multiplicity(self.phi, v)
-
-    def test_rejects_nonnegative_norm(self):
-        v = self.ambient(1, 0, (0,) * 8, 0, 1)
-        with pytest.raises(ValueError):
-            divisor_multiplicity(self.phi, v)
-
-    def test_rejects_lattice_part_outside_the_dual(self):
-        # E8 is unimodular, so r/3 is not in L'
-        v = self.ambient(0, 0, tuple(Q(x, 3) for x in self.root), 1, 0)
-        with pytest.raises(ValueError, match="not in the dual ambient lattice"):
-            divisor_multiplicity(self.phi, v)
-
-    def test_rejects_half_hyperbolic_coordinate(self):
-        v = self.ambient(0, Q(-1, 2), (0,) * 8, 1, 0)
-        with pytest.raises(ValueError):
-            divisor_multiplicity(self.phi, v)
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError, match="not primitive"):
-            divisor_multiplicity(self.phi, self.ambient(0, 0, (0,) * 8, 0, 0))
-
-    def test_rejects_vector_over_another_lattice(self):
-        v = AmbientVector(builtin_lattice("D8"), 0, -1, (0,) * 8, 1, 0)
-        with pytest.raises(ValueError, match="different lattice"):
-            divisor_multiplicity(self.phi, v)
-
-
 class TestCharacter:
     def test_standard_shape(self):
         phi = QZeroData(A1, {(-1, (Q(0),)): 1}, 12)
@@ -265,22 +195,6 @@ class TestCharacter:
 
     def test_empty(self):
         assert character_data_from_map({}) == (0, 1)
-
-
-class TestDivisorLabel:
-    def test_two_reflective_class(self):
-        comp = realize("A", 1, 1)
-        v = AmbientVector(comp.lattice, 0, 0, (1,), 1, 0)
-        label = divisor_label(v)
-        assert label.m == -1
-        assert all(x == 0 for x in label.lam)
-
-    def test_div_2d_class(self):
-        comp = realize("A", 1, 1)
-        v = AmbientVector(comp.lattice, 0, 0, (1,), 0, 0)  # div 2, norm -2
-        label = divisor_label(v)
-        assert label.m == Q(-1, 4)
-        assert label.lam == (Q(0), Q(0), Q(1, 2), Q(0), Q(0))
 
 
 # ---------------------------------------------------------------------------
