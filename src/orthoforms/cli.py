@@ -2,9 +2,10 @@
 
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
-on stderr: ``_read_json`` maps a file that cannot be read or parsed, naming
-the file, and ``main`` maps the library's ValueError and ArithmeticError to
-exit 2 and its SeriesOverflowError (a series past the term cap) to exit 1.
+on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
+``_emit`` one that cannot be written, to exit 2 naming the file; ``main``
+maps the library's ValueError and ArithmeticError to exit 2 and its
+SeriesOverflowError (a series past the term cap) to exit 1.
 """
 
 from __future__ import annotations
@@ -99,9 +100,12 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
 
 def _emit(doc, args) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror}")
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
 

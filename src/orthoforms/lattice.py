@@ -76,14 +76,6 @@ class Lattice:
     def gram_times(self, v: Sequence) -> tuple:
         return linalg.mat_vec(self.gram, v)
 
-    def div(self, v: Sequence[int]) -> int:
-        """Positive generator of the pairing ideal (v, L)."""
-        if not any(v):
-            raise ValueError("div of the zero vector is undefined")
-        if any(not isinstance(x, int) for x in v):
-            raise ValueError("div requires integral coordinates")
-        return linalg.vec_gcd(self.gram_times(v))
-
     def dual_basis(self) -> tuple[tuple[Q, ...], ...]:
         """Rows are the dual basis vectors, in lattice-basis coordinates."""
         return _dual_cached(self.gram)

@@ -44,7 +44,8 @@ factors of the largest entry in each factor's binomial.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
-once; internal results are built from ints by ``_new`` with no re-checks.
+once; internal results are built from ints by ``_new`` with no re-checks,
+once, on their final grid: nothing rescales a finished series.
 ``.terms`` is a read-only Fraction view built on first access and cached;
 ``.rect`` and ``.prefactor`` are Fractions built from the ints on access.
 """
@@ -215,15 +216,9 @@ class TruncatedSeries:
         terms = {k: c * num for k, c in self._terms.items()} if num else {}
         return self._with(terms, self._d * factor.denominator)
 
-    def _with(self, terms: dict, d: int, ra=None, rt=None) -> "TruncatedSeries":
-        """New nonzero int terms over d with this den and prefactor, on its rect or ra, rt."""
-        ra, rt = ra or self._ra, rt or self._rt
-        return _new(self.rank, self.den, self._z, d, terms, self._pa, self._pb, self._pc, ra, rt)
-
-    def _cut(self, ra: tuple, rt: tuple) -> "TruncatedSeries":
-        """The same series re-truncated to the bounds ra, rt on its den grid."""
-        terms = {k: c for k, c in self._terms.items() if k[0] <= ra[0] and k[2] <= rt[0]}
-        return self._with(terms, self._d, ra, rt)
+    def _with(self, terms: dict, d: int) -> "TruncatedSeries":
+        """New nonzero int terms over d with this den, prefactor and rect."""
+        return _new(self.rank, self.den, self._z, d, terms, self._pa, self._pb, self._pc, self._ra, self._rt)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.rank != other.rank:
@@ -564,9 +559,10 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
     """Factors (n, l, m) > 0 with nonzero exponent f(nm, l) meeting the rectangle.
 
     The triple ordering means m > 0, or m = 0 and n > 0, or m = n = 0 and
-    l < 0.  Absent coefficients are read as zero.  The q budget extends past
-    a_max by the debt that principal-part factors with negative n can carry:
-    n runs up to n_hi = floor(a_max + t_max * max_neg) and m up to
+    l < 0.  Absent coefficients are read as zero, and an entry whose l is
+    not of length rank raises ValueError.  The q budget extends past a_max
+    by the debt that principal-part factors with negative n can carry: n
+    runs up to n_hi = floor(a_max + t_max * max_neg) and m up to
     floor(t_max).  The factors are counted from the support first, and more
     than DEFAULT_TERM_CAP of them raise SeriesOverflowError before any is
     built.
@@ -581,6 +577,8 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
     a_max, t_max = _q(rect[0]), _q(rect[1])
     support: dict[int, list[tuple[tuple[Q, ...], int]]] = {}
     for (n0, l), f in coeffs.items():
+        if len(l) != rank:
+            raise ValueError(f"coefficient entry f({n0}, {list(map(str, l))}) has length {len(l)}, not rank {rank}")
         if f:
             support.setdefault(n0, []).append((tuple(_q(x) for x in l), f))
     max_neg = max((-n0 for n0 in support if n0 < 0), default=0)
@@ -621,7 +619,9 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
     expansion is meromorphic along the toric boundary and is rejected), and
     the product of their (exponent + 1), a bound on their block's zeta
     monomials, is capped at DEFAULT_TERM_CAP, as are the terms stored after
-    every factor: overflow raises SeriesOverflowError.
+    every factor: overflow raises SeriesOverflowError.  The terms come out of
+    ``_multiply_out`` on the final grid: den, and z the lcm of B's and the
+    factors' zeta denominators.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
     factors = product_factors(coeffs, rect, rank)
@@ -638,44 +638,34 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: in
                 "the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
                 f"{bound} over its first {k} factors, which exceeds the term cap of {DEFAULT_TERM_CAP}"
             )
-    terms, z = _multiply_out(factors, rank, a_max, t_max)
-    return _from_integral(rank, terms, z, (a_max, t_max), Monomial(weyl.a, weyl.b, weyl.c), den)
+    pa, pb, pc = _checked_prefactor(Monomial(weyl.a, weyl.b, weyl.c), rank, den)
+    z = math.lcm(*{x.denominator for x in pb}, *{x.denominator for fac in factors for x in fac.l})
+    terms = _multiply_out(factors, rank, a_max, t_max, den, z)
+    return _new(rank, den, z, 1, terms, _int(pa, den), _scaled(pb, z), _int(pc, den),
+                _bound(a_max, den), _bound(t_max, den))
 
 
-def _from_integral(rank, terms, z, rect, prefactor: Monomial, den) -> TruncatedSeries:
-    """The series on rect of int terms with a, t in Z and zeta entries over z.
+def _multiply_out(factors, rank, a_max, t_max, den, z):
+    """The int terms of the product of the factors' binomials, on the den and z grid.
 
-    Each distinct zeta vector is scaled onto the series' zeta grid once.
-    """
-    pa, pb, pc = _checked_prefactor(prefactor, rank, den)
-    zz = math.lcm(z, *(x.denominator for x in pb))
-    m, a_hi, t_hi = zz // z, math.floor(rect[0]), math.floor(rect[1])
-    ls = {l: tuple([x * m for x in l]) for l in {k[1] for k in terms}}
-    out = {(a * den, ls[l], t * den): c for (a, l, t), c in terms.items() if a <= a_hi and t <= t_hi}
-    bounds = _bound(rect[0], den), _bound(rect[1], den)
-    return _new(rank, den, zz, 1, out, _int(pa, den), _scaled(pb, zz), _int(pc, den), *bounds)
-
-
-def _multiply_out(factors, rank, a_max, t_max):
-    """Terms of the product of the factors' binomials, one factor at a time.
-
-    Returns (terms, z): exponents a and t are integers here, and zeta entries
-    are scaled by z, the lcm of the factors' zeta denominators.  Products
-    leaving the box a <= max(a_max, 0), t <= t_max are dropped after every
-    factor, and more than DEFAULT_TERM_CAP nonzero terms after any factor
-    raises SeriesOverflowError.  No lower q bound is needed: n >= -max_neg,
-    and m >= 1 where n < 0, so a binomial term has a = j*n >= -max_neg * j*m
-    = -max_neg * t, hence so does every product, and t <= t_max bounds a
-    below by -max_neg * t_max.
+    The factors are multiplied one at a time with integer exponents a and t,
+    and zeta entries scaled by z, a multiple of the factors' zeta
+    denominators.  Products leaving the box a <= max(a_max, 0), t <= t_max
+    are dropped after every factor, and more than DEFAULT_TERM_CAP nonzero
+    terms after any factor raises SeriesOverflowError.  No lower q bound is
+    needed: n >= -max_neg, and m >= 1 where n < 0, so a binomial term has
+    a = j*n >= -max_neg * j*m = -max_neg * t, hence so does every product,
+    and t <= t_max bounds a below by -max_neg * t_max.
 
     The accumulator maps each (a, t) to a row {_pack(l, w): c} with no zero
     c.  A product term's zeta entry sums one binomial term's entry per
     factor, so with 2^(w-1) above the sum over factors of their largest
     entry no digit can overflow, and a pair's key is the int k1 + k2.  The
-    box is tested once per pair of rows; each distinct key is unpacked once
-    at the end.
+    box is tested once per pair of rows.  The one pass at the end drops the
+    rows with a > a_max (a_max < 0 cuts only there, after every n < 0 factor
+    is in), unpacks each distinct key once and writes the keys (a*den, l,
+    t*den) of the series grid, so nothing rescales the result.
     """
-    z = math.lcm(*{x.denominator for fac in factors for x in fac.l})
     a_hi, t_hi = max(math.floor(a_max), 0), math.floor(t_max)
     max_neg = max((-fac.n for fac in factors if fac.n < 0), default=0)
     n_hi = math.floor(a_max + t_max * max_neg)
@@ -710,9 +700,9 @@ def _multiply_out(factors, rank, a_max, t_max):
             raise SeriesOverflowError(
                 f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}"
             )
+    acc = {(a * den, t * den): row for (a, t), row in acc.items() if a <= a_max}
     unpacked = {k: _unpack(k, rank, w) for k in set().union(*acc.values())}
-    terms = {(a, unpacked[k], t): c for (a, t), row in acc.items() for k, c in row.items()}
-    return terms, z
+    return {(a, unpacked[k], t): c for (a, t), row in acc.items() for k, c in row.items()}
 
 
 def _binomial(fac: ProductFactor, t_hi: int, n_hi: int) -> list[tuple[int, int]]:
@@ -744,10 +734,10 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
 
     where sum_{j >= 1} u_i^j is u_i/(1 - u_i), exact on the rectangle because
     m_i >= 1 makes it terminate at j = floor(t_max/m_i).  S is built directly
-    as one term map, so the check costs a single series product, taken with
-    ``__mul__`` and not with the expansion's own kernel: the two loops do not
-    call each other and share only ``_pack`` and ``_unpack``, which
-    ``TestPacking`` property-tests.  The factors with
+    as one int term map on the series grid, so the check costs a single
+    series product, taken with ``__mul__`` and not with the expansion's own
+    kernel: the two loops do not call each other and share only ``_pack``
+    and ``_unpack``, which ``TestPacking`` property-tests.  The factors with
     n < 0 contribute their definitional binomials and are covered by
     principal_block_residual instead; keeping them out of this identity keeps
     every exponent floor nonnegative, so the rectangle bookkeeping stays
@@ -760,15 +750,15 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
     g0 = expand_product(nonneg, weyl, rect, rank)
     xi_factors = [f for f in product_factors(nonneg, rect, rank) if f.m > 0]
-    z = math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
+    den, z = DEFAULT_DEN, math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
     terms: dict = {}
     for fac in xi_factors:
         l = _scaled(fac.l, z)
         for j in range(1, math.floor(t_max / fac.m) + 1):
-            key = (j * fac.n, tuple([j * x for x in l]), j * fac.m)
+            key = (j * fac.n * den, tuple([j * x for x in l]), j * fac.m * den)
             terms[key] = terms.get(key, 0) - fac.m * fac.exponent
-    terms = {k: c for k, c in terms.items() if c}
-    s = _from_integral(rank, terms, z, (a_max, t_max), Monomial.zero(rank), DEFAULT_DEN)
+    terms = {k: c for k, c in terms.items() if c and k[0] <= a_max * den}
+    s = _new(rank, den, z, 1, terms, 0, (0,) * rank, 0, _bound(a_max, den), _bound(t_max, den))
     return g0.derive("omega") - g0 * (s + one(rank, (a_max, t_max)).scale(_q(weyl.c)))
 
 
@@ -776,18 +766,23 @@ def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q]
     """Difference of the full expansion and (n >= 0 block) * (n < 0 block).
 
     The n < 0 block is expand_product of the table's n < 0 entries with a
-    zero prefactor.  Its factors are finite binomials whose every term has
-    a <= 0, so the expansion's box a <= max(a_max, 0) drops none of them, and
-    the full expansion multiplies the same factors first under the same cap:
-    the block is their whole product cut at the rectangle.  This checks the
-    debt handling of the full expansion on the largest rectangle both sides
-    are exact on.
+    zero prefactor: finite binomials whose every term has a <= 0, which the
+    full expansion multiplies first under the same cap.  Both blocks are
+    expanded on (max(a_max, 0), t_max), so the n < 0 block is their whole
+    product on t <= t_max, with its term 1: t floor 0 and an a floor f <= 0.
+    That makes ``__mul__``'s rect rule sound (on (a_max, t_max) with a_max <
+    0 the n >= 0 block is empty, and the product would claim that rect with
+    no terms), and the product is exact on a <= max(a_max, 0) + f.  ``-``
+    takes the smaller of that and the full expansion's rect, as both share
+    the prefactor, so the check runs on the largest rectangle both sides are
+    exact on.
     """
     g = expand_product(coeffs, weyl, rect, rank)
-    g0 = expand_product({key: f for key, f in coeffs.items() if key[0] >= 0}, weyl, rect, rank)
+    wide = (max(_q(rect[0]), 0), rect[1])
+    g0 = expand_product({key: f for key, f in coeffs.items() if key[0] >= 0}, weyl, wide, rank)
     neg = {key: f for key, f in coeffs.items() if key[0] < 0}
-    product = g0 * expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), rect, rank)
-    return g._cut(product._ra, product._rt) - product._cut(product._ra, product._rt)
+    product = g0 * expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), wide, rank)
+    return g - product
 
 
 # ---------------------------------------------------------------------------

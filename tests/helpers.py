@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 from operator import mul
 
 from orthoforms import Lattice
+from orthoforms.linalg import vec_gcd
 
 
 def mat_mul(a, b):
@@ -30,3 +31,12 @@ def reflect(lat: Lattice, x, r) -> tuple:
         raise ValueError("cannot reflect in an isotropic vector")
     factor = Q(2) * lat.pairing(r, x) / rr
     return tuple(Q(a) - factor * b for a, b in zip(x, r))
+
+
+def div(lat: Lattice, v) -> int:
+    """Positive generator of the pairing ideal (v, L)."""
+    if not any(v):
+        raise ValueError("div of the zero vector is undefined")
+    if any(not isinstance(x, int) for x in v):
+        raise ValueError("div requires integral coordinates")
+    return vec_gcd(lat.gram_times(v))

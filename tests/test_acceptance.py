@@ -39,6 +39,8 @@ from orthoforms.series import (
     syzygy_sum,
 )
 
+from helpers import div
+
 EXPECTED_26 = {
     ("A1", GROUP_FULL), ("2A1", GROUP_FULL), ("3A1", GROUP_FULL), ("4A1", GROUP_FULL),
     ("A2", GROUP_DK), ("A2", GROUP_FULL), ("A3", GROUP_DK), ("A3", GROUP_FULL),
@@ -266,7 +268,7 @@ def test_criterion_7_root_counts_and_coxeter_identity():
     for x in range(-3, 4):
         for y in range(-3, 4):
             v = (x, y)
-            if any(v) and lat.norm(v) <= 2 and (2 * lat.div(v)) % int(lat.norm(v)) == 0:
+            if any(v) and lat.norm(v) <= 2 and (2 * div(lat, v)) % int(lat.norm(v)) == 0:
                 box.append(v)
     assert sorted(box) == sorted(a2.roots)
     assert len(detect_roots(builtin_lattice("D4"), 2).roots) == 24

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import time
 from fractions import Fraction as Q
 
@@ -613,6 +615,15 @@ class TestOutputOption:
             assert err == "error: -o writes the JSON document, so it needs --format json\n"
         code, out, _ = run(capsys, *argv, "--format", "json", "-o", str(out_path))
         assert code == 0 and out == "" and json.loads(out_path.read_text())
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, target):
+        out_path, reason = tmp_path / "nodir" / "x.json", os.strerror(errno.ENOENT)
+        if target == "directory":
+            out_path, reason = tmp_path, os.strerror(errno.EISDIR)
+        code, out, err = run(capsys, "lattice", "builtin:A1", "--format", "json", "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {out_path}: {reason}\n"
 
 
 def _action(a):

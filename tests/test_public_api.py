@@ -3,14 +3,14 @@ method and property of a package class is read outside the tests, and every
 module-level name of the package is referred to somewhere.
 
 A name counts as called when the code of another module of the package or
-of the perfbench harness refers to it, or when README.md names it.  A name
-whose caller is still planned is kept by KEEP, with the ROADMAP item that
-will call it; none is kept now.  A method counts as read when an attribute
-of that name is read in the package or the harness, or README.md names it;
-KEEP_METHODS holds the ones kept on purpose.  Both scans go by the word
-alone, not by its meaning or class: ``Lattice.div`` is read only by the
-tests, yet it counts as read because README.md uses the word "div", so a
-method hides behind any README word or other attribute of its name.
+of the perfbench harness refers to it, or when README.md names it in code
+(a backtick span or a fenced block).  A name whose caller is still planned
+is kept by KEEP, with the ROADMAP item that will call it; none is kept now.
+A method counts as read when an attribute of that name is read in the
+package or the harness, or README.md names it in code; KEEP_METHODS holds
+the ones kept on purpose.  Both scans go by the word alone, not by its
+meaning or class, so a method still hides behind another attribute of its
+name or a word in README.md's code; a word of its prose no longer counts.
 """
 
 import ast
@@ -56,11 +56,15 @@ def code_references(path: Path) -> set[str]:
     return refs
 
 
+def readme_code_words() -> set[str]:
+    """The words inside README.md's code: fenced blocks and inline backtick spans."""
+    code = re.findall(r"```.*?```|`[^`\n]+`", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
 def referenced_names(files) -> set[str]:
-    """What the code of the files refers to, and every word of README.md."""
-    refs = set().union(*map(code_references, files))
-    refs.update(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    return refs
+    """What the code of the files refers to, and every word of README.md's code."""
+    return set().union(*map(code_references, files)) | readme_code_words()
 
 
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -106,14 +110,14 @@ def methods():
 
 
 def attribute_reads(files) -> set[str]:
-    """The attributes the code of the files reads, and every word of README.md."""
+    """The attributes the code of the files reads, and every word of README.md's code."""
     reads = {
         node.attr
         for path in files
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return reads | set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    return reads | readme_code_words()
 
 
 def test_every_method_is_read_outside_the_tests():

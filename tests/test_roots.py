@@ -39,7 +39,7 @@ from orthoforms.roots import (
 )
 from orthoforms.lattice import short_vectors
 
-from helpers import direct_sum, reflect
+from helpers import direct_sum, div, reflect
 
 
 class TestDetect:
@@ -305,7 +305,7 @@ def fraction_pairing(gram, u, v):
 
 def entries(lat, roots):
     """The (root, norm, div) entries _identify reads, computed one by one."""
-    return [(r, int(lat.norm(r)), lat.div(r)) for r in roots]
+    return [(r, int(lat.norm(r)), div(lat, r)) for r in roots]
 
 
 def naive_components(lat, roots):
@@ -510,7 +510,7 @@ def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> Irreducibl
                 f"single-norm system: rank {k}, {count} roots, norm {nn}"
             )
         return IrreducibleComponent(
-            lat, tag, k, d, tuple(roots), _class_div([lat.div(r) for r in roots]), None
+            lat, tag, k, d, tuple(roots), _class_div([div(lat, r) for r in roots]), None
         )
     if len(norms) == 2:
         n1, n2 = norms
@@ -518,8 +518,8 @@ def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> Irreducibl
         if n1 % 2:
             raise UnrecognizedRootSystemError(f"odd short norm {n1}")
         d = n1 // 2
-        short_div = _class_div([lat.div(r) for r in by_norm[n1]])
-        long_div = _class_div([lat.div(r) for r in by_norm[n2]])
+        short_div = _class_div([div(lat, r) for r in by_norm[n1]])
+        long_div = _class_div([div(lat, r) for r in by_norm[n2]])
         if n2 == 3 * n1 and k == 2 and c1 == c2 == 6:
             tag = "G2"
         elif n2 == 2 * n1:
@@ -767,7 +767,7 @@ class TestDetectAgainstDefinition:
             v for v in itertools.product(*(range(-r, r + 1) for r in radii))
             if any(v) and lat.norm(v) <= max_norm
         ]
-        expected = [v for v in box if (2 * lat.div(v)) % lat.norm(v) == 0]
+        expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0]
         rd = detect_roots(lat, max_norm)
         assert rd.roots == tuple(sorted(expected))
         assert rd.images == tuple(lat.gram_times(v) for v in rd.roots)
@@ -804,7 +804,7 @@ class TestMaxNormClamp:
         assume(prod(2 * r + 1 for r in radii) <= 20_000)
         norms = [
             n for v in itertools.product(*(range(-r, r + 1) for r in radii))
-            if any(v) and (n := lat.norm(v)) <= 4 * e * e and (2 * lat.div(v)) % n == 0
+            if any(v) and (n := lat.norm(v)) <= 4 * e * e and (2 * div(lat, v)) % n == 0
         ]
         assert max(norms, default=0) <= 2 * e * e
 

@@ -736,8 +736,9 @@ class TestExpandAgainstNaive:
         st.integers(0, 2),
     )
     def test_multiply_out_box(self, table_of_rank, a_max, t_max):
-        # the kernel on its own, before the cut at the rectangle: it keeps
-        # a <= max(floor(a_max), 0) and t <= t_max after every factor
+        # the kernel on its own: it keeps a <= max(floor(a_max), 0) and
+        # t <= t_max after every factor, cuts at a <= a_max once at the end,
+        # and writes its keys on the grid of den and the z it is given
         rank, table = table_of_rank
         rect = (a_max, Q(t_max))
         factors = product_factors(table, rect, rank)
@@ -751,9 +752,10 @@ class TestExpandAgainstNaive:
                 for j, c in series_mod._binomial(fac, t_max, n_hi)
             ]
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
-        terms, z = series_mod._multiply_out(factors, rank, *rect)
-        got = {(Q(a), tuple(Q(x, z) for x in l), Q(t)): Q(c) for (a, l, t), c in terms.items()}
-        assert got == expected
+        den, z = 24, 2 * math.lcm(*{x.denominator for f in factors for x in f.l})
+        terms = series_mod._multiply_out(factors, rank, *rect, den, z)
+        got = {(Q(a, den), tuple(Q(x, z) for x in l), Q(t, den)): Q(c) for (a, l, t), c in terms.items()}
+        assert got == {k: c for k, c in expected.items() if k[0] <= a_max}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -776,6 +778,27 @@ class TestExpandAgainstNaive:
                 expected = nonzero(naive_convolve(expected.items(), poly, lambda a, t: t <= t_max))
         g = expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), (a_max, t_max), rank)
         assert dict(g.terms) == {k: c for k, c in expected.items() if k[0] <= a_max}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-72, 72).map(lambda n: Q(n, 24)),
+        st.integers(0, 72).map(lambda n: Q(n, 24)),
+    )
+    def test_principal_block_residual_rect(self, table_of_rank, a_max, t_max):
+        # the residual vanishes on the smaller of the full expansion's rect and
+        # that of (n >= 0 block) * (n < 0 block), both blocks on a <= max(a_max, 0);
+        # there the n < 0 block holds its term 1, so its a floor f is <= 0
+        rank, table = table_of_rank
+        rect, wv = (a_max, t_max), WeylVector(Q(1, 24), (Q(1, 2),) * rank, Q(-5, 24))
+        wide = (max(a_max, 0), t_max)
+        g0 = expand_product({k: f for k, f in table.items() if k[0] >= 0}, wv, wide, rank)
+        neg = expand_product({k: f for k, f in table.items() if k[0] < 0}, weyl(rank), wide, rank)
+        f = min(a for a, _, _ in neg.terms)
+        assert (g0 * neg).rect == (wide[0] + f, t_max)
+        residual = principal_block_residual(table, wv, rect, rank)
+        assert residual.is_zero
+        assert residual.rect == (min(a_max, wide[0] + f), t_max)
 
 
 class TestProductFactors:
@@ -811,6 +834,14 @@ class TestProductFactors:
                 match = f"has {len(factors)} factors, .* cap of {len(factors) - 1}$"
                 with pytest.raises(SeriesOverflowError, match=match):
                     product_factors(table, (a_max, t_max), rank)
+
+    def test_entries_of_another_rank_are_refused(self):
+        # a rank-2 table read at rank 1 packs more digits than are unpacked
+        table = {(-1, (Q(0), Q(0))): 1, (0, (Q(1), Q(-1))): 2}
+        match = r"^coefficient entry f\(-1, \['0', '0'\]\) has length 2, not rank 1$"
+        with pytest.raises(ValueError, match=match):
+            expand_product(table, weyl(1), (Q(2), Q(2)), 1)
+        assert len(expand_product(table, weyl(2), (Q(2), Q(2)), 2).terms) > 0
 
     def test_huge_rect_is_refused_before_any_factor_is_built(self, deadline):
         # one factor per n <= n_hi for each n = 0 entry: counted, not built
