@@ -27,11 +27,11 @@ fastest on (in-process A/Bs, best of 20 per job, on a 2-CPU x86-64 host).
 x as rows {(a, t): {packed l: c}} times y as a list of packed terms, the box
 tested once per y term and x row.  That made the 18 perfbench expand jobs
 x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
-pairs of tiny operands on plain int tuple keys, and every such sum is one
-step of a Laplace expansion on one integer grid: each Jacobian minor is one
-call, and the syzygy sum's expansion along its first row one more.  A
-prototype with packed keys there measured jacobian x0.91 and expand only
-x1.05, as packing costs more than it saves on 4-term operands.
+pairs of tiny operands on plain int tuple keys, each sum one Laplace step on
+one integer grid: a Jacobian minor (about 4 pair products), or the syzygy
+sum's first row.  Its bookkeeping is one pass: ``_product_heads`` returns the
+sum's head with the products, and one sort makes the sum a grid operand.
+Packed keys measured jacobian x0.91 there, costing more than they save.
 ``_multiply_out`` multiplies the product expansion's binomials factor by
 factor on rows.  It and ``__mul__`` do not call each other, so
 ``log_derivative_residual`` checks the expansion with a loop other than its
@@ -291,7 +291,13 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
 
 def _operand(items: list, *head) -> tuple:
     """The grid operand (items, _floors of their keys, *head) of int terms sorted by key."""
-    return (items, (items[0][0][0], min(k[2] for k, _ in items)) if items else (0, 0), *head)
+    if not items:
+        return (items, (0, 0), *head)
+    ft = items[0][0][2]
+    for (_, _, t), _ in items:
+        if t < ft:
+            ft = t
+    return (items, (items[0][0][0], ft), *head)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -354,14 +360,16 @@ class WeightedSeries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _product_heads(pairs, head) -> tuple[list, list]:
-    """(heads, products) of the pairs (m, x, y) of grid operands, after head.
+def _product_heads(pairs, head) -> tuple[tuple, list]:
+    """(sum head, products) of the pairs (m, x, y) of grid operands, after head.
 
     The one place of the product-rect rule, used by ``_product`` and
     ``_accumulate``; of each operand (items, floors, A, B, C, a bound, t bound)
-    it reads only the floors and whether items is empty.  heads holds head,
-    when it is not None, then the (A, B, C, absolute a bound, absolute t
-    bound) of each product x * y; products holds (its index in heads, m, x's
+    it reads only the floors and whether items is empty.  head is a zero
+    summand (A, B, C, absolute a bound, absolute t bound), or None.  The sum
+    head is the (A, B, C, a bound, t bound) of head plus all products, by
+    ``_signed_sum``'s rule: the min a and c of their prefactors, the first b
+    and the min absolute rect, less A and C.  products holds (A, B, C, m, x's
     items, y's items) for each pair with m and both operands nonzero.
 
     A product's prefactor is the sum of the prefactors.  Its rect is the
@@ -381,17 +389,20 @@ def _product_heads(pairs, head) -> tuple[list, list]:
       its t floor is the true one and products of them never meet this gap.
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
-    heads, products = [] if head is None else [head], []
+    pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, (math.inf, 0), (math.inf, 0))
+    products = []
     for m, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
-        if i1 and i2:
-            ra1, rt1 = (ra1[0] + fa2, ra1[1]), (rt1[0] + ft2, rt1[1])
-            ra2, rt2 = (ra2[0] + fa1, ra2[1]), (rt2[0] + ft1, rt2[1])
-            if m:
-                products.append((len(heads), m, i1, i2))
-        pa, pc = pa1 + pa2, pc1 + pc2
-        ra, rt = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
-        heads.append((pa, tuple(map(add, pb1, pb2)), pc, (pa + ra[0], ra[1]), (pc + rt[0], rt[1])))
-    return heads, products
+        qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
+        if not (i1 and i2):
+            fa1 = ft1 = fa2 = ft2 = 0  # no floor shifts a rect: the smaller one holds
+        elif m:
+            products.append((qa, qb, qc, m, i1, i2))
+        ra1, rt1 = (qa + ra1[0] + fa2, ra1[1]), (qc + rt1[0] + ft2, rt1[1])
+        ra2, rt2 = (qa + ra2[0] + fa1, ra2[1]), (qc + rt2[0] + ft1, rt2[1])
+        ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
+        pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
+        ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
+    return (pa, pb, pc, (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])), products
 
 
 def _overflow(what: str, ra: tuple, rt: tuple, den: int, cap: int) -> SeriesOverflowError:
@@ -401,41 +412,35 @@ def _overflow(what: str, ra: tuple, rt: tuple, den: int, cap: int) -> SeriesOver
 
 
 def _accumulate(pairs, head, den: int, what) -> tuple:
-    """(nonzero int terms, A, B, C, a bound, t bound) of the sum of m * x * y over the pairs.
+    """The grid operand of the sum of m * x * y over the pairs, after head.
 
     The pair loop of the Laplace expansions: ``_minor`` calls it once per
     minor and ``syzygy_sum`` once for its first row.  x and y are grid
     operands (see ``_operand``) on one den and zeta grid, every product's
-    numerators over one denominator; m is an int, head the (A, B, C, absolute
-    a bound, absolute t bound) of a zero summand put first, or None.
-
-    Each product takes the prefactor and rect of ``_product_heads``.  The sum
-    takes ``_signed_sum``'s rule: the min a and c of the parts' prefactors, the
-    first part's b and the min absolute rect, which lies inside every
-    product's, so cutting every pair at it drops only terms the merge of the
-    products would drop too.
+    numerators over one denominator; m is an int, head as in
+    ``_product_heads``, which gives the sum and each product their prefactor
+    and rect.  The sum's rect lies inside every product's, so cutting every
+    pair at it drops only terms the merge of the products would drop too.
+    The nonzero sums are sorted once, into the operand's items.
 
     y runs outside, shifted to the sum's prefactor and times m once per term;
     x and y are sorted by a, so a row stops at the first partner past the
     rect.  More than DEFAULT_TERM_CAP keys in the accumulator, zero sums
     included, raise SeriesOverflowError naming what(), the sum being built.
     """
-    heads, products = _product_heads(pairs, head)
-    pas, pbs, pcs, ras, rts = zip(*heads)
-    pa, pb, pc, ra, rt = min(pas), pbs[0], min(pcs), min(ras), min(rts)
-    ra, rt = (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])
+    (pa, pb, pc, ra, rt), products = _product_heads(pairs, head)
     a_hi, t_hi, cap = ra[0], rt[0], DEFAULT_TERM_CAP
     out: dict = {}
     get = out.get
-    for h, mult, left, right in products:
-        da, db, dc = pas[h] - pa, tuple(map(sub, pbs[h], pb)), pcs[h] - pc
-        shift, lowest = any(db), left[0][0][0]
+    for qa, qb, qc, mult, left, right in products:
+        da, dc, lowest = qa - pa, qc - pc, left[0][0][0]
+        db = tuple(map(sub, qb, pb)) if qb != pb else None
         for (a2, l2, t2), c2 in right:
             a2 += da
             if a2 + lowest > a_hi:
                 break
             t2, c2 = t2 + dc, c2 * mult
-            if shift:
+            if db:
                 l2 = tuple(map(add, l2, db))
             for (a1, l1, t1), c1 in left:
                 a = a1 + a2
@@ -445,11 +450,10 @@ def _accumulate(pairs, head, den: int, what) -> tuple:
                 if t > t_hi:
                     continue
                 key = (a, tuple(map(add, l1, l2)), t)
-                val = get(key)
-                out[key] = c1 * c2 if val is None else val + c1 * c2
+                out[key] = get(key, 0) + c1 * c2
             if len(out) > cap:
                 raise _overflow(what(), ra, rt, den, cap)
-    return {k: c for k, c in out.items() if c}, pa, pb, pc, ra, rt
+    return _operand(sorted(filter(itemgetter(1), out.items())), pa, pb, pc, ra, rt)
 
 
 def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -480,8 +484,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     right = sorted([(a, t, packed[l], c) for (a, l, t), c in yterms.items()])
     xfloors = _floors(xterms)
     pair = (1, (left, xfloors, *xhead), (right, _floors(yterms), *yhead))
-    ((pa, pb, pc, ra, rt),), _ = _product_heads([pair], None)
-    ra, rt = (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])
+    (pa, pb, pc, ra, rt), _ = _product_heads([pair], None)
     a_hi, t_hi, cap, reached = ra[0], rt[0], DEFAULT_TERM_CAP, 0
     out: dict = {}
     for a2, t2, k2, c2 in right:
@@ -820,7 +823,8 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
     pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
     d = forms[0].series._d * minors[0][1]
-    return _new(s, den, z, d, *_accumulate(pairs, None, den, lambda: f"sum of {len(pairs)} products"))
+    items, _, *head = _accumulate(pairs, None, den, lambda: f"sum of {len(pairs)} products")
+    return _new(s, den, z, d, dict(items), *head)
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
@@ -844,49 +848,43 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     if any(f.series.rank != s for f in forms):
         raise ValueError("series rank mismatch")
     den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
-    grid = []
+    grid, rows = [], [[] for _ in range(s + 3)]
     for f in forms:
-        terms, *head = _on(f.series, den, z)
-        grid.append(_operand(sorted(terms.items()), *head))
-    columns = []
-    for f, (items, _, pa, pb, pc, ra, rt) in zip(forms, grid):
+        terms, pa, pb, pc, ra, rt = _on(f.series, den, z)
+        items = sorted(terms.items())
+        grid.append(_operand(items, pa, pb, pc, ra, rt))
         # each term's factor per row: k_j, then its exponents plus the prefactor's
-        flat = [(key, c, (f.weight, pa + key[0], *map(add, pb, key[1]), pc + key[2])) for key, c in items]
-        columns.append([_operand([(k, c * e[r]) for k, c, e in flat if e[r]], pa, pb, pc, ra, rt)
-                        for r in range(s + 3)])
-    rows = list(zip(*columns))
+        factors = [(f.weight, pa + a, *map(add, pb, l), pc + t) for (a, l, t), _ in items]
+        for r, row in enumerate(rows):
+            row.append(_operand([(k, c * e[r]) for (k, c), e in zip(items, factors) if e[r]], pa, pb, pc, ra, rt))
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
 
     def det(cols: tuple[int, ...]) -> tuple:
         # the zero summand every minor starts from: prefactor 0 and the forms' smallest rect
         head = (0, zeros, 0, min(grid[j][5] for j in cols), min(grid[j][6] for j in cols))
-        minor = _minor(rows, memo.setdefault(head, {}), den, 0, cols, head)
+        minor = _minor(rows, memo.setdefault(head, {}), den, cols, head)
         return minor, math.prod(forms[j].series._d for j in cols) * scale
 
     return s, den, z, grid, det
 
 
-def _minor(rows, memo: dict, den: int, i: int, cols: tuple[int, ...], head: tuple) -> tuple:
-    """The grid operand of the minor on rows i.., columns cols; the unit when cols is empty.
+def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple) -> tuple:
+    """The grid operand of the minor on the last len(cols) rows and columns cols.
 
-    One ``_accumulate`` call along row i over the pairs (+-1, entry, minor
-    below) after head, the determinant's zero summand; memo holds the minors
-    from that head.  A module function, not a closure, so the memo is freed
-    with its last caller instead of waiting for the cycle collector.
+    One ``_accumulate`` call along its first row over the pairs (+-1, entry,
+    minor below) after head, the determinant's zero summand; the unit when
+    cols is empty.  memo maps cols to the minors from head; as this is no
+    closure, it is freed with its last caller, not by the cycle collector.
     """
-    key = (i, cols)
-    total = memo.get(key)
-    if total is None:
-        if not cols:  # one term 1 at the origin, if the head's rect holds it
-            total = _operand([((0, head[1], 0), 1)] if head[3][0] >= 0 and head[4][0] >= 0 else [], *head)
-        else:
-            below = lambda pos: _minor(rows, memo, den, i + 1, cols[:pos] + cols[pos + 1 :], head)
-            pairs = [(-1 if pos % 2 else 1, rows[i][j], below(pos)) for pos, j in enumerate(cols) if rows[i][j][0]]
-            what = lambda: f"{len(cols)}x{len(cols)} minor at row {i}, columns {list(cols)},"
-            terms, *rest = _accumulate(pairs, head, den, what)
-            total = _operand(sorted(terms.items()), *rest)
-        memo[key] = total
-    return total
+    if not cols:  # one term 1 at the origin, if the head's rect holds it
+        return _operand([((0, head[1], 0), 1)] if head[3][0] >= 0 and head[4][0] >= 0 else [], *head)
+    pairs, i = [], len(rows) - len(cols)
+    for pos, j in enumerate(cols):
+        if rows[i][j][0]:
+            rest = cols[:pos] + cols[pos + 1 :]
+            memo[rest] = below = memo.get(rest) or _minor(rows, memo, den, rest, head)
+            pairs.append((-1 if pos % 2 else 1, rows[i][j], below))
+    return _accumulate(pairs, head, den, lambda: f"{len(cols)}x{len(cols)} minor at row {i}, columns {list(cols)},")
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +943,8 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     """Inverse of series_to_json; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a series must be a JSON object, got {doc!r}")
+    if missing := [field for field in ("rank", "rect") if field not in doc]:
+        raise ValueError(f"series document must contain a {missing[0]!r} field")
     rank = _json_int(doc["rank"], "rank", 0)
     den = _json_int(doc.get("den", DEFAULT_DEN), "den", 1)
     pref = doc.get("prefactor", {})

@@ -471,6 +471,15 @@ class TestJacobian:
         assert err.count("\n") == 1 and named in err
 
 
+    @pytest.mark.parametrize("field", ["rank", "rect"])
+    def test_missing_series_field(self, capsys, tmp_path, field):
+        doc = self.series_doc(1, 0, 0)
+        del doc[field]
+        p = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid series file {p}: series document must contain a '{field}' field\n"
+
     @pytest.mark.parametrize(
         "field, value, named",
         [

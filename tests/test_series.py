@@ -513,6 +513,13 @@ class TestJson:
         with pytest.raises(ValueError, match=rf"^{re.escape(named)} must be a rational 'p/q', got "):
             series_from_json(json.loads(json.dumps(doc)))
 
+    @pytest.mark.parametrize("field", ["rank", "rect"])
+    def test_missing_field_is_named(self, field):
+        doc = series_to_json(monomial(1, RECT, 1, (0,), 2, 3))
+        del doc[field]
+        with pytest.raises(ValueError, match=rf"^series document must contain a '{field}' field$"):
+            series_from_json(doc)
+
     def test_integers_are_rationals(self):
         doc = series_to_json(monomial(1, RECT, 1, (0,), 2, 3))
         doc["terms"][0].update(a=1, l=[0], t=2, c=3)
@@ -1132,8 +1139,26 @@ def grid_series(draw, rank, zeta=ZETA_12):
     return TruncatedSeries(rank, terms, rect, pref, den)
 
 
+def flattened(x, axis):
+    """x with every term moved to a = -A (axis 0) or to t = -C (axis 2), so its tau or omega row is empty."""
+    p, terms = x.prefactor, {}
+    for (a, l, t), c in x.terms.items():
+        key = (-p.a, l, t) if axis == 0 else (a, l, -p.c)
+        terms[key] = terms.get(key, 0) + c
+    return TruncatedSeries(x.rank, nonzero(terms), x.rect, p, x.den)
+
+
+EMPTYING = [lambda x: x.scale(0), lambda x: flattened(x, 0), lambda x: flattened(x, 2)]
+
+
 def weighted_forms(rank):
-    form = st.builds(WeightedSeries, grid_series(rank), st.integers(0, 6))
+    """rank + 4 weighted grid_series, about a third of them emptied or with an empty tau or omega row.
+
+    Those make Laplace pairs with an empty operand, whose prefactor and rect
+    still enter the sum's.
+    """
+    emptied = st.builds(lambda x, f: f(x), grid_series(rank), st.sampled_from(EMPTYING))
+    form = st.builds(WeightedSeries, st.one_of(grid_series(rank), grid_series(rank), emptied), st.integers(0, 6))
     return st.lists(form, min_size=rank + 4, max_size=rank + 4)
 
 
