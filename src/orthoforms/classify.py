@@ -200,34 +200,34 @@ class Exclusion:
     check: Callable[[Component], tuple[LedgerCheck, Pairs]] | None = None
 
 
-# the 26 accepted pairs, keyed by candidate components, in display order
-ACCEPTED: dict[tuple[Component, ...], tuple[str, str]] = {
-    (("A", 1, 1),): ("A1", GROUP_FULL),
-    (("B", 2, 1),): ("2A1", GROUP_FULL),
-    (("B", 3, 1),): ("3A1", GROUP_FULL),
-    (("B", 4, 1),): ("4A1", GROUP_FULL),
-    (("A", 2, 1),): ("A2", GROUP_DK),
-    (("G2", 2, 1),): ("A2", GROUP_FULL),
-    (("A", 3, 1),): ("A3", GROUP_DK),
-    (("C", 3, 1),): ("A3", GROUP_FULL),
-    (("A", 4, 1),): ("A4", GROUP_DK),
-    (("A", 5, 1),): ("A5", GROUP_DK),
-    (("A", 6, 1),): ("A6", GROUP_DK),
-    (("A", 7, 1),): ("A7", GROUP_DK),
-    (("D", 4, 1),): ("D4", GROUP_DK),
-    (("D", 5, 1),): ("D5", GROUP_DK),
-    (("D", 6, 1),): ("D6", GROUP_DK),
-    (("D", 7, 1),): ("D7", GROUP_DK),
-    (("D", 8, 1),): ("D8", GROUP_DK),
-    (("F4", 4, 1),): ("D4", GROUP_FULL),
-    (("C", 5, 1),): ("D5", GROUP_FULL),
-    (("C", 6, 1),): ("D6", GROUP_FULL),
-    (("C", 7, 1),): ("D7", GROUP_FULL),
-    (("C", 8, 1),): ("D8", GROUP_FULL),
-    (("C", 4, 1),): ("D4", GROUP_O1),
-    (("E6", 6, 1),): ("E6", GROUP_DK),
-    (("E7", 7, 1),): ("E7", GROUP_FULL),
-    (("E8", 8, 1),): ("E8", GROUP_FULL),
+# the groups of the 26 accepted pairs, keyed by candidate components, in display order
+ACCEPTED: dict[tuple[Component, ...], str] = {
+    (("A", 1, 1),): GROUP_FULL,
+    (("B", 2, 1),): GROUP_FULL,
+    (("B", 3, 1),): GROUP_FULL,
+    (("B", 4, 1),): GROUP_FULL,
+    (("A", 2, 1),): GROUP_DK,
+    (("G2", 2, 1),): GROUP_FULL,
+    (("A", 3, 1),): GROUP_DK,
+    (("C", 3, 1),): GROUP_FULL,
+    (("A", 4, 1),): GROUP_DK,
+    (("A", 5, 1),): GROUP_DK,
+    (("A", 6, 1),): GROUP_DK,
+    (("A", 7, 1),): GROUP_DK,
+    (("D", 4, 1),): GROUP_DK,
+    (("D", 5, 1),): GROUP_DK,
+    (("D", 6, 1),): GROUP_DK,
+    (("D", 7, 1),): GROUP_DK,
+    (("D", 8, 1),): GROUP_DK,
+    (("F4", 4, 1),): GROUP_FULL,
+    (("C", 5, 1),): GROUP_FULL,
+    (("C", 6, 1),): GROUP_FULL,
+    (("C", 7, 1),): GROUP_FULL,
+    (("C", 8, 1),): GROUP_FULL,
+    (("C", 4, 1),): GROUP_O1,
+    (("E6", 6, 1),): GROUP_DK,
+    (("E7", 7, 1),): GROUP_FULL,
+    (("E8", 8, 1),): GROUP_FULL,
 }
 
 _NO_2_DIVISOR_NA1 = Exclusion(
@@ -272,14 +272,15 @@ EXCLUDED: dict[tuple[Component, ...], Exclusion] = {
 def resolve(candidate: CandidateSystem) -> ClassificationRecord:
     """Accepted (lattice, group) pair or cited exclusion for one candidate.
 
-    A lookup in ACCEPTED and EXCLUDED; an exclusion's check runs here and
-    raises ClassificationError if it fails.  Candidates in neither table
-    stay unresolved.
+    A lookup in ACCEPTED and EXCLUDED; an accepted row's lattice label is
+    the ``TYPES`` lattice of its one component (d = 1).  An exclusion's
+    check runs here and raises ClassificationError if it fails.  Candidates
+    in neither table stay unresolved.
     """
     key = candidate.components
     if key in ACCEPTED:
-        lattice, group = ACCEPTED[key]
-        return ClassificationRecord(candidate, "accepted", lattice, group)
+        ((family, n, _),) = key
+        return ClassificationRecord(candidate, "accepted", TYPES[family].lattice(n), ACCEPTED[key])
     exclusion = EXCLUDED.get(key)
     if exclusion is None:
         return ClassificationRecord(candidate, "unresolved")

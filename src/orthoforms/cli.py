@@ -247,7 +247,14 @@ def cmd_jacobian(args) -> int:
         raise CliError(f"--weights expects comma-separated integers, got {args.weights!r}")
     if len(weights) != len(args.series):
         raise CliError(f"{len(args.series)} series but {len(weights)} weights")
-    loaded = [_read_json(path, "series file", series_mod.series_from_json) for path in args.series]
+    extra = 4 if args.syzygy else 3
+
+    def parse(doc):  # refuses the ranks _determinants would, before anything rank-sized is built
+        if isinstance(doc, dict) and "rank" in doc and (rank := _json_int(doc["rank"], "rank", 0)) + extra != len(weights):
+            raise ValueError(f"rank {rank} needs exactly {rank + extra} forms, got {len(weights)}")
+        return series_mod.series_from_json(doc)
+
+    loaded = [_read_json(path, "series file", parse) for path in args.series]
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]
     result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
     s = forms[0].series.rank

@@ -14,12 +14,11 @@ of B) and d one coefficient denominator.  A term is stored as the int key
 (a*den, l*z, t*den) with the int numerator c*d, the prefactor as (A*den,
 B*z, C*den).  d is kept reduced (its gcd with the numerators is 1), so it
 is the lcm of the coefficient denominators and does not grow along product
-chains.  A rect bound r is stored as floor(r*den) and the exact remainder
-r*den - floor(r*den): an int key x is inside iff x <= floor(r*den), and
-adding a grid exponent moves only the floor.  Scaling commutes with the sums
-and products the operations form, and an operand on another den or z is
-first rescaled by the integer ratio, so every int result divided by its
-scales is the exact rational one.
+chains.  A rect bound r is stored as the one number r*den, exact (a Fraction
+where r lies off the grid), and an int key x is inside iff x <= floor(r*den).
+Scaling commutes with the sums and products the operations form, and an
+operand on another den or z is first rescaled by the integer ratio, so
+every int result divided by its scales is the exact rational one.
 
 Products run through three int loops, each serving the callers it measured
 fastest on (in-process A/Bs, best of 20 per job, on a 2-CPU x86-64 host).
@@ -47,7 +46,7 @@ Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 once; internal results are built from ints by ``_new`` with no re-checks,
 once, on their final grid: nothing rescales a finished series.
 ``.terms`` is a read-only Fraction view built on first access and cached;
-``.rect`` and ``.prefactor`` are Fractions built from the ints on access.
+``.rect`` and ``.prefactor`` are Fractions built on access.
 """
 
 from __future__ import annotations
@@ -97,14 +96,10 @@ def _int(x: Q, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def _bound(r: Q, den: int) -> tuple:
-    """(floor(r*den), r*den - floor(r*den)): the rect bound r on the den grid."""
-    floor, rem = divmod(r.numerator * den, r.denominator)
-    return (floor, Q(rem, r.denominator) if rem else 0)
-
-
-def _value(b: tuple, den: int) -> Q:
-    return (b[0] + b[1]) / den if b[1] else Q(b[0], den)
+def _bound(r: Q, den: int) -> int | Q:
+    """The rect bound r on the den grid: r*den, an int when it is whole, else the exact Fraction."""
+    b = r * den
+    return b.numerator if b.denominator == 1 else b
 
 
 def _checked_prefactor(prefactor: Monomial, rank: int, den: int) -> tuple[Q, tuple[Q, ...], Q]:
@@ -123,7 +118,7 @@ class TruncatedSeries:
     """Immutable sparse series over an exactness rectangle."""
 
     __slots__ = ("rank", "den", "_z", "_d", "_terms", "_pa", "_pb", "_pc", "_ra", "_rt",
-                 "_view", "_rect")
+                 "_view")
 
     def __init__(self, rank: int, terms: Mapping[Key, Q] | Iterable[tuple[Key, Q]],
                  rect: tuple[Q, Q], prefactor: Monomial | None = None, den: int = DEFAULT_DEN):
@@ -146,7 +141,6 @@ class TruncatedSeries:
         ints = {(_int(a, den), _scaled(l, z), _int(t, den)): _int(c, d) for (a, l, t), c in clean.items()}
         _fill(self, rank, den, z, d, ints, _int(pa, den), _scaled(pb, z), _int(pc, den),
               _bound(a_max, den), _bound(t_max, den))
-        self._rect = (a_max, t_max)
 
     # -- Fraction views -----------------------------------------------------
 
@@ -162,9 +156,7 @@ class TruncatedSeries:
 
     @property
     def rect(self) -> tuple[Q, Q]:
-        if self._rect is None:
-            self._rect = (_value(self._ra, self.den), _value(self._rt, self.den))
-        return self._rect
+        return Q(self._ra, self.den), Q(self._rt, self.den)
 
     @property
     def prefactor(self) -> Monomial:
@@ -259,7 +251,7 @@ class TruncatedSeries:
 def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
     x.rank, x.den, x._z, x._d, x._terms = rank, den, z, d, terms
     x._pa, x._pb, x._pc, x._ra, x._rt = pa, pb, pc, ra, rt
-    x._view = x._rect = None
+    x._view = None
 
 
 def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
@@ -285,8 +277,7 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
     if k == 1 and m == 1:
         return x._terms, x._pa, x._pb, x._pc, x._ra, x._rt
     terms = {(a * k, tuple([v * m for v in l]), t * k): c for (a, l, t), c in x._terms.items()}
-    rebound = lambda b: _bound(_value(b, x.den), den)
-    return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, rebound(x._ra), rebound(x._rt)
+    return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, x._ra * k, x._rt * k
 
 
 def _operand(items: list, *head) -> tuple:
@@ -331,9 +322,10 @@ def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries
             c = c if mult == 1 else c * mult
             v = get(key)
             merged[key] = c if v is None else v + c
-    ra = min((xa + b[0] - pa, b[1]) for _, (_, xa, _, _, b, _) in grids)
-    rt = min((xc + b[0] - pc, b[1]) for _, (_, _, _, xc, _, b) in grids)
-    terms = {k: c for k, c in merged.items() if c and k[0] <= ra[0] and k[2] <= rt[0]}
+    ra = min(xa + b - pa for _, (_, xa, _, _, b, _) in grids)
+    rt = min(xc + b - pc for _, (_, _, _, xc, _, b) in grids)
+    a_hi, t_hi = math.floor(ra), math.floor(rt)
+    terms = {k: c for k, c in merged.items() if c and k[0] <= a_hi and k[2] <= t_hi}
     return _new(first.rank, den, z, d, terms, pa, pb, pc, ra, rt)
 
 
@@ -366,11 +358,12 @@ def _product_heads(pairs, head) -> tuple[tuple, list]:
     The one place of the product-rect rule, used by ``_product`` and
     ``_accumulate``; of each operand (items, floors, A, B, C, a bound, t bound)
     it reads only the floors and whether items is empty.  head is a zero
-    summand (A, B, C, absolute a bound, absolute t bound), or None.  The sum
-    head is the (A, B, C, a bound, t bound) of head plus all products, by
-    ``_signed_sum``'s rule: the min a and c of their prefactors, the first b
-    and the min absolute rect, less A and C.  products holds (A, B, C, m, x's
-    items, y's items) for each pair with m and both operands nonzero.
+    summand (A, B, C, absolute a bound, absolute t bound), or None; each bound
+    is one number, r*den (``_bound``).  The sum head is the (A, B, C, a
+    bound, t bound) of head plus all products, by ``_signed_sum``'s rule: the
+    min a and c of their prefactors, the first b and the min absolute rect,
+    less A and C.  products holds (A, B, C, m, x's items, y's items) for each
+    pair with m and both operands nonzero.
 
     A product's prefactor is the sum of the prefactors.  Its rect is the
     tighter of each operand's rect shifted by the other's floors (a term at a
@@ -389,7 +382,7 @@ def _product_heads(pairs, head) -> tuple[tuple, list]:
       its t floor is the true one and products of them never meet this gap.
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
-    pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, (math.inf, 0), (math.inf, 0))
+    pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, math.inf, math.inf)
     products = []
     for m, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
         qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
@@ -397,18 +390,16 @@ def _product_heads(pairs, head) -> tuple[tuple, list]:
             fa1 = ft1 = fa2 = ft2 = 0  # no floor shifts a rect: the smaller one holds
         elif m:
             products.append((qa, qb, qc, m, i1, i2))
-        ra1, rt1 = (qa + ra1[0] + fa2, ra1[1]), (qc + rt1[0] + ft2, rt1[1])
-        ra2, rt2 = (qa + ra2[0] + fa1, ra2[1]), (qc + rt2[0] + ft1, rt2[1])
+        ra1, rt1 = qa + ra1 + fa2, qc + rt1 + ft2
+        ra2, rt2 = qa + ra2 + fa1, qc + rt2 + ft1
         ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
         pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
         ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
-    return (pa, pb, pc, (ra[0] - pa, ra[1]), (rt[0] - pc, rt[1])), products
+    return (pa, pb, pc, ra - pa, rt - pc), products
 
 
-def _overflow(what: str, ra: tuple, rt: tuple, den: int, cap: int) -> SeriesOverflowError:
-    return SeriesOverflowError(
-        f"{what} on rect ({_value(ra, den)}, {_value(rt, den)}) exceeded the cap of {cap} stored terms"
-    )
+def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
+    return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
 
 
 def _accumulate(pairs, head, den: int, what) -> tuple:
@@ -420,8 +411,8 @@ def _accumulate(pairs, head, den: int, what) -> tuple:
     numerators over one denominator; m is an int, head as in
     ``_product_heads``, which gives the sum and each product their prefactor
     and rect.  The sum's rect lies inside every product's, so cutting every
-    pair at it drops only terms the merge of the products would drop too.
-    The nonzero sums are sorted once, into the operand's items.
+    pair at the floors of its bounds drops only terms the merge of the
+    products would drop too.  The nonzero sums are sorted once, into items.
 
     y runs outside, shifted to the sum's prefactor and times m once per term;
     x and y are sorted by a, so a row stops at the first partner past the
@@ -429,7 +420,7 @@ def _accumulate(pairs, head, den: int, what) -> tuple:
     included, raise SeriesOverflowError naming what(), the sum being built.
     """
     (pa, pb, pc, ra, rt), products = _product_heads(pairs, head)
-    a_hi, t_hi, cap = ra[0], rt[0], DEFAULT_TERM_CAP
+    a_hi, t_hi, cap = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP
     out: dict = {}
     get = out.get
     for qa, qb, qc, mult, left, right in products:
@@ -485,7 +476,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     xfloors = _floors(xterms)
     pair = (1, (left, xfloors, *xhead), (right, _floors(yterms), *yhead))
     (pa, pb, pc, ra, rt), _ = _product_heads([pair], None)
-    a_hi, t_hi, cap, reached = ra[0], rt[0], DEFAULT_TERM_CAP, 0
+    a_hi, t_hi, cap, reached = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, 0
     out: dict = {}
     for a2, t2, k2, c2 in right:
         if a2 + xfloors[0] > a_hi:
@@ -760,8 +751,10 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
         for j in range(1, math.floor(t_max / fac.m) + 1):
             key = (j * fac.n * den, tuple([j * x for x in l]), j * fac.m * den)
             terms[key] = terms.get(key, 0) - fac.m * fac.exponent
-    terms = {k: c for k, c in terms.items() if c and k[0] <= a_max * den}
-    s = _new(rank, den, z, 1, terms, 0, (0,) * rank, 0, _bound(a_max, den), _bound(t_max, den))
+    ra, rt = _bound(a_max, den), _bound(t_max, den)
+    a_hi = math.floor(ra)
+    terms = {k: c for k, c in terms.items() if c and k[0] <= a_hi}
+    s = _new(rank, den, z, 1, terms, 0, (0,) * rank, 0, ra, rt)
     return g0.derive("omega") - g0 * (s + one(rank, (a_max, t_max)).scale(_q(weyl.c)))
 
 
@@ -877,7 +870,7 @@ def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple) -> tu
     closure, it is freed with its last caller, not by the cycle collector.
     """
     if not cols:  # one term 1 at the origin, if the head's rect holds it
-        return _operand([((0, head[1], 0), 1)] if head[3][0] >= 0 and head[4][0] >= 0 else [], *head)
+        return _operand([((0, head[1], 0), 1)] if head[3] >= 0 and head[4] >= 0 else [], *head)
     pairs, i = [], len(rows) - len(cols)
     for pos, j in enumerate(cols):
         if rows[i][j][0]:
@@ -950,12 +943,10 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     pref = doc.get("prefactor", {})
     if not isinstance(pref, dict):
         raise ValueError(f"prefactor must be an object, got {pref!r}")
+    b = pref["B"] if "B" in pref else ["0/1"] * rank
     prefactor = Monomial(
         _json_q(pref.get("A", "0/1"), "prefactor A"),
-        tuple(
-            _json_q(v, "prefactor B entry")
-            for v in _json_list(pref.get("B", ["0/1"] * rank), "prefactor B", rank)
-        ),
+        tuple(_json_q(v, "prefactor B entry") for v in _json_list(b, "prefactor B", rank)),
         _json_q(pref.get("C", "0/1"), "prefactor C"),
     )
     for name, x in (("A", prefactor.a), ("C", prefactor.c)):

@@ -320,6 +320,20 @@ class TestBorch:
         assert docs[0] == docs[1]
         assert docs[0]["rect"] == [a_max, "2/1"]
 
+    def test_rect_bound_off_the_grid(self, capsys, tmp_path):
+        # 1/7 is off the (1/24)Z grid: the JSON rect reads it back exactly, and the
+        # integer q-exponents of the A1 factors keep the terms of --rect 0,2
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 1} for l in ("1/1", "-1/1")]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        docs = []
+        for rect in ("1/7,2", "0,2"):
+            out_path = tmp_path / "series.json"
+            code, _, err = run(capsys, "borch", path, "--rect", rect, "-o", str(out_path))
+            assert (code, err) == (0, "")
+            docs.append(json.loads(out_path.read_text()))
+        assert docs[0]["rect"] == ["1/7", "2/1"]
+        assert docs[0]["terms"] == docs[1]["terms"]
+
     def test_huge_rect_is_one_error_line(self, capsys, tmp_path, deadline):
         # two factors per n <= 10^400: counted and refused before any is built
         coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 1} for l in ("1/1", "-1/1")]
@@ -470,6 +484,23 @@ class TestJacobian:
         assert out == ""
         assert err.count("\n") == 1 and named in err
 
+
+    @pytest.mark.parametrize("prefactor", [None, {"B": []}])
+    @pytest.mark.parametrize("syzygy", [[], ["--syzygy"]])
+    def test_enormous_rank_refused_before_allocation(self, capsys, tmp_path, deadline, prefactor, syzygy):
+        # a rank-sized default B, or anything else rank-sized, would not fit in memory
+        doc = {"rank": 2**62, "rect": ["1/1", "1/1"]}
+        if prefactor is not None:
+            doc["prefactor"] = prefactor
+        p = write_json(tmp_path / "f.json", doc)
+        extra = 4 if syzygy else 3
+        count = extra + 1
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, "jacobian", *[p] * count, "--weights", ",".join(["1"] * count), *syzygy)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid series file {p}: rank {2**62} needs exactly {2**62 + extra} forms, got {count}\n"
 
     @pytest.mark.parametrize("field", ["rank", "rect"])
     def test_missing_series_field(self, capsys, tmp_path, field):

@@ -520,6 +520,11 @@ class TestJson:
         with pytest.raises(ValueError, match=rf"^series document must contain a '{field}' field$"):
             series_from_json(doc)
 
+    def test_given_b_builds_no_default(self, deadline):
+        # a default B of 2**62 entries would not fit in memory
+        with deadline(10), pytest.raises(ValueError, match=rf"^prefactor B must be a list of length {2**62}, got \[\]$"):
+            series_from_json({"rank": 2**62, "rect": ["1/1", "1/1"], "prefactor": {"B": []}})
+
     def test_integers_are_rationals(self):
         doc = series_to_json(monomial(1, RECT, 1, (0,), 2, 3))
         doc["terms"][0].update(a=1, l=[0], t=2, c=3)
@@ -564,7 +569,7 @@ BOUND = st.sampled_from([24, 48, 7]).flatmap(
 
 @st.composite
 def fractional_series(draw, rank):
-    """Terms with a, t in (1/24)Z, negative a allowed, some exactly on the rectangle."""
+    """(series, its drawn rect): terms with a, t in (1/24)Z, negative a allowed, some exactly on the rectangle."""
     a_max, t_max = draw(BOUND), draw(BOUND)
 
     def exponent(bound, lo):
@@ -580,7 +585,7 @@ def fractional_series(draw, rank):
     terms = {}
     for a, l, t, c in entries:
         terms[(a, l, t)] = terms.get((a, l, t), Q(0)) + c
-    return TruncatedSeries(rank, terms, (a_max, t_max))
+    return TruncatedSeries(rank, terms, (a_max, t_max)), (a_max, t_max)
 
 
 SERIES_PAIRS = st.integers(1, 2).flatmap(
@@ -604,7 +609,9 @@ class TestKernelAgainstNaive:
     @settings(max_examples=150, deadline=None)
     @given(SERIES_PAIRS)
     def test_mul(self, pair):
-        x, y = pair
+        (x, x_rect), (y, y_rect) = pair
+        # a bound off the grid reads back exactly, not rounded onto it
+        assert (x.rect, y.rect) == (x_rect, y_rect)
         product = x * y
         if x.is_zero or y.is_zero:
             assert product.is_zero
@@ -620,7 +627,7 @@ class TestKernelAgainstNaive:
     @given(SERIES_PAIRS)
     def test_mul_term_cap(self, pair):
         # the cap counts every key a kept pair reaches, zero sums included
-        x, y = pair
+        (x, _), (y, _) = pair
         if x.is_zero or y.is_zero:
             return
         _, expected = naive_product(x, y)
@@ -1116,10 +1123,11 @@ ZETA_12 = st.sampled_from([1, 2]).flatmap(
 def grid_series(draw, rank, zeta=ZETA_12):
     """One to four terms on the series' own den grid (den 12, 24 or 48).
 
-    The rect lies on (1/12)Z, the prefactor's a and c on (1/den)Z, and zeta
-    entries, drawn from zeta, have denominator 1 or 2 by default.  Exponents
-    and prefactors stay small enough that most Jacobians keep terms inside
-    their rect.
+    The rect lies on (1/12)Z or, off the den grid, on (1/7)Z or (1/36)Z, so
+    sums and Laplace steps meet bounds that are not whole multiples of
+    1/den.  The prefactor's a and c lie on (1/den)Z, and zeta entries, drawn
+    from zeta, have denominator 1 or 2 by default.  Exponents and prefactors
+    stay small enough that most Jacobians keep terms inside their rect.
     """
     den = draw(st.sampled_from([12, 24, 48]))
     exponent = st.integers(0, den).map(lambda n: Q(n, den))
@@ -1134,7 +1142,10 @@ def grid_series(draw, rank, zeta=ZETA_12):
     terms = {}
     for a, l, t, c in entries:
         terms[(a, l, t)] = terms.get((a, l, t), Q(0)) + c
-    rect = tuple(draw(st.integers(30, 60).map(lambda n: Q(n, 12))) for _ in range(2))
+    rect = tuple(
+        draw(st.sampled_from([12, 12, 7, 36]).flatmap(lambda d: st.integers(5 * d // 2, 5 * d).map(lambda n: Q(n, d))))
+        for _ in range(2)
+    )
     pref = Monomial(draw(pref_part), draw(st.tuples(*[zeta] * rank)), draw(pref_part))
     return TruncatedSeries(rank, terms, rect, pref, den)
 
