@@ -18,6 +18,11 @@ is the minor of the first j pivot rows on their pivot columns, no entry
 outgrows a minor, and a row that reduces to zero, being in the span of the
 pivot rows, is dropped.
 
+``short_vectors_of_form`` enumerates up to sign: the set v^T G v <= B is
+closed under v -> -v, so only the vectors whose first nonzero coordinate is
+positive are searched.  The search fixes x_0 first, which finds them in lex
+order, and the sorted list is their negatives, reversed, followed by them.
+
 ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
 with D the lcm of the denominators of x; so x lies in the dual lattice
 exactly when D divides every entry of G·(D·x).
@@ -44,14 +49,7 @@ def freeze(rows: Iterable[Iterable]) -> Mat:
 
 
 def mat_vec(m: Mat, v: Sequence) -> Vec:
-    return tuple(sum(map(mul, row, v)) for row in m)
-
-
-def vec_gcd(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, int(x))
-    return g
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def _int_row(row: Sequence) -> list[int]:
@@ -303,57 +301,73 @@ def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
     integer arithmetic; requires a positive definite form.  Output is sorted
     lexicographically.
 
-    ``_definite_rows`` makes the Gram integral (scaling the norm and the
-    bound alike) and gives its pivot rows b_i, with leading minors
-    Delta_i = b_i[i] and Delta_{-1} = 1.  Then v^T gram v is
-    sum_i (b_i . v)^2 / (Delta_{i-1} Delta_i), the LDL form with pivots
-    d_i = Delta_i / Delta_{i-1} and unit rows b_i / Delta_i.  With g_i the
-    content of b_i, L_i = Delta_i / g_i and D the lcm over i of
-    den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an integer, and
-    D v^T gram v = sum_i w_i (b_i . v / g_i)^2, where b_i . v / g_i is
-    L_i x_i plus integer multiples of the x_j, j > i.  The left side is an
-    integer, so the bound is exactly D v^T gram v <= floor(D max_norm), and
-    each coordinate's range comes from isqrt of the remaining budget over
-    w_i with no slack and no after-the-fact filtering.
+    The search runs on the Gram with its basis order reversed, so that it
+    fixes x_0 first and x_{n-1} last.  Its ``_definite_rows`` make the Gram
+    integral (scaling the norm and the bound alike) and give the pivot rows
+    b_i, with leading minors Delta_i = b_i[i] and Delta_{-1} = 1.  Then the
+    norm is sum_i (b_i . y)^2 / (Delta_{i-1} Delta_i), y = x reversed: the
+    LDL form with pivots d_i = Delta_i / Delta_{i-1} and unit rows
+    b_i / Delta_i.  With g_i the content of b_i, L_i = Delta_i / g_i and D
+    the lcm over i of den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an
+    integer, and D v^T gram v = sum_i w_i (b_i . y / g_i)^2, where
+    b_i . y / g_i is L_i y_i plus integer multiples of the y_j, j > i.  The
+    left side is an integer, so the bound is exactly
+    D v^T gram v <= floor(D max_norm), and each coordinate's range comes
+    from isqrt of the remaining budget over w_i with no slack and no
+    after-the-fact filtering.
+
+    The set is closed under v -> -v, so it is enumerated up to sign
+    (Fincke and Pohst, Math. Comp. 44, 1985): while every coordinate fixed
+    so far is zero, the next one ranges over x >= 0 only, and the all-zero
+    leaf is skipped.  That visits about half the nodes and finds each
+    vector whose first nonzero coordinate is positive once, in lex order,
+    as each range ascends and x_0 is fixed first.  Every such vector sorts
+    after every negated one, so the output is the negatives in reverse
+    order followed by the vectors found, with no sort, and
+    s[-1-k] == -s[k].
     """
     n = len(gram)
-    found = _definite_rows(gram)
-    if found is None:
+    definite = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
+    if definite is None:
         raise ArithmeticError("form is not positive definite")
-    den, rows = found
+    den, rows = definite
     minors = [1] + [r[i] for i, r in enumerate(rows)]
-    rows = [[x // g for x in r] for r, g in zip(rows, map(vec_gcd, rows))]
+    rows = [[x // g for x in r] for r, g in zip(rows, [gcd(*r) for r in rows])]
     row_den = [r[i] for i, r in enumerate(rows)]
     scale = lcm(*(minors[i] // gcd(minors[i], minors[i + 1]) * l * l for i, l in enumerate(row_den)))
     weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
-    offsets = [[(j, r[j]) for j in range(i + 1, n) if r[j]] for i, r in enumerate(rows)]
+    # y_j is coordinate n-1-j of the vector
+    offsets = [[(n - 1 - j, r[j]) for j in range(i + 1, n) if r[j]] for i, r in enumerate(rows)]
     bound = Q(max_norm) * scale * den
     budget = bound.numerator // bound.denominator
-    out: list[tuple[int, ...]] = []
     if budget < 0:
-        return out
+        return []
+    positives: list[tuple[int, ...]] = []
+    negatives: list[tuple[int, ...]] = []
     coords = [0] * n
+    negated = [0] * n
 
-    def descend(i: int, remaining: int) -> None:
-        w, l = weights[i], row_den[i]
+    def descend(i: int, remaining: int, signed: bool) -> None:
+        # fixes y_i = coords[p]; signed: a coordinate before p is nonzero, so both signs are new
+        w, l, p = weights[i], row_den[i], n - 1 - i
         shift = sum(c * coords[j] for j, c in offsets[i])
         s = isqrt(remaining // w)
-        # all x with -s <= l*x + shift <= s
-        xs = range(-((s + shift) // l), (s - shift) // l + 1)
+        # all y with -s <= l*y + shift <= s; y >= 1 at an all-zero leaf, y >= 0 above it
+        low = -((s + shift) // l) if signed else int(i == 0)
+        ys = range(low, (s - shift) // l + 1)
         if i == 0:
-            skip_zero = not any(coords)
-            for x in xs:
-                if x or not skip_zero:
-                    coords[0] = x
-                    out.append(tuple(coords))
-            coords[0] = 0
+            for y in ys:
+                coords[p], negated[p] = y, -y
+                positives.append(tuple(coords))
+                negatives.append(tuple(negated))
+            coords[p] = negated[p] = 0
             return
-        for x in xs:
-            t = l * x + shift
-            coords[i] = x
-            descend(i - 1, remaining - w * t * t)
-        coords[i] = 0
+        for y in ys:
+            t = l * y + shift
+            coords[p], negated[p] = y, -y
+            descend(i - 1, remaining - w * t * t, signed or y != 0)
+        coords[p] = negated[p] = 0
 
-    descend(n - 1, budget)
-    out.sort()
-    return out
+    descend(n - 1, budget, False)
+    negatives.reverse()
+    return negatives + positives

@@ -2,11 +2,15 @@
 
 Detection keeps the short vectors, up to norm 4e² (e the exponent of L*/L),
 whose reflections preserve the lattice; decomposition grows the components
-of the non-orthogonality graph one root at a time, one G·r per root, and
-identifies each piece by rank, root count and norm multiset.  Modified
-Coxeter numbers follow the thirteen-case table keyed by the divisor data
-of the short roots and, where that data is ambiguous, an explicit subcase
-tag supplied by the caller.
+of the non-orthogonality graph one root at a time and identifies each piece
+by rank, root count and norm multiset.  Every root set here is closed under
+r -> -r, and the work is done once per ± pair: detection tests one half of
+the sorted short vectors and mirrors the result, decomposition places -r
+with r without a scan, and one G·r per pair gives both norms and divs.
+Each root's norm is read once, in ``decompose``; the component keeps it
+for ``build_dual_set``.  Modified Coxeter numbers follow the thirteen-case
+table keyed by the divisor data of the short roots and, where that data is
+ambiguous, an explicit subcase tag supplied by the caller.
 
 ``TYPES`` is the single source of the facts of the nine Cartan types; the
 component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
@@ -118,22 +122,29 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     and norm(v) <= k·2 div(w) <= 2 div(w)² <= 2e².  A larger even max_norm is
     clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
     the gcd of the Gram entries, e is only computed above 2c² or 4c².
+
+    The sorted short vectors satisfy s[-1-k] == -s[k], and v is a root
+    exactly when -v is: only the first half is tested, and the roots found
+    there are followed by their negatives, with -G·v, in reverse order.
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    c = linalg.vec_gcd([x for row in lat.gram for x in row])
+    c = gcd(*(x for row in lat.gram for x in row))
     scale = 2 if lat.is_even else 4
     if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
         max_norm = min(max_norm, scale * e * e)
-    found = []  # (v, G·v)
-    for v in short_vectors(lat, max_norm):
+    vectors = short_vectors(lat, max_norm)
+    found = []  # (k, G·v) for each root v = vectors[k] of the first half
+    for k, v in enumerate(vectors[:len(vectors) // 2]):
         gv = lat.gram_times(v)
         norm = sum(map(mul, v, gv))
         h = norm // gcd(norm, 2)
         if h == 1 or not any(x % h for x in gv):
-            found.append((v, gv))
-    return RootDatum(lat, tuple(v for v, _ in found), tuple(gv for _, gv in found))
+            found.append((k, gv))
+    roots = [vectors[k] for k, _ in found] + [vectors[-1 - k] for k, _ in reversed(found)]
+    images = [gv for _, gv in found] + [tuple([-x for x in gv]) for _, gv in reversed(found)]
+    return RootDatum(lat, tuple(roots), tuple(images))
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,8 @@ class IrreducibleComponent:
     short_div: int
     long_div: int | None
     subcase: str | None = None
+    # the norm of each root, as decompose read them; None makes build_dual_set compute them
+    norms: tuple[int, ...] | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t, n = self.type_tag, self.rank
@@ -192,11 +205,11 @@ class IrreducibleComponent:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
 
 
-def _split_by_norm(lat: Lattice, roots, norm: int) -> tuple[list, list]:
-    """The roots of the given norm and the others, reading each norm once."""
+def _split_by_norm(items, norms, norm: int) -> tuple[list, list]:
+    """The items whose norm, read from ``norms`` in step, is the given one, and the others."""
     split: tuple[list, list] = ([], [])
-    for r in roots:
-        split[lat.norm(r) != norm].append(r)
+    for x, nn in zip(items, norms):
+        split[nn != norm].append(x)
     return split
 
 
@@ -217,6 +230,7 @@ def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
 def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]]) -> IrreducibleComponent:
     """The component of the (root, norm, div) entries, sorted by root."""
     roots = tuple(r for r, _, _ in entries)
+    root_norms = tuple(nn for _, nn, _ in entries)
     by_norm: dict[int, list] = {}  # the divs of each norm class
     for _, nn, div in entries:
         by_norm.setdefault(nn, []).append(div)
@@ -229,7 +243,7 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
         tag = _match(k, None, (len(roots), 0))
         if tag is None:
             raise UnrecognizedRootSystemError(f"single-norm system: rank {k}, {len(roots)} roots, norm {nn}")
-        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None)
+        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None, norms=root_norms)
     if len(norms) == 2:
         n1, n2 = norms
         c1, c2 = len(by_norm[n1]), len(by_norm[n2])
@@ -245,7 +259,7 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
                 if ratio == 2
                 else f"norm ratio {ratio} matches no crystallographic type"
             )
-        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div)
+        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div, norms=root_norms)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
 
@@ -257,18 +271,42 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
     gives those pairings, its norm and its div.  Components are identified
     in the order of their first root: of several unidentifiable ones the
     first raises UnrecognizedRootSystemError, and nothing is dropped.
+
+    A root -r whose partner r was placed with (r, r) != 0 skips the scan.
+    As (-r, s) = -(r, s), -r pairs nonzero with exactly the roots r pairs
+    with, which joined r's component when the later of the two was placed,
+    and with r itself; so -r would join that component and merge nothing.
+    It is added to its partner's final component after the scan, with the
+    partner's norm and div.  An isotropic r pairs to 0 with -r, and both go
+    through the scan.
     """
     if not rd.roots:
         raise ValueError("cannot decompose an empty root set")
+    images = rd.images or [None] * len(rd.roots)
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
-    for r, gr in zip(rd.roots, rd.images or map(rd.lattice.gram_times, rd.roots)):
+    placed: dict = {}  # non-isotropic root -> its entry
+    deferred = []  # (-r, the entry of r)
+    for r, gr in zip(rd.roots, images):
+        partner = placed.get(tuple([-x for x in r]))
+        if partner is not None:
+            deferred.append((r, partner))
+            continue
+        if gr is None:
+            gr = rd.lattice.gram_times(r)
         hit = [g for g in groups if any(sum(map(mul, gr, s)) for s, _, _ in g)] or [[]]
         if not hit[0]:  # r pairs with no component yet: a new one
             groups.append(hit[0])
         for g in hit[1:]:  # into the hit with the earliest first root
             hit[0] += g
             g.clear()
-        hit[0].append((r, sum(map(mul, gr, r)), linalg.vec_gcd(gr)))
+        entry = (r, sum(map(mul, gr, r)), gcd(*gr))
+        hit[0].append(entry)
+        if entry[1]:
+            placed[r] = entry
+    if deferred:
+        home = {s: g for g in groups for s, _, _ in g}
+        for r, (s, nn, div) in deferred:
+            home[s].append((r, nn, div))
     comps = (_identify(rd.lattice, sorted(g)) for g in groups if g)
     return sorted(comps, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
 
@@ -296,7 +334,7 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     integrally) and r/(2d), iii keeps r/d flagged.
     """
     d = comp.d
-    shorts, longs = _split_by_norm(comp.lattice, comp.roots, 2 * d)
+    shorts, longs = _split_by_norm(comp.roots, comp.norms or map(comp.lattice.norm, comp.roots), 2 * d)
     parts = [(shorts, d, False)] if comp.short_div == d else {
         "i": [(shorts, 2 * d, False)],
         "ii": [(shorts, d, True), (shorts, 2 * d, False)],
@@ -405,21 +443,29 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
     rd = detect_roots(lat, 2 * d * (ct.ratio or 1))
     if type_tag == "C":
-        shorts, longs = _split_by_norm(lat, rd.roots, 2 * d)
-        frame = _orthogonal_frame(lat, longs)
+        pairs = list(zip(rd.roots, rd.images))
+        shorts, longs = _split_by_norm(pairs, (sum(map(mul, r, gr)) for r, gr in pairs), 2 * d)
+        frame = _orthogonal_frame(longs)
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
-        rd = RootDatum(lat, tuple(sorted(shorts + frame)))
+        kept = sorted(shorts + frame)
+        rd = RootDatum(lat, tuple(r for r, _ in kept), tuple(gr for _, gr in kept))
     comps = decompose(rd)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
     return comps[0]
 
 
-def _orthogonal_frame(lat: Lattice, vectors) -> list:
-    """Greedy maximal pairwise-orthogonal subset closed under negation."""
+def _orthogonal_frame(vectors) -> list:
+    """Greedy maximal pairwise-orthogonal subset closed under negation.
+
+    ``vectors`` are (v, G·v) pairs; the frame keeps the pairs it chose,
+    taking the vectors in sorted order.
+    """
     frame: list = []
-    for v in sorted(vectors):
-        if tuple(-x for x in v) in frame or all(lat.pairing(v, w) == 0 for w in frame):
-            frame.append(v)
+    chosen: set = set()
+    for v, gv in sorted(vectors):
+        if tuple([-x for x in v]) in chosen or all(sum(map(mul, gv, w)) == 0 for w in chosen):
+            frame.append((v, gv))
+            chosen.add(v)
     return frame

@@ -63,6 +63,8 @@ from .weyl import WeylVector, is_positive_direction
 
 DEFAULT_DEN = 24
 DEFAULT_TERM_CAP = 200_000
+# the largest rank a series document may give without prefactor B, which then defaults to zero
+_DEFAULT_B_RANKS = 4096
 
 Key = tuple[Q, tuple[Q, ...], Q]
 Coeffs = Mapping[tuple[int, tuple[Q, ...]], int]
@@ -943,6 +945,8 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     pref = doc.get("prefactor", {})
     if not isinstance(pref, dict):
         raise ValueError(f"prefactor must be an object, got {pref!r}")
+    if "B" not in pref and rank > _DEFAULT_B_RANKS:  # refused before the default B is built
+        raise ValueError(f"rank must be at most {_DEFAULT_B_RANKS} when prefactor B is omitted, got {rank}")
     b = pref["B"] if "B" in pref else ["0/1"] * rank
     prefactor = Monomial(
         _json_q(pref.get("A", "0/1"), "prefactor A"),

@@ -1,10 +1,10 @@
 """Matrix, lattice and reflection helpers the tests share; the package itself has no use for them."""
 
 from fractions import Fraction as Q
+from math import gcd
 from operator import mul
 
 from orthoforms import Lattice
-from orthoforms.linalg import vec_gcd
 
 
 def mat_mul(a, b):
@@ -39,4 +39,4 @@ def div(lat: Lattice, v) -> int:
         raise ValueError("div of the zero vector is undefined")
     if any(not isinstance(x, int) for x in v):
         raise ValueError("div requires integral coordinates")
-    return vec_gcd(lat.gram_times(v))
+    return gcd(*lat.gram_times(v))

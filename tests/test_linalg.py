@@ -116,10 +116,15 @@ def test_short_vectors_of_form_against_box(gram, bound):
         volume *= 2 * r + 1
     assume(volume <= 20000)
     expected = box_short_vectors(gram, radii, bound)
-    assert linalg.short_vectors_of_form(gram, bound) == sorted(expected)
+    found = linalg.short_vectors_of_form(gram, bound)
+    assert found == sorted(expected)
     # a Fraction Gram: the same form over 3 with the bound over 3
     thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
-    assert linalg.short_vectors_of_form(thirds, bound / 3) == sorted(expected)
+    found_thirds = linalg.short_vectors_of_form(thirds, bound / 3)
+    assert found_thirds == sorted(expected)
+    # roots.detect_roots tests only the first half and mirrors it
+    for s in (found, found_thirds):
+        assert all(s[-1 - k] == tuple(-x for x in s[k]) for k in range(len(s)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -35,7 +35,6 @@ from orthoforms.roots import (
     RootDatum,
     _class_div,
     _identify,
-    _orthogonal_frame,
 )
 from orthoforms.lattice import short_vectors
 
@@ -621,7 +620,7 @@ def chain_realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
         lat = _maybe_rescale(base, d)
         rd = detect_roots(lat, 4 * d)
         shorts = [r for r in rd.roots if lat.norm(r) == 2 * d]
-        frame = _orthogonal_frame(lat, [r for r in rd.roots if lat.norm(r) == 4 * d])
+        frame = chain_orthogonal_frame(lat, [r for r in rd.roots if lat.norm(r) == 4 * d])
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
         comps = decompose(RootDatum(lat, tuple(sorted(shorts + frame))))
@@ -630,6 +629,19 @@ def chain_realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
     return comps[0]
+
+
+def chain_orthogonal_frame(lat: Lattice, vectors) -> list:
+    """Greedy maximal pairwise-orthogonal subset closed under negation.
+
+    A verbatim copy of the package helper as the chain had it, so that the
+    oracle does not move with the code it checks.
+    """
+    frame: list = []
+    for v in sorted(vectors):
+        if tuple(-x for x in v) in frame or all(lat.pairing(v, w) == 0 for w in frame):
+            frame.append(v)
+    return frame
 
 
 def _maybe_rescale(lat: Lattice, d: int) -> Lattice:
@@ -828,23 +840,43 @@ def vector_sets(draw, rank):
     return draw(st.lists(vector, unique=True, min_size=1, max_size=12))
 
 
+# indefinite, with isotropic vectors such as (1, 0, 0): (r, r) = 0 = (r, -r), so r and -r
+# may lie in different components, which a shortcut placing -r with r would merge
+U_PLUS_A1 = direct_sum(Lattice(((0, 1), (1, 0)), "U"), builtin_lattice("A1"))
+
+
+def decompose_groups(lat, vectors):
+    """The groups decompose hands to _identify, in order, after checking their entries."""
+    seen = []
+
+    def record(lat_, group):
+        assert group == sorted(group) and group == entries(lat, [r for r, _, _ in group])
+        seen.append(tuple(r for r, _, _ in group))
+        return SimpleNamespace(rank=0, type_tag="", d=0, roots=seen[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots_mod, "_identify", record)
+        decompose(RootDatum(lat, tuple(vectors)))
+    return seen
+
+
 class TestDecomposeArbitraryVectors:
     @settings(max_examples=150, deadline=None)
-    @given(small_lattices(), st.data())
+    @given(st.one_of(small_lattices(), st.just(U_PLUS_A1)), st.data())
     def test_partition_entries_and_order(self, lat, data):
         vectors = data.draw(vector_sets(lat.rank))
-        seen = []
-
-        def record(lat_, group):
-            assert group == sorted(group) and group == entries(lat, [r for r, _, _ in group])
-            seen.append(tuple(r for r, _, _ in group))
-            return SimpleNamespace(rank=0, type_tag="", d=0, roots=seen[-1])
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(roots_mod, "_identify", record)
-            decompose(RootDatum(lat, tuple(vectors)))
+        if data.draw(st.booleans()):  # closed under negation, as detected root sets are
+            negatives = [tuple(-x for x in v) for v in vectors]
+            vectors += [v for v in negatives if v not in vectors]
+        seen = decompose_groups(lat, vectors)
         assert sorted(seen) == naive_components(lat, vectors)
         assert seen == first_root_order(vectors, seen)
+
+    def test_isotropic_pair_stays_apart(self):
+        vectors = [(1, 0, 0), (0, 0, 1), (-1, 0, 0), (0, 0, -1), (1, 0, 1), (-1, 0, -1)]
+        seen = decompose_groups(U_PLUS_A1, vectors)
+        assert seen == [((1, 0, 0),), ((-1, 0, -1), (0, 0, -1), (0, 0, 1), (1, 0, 1)), ((-1, 0, 0),)]
+        assert sorted(seen) == naive_components(U_PLUS_A1, vectors)
 
     @settings(max_examples=150, deadline=None)
     @given(small_lattices(), st.data())

@@ -525,6 +525,12 @@ class TestJson:
         with deadline(10), pytest.raises(ValueError, match=rf"^prefactor B must be a list of length {2**62}, got \[\]$"):
             series_from_json({"rank": 2**62, "rect": ["1/1", "1/1"], "prefactor": {"B": []}})
 
+    def test_huge_rank_without_b_is_refused(self, deadline):
+        # a default B of 2**62 entries would not fit in memory; the rank is refused first
+        with deadline(10), pytest.raises(ValueError, match=rf"^rank must be at most 4096 when prefactor B is omitted, got {2**62}$"):
+            series_from_json({"rank": 2**62, "rect": ["1/1", "1/1"]})
+        assert series_from_json({"rank": 4096, "rect": ["1/1", "1/1"]}).rank == 4096
+
     def test_integers_are_rationals(self):
         doc = series_to_json(monomial(1, RECT, 1, (0,), 2, 3))
         doc["terms"][0].update(a=1, l=[0], t=2, c=3)
