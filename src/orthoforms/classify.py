@@ -19,8 +19,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Callable
 
+from .lattice import q_str
 from .roots import TYPES, build_dual_set, display_name, realize
-from .series import q_str
 from .weyl import qzero_from_dual_sets, quadratic_weyl_constant, solve_weight, weyl_vector
 
 GROUP_DK = "O~+"  # discriminant kernel

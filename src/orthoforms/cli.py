@@ -6,6 +6,10 @@ on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
 ``_emit`` one that cannot be written, to exit 2 naming the file; ``main``
 maps the library's ValueError and ArithmeticError to exit 2 and its
 SeriesOverflowError (a series past the term cap) to exit 1.
+
+Each command runs only the modules it calls, as the package's submodules
+run at first use (see ``orthoforms``); the JSON field readers come from
+lattice, which every command runs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .series import _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("borch", help="expand the product of a coefficient file")
     p.add_argument("coeffs")
     p.add_argument("--rect", default="2,2", help="exactness rectangle 'A,T'")
-    p.add_argument("--den", type=int, default=series_mod.DEFAULT_DEN)
+    p.add_argument("--den", type=int, default=DEFAULT_DEN)
     outputs(p, cmd_borch, table=False)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant of series files")
@@ -364,12 +368,12 @@ def main(argv=None) -> int:
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
         return args.func(args)
-    except series_mod.SeriesOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INVALID)
+    except series_mod.SeriesOverflowError as exc:  # a RuntimeError; tested second, so an input error runs no series
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

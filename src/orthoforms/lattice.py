@@ -221,8 +221,41 @@ def builtin_lattice(name: str) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# JSON
+# JSON, and the field readers every document format shares
 # ---------------------------------------------------------------------------
+
+# the default global exponent denominator of series documents and the CLI's --den
+DEFAULT_DEN = 24
+
+
+def q_str(x) -> str:
+    x = x if isinstance(x, Q) else Q(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _json_list(value, what: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        shape = "a list" if length is None else f"a list of length {length}"
+        raise ValueError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
+def _json_int(value, what: str, least: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _json_q(value, what: str) -> Q:
+    """A rational from a string or an integer; floats and booleans are rejected."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        try:
+            return Q(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")
+
 
 
 def lattice_from_json(doc: dict) -> Lattice:

@@ -8,9 +8,12 @@ r -> -r, and the work is done once per ± pair: detection tests one half of
 the sorted short vectors and mirrors the result, decomposition places -r
 with r without a scan, and one G·r per pair gives both norms and divs.
 Each root's norm is read once, in ``decompose``; the component keeps it
-for ``build_dual_set``.  Modified Coxeter numbers follow the thirteen-case
-table keyed by the divisor data of the short roots and, where that data is
-ambiguous, an explicit subcase tag supplied by the caller.
+for ``build_dual_set``.  Kept images and norms are keyed by root, so a
+copy with other roots (``dataclasses.replace``) cannot pair a root with
+another's value: a root with no entry has its value computed.  Modified
+Coxeter numbers follow the thirteen-case table keyed by the divisor data
+of the short roots and, where that data is ambiguous, an explicit subcase
+tag supplied by the caller.
 
 ``TYPES`` is the single source of the facts of the nine Cartan types; the
 component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
@@ -106,8 +109,8 @@ class RootDatum:
 
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
-    # G·r for each root, as detect_roots records them; None makes decompose compute them
-    images: tuple[tuple[int, ...], ...] | None = dataclasses.field(default=None, compare=False, repr=False)
+    # root -> G·r, as detect_roots records them; decompose computes a root with no entry
+    images: dict[tuple[int, ...], tuple[int, ...]] | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
@@ -144,7 +147,7 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
             found.append((k, gv))
     roots = [vectors[k] for k, _ in found] + [vectors[-1 - k] for k, _ in reversed(found)]
     images = [gv for _, gv in found] + [tuple([-x for x in gv]) for _, gv in reversed(found)]
-    return RootDatum(lat, tuple(roots), tuple(images))
+    return RootDatum(lat, tuple(roots), dict(zip(roots, images)))
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,8 @@ class IrreducibleComponent:
     short_div: int
     long_div: int | None
     subcase: str | None = None
-    # the norm of each root, as decompose read them; None makes build_dual_set compute them
-    norms: tuple[int, ...] | None = dataclasses.field(default=None, compare=False, repr=False)
+    # root -> norm, as decompose read them; build_dual_set computes a root with no entry
+    norms: dict[tuple[int, ...], int] | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t, n = self.type_tag, self.rank
@@ -230,7 +233,7 @@ def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
 def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]]) -> IrreducibleComponent:
     """The component of the (root, norm, div) entries, sorted by root."""
     roots = tuple(r for r, _, _ in entries)
-    root_norms = tuple(nn for _, nn, _ in entries)
+    root_norms = {r: nn for r, nn, _ in entries}
     by_norm: dict[int, list] = {}  # the divs of each norm class
     for _, nn, div in entries:
         by_norm.setdefault(nn, []).append(div)
@@ -282,15 +285,16 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
     """
     if not rd.roots:
         raise ValueError("cannot decompose an empty root set")
-    images = rd.images or [None] * len(rd.roots)
+    images = rd.images or {}
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
     placed: dict = {}  # non-isotropic root -> its entry
     deferred = []  # (-r, the entry of r)
-    for r, gr in zip(rd.roots, images):
+    for r in rd.roots:
         partner = placed.get(tuple([-x for x in r]))
         if partner is not None:
             deferred.append((r, partner))
             continue
+        gr = images.get(r)
         if gr is None:
             gr = rd.lattice.gram_times(r)
         hit = [g for g in groups if any(sum(map(mul, gr, s)) for s, _, _ in g)] or [[]]
@@ -334,7 +338,8 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     integrally) and r/(2d), iii keeps r/d flagged.
     """
     d = comp.d
-    shorts, longs = _split_by_norm(comp.roots, comp.norms or map(comp.lattice.norm, comp.roots), 2 * d)
+    norms = comp.norms or {}
+    shorts, longs = _split_by_norm(comp.roots, (norms.get(r) or comp.lattice.norm(r) for r in comp.roots), 2 * d)
     parts = [(shorts, d, False)] if comp.short_div == d else {
         "i": [(shorts, 2 * d, False)],
         "ii": [(shorts, d, True), (shorts, 2 * d, False)],
@@ -443,13 +448,13 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
     rd = detect_roots(lat, 2 * d * (ct.ratio or 1))
     if type_tag == "C":
-        pairs = list(zip(rd.roots, rd.images))
+        pairs = [(r, rd.images[r]) for r in rd.roots]
         shorts, longs = _split_by_norm(pairs, (sum(map(mul, r, gr)) for r, gr in pairs), 2 * d)
         frame = _orthogonal_frame(longs)
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
         kept = sorted(shorts + frame)
-        rd = RootDatum(lat, tuple(r for r, _ in kept), tuple(gr for _, gr in kept))
+        rd = RootDatum(lat, tuple(r for r, _ in kept), rd.images)
     comps = decompose(rd)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")

@@ -58,10 +58,10 @@ from operator import add, itemgetter, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, q_str
 from .linalg import _scaled
 from .weyl import WeylVector, is_positive_direction
 
-DEFAULT_DEN = 24
 DEFAULT_TERM_CAP = 200_000
 # the largest rank a series document may give without prefactor B, which then defaults to zero
 _DEFAULT_B_RANKS = 4096
@@ -887,11 +887,6 @@ def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple) -> tu
 # ---------------------------------------------------------------------------
 
 
-def q_str(x) -> str:
-    x = _q(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def series_to_json(x: TruncatedSeries) -> dict:
     terms = [
         {"a": q_str(a), "l": [q_str(v) for v in l], "t": q_str(t), "c": q_str(c)}
@@ -908,30 +903,6 @@ def series_to_json(x: TruncatedSeries) -> dict:
         "terms": terms,
         "rect": [q_str(x.rect[0]), q_str(x.rect[1])],
     }
-
-
-def _json_list(value, what: str, length: int | None = None) -> list:
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        shape = "a list" if length is None else f"a list of length {length}"
-        raise ValueError(f"{what} must be {shape}, got {value!r}")
-    return value
-
-
-def _json_int(value, what: str, least: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
-    return value
-
-
-def _json_q(value, what: str) -> Q:
-    """A rational from a string or an integer; floats and booleans are rejected."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        try:
-            return Q(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")
 
 
 def series_from_json(doc: dict) -> TruncatedSeries:

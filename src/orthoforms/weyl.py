@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul, neg
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import linalg
 from .lattice import Lattice
-from .roots import DualRoot
+
+if TYPE_CHECKING:  # an annotation only: the weyl command never runs roots
+    from .roots import DualRoot
 
 
 class CoefficientConflictError(ValueError):

@@ -17,6 +17,8 @@ import ast
 import re
 from pathlib import Path
 
+import orthoforms
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "orthoforms"
 
@@ -27,13 +29,14 @@ KEEP_METHODS = {
 
 
 def exported_names() -> set[str]:
+    """The names of the export table of __init__.py, ``_EXPORTS = {module: (name, ...)}``."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {
-        alias.asname or alias.name
+    (table,) = [
+        ast.literal_eval(node.value)
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["_EXPORTS"]
+    ]
+    return {name for names in table.values() for name in names}
 
 
 def defined_names(stmt: ast.stmt) -> set[str]:
@@ -71,6 +74,11 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 # the callers an export needs: another package module, the harness or README.md
 CALLERS = [p for p in MODULES if p.name != "__init__.py"] + PERFBENCH
+
+
+def test_export_table_is_what_the_package_serves():
+    # the scans below read the table; the package must serve exactly its names
+    assert exported_names() == set(orthoforms.__all__)
 
 
 def test_every_export_has_a_caller():

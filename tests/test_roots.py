@@ -110,6 +110,17 @@ class TestDecompose:
                     for s in c2.roots:
                         assert lat.pairing(r, s) == 0
 
+    def test_kept_images_follow_replaced_roots(self):
+        # images are keyed by root: reordered roots keep theirs, a subset ignores the others
+        rd = detect_roots(builtin_lattice("D4"), 4)
+        a2_a1 = detect_roots(direct_sum(builtin_lattice("A2"), builtin_lattice("A1")), 2)
+        for replaced in (
+            dataclasses.replace(rd, roots=rd.roots[5:] + rd.roots[:5]),
+            dataclasses.replace(rd, roots=rd.roots[::-1]),
+            dataclasses.replace(a2_a1, roots=tuple(r for r in a2_a1.roots if not r[2])),
+        ):
+            assert decompose(replaced) == decompose(dataclasses.replace(replaced, images=None))
+
     def test_empty_rejected(self):
         from orthoforms import RootDatum
 
@@ -252,6 +263,13 @@ class TestDualSets:
         ds = build_dual_set(comp)
         norms = sorted(comp.lattice.norm(x.coords) for x in ds)
         assert norms == [Q(2, 3)] * 6 + [Q(2)] * 6
+
+    def test_kept_norms_follow_replaced_roots(self):
+        # norms are keyed by root: G2's roots rotated by four keep theirs
+        comp = realize("G2", 2, 1)
+        rotated = dataclasses.replace(comp, roots=comp.roots[4:] + comp.roots[:4])
+        assert build_dual_set(rotated) == build_dual_set(dataclasses.replace(rotated, norms=None))
+        assert build_dual_set(rotated) == build_dual_set(comp)
 
     def test_a1_subcase_ii_union(self):
         comp = dataclasses.replace(realize("A", 1, 1), subcase="ii")
@@ -782,7 +800,7 @@ class TestDetectAgainstDefinition:
         expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0]
         rd = detect_roots(lat, max_norm)
         assert rd.roots == tuple(sorted(expected))
-        assert rd.images == tuple(lat.gram_times(v) for v in rd.roots)
+        assert rd.images == {v: lat.gram_times(v) for v in rd.roots}
 
 
 def exponent(lat):
