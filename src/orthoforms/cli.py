@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _check_exponent, _json_int, _json_list, _json_q, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -38,6 +38,8 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"--rect expects 'A,T', got {text!r}")
+    for part in parts:
+        _check_exponent(part, "--rect bound")
     try:
         return Q(parts[0]), Q(parts[1])
     except (ValueError, ZeroDivisionError):
@@ -79,6 +81,8 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
         raise ValueError("the document must contain a 'lattice' field")
     ref = doc["lattice"]
     lat = _load_lattice(ref) if isinstance(ref, str) else lattice_mod.lattice_from_json(ref)
+    if not lat.is_positive_definite:
+        raise ValueError("its lattice is not positive definite")
     entries: dict[tuple[int, tuple], int] = {}
     for index, item in enumerate(_json_list(doc.get("coeffs", []), "'coeffs'")):
         if not isinstance(item, dict):

@@ -6,6 +6,7 @@ vectors carry Fraction coordinates in the same basis.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -247,8 +248,23 @@ def _json_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+# the interpreter's default int_max_str_digits: q_str cannot print a longer numerator
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
+
+
+def _check_exponent(text: str, what: str) -> None:
+    """Refuse a decimal exponent above _MAX_EXPONENT in absolute value, before Fraction expands it."""
+    m = _EXPONENT.search(text)
+    digits = m[1].replace("_", "").lstrip("0") if m else ""
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_EXPONENT} in absolute value, got {text!r}")
+
+
 def _json_q(value, what: str) -> Q:
     """A rational from a string or an integer; floats and booleans are rejected."""
+    if isinstance(value, str):
+        _check_exponent(value, what)
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         try:
             return Q(value)

@@ -10,7 +10,9 @@ with r without a scan, and one G·r per pair gives both norms and divs.
 Each root's norm is read once, in ``decompose``; the component keeps it
 for ``build_dual_set``.  Kept images and norms are keyed by root, so a
 copy with other roots (``dataclasses.replace``) cannot pair a root with
-another's value: a root with no entry has its value computed.  Modified
+another's value: a root with no entry has its value computed.  They are
+kept beside the Gram matrix they were read on and used only on that one,
+so a copy on another lattice computes every value afresh.  Modified
 Coxeter numbers follow the thirteen-case table keyed by the divisor data
 of the short roots and, where that data is ambiguous, an explicit subcase
 tag supplied by the caller.
@@ -20,9 +22,10 @@ component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
 ``display_name`` (both labels) and the candidate enumeration of
 ``classify`` read it.
 
-Dual sets are built on integers: r/m is the integer tuple r (s/m) over
-s = lcm of the m in use, which sorts like the Fractions because s > 0, and
-each distinct coordinate becomes one Fraction.
+Dual sets stay on integers: r/m is the integer tuple r (s/m) over
+s = lcm of the m in use, which sorts like the Fractions because s > 0.  A
+``DualRoot`` keeps that tuple and s, and ``weyl`` reads them as they are;
+Fractions appear only where a caller asks for ``coords``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
 from .lattice import Lattice, builtin_lattice, discriminant_exponent, short_vectors
@@ -111,6 +114,8 @@ class RootDatum:
     roots: tuple[tuple[int, ...], ...]
     # root -> G·r, as detect_roots records them; decompose computes a root with no entry
     images: dict[tuple[int, ...], tuple[int, ...]] | None = dataclasses.field(default=None, compare=False, repr=False)
+    # the Gram matrix images were read on: on any other lattice they are not used
+    images_gram: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
@@ -147,7 +152,7 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
             found.append((k, gv))
     roots = [vectors[k] for k, _ in found] + [vectors[-1 - k] for k, _ in reversed(found)]
     images = [gv for _, gv in found] + [tuple([-x for x in gv]) for _, gv in reversed(found)]
-    return RootDatum(lat, tuple(roots), dict(zip(roots, images)))
+    return RootDatum(lat, tuple(roots), dict(zip(roots, images)), lat.gram)
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,8 @@ class IrreducibleComponent:
     subcase: str | None = None
     # root -> norm, as decompose read them; build_dual_set computes a root with no entry
     norms: dict[tuple[int, ...], int] | None = dataclasses.field(default=None, compare=False, repr=False)
+    # the Gram matrix norms were read on: on any other lattice they are not used
+    norms_gram: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         t, n = self.type_tag, self.rank
@@ -206,6 +213,11 @@ class IrreducibleComponent:
     @property
     def label(self) -> str:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
+
+
+def _kept(values: dict | None, gram, lat: Lattice) -> dict:
+    """Kept per-root values when they were read on this lattice's Gram matrix, else none."""
+    return values if values is not None and gram == lat.gram else {}
 
 
 def _split_by_norm(items, norms, norm: int) -> tuple[list, list]:
@@ -246,7 +258,8 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
         tag = _match(k, None, (len(roots), 0))
         if tag is None:
             raise UnrecognizedRootSystemError(f"single-norm system: rank {k}, {len(roots)} roots, norm {nn}")
-        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None, norms=root_norms)
+        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None,
+                                    norms=root_norms, norms_gram=lat.gram)
     if len(norms) == 2:
         n1, n2 = norms
         c1, c2 = len(by_norm[n1]), len(by_norm[n2])
@@ -262,7 +275,8 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
                 if ratio == 2
                 else f"norm ratio {ratio} matches no crystallographic type"
             )
-        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div, norms=root_norms)
+        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div,
+                                    norms=root_norms, norms_gram=lat.gram)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
 
@@ -285,7 +299,7 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
     """
     if not rd.roots:
         raise ValueError("cannot decompose an empty root set")
-    images = rd.images or {}
+    images = _kept(rd.images, rd.images_gram, rd.lattice)
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
     placed: dict = {}  # non-isotropic root -> its entry
     deferred = []  # (-r, the entry of r)
@@ -320,12 +334,21 @@ def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualRoot:
-    """A dual vector together with whether its half still pairs integrally."""
+class DualRoot(NamedTuple):
+    """A dual vector l = x / den, with whether its half still pairs integrally.
 
-    coords: tuple[Q, ...]
+    The vector is kept on ints: ``x`` is den * l, and ``den`` is the one
+    denominator of the whole set, so equal sets compare equal.  ``coords``
+    gives the reduced Fractions for display and for callers that want them.
+    """
+
+    x: tuple[int, ...]
+    den: int
     half_in_dual: bool
+
+    @property
+    def coords(self) -> tuple[Q, ...]:
+        return tuple([Q(v, self.den) for v in self.x])
 
 
 def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
@@ -338,7 +361,7 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     integrally) and r/(2d), iii keeps r/d flagged.
     """
     d = comp.d
-    norms = comp.norms or {}
+    norms = _kept(comp.norms, comp.norms_gram, comp.lattice)
     shorts, longs = _split_by_norm(comp.roots, (norms.get(r) or comp.lattice.norm(r) for r in comp.roots), 2 * d)
     parts = [(shorts, d, False)] if comp.short_div == d else {
         "i": [(shorts, 2 * d, False)],
@@ -347,14 +370,12 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     }[_require_subcase(f"component {comp.label}", comp.subcase)]
     if comp.long_div is not None:
         parts.append((longs, comp.long_div, False))
-    # sort on r * (scale / m) = scale * (r / m), integers in the order of the Fractions
+    # r / m is r * (scale / m) over scale: integers in the order of the Fractions
     scale = lcm(*(m for _, m, _ in parts))
-    keyed = sorted(
-        ((tuple([v * (scale // m) for v in r]), half) for vectors, m, half in parts for r in vectors),
+    return tuple(sorted(
+        (DualRoot(tuple([v * (scale // m) for v in r]), scale, half) for vectors, m, half in parts for r in vectors),
         key=itemgetter(0),
-    )
-    coords = linalg._divided([x for x, _ in keyed], scale)
-    return tuple(DualRoot(c, half) for c, (_, half) in zip(coords, keyed))
+    ))
 
 
 def _require_subcase(what: str, subcase: str | None) -> str:
@@ -454,7 +475,7 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
         kept = sorted(shorts + frame)
-        rd = RootDatum(lat, tuple(r for r, _ in kept), rd.images)
+        rd = RootDatum(lat, tuple(r for r, _ in kept), rd.images, rd.images_gram)
     comps = decompose(rd)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")

@@ -7,12 +7,16 @@ linear relation A = C + 1, and extract the character datum of the
 (tau, omega)-swap involution.
 
 Dual coordinates are kept as integer tuples x = D l over one D per table,
-the lcm of the input denominators, and the scaling is exact.  In
-qzero_from_dual_sets D is doubled, so every half l/2 is integral too, and
-members, halves, doubles and negatives are integer operations.  l pairs
-integrally with the lattice (lies in its dual) exactly when G x = 0 mod D, and
-G l = G x / D is then the integer image the sum rule reads; D > 0 keeps
-the order and the signs.
+the lcm of the input denominators, and the scaling is exact.
+qzero_from_dual_sets reads the dual roots' integer tuples as they are,
+rescaled to D = 2 lcm of their denominators, so every half l/2 is integral
+too, and members, halves, doubles and negatives are integer operations.  l
+pairs integrally with the lattice (lies in its dual) exactly when
+G x = 0 mod D, and G l = G x / D is then the integer image the sum rule
+reads; D > 0 keeps the order and the signs.  The table is even in l, and
+G(-l) = -G l, so G l is computed once per ± pair, on the member whose first
+nonzero coordinate is positive, and kept: the sum rule and the Weyl vector
+read those images and add each pair's term twice.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class QZeroData:
     module docstring); every method shows Fraction coordinates.
     """
 
-    __slots__ = ("lattice", "k", "_den", "_map")
+    __slots__ = ("lattice", "k", "_den", "_map", "_images")
 
     def __init__(
         self,
@@ -83,9 +87,15 @@ class QZeroData:
         self._store(lattice, k, den, (((n, linalg._scaled(c, den)), v) for n, c, v in rational))
 
     def _store(self, lattice: Lattice, k: Q | None, den: int, entries) -> "QZeroData":
-        """Validate ((n, den * l), f(n, l)) pairs on integers and keep them."""
+        """Validate ((n, den * l), f(n, l)) pairs on integers and keep them, with G l per ± pair.
+
+        An entry whose partner -x came first reuses the partner's image: G x
+        is -G(-x), so it is divisible by den exactly when the partner's was,
+        which passed the check before its image was kept.
+        """
         rank, gram = lattice.rank, lattice.gram
         table: dict[tuple[int, Ints], int] = {}
+        images: dict[Ints, Ints] = {}  # x with first nonzero coordinate > 0 -> G x / den
         for (n, x), value in entries:
             if len(x) != rank:
                 raise ValueError("coefficient vector has wrong length")
@@ -99,10 +109,15 @@ class QZeroData:
                 raise ValueError(
                     "principal part must be exactly f(-1, 0) = 1"
                 )
-            if n == 0 and not any(x):
-                raise ValueError("f(0, 0) is carried by k, not by the table")
-            if any(sum(map(mul, row, x)) % den for row in gram):
-                raise ValueError(f"vector {_shown(x, den)} does not pair integrally")
+            if n == 0:
+                if not any(x):
+                    raise ValueError("f(0, 0) is carried by k, not by the table")
+                pos = x if next(filter(None, x)) > 0 else tuple(map(neg, x))
+                if pos not in images:
+                    gx = [sum(map(mul, row, pos)) for row in gram]
+                    if any(v % den for v in gx):
+                        raise ValueError(f"vector {_shown(x, den)} does not pair integrally")
+                    images[pos] = tuple([v // den for v in gx])
             if table.setdefault((n, x), value) != value:
                 raise CoefficientConflictError(f"conflicting values at ({n}, {_shown(x, den)})")
         if (-1, (0,) * rank) not in table:
@@ -112,7 +127,7 @@ class QZeroData:
                 raise ValueError(
                     f"coefficients are not even in l: f({n}, {_shown(x, den)}) has no partner"
                 )
-        self.lattice, self.k, self._den, self._map = lattice, k, den, table
+        self.lattice, self.k, self._den, self._map, self._images = lattice, k, den, table, images
         return self
 
     @property
@@ -160,7 +175,7 @@ class QZeroData:
         out = QZeroData.__new__(QZeroData)
         out.lattice = self.lattice
         out.k = Q(k)
-        out._den, out._map = self._den, dict(self._map)
+        out._den, out._map, out._images = self._den, dict(self._map), self._images
         return out
 
     def __eq__(self, other):
@@ -187,12 +202,14 @@ def qzero_from_dual_sets(
     mirror acquires the compensating f(0, x/2) = -1.  A half is never a
     member when it is assigned -1, so the two rules cannot conflict.
     """
-    rational = [(_normalize_coords(dr.coords), dr.half_in_dual) for ds in dual_sets for dr in ds]
-    den = 2 * lcm(*(x.denominator for c, _ in rational for x in c))
+    members = [dr for ds in dual_sets for dr in ds]
+    den = 2 * lcm(*(dr.den for dr in members))
     flags: dict[Ints, bool] = {}
-    for coords, flag in rational:
-        if flags.setdefault(linalg._scaled(coords, den), flag) != flag:
-            raise CoefficientConflictError(f"inconsistent duality flags for {coords}")
+    for x, d, flag in members:
+        m = den // d
+        x = tuple([v * m for v in x])
+        if flags.setdefault(x, flag) != flag:
+            raise CoefficientConflictError(f"inconsistent duality flags for {_shown(x, den)}")
     contributions: dict[Ints, int] = {}
     for x, flag in flags.items():
         if flag:
@@ -218,18 +235,18 @@ def weyl_vector(phi: QZeroData) -> WeylVector:
     """Exact (A, B, C) of the product with input phi."""
     if phi.k is None:
         raise SymbolicWeightError("Weyl vector needs a numeric f(0,0); solve k first")
-    lat, den = phi.lattice, phi._den
-    entries = phi._q0_items()
-    a = Q(sum(v for _, v in entries) + 2 * phi.k, 24)
-    b = [0] * lat.rank
+    rank, den, table = phi.lattice.rank, phi._den, phi._map
+    a = Q(sum(v for _, v in phi._q0_items()) + 2 * phi.k, 24)
+    b = [0] * rank
     c = 0
-    for x, value in entries:
-        if is_positive_direction(x):
-            for i, v in enumerate(x):
-                b[i] += value * v
-        c += value * lat.norm(x)
-    # x = l * den, so b sums value/2 * l and c sums value * (l, l)
-    return WeylVector(a, tuple(Q(v, 2 * den) for v in b), Q(c, 2 * lat.rank * den * den))
+    for x, gl in phi._images.items():
+        value = table[0, x]
+        for i, v in enumerate(x):
+            b[i] += value * v
+        c += value * sum(map(mul, x, gl))
+    # x = den * l and gl = G l, so x·gl = den (l, l): b sums value/2 * l over the
+    # positive members, and c, counted twice for the ± pairs, sums value * (l, l)
+    return WeylVector(a, tuple(Q(v, 2 * den) for v in b), Q(2 * c, 2 * rank * den))
 
 
 @dataclass(frozen=True)
@@ -252,14 +269,12 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
     instance when the support does not span the lattice), both from
     ``linalg._sum_rule`` on the Gram matrix and the integer images G l.
     """
-    entries = phi._q0_items()
-    if not entries:
+    if not phi._images:
         return SumRuleReport(None, "no nonzero q^0 coefficients")
-    # G l = G x / den is integral on dual vectors, and x, -x add the same term
-    gram, den = phi.lattice.gram, phi._den
-    images = [(tuple([sum(map(mul, row, x)) // den for row in gram]), 2 * v)
-              for x, v in entries if is_positive_direction(x)]
-    return SumRuleReport(*linalg._sum_rule(gram, images))
+    # the kept G l of each ± pair, whose two members add the same term
+    table = phi._map
+    images = [(gl, 2 * table[0, x]) for x, gl in phi._images.items()]
+    return SumRuleReport(*linalg._sum_rule(phi.lattice.gram, images))
 
 
 def solve_weight(phi: QZeroData) -> Q:

@@ -1,10 +1,10 @@
 """Matrix, lattice and reflection helpers the tests share; the package itself has no use for them."""
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
-from orthoforms import Lattice
+from orthoforms import DualRoot, Lattice
 
 
 def mat_mul(a, b):
@@ -40,3 +40,10 @@ def div(lat: Lattice, v) -> int:
     if any(not isinstance(x, int) for x in v):
         raise ValueError("div requires integral coordinates")
     return gcd(*lat.gram_times(v))
+
+
+def dual_root(coords, half_in_dual: bool, scale: int = 1) -> DualRoot:
+    """The DualRoot of rational coordinates, over scale times the lcm of their denominators."""
+    coords = [Q(c) for c in coords]
+    den = scale * lcm(*(c.denominator for c in coords))
+    return DualRoot(tuple(int(c * den) for c in coords), den, half_in_dual)

@@ -170,6 +170,33 @@ class TestWeyl:
         assert doc["weight"] == "35/1"
         assert doc["C"] == "2/1" and doc["sum_rule_C"] == "2/1"
 
+    @pytest.mark.parametrize("command", ["weyl", "borch"])
+    @pytest.mark.parametrize("gram", [[[-2]], [[2, 0], [0, -2]], [[2, 3], [3, 2]]])
+    @pytest.mark.parametrize("by_file", [False, True])
+    def test_indefinite_lattice_refused(self, capsys, tmp_path, deadline, command, gram, by_file):
+        lattice = write_json(tmp_path / "lat.json", {"gram": gram}) if by_file else {"gram": gram}
+        doc = {"lattice": lattice, "coeffs": [{"n": -1, "l": ["0/1"] * len(gram), "f": 1}], "k": "symbolic"}
+        path = write_json(tmp_path / "phi.json", doc)
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid coefficient file {path}: its lattice is not positive definite\n"
+
+    @pytest.mark.parametrize("field,value,named", [("k", "1e-99999999", "'k'"), ("l", ["1E4_301"], "'l' entry")])
+    def test_huge_decimal_exponent_in_coefficients(self, capsys, tmp_path, deadline, field, value, named):
+        doc = dict(EMPTY_PHI, k=value) if field == "k" else dict(
+            EMPTY_PHI, coeffs=EMPTY_PHI["coeffs"] + [{"n": 0, "l": value, "f": 1}]
+        )
+        path = write_json(tmp_path / "phi.json", doc)
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, "weyl", path)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"{named} has a decimal exponent beyond 4300 in absolute value" in err
+
     @staticmethod
     def non_spanning(tmp_path, lattice, l, k):
         """A coefficient file whose support ±l does not give a Gram multiple."""
@@ -345,6 +372,18 @@ class TestBorch:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
 
+    @pytest.mark.parametrize("rect", ["1e100000000,1", "1,-1e-100000000", "1E4_301,1", "0.5e+00000000000000004301,1"])
+    def test_huge_decimal_exponent_refused(self, capsys, tmp_path, deadline, rect):
+        # Fraction would expand the power of ten digit by digit; q_str could not print it
+        path = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path, "--rect", rect)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        bound = next(b for b in rect.split(",") if "e" in b.lower())
+        assert err == f"error: --rect bound has a decimal exponent beyond 4300 in absolute value, got {bound!r}\n"
+
     def test_principal_part_only_on_a_huge_rect(self, capsys, tmp_path, deadline):
         # one factor (1 - q^-1 xi)^1, whose binomial stops at u^1 however far t_max reaches
         doc = {"lattice": "builtin:A1", "k": "0", "coeffs": [{"n": -1, "l": ["0"], "f": 1}]}
@@ -501,6 +540,20 @@ class TestJacobian:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == f"error: invalid series file {p}: rank {2**62} needs exactly {2**62 + extra} forms, got {count}\n"
+
+    def test_huge_decimal_exponent_refused(self, capsys, tmp_path, deadline):
+        doc = self.series_doc(1, 0, 0)
+        doc["rect"] = ["1e100000000", "1"]
+        p = write_json(tmp_path / "f.json", doc)
+        start = time.perf_counter()
+        with deadline(10):
+            code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: invalid series file {p}: rect entry has a decimal exponent beyond 4300 "
+            "in absolute value, got '1e100000000'\n"
+        )
 
     @pytest.mark.parametrize("field", ["rank", "rect"])
     def test_missing_series_field(self, capsys, tmp_path, field):
@@ -729,6 +782,7 @@ LATTICES = {
 BAD_LATTICES = [
     "builtin:Z9", "builtin:A2(x)", "builtin:A2(0)", ".", "missing.json", {"gram": [[0]]},
     {"gram": [[1, 2]]}, {"gram": [[2.5]]}, {"gram": "x"}, {}, 5, None,
+    {"gram": [[-2]]}, {"gram": [[2, 0], [0, -2]]},  # not positive definite
 ]
 
 

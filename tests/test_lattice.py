@@ -17,6 +17,7 @@ from orthoforms import (
     short_vectors,
 )
 from orthoforms import linalg
+from orthoforms.lattice import _json_q
 
 from helpers import direct_sum, div, mat_mul, reflect
 
@@ -236,6 +237,15 @@ class TestJson:
     def test_bad_document(self):
         with pytest.raises(ValueError):
             lattice_from_json({"label": "x"})
+
+    @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "3e+0_4300", "7/2", "1e0"])
+    def test_exponent_up_to_the_bound_is_parsed(self, text):
+        assert _json_q(text, "x") == Q(text)
+
+    @pytest.mark.parametrize("text", ["1e4301", "-1e-4301", "1E4_301", "1e000000000000004301", "1e" + "9" * 5000])
+    def test_exponent_beyond_the_bound_is_refused(self, text):
+        with pytest.raises(ValueError, match="x has a decimal exponent beyond 4300 in absolute value"):
+            _json_q(text, "x")
 
 
 # ---------------------------------------------------------------------------

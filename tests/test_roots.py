@@ -121,6 +121,20 @@ class TestDecompose:
         ):
             assert decompose(replaced) == decompose(dataclasses.replace(replaced, images=None))
 
+    def test_kept_images_follow_the_lattice(self):
+        # images read on A2 are not G·r on A2(2): the moved copy computes its own
+        rd = detect_roots(builtin_lattice("A2"), 2)
+        moved = dataclasses.replace(rd, lattice=builtin_lattice("A2(2)"))
+        assert [c.label for c in decompose(moved)] == ["A2(2)"]
+        assert decompose(moved) == decompose(dataclasses.replace(moved, images=None))
+
+    def test_kept_images_used_on_their_lattice(self, monkeypatch):
+        rd = detect_roots(builtin_lattice("D4"), 4)
+        relabelled = Lattice(rd.lattice.gram, "D4 again")  # the same Gram matrix
+        monkeypatch.setattr(Lattice, "gram_times", lambda self, v: pytest.fail("an image was recomputed"))
+        for same in (dataclasses.replace(rd, roots=rd.roots[::-1]), dataclasses.replace(rd, lattice=relabelled)):
+            assert [c.label for c in decompose(same)] == ["F4(2)"]
+
     def test_empty_rejected(self):
         from orthoforms import RootDatum
 
@@ -270,6 +284,28 @@ class TestDualSets:
         rotated = dataclasses.replace(comp, roots=comp.roots[4:] + comp.roots[:4])
         assert build_dual_set(rotated) == build_dual_set(dataclasses.replace(rotated, norms=None))
         assert build_dual_set(rotated) == build_dual_set(comp)
+
+    def test_kept_norms_follow_the_lattice(self):
+        # G2's norms read on A2 are not its norms on A2(2)
+        moved = dataclasses.replace(realize("G2", 2, 1), lattice=builtin_lattice("A2(2)"))
+        assert build_dual_set(moved) == build_dual_set(dataclasses.replace(moved, norms=None))
+
+    def test_kept_norms_survive_a_div_replace(self, monkeypatch):
+        # replace(comp, short_div=..., subcase=...) keeps the lattice, so the kept norms still apply
+        comp = realize("B", 3, 1)
+        monkeypatch.setattr(Lattice, "norm", lambda self, v: pytest.fail("a norm was recomputed"))
+        for replaced in (dataclasses.replace(comp, short_div=1, subcase=None), dataclasses.replace(comp, subcase="ii")):
+            assert build_dual_set(replaced)
+
+    def test_dual_roots_are_ints_over_one_den(self):
+        for comp in (realize("G2", 2, 1), dataclasses.replace(realize("B", 3, 2), subcase="ii")):
+            ds = build_dual_set(comp)
+            (den,) = {dr.den for dr in ds}
+            assert den == lcm(*(dr.coords[i].denominator for dr in ds for i in range(comp.rank)))
+            for dr in ds:
+                assert all(type(v) is int for v in dr.x)
+                assert dr.coords == tuple(Q(v, den) for v in dr.x)
+            assert [dr.coords for dr in ds] == sorted(dr.coords for dr in ds)
 
     def test_a1_subcase_ii_union(self):
         comp = dataclasses.replace(realize("A", 1, 1), subcase="ii")

@@ -25,6 +25,8 @@ from orthoforms.lattice import Lattice
 from orthoforms.roots import DualRoot
 from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError, is_positive_direction
 
+from helpers import dual_root
+
 A1 = builtin_lattice("A1")
 
 
@@ -205,7 +207,7 @@ class TestCharacter:
 # copies of the Fraction-keyed QZeroData.__init__ and qzero_from_dual_sets
 # (with the class renamed); their table is ``_map``.  The copy's "conflict at
 # {half}" error cannot fire: only members get +1, and a half gets -1 only
-# when it is not a member.  The integer code has no such check.  Its three
+# when it is not a member.  The integer code has no such check.  Its four
 # messages name a vector through _shown, as the integer code does: (1/10, -1).
 
 
@@ -277,7 +279,7 @@ def reference_qzero_from_dual_sets(
             coords = _normalize_coords(dr.coords)
             if coords in half_flags and half_flags[coords] != dr.half_in_dual:
                 raise CoefficientConflictError(
-                    f"inconsistent duality flags for {coords}"
+                    f"inconsistent duality flags for {_shown(coords)}"
                 )
             members.add(coords)
             half_flags[coords] = dr.half_in_dual
@@ -378,7 +380,7 @@ def outcome(build):
 
 
 def negated(dr):
-    return DualRoot(tuple(-x for x in dr.coords), dr.half_in_dual)
+    return DualRoot(tuple(-x for x in dr.x), dr.den, dr.half_in_dual)
 
 
 @st.composite
@@ -391,25 +393,26 @@ def even_dual_sets(draw):
     """
     case = draw(st.sampled_from(SMALL_CASES))
     lat = table_component(case).lattice
-    positive = [dr for dr in table_dual_set(case) if is_positive_direction(dr.coords)]
+    positive = [dr for dr in table_dual_set(case) if is_positive_direction(dr.x)]
     chosen = draw(st.lists(st.sampled_from(positive), unique=True))
+    scale = draw(st.sampled_from([1, 1, 2, 3]))  # the set over a larger den than its lcm
     out = []
     for dr in chosen:
         half_ok = in_dual(lat, tuple(x / 2 for x in dr.coords))
-        dr = DualRoot(dr.coords, half_ok and draw(st.booleans()))
+        dr = dual_root(dr.coords, half_ok and draw(st.booleans()), scale)
         out += [dr, negated(dr)]
     out = draw(st.permutations(out))
     fault = draw(st.sampled_from([None, "flags", "off dual"]))
     if fault == "flags" and out:
         i = draw(st.integers(0, len(out) - 1))
         dr = out[i]
-        out.insert(draw(st.integers(i + 1, len(out))), DualRoot(dr.coords, not dr.half_in_dual))
+        out.insert(draw(st.integers(i + 1, len(out))), dr._replace(half_in_dual=not dr.half_in_dual))
     elif fault == "off dual":
         coords = tuple(
             Q(draw(st.integers(-6, 6)), draw(st.integers(1, 6))) for _ in range(lat.rank)
         )
         assume(not in_dual(lat, coords))
-        out.insert(draw(st.integers(0, len(out))), DualRoot(coords, draw(st.booleans())))
+        out.insert(draw(st.integers(0, len(out))), dual_root(coords, draw(st.booleans())))
     return lat, out
 
 
@@ -423,13 +426,20 @@ def test_dual_sets_against_reference(lat_ds, k):
 
 @st.composite
 def any_dual_sets(draw):
-    """Any sublist of a component's dual set with any flags, split into one or two sets."""
+    """Any sublist of a component's dual set with any flags, split into one or two sets.
+
+    Each set is over its own den, a multiple of the lcm of its denominators,
+    so a vector may be spelled over two dens.
+    """
     case = draw(st.sampled_from(SMALL_CASES))
     lat = table_component(case).lattice
     ds = draw(st.lists(st.sampled_from(table_dual_set(case)), unique=True))
-    ds = [DualRoot(dr.coords, draw(st.booleans())) for dr in ds]
     cut = draw(st.integers(0, len(ds)))
-    return lat, [ds[:cut], ds[cut:]]
+    sets = []
+    for part in (ds[:cut], ds[cut:]):
+        scale = draw(st.sampled_from([1, 2, 3]))
+        sets.append([dual_root(dr.coords, draw(st.booleans()), scale) for dr in part])
+    return lat, sets
 
 
 @settings(max_examples=300, deadline=None)
@@ -494,3 +504,78 @@ def test_equality_across_denominators():
     )
     # 1/3 is off the grid of quarters: it must not be read as 1 * (4 // 3) / 4
     assert quarters.f(0, (Q(1, 4),)) == 1 and quarters.f(0, (Q(1, 3),)) == 0
+
+
+# ---------------------------------------------------------------------------
+# one G l per ± pair: the kept images against the definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_weyl_vector(phi):
+    """(A, B, C) read off the Fraction entries: B = 1/2 sum_{l > 0} f l, C = sum f (l, l) / (2 rank)."""
+    lat, entries = phi.lattice, phi.q0_entries()
+    b = [Q(0)] * lat.rank
+    for l, v in entries:
+        if is_positive_direction(l):
+            b = [x + v * y / 2 for x, y in zip(b, l)]
+    c = sum((v * lat.norm(l) for l, v in entries), Q(0)) / (2 * lat.rank)
+    return (sum(v for _, v in entries) + 2 * phi.k) / 24, tuple(b), c
+
+
+def reference_sum_rule_c(phi):
+    """C with sum_l f(0, l) (G l)(G l)^T = 2C G over every entry, in Fractions, or None."""
+    lat = phi.lattice
+    images = [(lat.gram_times(l), v) for l, v in phi.q0_entries()]
+    s = [[sum(v * y[i] * y[j] for y, v in images) for j in range(lat.rank)] for i in range(lat.rank)]
+    cells = [(s[i][j], g) for i, row in enumerate(lat.gram) for j, g in enumerate(row)]
+    ratios = {a / (2 * g) for a, g in cells if g}
+    return ratios.pop() if len(ratios) == 1 and all(a == 0 for a, g in cells if not g) else None
+
+
+@st.composite
+def reordered_tables(draw):
+    """A component's q^0 table entered in any order, so either member of a pair may come first."""
+    case = draw(st.sampled_from(SMALL_CASES))
+    comp = table_component(case)
+    table = qzero_from_dual_sets(comp.lattice, [table_dual_set(case)]).coefficient_table()
+    return comp.lattice, dict(draw(st.permutations(list(table.items()))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reordered_tables(), st.sampled_from([0, 12, Q(5, 2)]))
+def test_kept_images_against_definitions(lat_table, k):
+    lat, table = lat_table
+    phi = QZeroData(lat, table, k)
+    wv = weyl_vector(phi)
+    assert (wv.a, wv.b, wv.c) == reference_weyl_vector(phi)
+    assert quadratic_weyl_constant(phi).c == reference_sum_rule_c(phi)
+
+
+A2 = builtin_lattice("A2")
+OFF = (Q(1, 3), Q(0))  # G l = (2/3, -1/3): off the dual lattice of A2
+OFF_NEG = (Q(-1, 3), Q(0))
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([(OFF_NEG, 1), (OFF, 1)], "vector (-1/3, 0) does not pair integrally"),
+        ([(OFF, 1), (OFF_NEG, 1)], "vector (1/3, 0) does not pair integrally"),
+        ([((1, 0), 1), ((-1, 0), 1), (OFF_NEG, 1)], "vector (-1/3, 0) does not pair integrally"),
+        ([(OFF_NEG, 1)], "vector (-1/3, 0) does not pair integrally"),
+        ([((Q(1, 2), 0), 1), (OFF_NEG, 1)], "vector (1/2, 0) does not pair integrally"),
+        ([((-1, 0), 1), ((1, 0), 2)], "coefficients are not even in l: f(0, (-1, 0)) has no partner"),
+        ([((1, 0), 2), ((-1, 0), 1)], "coefficients are not even in l: f(0, (1, 0)) has no partner"),
+        ([((-1, 0), 1)], "coefficients are not even in l: f(0, (-1, 0)) has no partner"),
+        ([((1, 0), 1), ((-1, 0), 1), (("-1", "0"), 2)], "conflicting values at (0, (-1, 0))"),
+        ([((-1, 0), 1), (("-1", "0"), 2), ((1, 0), 1)], "conflicting values at (0, (-1, 0))"),
+    ],
+)
+@pytest.mark.parametrize("principal_first", [True, False])
+def test_first_error_with_partners_before_and_after(entries, message, principal_first):
+    principal = [((-1, (0, 0)), 1)]
+    q0 = [((0, l), v) for l, v in entries]
+    table = dict(principal + q0 if principal_first else q0 + principal)
+    got = outcome(lambda: QZeroData(A2, table))
+    assert got == outcome(lambda: ReferenceQZeroData(A2, table))
+    assert got[1][1] == message
