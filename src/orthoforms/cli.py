@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .lattice import DEFAULT_DEN, _check_exponent, _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _json_int, _json_list, _json_q, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -41,9 +41,10 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     for part in parts:
         _check_exponent(part, "--rect bound")
     try:
-        return Q(parts[0]), Q(parts[1])
+        bounds = Q(parts[0]), Q(parts[1])
     except (ValueError, ZeroDivisionError):
         raise CliError(f"cannot parse rectangle bounds {text!r}")
+    return _check_digits(bounds[0], "--rect bound"), _check_digits(bounds[1], "--rect bound")
 
 
 def _read_json(path: str, what: str, parse):

@@ -143,16 +143,21 @@ def rescale(lat: Lattice, a: int) -> Lattice:
     return Lattice(gram, label)
 
 
-def short_vectors(lat: Lattice, max_norm: int) -> list[tuple[int, ...]]:
-    """All nonzero vectors of norm <= max_norm, both signs, lex sorted."""
+def _short_half(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(v, G·v, norm(v)) for each v of norm <= max_norm whose first nonzero coordinate is positive, lex sorted."""
     if max_norm <= 0 or max_norm % 2:
         raise ValueError("max_norm must be a positive even integer")
     if lat.rank > 10:
         raise ValueError("short vector enumeration is limited to rank <= 10")
     try:
-        return linalg.short_vectors_of_form(lat.gram, max_norm)
+        return linalg._half_of_form(lat.gram, max_norm)
     except ArithmeticError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
+
+
+def short_vectors(lat: Lattice, max_norm: int) -> list[tuple[int, ...]]:
+    """All nonzero vectors of norm <= max_norm, both signs, lex sorted: the mirror of ``_short_half``."""
+    return linalg._mirrored([v for v, _, _ in _short_half(lat, max_norm)])
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +253,39 @@ def _json_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
-# the interpreter's default int_max_str_digits: q_str cannot print a longer numerator
-_MAX_EXPONENT = 4300
+# the interpreter's default int_max_str_digits: q_str cannot print a longer numerator or denominator
+_MAX_DIGITS = 4300
+_TOO_LONG = 10**_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
 
 
 def _check_exponent(text: str, what: str) -> None:
-    """Refuse a decimal exponent above _MAX_EXPONENT in absolute value, before Fraction expands it."""
+    """Refuse a decimal exponent above _MAX_DIGITS in absolute value, before Fraction expands it."""
     m = _EXPONENT.search(text)
     digits = m[1].replace("_", "").lstrip("0") if m else ""
-    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_EXPONENT} in absolute value, got {text!r}")
+    if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
+        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_DIGITS} in absolute value, got {text!r}")
+
+
+def _check_digits(x: Q, what: str) -> Q:
+    """x, refused when its numerator or denominator has more than _MAX_DIGITS digits."""
+    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+        raise ValueError(f"{what} has a numerator or denominator of more than {_MAX_DIGITS} digits")
+    return x
 
 
 def _json_q(value, what: str) -> Q:
-    """A rational from a string or an integer; floats and booleans are rejected."""
+    """A rational from a string or an integer; floats, booleans and unprintably long values are rejected."""
     if isinstance(value, str):
         _check_exponent(value, what)
     if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
         try:
-            return Q(value)
+            x = Q(value)
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            return _check_digits(x, what)
     raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")
-
 
 
 def lattice_from_json(doc: dict) -> Lattice:

@@ -4,7 +4,7 @@ All routines operate on immutable tuple-of-tuples matrices whose entries
 are ints or Fractions.  Nothing here ever touches floating point.
 
 One elimination on ints, ``_echelon``, serves ``det``, ``inverse``,
-``rank``, ``is_positive_definite`` and ``short_vectors_of_form``: Bareiss's
+``rank``, ``is_positive_definite`` and ``_half_of_form``: Bareiss's
 fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
 A row with Fractions is first multiplied by the lcm of its denominators
@@ -18,10 +18,16 @@ is the minor of the first j pivot rows on their pivot columns, no entry
 outgrows a minor, and a row that reduces to zero, being in the span of the
 pivot rows, is dropped.
 
-``short_vectors_of_form`` enumerates up to sign: the set v^T G v <= B is
-closed under v -> -v, so only the vectors whose first nonzero coordinate is
-positive are searched.  The search fixes x_0 first, which finds them in lex
-order, and the sorted list is their negatives, reversed, followed by them.
+``_half_of_form`` is the one short-vector enumeration (Fincke-Pohst).  It
+works up to sign: the set v^T G v <= B is closed under v -> -v, so only the
+vectors whose first nonzero coordinate is positive are searched.  The
+search fixes x_0 first, which finds them in lex order, and
+``short_vectors_of_form`` is their mirror: their negatives, reversed,
+followed by them.  Each vector comes with G·v and its norm, read off the
+search itself: one integer list carried down the recursion holds G·v so far
+and the pending shift of every level below, fixing a coordinate adds one
+precomputed column to it, and a leaf's norm is the budget it spent.  More
+than ``VECTOR_CAP`` vectors, both signs counted, is refused.
 
 ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
 with D the lcm of the denominators of x; so x lies in the dual lattice
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Q, ...]
@@ -294,37 +300,49 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with v^T gram v <= max_norm, both signs.
+# the enumeration refuses more vectors than this, both signs counted, as series.DEFAULT_TERM_CAP caps terms
+VECTOR_CAP = 200_000
+
+
+def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(v, (den·gram)·v, den·v^T gram v) for each lex-positive short vector v, in lex order.
+
+    The v are the nonzero integer vectors with v^T gram v <= max_norm whose
+    first nonzero coordinate is positive; den is the lcm of the denominators
+    of the entries, 1 on an integral Gram.  Requires a positive definite
+    form; a ValueError when both signs together exceed ``VECTOR_CAP``.
 
     Fincke-Pohst branch-and-prune on the pivot rows of the elimination, in
-    integer arithmetic; requires a positive definite form.  Output is sorted
-    lexicographically.
+    integer arithmetic.  The search runs on the Gram with its basis order
+    reversed, so that it fixes x_0 first and x_{n-1} last.  Its
+    ``_definite_rows`` make the Gram integral (scaling the norm and the
+    bound alike) and give the pivot rows b_i, with leading minors
+    Delta_i = b_i[i] and Delta_{-1} = 1.  Then the norm is
+    sum_i (b_i . y)^2 / (Delta_{i-1} Delta_i), y = x reversed: the LDL form
+    with pivots d_i = Delta_i / Delta_{i-1} and unit rows b_i / Delta_i.
+    With g_i the content of b_i, L_i = Delta_i / g_i and D the lcm over i of
+    den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an integer, and
+    D v^T gram v = sum_i w_i t_i^2 with t_i = b_i . y / g_i, which is
+    L_i y_i plus the shift sum_{j > i} (b_i[j] / g_i) y_j.  The left side is
+    an integer, so the bound is exactly D v^T gram v <= floor(D max_norm),
+    and each coordinate's range comes from isqrt of the remaining budget
+    over w_i with no slack and no after-the-fact filtering.  At a leaf the
+    budget spent is sum_i w_i t_i^2, so den·v^T gram v is that over D.
 
-    The search runs on the Gram with its basis order reversed, so that it
-    fixes x_0 first and x_{n-1} last.  Its ``_definite_rows`` make the Gram
-    integral (scaling the norm and the bound alike) and give the pivot rows
-    b_i, with leading minors Delta_i = b_i[i] and Delta_{-1} = 1.  Then the
-    norm is sum_i (b_i . y)^2 / (Delta_{i-1} Delta_i), y = x reversed: the
-    LDL form with pivots d_i = Delta_i / Delta_{i-1} and unit rows
-    b_i / Delta_i.  With g_i the content of b_i, L_i = Delta_i / g_i and D
-    the lcm over i of den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an
-    integer, and D v^T gram v = sum_i w_i (b_i . y / g_i)^2, where
-    b_i . y / g_i is L_i y_i plus integer multiples of the y_j, j > i.  The
-    left side is an integer, so the bound is exactly
-    D v^T gram v <= floor(D max_norm), and each coordinate's range comes
-    from isqrt of the remaining budget over w_i with no slack and no
-    after-the-fact filtering.
+    One integer list rides down the recursion: (den·gram)·v so far,
+    followed by the pending shift of every level not yet fixed, the next
+    level's last.  Fixing y_i adds y_i times one precomputed column, the
+    column of den·gram at its coordinate followed by each lower level's
+    coefficient b_k[i] / g_k, and drops y_i's own shift; so no shift is
+    summed and no product with the Gram is taken per vector.  Each multiple
+    y·column is built the first time y is met at that level and kept.
 
     The set is closed under v -> -v, so it is enumerated up to sign
     (Fincke and Pohst, Math. Comp. 44, 1985): while every coordinate fixed
     so far is zero, the next one ranges over x >= 0 only, and the all-zero
     leaf is skipped.  That visits about half the nodes and finds each
     vector whose first nonzero coordinate is positive once, in lex order,
-    as each range ascends and x_0 is fixed first.  Every such vector sorts
-    after every negated one, so the output is the negatives in reverse
-    order followed by the vectors found, with no sort, and
-    s[-1-k] == -s[k].
+    as each range ascends and x_0 is fixed first.
     """
     n = len(gram)
     definite = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
@@ -336,38 +354,61 @@ def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
     row_den = [r[i] for i, r in enumerate(rows)]
     scale = lcm(*(minors[i] // gcd(minors[i], minors[i + 1]) * l * l for i, l in enumerate(row_den)))
     weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
-    # y_j is coordinate n-1-j of the vector
-    offsets = [[(n - 1 - j, r[j]) for j in range(i + 1, n) if r[j]] for i, r in enumerate(rows)]
+    # (w_i, L_i, coordinate p = n-1-i, column, its multiples by y) for each level i
+    levels = [
+        (w, l, n - 1 - i, [int(row[n - 1 - i] * den) for row in gram] + [rows[k][i] for k in range(i)], {})
+        for i, (w, l) in enumerate(zip(weights, row_den))
+    ]
     bound = Q(max_norm) * scale * den
     budget = bound.numerator // bound.denominator
+    half: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
     if budget < 0:
-        return []
-    positives: list[tuple[int, ...]] = []
-    negatives: list[tuple[int, ...]] = []
+        return half
     coords = [0] * n
-    negated = [0] * n
 
-    def descend(i: int, remaining: int, signed: bool) -> None:
-        # fixes y_i = coords[p]; signed: a coordinate before p is nonzero, so both signs are new
-        w, l, p = weights[i], row_den[i], n - 1 - i
-        shift = sum(c * coords[j] for j, c in offsets[i])
+    def descend(i: int, remaining: int, signed: bool, carried: list[int]) -> None:
+        # fixes coords[p]; signed: a coordinate before p is nonzero, so both signs are new
+        w, l, p, column, step = levels[i]
+        shift = carried[-1]
         s = isqrt(remaining // w)
         # all y with -s <= l*y + shift <= s; y >= 1 at an all-zero leaf, y >= 0 above it
         low = -((s + shift) // l) if signed else int(i == 0)
         ys = range(low, (s - shift) // l + 1)
         if i == 0:
+            if 2 * (len(half) + len(ys)) > VECTOR_CAP:
+                raise ValueError(f"short vectors of norm <= {max_norm} in rank {n} exceed the cap of {VECTOR_CAP}")
+            spent = budget - remaining
             for y in ys:
-                coords[p], negated[p] = y, -y
-                positives.append(tuple(coords))
-                negatives.append(tuple(negated))
-            coords[p] = negated[p] = 0
+                coords[p] = y
+                t = l * y + shift
+                image = tuple(map(add, carried, step.get(y) or step.setdefault(y, [y * c for c in column])))
+                half.append((tuple(coords), image, (spent + w * t * t) // scale))
+            coords[p] = 0
             return
         for y in ys:
             t = l * y + shift
-            coords[p], negated[p] = y, -y
-            descend(i - 1, remaining - w * t * t, signed or y != 0)
-        coords[p] = negated[p] = 0
+            coords[p] = y
+            child = list(map(add, carried, step.get(y) or step.setdefault(y, [y * c for c in column])))
+            descend(i - 1, remaining - w * t * t, signed or y != 0, child)
+        coords[p] = 0
 
-    descend(n - 1, budget, False)
-    negatives.reverse()
-    return negatives + positives
+    descend(n - 1, budget, False, [0] * (2 * n))
+    # descend refers to itself through its closure: unbinding it frees the search now, not at a cycle collection
+    del descend
+    return half
+
+
+def _mirrored(half: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Both signs of the lex-positive vectors in lex order: their negatives, reversed, then them."""
+    return [tuple([-x for x in v]) for v in reversed(half)] + half
+
+
+def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
+    """All nonzero integer vectors with v^T gram v <= max_norm, both signs.
+
+    Requires a positive definite form.  Output is sorted lexicographically:
+    the mirror of ``_half_of_form``.  Every vector it finds sorts after
+    every negated one, so the output is the negatives in reverse order
+    followed by the vectors found, with no sort, and s[-1-k] == -s[k].
+    """
+    return _mirrored([v for v, _, _ in _half_of_form(gram, max_norm)])

@@ -4,8 +4,9 @@ Detection keeps the short vectors, up to norm 4e² (e the exponent of L*/L),
 whose reflections preserve the lattice; decomposition grows the components
 of the non-orthogonality graph one root at a time and identifies each piece
 by rank, root count and norm multiset.  Every root set here is closed under
-r -> -r, and the work is done once per ± pair: detection tests one half of
-the sorted short vectors and mirrors the result, decomposition places -r
+r -> -r, and the work is done once per ± pair: detection tests the
+lex-positive short vectors, with the G·v and norm their enumeration carries,
+and mirrors the result, decomposition places -r
 with r without a scan, and one G·r per pair gives both norms and divs.
 Each root's norm is read once, in ``decompose``; the component keeps it
 for ``build_dual_set``.  Kept images and norms are keyed by root, so a
@@ -38,7 +39,7 @@ from operator import itemgetter, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
-from .lattice import Lattice, builtin_lattice, discriminant_exponent, short_vectors
+from .lattice import Lattice, _short_half, builtin_lattice, discriminant_exponent
 
 
 class UnrecognizedRootSystemError(ValueError):
@@ -121,8 +122,8 @@ class RootDatum:
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     """All vectors of norm <= max_norm whose reflection preserves the lattice.
 
-    A root is a v with norm(v) | 2 div(v), div(v) = gcd(G·v); as div(v) divides
-    norm(v), that holds when h = norm / gcd(norm, 2) divides each entry of G·v.
+    A root is a v with norm(v) | 2 div(v), div(v) = gcd(G·v); that holds
+    exactly when h = norm / gcd(norm, 2) divides div(v).
 
     Roots have norm <= 4e², e the exponent of L*/L: a root v = k·w, w
     primitive, has div(w) | e and k·norm(w) <= 2 div(w) <= 2e, so norm(v) =
@@ -131,9 +132,11 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
     the gcd of the Gram entries, e is only computed above 2c² or 4c².
 
-    The sorted short vectors satisfy s[-1-k] == -s[k], and v is a root
-    exactly when -v is: only the first half is tested, and the roots found
-    there are followed by their negatives, with -G·v, in reverse order.
+    The short vectors are closed under v -> -v, and v is a root exactly
+    when -v is: only the lex-positive half is tested, and the roots are the
+    negatives of those found, with -G·v, in reverse order, followed by
+    them, which is lex order.  The enumeration hands over each vector's G·v
+    and norm with it, so no product with the Gram matrix is taken here.
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
@@ -142,16 +145,10 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
         max_norm = min(max_norm, scale * e * e)
-    vectors = short_vectors(lat, max_norm)
-    found = []  # (k, G·v) for each root v = vectors[k] of the first half
-    for k, v in enumerate(vectors[:len(vectors) // 2]):
-        gv = lat.gram_times(v)
-        norm = sum(map(mul, v, gv))
-        h = norm // gcd(norm, 2)
-        if h == 1 or not any(x % h for x in gv):
-            found.append((k, gv))
-    roots = [vectors[k] for k, _ in found] + [vectors[-1 - k] for k, _ in reversed(found)]
-    images = [gv for _, gv in found] + [tuple([-x for x in gv]) for _, gv in reversed(found)]
+    # (v, G·v) for each lex-positive root v
+    found = [(v, gv) for v, gv, norm in _short_half(lat, max_norm) if not gcd(*gv) % (norm // gcd(norm, 2))]
+    roots = [tuple([-x for x in v]) for v, _ in reversed(found)] + [v for v, _ in found]
+    images = [tuple([-x for x in gv]) for _, gv in reversed(found)] + [gv for _, gv in found]
     return RootDatum(lat, tuple(roots), dict(zip(roots, images)), lat.gram)
 
 

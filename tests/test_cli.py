@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
 from orthoforms import roots as roots_mod, series as series_mod
 from orthoforms.cli import build_parser, main
-from orthoforms.lattice import short_vectors
+from orthoforms.lattice import _short_half
 from orthoforms.series import series_from_json
 
 
@@ -117,11 +117,14 @@ class TestRoots:
 
     def test_large_max_norm_matches_norm_2(self, capsys, monkeypatch):
         # E8 has e = 1, so no root has norm above 4e^2 = 4 and the search stops there
+        asked = []
+
         def bounded(lat, max_norm):
             assert max_norm <= 4, f"short vectors enumerated up to norm {max_norm}"
-            return short_vectors(lat, max_norm)
+            asked.append(max_norm)
+            return _short_half(lat, max_norm)
 
-        monkeypatch.setattr(roots_mod, "short_vectors", bounded)
+        monkeypatch.setattr(roots_mod, "_short_half", bounded)
         outs = {}
         for fmt in ("json", "table"):
             for max_norm in ("2", "1000000"):
@@ -134,6 +137,14 @@ class TestRoots:
         head, *components = outs["table", "1000000"].splitlines()
         assert head == "240 reflective vectors up to norm 1000000"
         assert components == outs["table", "2"].splitlines()[1:]
+        assert len(asked) == 4, "the enumeration detect_roots calls was not the one watched"
+
+    def test_enumeration_past_the_cap_is_one_error_line(self, capsys, deadline):
+        # A8 has e = 9, so the clamp leaves norm 2e^2 = 162: about 10^9 short vectors
+        with deadline(10):
+            code, out, err = run(capsys, "roots", "builtin:A8", "--max-norm", "1000000")
+        assert (code, out) == (2, "")
+        assert err == "error: short vectors of norm <= 162 in rank 8 exceed the cap of 200000\n"
 
     @pytest.mark.parametrize("gram", [[[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[2, 3], [3, 2]]])
     def test_not_positive_definite_names_the_lattice(self, capsys, tmp_path, gram):
@@ -371,6 +382,14 @@ class TestBorch:
         assert time.perf_counter() - start < 1
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
+
+    @pytest.mark.parametrize("rect", ["0,1e4300", "0,12345e4296", "1e-4300,1", "0,-3e+0_4300"])
+    def test_bound_too_long_to_print_refused(self, capsys, tmp_path, rect):
+        # the exponent is within 4300, but the value has 4301 digits, more than q_str can print
+        path = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        code, out, err = run(capsys, "borch", path, "--rect", rect)
+        assert (code, out) == (2, "")
+        assert err == "error: --rect bound has a numerator or denominator of more than 4300 digits\n"
 
     @pytest.mark.parametrize("rect", ["1e100000000,1", "1,-1e-100000000", "1E4_301,1", "0.5e+00000000000000004301,1"])
     def test_huge_decimal_exponent_refused(self, capsys, tmp_path, deadline, rect):

@@ -238,9 +238,19 @@ class TestJson:
         with pytest.raises(ValueError):
             lattice_from_json({"label": "x"})
 
-    @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "3e+0_4300", "7/2", "1e0"])
+    @pytest.mark.parametrize("text", ["1e4299", "-2.5E-4300", "3e+0_4299", "7/2", "1e0"])
     def test_exponent_up_to_the_bound_is_parsed(self, text):
         assert _json_q(text, "x") == Q(text)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e4300", "3e+0_4300", "12345e4296", "-1e-4300", 10**4300],
+        ids=["1e4300", "3e+0_4300", "12345e4296", "-1e-4300", "int 10**4300"],
+    )
+    def test_more_digits_than_print_is_refused(self, value):
+        # within the exponent bound, but a numerator or denominator of 4301 digits, which q_str cannot print
+        with pytest.raises(ValueError, match="^x has a numerator or denominator of more than 4300 digits$"):
+            _json_q(value, "x")
 
     @pytest.mark.parametrize("text", ["1e4301", "-1e-4301", "1E4_301", "1e000000000000004301", "1e" + "9" * 5000])
     def test_exponent_beyond_the_bound_is_refused(self, text):

@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 import sympy
@@ -125,6 +125,34 @@ def test_short_vectors_of_form_against_box(gram, bound):
     # roots.detect_roots tests only the first half and mirrors it
     for s in (found, found_thirds):
         assert all(s[-1 - k] == tuple(-x for x in s[k]) for k in range(len(s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_definite_grams(), BOUNDS)
+def test_half_carries_images_and_norms(gram, bound):
+    """Each (v, image, norm) of the lex-positive half is (den·G)·v and den·v^T G v, in lex order."""
+    thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
+    for g, b in ((gram, bound), (thirds, bound / 3)):
+        den = lcm(*(Q(x).denominator for row in g for x in row))
+        half = linalg._half_of_form(g, b)
+        vectors = [v for v, _, _ in half]
+        assert vectors == sorted(set(vectors))
+        for v, image, norm in half:
+            assert next(x for x in v if x) > 0
+            assert image == tuple(den * x for x in linalg.mat_vec(g, v))
+            assert all(type(x) is int for x in image) and type(norm) is int
+            assert norm == den * sum(g[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+            assert norm <= den * b
+        assert linalg._mirrored(vectors) == linalg.short_vectors_of_form(g, b)
+
+
+def test_enumeration_past_the_cap_is_refused():
+    # A8 up to norm 162 has about 10^9 vectors; the cap stops the search long before memory runs out
+    gram = builtin_lattice("A8").gram
+    with pytest.raises(ValueError, match=r"^short vectors of norm <= 162 in rank 8 exceed the cap of 200000$"):
+        linalg.short_vectors_of_form(gram, 162)
+    # E8 up to norm 14 has 199,920 vectors, just under the cap
+    assert len(linalg.short_vectors_of_form(builtin_lattice("E8").gram, 14)) == 199_920
 
 
 @settings(max_examples=200, deadline=None)

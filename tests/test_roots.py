@@ -36,7 +36,7 @@ from orthoforms.roots import (
     _class_div,
     _identify,
 )
-from orthoforms.lattice import short_vectors
+from orthoforms.lattice import _short_half
 
 from helpers import direct_sum, div, reflect
 
@@ -852,9 +852,9 @@ class TestMaxNormClamp:
 
         def spy(lat, max_norm):
             asked.append(max_norm)
-            return short_vectors(lat, max_norm)
+            return _short_half(lat, max_norm)
 
-        monkeypatch.setattr(roots_mod, "short_vectors", spy)
+        monkeypatch.setattr(roots_mod, "_short_half", spy)
         bound = (2 if lat.is_even else 4) * exponent(lat) ** 2
         assert detect_roots(lat, 10**6) == detect_roots(lat, bound)
         assert asked == [bound, bound]
