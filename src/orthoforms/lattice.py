@@ -7,12 +7,11 @@ vectors carry Fraction coordinates in the same basis.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 
@@ -25,28 +24,36 @@ class NotPositiveDefiniteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """A nondegenerate integral lattice given by its Gram matrix."""
-
+class _LatticeFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
     label: str | None = None
 
-    def __post_init__(self):
-        g = self.gram
-        n = len(g)
-        if n == 0 or any(len(row) != n for row in g):
+
+class Lattice(_LatticeFields):
+    """A nondegenerate integral lattice given by its Gram matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, gram: tuple[tuple[int, ...], ...], label: str | None = None):
+        n = len(gram)
+        if n == 0 or any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square and nonempty")
         for i in range(n):
             for j in range(n):
-                if not isinstance(g[i][j], int) or isinstance(g[i][j], bool):
+                if not isinstance(gram[i][j], int) or isinstance(gram[i][j], bool):
                     raise ValueError(f"gram entry ({i},{j}) is not an integer")
-                if g[i][j] != g[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError(
                         f"gram matrix is not symmetric at entries ({i},{j}) and ({j},{i})"
                     )
-        if _det_cached(g) == 0:
+        if _det_cached(gram) == 0:
             raise DegenerateLatticeError("degenerate lattice")
+        return super().__new__(cls, gram, label)
+
+    @classmethod
+    def _make(cls, fields) -> Lattice:
+        """The Lattice of (gram, label), checked: ``_replace`` builds its copy here."""
+        return cls(*fields)
 
     @property
     def rank(self) -> int:
@@ -96,8 +103,7 @@ def _dual_cached(gram):
     return linalg.inverse(gram)
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(NamedTuple):
     """Invariant factors of dual/lattice, with group order and level."""
 
     elementary_divisors: tuple[int, ...]
@@ -294,5 +300,7 @@ def lattice_from_json(doc: dict) -> Lattice:
     gram = doc["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise ValueError("'gram' must be a list of integer rows")
-    frozen = linalg.freeze(gram)
-    return Lattice(frozen, doc.get("label"))
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"'label' must be a string or null, got {label!r}")
+    return Lattice(linalg.freeze(gram), label)

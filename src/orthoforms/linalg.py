@@ -58,6 +58,14 @@ def mat_vec(m: Mat, v: Sequence) -> Vec:
     return tuple([sum(map(mul, row, v)) for row in m])
 
 
+def is_positive_direction(coords: Sequence) -> bool:
+    """Lexicographic ordering on dual vectors: first nonzero coordinate > 0."""
+    for x in coords:
+        if x != 0:
+            return x > 0
+    return False
+
+
 def _int_row(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators, as ints."""
     scale = lcm(*(x.denominator for x in row))

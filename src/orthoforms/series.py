@@ -47,20 +47,27 @@ once; internal results are built from ints by ``_new`` with no re-checks,
 once, on their final grid: nothing rescales a finished series.
 ``.terms`` is a read-only Fraction view built on first access and cached;
 ``.rect`` and ``.prefactor`` are Fractions built on access.
+
+This module imports ``weyl`` for annotations only.  The product expansion
+reads just the .a, .b and .c of a Weyl vector, so its zero prefactor is a
+``Monomial.zero``, and the lex sign test on factor vectors lives in
+``linalg``.  A command that reads series files, such as ``jacobian``, then
+never runs ``weyl``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import add, itemgetter, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, q_str
-from .linalg import _scaled
-from .weyl import WeylVector, is_positive_direction
+from .linalg import _scaled, is_positive_direction
+
+if TYPE_CHECKING:  # an annotation only: the jacobian command never runs weyl
+    from .weyl import WeylVector
 
 DEFAULT_TERM_CAP = 200_000
 # the largest rank a series document may give without prefactor B, which then defaults to zero
@@ -78,8 +85,7 @@ class ZeroSeriesError(ValueError):
     """Raised where a leading order is requested of a series with no terms."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     a: Q
     b: tuple[Q, ...]
     c: Q
@@ -539,8 +545,7 @@ def _binomial_coefficient(exponent: int, j: int) -> int:
     return math.comb(j - exponent - 1, j)  # (-1)^j C(exponent, j), generalized
 
 
-@dataclass(frozen=True)
-class ProductFactor:
+class ProductFactor(NamedTuple):
     n: int
     l: tuple[Q, ...]
     m: int
@@ -606,7 +611,7 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
     return [ProductFactor(n, l, m, f) for _, m, n, _, l, f in keyed]
 
 
-def expand_product(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int,
+def expand_product(coeffs: Coeffs, weyl: WeylVector | Monomial, rect: tuple[Q, Q], rank: int,
                    den: int = DEFAULT_DEN) -> TruncatedSeries:
     """Expand q^A zeta^B xi^C prod (1 - q^n zeta^l xi^m)^{f(nm, l)} exactly.
 
@@ -779,7 +784,7 @@ def principal_block_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q]
     wide = (max(_q(rect[0]), 0), rect[1])
     g0 = expand_product({key: f for key, f in coeffs.items() if key[0] >= 0}, weyl, wide, rank)
     neg = {key: f for key, f in coeffs.items() if key[0] < 0}
-    product = g0 * expand_product(neg, WeylVector(Q(0), (Q(0),) * rank, Q(0)), wide, rank)
+    product = g0 * expand_product(neg, Monomial.zero(rank), wide, rank)
     return g - product
 
 

@@ -21,13 +21,13 @@ read those images and add each pair's term twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul, neg
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
+from .linalg import is_positive_direction  # noqa: F401  re-exported for callers that import it from weyl
 from .lattice import Lattice
 
 if TYPE_CHECKING:  # an annotation only: the weyl command never runs roots
@@ -53,14 +53,6 @@ def _normalize_coords(coords) -> Coords:
 def _shown(x: Ints, den: int) -> str:
     """The stored den * l as the vector l for messages: (1/10, -1)."""
     return f"({', '.join(str(Q(v, den)) for v in x)})"
-
-
-def is_positive_direction(coords: Sequence) -> bool:
-    """Lexicographic ordering on dual vectors: first nonzero coordinate > 0."""
-    for x in coords:
-        if x != 0:
-            return x > 0
-    return False
 
 
 class QZeroData:
@@ -224,8 +216,7 @@ def qzero_from_dual_sets(
     return QZeroData.__new__(QZeroData)._store(lattice, None if k is None else Q(k), den, entries)
 
 
-@dataclass(frozen=True)
-class WeylVector:
+class WeylVector(NamedTuple):
     a: Q
     b: tuple[Q, ...]
     c: Q
@@ -249,8 +240,7 @@ def weyl_vector(phi: QZeroData) -> WeylVector:
     return WeylVector(a, tuple(Q(v, 2 * den) for v in b), Q(2 * c, 2 * rank * den))
 
 
-@dataclass(frozen=True)
-class SumRuleReport:
+class SumRuleReport(NamedTuple):
     """Result of testing sum f(0,l) (l,z)^2 = 2C (z,z) over the whole lattice."""
 
     c: Q | None

@@ -66,6 +66,18 @@ class TestLattice:
         assert out == ""
         assert err.count("\n") == 1 and "gram entry (0,0) is not an integer" in err
 
+    @pytest.mark.parametrize("label", [[1], 5, True, {"x": "y"}], ids=["list", "int", "bool", "object"])
+    def test_label_that_is_not_a_string_refused(self, capsys, tmp_path, label):
+        path = write_json(tmp_path / "lat.json", {"gram": [[2, 1], [1, 2]], "label": label})
+        code, out, err = run(capsys, "lattice", path, "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid lattice {path}: 'label' must be a string or null, got {label!r}\n"
+
+    def test_null_label_is_unlabelled(self, capsys, tmp_path):
+        path = write_json(tmp_path / "lat.json", {"gram": [[2, 1], [1, 2]], "label": None})
+        code, out, _ = run(capsys, "lattice", path, "--format", "json")
+        assert code == 0 and json.loads(out)["label"] is None
+
 
 class TestRoots:
     def test_d4_norm4(self, capsys):
@@ -300,6 +312,13 @@ class TestWeyl:
         code, out, err = run(capsys, "weyl", path)
         assert code == 2 and out == ""
         assert err == f"error: invalid coefficient file {path}: degenerate lattice\n"
+
+    @pytest.mark.parametrize("label", [[1], 5], ids=["list", "int"])
+    def test_inline_lattice_label_that_is_not_a_string_refused(self, capsys, tmp_path, label):
+        path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice={"gram": [[2]], "label": label}))
+        code, out, err = run(capsys, "weyl", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid coefficient file {path}: 'label' must be a string or null, got {label!r}\n"
 
     def test_lattice_path_is_a_directory(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice=str(tmp_path)))

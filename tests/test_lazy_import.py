@@ -1,5 +1,6 @@
 """`import orthoforms` runs no submodule, each CLI command runs only the
-modules it calls, and the names the package serves lazily are its modules' own.
+modules it calls, the commands that run no roots load no ``dataclasses``, and
+the names the package serves lazily are its modules' own.
 
 A submodule registered with ``importlib.util.LazyLoader`` stays a
 ``_LazyModule`` until an attribute of it is first read, and becomes a plain
@@ -9,7 +10,8 @@ audit event names the file, so the modules that ran are also counted
 independently of what ``sys.modules`` holds at the end (an eager import
 whose module was then registered anew would hide from the first count).
 The module sets are checked in fresh interpreters, as every test process
-has already run every module.
+has already run every module; the standard modules a command loads are
+those a bare interpreter of the same environment does not.
 """
 
 import json
@@ -35,7 +37,7 @@ sys.addaudithook(lambda event, args: event == "exec" and files.append(getattr(ar
 {code}
 executed = {{os.path.basename(f)[:-3] for f in files if os.path.dirname(os.path.abspath(f)) == {package!r}}}
 loaded = {{n.split(".", 1)[1] for n, m in sys.modules.items() if n.startswith("orthoforms.") and type(m) is types.ModuleType}}
-print(json.dumps([sorted(executed - {{"__init__"}}), sorted(loaded)]))
+print(json.dumps([sorted(executed - {{"__init__"}}), sorted(loaded), sorted(sys.modules)]))
 """
 RUN_MAIN = "from orthoforms.cli import main\nrc = main(sys.argv[1:])\nprint(rc)"
 
@@ -49,9 +51,14 @@ def modules_run(code: str, *argv: str) -> tuple[set[str], subprocess.CompletedPr
     """The orthoforms submodules that ran while code ran in a fresh interpreter, and the process."""
     proc = fresh("-c", PROBE.format(code=code, package=str(SRC / "orthoforms")), *argv)
     assert proc.returncode == 0, proc.stderr
-    executed, loaded = json.loads(proc.stdout.splitlines()[-1])
+    executed, loaded, _ = json.loads(proc.stdout.splitlines()[-1])
     assert executed == loaded
     return set(loaded), proc
+
+
+def imported(proc: subprocess.CompletedProcess) -> set[str]:
+    """Every module in sys.modules at the end of a probe run."""
+    return set(json.loads(proc.stdout.splitlines()[-1])[2])
 
 
 def write_json(path: Path, doc) -> str:
@@ -97,10 +104,22 @@ RUNS = {
     "roots": {"linalg", "lattice", "roots"},
     "weyl": {"linalg", "lattice", "weyl"},
     "borch": {"linalg", "lattice", "weyl", "series"},
-    "jacobian": {"linalg", "lattice", "weyl", "series"},
-    "syzygy": {"linalg", "lattice", "weyl", "series"},
+    "jacobian": {"linalg", "lattice", "series"},
+    "syzygy": {"linalg", "lattice", "series"},
     "classify": {"linalg", "lattice", "roots", "weyl", "classify"},
 }
+
+
+# the commands that load no dataclasses: its import costs a fresh process more than json or argparse,
+# and brings inspect, ast, dis and tokenize with it
+NO_DATACLASSES = {"lattice", "weyl", "borch", "jacobian", "syzygy"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    """The modules a bare interpreter of this environment loads, the probe's own included."""
+    _, proc = modules_run("pass")
+    return imported(proc)
 
 
 class TestFreshInterpreter:
@@ -112,11 +131,13 @@ class TestFreshInterpreter:
         assert ran == set()
 
     @pytest.mark.parametrize("command", sorted(RUNS))
-    def test_command_runs_only_its_modules(self, command, tmp_path):
+    def test_command_runs_only_its_modules(self, command, tmp_path, bare_modules):
         ran, proc = modules_run(RUN_MAIN, *commands(tmp_path)[command])
         assert proc.stdout.splitlines()[-2] == "0"
         assert proc.stderr == ""
         assert ran == RUNS[command] | {"cli"}
+        if command in NO_DATACLASSES:
+            assert not {"dataclasses", "inspect"} & (imported(proc) - bare_modules)
 
     def test_input_error_runs_no_series(self, tmp_path):
         # the exit-2 clause of main comes before the one naming series.SeriesOverflowError
