@@ -51,7 +51,6 @@ _EXPORTS = {
         "SumRuleReport",
         "WeylVector",
         "character_data",
-        "character_data_from_map",
         "quadratic_weyl_constant",
         "qzero_from_dual_sets",
         "solve_weight",

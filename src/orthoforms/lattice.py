@@ -35,6 +35,10 @@ class Lattice(_LatticeFields):
     __slots__ = ()
 
     def __new__(cls, gram: tuple[tuple[int, ...], ...], label: str | None = None):
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"'label' must be a string or null, got {label!r}")
+        if not isinstance(gram, tuple) or not all(isinstance(row, tuple) for row in gram):
+            raise ValueError("gram matrix must be a tuple of tuple rows")
         n = len(gram)
         if n == 0 or any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square and nonempty")
@@ -300,7 +304,4 @@ def lattice_from_json(doc: dict) -> Lattice:
     gram = doc["gram"]
     if not isinstance(gram, list) or not all(isinstance(r, list) for r in gram):
         raise ValueError("'gram' must be a list of integer rows")
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ValueError(f"'label' must be a string or null, got {label!r}")
-    return Lattice(linalg.freeze(gram), label)
+    return Lattice(linalg.freeze(gram), doc.get("label"))

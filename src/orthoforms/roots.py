@@ -6,17 +6,16 @@ of the non-orthogonality graph one root at a time and identifies each piece
 by rank, root count and norm multiset.  Every root set here is closed under
 r -> -r, and the work is done once per ± pair: detection tests the
 lex-positive short vectors, with the G·v and norm their enumeration carries,
-and mirrors the result, decomposition places -r
-with r without a scan, and one G·r per pair gives both norms and divs.
-Each root's norm is read once, in ``decompose``; the component keeps it
-for ``build_dual_set``.  Kept images and norms are keyed by root, so a
-copy with other roots (``dataclasses.replace``) cannot pair a root with
-another's value: a root with no entry has its value computed.  They are
-kept beside the Gram matrix they were read on and used only on that one,
-so a copy on another lattice computes every value afresh.  Modified
-Coxeter numbers follow the thirteen-case table keyed by the divisor data
-of the short roots and, where that data is ambiguous, an explicit subcase
-tag supplied by the caller.
+and mirrors the result, decomposition places -r with r without a scan, and
+one G·r per pair gives both norms and divs.  ``realize`` hands the
+enumeration's (r, G·r, norm) to the decomposition step as they are, and
+``decompose`` of a ``RootDatum``, just (lattice, roots), computes G·r
+itself.  A component's long roots are a field, as the short/long split is
+part of the component, so ``build_dual_set`` takes no norm; no record
+keeps a per-root value beside its roots for a copy to leave stale.
+Modified Coxeter numbers follow the thirteen-case table keyed by the
+divisor data of the short roots and, where that data is ambiguous, an
+explicit subcase tag supplied by the caller.
 
 ``TYPES`` is the single source of the facts of the nine Cartan types; the
 component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
@@ -113,10 +112,6 @@ class RootDatum:
 
     lattice: Lattice
     roots: tuple[tuple[int, ...], ...]
-    # root -> G·r, as detect_roots records them; decompose computes a root with no entry
-    images: dict[tuple[int, ...], tuple[int, ...]] | None = dataclasses.field(default=None, compare=False, repr=False)
-    # the Gram matrix images were read on: on any other lattice they are not used
-    images_gram: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
@@ -131,6 +126,12 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     and norm(v) <= k·2 div(w) <= 2 div(w)² <= 2e².  A larger even max_norm is
     clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
     the gcd of the Gram entries, e is only computed above 2c² or 4c².
+    """
+    return RootDatum(lat, tuple([r for r, _, _ in _detected(lat, max_norm)]))
+
+
+def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The (r, G·r, norm) of every root ``detect_roots`` finds, in lex order of r.
 
     The short vectors are closed under v -> -v, and v is a root exactly
     when -v is: only the lex-positive half is tested, and the roots are the
@@ -145,11 +146,9 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
         max_norm = min(max_norm, scale * e * e)
-    # (v, G·v) for each lex-positive root v
-    found = [(v, gv) for v, gv, norm in _short_half(lat, max_norm) if not gcd(*gv) % (norm // gcd(norm, 2))]
-    roots = [tuple([-x for x in v]) for v, _ in reversed(found)] + [v for v, _ in found]
-    images = [tuple([-x for x in gv]) for _, gv in reversed(found)] + [gv for _, gv in found]
-    return RootDatum(lat, tuple(roots), dict(zip(roots, images)), lat.gram)
+    found = [t for t in _short_half(lat, max_norm) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
+    negatives = [(tuple([-x for x in v]), tuple([-x for x in gv]), norm) for v, gv, norm in reversed(found)]
+    return negatives + found
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,9 @@ class IrreducibleComponent:
     roots were detected in.  The ``subcase`` tag (i/ii/iii) resolves the
     table ambiguity for A1 and B components whose short roots have div 2d;
     it depends on the modular form, not on the lattice, and is never
-    inferred.
+    inferred.  ``long_roots`` are the roots of the larger norm: nonempty
+    exactly for a type with long roots (unless ``roots`` is empty) and a
+    subset of ``roots``.
     """
 
     lattice: Lattice
@@ -173,10 +174,7 @@ class IrreducibleComponent:
     short_div: int
     long_div: int | None
     subcase: str | None = None
-    # root -> norm, as decompose read them; build_dual_set computes a root with no entry
-    norms: dict[tuple[int, ...], int] | None = dataclasses.field(default=None, compare=False, repr=False)
-    # the Gram matrix norms were read on: on any other lattice they are not used
-    norms_gram: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
+    long_roots: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         t, n = self.type_tag, self.rank
@@ -201,6 +199,10 @@ class IrreducibleComponent:
                 raise ValueError(f"bad subcase {self.subcase!r}")
             if not (ambiguous and self.short_div == 2 * self.d):
                 raise ValueError("subcase tag only applies to A1/B with div 2d")
+        if bool(self.long_roots) != bool(ratio and self.roots):
+            raise ValueError(f"{t}{n} must have {'long roots' if ratio else 'no long roots'}")
+        if self.long_roots and not set(self.long_roots).issubset(self.roots):
+            raise ValueError("long roots must be roots of the component")
 
     @property
     def scale(self) -> int:
@@ -210,19 +212,6 @@ class IrreducibleComponent:
     @property
     def label(self) -> str:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
-
-
-def _kept(values: dict | None, gram, lat: Lattice) -> dict:
-    """Kept per-root values when they were read on this lattice's Gram matrix, else none."""
-    return values if values is not None and gram == lat.gram else {}
-
-
-def _split_by_norm(items, norms, norm: int) -> tuple[list, list]:
-    """The items whose norm, read from ``norms`` in step, is the given one, and the others."""
-    split: tuple[list, list] = ([], [])
-    for x, nn in zip(items, norms):
-        split[nn != norm].append(x)
-    return split
 
 
 def _class_div(divs: list[int]) -> int:
@@ -242,7 +231,6 @@ def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
 def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]]) -> IrreducibleComponent:
     """The component of the (root, norm, div) entries, sorted by root."""
     roots = tuple(r for r, _, _ in entries)
-    root_norms = {r: nn for r, nn, _ in entries}
     by_norm: dict[int, list] = {}  # the divs of each norm class
     for _, nn, div in entries:
         by_norm.setdefault(nn, []).append(div)
@@ -255,8 +243,7 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
         tag = _match(k, None, (len(roots), 0))
         if tag is None:
             raise UnrecognizedRootSystemError(f"single-norm system: rank {k}, {len(roots)} roots, norm {nn}")
-        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None,
-                                    norms=root_norms, norms_gram=lat.gram)
+        return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None)
     if len(norms) == 2:
         n1, n2 = norms
         c1, c2 = len(by_norm[n1]), len(by_norm[n2])
@@ -272,57 +259,68 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
                 if ratio == 2
                 else f"norm ratio {ratio} matches no crystallographic type"
             )
-        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div,
-                                    norms=root_norms, norms_gram=lat.gram)
+        longs = tuple(r for r, nn, _ in entries if nn == n2)
+        return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div, long_roots=longs)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
 
 def decompose(rd: RootDatum) -> list[IrreducibleComponent]:
-    """Connected components of the non-orthogonality graph, identified.
+    """Connected components of the non-orthogonality graph, identified (see ``_components``).
+
+    G·r is computed once per ± pair: only for the roots the scan asks for.
+    """
+    lat = rd.lattice
+
+    def image(r):
+        gr = lat.gram_times(r)
+        return gr, sum(map(mul, gr, r))
+
+    return _components(lat, rd.roots, image)
+
+
+def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable) -> list[IrreducibleComponent]:
+    """``decompose`` of the roots, with ``image(r)`` giving (G·r, norm(r)).
 
     Each root joins, and so merges, every component found so far with a
     member it pairs nonzero with, which is exact for any vector set; its G·r
-    gives those pairings, its norm and its div.  Components are identified
-    in the order of their first root: of several unidentifiable ones the
-    first raises UnrecognizedRootSystemError, and nothing is dropped.
+    gives those pairings and its div.  Components are identified in the
+    order of their first root: of several unidentifiable ones the first
+    raises UnrecognizedRootSystemError, and nothing is dropped.
 
-    A root -r whose partner r was placed with (r, r) != 0 skips the scan.
-    As (-r, s) = -(r, s), -r pairs nonzero with exactly the roots r pairs
-    with, which joined r's component when the later of the two was placed,
-    and with r itself; so -r would join that component and merge nothing.
-    It is added to its partner's final component after the scan, with the
-    partner's norm and div.  An isotropic r pairs to 0 with -r, and both go
-    through the scan.
+    A root -r whose partner r was placed with (r, r) != 0 skips the scan,
+    and ``image`` is not asked for it.  As (-r, s) = -(r, s), -r pairs
+    nonzero with exactly the roots r pairs with, which joined r's component
+    when the later of the two was placed, and with r itself; so -r would
+    join that component and merge nothing.  It is added to its partner's
+    final component after the scan, with the partner's norm and div.  An
+    isotropic r pairs to 0 with -r, and both go through the scan.
     """
-    if not rd.roots:
+    if not roots:
         raise ValueError("cannot decompose an empty root set")
-    images = _kept(rd.images, rd.images_gram, rd.lattice)
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
     placed: dict = {}  # non-isotropic root -> its entry
     deferred = []  # (-r, the entry of r)
-    for r in rd.roots:
+    for r in roots:
         partner = placed.get(tuple([-x for x in r]))
         if partner is not None:
             deferred.append((r, partner))
             continue
-        gr = images.get(r)
-        if gr is None:
-            gr = rd.lattice.gram_times(r)
+        gr, nn = image(r)
         hit = [g for g in groups if any(sum(map(mul, gr, s)) for s, _, _ in g)] or [[]]
         if not hit[0]:  # r pairs with no component yet: a new one
             groups.append(hit[0])
         for g in hit[1:]:  # into the hit with the earliest first root
             hit[0] += g
             g.clear()
-        entry = (r, sum(map(mul, gr, r)), gcd(*gr))
+        entry = (r, nn, gcd(*gr))
         hit[0].append(entry)
-        if entry[1]:
+        if nn:
             placed[r] = entry
     if deferred:
         home = {s: g for g in groups for s, _, _ in g}
         for r, (s, nn, div) in deferred:
             home[s].append((r, nn, div))
-    comps = (_identify(rd.lattice, sorted(g)) for g in groups if g)
+    comps = (_identify(lat, sorted(g)) for g in groups if g)
     return sorted(comps, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
 
 
@@ -357,16 +355,15 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     support mirrors: i keeps r/(2d), ii keeps r/d (flagged: its half pairs
     integrally) and r/(2d), iii keeps r/d flagged.
     """
-    d = comp.d
-    norms = _kept(comp.norms, comp.norms_gram, comp.lattice)
-    shorts, longs = _split_by_norm(comp.roots, (norms.get(r) or comp.lattice.norm(r) for r in comp.roots), 2 * d)
+    d, longs = comp.d, set(comp.long_roots)
+    shorts = [r for r in comp.roots if r not in longs]
     parts = [(shorts, d, False)] if comp.short_div == d else {
         "i": [(shorts, 2 * d, False)],
         "ii": [(shorts, d, True), (shorts, 2 * d, False)],
         "iii": [(shorts, d, True)],
     }[_require_subcase(f"component {comp.label}", comp.subcase)]
     if comp.long_div is not None:
-        parts.append((longs, comp.long_div, False))
+        parts.append((comp.long_roots, comp.long_div, False))
     # r / m is r * (scale / m) over scale: integers in the order of the Fractions
     scale = lcm(*(m for _, m, _ in parts))
     return tuple(sorted(
@@ -464,16 +461,15 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     """
     ct = _checked(type_tag, rank, f"unknown type {type_tag}")
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
-    rd = detect_roots(lat, 2 * d * (ct.ratio or 1))
+    found = _detected(lat, 2 * d * (ct.ratio or 1))
     if type_tag == "C":
-        pairs = [(r, rd.images[r]) for r in rd.roots]
-        shorts, longs = _split_by_norm(pairs, (sum(map(mul, r, gr)) for r, gr in pairs), 2 * d)
-        frame = _orthogonal_frame(longs)
+        shorts = [t for t in found if t[2] == 2 * d]
+        frame = _orthogonal_frame([t for t in found if t[2] != 2 * d])
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
-        kept = sorted(shorts + frame)
-        rd = RootDatum(lat, tuple(r for r, _ in kept), rd.images, rd.images_gram)
-    comps = decompose(rd)
+        found = sorted(shorts + frame)
+    images = {r: (gr, nn) for r, gr, nn in found}
+    comps = _components(lat, [r for r, _, _ in found], images.__getitem__)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
         raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
     return comps[0]
@@ -482,13 +478,13 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
 def _orthogonal_frame(vectors) -> list:
     """Greedy maximal pairwise-orthogonal subset closed under negation.
 
-    ``vectors`` are (v, G·v) pairs; the frame keeps the pairs it chose,
-    taking the vectors in sorted order.
+    ``vectors`` are (v, G·v, norm) triples; the frame keeps the triples it
+    chose, taking the vectors in sorted order.
     """
     frame: list = []
     chosen: set = set()
-    for v, gv in sorted(vectors):
+    for v, gv, nn in sorted(vectors):
         if tuple([-x for x in v]) in chosen or all(sum(map(mul, gv, w)) == 0 for w in chosen):
-            frame.append((v, gv))
+            frame.append((v, gv, nn))
             chosen.add(v)
     return frame

@@ -3,8 +3,9 @@
 A QZeroData object stores the principal part and q^0 Fourier coefficients
 f(n, l) of a weight-0, index-1 input form over a positive definite lattice.
 From it we compute the Weyl vector (A, B, C), solve for the weight via the
-linear relation A = C + 1, and extract the character datum of the
-(tau, omega)-swap involution.
+linear relation A = C + 1.  The character datum of the (tau, omega)-swap
+involution is constant, D = 1 with sign -1, since the one principal part
+admitted is f(-1, 0) = 1.
 
 Dual coordinates are kept as integer tuples x = D l over one D per table,
 the lcm of the input denominators, and the scaling is exact.
@@ -276,26 +277,12 @@ def solve_weight(phi: QZeroData) -> Q:
     return (24 * (report.c + 1) - total) / 2
 
 
-def sigma0(n: int) -> int:
-    """Number of positive divisors."""
-    if n <= 0:
-        raise ValueError("sigma0 is defined for positive integers")
-    count = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            count += 1 if d * d == n else 2
-        d += 1
-    return count
-
-
-def character_data_from_map(principal: Mapping[int, int]) -> tuple[int, int]:
-    """(D, sign) from a map n -> f(n, 0) over n < 0: D = sum sigma0(-n) f(n,0)."""
-    d = sum(sigma0(-n) * f for n, f in principal.items() if n < 0 and f)
-    return d, (-1) ** d
-
-
 def character_data(phi: QZeroData) -> tuple[int, int]:
-    """Character datum of the (tau, omega) swap: D and the sign (-1)^D."""
-    principal = {n: v for (n, x), v in phi._map.items() if n < 0 and not any(x)}
-    return character_data_from_map(principal)
+    """Character datum of the (tau, omega) swap: D and the sign (-1)^D, always (1, -1).
+
+    D is the sum of sigma_0(-n) f(n, 0) over n < 0, sigma_0 the number of
+    divisors.  ``QZeroData`` admits exactly one entry with n < 0, f(-1, 0)
+    = 1, and refuses a table without it, so D = sigma_0(1) = 1 and the sign
+    is -1 for every table it holds.
+    """
+    return 1, -1

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -63,6 +64,16 @@ class TestLatticeBasics:
             Lattice(((True,),))
         with pytest.raises(ValueError, match=r"gram entry \(1,1\) is not an integer"):
             Lattice(((2, 0), (0, False)))
+
+    @pytest.mark.parametrize("gram", [[[2, 1], [1, 2]], [(2, 1), (1, 2)], ([2, 1], (1, 2))], ids=["lists", "list", "list-row"])
+    def test_rows_that_are_not_tuples_rejected(self, gram):
+        with pytest.raises(ValueError, match=r"^gram matrix must be a tuple of tuple rows$"):
+            Lattice(gram)
+
+    @pytest.mark.parametrize("label", [[1], 5, True], ids=["list", "int", "bool"])
+    def test_label_that_is_not_a_string_rejected(self, label):
+        with pytest.raises(ValueError, match=r"^'label' must be a string or null, got " + re.escape(repr(label)) + "$"):
+            Lattice(((2,),), label)
 
     def test_builtin_determinants(self):
         expected = {"A1": 2, "A2": 3, "A7": 8, "D4": 4, "D8": 4, "E6": 3, "E7": 2, "E8": 1, "4A1": 16}

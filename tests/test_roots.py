@@ -110,30 +110,28 @@ class TestDecompose:
                     for s in c2.roots:
                         assert lat.pairing(r, s) == 0
 
-    def test_kept_images_follow_replaced_roots(self):
-        # images are keyed by root: reordered roots keep theirs, a subset ignores the others
-        rd = detect_roots(builtin_lattice("D4"), 4)
-        a2_a1 = detect_roots(direct_sum(builtin_lattice("A2"), builtin_lattice("A1")), 2)
-        for replaced in (
-            dataclasses.replace(rd, roots=rd.roots[5:] + rd.roots[:5]),
-            dataclasses.replace(rd, roots=rd.roots[::-1]),
-            dataclasses.replace(a2_a1, roots=tuple(r for r in a2_a1.roots if not r[2])),
-        ):
-            assert decompose(replaced) == decompose(dataclasses.replace(replaced, images=None))
+    def test_realize_and_decompose_agree(self):
+        # realize decomposes the enumeration's triples; decompose computes G·r from the roots alone
+        for tag, ct in TYPES.items():
+            for n in ct.ranks:
+                for d in (1, 2, 3):
+                    c = realize(tag, n, d)
+                    assert decompose(RootDatum(c.lattice, c.roots)) == [c], c.label
 
-    def test_kept_images_follow_the_lattice(self):
-        # images read on A2 are not G·r on A2(2): the moved copy computes its own
-        rd = detect_roots(builtin_lattice("A2"), 2)
-        moved = dataclasses.replace(rd, lattice=builtin_lattice("A2(2)"))
-        assert [c.label for c in decompose(moved)] == ["A2(2)"]
-        assert decompose(moved) == decompose(dataclasses.replace(moved, images=None))
+    def test_long_roots_are_the_larger_norm_class(self):
+        for spec in (("B", 3), ("C", 4), ("F4", 4), ("G2", 2)):
+            c = realize(*spec, 2)
+            assert c.long_roots == tuple(r for r in c.roots if c.lattice.norm(r) > 2 * c.d)
+        assert realize("D", 4, 1).long_roots == ()
 
-    def test_kept_images_used_on_their_lattice(self, monkeypatch):
-        rd = detect_roots(builtin_lattice("D4"), 4)
-        relabelled = Lattice(rd.lattice.gram, "D4 again")  # the same Gram matrix
-        monkeypatch.setattr(Lattice, "gram_times", lambda self, v: pytest.fail("an image was recomputed"))
-        for same in (dataclasses.replace(rd, roots=rd.roots[::-1]), dataclasses.replace(rd, lattice=relabelled)):
-            assert [c.label for c in decompose(same)] == ["F4(2)"]
+    def test_long_roots_checked(self):
+        b3, a2 = realize("B", 3, 1), realize("A", 2, 1)
+        with pytest.raises(ValueError, match="B3 must have long roots"):
+            dataclasses.replace(b3, long_roots=())
+        with pytest.raises(ValueError, match="A2 must have no long roots"):
+            dataclasses.replace(a2, long_roots=a2.roots[:1])
+        with pytest.raises(ValueError, match="long roots must be roots of the component"):
+            dataclasses.replace(b3, roots=b3.roots[1:])
 
     def test_empty_rejected(self):
         from orthoforms import RootDatum
@@ -278,20 +276,14 @@ class TestDualSets:
         norms = sorted(comp.lattice.norm(x.coords) for x in ds)
         assert norms == [Q(2, 3)] * 6 + [Q(2)] * 6
 
-    def test_kept_norms_follow_replaced_roots(self):
-        # norms are keyed by root: G2's roots rotated by four keep theirs
-        comp = realize("G2", 2, 1)
-        rotated = dataclasses.replace(comp, roots=comp.roots[4:] + comp.roots[:4])
-        assert build_dual_set(rotated) == build_dual_set(dataclasses.replace(rotated, norms=None))
-        assert build_dual_set(rotated) == build_dual_set(comp)
+    def test_copies_with_reordered_roots_build_the_same_dual_set(self):
+        b3 = dataclasses.replace(realize("B", 3, 1), subcase="ii")  # its short roots dualize twice
+        for comp in (b3, realize("C", 4, 2), realize("G2", 2, 1)):
+            for roots in (comp.roots[4:] + comp.roots[:4], comp.roots[::-1]):
+                assert build_dual_set(dataclasses.replace(comp, roots=roots)) == build_dual_set(comp)
 
-    def test_kept_norms_follow_the_lattice(self):
-        # G2's norms read on A2 are not its norms on A2(2)
-        moved = dataclasses.replace(realize("G2", 2, 1), lattice=builtin_lattice("A2(2)"))
-        assert build_dual_set(moved) == build_dual_set(dataclasses.replace(moved, norms=None))
-
-    def test_kept_norms_survive_a_div_replace(self, monkeypatch):
-        # replace(comp, short_div=..., subcase=...) keeps the lattice, so the kept norms still apply
+    def test_dual_set_reads_no_norm(self, monkeypatch):
+        # the short/long split is the component's long_roots, also on a copy with other divs
         comp = realize("B", 3, 1)
         monkeypatch.setattr(Lattice, "norm", lambda self, v: pytest.fail("a norm was recomputed"))
         for replaced in (dataclasses.replace(comp, short_div=1, subcase=None), dataclasses.replace(comp, subcase="ii")):
@@ -591,7 +583,7 @@ def chain_identify(lat: Lattice, roots: Sequence[tuple[int, ...]]) -> Irreducibl
                 f"norm ratio {Q(n2, n1)} matches no crystallographic type"
             )
         return IrreducibleComponent(
-            lat, tag, k, d, tuple(roots), short_div, long_div
+            lat, tag, k, d, tuple(roots), short_div, long_div, long_roots=tuple(by_norm[n2])
         )
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
@@ -836,7 +828,6 @@ class TestDetectAgainstDefinition:
         expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0]
         rd = detect_roots(lat, max_norm)
         assert rd.roots == tuple(sorted(expected))
-        assert rd.images == {v: lat.gram_times(v) for v in rd.roots}
 
 
 def exponent(lat):

@@ -14,7 +14,6 @@ from orthoforms import (
     build_dual_set,
     builtin_lattice,
     character_data,
-    character_data_from_map,
     quadratic_weyl_constant,
     qzero_from_dual_sets,
     realize,
@@ -191,12 +190,6 @@ class TestCharacter:
     def test_standard_shape(self):
         phi = QZeroData(A1, {(-1, (Q(0),)): 1}, 12)
         assert character_data(phi) == (1, -1)
-
-    def test_hypothetical_principal_part(self):
-        assert character_data_from_map({-4: 1, -1: 1}) == (4, 1)
-
-    def test_empty(self):
-        assert character_data_from_map({}) == (0, 1)
 
 
 # ---------------------------------------------------------------------------
