@@ -3,9 +3,10 @@
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
 on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
-``_emit`` one that cannot be written, to exit 2 naming the file; ``main``
-maps the library's ValueError and ArithmeticError to exit 2 and its
-SeriesOverflowError (a series past the term cap) to exit 1.
+``_emit`` one that cannot be written, to exit 2 naming the file, and
+``_series_doc`` a series too long to print to exit 2 before any output;
+``main`` maps the library's ValueError and ArithmeticError to exit 2 and
+its SeriesOverflowError (a series past the term cap) to exit 1.
 
 Each command runs only the modules it calls, as the package's submodules
 run at first use (see ``orthoforms``); the JSON field readers come from
@@ -240,13 +241,22 @@ def cmd_borch(args) -> int:
             f"vector has A = {q_str(wv.a)}, C = {q_str(wv.c)}"
         )
     expansion = series_mod.expand_product(phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den)
+    doc = _series_doc(expansion, "the expansion")
     d, sign = weyl_mod.character_data(phi)
     print(f"A = {q_str(wv.a)}, B = [{', '.join(q_str(x) for x in wv.b)}], C = {q_str(wv.c)}")
     print(f"weight = {q_str(phi.k)}")
     print(f"character: D = {d}, chi(V) = {sign:+d}")
     print(f"terms stored: {len(expansion.terms)}")
-    _emit(series_mod.series_to_json(expansion), args)
+    _emit(doc, args)
     return EXIT_OK
+
+
+def _series_doc(x, what: str) -> dict:
+    """series_to_json(x), built before anything is printed; a number too long to print is one exit-2 line."""
+    try:
+        return series_mod.series_to_json(x)
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise CliError(f"{what} has a coefficient or exponent of more than {sys.get_int_max_str_digits()} digits, too long to print")
 
 
 def cmd_jacobian(args) -> int:
@@ -266,6 +276,7 @@ def cmd_jacobian(args) -> int:
     loaded = [_read_json(path, "series file", parse) for path in args.series]
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]
     result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
+    doc = _series_doc(result, "the syzygy sum" if args.syzygy else "the Jacobian")
     s = forms[0].series.rank
     try:
         lead = result.leading_order()
@@ -274,7 +285,7 @@ def cmd_jacobian(args) -> int:
         print(f"meets (s+1, s+1) = ({s + 1}, {s + 1}): {'yes' if meets else 'no'}")
     except series_mod.ZeroSeriesError:
         print("vanishes to rectangle order")
-    _emit(series_mod.series_to_json(result), args)
+    _emit(doc, args)
     return EXIT_OK
 
 

@@ -31,15 +31,15 @@ one integer grid: a Jacobian minor (about 4 pair products), or the syzygy
 sum's first row.  Its bookkeeping is one pass: ``_product_heads`` returns the
 sum's head with the products, and one sort makes the sum a grid operand.
 Packed keys measured jacobian x0.91 there, costing more than they save.
-``_multiply_out`` multiplies the product expansion's binomials factor by
-factor on rows.  It and ``__mul__`` do not call each other, so
-``log_derivative_residual`` checks the expansion with a loop other than its
-own; they share only ``_pack`` and ``_unpack``.  The rect rule of ``__mul__``
-and ``_accumulate`` lives in ``_product_heads``.  A packed key is the zeta
-vector as one int of signed base-2^w digits (Kronecker substitution), so
-keys add as ints.  That is safe because w puts 2^(w-1) above every digit a
-product can reach: the sum of the operands' largest zeta entries, or over
-factors of the largest entry in each factor's binomial.
+``_multiply_out`` multiplies the product expansion's binomials into rows in
+place, reading each row before a lower one adds into it.  It and ``__mul__``
+do not call each other, so ``log_derivative_residual`` checks the expansion
+with a loop other than its own; they share only ``_pack`` and ``_unpack``.
+The rect rule of ``__mul__`` and ``_accumulate`` lives in ``_product_heads``.
+A packed key is the zeta vector as one int of signed base-2^w digits
+(Kronecker substitution), so keys add as ints.  That is safe because w puts
+2^(w-1) above every digit a product can reach: the sum of the operands'
+largest zeta entries, or over factors of the largest entry in each binomial.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
@@ -538,13 +538,6 @@ def _unpack(k: int, rank: int, w: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_coefficient(exponent: int, j: int) -> int:
-    """Coefficient of u^j in (1-u)^exponent, exact for any integer exponent."""
-    if exponent >= 0:
-        return (-1) ** j * math.comb(exponent, j)
-    return math.comb(j - exponent - 1, j)  # (-1)^j C(exponent, j), generalized
-
-
 class ProductFactor(NamedTuple):
     n: int
     l: tuple[Q, ...]
@@ -571,44 +564,52 @@ def product_factors(coeffs: Coeffs, rect: tuple[Q, Q], rank: int) -> list[Produc
     The factors come in expansion order, by (n >= 0, m, n, l): those with
     n < 0 go first, as every one of their terms has a <= 0, so a bound of at
     least 0 drops none of them, and once they are in every remaining factor
-    only raises the q-exponent, so truncation at a_max is sound.  l is
-    compared by its place in one sort of the support's distinct vectors, so
-    the sort of the factors compares ints only.
+    only raises the q-exponent, so truncation at a_max is sound.  They are
+    built once, as ``_factors``' int list, which ``expand_product`` and
+    ``log_derivative_residual`` read; this reads each l back as Fractions.
+    """
+    z, factors = _factors(coeffs, rect, rank)
+    return [ProductFactor(n, tuple([Q(x, z) for x in l]), m, f) for n, l, m, f in factors]
+
+
+def _factors(coeffs, rect, rank, b=()):
+    """(z, ``product_factors`` as (n, z*l, m, f)), z the lcm of the zeta denominators of b and the support.
+
+    z > 0 keeps the lex order and sign of l: the sort and the boundary test (l < 0) run on int tuples.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
-    support: dict[int, list[tuple[tuple[Q, ...], int]]] = {}
+    z = math.lcm(*{_q(x).denominator for x in b}, *{x.denominator for (_, l), f in coeffs.items() if f for x in l})
+    support: dict = {}
     for (n0, l), f in coeffs.items():
         if len(l) != rank:
             raise ValueError(f"coefficient entry f({n0}, {list(map(str, l))}) has length {len(l)}, not rank {rank}")
         if f:
-            support.setdefault(n0, []).append((tuple(_q(x) for x in l), f))
+            support.setdefault(n0, []).append((_scaled(l, z), f))
     max_neg = max((-n0 for n0 in support if n0 < 0), default=0)
     n_hi, t_hi = math.floor(a_max + t_max * max_neg), math.floor(t_max)
     # the m of the factors (n0 / m, l, m) of an entry at n0 != 0; one at n0 = 0 gives
     # (0, l, 0) for l < 0, (n, l, 0) for 0 < n <= n_hi and (0, l, m) for 0 < m <= t_hi
     ms = {n0: [m for m in range(1, min(t_hi, abs(n0)) + 1) if n0 % m == 0 and n0 // m <= n_hi]
           for n0 in support if n0}
-    boundary = {l for l, _ in support.get(0, ()) if is_positive_direction(tuple(-x for x in l))}
+    boundary = {l for l, _ in support.get(0, ()) if is_positive_direction([-x for x in l])}
     count = len(boundary) + len(support.get(0, ())) * (max(n_hi, 0) + max(t_hi, 0))
     count += sum(len(support[n0]) * len(m) for n0, m in ms.items())
     if count > DEFAULT_TERM_CAP:
         raise SeriesOverflowError(
             f"the expansion has {count} factors, more than the term cap of {DEFAULT_TERM_CAP}"
         )
-    place = {l: i for i, l in enumerate(sorted({l for entries in support.values() for l, _ in entries}))}
-    keyed = []  # (n >= 0, m, n, the place of l, l, f): unique on the first four
+    keyed = []  # (n >= 0, m, n, l, f): unique on the first four
     for n0, entries in support.items():
         for l, f in entries:
-            p = place[l]
             if n0:
-                keyed += [(n0 > 0, m, n0 // m, p, l, f) for m in ms[n0]]
+                keyed += [(n0 > 0, m, n0 // m, l, f) for m in ms[n0]]
                 continue
             if l in boundary:
-                keyed.append((True, 0, 0, p, l, f))  # m = n = 0, l < 0
-            keyed += [(True, 0, n, p, l, f) for n in range(1, n_hi + 1)]
-            keyed += [(True, m, 0, p, l, f) for m in range(1, t_hi + 1)]
+                keyed.append((True, 0, 0, l, f))  # m = n = 0, l < 0
+            keyed += [(True, 0, n, l, f) for n in range(1, n_hi + 1)]
+            keyed += [(True, m, 0, l, f) for m in range(1, t_hi + 1)]
     keyed.sort()
-    return [ProductFactor(n, l, m, f) for _, m, n, _, l, f in keyed]
+    return z, [(n, l, m, f) for _, m, n, l, f in keyed]
 
 
 def expand_product(coeffs: Coeffs, weyl: WeylVector | Monomial, rect: tuple[Q, Q], rank: int,
@@ -622,25 +623,23 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector | Monomial, rect: tuple[Q, Q
     monomials, is capped at DEFAULT_TERM_CAP, as are the terms stored after
     every factor: overflow raises SeriesOverflowError.  The terms come out of
     ``_multiply_out`` on the final grid: den, and z the lcm of B's and the
-    factors' zeta denominators.
+    support's zeta denominators.
     """
+    return _expand(*_factors(coeffs, rect, rank, weyl.b), weyl, rect, rank, den)
+
+
+def _expand(z, factors, weyl, rect, rank, den):
+    """``expand_product`` of the factors ``_factors`` gives for weyl.b, on its z."""
     a_max, t_max = _q(rect[0]), _q(rect[1])
-    factors = product_factors(coeffs, rect, rank)
     bound = 1
-    for k, fac in enumerate((f for f in factors if f.m == f.n == 0), 1):
-        if fac.exponent < 0:
-            raise ValueError(
-                "negative exponent on a boundary factor: expansion is "
-                "meromorphic along the toric boundary"
-            )
-        bound *= fac.exponent + 1
+    for k, (_, _, _, f) in enumerate((fac for fac in factors if fac[0] == fac[2] == 0), 1):
+        if f < 0:
+            raise ValueError("negative exponent on a boundary factor: expansion is meromorphic along the toric boundary")
+        bound *= f + 1
         if bound > DEFAULT_TERM_CAP:
-            raise SeriesOverflowError(
-                "the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
-                f"{bound} over its first {k} factors, which exceeds the term cap of {DEFAULT_TERM_CAP}"
-            )
+            raise SeriesOverflowError("the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
+                                      f"{bound} over its first {k} factors, which exceeds the term cap of {DEFAULT_TERM_CAP}")
     pa, pb, pc = _checked_prefactor(Monomial(weyl.a, weyl.b, weyl.c), rank, den)
-    z = math.lcm(*{x.denominator for x in pb}, *{x.denominator for fac in factors for x in fac.l})
     terms = _multiply_out(factors, rank, a_max, t_max, den, z)
     return _new(rank, den, z, 1, terms, _int(pa, den), _scaled(pb, z), _int(pc, den),
                 _bound(a_max, den), _bound(t_max, den))
@@ -649,80 +648,81 @@ def expand_product(coeffs: Coeffs, weyl: WeylVector | Monomial, rect: tuple[Q, Q
 def _multiply_out(factors, rank, a_max, t_max, den, z):
     """The int terms of the product of the factors' binomials, on the den and z grid.
 
-    The factors are multiplied one at a time with integer exponents a and t,
-    and zeta entries scaled by z, a multiple of the factors' zeta
-    denominators.  Products leaving the box a <= max(a_max, 0), t <= t_max
-    are dropped after every factor, and more than DEFAULT_TERM_CAP nonzero
-    terms after any factor raises SeriesOverflowError.  No lower q bound is
-    needed: n >= -max_neg, and m >= 1 where n < 0, so a binomial term has
-    a = j*n >= -max_neg * j*m = -max_neg * t, hence so does every product,
-    and t <= t_max bounds a below by -max_neg * t_max.
+    The factors (n, l, m, f), in ``_factors``' order with l over z, are
+    multiplied one at a time into rows {_pack(l, w): c}, one per integer
+    (a, t).  Products leaving the box a <= max(a_max, 0), t <= t_max are
+    dropped, and more than DEFAULT_TERM_CAP terms after any factor raise
+    SeriesOverflowError naming it.  No lower q bound is needed: n >= -max_neg,
+    and m >= 1 where n < 0, so every product has a >= -max_neg * t.
 
-    The accumulator maps each (a, t) to a row {_pack(l, w): c} with no zero
-    c.  A product term's zeta entry sums one binomial term's entry per
-    factor, so with 2^(w-1) above the sum over factors of their largest
-    entry no digit can overflow, and a pair's key is the int k1 + k2.  The
-    box is tested once per pair of rows.  The one pass at the end drops the
-    rows with a > a_max (a_max < 0 cuts only there, after every n < 0 factor
-    is in), unpacks each distinct key once and writes the keys (a*den, l,
-    t*den) of the series grid, so nothing rescales the result.
+    The rows change in place.  Term j >= 1 of a factor adds row (a, t) into
+    row (a + j*n, t + j*m), raising v = a + (max_neg + 1) t by j (n + (max_neg
+    + 1) m) > 0 unless m = n = 0.  So each factor reads the rows in falling v,
+    each before any lower row adds into it: its j = 0 term is the row itself,
+    its j loop stops at the first step out of the box, and a boundary factor
+    (m = n = 0) reads a snapshot of the row it adds into.  The order holds
+    the rows that exist; those a factor creates lie above the rows it read
+    and join them after it, in one sort (an order of the box's cells would
+    walk all of (0, 10^400)).  With 2^(w-1) above the sum over factors of
+    their largest zeta entry, no digit overflows and a pair's key is k1 + k2.
+    At the end the rows with a > a_max go (a_max < 0 cuts only there, after
+    the n < 0 factors), and each distinct key is unpacked once.
     """
     a_hi, t_hi = max(math.floor(a_max), 0), math.floor(t_max)
-    max_neg = max((-fac.n for fac in factors if fac.n < 0), default=0)
-    n_hi = math.floor(a_max + t_max * max_neg)
-    ls = [_scaled(fac.l, z) for fac in factors]
-    binomials = [_binomial(fac, t_hi, n_hi) for fac in factors]
-    bound = sum(b[-1][0] * max(map(abs, l), default=0) for l, b in zip(ls, binomials))
-    w = bound.bit_length() + 1
-    acc = {(0, 0): {0: 1}}
-    for i, (fac, l, binomial) in enumerate(zip(factors, ls, binomials), 1):
-        # the j = 0 term of a binomial is 1: the rows inside the box, copied
-        key = _pack(l, w)
-        out = {(a, t): row.copy() for (a, t), row in acc.items() if a <= a_hi and t <= t_hi}
-        for j, c2 in binomial[1:]:
-            a2, k2, t2 = j * fac.n, j * key, j * fac.m
-            for (a1, t1), row1 in acc.items():
-                a, t = a1 + a2, t1 + t2
+    max_neg = max((-n for n, _, _, _ in factors if n < 0), default=0)
+    n_hi, rise = math.floor(a_max + t_max * max_neg), max_neg + 1
+    binomials = [_binomial(n, m, f, t_hi, n_hi) for n, _, m, f in factors]
+    w = sum(len(b) * max(map(abs, fac[1]), default=0) for fac, b in zip(factors, binomials)).bit_length() + 1
+    acc = {(0, 0): {0: 1}} if t_hi >= 0 or not factors else {}  # a box below t = 0 keeps 1 only with no factor
+    order = list(acc)
+    for i, ((n, l, m, f), binomial) in enumerate(zip(factors, binomials), 1):
+        key, fresh = _pack(l, w), []
+        for a1, t1 in order:
+            row1 = acc[a1, t1]
+            items = list(row1.items()) if m == n == 0 else row1.items()
+            for j, c2 in binomial:
+                a, t = a1 + j * n, t1 + j * m
                 if a > a_hi or t > t_hi:
-                    continue
-                row = out.get((a, t))
+                    break
+                k2, row = j * key, acc.get((a, t))
                 if row is None:
-                    out[(a, t)] = {k1 + k2: c1 * c2 for k1, c1 in row1.items()}
+                    acc[a, t] = {k1 + k2: c1 * c2 for k1, c1 in items}
+                    fresh.append((a, t))
                     continue
                 get = row.get
-                for k1, c1 in row1.items():
+                for k1, c1 in items:
                     k = k1 + k2
                     if c := get(k, 0) + c1 * c2:
                         row[k] = c
                     else:
                         del row[k]
-        acc = {at: row for at, row in out.items() if row}
+        if fresh:
+            order = sorted(order + fresh, key=lambda at: at[0] + rise * at[1], reverse=True)
         if sum(map(len, acc.values())) > DEFAULT_TERM_CAP:
-            raise SeriesOverflowError(
-                f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}"
-            )
+            fac = ProductFactor(n, tuple([Q(x, z) for x in l]), m, f)
+            raise SeriesOverflowError(f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}")
     acc = {(a * den, t * den): row for (a, t), row in acc.items() if a <= a_max}
     unpacked = {k: _unpack(k, rank, w) for k in set().union(*acc.values())}
     return {(a, unpacked[k], t): c for (a, t), row in acc.items() for k, c in row.items()}
 
 
-def _binomial(fac: ProductFactor, t_hi: int, n_hi: int) -> list[tuple[int, int]]:
-    """Pairs (j, coefficient of u^j) of (1 - u)^exponent, u = q^n zeta^l xi^m.
+def _binomial(n, m, f, t_hi, n_hi):
+    """Pairs (j, c_j) of (1 - u)^f = sum c_j u^j, j >= 1 up to the budget, u = q^n zeta^l xi^m.
 
-    The nonzero coefficients up to the budget, j = 0 (coefficient 1) first:
-    j*m <= t_hi = floor(t_max), or for m = 0 j*n <= n_hi = floor(a_max +
-    t_max * max_neg), where floor(r / k) = floor(r) // k for ints k >= 1.
-    An exponent e >= 0 has no terms past u^e, so j stops at e.
+    The budget is j*m <= t_hi = floor(t_max), or for m = 0 j*n <= n_hi =
+    floor(a_max + t_max * max_neg), as floor(r / k) = floor(r) // k for ints
+    k >= 1, or for m = n = 0 j <= f.  c_j = -c_(j-1) (f - j + 1) / j is
+    (-1)^j C(f, j), so j divides exactly for any integer f; the pairs stop at
+    the first zero, c_(f+1) for f >= 0, so their j are 1, 2, .., len(pairs).
     """
-    if fac.m > 0:
-        j_max = t_hi // fac.m
-    elif fac.n > 0:
-        j_max = n_hi // fac.n
-    else:
-        j_max = fac.exponent
-    if fac.exponent >= 0:
-        j_max = min(j_max, fac.exponent)
-    return [(j, c) for j in range(j_max + 1) if (c := _binomial_coefficient(fac.exponent, j))]
+    j_max = t_hi // m if m > 0 else n_hi // n if n > 0 else f
+    pairs, c = [], 1
+    for j in range(1, j_max + 1):
+        c = -c * (f - j + 1) // j
+        if not c:
+            break
+        pairs.append((j, c))
+    return pairs
 
 
 def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q], rank: int) -> TruncatedSeries:
@@ -748,16 +748,13 @@ def log_derivative_residual(coeffs: Coeffs, weyl: WeylVector, rect: tuple[Q, Q],
     returned series is identically zero iff the identity holds there.
     """
     a_max, t_max = _q(rect[0]), _q(rect[1])
-    nonneg = {key: f for key, f in coeffs.items() if key[0] >= 0}
-    g0 = expand_product(nonneg, weyl, rect, rank)
-    xi_factors = [f for f in product_factors(nonneg, rect, rank) if f.m > 0]
-    den, z = DEFAULT_DEN, math.lcm(*{x.denominator for fac in xi_factors for x in fac.l})
-    terms: dict = {}
-    for fac in xi_factors:
-        l = _scaled(fac.l, z)
-        for j in range(1, math.floor(t_max / fac.m) + 1):
-            key = (j * fac.n * den, tuple([j * x for x in l]), j * fac.m * den)
-            terms[key] = terms.get(key, 0) - fac.m * fac.exponent
+    z, factors = _factors({key: f for key, f in coeffs.items() if key[0] >= 0}, rect, rank, weyl.b)
+    g0 = _expand(z, factors, weyl, rect, rank, DEFAULT_DEN)
+    den, t_hi, terms = DEFAULT_DEN, math.floor(t_max), {}
+    for n, l, m, f in (fac for fac in factors if fac[2] > 0):
+        for j in range(1, t_hi // m + 1):
+            key = (j * n * den, tuple([j * x for x in l]), j * m * den)
+            terms[key] = terms.get(key, 0) - m * f
     ra, rt = _bound(a_max, den), _bound(t_max, den)
     a_hi = math.floor(ra)
     terms = {k: c for k, c in terms.items() if c and k[0] <= a_hi}

@@ -433,6 +433,19 @@ class TestBorch:
         assert (code, err) == (0, "")
         assert "terms stored: 2" in out
 
+    @pytest.mark.parametrize("output", [False, True])
+    def test_coefficient_too_long_to_print(self, capsys, tmp_path, deadline, output):
+        # (1 - zeta^(-1/2))^14400 holds C(14400, 7200), of 4333 digits: the whole document
+        # is built before the first line is printed, so neither stdout nor -o gets any of it
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 14400} for l in ("1/2", "-1/2")]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        out_path = tmp_path / "series.json"
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path, "--rect", "0,0", *(["-o", str(out_path)] if output else []))
+        assert (code, out) == (2, "")
+        assert err == "error: the expansion has a coefficient or exponent of more than 4300 digits, too long to print\n"
+        assert not out_path.exists()
+
     def test_den_zero_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
         code, out, err = run(capsys, "borch", path, "--rect", "1,1", "--den", "0")
@@ -561,6 +574,18 @@ class TestJacobian:
         assert out == ""
         assert err.count("\n") == 1 and named in err
 
+
+    def test_coefficient_too_long_to_print(self, capsys, tmp_path):
+        # each 4000-digit coefficient is accepted, but the Jacobian multiplies four of them:
+        # the document is built before the leading order is printed
+        paths = []
+        for i, (a, l, t) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            doc = self.series_doc(a, l, t)
+            doc["terms"][0]["c"] = "9" * 4000 + "/1"
+            paths.append(write_json(tmp_path / f"f{i}.json", doc))
+        code, out, err = run(capsys, "jacobian", *paths, "--weights", "1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: the Jacobian has a coefficient or exponent of more than 4300 digits, too long to print\n"
 
     @pytest.mark.parametrize("prefactor", [None, {"B": []}])
     @pytest.mark.parametrize("syzygy", [[], ["--syzygy"]])

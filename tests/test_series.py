@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthoforms import builtin_lattice
 from orthoforms import series as series_mod
@@ -312,17 +312,23 @@ class TestLogDerivativeOracle:
         g_bad = TruncatedSeries(rank, tampered_terms, g0.rect, g0.prefactor, g0.den)
         assert not (g_bad.derive("omega") * p - g_bad * rhs_bracket).is_zero
 
-    @pytest.mark.parametrize("oracle", [log_derivative_residual, principal_block_residual])
-    def test_oracles_detect_tampered_expansion(self, monkeypatch, oracle):
-        # bump one coefficient of the expansion the oracle checks; for
-        # principal_block_residual that is the full one, not the n >= 0 block
+    @pytest.mark.parametrize(
+        "oracle, target",
+        [(log_derivative_residual, "_expand"), (principal_block_residual, "expand_product")],
+        ids=["log_derivative_residual", "principal_block_residual"],
+    )
+    def test_oracles_detect_tampered_expansion(self, monkeypatch, oracle, target):
+        # bump one coefficient of the expansion the oracle checks: for
+        # log_derivative_residual its n >= 0 block, expanded by _expand from the
+        # factor list it also reads, and for principal_block_residual the full
+        # expansion, not the n >= 0 block
         phi, wv = self.small_dataset()
         table, rank = phi.coefficient_table(), phi.lattice.rank
-        expand = series_mod.expand_product
+        expand = getattr(series_mod, target)
 
-        def tampered(coeffs, *args, **kwargs):
-            g = expand(coeffs, *args, **kwargs)
-            if oracle is principal_block_residual and coeffs is not table:
+        def tampered(first, *args, **kwargs):
+            g = expand(first, *args, **kwargs)
+            if oracle is principal_block_residual and first is not table:
                 return g
             terms = dict(g.terms)
             bump = (Q(1), (Q(0),) * rank, Q(1))
@@ -330,7 +336,7 @@ class TestLogDerivativeOracle:
             return TruncatedSeries(rank, terms, g.rect, g.prefactor, g.den)
 
         assert oracle(table, wv, (Q(2), Q(2)), rank).is_zero
-        monkeypatch.setattr(series_mod, "expand_product", tampered)
+        monkeypatch.setattr(series_mod, target, tampered)
         assert not oracle(table, wv, (Q(2), Q(2)), rank).is_zero
 
     def test_one_series_product(self, monkeypatch):
@@ -753,27 +759,33 @@ class TestExpandAgainstNaive:
     @given(
         st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r))),
         st.integers(-72, 72).map(lambda n: Q(n, 24)),
-        st.integers(0, 2),
+        st.integers(-36, 60).map(lambda n: Q(n, 24)),
     )
+    # f(0, 1) = f(0, 2) = 1 on rect (2, 0) starts (1 - q zeta)(1 - q zeta^2): the second
+    # factor adds row a = 0 into row a = 1 and row 1 into row 2, so it reads row 1 first
+    @example((1, {(0, (Q(1),)): 1, (0, (Q(2),)): 1}), Q(2), Q(0))
     def test_multiply_out_box(self, table_of_rank, a_max, t_max):
         # the kernel on its own: it keeps a <= max(floor(a_max), 0) and
         # t <= t_max after every factor, cuts at a <= a_max once at the end,
-        # and writes its keys on the grid of den and the z it is given
+        # and writes its keys on the grid of den and the z it is given; below
+        # t = 0 a first factor drops the term 1, which stays when there is none
         rank, table = table_of_rank
-        rect = (a_max, Q(t_max))
+        rect = (a_max, t_max)
         factors = product_factors(table, rect, rank)
         max_neg = max((-f.n for f in factors if f.n < 0), default=0)
         n_hi = math.floor(a_max + t_max * max_neg)
         keep = lambda a, t: a <= max(math.floor(a_max), 0) and t <= t_max
         expected = {(Q(0), (Q(0),) * rank, Q(0)): Q(1)}
         for fac in factors:
+            j_max = math.floor(t_max / fac.m) if fac.m else n_hi // fac.n if fac.n else fac.exponent
             poly = [
-                ((Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)), Q(c))
-                for j, c in series_mod._binomial(fac, t_max, n_hi)
+                ((Q(j * fac.n), tuple(j * x for x in fac.l), Q(j * fac.m)), Q(naive_binomial(fac.exponent, j)))
+                for j in range(j_max + 1)
             ]
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
         den, z = 24, 2 * math.lcm(*{x.denominator for f in factors for x in f.l})
-        terms = series_mod._multiply_out(factors, rank, *rect, den, z)
+        ints = [(f.n, tuple(int(x * z) for x in f.l), f.m, f.exponent) for f in factors]
+        terms = series_mod._multiply_out(ints, rank, *rect, den, z)
         got = {(Q(a, den), tuple(Q(x, z) for x in l), Q(t, den)): Q(c) for (a, l, t), c in terms.items()}
         assert got == {k: c for k, c in expected.items() if k[0] <= a_max}
 
@@ -871,6 +883,49 @@ class TestProductFactors:
         with deadline(10), pytest.raises(SeriesOverflowError, match=match):
             expand_product(phi.coefficient_table(), wv, (Q(10**400), Q(1)), phi.lattice.rank)
         assert time.perf_counter() - start < 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(lambda r: st.tuples(st.just(r), coefficient_tables(r, principal=2))),
+        st.integers(-72, 72).map(lambda n: Q(n, 24)),
+        st.integers(-24, 72).map(lambda n: Q(n, 24)),
+        st.lists(st.sampled_from([Q(0), Q(1, 2), Q(-5, 3), Q(7, 4), 2]), max_size=4),
+    )
+    def test_int_factors_map_back(self, table_of_rank, a_max, t_max, b):
+        # the int list the expansion reads is product_factors, in order, on one z:
+        # the lcm of the zeta denominators of the support and of the B it is given
+        rank, table = table_of_rank
+        z, ints = series_mod._factors(table, (a_max, t_max), rank, b)
+        factors = product_factors(table, (a_max, t_max), rank)
+        assert z == math.lcm(*{Q(x).denominator for x in b}, *{x.denominator for (_, l), f in table.items() if f for x in l})
+        assert [(n, tuple(Q(x, z) for x in l), m, f) for n, l, m, f in ints] == [tuple(f) for f in factors]
+        assert all(type(x) is int for _, l, _, _ in ints for x in l)
+        assert all(type(x) is Q for f in factors for x in f.l)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(-60, 60),
+        st.sampled_from([(0, 1), (-1, 2), (1, 3), (2, 0), (1, 0), (0, 0)]),
+        st.integers(0, 40),
+    )
+    def test_binomial_against_the_falling_factorial(self, f, nm, budget):
+        # the recurrence c_j = -c_(j-1) (f - j + 1) / j, negative exponents included,
+        # up to the budget of the factor's (n, m); it stops at the first zero
+        n, m = nm
+        pairs = series_mod._binomial(n, m, f, budget, budget)
+        j_max = budget // m if m else budget // n if n else f
+        assert pairs == [(j, naive_binomial(f, j)) for j in range(1, j_max + 1) if naive_binomial(f, j)]
+
+    def test_binomial_of_a_large_exponent(self, deadline):
+        # (1 - zeta^(-1/2))^20000 on rect (0, 0): one boundary factor, 20001 terms of up
+        # to 6019 digits; one math.comb per term made this take minutes
+        table = {(-1, (Q(0),)): 1, (0, (Q(1, 2),)): 20000, (0, (Q(-1, 2),)): 20000}
+        with deadline(10):
+            g = expand_product(table, weyl(1), (Q(0), Q(0)), 1)
+            terms = g.terms
+        assert len(terms) == 20001
+        for j in (0, 1, 2, 3, 4999, 10000, 10001, 19999, 20000):
+            assert terms[key(0, (Q(-j, 2),), 0)] == (-1) ** j * math.comb(20000, j)
 
     def test_binomial_stops_at_a_nonnegative_exponent(self, deadline):
         # (1 - q^-1 xi)^1 on t <= 10^400: the binomial has u^0 and u^1 only
