@@ -5,8 +5,10 @@ Exit codes form a stable contract: 0 success, 1 internal check failure,
 on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
 ``_emit`` one that cannot be written, to exit 2 naming the file, and
 ``_series_doc`` a series too long to print to exit 2 before any output;
-``main`` maps the library's ValueError and ArithmeticError to exit 2 and
-its SeriesOverflowError (a series past the term cap) to exit 1.
+``main`` maps a closed stdout to exit 2 (no traceback, and no message from
+the interpreter's flush at exit), the library's ValueError and
+ArithmeticError to exit 2 and its SeriesOverflowError (a series past the
+term cap) to exit 1.
 
 Each command runs only the modules it calls, as the package's submodules
 run at first use (see ``orthoforms``); the JSON field readers come from
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as Q
 
@@ -383,7 +386,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_joined_lists(argv))
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
+        return code
+    except BrokenPipeError as exc:  # an OSError, so tested first; stdout now drops what it still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_INVALID
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INVALID)

@@ -3,8 +3,11 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -446,6 +449,19 @@ class TestBorch:
         assert err == "error: the expansion has a coefficient or exponent of more than 4300 digits, too long to print\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("f, digits", [(10**4300 - 1, 4301), (10**4299, 4300)], ids=["10^4300-1", "10^4299"])
+    def test_boundary_bound_too_long_to_print(self, capsys, tmp_path, deadline, f, digits):
+        # the bound 10^4300 is past str()'s limit, and 10^4299 + 1 would spell out 4300 digits
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": f} for l in ("1/2", "-1/2")]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
+            f"a number of {digits} digits over its first 1 factors, which exceeds the term cap of 200000\n"
+        )
+
     def test_den_zero_rejected(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", EMPTY_PHI)
         code, out, err = run(capsys, "borch", path, "--rect", "1,1", "--den", "0")
@@ -533,9 +549,17 @@ class TestJacobian:
         doc = self.series_doc(0, 0, 0)
         # four terms with every exponent nonzero, so each 1x1 minor on the omega row has four
         doc["terms"] = [{"a": f"{j}/1", "l": [f"{j}/1"], "t": f"{j}/1", "c": "1/1"} for j in range(1, 5)]
-        paths = [write_json(tmp_path / "f.json", doc)] * (5 if syzygy else 4)
+        count = 5 if syzygy else 4
+        weights = ",".join(["1"] * count)
         monkeypatch.setattr(series_mod, "DEFAULT_TERM_CAP", 3)
-        code, out, err = run(capsys, "jacobian", *paths, "--weights", ",".join(["1"] * len(paths)), *syzygy)
+        # floor 1 in every form on rect (4, 4): the minor cut keeps one term of each 1x1 minor
+        paths = [write_json(tmp_path / "f.json", doc)] * count
+        code, out, err = run(capsys, "jacobian", *paths, "--weights", weights, *syzygy)
+        assert (code, err) == (0, "") and "vanishes to rectangle order" in out
+        # a term 1 puts the floors at 0, so the cut keeps all four
+        doc["terms"].append({"a": "0/1", "l": ["0/1"], "t": "0/1", "c": "1/1"})
+        paths = [write_json(tmp_path / "g.json", doc)] * count
+        code, out, err = run(capsys, "jacobian", *paths, "--weights", weights, *syzygy)
         assert (code, out) == (1, "")
         assert err.startswith("error: 1x1 minor at row 3") and err.count("\n") == 1 and "cap of 3" in err
 
@@ -780,6 +804,22 @@ class TestOutputOption:
         code, out, err = run(capsys, "lattice", "builtin:A1", "--format", "json", "-o", str(out_path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {out_path}: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [["lattice", "builtin:E8"], ["classify", "--format", "json"]], ids=["table", "json"])
+    def test_closed_stdout_is_one_error_line(self, argv):
+        # the pipe's read end is closed before the child starts: the table fails at main's
+        # flush, the JSON document at its first write, and neither in the flush at exit
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "orthoforms.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write to standard output: {os.strerror(errno.EPIPE)}\n"
 
 
 def _action(a):

@@ -244,6 +244,17 @@ class TestExpandProduct:
             "is 262144 over its first 18 factors, which exceeds the term cap of 200000"
         )
 
+    @pytest.mark.parametrize("f, digits", [(10**4300 - 1, 4301), (10**4299, 4300)], ids=["10^4300-1", "10^4299"])
+    def test_boundary_bound_too_long_to_print_is_named_by_its_size(self, f, digits):
+        # str() refuses the first bound, 10^4300, and would spell out the second in 4300 digits
+        coeffs = {(0, (Q(1, 2),)): f, (0, (Q(-1, 2),)): f}
+        with pytest.raises(SeriesOverflowError) as exc:
+            expand_product(coeffs, weyl(1), (Q(1), Q(1)), 1)
+        assert str(exc.value) == (
+            "the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block "
+            f"is a number of {digits} digits over its first 1 factors, which exceeds the term cap of 200000"
+        )
+
     def test_overflow_message_names_the_factor(self):
         phi, wv = acceptance_dataset("G2")
         with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 500), pytest.raises(SeriesOverflowError) as exc:
@@ -1382,11 +1393,113 @@ def test_syzygy_shares_minors(monkeypatch, s, products):
 
 @pytest.mark.parametrize("what", ["jacobian", "syzygy_sum"])
 def test_jacobian_term_cap(monkeypatch, what):
-    # the 1x1 minors on the last row already hold up to four terms each
+    # the 1x1 minors on the last row already hold up to four terms each; a term 1 in
+    # every form puts its floors at 0, so the minor cut keeps all of them
     forms = pool_forms(1, 0)
     monkeypatch.setattr(series_mod, "DEFAULT_TERM_CAP", 3)
+    if what == "jacobian":  # the first four's t floors sum past the rect: no minor is built
+        assert jacobian(forms[:-1]).is_zero
+    forms = [WeightedSeries(f.series + one(1, f.series.rect), f.weight) for f in forms]
+    assert all(f.series.leading_order() == (0, 0) for f in forms)
     with pytest.raises(SeriesOverflowError, match=r"^1x1 minor at row 3, columns \[\d\], on rect \(3, 3\) .* cap of 3 "):
         jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
+
+
+# ---------------------------------------------------------------------------
+# the minor cut: forms with nonnegative prefactors and floors, against the fold
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def floored_series(draw, rank):
+    """One to four terms above a floor drawn per axis from 0 to 1, with prefactor A, C in {0, 1/12, 1/4}.
+
+    These are the forms ``_determinants`` cuts the minors of: over s + 3 or
+    s + 4 of them the floors sum to either side of the rect, which is drawn
+    per form from 3 to 6 on (1/12)Z or, off the den grid, on (1/7)Z.  About
+    half the Jacobians and a fifth of the syzygy sums are empty by their
+    floors alone; the rest build cut minors.
+    """
+    den = draw(st.sampled_from([12, 24]))
+    floor = st.sampled_from([0, 0, 0, 1, 2, 4])
+    fa, ft = draw(floor), draw(floor)
+    step = st.integers(0, 4)
+    entries = draw(st.dictionaries(
+        st.tuples(step.map(lambda n: Q(fa + n, 4)), st.tuples(*[ZETA_12] * rank), step.map(lambda n: Q(ft + n, 4))),
+        COEFF.filter(bool), min_size=1, max_size=4,
+    ))
+    rect = tuple(draw(st.sampled_from([12, 7]).flatmap(lambda d: st.integers(3 * d, 6 * d).map(lambda n: Q(n, d))))
+                 for _ in range(2))
+    pref = st.sampled_from([0, 0, 1, 3]).map(lambda n: Q(n, 12))
+    return TruncatedSeries(rank, entries, rect, Monomial(draw(pref), draw(st.tuples(*[ZETA_12] * rank)), draw(pref)), den)
+
+
+def floored_forms(rank):
+    form = st.builds(WeightedSeries, floored_series(rank), st.integers(0, 6))
+    return st.lists(form, min_size=rank + 4, max_size=rank + 4)
+
+
+def rank1_forms(rect, *forms):
+    """Rank-1 WeightedSeries from (weight, {(a, l, t): c}) with integer entries."""
+    return [WeightedSeries(TruncatedSeries(1, {key(a, (l,), t): c for (a, l, t), c in terms.items()}, rect), w)
+            for w, terms in forms]
+
+
+# every form has a-floor 1 on rect (5, 5): the syzygy sum's a bound is 6, one
+# above the rect, as f_t's floor 1 lifts J_t's rect; cutting the J_t's minors
+# by f_t's floor as well empties J_t and gives (5, 5)
+FLOOR_ONE = rank1_forms(
+    (5, 5),
+    (4, {(1, 0, 1): 1, (3, 0, 1): -1}),
+    (3, {(1, 0, 0): -1}),
+    (3, {(1, -1, 0): -1, (3, 1, 2): 1}),
+    (4, {(1, -1, 0): -1, (2, 1, 0): -1}),
+    (5, {(1, 0, 0): -1, (2, 1, 1): 1}),
+)
+# a-floors 1, 0, 0, 2, 4 and t-floors 1, 1, 1, 2, 1 on rect (4, 4): each J_t's cap
+# on row 0 lies max_j f_j - f_t past the rect, and a J_t that kept terms there
+# would lift the syzygy sum's t bound to 5
+UNEQUAL_FLOORS = rank1_forms(
+    (4, 4),
+    (3, {(1, -1, 1): -1}),
+    (1, {(0, 0, 1): 2}),
+    (4, {(0, 0, 1): 2, (0, 1, 2): -1, (0, 0, 3): 2}),
+    (1, {(2, -1, 2): 2}),
+    (4, {(4, 1, 1): 2}),
+)
+
+
+class TestMinorCut:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 1, 2]).flatmap(floored_forms))
+    @example(FLOOR_ONE)
+    @example(UNEQUAL_FLOORS)
+    def test_against_the_fold(self, forms):
+        assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
+        assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
+
+    def test_example_rects(self):
+        assert syzygy_sum(FLOOR_ONE).rect == (6, 5)
+        assert syzygy_sum(UNEQUAL_FLOORS).rect == (4, 4)
+
+    def test_floors_past_the_rect_multiply_no_pair(self, monkeypatch):
+        # q, q^2, q zeta, q xi: a-floors 1 + 2 + 1 + 1 = 5 past the rect's 3
+        forms = [
+            WeightedSeries(TruncatedSeries(1, {key(*k): 1}, (3, 3)), w)
+            for k, w in zip([(1, (0,), 0), (2, (0,), 0), (1, (1,), 0), (1, (0,), 1)], (4, 6, 10, 12))
+        ]
+        products = []
+        heads = series_mod._product_heads
+
+        def counting(pairs, head):
+            out = heads(pairs, head)
+            products.extend(out[1])
+            return out
+
+        monkeypatch.setattr(series_mod, "_product_heads", counting)
+        j = jacobian(forms)
+        assert products == []
+        assert j.is_zero and json_of(j) == json_of(reference_jacobian(forms))
 
 
 # ---------------------------------------------------------------------------
