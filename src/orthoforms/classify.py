@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .lattice import q_str
-from .roots import TYPES, build_dual_set, display_name, realize
+from .roots import TYPES, _plain_dual_set, display_name, realize
 from .weyl import qzero_from_dual_sets, quadratic_weyl_constant, solve_weight, weyl_vector
 
 GROUP_DK = "O~+"  # discriminant kernel
@@ -119,8 +119,7 @@ class LedgerCheck:
 def _solved_data(family: str, rank: int, d: int):
     """(k, A, C) computed from the realized plain dual set of an enumerated component."""
     comp = realize(family, rank, d)
-    plain = dataclasses.replace(comp, short_div=comp.d, subcase=None)
-    phi = qzero_from_dual_sets(comp.lattice, [build_dual_set(plain)])
+    phi = qzero_from_dual_sets(comp.lattice, [_plain_dual_set(comp)])
     k = solve_weight(phi)
     wv = weyl_vector(phi.with_weight(k))
     c = quadratic_weyl_constant(phi).c

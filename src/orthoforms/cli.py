@@ -2,13 +2,18 @@
 
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
-on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
-``_emit`` one that cannot be written, to exit 2 naming the file, and
-``_series_doc`` a series too long to print to exit 2 before any output;
-``main`` maps a closed stdout to exit 2 (no traceback, and no message from
-the interpreter's flush at exit), the library's ValueError and
-ArithmeticError to exit 2 and its SeriesOverflowError (a series past the
-term cap) to exit 1.
+on stderr: ``_read_json`` maps a file that cannot be read or parsed to
+exit 2 naming it, ``_series_doc`` a series too long to print to exit 2,
+and ``main`` the library's ValueError and ArithmeticError to exit 2 and
+its SeriesOverflowError (a series past the term cap) to exit 1.
+
+Each command returns ``(text, doc)``, its table or summary lines and its
+JSON document, and writes nothing.  One writer, ``_write``, puts them out:
+the text unless ``--format json``, the document unless ``--format table``,
+into the ``-o`` file if given, else onto stdout after the text.  The file
+is written first, so one that cannot be written (exit 2, naming it) leaves
+stdout empty; a stdout that cannot be written (a closed pipe, a full
+device) is exit 2, with no traceback and nothing from the flush at exit.
 
 Each command runs only the modules it calls, as the package's submodules
 run at first use (see ``orthoforms``); the JSON field readers come from
@@ -111,24 +116,16 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
     return weyl_mod.QZeroData(lat, entries, None if k == "symbolic" else _json_q(k, "'k'"))
 
 
-def _emit(doc, args) -> None:
-    if getattr(args, "output", None):
-        try:
-            with open(args.output, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc.strerror}")
-    else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (text, doc) and writes nothing
 # ---------------------------------------------------------------------------
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
     disc = lattice_mod.discriminant_group(lat)
     doc = {
@@ -141,20 +138,18 @@ def cmd_lattice(args) -> int:
         "order": disc.order,
         "level": disc.level,
     }
-    if args.format == "json":
-        _emit(doc, args)
-    else:
-        print(f"lattice {lat.label or '(unlabelled)'}")
-        print(f"  rank          {lat.rank}")
-        print(f"  determinant   {lat.determinant}")
-        print(f"  even          {'yes' if lat.is_even else 'no'}")
-        print(f"  disc. group   {disc}")
-        print(f"  order         {disc.order}")
-        print(f"  level         {disc.level}")
-    return EXIT_OK
+    return _lines(
+        f"lattice {lat.label or '(unlabelled)'}",
+        f"  rank          {lat.rank}",
+        f"  determinant   {lat.determinant}",
+        f"  even          {'yes' if lat.is_even else 'no'}",
+        f"  disc. group   {disc}",
+        f"  order         {disc.order}",
+        f"  level         {disc.level}",
+    ), doc
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
     try:
         rd = roots_mod.detect_roots(lat, args.max_norm)
@@ -177,16 +172,14 @@ def cmd_roots(args) -> int:
         for comp in comps
     ]
     doc = {"lattice": lat.label, "total_roots": len(rd.roots), "components": reports}
-    if args.format == "json":
-        _emit(doc, args)
-    else:
-        print(f"{len(rd.roots)} reflective vectors up to norm {args.max_norm}")
-        for comp, rep in zip(comps, reports):
-            print(
-                f"  {comp.label}: {rep['roots']} roots, "
-                f"coxeter {rep['coxeter']}, modified {rep['modified_coxeter']}"
-            )
-    return EXIT_OK
+    return _lines(
+        f"{len(rd.roots)} reflective vectors up to norm {args.max_norm}",
+        *(
+            f"  {comp.label}: {rep['roots']} roots, "
+            f"coxeter {rep['coxeter']}, modified {rep['modified_coxeter']}"
+            for comp, rep in zip(comps, reports)
+        ),
+    ), doc
 
 
 def _mc_field(comp) -> str | None:
@@ -207,7 +200,7 @@ def _with_weight(phi, report=None):
     return phi.with_weight(weyl_mod.solve_weight(phi))
 
 
-def cmd_weyl(args) -> int:
+def cmd_weyl(args) -> tuple[str, dict]:
     phi = _load_qzero(args.coeffs)
     report = weyl_mod.quadratic_weyl_constant(phi)
     phi = _with_weight(phi, report)
@@ -223,17 +216,15 @@ def cmd_weyl(args) -> int:
         "character_D": d,
         "character_sign": sign,
     }
-    if args.format == "json":
-        _emit(doc, args)
-    else:
-        print(f"A = {doc['A']}, B = [{', '.join(doc['B'])}], C = {doc['C']}")
-        print(f"weight k = {doc['weight']}")
-        print(f"sum rule: C = {doc['sum_rule_C']}" if report.ok else f"sum rule failed: {report.reason}")
-        print(f"character: D = {d}, sign = {sign:+d}")
-    return EXIT_OK
+    return _lines(
+        f"A = {doc['A']}, B = [{', '.join(doc['B'])}], C = {doc['C']}",
+        f"weight k = {doc['weight']}",
+        f"sum rule: C = {doc['sum_rule_C']}" if report.ok else f"sum rule failed: {report.reason}",
+        f"character: D = {d}, sign = {sign:+d}",
+    ), doc
 
 
-def cmd_borch(args) -> int:
+def cmd_borch(args) -> tuple[str, dict]:
     phi = _load_qzero(args.coeffs)
     rect = _parse_rect(args.rect)
     phi = _with_weight(phi)
@@ -246,23 +237,23 @@ def cmd_borch(args) -> int:
     expansion = series_mod.expand_product(phi.coefficient_table(), wv, rect, phi.lattice.rank, den=args.den)
     doc = _series_doc(expansion, "the expansion")
     d, sign = weyl_mod.character_data(phi)
-    print(f"A = {q_str(wv.a)}, B = [{', '.join(q_str(x) for x in wv.b)}], C = {q_str(wv.c)}")
-    print(f"weight = {q_str(phi.k)}")
-    print(f"character: D = {d}, chi(V) = {sign:+d}")
-    print(f"terms stored: {len(expansion.terms)}")
-    _emit(doc, args)
-    return EXIT_OK
+    return _lines(
+        f"A = {q_str(wv.a)}, B = [{', '.join(q_str(x) for x in wv.b)}], C = {q_str(wv.c)}",
+        f"weight = {q_str(phi.k)}",
+        f"character: D = {d}, chi(V) = {sign:+d}",
+        f"terms stored: {len(expansion.terms)}",
+    ), doc
 
 
 def _series_doc(x, what: str) -> dict:
-    """series_to_json(x), built before anything is printed; a number too long to print is one exit-2 line."""
+    """series_to_json(x); a number too long to print is one exit-2 line naming what x is."""
     try:
         return series_mod.series_to_json(x)
     except ValueError:  # str() of an int past the interpreter's digit limit
         raise CliError(f"{what} has a coefficient or exponent of more than {sys.get_int_max_str_digits()} digits, too long to print")
 
 
-def cmd_jacobian(args) -> int:
+def cmd_jacobian(args) -> tuple[str, dict]:
     try:
         weights = [int(w) for w in args.weights.split(",")]
     except ValueError:
@@ -283,37 +274,51 @@ def cmd_jacobian(args) -> int:
     s = forms[0].series.rank
     try:
         lead = result.leading_order()
-        meets = min(lead) >= s + 1
-        print(f"leading order: q^{q_str(lead[0])} xi^{q_str(lead[1])}")
-        print(f"meets (s+1, s+1) = ({s + 1}, {s + 1}): {'yes' if meets else 'no'}")
     except series_mod.ZeroSeriesError:
-        print("vanishes to rectangle order")
-    _emit(doc, args)
-    return EXIT_OK
+        return _lines("vanishes to rectangle order"), doc
+    meets = min(lead) >= s + 1
+    return _lines(
+        f"leading order: q^{q_str(lead[0])} xi^{q_str(lead[1])}",
+        f"meets (s+1, s+1) = ({s + 1}, {s + 1}): {'yes' if meets else 'no'}",
+    ), doc
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[str, dict]:
     try:
         report = classify.full_table(args.max_rank)
         checks = classify.ledger_arithmetic_checks()
     except classify.ClassificationError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise CliError(f"internal check failed: {exc}", EXIT_INTERNAL)
     if report.unresolved:
         labels = [r.candidate.label for r in report.unresolved]
-        print(f"internal check failed: unresolved candidates {labels}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.format == "json":
-        doc = classify.report_to_json(report)
-        doc["arithmetic_checks"] = [
-            {"code": c.code, "statement": c.statement, "values": dict(c.values), "passed": c.passed}
-            for c in checks
-        ]
-        _emit(doc, args)
+        raise CliError(f"internal check failed: unresolved candidates {labels}", EXIT_INTERNAL)
+    doc = classify.report_to_json(report)
+    doc["arithmetic_checks"] = [
+        {"code": c.code, "statement": c.statement, "values": dict(c.values), "passed": c.passed}
+        for c in checks
+    ]
+    return classify.report_to_text(report) + _lines("arithmetic checks: " + ", ".join(f"{c.code} ok" for c in checks)), doc
+
+
+def _write(args, text: str, doc: dict) -> None:
+    """The text unless --format json, the document unless --format table, which main refuses with -o."""
+    fmt = getattr(args, "format", None)  # borch and jacobian have none: they put out both
+    out = "" if fmt == "json" else text
+    body = "" if fmt == "table" else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror}")
     else:
-        sys.stdout.write(classify.report_to_text(report))
-        print("arithmetic checks: " + ", ".join(f"{c.code} ok" for c in checks))
-    return EXIT_OK
+        out += body
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:  # stdout now drops what it still holds, so the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write to standard output: {exc.strerror}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -386,13 +391,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(_joined_lists(argv))
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's flush at exit
-        return code
-    except BrokenPipeError as exc:  # an OSError, so tested first; stdout now drops what it still holds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write to standard output: {exc.strerror}", file=sys.stderr)
-        return EXIT_INVALID
+        _write(args, *args.func(args))
+        return EXIT_OK
     except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "code", EXIT_INVALID)

@@ -372,6 +372,11 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
     ))
 
 
+def _plain_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
+    """The dual set of comp as if its short roots had div d: r/d, with no subcase."""
+    return build_dual_set(dataclasses.replace(comp, short_div=comp.d, subcase=None))
+
+
 def _require_subcase(what: str, subcase: str | None) -> str:
     if subcase not in SUBCASES:
         raise SubcaseRequiredError(f"{what} with short div 2d requires a subcase tag")
@@ -410,9 +415,7 @@ def coxeter_number(comp: IrreducibleComponent) -> int:
     dual set, so the value is independent of the rescale and matches the
     quadratic identity rather than being read from a table.
     """
-    plain = dataclasses.replace(comp, short_div=comp.d, subcase=None)
-    ds = build_dual_set(plain)
-    c = sum_rule_constant(comp.lattice.gram, [(x.coords, 1) for x in ds])
+    c = sum_rule_constant(comp.lattice.gram, [(x.coords, 1) for x in _plain_dual_set(comp)])
     if c is None:
         raise ArithmeticError(
             f"sum rule failed on the plain dual set of {comp.label}"

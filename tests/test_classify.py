@@ -304,7 +304,7 @@ class TestGuards:
         assert main(["classify", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"internal check failed: arithmetic check failed: {code}\n"
+        assert captured.err == f"error: internal check failed: arithmetic check failed: {code}\n"
 
 
 class TestLedgerChecks:

@@ -796,21 +796,52 @@ class TestOutputOption:
         code, out, _ = run(capsys, *argv, "--format", "json", "-o", str(out_path))
         assert code == 0 and out == "" and json.loads(out_path.read_text())
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, target):
+    @pytest.mark.parametrize("command,target", [
+        ("lattice", "missing-directory"), ("lattice", "directory"),
+        ("borch", "missing-directory"), ("borch", "directory"),
+        ("jacobian", "missing-directory"), ("jacobian", "directory"),
+    ], ids=[
+        "missing-directory", "directory", "borch-missing-directory", "borch-directory",
+        "jacobian-missing-directory", "jacobian-directory",
+    ])
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, command, target):
+        # the file is written before stdout, so borch's and jacobian's summary lines do not appear
+        argv = output_argv(tmp_path, command)
         out_path, reason = tmp_path / "nodir" / "x.json", os.strerror(errno.ENOENT)
         if target == "directory":
             out_path, reason = tmp_path, os.strerror(errno.EISDIR)
-        code, out, err = run(capsys, "lattice", "builtin:A1", "--format", "json", "-o", str(out_path))
+        code, out, err = run(capsys, *argv, "-o", str(out_path))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {out_path}: {reason}\n"
 
-    @pytest.mark.parametrize("argv", [["lattice", "builtin:E8"], ["classify", "--format", "json"]], ids=["table", "json"])
-    def test_closed_stdout_is_one_error_line(self, argv):
-        # the pipe's read end is closed before the child starts: the table fails at main's
-        # flush, the JSON document at its first write, and neither in the flush at exit
-        read, write = os.pipe()
-        os.close(read)
+    @pytest.mark.parametrize("command", ["lattice", "roots", "weyl", "classify", "borch", "jacobian"])
+    def test_output_file_and_stdout_carry_the_same_document(self, capsys, tmp_path, command):
+        # without -o the document follows the text on stdout; with -o the text alone is on stdout
+        # (none for --format json) and the document is the file, byte for byte
+        argv = output_argv(tmp_path, command)
+        out_path = tmp_path / "out.json"
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(plain[plain.index("{"):])
+        code, out, _ = run(capsys, *argv, "-o", str(out_path))
+        assert code == 0
+        assert out + out_path.read_bytes().decode() == plain
+        assert out == ("" if "--format" in argv else plain[:plain.index("{")])
+
+    @pytest.mark.parametrize("argv,target", [
+        (["lattice", "builtin:E8"], "closed-pipe"), (["classify", "--format", "json"], "closed-pipe"),
+        (["lattice", "builtin:E8"], "dev-full"), (["classify", "--format", "json"], "dev-full"),
+    ], ids=["table", "json", "table-dev-full", "json-dev-full"])
+    def test_closed_stdout_is_one_error_line(self, argv, target):
+        # a pipe whose read end is closed before the child starts, or a full device: the table
+        # fails at the writer's flush, the JSON document at its write, and neither in the flush at exit
+        if target == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("this system has no /dev/full")
+            write, reason = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            reason = errno.EPIPE
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         try:
@@ -819,7 +850,24 @@ class TestOutputOption:
         finally:
             os.close(write)
         assert proc.returncode == 2
-        assert proc.stderr == f"error: cannot write to standard output: {os.strerror(errno.EPIPE)}\n"
+        assert proc.stderr == f"error: cannot write to standard output: {os.strerror(reason)}\n"
+
+
+def output_argv(tmp_path, command):
+    """A successful argv of command whose document -o can take (--format json where there is a table)."""
+    if command == "borch":
+        return ["borch", write_json(tmp_path / "phi.json", EMPTY_PHI), "--rect", "1,1"]
+    if command == "jacobian":
+        monomials = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        paths = [write_json(tmp_path / f"f{i}.json", TestJacobian().series_doc(*m)) for i, m in enumerate(monomials)]
+        return ["jacobian", *paths, "--weights", "1,1,1,1"]
+    argv = {
+        "lattice": ["lattice", "builtin:A1"],
+        "roots": ["roots", "builtin:A2"],
+        "weyl": ["weyl", write_json(tmp_path / "phi.json", EMPTY_PHI)],
+        "classify": ["classify", "--max-rank", "4"],
+    }[command]
+    return [*argv, "--format", "json"]
 
 
 def _action(a):
