@@ -5,7 +5,8 @@ Exit codes form a stable contract: 0 success, 1 internal check failure,
 on stderr: ``_read_json`` maps a file that cannot be read or parsed to
 exit 2 naming it, ``_series_doc`` a series too long to print to exit 2,
 and ``main`` the library's ValueError and ArithmeticError to exit 2 and
-its SeriesOverflowError (a series past the term cap) to exit 1.
+its SeriesOverflowError (a series past the term cap) to exit 1.  A stderr
+that cannot be written loses that line, not the exit code.
 
 Each command returns ``(text, doc)``, its table or summary lines and its
 JSON document, and writes nothing.  One writer, ``_write``, puts them out:
@@ -394,11 +395,18 @@ def main(argv=None) -> int:
         _write(args, *args.func(args))
         return EXIT_OK
     except (CliError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "code", EXIT_INVALID)
+        return _error(exc, getattr(exc, "code", EXIT_INVALID))
     except series_mod.SeriesOverflowError as exc:  # a RuntimeError; tested second, so an input error runs no series
+        return _error(exc, EXIT_INTERNAL)
+
+
+def _error(exc: Exception, code: int) -> int:
+    """Print exc as the one ``error:`` line and return code, also where stderr cannot be written."""
+    try:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except OSError:  # the line is lost, not the code; on the null device the flush at exit cannot fail either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -26,21 +26,16 @@ fastest on (in-process A/Bs, best of 20 per job, on a 2-CPU x86-64 host).
 x as rows {(a, t): {packed l: c}} times y as a list of packed terms, the box
 tested once per y term and x row.  That made the 18 perfbench expand jobs
 x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
-pairs of tiny operands on plain int tuple keys, each sum one Laplace step on
-one integer grid: a Jacobian minor (about 4 pair products), or the syzygy
-sum's first row.  Its bookkeeping is one pass: ``_product_heads`` returns the
-sum's head with the products, and one sort makes the sum a grid operand.
-Packed keys measured jacobian x0.91 there, costing more than they save.  A
-minor is built only on the box from which its terms can still reach the
-determinant's rect past the floors of the rows above it (the cut of
-``_determinants``): that halved the terms a pass of perfbench jacobian
-stores in minors (5,918 to 2,975) and raised its jobs/s by 25% on the same
-host.
+pairs of tiny operands on flat keys (a, t, packed l), each sum one Laplace
+step: a Jacobian minor (under 3 term pairs), or the syzygy sum's first row.
+A minor is built only on the box from which its terms can reach the rect
+(the cut of ``_determinants``), and is its terms alone there, with no head,
+floors or sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion
 with a loop other than its own; they share only ``_pack`` and ``_unpack``.
-The rect rule of ``__mul__`` and ``_accumulate`` lives in ``_product_heads``.
+The rect rule of ``__mul__`` and the Laplace sums lives in ``_product_heads``.
 A packed key is the zeta vector as one int of signed base-2^w digits
 (Kronecker substitution), so keys add as ints.  That is safe because w puts
 2^(w-1) above every digit a product can reach: the sum of the operands'
@@ -294,14 +289,11 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
 
 
 def _operand(items: list, *head) -> tuple:
-    """The grid operand (items, _floors of their keys, *head) of int terms sorted by key."""
-    if not items:
-        return (items, (0, 0), *head)
-    ft = items[0][0][2]
-    for (_, _, t), _ in items:
-        if t < ft:
-            ft = t
-    return (items, (items[0][0][0], ft), *head)
+    """The grid operand (items, floors, *head) of absolute terms ((a, t, packed l), c), floors relative to head's A, C."""
+    fa, ft = items[0][0][:2] if items else (head[0], head[2])
+    for (a, t, _), _ in items:
+        fa, ft = a if a < fa else fa, t if t < ft else ft
+    return (items, (fa - head[0], ft - head[2]), *head)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -365,18 +357,17 @@ class WeightedSeries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _product_heads(pairs, head) -> tuple[tuple, list]:
-    """(sum head, products) of the pairs (m, x, y) of grid operands, after head.
+def _product_heads(pairs, head) -> tuple:
+    """The sum head of the pairs (m, x, y) of grid operands, after head.
 
-    The one place of the product-rect rule, used by ``_product`` and
-    ``_accumulate``; of each operand (items, floors, A, B, C, a bound, t bound)
+    The one place of the product-rect rule, used by ``_product``, ``_minor``
+    and ``syzygy_sum``; of each operand (items, floors, A, B, C, a bound, t bound)
     it reads only the floors and whether items is empty.  head is a zero
     summand (A, B, C, absolute a bound, absolute t bound), or None; each bound
     is one number, r*den (``_bound``).  The sum head is the (A, B, C, a
     bound, t bound) of head plus all products, by ``_signed_sum``'s rule: the
     min a and c of their prefactors, the first b and the min absolute rect,
-    less A and C.  products holds (A, B, C, m, x's items, y's items) for each
-    pair with m and both operands nonzero.
+    less A and C; m does not enter it.
 
     A product's prefactor is the sum of the prefactors.  Its rect is the
     tighter of each operand's rect shifted by the other's floors (a term at a
@@ -396,74 +387,57 @@ def _product_heads(pairs, head) -> tuple[tuple, list]:
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
     pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, math.inf, math.inf)
-    products = []
-    for m, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
+    for _, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
         qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
         if not (i1 and i2):
             fa1 = ft1 = fa2 = ft2 = 0  # no floor shifts a rect: the smaller one holds
-        elif m:
-            products.append((qa, qb, qc, m, i1, i2))
         ra1, rt1 = qa + ra1 + fa2, qc + rt1 + ft2
         ra2, rt2 = qa + ra2 + fa1, qc + rt2 + ft1
         ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
         pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
         ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
-    return (pa, pb, pc, ra - pa, rt - pc), products
+    return pa, pb, pc, ra - pa, rt - pc
 
 
 def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
     return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
 
 
-def _accumulate(pairs, head, den: int, what, box=None) -> tuple:
-    """The grid operand of the sum of m * x * y over the pairs, after head.
+def _accumulate(products, head, den: int, what, box=None) -> list:
+    """The nonzero terms, unsorted, of the sum of m * x * y over the products (m, x, y), on its head.
 
-    The pair loop of the Laplace expansions: ``_minor`` calls it once per
-    minor and ``syzygy_sum`` once for its first row.  x and y are grid
-    operands (see ``_operand``) on one den and zeta grid, every product's
-    numerators over one denominator; m is an int, head as in
-    ``_product_heads``, which gives the sum and each product their prefactor
-    and rect.  The sum's rect lies inside every product's, so cutting every
-    pair at the floors of its bounds drops only terms the merge of the
-    products would drop too.  box, if given, is a minor's (a cap, t cap)
-    from the cut of ``_determinants``: the pairs are cut at the smaller of
-    it and the rect's floors, and the rect stays the one the rule gives.
-    The nonzero sums are sorted once, into items.
-
-    y runs outside, shifted to the sum's prefactor and times m once per term;
-    x and y are sorted by a, so a row stops at the first partner past the
-    rect.  More than DEFAULT_TERM_CAP keys in the accumulator, zero sums
-    included, raise SeriesOverflowError naming what(), the sum being built:
-    the cap counts only the keys inside the cut box.
+    The pair loop of the Laplace expansions, once per minor and once for the
+    syzygy sum's first row, on absolute terms ((a, t, packed l), c) of
+    ``_determinants`` (x nonempty and sorted by a): a pair's key is a sum of
+    ints.  head is the sum's (A, B, C, a bound, t bound), its absolute rect
+    inside every product's, so the pairs are cut at its floors, dropping only
+    terms the merge would drop too, and at box, a minor's caps from the cut.
+    y runs outside, times m once per term and leaving x the limits a_lim and
+    t_lim; x stops at its first term past a_lim.  More than DEFAULT_TERM_CAP
+    keys, zero sums included, raise SeriesOverflowError naming what().
     """
-    (pa, pb, pc, ra, rt), products = _product_heads(pairs, head)
-    a_hi, t_hi, cap = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP
+    pa, _, pc, ra, rt = head
+    a_hi, t_hi, cap, out = pa + math.floor(ra), pc + math.floor(rt), DEFAULT_TERM_CAP, {}
     if box:
-        a_hi, t_hi = min(a_hi, box[0]), min(t_hi, box[1])
-    out: dict = {}
+        a_hi, t_hi = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
     get = out.get
-    for qa, qb, qc, mult, left, right in products:
-        da, dc, lowest = qa - pa, qc - pc, left[0][0][0]
-        db = tuple(map(sub, qb, pb)) if qb != pb else None
-        for (a2, l2, t2), c2 in right:
-            a2 += da
-            if a2 + lowest > a_hi:
-                break
-            t2, c2 = t2 + dc, c2 * mult
-            if db:
-                l2 = tuple(map(add, l2, db))
-            for (a1, l1, t1), c1 in left:
-                a = a1 + a2
-                if a > a_hi:
+    for mult, left, right in products:
+        lowest = left[0][0][0]
+        for (a2, t2, k2), c2 in right:
+            a_lim, t_lim = a_hi - a2, t_hi - t2
+            if lowest > a_lim:
+                continue
+            c2 *= mult
+            for (a1, t1, k1), c1 in left:
+                if a1 > a_lim:
                     break
-                t = t1 + t2
-                if t > t_hi:
+                if t1 > t_lim:
                     continue
-                key = (a, tuple(map(add, l1, l2)), t)
+                key = (a1 + a2, t1 + t2, k1 + k2)
                 out[key] = get(key, 0) + c1 * c2
             if len(out) > cap:
                 raise _overflow(what(), ra, rt, den, cap)
-    return _operand(sorted(filter(itemgetter(1), out.items())), pa, pb, pc, ra, rt)
+    return list(filter(itemgetter(1), out.items()))
 
 
 def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -494,7 +468,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     right = sorted([(a, t, packed[l], c) for (a, l, t), c in yterms.items()])
     xfloors = _floors(xterms)
     pair = (1, (left, xfloors, *xhead), (right, _floors(yterms), *yhead))
-    (pa, pb, pc, ra, rt), _ = _product_heads([pair], None)
+    pa, pb, pc, ra, rt = _product_heads([pair], None)
     a_hi, t_hi, cap, reached = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, 0
     out: dict = {}
     for a2, t2, k2, c2 in right:
@@ -816,9 +790,9 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     the weighted forms, then the derivatives along tau, z_1..z_s, omega.  The
     Laplace expansion runs on int terms on one grid; see ``_determinants``.
     """
-    s, den, z, _, det = _determinants(forms, 3, "")
+    s, den, z, w, _, det = _determinants(forms, 3, "")
     (items, _, *head), d = det(tuple(range(s + 3)))
-    return _new(s, den, z, d, dict(items), *head)
+    return _new(s, den, z, d, _unpacked(items, s, w, *head[:3]), *head)
 
 
 def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
@@ -830,30 +804,38 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     J_t is its minor on rows 2.. over the columns other than t.  All J_t are
     expanded on the grid of all s + 4 forms and share its minors wherever
     their rects agree (J_t's is the min of the other forms' rects).  The last
-    step stays on that grid: one ``_accumulate`` call over the pairs (+-k_t,
-    f_t's grid operand, J_t's), each product's numerators over the same
-    d = d_1 .. d_(s+4) den^2 z^s, so only the sum reduces.
+    step is one ``_accumulate`` call over the pairs (+-k_t, f_t, J_t), on the
+    head ``_product_heads`` gives them, each over d_1 .. d_(s+4) den^2 z^s.
     """
-    s, den, z, grid, det = _determinants(forms, 4, "syzygy ")
+    s, den, z, w, grid, det = _determinants(forms, 4, "syzygy ")
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
     pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
     d = forms[0].series._d * minors[0][1]
-    items, _, *head = _accumulate(pairs, None, den, lambda: f"sum of {len(pairs)} products")
-    return _new(s, den, z, d, dict(items), *head)
+    head = _product_heads(pairs, None)
+    products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
+    items = _accumulate(products, head, den, lambda: f"sum of {len(pairs)} products")
+    return _new(s, den, z, d, _unpacked(items, s, w, *head[:3]), *head)
+
+
+def _unpacked(items, rank: int, w: int, pa, pb, pc) -> dict:
+    """The absolute terms items relative to the prefactor (pa, pb, pc), sorted by key, each packed l unpacked once."""
+    ls = {k: tuple(map(sub, _unpack(k, rank, w), pb)) for k in {k for (_, _, k), _ in items}}
+    return dict(sorted([((a - pa, ls[k], t - pc), c) for (a, t, k), c in items]))
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
-    """(s, den, z, grid, det): the forms' rank, grid and Jacobians on that grid.
+    """(s, den, z, w, grid, det): the forms' rank, grid and Jacobians on that grid.
 
     The grid is the lcm den of the forms' dens and the lcm z of their zeta
-    denominators; grid[j] is f_j as a grid operand, numerators over d_j, f_j's
-    coefficient denominator.  Entry (r, j) of the matrix is grid[j] with its
-    terms times k_j in row 0 and times their exponent along tau, z_1..z_s,
-    omega below (ints on the grid), numerators over d_j times the row's scale
-    1, den, z, .., z, den.  So the minor on rows i.. and columns cols is over
-    the product of its d_j and its rows' scales, and its Laplace pairs all
-    enter with m = +-1.  det(cols) is (the grid operand of the minor on all
-    s + 3 rows and the columns cols, unreduced, its denominator d).
+    denominators; each term goes on it once, on the absolute key (a, t,
+    _pack(l, w)), 2^(w-1) above the sum over the forms of their largest
+    absolute zeta entry, as a minor's term takes one term per column.
+    grid[j] is f_j as a grid operand sorted by key, numerators over d_j, and
+    entry (r, j) its terms times k_j in row 0 and times their exponent along
+    tau, z_1..z_s, omega below, over d_j times the row's scale 1, den, z, ..,
+    z, den.  So a minor is over the product of its d_j and its rows' scales,
+    and its Laplace pairs all enter with m = +-1.  det(cols) is (the grid
+    operand of the minor on all rows and the columns cols, unreduced, its d).
 
     The cut.  Let f_j be form j's absolute floors (its lowest stored a and
     t, prefactor included) and R the head's rect.  When every form is
@@ -870,7 +852,8 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     operand on its head without building a minor.  No rect moves: every
     product of the expansion has prefactor >= 0 and an absolute rect of at
     least R (an entry's is at least its form's relative rect, and a minor's
-    floors are >= 0), so each minor's rect is R whatever terms it keeps.
+    floors are >= 0), so each minor's rect is R and its prefactor 0 whatever
+    terms it keeps: no minor needs a head of its own.
     """
     if not forms:
         raise ValueError("no forms given")
@@ -880,55 +863,68 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     if any(f.series.rank != s for f in forms):
         raise ValueError("series rank mismatch")
     den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
+    grids = [_on(f.series, den, z) for f in forms]
+    absolute = [[(pa + a, tuple(map(add, pb, l)) if any(pb) else l, pc + t, c) for (a, l, t), c in terms.items()]
+                for terms, pa, pb, pc, _, _ in grids]
+    w = sum(max((abs(v) for _, l, _, _ in terms for v in l), default=0) for terms in absolute).bit_length() + 1
+    packed = {l: _pack(l, w) for l in {l for terms in absolute for _, l, _, _ in terms}}
     grid, rows = [], [[] for _ in range(s + 3)]
-    for f in forms:
-        terms, pa, pb, pc, ra, rt = _on(f.series, den, z)
-        items = sorted(terms.items())
-        grid.append(_operand(items, pa, pb, pc, ra, rt))
-        # each term's factor per row: k_j, then its exponents plus the prefactor's
-        factors = [(f.weight, pa + a, *map(add, pb, l), pc + t) for (a, l, t), _ in items]
+    for f, terms, (_, *head) in zip(forms, absolute, grids):
+        # each term's key and factor per row: k_j, then its absolute exponents
+        keyed = sorted([((a, t, packed[l]), c, (f.weight, a, *l, t)) for a, l, t, c in terms])
+        grid.append(_operand([(k, c) for k, c, _ in keyed], *head))
         for r, row in enumerate(rows):
-            row.append(_operand([(k, c * e[r]) for (k, c), e in zip(items, factors) if e[r]], pa, pb, pc, ra, rt))
+            row.append([(k, c * e[r]) for k, c, e in keyed if e[r]])
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
     floors = [(fa + pa, ft + pc) for _, (fa, ft), pa, _, pc, _, _ in grid]
     reach = None  # sum_j f_j - spare * max_j f_j per axis, where the cut applies
     if all(g[0] and g[2] >= 0 and g[4] >= 0 for g in grid) and min(map(min, floors)) >= 0:
-        reach = [sum(f[x] for f in floors) - (extra - 3) * max(f[x] for f in floors) for x in (0, 1)]
+        reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]
+    else:  # each minor takes its head from the rule, which reads the floors of its entries
+        rows = [[x and _operand(x, *g[2:]) for x, g in zip(row, grid)] for row in rows]
 
     def det(cols: tuple[int, ...]) -> tuple:
         # the zero summand every minor starts from: prefactor 0 and the forms' smallest rect
         head = (0, zeros, 0, min(grid[j][5] for j in cols), min(grid[j][6] for j in cols))
-        d, box = math.prod(forms[j].series._d for j in cols) * scale, None
-        if reach:
-            gap = [math.floor(head[3 + x]) - reach[x] for x in (0, 1)]
-            if min(gap) < 0:
-                return _operand([], *head), d
-            box = tuple(gap[x] + sum(floors[j][x] for j in cols) for x in (0, 1))
-        return _minor(rows, memo.setdefault(head, {}), den, cols, head, box, floors), d
+        d = math.prod(forms[j].series._d for j in cols) * scale
+        unit = [((0, 0, 0), 1)] if head[3] >= 0 and head[4] >= 0 else []  # term 1, if the head's rect holds it
+        minors = memo.setdefault(head, {(): unit if reach else _operand(unit, *head)})
+        if not reach:
+            return _minor(rows, minors, den, cols, head, None, floors), d
+        gap = [math.floor(head[3 + x]) - reach[x] for x in (0, 1)]
+        if min(gap) < 0:
+            return _operand([], *head), d
+        box = tuple(gap[x] + sum(floors[j][x] for j in cols) for x in (0, 1))
+        return _operand(_minor(rows, minors, den, cols, head, box, floors), *head), d
 
-    return s, den, z, grid, det
+    return s, den, z, w, grid, det
 
 
-def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, floors) -> tuple:
-    """The grid operand of the minor on the last len(cols) rows and columns cols.
+def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, floors):
+    """The minor on the last len(cols) rows and columns cols.
 
     One ``_accumulate`` call along its first row over the pairs (+-1, entry,
-    minor below) after head, the determinant's zero summand; the unit when
-    cols is empty.  box is cap(cols) of ``_determinants``' cut, or None for
-    no cut; the minor below column j gets box less f_j, the floors of j.
-    memo maps cols to the minors from head; as this is no closure, it is
-    freed with its last caller, not by the cycle collector.
+    minor below).  box is cap(cols) of ``_determinants``' cut, less f_j for
+    the minor below column j, or None.  Under the cut a minor is its terms
+    alone, its prefactor 0 and its rect R; else a grid operand on the head
+    ``_product_heads`` gives its pairs after head, the determinant's zero
+    summand.  memo maps cols to the minors from head, the unit at (); as this
+    is no closure, it is freed with its last caller, not by the cycle
+    collector.
     """
-    if not cols:  # one term 1 at the origin, if the head's rect holds it
-        return _operand([((0, head[1], 0), 1)] if head[3] >= 0 and head[4] >= 0 else [], *head)
-    pairs, i = [], len(rows) - len(cols)
+    pairs, row = [], rows[len(rows) - len(cols)]
     for pos, j in enumerate(cols):
-        if rows[i][j][0]:
+        if entry := row[j]:
             rest = cols[:pos] + cols[pos + 1 :]
-            memo[rest] = below = memo.get(rest) or _minor(
-                rows, memo, den, rest, head, box and (box[0] - floors[j][0], box[1] - floors[j][1]), floors)
-            pairs.append((-1 if pos % 2 else 1, rows[i][j], below))
-    return _accumulate(pairs, head, den, lambda: f"{len(cols)}x{len(cols)} minor at row {i}, columns {list(cols)},", box)
+            if (below := memo.get(rest)) is None:  # a minor with no terms is an empty list
+                fa, ft = floors[j]
+                memo[rest] = below = _minor(rows, memo, den, rest, head, box and (box[0] - fa, box[1] - ft), floors)
+            pairs.append((-1 if pos % 2 else 1, entry, below))
+    what = lambda: f"{len(cols)}x{len(cols)} minor at row {len(rows) - len(cols)}, columns {list(cols)},"
+    if box:
+        return _accumulate(pairs, head, den, what, box)
+    head = _product_heads(pairs, head)
+    return _operand(_accumulate([(m, x[0], y[0]) for m, x, y in pairs], head, den, what), *head)
 
 
 # ---------------------------------------------------------------------------

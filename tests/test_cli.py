@@ -852,6 +852,22 @@ class TestOutputOption:
         assert proc.returncode == 2
         assert proc.stderr == f"error: cannot write to standard output: {os.strerror(reason)}\n"
 
+    @pytest.mark.parametrize("case, code", [("invalid", 2), ("usage", 2), ("overflow", 1)])
+    def test_stderr_on_full_device_keeps_the_exit_code(self, tmp_path, case, code):
+        # the error line cannot be written, yet the exit code still tells the failure: an invalid
+        # input or a usage error is 2 and a term-cap overflow 1, not the 1 of a traceback on stderr
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        coeffs = EMPTY_PHI["coeffs"] + [{"n": 0, "l": [l], "f": 10**6} for l in ("1/2", "-1/2")]
+        phi = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        argv = {"invalid": ["lattice", "builtin:X9"], "usage": ["lattice"], "overflow": ["borch", phi]}[case]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "orthoforms.cli", *argv], stdout=subprocess.PIPE,
+                                  stderr=full, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, "")
+
 
 def output_argv(tmp_path, command):
     """A successful argv of command whose document -o can take (--format json where there is a table)."""

@@ -1245,9 +1245,40 @@ def weighted_forms(rank):
     return st.lists(form, min_size=rank + 4, max_size=rank + 4)
 
 
+def rank1_forms(rect, *forms):
+    """Rank-1 WeightedSeries from (weight, {(a, l, t): c}) with integer entries."""
+    return [WeightedSeries(TruncatedSeries(1, {key(a, (l,), t): c for (a, l, t), c in terms.items()}, rect), w)
+            for w, terms in forms]
+
+
+def replaced(forms, i, x):
+    """forms with the series of form i replaced by x."""
+    return [WeightedSeries(x, f.weight) if j == i else f for j, f in enumerate(forms)]
+
+
+# 1, q, zeta, xi and a fifth form, each with a second term, on rect (4, 4); the three variants
+# below fall outside the minor cut of _determinants, so each minor there takes its own head
+# from the rect rule: form 0 with prefactor A = -1, form 1 emptied by scale(0), and form 2 with
+# a term at t = -1
+BASE_FORMS = rank1_forms(
+    (4, 4),
+    (4, {(0, 0, 0): 1, (1, 1, 1): 2}),
+    (6, {(1, 0, 0): 1, (0, -1, 1): -1}),
+    (10, {(0, 1, 0): 1, (2, 0, 1): 3}),
+    (12, {(0, 0, 1): 1, (1, -1, 0): 1}),
+    (5, {(1, 1, 0): 2, (0, 0, 2): -1}),
+)
+NEGATIVE_A = replaced(BASE_FORMS, 0, TruncatedSeries(1, BASE_FORMS[0].series.terms, (4, 4), Monomial(-1, (0,), 0)))
+EMPTIED = replaced(BASE_FORMS, 1, BASE_FORMS[1].series.scale(0))
+NEGATIVE_T = replaced(BASE_FORMS, 2, BASE_FORMS[2].series + monomial(1, (4, 4), 1, (0,), -1))
+
+
 class TestAgainstFold:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([1, 1, 2]).flatmap(weighted_forms))
+    @example(NEGATIVE_A)
+    @example(EMPTIED)
+    @example(NEGATIVE_T)
     def test_jacobian_and_syzygy(self, forms):
         assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
         assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
@@ -1260,6 +1291,30 @@ class TestAgainstFold:
         assert json_of(x - y) == json_of(reference_add(x, -y))
         assert json_of(x - x) == json_of(reference_add(x, -x))
         assert json_of(y + (-y)) == json_of(reference_add(y, -y))
+
+
+def wide_forms(rank):
+    """rank + 4 weighted forms with zeta entries up to 40 (WIDE_ZETA), some under the minor cut and some emptied."""
+    wide = st.one_of(grid_series(rank, WIDE_ZETA), floored_series(rank, WIDE_ZETA))
+    form = st.builds(WeightedSeries, st.one_of(wide, wide, wide.map(lambda x: x.scale(0))), st.integers(0, 6))
+    return st.lists(form, min_size=rank + 4, max_size=rank + 4)
+
+
+# monomials at zeta^39 and zeta^40: the Jacobian's one term sits at zeta^159, its digit the sum
+# 159 of the largest entries, so a packed width one bit short (2^7 <= 159) unpacks it wrongly
+WIDE_MONOMIALS = rank1_forms(
+    (4, 4), (4, {(0, 40, 0): 1}), (6, {(1, 40, 0): 1}), (10, {(0, 39, 0): 1}), (12, {(0, 40, 1): 1}), (5, {(1, 39, 1): 1})
+)
+
+
+class TestWideZeta:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(wide_forms))
+    @example(WIDE_MONOMIALS)
+    def test_jacobian_and_syzygy(self, forms):
+        # the Laplace expansions on packed keys, whose digits run wide and carry, against the fold
+        assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
+        assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
 
 
 def naive_mul(x, y):
@@ -1411,38 +1466,33 @@ def test_jacobian_term_cap(monkeypatch, what):
 
 
 @st.composite
-def floored_series(draw, rank):
+def floored_series(draw, rank, zeta=ZETA_12):
     """One to four terms above a floor drawn per axis from 0 to 1, with prefactor A, C in {0, 1/12, 1/4}.
 
     These are the forms ``_determinants`` cuts the minors of: over s + 3 or
     s + 4 of them the floors sum to either side of the rect, which is drawn
     per form from 3 to 6 on (1/12)Z or, off the den grid, on (1/7)Z.  About
     half the Jacobians and a fifth of the syzygy sums are empty by their
-    floors alone; the rest build cut minors.
+    floors alone; the rest build cut minors.  Zeta entries and B come from
+    zeta.
     """
     den = draw(st.sampled_from([12, 24]))
     floor = st.sampled_from([0, 0, 0, 1, 2, 4])
     fa, ft = draw(floor), draw(floor)
     step = st.integers(0, 4)
     entries = draw(st.dictionaries(
-        st.tuples(step.map(lambda n: Q(fa + n, 4)), st.tuples(*[ZETA_12] * rank), step.map(lambda n: Q(ft + n, 4))),
+        st.tuples(step.map(lambda n: Q(fa + n, 4)), st.tuples(*[zeta] * rank), step.map(lambda n: Q(ft + n, 4))),
         COEFF.filter(bool), min_size=1, max_size=4,
     ))
     rect = tuple(draw(st.sampled_from([12, 7]).flatmap(lambda d: st.integers(3 * d, 6 * d).map(lambda n: Q(n, d))))
                  for _ in range(2))
     pref = st.sampled_from([0, 0, 1, 3]).map(lambda n: Q(n, 12))
-    return TruncatedSeries(rank, entries, rect, Monomial(draw(pref), draw(st.tuples(*[ZETA_12] * rank)), draw(pref)), den)
+    return TruncatedSeries(rank, entries, rect, Monomial(draw(pref), draw(st.tuples(*[zeta] * rank)), draw(pref)), den)
 
 
 def floored_forms(rank):
     form = st.builds(WeightedSeries, floored_series(rank), st.integers(0, 6))
     return st.lists(form, min_size=rank + 4, max_size=rank + 4)
-
-
-def rank1_forms(rect, *forms):
-    """Rank-1 WeightedSeries from (weight, {(a, l, t): c}) with integer entries."""
-    return [WeightedSeries(TruncatedSeries(1, {key(a, (l,), t): c for (a, l, t), c in terms.items()}, rect), w)
-            for w, terms in forms]
 
 
 # every form has a-floor 1 on rect (5, 5): the syzygy sum's a bound is 6, one
@@ -1484,22 +1534,25 @@ class TestMinorCut:
 
     def test_floors_past_the_rect_multiply_no_pair(self, monkeypatch):
         # q, q^2, q zeta, q xi: a-floors 1 + 2 + 1 + 1 = 5 past the rect's 3
-        forms = [
-            WeightedSeries(TruncatedSeries(1, {key(*k): 1}, (3, 3)), w)
-            for k, w in zip([(1, (0,), 0), (2, (0,), 0), (1, (1,), 0), (1, (0,), 1)], (4, 6, 10, 12))
-        ]
+        def forms(rect):
+            return [
+                WeightedSeries(TruncatedSeries(1, {key(*k): 1}, rect), w)
+                for k, w in zip([(1, (0,), 0), (2, (0,), 0), (1, (1,), 0), (1, (0,), 1)], (4, 6, 10, 12))
+            ]
+
         products = []
-        heads = series_mod._product_heads
+        kernel = series_mod._accumulate
 
-        def counting(pairs, head):
-            out = heads(pairs, head)
-            products.extend(out[1])
-            return out
+        def counting(pairs, *args):
+            products.extend(pairs)
+            return kernel(pairs, *args)
 
-        monkeypatch.setattr(series_mod, "_product_heads", counting)
-        j = jacobian(forms)
+        monkeypatch.setattr(series_mod, "_accumulate", counting)
+        j = jacobian(forms((3, 3)))
         assert products == []
-        assert j.is_zero and json_of(j) == json_of(reference_jacobian(forms))
+        assert j.is_zero and json_of(j) == json_of(reference_jacobian(forms((3, 3))))
+        # on rect (5, 5) the floors reach the rect, and the same hook sees the pair loop's products
+        assert not jacobian(forms((5, 5))).is_zero and products
 
 
 # ---------------------------------------------------------------------------
