@@ -10,12 +10,16 @@ there is no floating point and no evaluation at complex points anywhere.
 
 The representation is integer.  a, t, A and C lie in (1/den)Z; z is one
 zeta denominator per series (a multiple of the denominators of every l and
-of B) and d one coefficient denominator.  A term is stored as the int key
-(a*den, l*z, t*den) with the int numerator c*d, the prefactor as (A*den,
-B*z, C*den).  d is kept reduced (its gcd with the numerators is 1), so it
-is the lcm of the coefficient denominators and does not grow along product
-chains.  A rect bound r is stored as the one number r*den, exact (a Fraction
-where r lies off the grid), and an int key x is inside iff x <= floor(r*den).
+of B) and d one coefficient denominator.  A term is stored absolute, as the
+int key ((a + A)*den, (l + B)*z, (t + C)*den) with the int numerator c*d,
+and a rect bound as the one number (A + a_max)*den or (C + t_max)*den,
+exact (a Fraction off the grid): an int key x is inside iff x <= floor of
+it.  d is kept reduced (its gcd with the numerators is 1), so it is the lcm
+of the coefficient denominators and does not grow along product chains.
+The prefactor (A*den, B*z, C*den) only frames the views: it is added in
+``__init__`` and in the expansion (``_expand`` and ``_multiply_out``), and
+subtracted only in ``.terms``, ``.rect``, the overflow messages and
+``_determinants``' zero head.
 Scaling commutes with the sums and products the operations form, and an
 operand on another den or z is first rescaled by the integer ratio, so
 every int result divided by its scales is the exact rational one.
@@ -39,7 +43,7 @@ The rect rule of ``__mul__`` and the Laplace sums lives in ``_product_heads``.
 A packed key is the zeta vector as one int of signed base-2^w digits
 (Kronecker substitution), so keys add as ints.  That is safe because w puts
 2^(w-1) above every digit a product can reach: the sum of the operands'
-largest zeta entries, or over factors of the largest entry in each binomial.
+largest zeta entries, or B's plus the sum over factors of their largest.
 
 Fractions appear only at the edges.  ``TruncatedSeries(...)``, ``monomial``,
 ``one``, ``zero`` and ``series_from_json`` check and scale rational input
@@ -59,7 +63,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -146,25 +150,27 @@ class TruncatedSeries:
                 clean[(a, l, t)] = coeff
         z = math.lcm(*{x.denominator for l in (pb, *(l for _, l, _ in clean)) for x in l})
         d = math.lcm(*{c.denominator for c in clean.values()})
-        ints = {(_int(a, den), _scaled(l, z), _int(t, den)): _int(c, d) for (a, l, t), c in clean.items()}
-        _fill(self, rank, den, z, d, ints, _int(pa, den), _scaled(pb, z), _int(pc, den),
-              _bound(a_max, den), _bound(t_max, den))
+        pa, pb, pc = _int(pa, den), _scaled(pb, z), _int(pc, den)
+        ints = {(_int(a, den) + pa, tuple(map(add, _scaled(l, z), pb)), _int(t, den) + pc): _int(c, d)
+                for (a, l, t), c in clean.items()}
+        _fill(self, rank, den, z, d, ints, pa, pb, pc, _bound(a_max, den) + pa, _bound(t_max, den) + pc)
 
     # -- Fraction views -----------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Key, Q]:
         if self._view is None:
-            den, z, d, terms = self.den, self._z, self._d, self._terms
-            qs = {v: Q(v, den) for v in {k[0] for k in terms} | {k[2] for k in terms}}
-            ql = {l: tuple([Q(x, z) for x in l]) for l in {k[1] for k in terms}}
-            view = {(qs[a], ql[l], qs[t]): Q(c, d) for (a, l, t), c in terms.items()}
+            den, z, d, terms, pa, pb, pc = self.den, self._z, self._d, self._terms, self._pa, self._pb, self._pc
+            qa = {a: Q(a - pa, den) for a in {k[0] for k in terms}}
+            qt = {t: Q(t - pc, den) for t in {k[2] for k in terms}}
+            ql = {l: tuple([Q(x - b, z) for x, b in zip(l, pb)]) for l in {k[1] for k in terms}}
+            view = {(qa[a], ql[l], qt[t]): Q(c, d) for (a, l, t), c in terms.items()}
             self._view = MappingProxyType(view)
         return self._view
 
     @property
     def rect(self) -> tuple[Q, Q]:
-        return Q(self._ra, self.den), Q(self._rt, self.den)
+        return Q(self._ra - self._pa, self.den), Q(self._rt - self._pc, self.den)
 
     @property
     def prefactor(self) -> Monomial:
@@ -174,19 +180,15 @@ class TruncatedSeries:
     # -- value semantics ----------------------------------------------------
 
     def absolute_terms(self) -> dict[Key, Q]:
-        p = self.prefactor
-        return {(a + p.a, tuple(map(add, l, p.b)), t + p.c): c for (a, l, t), c in self.terms.items()}
+        den, z, d = self.den, self._z, self._d
+        return {(Q(a, den), tuple([Q(x, z) for x in l]), Q(t, den)): Q(c, d) for (a, l, t), c in self._terms.items()}
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries) or self.rank != other.rank:
             return False
         den, z = math.lcm(self.den, other.den), math.lcm(self._z, other._z)
-
-        def absolute(x, mult):  # absolute int terms on one grid, numerators over both d
-            terms, pa, pb, pc, _, _ = _on(x, den, z)
-            return {(a + pa, tuple(map(add, l, pb)), t + pc): c * mult for (a, l, t), c in terms.items()}
-
-        return absolute(self, other._d) == absolute(other, self._d)
+        mine, theirs = _on(self, den, z)[0], _on(other, den, z)[0]  # the int terms on one grid
+        return mine.keys() == theirs.keys() and all(c * other._d == theirs[k] * self._d for k, c in mine.items())
 
     def __hash__(self):
         return hash((self.rank, len(self._terms), Q(sum(self._terms.values()), self._d)))
@@ -234,18 +236,16 @@ class TruncatedSeries:
         part through the product rule.  The 1/(2 pi i) normalization is
         implicit, keeping all coefficients rational.
         """
-        if axis == "tau":
-            p, exponent, scale = self._pa, itemgetter(0), self.den
-        elif axis == "omega":
-            p, exponent, scale = self._pc, itemgetter(2), self.den
+        if axis == "tau" or axis == "omega":
+            exponent, scale = itemgetter(0 if axis == "tau" else 2), self.den
         elif axis.startswith("z") and axis[1:].isdigit():
             i = int(axis[1:]) - 1
             if not 0 <= i < self.rank:
                 raise ValueError(f"axis {axis!r} out of range for rank {self.rank}")
-            p, exponent, scale = self._pb[i], lambda key: key[1][i], self._z
+            exponent, scale = lambda key: key[1][i], self._z
         else:
             raise ValueError(f"invalid derivation axis {axis!r}")
-        out = {key: c * m for key, c in self._terms.items() if (m := p + exponent(key))}
+        out = {key: c * m for key, c in self._terms.items() if (m := exponent(key))}
         return self._with(out, self._d * scale)
 
     def leading_order(self) -> tuple[Q, Q]:
@@ -253,7 +253,7 @@ class TruncatedSeries:
         if not self._terms:
             raise ZeroSeriesError("vanishes to rectangle order")
         fa, ft = _floors(self._terms)
-        return Q(fa + self._pa, self.den), Q(ft + self._pc, self.den)
+        return Q(fa, self.den), Q(ft, self.den)
 
 
 def _fill(x: TruncatedSeries, rank, den, z, d, terms, pa, pb, pc, ra, rt) -> None:
@@ -289,11 +289,11 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
 
 
 def _operand(items: list, *head) -> tuple:
-    """The grid operand (items, floors, *head) of absolute terms ((a, t, packed l), c), floors relative to head's A, C."""
+    """The grid operand (items, floors, *head) of terms ((a, t, packed l), c), floors their lowest a and t or A and C."""
     fa, ft = items[0][0][:2] if items else (head[0], head[2])
     for (a, t, _), _ in items:
         fa, ft = a if a < fa else fa, t if t < ft else ft
-    return (items, (fa - head[0], ft - head[2]), *head)
+    return (items, (fa, ft), *head)
 
 
 def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
@@ -318,17 +318,13 @@ def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries
     pb = grids[0][1][2]
     merged: dict = {}
     get = merged.get
-    for mult, (terms, xa, xb, xc, _, _) in grids:
-        da, dc, db = xa - pa, xc - pc, tuple(map(sub, xb, pb))
-        items = terms.items()
-        if da or dc or any(db):
-            items = (((a + da, tuple(map(add, l, db)), t + dc), c) for (a, l, t), c in items)
-        for key, c in items:
+    for mult, (terms, *_) in grids:
+        for key, c in terms.items():
             c = c if mult == 1 else c * mult
             v = get(key)
             merged[key] = c if v is None else v + c
-    ra = min(xa + b - pa for _, (_, xa, _, _, b, _) in grids)
-    rt = min(xc + b - pc for _, (_, _, _, xc, _, b) in grids)
+    ra = min(g[4] for _, g in grids)
+    rt = min(g[5] for _, g in grids)
     a_hi, t_hi = math.floor(ra), math.floor(rt)
     terms = {k: c for k, c in merged.items() if c and k[0] <= a_hi and k[2] <= t_hi}
     return _new(first.rank, den, z, d, terms, pa, pb, pc, ra, rt)
@@ -361,18 +357,18 @@ def _product_heads(pairs, head) -> tuple:
     """The sum head of the pairs (m, x, y) of grid operands, after head.
 
     The one place of the product-rect rule, used by ``_product``, ``_minor``
-    and ``syzygy_sum``; of each operand (items, floors, A, B, C, a bound, t bound)
-    it reads only the floors and whether items is empty.  head is a zero
-    summand (A, B, C, absolute a bound, absolute t bound), or None; each bound
-    is one number, r*den (``_bound``).  The sum head is the (A, B, C, a
-    bound, t bound) of head plus all products, by ``_signed_sum``'s rule: the
-    min a and c of their prefactors, the first b and the min absolute rect,
-    less A and C; m does not enter it.
+    and ``syzygy_sum``, on operands (items, floors, A, B, C, a bound, t bound)
+    whose floors and bounds are absolute, as stored: the lowest a and t of
+    items (an empty operand's A and C, ``_operand``) and (A + r)*den.  head is
+    a zero summand (A, B, C, a bound, t bound), or None.  The sum head is that
+    of head plus all products, by ``_signed_sum``'s rule: the min a and c of
+    their prefactors, the first b and the min rect; m does not enter it.
 
-    A product's prefactor is the sum of the prefactors.  Its rect is the
-    tighter of each operand's rect shifted by the other's floors (a term at a
-    needs one factor up to a minus the other's lowest exponent); with an
-    empty operand, the smaller rect.  The rule is sound, every kept
+    A product's prefactor is the sum of the prefactors.  Its rect is
+    min(R1 + F2, R2 + F1), each operand's bound R plus the other's floor F (a
+    term at a needs one factor up to a minus the other's lowest exponent);
+    with an empty operand both floors are the prefactors, which gives the
+    smaller relative rect.  The rule is sound, every kept
     coefficient being that of the product of any extensions of x and y past
     their rects, on these inputs:
     - with an empty operand, when the other has no term (past its rect
@@ -389,14 +385,14 @@ def _product_heads(pairs, head) -> tuple:
     pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, math.inf, math.inf)
     for _, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
         qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
-        if not (i1 and i2):
-            fa1 = ft1 = fa2 = ft2 = 0  # no floor shifts a rect: the smaller one holds
-        ra1, rt1 = qa + ra1 + fa2, qc + rt1 + ft2
-        ra2, rt2 = qa + ra2 + fa1, qc + rt2 + ft1
+        if not (i1 and i2):  # no floor shifts a rect: the smaller one, relative to its prefactor, holds
+            fa1, ft1, fa2, ft2 = pa1, pc1, pa2, pc2
+        ra1, rt1 = ra1 + fa2, rt1 + ft2
+        ra2, rt2 = ra2 + fa1, rt2 + ft1
         ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
         pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
         ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
-    return pa, pb, pc, ra - pa, rt - pc
+    return pa, pb, pc, ra, rt
 
 
 def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
@@ -407,17 +403,17 @@ def _accumulate(products, head, den: int, what, box=None) -> list:
     """The nonzero terms, unsorted, of the sum of m * x * y over the products (m, x, y), on its head.
 
     The pair loop of the Laplace expansions, once per minor and once for the
-    syzygy sum's first row, on absolute terms ((a, t, packed l), c) of
+    syzygy sum's first row, on the terms ((a, t, packed l), c) of
     ``_determinants`` (x nonempty and sorted by a): a pair's key is a sum of
-    ints.  head is the sum's (A, B, C, a bound, t bound), its absolute rect
-    inside every product's, so the pairs are cut at its floors, dropping only
-    terms the merge would drop too, and at box, a minor's caps from the cut.
-    y runs outside, times m once per term and leaving x the limits a_lim and
-    t_lim; x stops at its first term past a_lim.  More than DEFAULT_TERM_CAP
-    keys, zero sums included, raise SeriesOverflowError naming what().
+    ints.  head is the sum's (A, B, C, a bound, t bound), its rect inside
+    every product's, so the pairs are cut at its floors, dropping only terms
+    the merge would drop too, and at box, a minor's caps from the cut.  y runs
+    outside, times m once per term and leaving x the limits a_lim and t_lim;
+    x stops at its first term past a_lim.  More than DEFAULT_TERM_CAP keys,
+    zero sums included, raise SeriesOverflowError naming what().
     """
     pa, _, pc, ra, rt = head
-    a_hi, t_hi, cap, out = pa + math.floor(ra), pc + math.floor(rt), DEFAULT_TERM_CAP, {}
+    a_hi, t_hi, cap, out = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, {}
     if box:
         a_hi, t_hi = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
     get = out.get
@@ -436,7 +432,7 @@ def _accumulate(products, head, den: int, what, box=None) -> list:
                 key = (a1 + a2, t1 + t2, k1 + k2)
                 out[key] = get(key, 0) + c1 * c2
             if len(out) > cap:
-                raise _overflow(what(), ra, rt, den, cap)
+                raise _overflow(what(), ra - pa, rt - pc, den, cap)
     return list(filter(itemgetter(1), out.items()))
 
 
@@ -493,7 +489,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
                 row[k] = c1 * c2 if v is None else v + c1 * c2
             reached += len(row) - size
         if reached > cap:
-            raise _overflow(f"product of {len(x._terms)} and {len(y._terms)} terms", ra, rt, den, cap)
+            raise _overflow(f"product of {len(x._terms)} and {len(y._terms)} terms", ra - pa, rt - pc, den, cap)
     ls = {k: _unpack(k, rank, w) for k in set().union(*out.values())}
     terms = {(a, ls[k], t): c for (a, t), row in out.items() for k, c in row.items() if c}
     return _new(rank, den, z, x._d * y._d, terms, pa, pb, pc, ra, rt)
@@ -626,9 +622,9 @@ def _expand(z, factors, weyl, rect, rank, den):
             raise SeriesOverflowError("the bound prod (exponent + 1) on the zeta monomials of the m = n = 0 factor block is "
                                       f"{size} over its first {k} factors, which exceeds the term cap of {DEFAULT_TERM_CAP}")
     pa, pb, pc = _checked_prefactor(Monomial(weyl.a, weyl.b, weyl.c), rank, den)
-    terms = _multiply_out(factors, rank, a_max, t_max, den, z)
-    return _new(rank, den, z, 1, terms, _int(pa, den), _scaled(pb, z), _int(pc, den),
-                _bound(a_max, den), _bound(t_max, den))
+    pa, pb, pc = _int(pa, den), _scaled(pb, z), _int(pc, den)
+    terms = _multiply_out(factors, rank, a_max, t_max, den, z, (pa, pb, pc))
+    return _new(rank, den, z, 1, terms, pa, pb, pc, _bound(a_max, den) + pa, _bound(t_max, den) + pc)
 
 
 def _digits(n: int) -> int:
@@ -637,8 +633,8 @@ def _digits(n: int) -> int:
     return d + 1 + (n >= 10 ** (d + 1)) - (n < 10**d)
 
 
-def _multiply_out(factors, rank, a_max, t_max, den, z):
-    """The int terms of the product of the factors' binomials, on the den and z grid.
+def _multiply_out(factors, rank, a_max, t_max, den, z, prefactor):
+    """The int terms of the prefactor (A*den, B*z, C*den) times the factors' binomials.
 
     The factors (n, l, m, f), in ``_factors``' order with l over z, are
     multiplied one at a time into rows {_pack(l, w): c}, one per integer
@@ -655,17 +651,20 @@ def _multiply_out(factors, rank, a_max, t_max, den, z):
     (m = n = 0) reads a snapshot of the row it adds into.  The order holds
     the rows that exist; those a factor creates lie above the rows it read
     and join them after it, in one sort (an order of the box's cells would
-    walk all of (0, 10^400)).  With 2^(w-1) above the sum over factors of
-    their largest zeta entry, no digit overflows and a pair's key is k1 + k2.
-    At the end the rows with a > a_max go (a_max < 0 cuts only there, after
-    the n < 0 factors), and each distinct key is unpacked once.
+    walk all of (0, 10^400)).  The term 1 starts as zeta^B, packed, and with
+    2^(w-1) above B's largest zeta entry plus the sum over factors of theirs,
+    no digit overflows and a pair's key is k1 + k2.  At the end the rows with
+    a > a_max go (a_max < 0 cuts only there, after the n < 0 factors), the
+    rebuild that scales the rows adds A and C, and each key is unpacked once.
     """
     a_hi, t_hi = max(math.floor(a_max), 0), math.floor(t_max)
     max_neg = max((-n for n, _, _, _ in factors if n < 0), default=0)
     n_hi, rise = math.floor(a_max + t_max * max_neg), max_neg + 1
     binomials = [_binomial(n, m, f, t_hi, n_hi) for n, _, m, f in factors]
-    w = sum(len(b) * max(map(abs, fac[1]), default=0) for fac, b in zip(factors, binomials)).bit_length() + 1
-    acc = {(0, 0): {0: 1}} if t_hi >= 0 or not factors else {}  # a box below t = 0 keeps 1 only with no factor
+    pa, pb, pc = prefactor
+    w = sum(len(b) * max(map(abs, fac[1]), default=0) for fac, b in zip(factors, binomials))
+    w = (w + max(map(abs, pb), default=0)).bit_length() + 1
+    acc = {(0, 0): {_pack(pb, w): 1}} if t_hi >= 0 or not factors else {}  # a box below t = 0 keeps 1 only with no factor
     order = list(acc)
     for i, ((n, l, m, f), binomial) in enumerate(zip(factors, binomials), 1):
         key, fresh = _pack(l, w), []
@@ -693,7 +692,7 @@ def _multiply_out(factors, rank, a_max, t_max, den, z):
         if sum(map(len, acc.values())) > DEFAULT_TERM_CAP:
             fac = ProductFactor(n, tuple([Q(x, z) for x in l]), m, f)
             raise SeriesOverflowError(f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}")
-    acc = {(a * den, t * den): row for (a, t), row in acc.items() if a <= a_max}
+    acc = {(a * den + pa, t * den + pc): row for (a, t), row in acc.items() if a <= a_max}
     unpacked = {k: _unpack(k, rank, w) for k in set().union(*acc.values())}
     return {(a, unpacked[k], t): c for (a, t), row in acc.items() for k, c in row.items()}
 
@@ -792,7 +791,7 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     """
     s, den, z, w, _, det = _determinants(forms, 3, "")
     (items, _, *head), d = det(tuple(range(s + 3)))
-    return _new(s, den, z, d, _unpacked(items, s, w, *head[:3]), *head)
+    return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
 def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
@@ -814,31 +813,33 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     head = _product_heads(pairs, None)
     products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
     items = _accumulate(products, head, den, lambda: f"sum of {len(pairs)} products")
-    return _new(s, den, z, d, _unpacked(items, s, w, *head[:3]), *head)
+    return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
-def _unpacked(items, rank: int, w: int, pa, pb, pc) -> dict:
-    """The absolute terms items relative to the prefactor (pa, pb, pc), sorted by key, each packed l unpacked once."""
-    ls = {k: tuple(map(sub, _unpack(k, rank, w), pb)) for k in {k for (_, _, k), _ in items}}
-    return dict(sorted([((a - pa, ls[k], t - pc), c) for (a, t, k), c in items]))
+def _unpacked(items, rank: int, w: int) -> dict:
+    """The terms items as int keys (a, l, t), sorted by key, each packed l unpacked once."""
+    ls = {k: _unpack(k, rank, w) for k in {k for (_, _, k), _ in items}}
+    return dict(sorted([((a, ls[k], t), c) for (a, t, k), c in items]))
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     """(s, den, z, w, grid, det): the forms' rank, grid and Jacobians on that grid.
 
     The grid is the lcm den of the forms' dens and the lcm z of their zeta
-    denominators; each term goes on it once, on the absolute key (a, t,
-    _pack(l, w)), 2^(w-1) above the sum over the forms of their largest
-    absolute zeta entry, as a minor's term takes one term per column.
+    denominators; each stored term goes on it once, its absolute key (a, l,
+    t) as (a, t, _pack(l, w)), 2^(w-1) above the sum over the forms of their
+    largest zeta entry, as a minor's term takes one term per column.
     grid[j] is f_j as a grid operand sorted by key, numerators over d_j, and
     entry (r, j) its terms times k_j in row 0 and times their exponent along
     tau, z_1..z_s, omega below, over d_j times the row's scale 1, den, z, ..,
     z, den.  So a minor is over the product of its d_j and its rows' scales,
     and its Laplace pairs all enter with m = +-1.  det(cols) is (the grid
     operand of the minor on all rows and the columns cols, unreduced, its d).
+    Each minor starts from det's zero head, prefactor 0 and the forms' least
+    relative rect: short of the rule's by the prefactors' sum (a strict xfail).
 
-    The cut.  Let f_j be form j's absolute floors (its lowest stored a and
-    t, prefactor included) and R the head's rect.  When every form is
+    The cut.  Let f_j be form j's floors (its lowest stored a and t, which
+    include its prefactor) and R the head's rect.  When every form is
     nonempty with A, C >= 0 and f_j >= 0, a term of the minor on rows i >= 1
     and columns S reaches det times one entry of the rows above from each
     column outside S, which adds at least sum_{j not in S} f_j.  So the
@@ -864,19 +865,17 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         raise ValueError("series rank mismatch")
     den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
     grids = [_on(f.series, den, z) for f in forms]
-    absolute = [[(pa + a, tuple(map(add, pb, l)) if any(pb) else l, pc + t, c) for (a, l, t), c in terms.items()]
-                for terms, pa, pb, pc, _, _ in grids]
-    w = sum(max((abs(v) for _, l, _, _ in terms for v in l), default=0) for terms in absolute).bit_length() + 1
-    packed = {l: _pack(l, w) for l in {l for terms in absolute for _, l, _, _ in terms}}
+    w = sum(max((abs(v) for _, l, _ in terms for v in l), default=0) for terms, *_ in grids).bit_length() + 1
+    packed = {l: _pack(l, w) for l in {l for terms, *_ in grids for _, l, _ in terms}}
     grid, rows = [], [[] for _ in range(s + 3)]
-    for f, terms, (_, *head) in zip(forms, absolute, grids):
-        # each term's key and factor per row: k_j, then its absolute exponents
-        keyed = sorted([((a, t, packed[l]), c, (f.weight, a, *l, t)) for a, l, t, c in terms])
+    for f, (terms, *head) in zip(forms, grids):
+        # each term's key and factor per row: k_j, then its exponents
+        keyed = sorted([((a, t, packed[l]), c, (f.weight, a, *l, t)) for (a, l, t), c in terms.items()])
         grid.append(_operand([(k, c) for k, c, _ in keyed], *head))
         for r, row in enumerate(rows):
             row.append([(k, c * e[r]) for k, c, e in keyed if e[r]])
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
-    floors = [(fa + pa, ft + pc) for _, (fa, ft), pa, _, pc, _, _ in grid]
+    floors = [g[1] for g in grid]
     reach = None  # sum_j f_j - spare * max_j f_j per axis, where the cut applies
     if all(g[0] and g[2] >= 0 and g[4] >= 0 for g in grid) and min(map(min, floors)) >= 0:
         reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]
@@ -884,8 +883,8 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         rows = [[x and _operand(x, *g[2:]) for x, g in zip(row, grid)] for row in rows]
 
     def det(cols: tuple[int, ...]) -> tuple:
-        # the zero summand every minor starts from: prefactor 0 and the forms' smallest rect
-        head = (0, zeros, 0, min(grid[j][5] for j in cols), min(grid[j][6] for j in cols))
+        # the zero summand every minor starts from: prefactor 0 and the forms' smallest relative rect
+        head = (0, zeros, 0, min(grid[j][5] - grid[j][2] for j in cols), min(grid[j][6] - grid[j][4] for j in cols))
         d = math.prod(forms[j].series._d for j in cols) * scale
         unit = [((0, 0, 0), 1)] if head[3] >= 0 and head[4] >= 0 else []  # term 1, if the head's rect holds it
         minors = memo.setdefault(head, {(): unit if reach else _operand(unit, *head)})

@@ -28,7 +28,6 @@ from operator import mul, neg
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
-from .linalg import is_positive_direction  # noqa: F401  re-exported for callers that import it from weyl
 from .lattice import Lattice
 
 if TYPE_CHECKING:  # an annotation only: the weyl command never runs roots

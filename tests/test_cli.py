@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
-from orthoforms import roots as roots_mod, series as series_mod
+from orthoforms import classify as classify_mod, roots as roots_mod, series as series_mod
 from orthoforms.cli import build_parser, main
 from orthoforms.lattice import _short_half
 from orthoforms.series import series_from_json
@@ -405,6 +406,20 @@ class TestBorch:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
 
+    @pytest.mark.parametrize(
+        "rect, message",
+        [
+            ("1", "--rect expects 'A,T', got '1'"),
+            ("1,2,3", "--rect expects 'A,T', got '1,2,3'"),
+            ("a,b", "cannot parse rectangle bounds 'a,b'"),
+            ("1/0,1", "cannot parse rectangle bounds '1/0,1'"),
+        ],
+    )
+    def test_malformed_rect_refused(self, capsys, tmp_path, rect, message):
+        path = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        code, out, err = run(capsys, "borch", path, "--rect", rect)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("rect", ["0,1e4300", "0,12345e4296", "1e-4300,1", "0,-3e+0_4300"])
     def test_bound_too_long_to_print_refused(self, capsys, tmp_path, rect):
         # the exponent is within 4300, but the value has 4301 digits, more than q_str can print
@@ -642,6 +657,27 @@ class TestJacobian:
             "in absolute value, got '1e100000000'\n"
         )
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("list", "a series must be a JSON object, got ["),
+            ("prefactor", "prefactor must be an object, got [1]"),
+            ("term", "terms[0] must be an object with a, l, t and c, got 5"),
+        ],
+    )
+    def test_series_file_of_the_wrong_shape(self, capsys, tmp_path, shape, message):
+        doc = self.series_doc(1, 0, 0)
+        if shape == "list":
+            doc = [doc]
+        elif shape == "prefactor":
+            doc["prefactor"] = [1]
+        else:
+            doc["terms"] = [5]
+        p = write_json(tmp_path / "f.json", doc)
+        code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid series file {p}: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("field", ["rank", "rect"])
     def test_missing_series_field(self, capsys, tmp_path, field):
         doc = self.series_doc(1, 0, 0)
@@ -700,6 +736,13 @@ class TestClassify:
         assert code == 0
         assert "PARTIAL" in out
         assert "(A4, O~+)" in out
+
+    def test_unresolved_candidate_is_an_internal_error(self, capsys, monkeypatch):
+        # a candidate in neither table stays unresolved: one line and exit 1, no table
+        monkeypatch.delitem(classify_mod.EXCLUDED, next(iter(classify_mod.EXCLUDED)))
+        code, out, err = run(capsys, "classify")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: internal check failed: unresolved candidates \['[^']+'\]\n", err)
 
     @pytest.mark.parametrize("bound", ["-3", "0", "9"])
     def test_rank_bound_out_of_range(self, capsys, bound):

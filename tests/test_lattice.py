@@ -190,6 +190,12 @@ class TestShortVectors:
         with pytest.raises(ValueError):
             short_vectors(A1, 3)
 
+    def test_rank_past_ten_rejected(self):
+        # 11A1 has its 22 roots at norm 2, which the enumeration would find
+        eleven = Lattice(tuple(tuple(2 * (i == j) for j in range(11)) for i in range(11)))
+        with pytest.raises(ValueError, match=r"^short vector enumeration is limited to rank <= 10$"):
+            short_vectors(eleven, 2)
+
     def test_matches_naive_box_enumeration(self):
         # independent oracle: box bound from the dual Gram diagonal
         for name, bound in (("A2", 6), ("D4", 4)):

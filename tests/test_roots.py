@@ -57,6 +57,12 @@ class TestDetect:
         with pytest.raises(Exception):
             detect_roots(Lattice(((2, 0), (0, -2))), 2)
 
+    def test_rank_past_eight_rejected(self):
+        # 9A1 is within the enumeration's rank, and its 18 roots would be found
+        nine = Lattice(tuple(tuple(2 * (i == j) for j in range(9)) for i in range(9)))
+        with pytest.raises(ValueError, match=r"^root detection is limited to rank <= 8$"):
+            detect_roots(nine, 2)
+
     def test_reflection_stability(self):
         rd = detect_roots(builtin_lattice("D4"), 4)
         root_set = set(rd.roots)

@@ -108,6 +108,15 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             one(1, RECT) + one(2, RECT)
 
+    def test_product_rank_mismatch(self):
+        # both have the single key 0 once packed, so the loop alone would return a series
+        with pytest.raises(ValueError, match=r"^series rank mismatch$"):
+            one(1, RECT) * one(2, RECT)
+
+    def test_equal_to_no_other_type(self):
+        x = one(1, RECT)
+        assert (x == 1) is False and x != 1 and x != x.terms
+
     def test_denominator_validation(self):
         with pytest.raises(ValueError):
             TruncatedSeries(1, {key(Q(1, 7), (0,), 0): 1}, RECT)
@@ -796,7 +805,7 @@ class TestExpandAgainstNaive:
             expected = nonzero(naive_convolve(expected.items(), poly, keep))
         den, z = 24, 2 * math.lcm(*{x.denominator for f in factors for x in f.l})
         ints = [(f.n, tuple(int(x * z) for x in f.l), f.m, f.exponent) for f in factors]
-        terms = series_mod._multiply_out(ints, rank, *rect, den, z)
+        terms = series_mod._multiply_out(ints, rank, *rect, den, z, (0, (0,) * rank, 0))
         got = {(Q(a, den), tuple(Q(x, z) for x in l), Q(t, den)): Q(c) for (a, l, t), c in terms.items()}
         assert got == {k: c for k, c in expected.items() if k[0] <= a_max}
 
@@ -1287,6 +1296,12 @@ class TestAgainstFold:
     @given(st.integers(1, 2).flatmap(lambda r: st.tuples(grid_series(r), grid_series(r))))
     def test_add_and_sub(self, pair):
         x, y = pair
+        for v in (x, y, x + y):
+            # the one view that subtracts the prefactor agrees with the two that do not
+            p, absolute = v.prefactor, v.absolute_terms()
+            assert absolute == {(a + p.a, tuple(map(sum, zip(l, p.b))), t + p.c): c for (a, l, t), c in v.terms.items()}
+            if absolute:
+                assert v.leading_order() == (min(k[0] for k in absolute), min(k[2] for k in absolute))
         assert json_of(x + y) == json_of(reference_add(x, y))
         assert json_of(x - y) == json_of(reference_add(x, -y))
         assert json_of(x - x) == json_of(reference_add(x, -x))
@@ -1632,8 +1647,8 @@ class TestJacobianAgainstSympy:
 # q^5 zeta xi * det((4, 6, 10, 12), (1, 2, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1))
 @pytest.mark.xfail(
     strict=True,
-    reason="_determinants' det starts every minor from a zero head whose prefactor is 0, "
-    "so _accumulate caps the Jacobian's absolute rect at the forms' relative rect",
+    reason="det's zero head in _determinants takes the forms' rects relative to their prefactors, "
+    "so the Jacobian's absolute rect is capped at the forms' relative rect",
 )
 def test_jacobian_of_forms_with_positive_prefactor():
     q = Monomial(Q(1), (Q(0),), Q(0))

@@ -21,8 +21,9 @@ from orthoforms import (
     weyl_vector,
 )
 from orthoforms.lattice import Lattice
+from orthoforms.linalg import is_positive_direction
 from orthoforms.roots import DualRoot
-from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError, is_positive_direction
+from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError
 
 from helpers import dual_root
 
@@ -65,6 +66,12 @@ class TestQZeroData:
     def test_rejects_positive_index(self):
         with pytest.raises(ValueError):
             QZeroData(A1, {(-1, (Q(0),)): 1, (1, (Q(0),)): 1})
+
+    def test_f00_of_a_quarter_weight_is_refused(self):
+        # f(0, 0) = 2k = 1/2 is no coefficient; int() would read it as 0
+        phi = QZeroData(A1, {(-1, (Q(0),)): 1}, Q(1, 4))
+        with pytest.raises(ValueError, match=r"^f\(0,0\) must be an integer$"):
+            phi.f(0, (0,))
 
     def test_f_lookup(self):
         phi = QZeroData(A1, {(-1, (Q(0),)): 1}, 12)
@@ -562,6 +569,7 @@ OFF_NEG = (Q(-1, 3), Q(0))
         ([((-1, 0), 1)], "coefficients are not even in l: f(0, (-1, 0)) has no partner"),
         ([((1, 0), 1), ((-1, 0), 1), (("-1", "0"), 2)], "conflicting values at (0, (-1, 0))"),
         ([((-1, 0), 1), (("-1", "0"), 2), ((1, 0), 1)], "conflicting values at (0, (-1, 0))"),
+        ([((1, 0), Q(1, 2)), ((-1, 0), Q(1, 2))], "coefficients must be integers"),
     ],
 )
 @pytest.mark.parametrize("principal_first", [True, False])
