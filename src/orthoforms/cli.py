@@ -11,10 +11,11 @@ that cannot be written loses that line, not the exit code.
 Each command returns ``(text, doc)``, its table or summary lines and its
 JSON document, and writes nothing.  One writer, ``_write``, puts them out:
 the text unless ``--format json``, the document unless ``--format table``,
-into the ``-o`` file if given, else onto stdout after the text.  The file
-is written first, so one that cannot be written (exit 2, naming it) leaves
-stdout empty; a stdout that cannot be written (a closed pipe, a full
-device) is exit 2, with no traceback and nothing from the flush at exit.
+into the ``-o`` file if given, else onto stdout after the text; ``-o -``
+is stdout, the same as no ``-o``.  The file is written first, so one that
+cannot be written (exit 2, naming it) leaves stdout empty; a stdout that
+cannot be written (a closed pipe, a full device) is exit 2, with no
+traceback and nothing from the flush at exit.
 
 Each command runs only the modules it calls, as the package's submodules
 run at first use (see ``orthoforms``); the JSON field readers come from
@@ -390,6 +391,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = build_parser().parse_args(_joined_lists(argv))
+        if args.output == "-":  # standard output: the run is the one without -o
+            args.output = None
         if args.output and getattr(args, "format", "json") == "table":
             raise CliError("-o writes the JSON document, so it needs --format json")
         _write(args, *args.func(args))

@@ -175,45 +175,22 @@ def short_vectors(lat: Lattice, max_norm: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _a_gram(n):
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _d_gram(n):
-    # chain 0..n-2 with the extra node n-1 attached to n-3
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    for i in range(n - 2):
-        g[i][i + 1] = g[i + 1][i] = -1
-    g[n - 3][n - 1] = g[n - 1][n - 3] = -1
-    return linalg.freeze(g)
-
-
-def _e_gram(n):
-    # nodes 0..n-1: chain 0-2-3-4-...-(n-1), with node 1 attached to node 3
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = 2
-    edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]
+def _dynkin(n, edges):
+    """The Gram matrix of a Dynkin diagram on nodes 0..n-1: 2 on the diagonal, -1 on each edge."""
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in edges:
         g[i][j] = g[j][i] = -1
     return linalg.freeze(g)
 
 
-def _nA1_gram(n):
-    return tuple(tuple(2 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-# name -> (Gram builder, rank), in the order builtin_names lists them
+# name -> (rank, edges), in the order builtin_names lists them
 _BUILTINS = {
-    **{f"A{n}": (_a_gram, n) for n in range(1, 9)},
-    **{f"D{n}": (_d_gram, n) for n in range(4, 9)},
-    **{f"E{n}": (_e_gram, n) for n in (6, 7, 8)},
-    **{f"{n}A1": (_nA1_gram, n) for n in range(2, 9)},
+    **{f"A{n}": (n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 9)},
+    # the chain 0..n-2, with node n-1 attached to node n-3
+    **{f"D{n}": (n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]) for n in range(4, 9)},
+    # the chain 0-2-3-..-(n-1), with node 1 attached to node 3
+    **{f"E{n}": (n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]) for n in (6, 7, 8)},
+    **{f"{n}A1": (n, []) for n in range(2, 9)},
 }
 
 
@@ -231,8 +208,7 @@ def builtin_lattice(name: str) -> Lattice:
         scale = int(rest[:-1])
     if base not in _BUILTINS:
         raise KeyError(f"unknown built-in lattice {name!r}")
-    gram, n = _BUILTINS[base]
-    lat = Lattice(gram(n), base)
+    lat = Lattice(_dynkin(*_BUILTINS[base]), base)
     return rescale(lat, scale) if scale != 1 else lat
 
 

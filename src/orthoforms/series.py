@@ -33,13 +33,14 @@ x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
 pairs of tiny operands on flat keys (a, t, packed l), each sum one Laplace
 step: a Jacobian minor (under 3 term pairs), or the syzygy sum's first row.
 A minor is built only on the box from which its terms can reach the rect
-(the cut of ``_determinants``), and is its terms alone there, with no head,
-floors or sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).
+(the cut of ``_determinants``), as its terms alone, with no head, floors or
+sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).  Every
+other step is one ``_laplace``: its head, then ``_accumulate``.
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion
 with a loop other than its own; they share only ``_pack`` and ``_unpack``.
-The rect rule of ``__mul__`` and the Laplace sums lives in ``_product_heads``.
+The rect rule of ``__mul__`` and ``_laplace`` lives in ``_product_heads``.
 A packed key is the zeta vector as one int of signed base-2^w digits
 (Kronecker substitution), so keys add as ints.  That is safe because w puts
 2^(w-1) above every digit a product can reach: the sum of the operands'
@@ -204,13 +205,13 @@ class TruncatedSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return _signed_sum(((1, self), (1, other)))
+        return _sum(self, other, 1)
 
     def __neg__(self):
         return self._with({k: -c for k, c in self._terms.items()}, self._d)
 
     def __sub__(self, other):
-        return _signed_sum(((1, self), (-1, other)))
+        return _sum(self, other, -1)
 
     def scale(self, factor) -> "TruncatedSeries":
         factor = factor if isinstance(factor, int) else _q(factor)
@@ -296,38 +297,25 @@ def _operand(items: list, *head) -> tuple:
     return (items, (fa, ft), *head)
 
 
-def _signed_sum(parts: Sequence[tuple[int, TruncatedSeries]]) -> TruncatedSeries:
-    """Sum of sign * series over (sign, series) parts, signs +-1, merged once.
+def _sum(x: TruncatedSeries, y: TruncatedSeries, sign: int) -> TruncatedSeries:
+    """x + sign * y, sign +-1, on the lcm of the dens.
 
-    Equals the left fold of ``+`` (``-`` for sign -1): each of its steps takes
-    the min of the prefactors' a and c, the first operand's b, the lcm of the
-    dens and the min of the absolute rects (prefactor plus rect), as done here
-    over all parts.  A term a step drops lies outside that step's absolute
-    rect, which only shrinks, so the final truncation drops it too; zero sums
-    are dropped in both.
+    Its prefactor is the min of the a and the c and x's b, its rect the min of
+    the absolute rects (prefactor plus rect); zero sums and terms past it go.
     """
-    first = parts[0][1]
-    if any(x.rank != first.rank for _, x in parts):
+    if x.rank != y.rank:
         raise ValueError("series rank mismatch")
-    den = math.lcm(*{x.den for _, x in parts})
-    z = math.lcm(*{x._z for _, x in parts})
-    d = math.lcm(*{x._d for _, x in parts})
-    grids = [(sign * (d // x._d), _on(x, den, z)) for sign, x in parts]
-    pa = min(g[1] for _, g in grids)
-    pc = min(g[3] for _, g in grids)
-    pb = grids[0][1][2]
-    merged: dict = {}
-    get = merged.get
-    for mult, (terms, *_) in grids:
-        for key, c in terms.items():
-            c = c if mult == 1 else c * mult
-            v = get(key)
-            merged[key] = c if v is None else v + c
-    ra = min(g[4] for _, g in grids)
-    rt = min(g[5] for _, g in grids)
+    den, z, d = math.lcm(x.den, y.den), math.lcm(x._z, y._z), math.lcm(x._d, y._d)
+    xterms, pa, pb, pc, ra, rt = _on(x, den, z)
+    yterms, ya, _, yc, yra, yrt = _on(y, den, z)
+    mx, my = d // x._d, sign * (d // y._d)
+    merged = dict(xterms) if mx == 1 else {k: c * mx for k, c in xterms.items()}
+    for key, c in yterms.items():
+        merged[key] = merged.get(key, 0) + c * my
+    ra, rt = min(ra, yra), min(rt, yrt)
     a_hi, t_hi = math.floor(ra), math.floor(rt)
     terms = {k: c for k, c in merged.items() if c and k[0] <= a_hi and k[2] <= t_hi}
-    return _new(first.rank, den, z, d, terms, pa, pb, pc, ra, rt)
+    return _new(x.rank, den, z, d, terms, min(pa, ya), pb, min(pc, yc), ra, rt)
 
 
 def one(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
@@ -356,13 +344,13 @@ class WeightedSeries(NamedTuple):
 def _product_heads(pairs, head) -> tuple:
     """The sum head of the pairs (m, x, y) of grid operands, after head.
 
-    The one place of the product-rect rule, used by ``_product``, ``_minor``
-    and ``syzygy_sum``, on operands (items, floors, A, B, C, a bound, t bound)
-    whose floors and bounds are absolute, as stored: the lowest a and t of
-    items (an empty operand's A and C, ``_operand``) and (A + r)*den.  head is
-    a zero summand (A, B, C, a bound, t bound), or None.  The sum head is that
-    of head plus all products, by ``_signed_sum``'s rule: the min a and c of
-    their prefactors, the first b and the min rect; m does not enter it.
+    The one place of the product-rect rule, used by ``_product`` and
+    ``_laplace``, on operands (items, floors, A, B, C, a bound, t bound) whose
+    floors and bounds are absolute, as stored: the lowest a and t of items
+    (an empty operand's A and C, ``_operand``) and (A + r)*den.  head is a
+    zero summand (A, B, C, a bound, t bound), or None.  The sum head is that
+    of head plus all products, by the rule of ``+`` (``_sum``): the min a and
+    c of their prefactors, the first b and the min rect; m does not enter it.
 
     A product's prefactor is the sum of the prefactors.  Its rect is
     min(R1 + F2, R2 + F1), each operand's bound R plus the other's floor F (a
@@ -399,23 +387,35 @@ def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
     return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
 
 
-def _accumulate(products, head, den: int, what, box=None) -> list:
+def _laplace(pairs, head, den: int, what) -> tuple:
+    """The grid operand of one Laplace step, the sum of m * x * y over the pairs (m, x, y), after head.
+
+    Its head is ``_product_heads(pairs, head)``, of every pair; the pairs with
+    m = 0 or x empty add no term, and the rest go to ``_accumulate``, cut at
+    that head's floored rect.
+    """
+    head = _product_heads(pairs, head)
+    products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
+    items = _accumulate(products, head, den, what, (math.floor(head[3]), math.floor(head[4])))
+    return _operand(items, *head)
+
+
+def _accumulate(products, head, den: int, what, box) -> list:
     """The nonzero terms, unsorted, of the sum of m * x * y over the products (m, x, y), on its head.
 
     The pair loop of the Laplace expansions, once per minor and once for the
     syzygy sum's first row, on the terms ((a, t, packed l), c) of
     ``_determinants`` (x nonempty and sorted by a): a pair's key is a sum of
     ints.  head is the sum's (A, B, C, a bound, t bound), its rect inside
-    every product's, so the pairs are cut at its floors, dropping only terms
-    the merge would drop too, and at box, a minor's caps from the cut.  y runs
-    outside, times m once per term and leaving x the limits a_lim and t_lim;
-    x stops at its first term past a_lim.  More than DEFAULT_TERM_CAP keys,
-    zero sums included, raise SeriesOverflowError naming what().
+    every product's, so cutting at its floors drops only terms the merge
+    would drop too.  box is the a and t caps of the keys: those floors, or
+    under a minor's cut the lower of them and its caps.  y runs outside, times
+    m once per term and leaving x the limits a_lim and t_lim; x stops at its
+    first term past a_lim.  More than DEFAULT_TERM_CAP keys, zero sums
+    included, raise SeriesOverflowError naming what().
     """
     pa, _, pc, ra, rt = head
-    a_hi, t_hi, cap, out = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, {}
-    if box:
-        a_hi, t_hi = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
+    (a_hi, t_hi), cap, out = box, DEFAULT_TERM_CAP, {}
     get = out.get
     for mult, left, right in products:
         lowest = left[0][0][0]
@@ -803,16 +803,14 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     J_t is its minor on rows 2.. over the columns other than t.  All J_t are
     expanded on the grid of all s + 4 forms and share its minors wherever
     their rects agree (J_t's is the min of the other forms' rects).  The last
-    step is one ``_accumulate`` call over the pairs (+-k_t, f_t, J_t), on the
-    head ``_product_heads`` gives them, each over d_1 .. d_(s+4) den^2 z^s.
+    step is ``_laplace`` over the pairs (+-k_t, f_t, J_t), each over d_1 ..
+    d_(s+4) den^2 z^s.
     """
     s, den, z, w, grid, det = _determinants(forms, 4, "syzygy ")
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
     pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
     d = forms[0].series._d * minors[0][1]
-    head = _product_heads(pairs, None)
-    products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
-    items = _accumulate(products, head, den, lambda: f"sum of {len(pairs)} products")
+    items, _, *head = _laplace(pairs, None, den, lambda: f"sum of {len(pairs)} products")
     return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
@@ -902,14 +900,14 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
 def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, floors):
     """The minor on the last len(cols) rows and columns cols.
 
-    One ``_accumulate`` call along its first row over the pairs (+-1, entry,
-    minor below).  box is cap(cols) of ``_determinants``' cut, less f_j for
-    the minor below column j, or None.  Under the cut a minor is its terms
-    alone, its prefactor 0 and its rect R; else a grid operand on the head
-    ``_product_heads`` gives its pairs after head, the determinant's zero
-    summand.  memo maps cols to the minors from head, the unit at (); as this
-    is no closure, it is freed with its last caller, not by the cycle
-    collector.
+    One Laplace step along its first row over the pairs (+-1, entry, minor
+    below).  box is cap(cols) of ``_determinants``' cut, less f_j for the
+    minor below column j, or None.  Under the cut the step is one
+    ``_accumulate`` call at the lower of box and R's floors, and a minor is
+    its terms alone, its prefactor 0 and its rect R; else it is ``_laplace``
+    after head, the determinant's zero summand.  memo maps cols to the
+    minors from head, the unit at (); as this is no closure, it is freed with
+    its last caller, not by the cycle collector.
     """
     pairs, row = [], rows[len(rows) - len(cols)]
     for pos, j in enumerate(cols):
@@ -920,10 +918,11 @@ def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, 
                 memo[rest] = below = _minor(rows, memo, den, rest, head, box and (box[0] - fa, box[1] - ft), floors)
             pairs.append((-1 if pos % 2 else 1, entry, below))
     what = lambda: f"{len(cols)}x{len(cols)} minor at row {len(rows) - len(cols)}, columns {list(cols)},"
-    if box:
+    if box:  # conditional expressions, not min(): this runs once per minor
+        a_hi, t_hi = math.floor(head[3]), math.floor(head[4])
+        box = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
         return _accumulate(pairs, head, den, what, box)
-    head = _product_heads(pairs, head)
-    return _operand(_accumulate([(m, x[0], y[0]) for m, x, y in pairs], head, den, what), *head)
+    return _laplace(pairs, head, den, what)
 
 
 # ---------------------------------------------------------------------------

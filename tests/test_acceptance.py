@@ -214,6 +214,7 @@ def test_criterion_6_jacobian_property_suite():
     rect = (Q(3), Q(3))
     instances = 0
     nonzero_leading = 0
+    cancelling = 0  # folds in which two or more nonzero parts cancel
     for s in (1, 2):
         for _ in range(50):
             forms = [
@@ -249,12 +250,21 @@ def test_criterion_6_jacobian_property_suite():
                 WeightedSeries(random_series(rng, s, rect), rng.randint(1, 6))
             ]
             assert syzygy_sum(extra).is_zero
+            # the same alternating sum of k_t f_t J_t, folded from jacobian, * and +
+            fold, nonzero = None, 0
+            for t, f in enumerate(extra):
+                part = (f.series * jacobian(extra[:t] + extra[t + 1:])).scale((-1) ** t * f.weight)
+                nonzero += not part.is_zero
+                fold = part if fold is None else fold + part
+            assert fold.is_zero
+            cancelling += nonzero >= 2
             instances += 1
     elapsed = time.time() - t0
-    ok = instances == 100 and nonzero_leading >= 20 and elapsed < 120
+    ok = instances == 100 and nonzero_leading >= 20 and cancelling >= 20 and elapsed < 120
     report(
         6, ok, elapsed, 120,
-        f"{instances} instances at s in (1, 2); {nonzero_leading} nonzero leading-order cases",
+        f"{instances} instances at s in (1, 2); {nonzero_leading} nonzero leading-order cases; "
+        f"{cancelling} folded syzygies cancelling two or more nonzero parts k_t f_t J_t",
     )
 
 

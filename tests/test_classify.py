@@ -297,6 +297,31 @@ class TestGuards:
             values = dict(entry.values)
             assert int(values["lhs"]) < int(values["rhs"])
 
+    def test_weyl_and_sum_rule_c_disagree(self, monkeypatch):
+        # the sum rule's C moved by one; the cache is cleared around the patch, so no value it
+        # computed outlives it
+        real = classify.quadratic_weyl_constant
+        monkeypatch.setattr(classify, "quadratic_weyl_constant", lambda phi: real(phi)._replace(c=real(phi).c + 1))
+        classify._solved_data.cache_clear()
+        try:
+            with pytest.raises(ClassificationError, match=r"^Weyl C and sum-rule C disagree for A2\(1\)$"):
+                classify._solved_data("A", 2, 1)
+        finally:
+            classify._solved_data.cache_clear()
+
+    def test_full_table_needs_26_accepted_rows(self, monkeypatch):
+        # an accepted row taken out of a copy of the table leaves its candidate unresolved: 25
+        # accepted (deleting it in place would put it back last, and reorder the accepted rows)
+        monkeypatch.setattr(classify, "ACCEPTED", dict(list(ACCEPTED.items())[1:]))
+        with pytest.raises(ClassificationError, match=r"^expected 26 accepted pairs, found 25$"):
+            full_table()
+
+    def test_text_report_names_the_unresolved_rows(self, monkeypatch):
+        monkeypatch.setattr(classify, "EXCLUDED", dict(list(EXCLUDED.items())[1:]))
+        report = full_table()
+        assert [r.candidate.label for r in report.unresolved] == ["E8(2)"]
+        assert report_to_text(report).endswith("\nUNRESOLVED: ['E8(2)']\n")
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("comp,index,value,code,solved_only", SOLVED_CHECKS)
     def test_cli_exits_1(self, monkeypatch, capsys, fmt, comp, index, value, code, solved_only):

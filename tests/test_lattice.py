@@ -125,6 +125,12 @@ class TestDiscriminantGroup:
         assert discriminant_group(A2).level == 3
         assert discriminant_group(builtin_lattice("A3")).level == 8
 
+    def test_smith_order_checked_against_det(self, monkeypatch):
+        # A2's Smith form is (1, 3); a faked (1, 1) has order 1, not |det| = 3
+        monkeypatch.setattr(linalg, "smith_normal_form", lambda gram: [1, 1])
+        with pytest.raises(AssertionError, match=r"^Smith form order disagrees with \|det\|$"):
+            discriminant_group(A2)
+
     def test_order_matches_det_for_all_builtins(self):
         for name in builtin_names():
             lat = builtin_lattice(name)

@@ -146,6 +146,13 @@ def test_half_carries_images_and_norms(gram, bound):
         assert linalg._mirrored(vectors) == linalg.short_vectors_of_form(g, b)
 
 
+def test_negative_bound_has_no_vectors():
+    # the integer budget floor(D max_norm) is negative: no vector, and no search that isqrt would refuse
+    gram = builtin_lattice("A2").gram
+    assert linalg.short_vectors_of_form(gram, -1) == []
+    assert linalg._half_of_form(gram, Q(-1, 3)) == []
+
+
 def test_enumeration_past_the_cap_is_refused():
     # A8 up to norm 162 has about 10^9 vectors; the cap stops the search long before memory runs out
     gram = builtin_lattice("A8").gram

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction as Q
 from math import isqrt, lcm, prod
@@ -181,6 +182,45 @@ class TestRealize:
         assert sorted(int(c.lattice.norm(r)) for r in c.roots) == [4] * 6 + [8] * 12
         g = realize("G2", 2, 1)
         assert sorted(int(g.lattice.norm(r)) for r in g.roots) == [2] * 6 + [6] * 6
+
+
+class TestGuards:
+    """Internal-consistency raises, each reached by faking the value it checks."""
+
+    def test_length_class_with_two_divs(self):
+        # the first root's G·r doubled, its norm kept: one norm class with divs 1 and 2
+        lat = builtin_lattice("A2")
+        rd = detect_roots(lat, 2)
+
+        def image(r):
+            gr = lat.gram_times(r)
+            return tuple(x * (2 if r == rd.roots[0] else 1) for x in gr), lat.norm(r)
+
+        with pytest.raises(UnrecognizedRootSystemError, match=r"^length class has non-constant div values \[1, 2\]$"):
+            roots_mod._components(lat, rd.roots, image)
+
+    def test_sum_rule_constant_of_no_vectors(self):
+        assert sum_rule_constant(builtin_lattice("A2").gram, []) is None
+
+    @pytest.mark.parametrize("c,message", [
+        (None, "sum rule failed on the plain dual set of A2(1)"),
+        (Q(5, 2), "non-integral Coxeter constant 5/2 for A2(1)"),
+        (Q(0), "non-integral Coxeter constant 0 for A2(1)"),
+    ], ids=["no-constant", "fraction", "zero"])
+    def test_coxeter_number_refuses_a_bad_constant(self, monkeypatch, c, message):
+        monkeypatch.setattr(roots_mod, "sum_rule_constant", lambda gram, vectors: c)
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+            coxeter_number(realize("A", 2))
+
+    def test_realize_checks_the_c_frame(self, monkeypatch):
+        monkeypatch.setattr(roots_mod, "_orthogonal_frame", lambda vectors: vectors[:2])
+        with pytest.raises(AssertionError, match=r"^C3 long frame has 2 vectors$"):
+            realize("C", 3)
+
+    def test_realize_checks_its_component(self, monkeypatch):
+        monkeypatch.setattr(roots_mod, "_components", lambda lat, roots, image: [])
+        with pytest.raises(AssertionError, match=r"^realization of A2\(1\) failed: \[\]$"):
+            realize("A", 2)
 
 
 class TestCoxeterNumber:

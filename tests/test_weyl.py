@@ -73,6 +73,10 @@ class TestQZeroData:
         with pytest.raises(ValueError, match=r"^f\(0,0\) must be an integer$"):
             phi.f(0, (0,))
 
+    def test_repr(self):
+        phi = QZeroData(A1, {(-1, (Q(0),)): 1}, 12)
+        assert repr(phi) == "QZeroData(Lattice(A1), 1 entries, k=12)"
+
     def test_f_lookup(self):
         phi = QZeroData(A1, {(-1, (Q(0),)): 1}, 12)
         assert phi.f(-1, (0,)) == 1
