@@ -33,9 +33,9 @@ x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
 pairs of tiny operands on flat keys (a, t, packed l), each sum one Laplace
 step: a Jacobian minor (under 3 term pairs), or the syzygy sum's first row.
 A minor is built only on the box from which its terms can reach the rect
-(the cut of ``_determinants``), as its terms alone, with no head, floors or
-sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).  Every
-other step is one ``_laplace``: its head, then ``_accumulate``.
+(the cut of ``_determinants``), and is its terms alone there, with no head,
+floors or sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).
+Every other step is one ``_laplace``: its head, then ``_accumulate``.
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion

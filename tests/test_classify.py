@@ -301,7 +301,7 @@ class TestGuards:
         # the sum rule's C moved by one; the cache is cleared around the patch, so no value it
         # computed outlives it
         real = classify.quadratic_weyl_constant
-        monkeypatch.setattr(classify, "quadratic_weyl_constant", lambda phi: real(phi)._replace(c=real(phi).c + 1))
+        monkeypatch.setattr(classify, "quadratic_weyl_constant", lambda phi: (r := real(phi))._replace(c=r.c + 1))
         classify._solved_data.cache_clear()
         try:
             with pytest.raises(ClassificationError, match=r"^Weyl C and sum-rule C disagree for A2\(1\)$"):
