@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import re
@@ -81,6 +82,111 @@ class TestLattice:
         path = write_json(tmp_path / "lat.json", {"gram": [[2, 1], [1, 2]], "label": None})
         code, out, _ = run(capsys, "lattice", path, "--format", "json")
         assert code == 0 and json.loads(out)["label"] is None
+
+
+# SHA-256 of `lattice builtin:NAME(s) --format json` stdout for the 23 built-ins at four scales,
+# recorded before any change to the Smith form or the discriminant group, so that one must keep them
+LATTICE_DIGESTS = {
+    ("A1", 1): "a216bb78ea719b43481e39a9abb89049a26932e68e47cdd5857d604309f65456",
+    ("A1", 2): "93e4e05f157bb635b2363d536a260634b6908b21641efa4f1f2458c3a915ec33",
+    ("A1", 3): "d28e278d7510155351290226773e2c1086e111ece38038148f8441f1bb2561af",
+    ("A1", -1): "d2b0dc9f07408a6775eb937034b06aab792147dd26ebab06342833f4c9591a5a",
+    ("A2", 1): "35343d618f5702d16f3ac5c0daa85795e1673649dd77bf800e44579a6457c91a",
+    ("A2", 2): "00d8cb442c063ddd6cb930742ead07553e174096fed01041d76859b6f5fbc07d",
+    ("A2", 3): "a89017a92c82228c8ae9f5262ff556ad8b3cac6d370334b1334bd799ac440828",
+    ("A2", -1): "ec8e52e2ab48c2d20f9c8801dd4806dbcdfbcb384c07207a743017f1522af5c4",
+    ("A3", 1): "c57f3534c7bc22309a1ee7d699d558261e7a62a0bc3f7f89bf3296840e30bdd9",
+    ("A3", 2): "5493d3e67be3612e2beaa13ab4419b51fd434fb7faee553435ff2079e867cfa6",
+    ("A3", 3): "7f50a2970f56402454ecb118e80bce3ee881d14189d6d8cc2a9ccad36234a9fb",
+    ("A3", -1): "2f957e682a60a3bd4ff9376981b7a9ffc67e940969dd730c0367099023d82670",
+    ("A4", 1): "62c9c34e4f3fdfaf7c668c7c6279ad23ca95904244d50b2863112872e9933c45",
+    ("A4", 2): "a5afc5a045f3b78acfbaf3dd1b3e6394f9d282bc4e2e9966b75d91ceeeb57fde",
+    ("A4", 3): "47544d5076acc57be3f9b948612d6b0955b5c68cb1b33162d6105090795f5e22",
+    ("A4", -1): "b6affa665c3f2b295e8e3f9081441e9f59a67716c6b0bfb0bea85c2654f3330b",
+    ("A5", 1): "a59e1e93145b14dd16569935f7b8965546cc5cc4f23c7aebae66df59ece2c666",
+    ("A5", 2): "b34cee46c94f47c39630edab7e65ee6d7e53031f1ccc273a6fbb4105ce6de2eb",
+    ("A5", 3): "4662c96406d7912fa413e891c915d173cd46864851f05da61fcb28779be734cd",
+    ("A5", -1): "7d75874042d15123228359125b9652ed1abdda9acd417692ad592df392169d98",
+    ("A6", 1): "3f39e8cf36ee94aa7a8e9417cd1a2d38eb3540f52b1f261e489fdc6f5929752a",
+    ("A6", 2): "ab2b0b3d673241802a1efdb700ba36f1748b2a3645f396cd93bced029cfb9887",
+    ("A6", 3): "93d714c1671f9e5b5b357fb45ba723ef9eabb3837f68a7ab4ca08e9917632478",
+    ("A6", -1): "57e77165fbb6cfba41d3653ed7d65966ad293b921532ef9e1aea1b77806402b5",
+    ("A7", 1): "b1ce76c4afb23706d968b92ffb1ae3c41d47cec7680717332299da5752840153",
+    ("A7", 2): "4122a714eb796b05523125ce4cad5394649dfd4f1b4131cf627d2ecc60500664",
+    ("A7", 3): "c2e9c29149e3c4746e6af48c955acf5b1b1d0e0f58f3f77bd42a204b1bea5703",
+    ("A7", -1): "6a1d842181fb15494fd49affdde65500f2319fd259707946c138c6b30f23c6ed",
+    ("A8", 1): "26e2c41d1675c2d31cdc106f6ebec6825fbfdfe23938d03e19a39e7b9387e336",
+    ("A8", 2): "bc95b1340217af512e7ebd490e758416fa7689d4eee7f7b1edd186e06e4b2152",
+    ("A8", 3): "bf91035da08f3ca5f94fb4a8c2591ad181d931add656245ac646e7d789a83ce0",
+    ("A8", -1): "216409620c71fc28604d16564fe057295ecceb1e00182144b8ac3c22a731abca",
+    ("D4", 1): "8c32c8d6bdaa93793485acfd85f18f4079cd946408af04f1d031244c252eb59e",
+    ("D4", 2): "dc17fe940ca89d12ca8dee5738083bb34d023a5825a8ca7db494f33df1a21c45",
+    ("D4", 3): "bf3d783d737c79792db5f3cc728f2877f8591ba1355080832f56dcda1054995e",
+    ("D4", -1): "3cbebb68fd4e214008efc993ba94424f2b235773b43f09a3077dfbabc2148c28",
+    ("D5", 1): "4e39d0f903a371c6f2bc2366afd047e0d789b65d97977645c5894295c7a28298",
+    ("D5", 2): "17adecbc37cde391d8b1ab6c86b2e81b837fd79045d87d8d87beefa4a07e92fe",
+    ("D5", 3): "caf9edfed0fbc087245474822b4c4b27541b3ac9c0023dc862b3e57f7b793e85",
+    ("D5", -1): "353ea810003e739d6c2be5f2c6c72dba7b96737aedb538d38735a353c02932f0",
+    ("D6", 1): "a850d1cee4a627927f5eb093698a6a8a453e141ca87bfde361c48ee7491d7ffa",
+    ("D6", 2): "66cc5d2ffa21470cac89ef468c1ed5bac31c90bb68d6a564dffbeb493e4c6baf",
+    ("D6", 3): "c840a294e3a9d9a6625dfbda7ebd006b3bb4d620900645bd8f5ce7d3cce22c97",
+    ("D6", -1): "8030c0c75c4fffe263ec750823e9f848329f943a447a4533fb9c6159455ff39e",
+    ("D7", 1): "1a71f277e13a94d8f9cdf933c4bc67c652514f6ff604a971b1809cfb2b11e201",
+    ("D7", 2): "f3994490d4a1055063894254205041dba9d5846cf8b2b3763fc92b3232d9ec92",
+    ("D7", 3): "21364696209f1a0bf50d2ba4806e2ea6a5468d84f5240306a5b33dc384f4dfa5",
+    ("D7", -1): "f1f657b0e740c2175419358dd0da13e71e5ee87150e3217aadb526892a0410a2",
+    ("D8", 1): "2a992bf67b1e33d19b221520e95c461236fbe92d0bd776efb7df1d8f4653f3e1",
+    ("D8", 2): "1fe36ad3c9685d7ca41fb976b9fe05dcd8d435216495814082db129db93259f5",
+    ("D8", 3): "49dcd4ebc31ca6538450c9c6eaf34179c74554c67a0a64a616ef7b3621bed025",
+    ("D8", -1): "e3ade1a8da6c58b35b58db36528c8485761cd8e42a2f729cd70d7abdf64d8059",
+    ("E6", 1): "95c1d70ee261593c27814f6ee87d1c5ad0c229bd496a8c3653fed6132b32042a",
+    ("E6", 2): "9d55038645e0d14aa3fe7686e7577de425098066ba941dd2dc1c9d6aab043855",
+    ("E6", 3): "a9f026799d0a32d22605de66f43f84a1bf222433f80aa428e3aa61cb0e4ee46c",
+    ("E6", -1): "7b606a4023d7a2475a98b910581e1f14e8d51554a0520b570d9d91cc4badb6ba",
+    ("E7", 1): "1660b9fe6162034a6ed7dccd9b5a2656e47a01fceec4bd0ac8922f54c04dde78",
+    ("E7", 2): "cb3e00b963a52ebcdf2416a01b75180b08eaaae9e1c1f53e1b8c17ecb08040a6",
+    ("E7", 3): "08103742ab9a8da00789e4266fb6ad720f75d50ae5cdfc088d6d42dd7034badb",
+    ("E7", -1): "490e534ff981b39ce06b4cce9793047bdfc154ac7e003affa6d06c4657deddee",
+    ("E8", 1): "9bdbe5cb7ffc5e766bb41e6b3d45455105cafc04a27e9c3a885c630bd7320b72",
+    ("E8", 2): "e0621f76ac56d07e619db01240be571bf5913c54bf4c4a15bade0ddd313b1576",
+    ("E8", 3): "649df87b11c21127d7f9dc807eeda51f55c3a76283fd318f4479520a231fede6",
+    ("E8", -1): "2be9695e35202796557d29ec75cb7b0f8ccc8de023623bb8fdc653d4b4a70dbb",
+    ("2A1", 1): "90dd02d092be70cd77c1cb52b55cd7da3eaacf3ccd50b7554723a3070550bbfb",
+    ("2A1", 2): "49baa6d16a4ded9ee93715a40ec126a0fe59ca39074a86b82c61e0c1bfef1ad6",
+    ("2A1", 3): "707d496ee4fa4305ad837eab718c87affaf94e78b7ed536e45730acb50763e8f",
+    ("2A1", -1): "c92317f35449313c4cee440d9afcc9ca8be9f4d667ec632daf7389a8c9438445",
+    ("3A1", 1): "dfcdff1f57ae85a31c0906c8e19e0a5f152a03f3c9e09442c84c88f0e6ce2257",
+    ("3A1", 2): "24ebde17ed3c8f9bb884d56a6c1c56158cb4d5e49ae3c9ca0ebbaad43a016953",
+    ("3A1", 3): "0c1de380a00e0be51519a637a1e0c09c5ec8214496129c02bff6636a47ac7a4e",
+    ("3A1", -1): "42db6e0467dd165b77638460cb5154310b50a358ea14c21f5aac8bb165ad2e44",
+    ("4A1", 1): "ccbf5b2a20fcb24c0e816d84884ba6ef3e4fa5e18c549be386cad1c76d92d18e",
+    ("4A1", 2): "ec013fb5540f69d96dc6c3f9976d80ef873ed27bea43bf4829c23ceffc45b63f",
+    ("4A1", 3): "8a1fdeeed102013f0decf38e45da8d2795dab16a82ea465b4214a558886fbf16",
+    ("4A1", -1): "8732c23c6ea7f3dc6d682d498773d4ef9281ee17b0a24421eb8b98e186d0dbd0",
+    ("5A1", 1): "f24f3dda4ee30c81e53afaa31ca73313d07d7758b3da68abf95273100a3a9073",
+    ("5A1", 2): "4ecfb45f53f85d2ac84663f6ee4faf591dcba46180544ed4de307def2b2d1a7f",
+    ("5A1", 3): "7a097ce681abb7889fd16172f7bc55cbc187029dedbccbd68ffb5c37656b889f",
+    ("5A1", -1): "61e8c0fe1e3e646d0df21a0e45cafa426b21d85a8472bb026fca995a12dc3281",
+    ("6A1", 1): "2b326845548e10a3b6b59d5dfa34ef10d1d8f4f4881979f89d851f4c4e6c666d",
+    ("6A1", 2): "38694a71588961ef67b0e765d83d3116f68d5f53053b4d778e0c4c9261da0d4b",
+    ("6A1", 3): "771ecced49cd828c22823d10cb7e6de0b89ee152bf192a8b2bf48fb5bd034926",
+    ("6A1", -1): "12fc9aeee65e20e50d43e69e69df5a09bbdebe68a40bc9c4f38e8d406ec408f8",
+    ("7A1", 1): "3a388e7ff7493446fd40cdffe68cd55756dead1ed24325685cae2aebba136db9",
+    ("7A1", 2): "d8391cf1877bb5ba7cf6262aea5f2eb4f1d71969b06878a4fa447faebc58723b",
+    ("7A1", 3): "50d99a56d78a09ee14c1ce0d577e07b8263713fd17271c54ea393b115cdaef1a",
+    ("7A1", -1): "afbcc96fae550bb727363ccb7f5d935f5a0d54a8cbeb1e9fe0566d15dc1e4090",
+    ("8A1", 1): "a98215edfb1b6a69173775babbe2f8dab07e8790af7950e32a0dba622ae1a722",
+    ("8A1", 2): "e8ce98d753e75a055d9c103d6a8369e1f327677d2738463f6286e25a97c4b061",
+    ("8A1", 3): "eed80abc0d8ba3ee2a7c4fa446a8b27fbc523de20eb8c497d910c01702db31dd",
+    ("8A1", -1): "17d771562dcde5154f7c67c64f144fd481b26f50a459f5f246b9db11dcca5900",
+}
+
+
+@pytest.mark.parametrize("name, scale", sorted(LATTICE_DIGESTS))
+def test_lattice_output_pinned(capsys, name, scale):
+    code, out, err = run(capsys, "lattice", f"builtin:{name}({scale})", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_DIGESTS[name, scale]
 
 
 class TestRoots:
