@@ -105,12 +105,7 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
         if entries.setdefault((n, coords), f) != f:
             raise ValueError(f"{entry} conflicts with an earlier entry for the same n and l")
     # structural completeness: the principal part and every evenness partner are stored
-    zero = tuple(Q(0) for _ in range(lat.rank))
-    missing = [] if entries.get((-1, zero)) == 1 else [(-1, zero)]
-    for (n, coords), f in entries.items():
-        neg = (n, tuple(-x for x in coords))
-        if f and entries.get(neg, 0) != f:
-            missing.append(neg)
+    missing = weyl_mod._missing_coefficients(entries, lat.rank)
     if missing:
         listing = ", ".join(f"(n={n}, l=[{', '.join(map(q_str, coords))}])" for n, coords in sorted(missing))
         raise CliError(f"{path}: missing required coefficients: {listing}", EXIT_MISSING)

@@ -1,7 +1,11 @@
 """Exact linear algebra over the integers and rationals.
 
-All routines operate on immutable tuple-of-tuples matrices whose entries
-are ints or Fractions.  Nothing here ever touches floating point.
+Matrices are immutable tuple-of-tuples.  ``det``, ``inverse``, ``rank``
+and the sum rule's helpers take ints or Fractions.  The Gram routines
+``is_positive_definite``, ``short_vectors_of_form`` (``_half_of_form``)
+and ``smith_normal_form`` take integer Grams only, as every ``Lattice``
+Gram is, and raise ValueError on other input.  Nothing here ever touches
+floating point.
 
 One elimination on ints, ``_echelon``, serves ``det``, ``inverse``,
 ``rank``, ``is_positive_definite`` and ``_half_of_form``: Bareiss's
@@ -215,20 +219,21 @@ def _sum_rule(gram: Sequence[Sequence[int]], weighted_images) -> tuple[Q | None,
     return (None if c is None else c / (2 * den)), None
 
 
-def _definite_rows(gram: Mat) -> tuple[int, list[list[int]]] | None:
-    """(den, b) with b the pivot rows of the integer form den·gram, or None.
+def _definite_rows(gram: Mat) -> list[list[int]] | None:
+    """The pivot rows b of an integer Gram matrix, or None unless it is positive definite.
 
-    den is the lcm of the denominators of the entries.  By Sylvester's
-    criterion a symmetric matrix is positive definite exactly when every
-    leading minor is positive.  When the pivot columns are 0, ..., n-1, pivot
-    b_i[i] is the leading minor of order i + 1; otherwise some leading minor
-    is zero.  None unless every pivot column is in place and positive.
+    By Sylvester's criterion a symmetric matrix is positive definite exactly
+    when every leading minor is positive.  When the pivot columns are
+    0, ..., n-1, pivot b_i[i] is the leading minor of order i + 1; otherwise
+    some leading minor is zero.  None unless every pivot column is in place
+    and positive.  A Gram with an entry that is not an int is a ValueError.
     """
-    d = lcm(*(x.denominator for row in gram for x in row))
-    echelon = _echelon([x.numerator * (d // x.denominator) for x in row] for row in gram)
+    if not all(isinstance(x, int) for row in gram for x in row):
+        raise ValueError("Gram matrix entries are not all integers")
+    echelon = _echelon(map(list, gram))
     if [c for c, _ in echelon] != list(range(len(gram))) or any(r[c] <= 0 for c, r in echelon):
         return None
-    return d, [r for _, r in echelon]
+    return [r for _, r in echelon]
 
 
 def is_positive_definite(gram: Mat) -> bool:
@@ -236,38 +241,34 @@ def is_positive_definite(gram: Mat) -> bool:
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of an integer matrix.
+    """Diagonal of the Smith normal form of a nondegenerate square integer matrix.
 
-    Returns the nonzero invariant factors, nonnegative, each dividing the
-    next.  For a nondegenerate square matrix the product equals |det|.
+    Returns the invariant factors, positive, each dividing the next; their
+    product is |det|.  A rectangular, non-integer or singular matrix is a
+    ValueError: every caller passes a ``Lattice`` Gram, which is none of these.
 
-    A nondegenerate square matrix is eliminated modulo r, the order of the
-    cokernel of its trailing block (|det| at the start).  That order kills
-    the cokernel, so the columns r e_i lie in the column lattice: entries
-    may be taken mod r, which stops them from growing, and a pivot p
-    contributes gcd(p, r).  Other matrices are eliminated over the integers.
+    The matrix is eliminated modulo r, the order of the cokernel of its
+    trailing block (|det| at the start).  That order kills the cokernel, so
+    the columns r e_i lie in the column lattice: entries may be taken mod r,
+    which stops them from growing, and a pivot p contributes gcd(p, r).
     """
-    a = [[int(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = abs(det(a)) if rows == cols > 0 else 0
-
-    def red(x):
-        return x % r if r else x
-
+    n = len(m)
+    if any(len(row) != n or not all(isinstance(x, int) for x in row) for row in m):
+        raise ValueError("not a square integer matrix")
+    r = abs(det(m))
+    if not r:
+        raise ValueError("singular matrix")
+    a = [list(row) for row in m]
     diag = []
-    s = 0
-    while s < min(rows, cols):
+    for s in range(n):
         for row in a[s:]:
-            row[s:] = map(red, row[s:])
+            row[s:] = [x % r for x in row[s:]]
         # locate a minimal nonzero entry in the trailing block
         best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
+        for i in range(s, n):
+            for j in range(s, n):
                 if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                     best = (i, j)
-        if best is None and not r:
-            break
         if best is not None:  # else the block is 0 mod r, so r = 1 or it is 1 x 1
             i, j = best
             a[s], a[i] = a[i], a[s]
@@ -275,27 +276,26 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 row[s], row[j] = row[j], row[s]
         while best is not None:
             changed = False
-            for i in range(s + 1, rows):
+            for i in range(s + 1, n):
                 if a[i][s]:
                     q = a[i][s] // a[s][s]
-                    a[i] = [red(x - q * y) for x, y in zip(a[i], a[s])]
+                    a[i] = [(x - q * y) % r for x, y in zip(a[i], a[s])]
                     if a[i][s]:
                         a[s], a[i] = a[i], a[s]
                     changed = True
-            for j in range(s + 1, cols):
+            for j in range(s + 1, n):
                 if a[s][j]:
                     q = a[s][j] // a[s][s]
                     for row in a:
-                        row[j] = red(row[j] - q * row[s])
+                        row[j] = (row[j] - q * row[s]) % r
                     if a[s][j]:
                         for row in a:
                             row[s], row[j] = row[j], row[s]
                     changed = True
             if not changed:
                 break
-        diag.append(gcd(a[s][s], r))  # gcd(p, 0) = |p|
+        diag.append(gcd(a[s][s], r))
         r //= diag[-1]
-        s += 1
     # enforce the divisibility chain; diag(a, b) and diag(gcd, lcm) are equivalent
     changed = True
     while changed:
@@ -313,34 +313,33 @@ VECTOR_CAP = 200_000
 
 
 def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """(v, (den·gram)·v, den·v^T gram v) for each lex-positive short vector v, in lex order.
+    """(v, G·v, v^T G v) for each lex-positive short vector v, in lex order.
 
-    The v are the nonzero integer vectors with v^T gram v <= max_norm whose
-    first nonzero coordinate is positive; den is the lcm of the denominators
-    of the entries, 1 on an integral Gram.  Requires a positive definite
-    form; a ValueError when both signs together exceed ``VECTOR_CAP``.
+    The v are the nonzero integer vectors with v^T G v <= max_norm whose
+    first nonzero coordinate is positive.  Requires a positive definite
+    integer Gram G (an ArithmeticError if it is not definite, a ValueError
+    if an entry is not an int); a ValueError when both signs together
+    exceed ``VECTOR_CAP``.
 
     Fincke-Pohst branch-and-prune on the pivot rows of the elimination, in
     integer arithmetic.  The search runs on the Gram with its basis order
     reversed, so that it fixes x_0 first and x_{n-1} last.  Its
-    ``_definite_rows`` make the Gram integral (scaling the norm and the
-    bound alike) and give the pivot rows b_i, with leading minors
+    ``_definite_rows`` give the pivot rows b_i, with leading minors
     Delta_i = b_i[i] and Delta_{-1} = 1.  Then the norm is
     sum_i (b_i . y)^2 / (Delta_{i-1} Delta_i), y = x reversed: the LDL form
     with pivots d_i = Delta_i / Delta_{i-1} and unit rows b_i / Delta_i.
     With g_i the content of b_i, L_i = Delta_i / g_i and D the lcm over i of
-    den(d_i) * L_i^2, every w_i = D d_i / L_i^2 is an integer, and
-    D v^T gram v = sum_i w_i t_i^2 with t_i = b_i . y / g_i, which is
+    L_i^2 times the denominator of d_i, every w_i = D d_i / L_i^2 is an integer, and
+    D v^T G v = sum_i w_i t_i^2 with t_i = b_i . y / g_i, which is
     L_i y_i plus the shift sum_{j > i} (b_i[j] / g_i) y_j.  The left side is
-    an integer, so the bound is exactly D v^T gram v <= floor(D max_norm),
+    an integer, so the bound is exactly D v^T G v <= floor(D max_norm),
     and each coordinate's range comes from isqrt of the remaining budget
     over w_i with no slack and no after-the-fact filtering.  At a leaf the
-    budget spent is sum_i w_i t_i^2, so den·v^T gram v is that over D.
+    budget spent is sum_i w_i t_i^2, so v^T G v is that over D.
 
-    One integer list rides down the recursion: (den·gram)·v so far,
-    followed by the pending shift of every level not yet fixed, the next
-    level's last.  Fixing y_i adds y_i times one precomputed column, the
-    column of den·gram at its coordinate followed by each lower level's
+    One integer list rides down the recursion: G·v so far, followed by the
+    pending shift of every level not yet fixed, the next level's last.  Fixing y_i adds y_i times one precomputed column, the
+    column of G at its coordinate followed by each lower level's
     coefficient b_k[i] / g_k, and drops y_i's own shift; so no shift is
     summed and no product with the Gram is taken per vector.  Each multiple
     y·column is built the first time y is met at that level and kept.
@@ -353,10 +352,9 @@ def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int,
     as each range ascends and x_0 is fixed first.
     """
     n = len(gram)
-    definite = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
-    if definite is None:
+    rows = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
+    if rows is None:
         raise ArithmeticError("form is not positive definite")
-    den, rows = definite
     minors = [1] + [r[i] for i, r in enumerate(rows)]
     rows = [[x // g for x in r] for r, g in zip(rows, [gcd(*r) for r in rows])]
     row_den = [r[i] for i, r in enumerate(rows)]
@@ -364,10 +362,10 @@ def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int,
     weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
     # (w_i, L_i, coordinate p = n-1-i, column, its multiples by y) for each level i
     levels = [
-        (w, l, n - 1 - i, [int(row[n - 1 - i] * den) for row in gram] + [rows[k][i] for k in range(i)], {})
+        (w, l, n - 1 - i, [row[n - 1 - i] for row in gram] + [rows[k][i] for k in range(i)], {})
         for i, (w, l) in enumerate(zip(weights, row_den))
     ]
-    bound = Q(max_norm) * scale * den
+    bound = Q(max_norm) * scale
     budget = bound.numerator // bound.denominator
     half: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
     if budget < 0:
@@ -412,9 +410,9 @@ def _mirrored(half: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with v^T gram v <= max_norm, both signs.
+    """All nonzero integer vectors with v^T G v <= max_norm, both signs.
 
-    Requires a positive definite form.  Output is sorted lexicographically:
+    Requires a positive definite integer Gram G, as ``_half_of_form`` does.  Output is sorted lexicographically:
     the mirror of ``_half_of_form``.  Every vector it finds sorts after
     every negated one, so the output is the negatives in reverse order
     followed by the vectors found, with no sort, and s[-1-k] == -s[k].

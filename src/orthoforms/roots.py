@@ -399,8 +399,6 @@ def sum_rule_constant(gram, weighted_vectors) -> Q | None:
     times z z^T, and the check runs on ints.
     """
     vectors = [(v, Q(w)) for v, w in weighted_vectors]
-    if not vectors:
-        return None
     b = [r for _, r in linalg._echelon(linalg._int_row(v) for v, _ in vectors)]
     bg = [linalg.mat_vec(gram, r) for r in b]  # B G, as G is symmetric
     images = [(linalg._int_image(bg, v), w) for v, w in vectors]

@@ -55,6 +55,21 @@ def _shown(x: Ints, den: int) -> str:
     return f"({', '.join(str(Q(v, den)) for v in x)})"
 
 
+def _missing_coefficients(table: Mapping[tuple[int, tuple], int], rank: int) -> list[tuple[int, tuple]]:
+    """The (n, l) a q^0 table lacks, in table order; a zero value reads as absent.
+
+    First (-1, 0) unless f(-1, 0) = 1, then the partner (n, -l) of each
+    nonzero f(n, l) whose value differs there: the table is even in l.
+    """
+    zero = (0,) * rank
+    missing = [] if table.get((-1, zero)) == 1 else [(-1, zero)]
+    for (n, x), value in table.items():
+        partner = (n, tuple(map(neg, x)))
+        if value and table.get(partner, 0) != value:
+            missing.append(partner)
+    return missing
+
+
 class QZeroData:
     """Principal part plus q^0 coefficients of a product input.
 
@@ -112,13 +127,12 @@ class QZeroData:
                     images[pos] = tuple([v // den for v in gx])
             if table.setdefault((n, x), value) != value:
                 raise CoefficientConflictError(f"conflicting values at ({n}, {_shown(x, den)})")
-        if (-1, (0,) * rank) not in table:
-            raise ValueError("missing principal part f(-1, 0) = 1")
-        for (n, x), value in table.items():
-            if table.get((n, tuple(map(neg, x)))) != value:
-                raise ValueError(
-                    f"coefficients are not even in l: f({n}, {_shown(x, den)}) has no partner"
-                )
+        missing = _missing_coefficients(table, rank)
+        if missing:
+            n, x = missing[0]
+            if n < 0:
+                raise ValueError("missing principal part f(-1, 0) = 1")
+            raise ValueError(f"coefficients are not even in l: f({n}, {_shown(tuple(map(neg, x)), den)}) has no partner")
         self.lattice, self.k, self._den, self._map, self._images = lattice, k, den, table, images
         return self
 

@@ -1,6 +1,6 @@
 from fractions import Fraction as Q
 from itertools import product
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 import sympy
@@ -118,32 +118,31 @@ def test_short_vectors_of_form_against_box(gram, bound):
     expected = box_short_vectors(gram, radii, bound)
     found = linalg.short_vectors_of_form(gram, bound)
     assert found == sorted(expected)
-    # a Fraction Gram: the same form over 3 with the bound over 3
+    # a Fraction Gram, the same form over 3, is refused: the enumerator takes integer Grams only
     thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
-    found_thirds = linalg.short_vectors_of_form(thirds, bound / 3)
-    assert found_thirds == sorted(expected)
+    with pytest.raises(ValueError, match="^Gram matrix entries are not all integers$"):
+        linalg.short_vectors_of_form(thirds, bound / 3)
     # roots.detect_roots tests only the first half and mirrors it
-    for s in (found, found_thirds):
-        assert all(s[-1 - k] == tuple(-x for x in s[k]) for k in range(len(s)))
+    assert all(found[-1 - k] == tuple(-x for x in found[k]) for k in range(len(found)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(positive_definite_grams(), BOUNDS)
 def test_half_carries_images_and_norms(gram, bound):
-    """Each (v, image, norm) of the lex-positive half is (den·G)·v and den·v^T G v, in lex order."""
+    """Each (v, image, norm) of the lex-positive half is G·v and v^T G v, in lex order."""
+    half = linalg._half_of_form(gram, bound)
+    vectors = [v for v, _, _ in half]
+    assert vectors == sorted(set(vectors))
+    for v, image, norm in half:
+        assert next(x for x in v if x) > 0
+        assert image == linalg.mat_vec(gram, v)
+        assert all(type(x) is int for x in image) and type(norm) is int
+        assert norm == sum(gram[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
+        assert norm <= bound
+    assert linalg._mirrored(vectors) == linalg.short_vectors_of_form(gram, bound)
     thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
-    for g, b in ((gram, bound), (thirds, bound / 3)):
-        den = lcm(*(Q(x).denominator for row in g for x in row))
-        half = linalg._half_of_form(g, b)
-        vectors = [v for v, _, _ in half]
-        assert vectors == sorted(set(vectors))
-        for v, image, norm in half:
-            assert next(x for x in v if x) > 0
-            assert image == tuple(den * x for x in linalg.mat_vec(g, v))
-            assert all(type(x) is int for x in image) and type(norm) is int
-            assert norm == den * sum(g[i][j] * v[i] * v[j] for i in range(len(v)) for j in range(len(v)))
-            assert norm <= den * b
-        assert linalg._mirrored(vectors) == linalg.short_vectors_of_form(g, b)
+    with pytest.raises(ValueError, match="^Gram matrix entries are not all integers$"):
+        linalg._half_of_form(thirds, bound / 3)
 
 
 def test_negative_bound_has_no_vectors():
@@ -322,17 +321,26 @@ def integer_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_smith_normal_form_against_sympy(m):
+    """Every nondegenerate square draw matches sympy; every rectangular or singular one is refused."""
     from sympy.matrices.normalforms import smith_normal_form
 
-    snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
-    diag = (abs(int(snf[i, i])) for i in range(min(snf.shape)))
-    assert linalg.smith_normal_form(m) == tuple(d for d in diag if d)
+    matrix = sympy.Matrix(m)
+    if not matrix.is_square or matrix.det() == 0:
+        with pytest.raises(ValueError, match="^(not a square integer matrix|singular matrix)$"):
+            linalg.smith_normal_form(m)
+        return
+    snf = smith_normal_form(matrix, domain=sympy.ZZ)
+    assert linalg.smith_normal_form(m) == tuple(abs(int(snf[i, i])) for i in range(len(m)))
 
 
 def test_smith_normal_form_zero_and_negative():
-    assert linalg.smith_normal_form([[0, 0], [0, 0], [0, 0]]) == ()
+    with pytest.raises(ValueError, match="^not a square integer matrix$"):
+        linalg.smith_normal_form([[0, 0], [0, 0], [0, 0]])
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        linalg.smith_normal_form([[0, 0], [0, 0]])
     assert linalg.smith_normal_form([[-2, 0], [0, 3]]) == (1, 6)
-    assert linalg.smith_normal_form([[-4, -6, 2]]) == (2,)
+    with pytest.raises(ValueError, match="^not a square integer matrix$"):
+        linalg.smith_normal_form([[-4, -6, 2]])
 
 
 # positive definite Gram of rank 10 from the CLI lattice fuzz: over the
@@ -353,6 +361,31 @@ def test_smith_normal_form_rank_ten_gram(n):
     m = [row[:n] for row in FUZZ_GRAM[:n]]
     snf = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
     assert linalg.smith_normal_form(m) == tuple(abs(int(snf[i, i])) for i in range(n))
+
+
+# the Smith form's removed over-the-integers mode ran on these for more than 30 s without finishing
+FUZZ_REFUSED = {
+    "9x10": FUZZ_GRAM[:9],
+    "singular": FUZZ_GRAM[:9] + [[a + 2 * b for a, b in zip(FUZZ_GRAM[0], FUZZ_GRAM[1])]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_REFUSED))
+def test_smith_normal_form_refuses_fuzz_slices_at_once(deadline, name):
+    with deadline(1), pytest.raises(ValueError, match="^(not a square integer matrix|singular matrix)$"):
+        linalg.smith_normal_form(FUZZ_REFUSED[name])
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [linalg.smith_normal_form, linalg.is_positive_definite, lambda g: linalg.short_vectors_of_form(g, 4)],
+    ids=["smith_normal_form", "is_positive_definite", "short_vectors_of_form"],
+)
+@pytest.mark.parametrize("entry", [Q(5, 2), Q(2), 2.0], ids=["fraction", "integral-fraction", "float"])
+def test_gram_routines_refuse_non_integer_entries(routine, entry):
+    # before, the Smith form truncated a Fraction entry by int(x): 5/2 read as 2
+    with pytest.raises(ValueError, match="integer"):
+        routine(((entry, 1), (1, 2)))
 
 
 def oracle_grams():
