@@ -329,20 +329,21 @@ def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int,
     sum_i (b_i . y)^2 / (Delta_{i-1} Delta_i), y = x reversed: the LDL form
     with pivots d_i = Delta_i / Delta_{i-1} and unit rows b_i / Delta_i.
     With g_i the content of b_i, L_i = Delta_i / g_i and D the lcm over i of
-    L_i^2 times the denominator of d_i, every w_i = D d_i / L_i^2 is an integer, and
-    D v^T G v = sum_i w_i t_i^2 with t_i = b_i . y / g_i, which is
-    L_i y_i plus the shift sum_{j > i} (b_i[j] / g_i) y_j.  The left side is
-    an integer, so the bound is exactly D v^T G v <= floor(D max_norm),
+    L_i^2 times the denominator of d_i, every w_i = D d_i / L_i^2 is an
+    integer, and D v^T G v = sum_i w_i t_i^2 with t_i = b_i . y / g_i, which
+    is L_i y_i plus the shift sum_{j > i} (b_i[j] / g_i) y_j.  The left side
+    is an integer, so the bound is exactly D v^T G v <= floor(D max_norm),
     and each coordinate's range comes from isqrt of the remaining budget
     over w_i with no slack and no after-the-fact filtering.  At a leaf the
     budget spent is sum_i w_i t_i^2, so v^T G v is that over D.
 
     One integer list rides down the recursion: G·v so far, followed by the
-    pending shift of every level not yet fixed, the next level's last.  Fixing y_i adds y_i times one precomputed column, the
-    column of G at its coordinate followed by each lower level's
-    coefficient b_k[i] / g_k, and drops y_i's own shift; so no shift is
-    summed and no product with the Gram is taken per vector.  Each multiple
-    y·column is built the first time y is met at that level and kept.
+    pending shift of every level not yet fixed, the next level's last.
+    Fixing y_i adds y_i times one precomputed column, the column of G at
+    its coordinate followed by each lower level's coefficient b_k[i] / g_k,
+    and drops y_i's own shift; so no shift is summed and no product with
+    the Gram is taken per vector.  Each multiple y·column is built the
+    first time y is met at that level and kept.
 
     The set is closed under v -> -v, so it is enumerated up to sign
     (Fincke and Pohst, Math. Comp. 44, 1985): while every coordinate fixed
@@ -410,11 +411,11 @@ def _mirrored(half: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def short_vectors_of_form(gram: Mat, max_norm) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors with v^T G v <= max_norm, both signs.
+    """All nonzero v with v^T G v <= max_norm, both signs, for a positive definite integer Gram G.
 
-    Requires a positive definite integer Gram G, as ``_half_of_form`` does.  Output is sorted lexicographically:
-    the mirror of ``_half_of_form``.  Every vector it finds sorts after
-    every negated one, so the output is the negatives in reverse order
-    followed by the vectors found, with no sort, and s[-1-k] == -s[k].
+    Output is sorted lexicographically: the mirror of ``_half_of_form``.
+    Every vector it finds sorts after every negated one, so the output is
+    the negatives in reverse order followed by the vectors found, with no
+    sort, and s[-1-k] == -s[k].
     """
     return _mirrored([v for v, _, _ in _half_of_form(gram, max_norm)])

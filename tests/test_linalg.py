@@ -363,7 +363,8 @@ def test_smith_normal_form_rank_ten_gram(n):
     assert linalg.smith_normal_form(m) == tuple(abs(int(snf[i, i])) for i in range(n))
 
 
-# the Smith form's removed over-the-integers mode ran on these for more than 30 s without finishing
+# a 9 x 10 slice of FUZZ_GRAM and a singular variant: an elimination over the integers ran past 30 s
+# on each without finishing, so the Smith form must refuse both before it eliminates
 FUZZ_REFUSED = {
     "9x10": FUZZ_GRAM[:9],
     "singular": FUZZ_GRAM[:9] + [[a + 2 * b for a, b in zip(FUZZ_GRAM[0], FUZZ_GRAM[1])]],
@@ -383,7 +384,7 @@ def test_smith_normal_form_refuses_fuzz_slices_at_once(deadline, name):
 )
 @pytest.mark.parametrize("entry", [Q(5, 2), Q(2), 2.0], ids=["fraction", "integral-fraction", "float"])
 def test_gram_routines_refuse_non_integer_entries(routine, entry):
-    # before, the Smith form truncated a Fraction entry by int(x): 5/2 read as 2
+    # an entry is refused, never truncated: int(5/2) would read the Gram as ((2, 1), (1, 2))
     with pytest.raises(ValueError, match="integer"):
         routine(((entry, 1), (1, 2)))
 
