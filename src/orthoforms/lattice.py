@@ -75,14 +75,14 @@ class Lattice(_LatticeFields):
     def is_positive_definite(self) -> bool:
         return linalg.is_positive_definite(self.gram)
 
-    def pairing(self, u: Sequence, v: Sequence) -> Q:
+    def pairing(self, u: Sequence, v: Sequence) -> int:
         acc = 0
         for i, row in enumerate(self.gram):
             if u[i]:
                 acc += u[i] * sum(map(mul, row, v))
         return acc
 
-    def norm(self, v: Sequence) -> Q:
+    def norm(self, v: Sequence) -> int:
         return self.pairing(v, v)
 
     def gram_times(self, v: Sequence) -> tuple:
@@ -200,12 +200,14 @@ def builtin_names() -> list[str]:
 
 @lru_cache(maxsize=None)
 def builtin_lattice(name: str) -> Lattice:
-    """Look up a built-in lattice, optionally rescaled as in "A2(3)"."""
+    """Look up a built-in lattice, optionally rescaled as in "A2(3)" by an integer in ASCII digits."""
     base = name
     scale = 1
     if name.endswith(")") and "(" in name:
-        base, rest = name.split("(", 1)
-        scale = int(rest[:-1])
+        base, digits = name[:-1].split("(", 1)
+        if not re.fullmatch(r"-?(0|[1-9][0-9]*)", digits):
+            raise ValueError(f"scale {digits!r} is not an integer in ASCII digits")
+        scale = int(digits)
     if base not in _BUILTINS:
         raise KeyError(f"unknown built-in lattice {name!r}")
     lat = Lattice(_dynkin(*_BUILTINS[base]), base)

@@ -1,18 +1,15 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices are immutable tuple-of-tuples.  ``det``, ``inverse``, ``rank``
-and the sum rule's helpers take ints or Fractions.  The Gram routines
-``is_positive_definite``, ``short_vectors_of_form`` (``_half_of_form``)
-and ``smith_normal_form`` take integer Grams only, as every ``Lattice``
-Gram is, and raise ValueError on other input.  Nothing here ever touches
-floating point.
+Matrices are immutable tuple-of-tuples.  Every matrix routine takes
+integer matrices only, as every ``Lattice`` Gram is, and reads its rows
+through one guard, ``_int_rows``, which raises ValueError on other input.
+Rationals enter only as vectors (``_int_image``, ``_scaled``) and as
+weights (``_sum_rule``).  Nothing here ever touches floating point.
 
 One elimination on ints, ``_echelon``, serves ``det``, ``inverse``,
 ``rank``, ``is_positive_definite`` and ``_half_of_form``: Bareiss's
 fraction-free Gaussian elimination (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-A row with Fractions is first multiplied by the lcm of its denominators
-(``_int_row``); that keeps the rank, and ``det`` divides the lcm back out.
 Rows are taken one at a time, and a row v is reduced against the pivot rows
 r_1, ..., r_k kept so far (pivot columns c_j, pivots p_j = r_j[c_j],
 p_0 = 1) by v <- (p_j v - v[c_j] r_j) / p_{j-1}.  Each division is exact:
@@ -46,9 +43,9 @@ span of its vectors, as a change of Gram matrix.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Q, ...]
 Mat = tuple[tuple[Q, ...], ...]
@@ -70,13 +67,29 @@ def is_positive_direction(coords: Sequence) -> bool:
     return False
 
 
-def _int_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its denominators, as ints."""
-    scale = lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+def _scaled(coords: Sequence, den: int) -> tuple[int, ...]:
+    """den * x as ints, for den a multiple of every entry's denominator."""
+    return tuple([x.numerator * (den // x.denominator) for x in coords])
 
 
-def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
+def _int_row(row: Sequence) -> tuple[int, ...]:
+    """The rational row times the lcm of its denominators, as ints."""
+    return _scaled(row, lcm(*(x.denominator for x in row)))
+
+
+def _int_rows(m: Sequence[Sequence[int]], width: int | None = None) -> Iterator[Sequence[int]]:
+    """The rows of m as ``_echelon`` takes them, each checked to be n ints (n = width, else len(m)).
+
+    Lazy, so that ``rank`` reads no row past full column rank; a row that fails is a ValueError.
+    """
+    n = len(m) if width is None else width
+    for row in m:
+        if len(row) != n or not all(isinstance(x, int) for x in row):
+            raise ValueError(f"not a {'square' if width is None else 'rectangular'} integer matrix")
+        yield row
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> list[tuple[int, Sequence[int]]]:
     """The (pivot column, pivot row) pairs of the fraction-free elimination.
 
     Integer rows are reduced one at a time against the pivot rows kept so
@@ -84,7 +97,7 @@ def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
     dropped, and the scan stops at full column rank.  Pivot row j is zero on
     the pivot columns before its own.
     """
-    echelon: list[tuple[int, list[int]]] = []
+    echelon: list[tuple[int, Sequence[int]]] = []
     for v in rows:
         if len(echelon) == len(v):
             break
@@ -99,37 +112,33 @@ def _echelon(rows: Iterable[list[int]]) -> list[tuple[int, list[int]]]:
     return echelon
 
 
-def det(m: Mat):
-    """Exact determinant: an int for int input, else a Fraction (Q(0) if singular).
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, an int (0 if singular).
 
-    With every row kept, the last pivot is the determinant of the scaled rows
-    on the pivot columns c_1, ..., c_n, which differs from det(m) by the sign
-    of that column order and by the product of the row scalings.
+    With every row kept, the last pivot is the determinant of the rows on
+    the pivot columns c_1, ..., c_n, which differs from det(m) by the sign
+    of that column order.
     """
-    echelon = _echelon(map(_int_row, m))
-    d = 0
-    if len(echelon) == len(m):
-        cols = [c for c, _ in echelon]
-        d = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-        d *= echelon[-1][1][cols[-1]] if m else 1
-    if all(isinstance(x, int) for row in m for x in row):
-        return d
-    return Q(d, prod(lcm(*(x.denominator for x in row)) for row in m))
+    echelon = _echelon(_int_rows(m))
+    if len(echelon) < len(m):
+        return 0
+    cols = [c for c, _ in echelon]
+    sign = (-1) ** sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return sign * echelon[-1][1][cols[-1]] if m else 1
 
 
-def inverse(m: Mat) -> Mat:
-    """Exact inverse adj(m) / det(m); raises ValueError on singular input.
+def inverse(m: Sequence[Sequence[int]]) -> Mat:
+    """Exact inverse adj(m) / det(m) of a square integer matrix; ValueError if singular.
 
-    Scaled to ints, [m | I] is [S m | S], and the elimination makes it
-    [T | R] = M [S m | S], so m^-1 = T^-1 R.  It keeps all n rows, and m is
-    singular exactly when a pivot column falls in the right block.  Else T is
-    triangular on the pivot columns, and with d = p_n = +-det(S m) the rows
-    of Z = d T^-1 R are +-rows of adj(S m) S, integers: back substitution
-    p_j z_j = d R_j - sum_{k>j} T_j[c_k] z_k divides exactly, and row c_j
-    of m^-1 is z_j / d.
+    The elimination makes [m | I] into [T | R] = M [m | I], so m^-1 = T^-1 R.
+    It keeps all n rows, and m is singular exactly when a pivot column falls
+    in the right block.  Else T is triangular on the pivot columns, and with
+    d = p_n = +-det(m) the rows of Z = d T^-1 R are +-rows of adj(m),
+    integers: back substitution p_j z_j = d R_j - sum_{k>j} T_j[c_k] z_k
+    divides exactly, and row c_j of m^-1 is z_j / d.
     """
     n = len(m)
-    echelon = _echelon(_int_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(m))
+    echelon = _echelon([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(_int_rows(m)))
     if any(c >= n for c, _ in echelon):
         raise ValueError("singular matrix")
     d = echelon[-1][1][echelon[-1][0]] if m else 1
@@ -143,14 +152,9 @@ def inverse(m: Mat) -> Mat:
     return tuple(tuple(Q(x, d) for x in solved[i]) for i in range(n))
 
 
-def rank(m: Mat) -> int:
-    """Rank of an int or Fraction matrix: the number of pivot rows."""
-    return len(_echelon(map(_int_row, m)))
-
-
-def _scaled(coords: Sequence, den: int) -> tuple[int, ...]:
-    """den * x as ints, for den a multiple of every entry's denominator."""
-    return tuple([x.numerator * (den // x.denominator) for x in coords])
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, each row as wide as the first: the number of pivot rows."""
+    return len(_echelon(_int_rows(m, len(m[0]) if m else 0)))
 
 
 def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:
@@ -168,7 +172,7 @@ def _int_image(gram: Mat, x: Sequence) -> tuple[tuple[int, ...], int]:
     lattice exactly when D divides G·(D·x), that is when e == 1.
     """
     d = lcm(*(c.denominator for c in x))
-    xs = [c.numerator * (d // c.denominator) for c in x]
+    xs = _scaled(x, d)
     y = [sum(map(mul, row, xs)) for row in gram]
     if d == 1:
         return tuple(y), 1
@@ -219,18 +223,16 @@ def _sum_rule(gram: Sequence[Sequence[int]], weighted_images) -> tuple[Q | None,
     return (None if c is None else c / (2 * den)), None
 
 
-def _definite_rows(gram: Mat) -> list[list[int]] | None:
+def _definite_rows(gram: Mat) -> list[Sequence[int]] | None:
     """The pivot rows b of an integer Gram matrix, or None unless it is positive definite.
 
     By Sylvester's criterion a symmetric matrix is positive definite exactly
     when every leading minor is positive.  When the pivot columns are
     0, ..., n-1, pivot b_i[i] is the leading minor of order i + 1; otherwise
     some leading minor is zero.  None unless every pivot column is in place
-    and positive.  A Gram with an entry that is not an int is a ValueError.
+    and positive.  A non-square or non-integer Gram is a ValueError.
     """
-    if not all(isinstance(x, int) for row in gram for x in row):
-        raise ValueError("Gram matrix entries are not all integers")
-    echelon = _echelon(map(list, gram))
+    echelon = _echelon(_int_rows(gram))
     if [c for c, _ in echelon] != list(range(len(gram))) or any(r[c] <= 0 for c, r in echelon):
         return None
     return [r for _, r in echelon]
@@ -253,8 +255,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     which stops them from growing, and a pivot p contributes gcd(p, r).
     """
     n = len(m)
-    if any(len(row) != n or not all(isinstance(x, int) for x in row) for row in m):
-        raise ValueError("not a square integer matrix")
     r = abs(det(m))
     if not r:
         raise ValueError("singular matrix")

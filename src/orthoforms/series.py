@@ -348,9 +348,10 @@ def _product_heads(pairs, head) -> tuple:
     ``_laplace``, on operands (items, floors, A, B, C, a bound, t bound) whose
     floors and bounds are absolute, as stored: the lowest a and t of items
     (an empty operand's A and C, ``_operand``) and (A + r)*den.  head is a
-    zero summand (A, B, C, a bound, t bound), or None.  The sum head is that
-    of head plus all products, by the rule of ``+`` (``_sum``): the min a and
-    c of their prefactors, the first b and the min rect; m does not enter it.
+    zero summand (A, B, C, a bound, t bound), or None given a pair.  The
+    sum head is that of head plus all products, by the rule of ``+``
+    (``_sum``): the min a and c of their prefactors, the first b and the min
+    rect; m does not enter it.
 
     A product's prefactor is the sum of the prefactors.  Its rect is
     min(R1 + F2, R2 + F1), each operand's bound R plus the other's floor F (a
@@ -370,7 +371,7 @@ def _product_heads(pairs, head) -> tuple:
       its t floor is the true one and products of them never meet this gap.
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
-    pa, pb, pc, ra, rt = head or (math.inf, None, math.inf, math.inf, math.inf)
+    pa, pb, pc, ra, rt = head or (None,) * 5
     for _, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
         qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
         if not (i1 and i2):  # no floor shifts a rect: the smaller one, relative to its prefactor, holds
@@ -378,6 +379,8 @@ def _product_heads(pairs, head) -> tuple:
         ra1, rt1 = ra1 + fa2, rt1 + ft2
         ra2, rt2 = ra2 + fa1, rt2 + ft1
         ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
+        if pa is None:  # no head given: the first pair's own head seeds the minima
+            pa, pb, pc, ra, rt = qa, qb, qc, ra1, rt1
         pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
         ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
     return pa, pb, pc, ra, rt
@@ -629,8 +632,10 @@ def _expand(z, factors, weyl, rect, rank, den):
 
 def _digits(n: int) -> int:
     """The number of decimal digits of n >= 1, without str(n), which refuses more than 4300."""
-    d = int(math.log10(n))  # off by at most one either way
-    return d + 1 + (n >= 10 ** (d + 1)) - (n < 10**d)
+    d = (n.bit_length() - 1) * 30102 // 100000  # at most log10(n), as 0.30102 < log10(2)
+    while n >= 10 ** (d + 1):
+        d += 1
+    return d + 1
 
 
 def _multiply_out(factors, rank, a_max, t_max, den, z, prefactor):

@@ -913,6 +913,15 @@ class TestInputFiles:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and path in err and "'k' must be" in err and repr(k) in err
 
+    @pytest.mark.parametrize(
+        "scale", ["2_0", "+2", " 2", "02", "\u0663", "x"], ids=["underscore", "plus", "space", "leading-zero", "arabic-indic", "letter"]
+    )
+    def test_builtin_scale_is_an_integer_in_ascii_digits(self, capsys, scale):
+        # int() would read the first five as 20, 2, 2, 2 and 3
+        ref = f"builtin:A2({scale})"
+        message = f"error: invalid lattice {ref}: scale {scale!r} is not an integer in ASCII digits\n"
+        assert run(capsys, "lattice", ref) == (2, "", message)
+
     @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
     def test_weight_spellings(self, capsys, tmp_path, k, weight):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))

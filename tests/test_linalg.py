@@ -120,7 +120,7 @@ def test_short_vectors_of_form_against_box(gram, bound):
     assert found == sorted(expected)
     # a Fraction Gram, the same form over 3, is refused: the enumerator takes integer Grams only
     thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
-    with pytest.raises(ValueError, match="^Gram matrix entries are not all integers$"):
+    with pytest.raises(ValueError, match="^not a square integer matrix$"):
         linalg.short_vectors_of_form(thirds, bound / 3)
     # roots.detect_roots tests only the first half and mirrors it
     assert all(found[-1 - k] == tuple(-x for x in found[k]) for k in range(len(found)))
@@ -141,7 +141,7 @@ def test_half_carries_images_and_norms(gram, bound):
         assert norm <= bound
     assert linalg._mirrored(vectors) == linalg.short_vectors_of_form(gram, bound)
     thirds = tuple(tuple(Q(x, 3) for x in row) for row in gram)
-    with pytest.raises(ValueError, match="^Gram matrix entries are not all integers$"):
+    with pytest.raises(ValueError, match="^not a square integer matrix$"):
         linalg._half_of_form(thirds, bound / 3)
 
 
@@ -239,16 +239,30 @@ def from_sympy(x):
     return Q(int(x.p), int(x.q))
 
 
+def rows_rank_reads(m):
+    """The rows rank's elimination takes: through the first one past full column rank, else all."""
+    full = next((k for k in range(1, len(m) + 1) if sympy_rank(m[:k]) == len(m[0])), len(m))
+    return m[:full + 1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_rank_against_sympy(m):
+    # rank takes integer matrices only; a Fraction in a row past full column rank is never read
+    if not all_ints(rows_rank_reads(m)):
+        with pytest.raises(ValueError, match="^not a rectangular integer matrix$"):
+            linalg.rank(m)
+        return
     assert linalg.rank(m) == sympy_rank(m)
 
 
 def test_rank_edge_cases():
     assert linalg.rank(()) == 0
     assert linalg.rank(((0, 0), (0, 0))) == 0
-    assert linalg.rank(((Q(1, 2), Q(1, 3)), (3, 2))) == 1
+    # the rows (1/2, 1/3) and (3, 2) are proportional: 6 times the first is the second
+    assert linalg.rank(((3, 2), (3, 2))) == 1
+    with pytest.raises(ValueError, match="^not a rectangular integer matrix$"):
+        linalg.rank(((Q(1, 2), Q(1, 3)), (3, 2)))
     assert linalg.rank(((1, 0, 0),) * 4 + ((0, 0, 1),)) == 2
 
 
@@ -272,17 +286,22 @@ def all_ints(m):
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 def test_det_against_sympy(m):
+    if not all_ints(m):
+        with pytest.raises(ValueError, match="^not a square integer matrix$"):
+            linalg.det(m)
+        return
     got = linalg.det(m)
     assert got == from_sympy(sympy_matrix(m).det())
-    if all_ints(m):
-        assert type(got) is int
-    else:
-        assert type(got) is Q
+    assert type(got) is int
 
 
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 def test_inverse_against_sympy(m):
+    if not all_ints(m):
+        with pytest.raises(ValueError, match="^not a square integer matrix$"):
+            linalg.inverse(m)
+        return
     expected = sympy_matrix(m)
     if expected.det() == 0:
         with pytest.raises(ValueError, match="singular matrix"):
@@ -294,9 +313,11 @@ def test_inverse_against_sympy(m):
 
 
 def test_det_singular_types():
+    assert linalg.det(((1, 2), (2, 4))) == 0
     assert type(linalg.det(((1, 2), (2, 4)))) is int
-    assert linalg.det(((Q(1, 2), 1), (1, 2))) == Q(0)
-    assert type(linalg.det(((Q(1, 2), 1), (1, 2)))) is Q
+    # the singular Fraction matrix that det once returned Q(0) for is refused
+    with pytest.raises(ValueError, match="^not a square integer matrix$"):
+        linalg.det(((Q(1, 2), 1), (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +400,41 @@ def test_smith_normal_form_refuses_fuzz_slices_at_once(deadline, name):
 
 @pytest.mark.parametrize(
     "routine",
-    [linalg.smith_normal_form, linalg.is_positive_definite, lambda g: linalg.short_vectors_of_form(g, 4)],
-    ids=["smith_normal_form", "is_positive_definite", "short_vectors_of_form"],
+    [
+        linalg.det,
+        linalg.inverse,
+        linalg.rank,
+        linalg.smith_normal_form,
+        linalg.is_positive_definite,
+        # the enumerator reads the Gram with its basis order reversed: flipped here, it reads m as written
+        lambda m: linalg.short_vectors_of_form(tuple(row[::-1] for row in m[::-1]), 4),
+    ],
+    ids=["det", "inverse", "rank", "smith_normal_form", "is_positive_definite", "short_vectors_of_form"],
 )
-@pytest.mark.parametrize("entry", [Q(5, 2), Q(2), 2.0], ids=["fraction", "integral-fraction", "float"])
-def test_gram_routines_refuse_non_integer_entries(routine, entry):
-    # an entry is refused, never truncated: int(5/2) would read the Gram as ((2, 1), (1, 2))
-    with pytest.raises(ValueError, match="integer"):
-        routine(((entry, 1), (1, 2)))
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((Q(5, 2), 1), (1, 2)),
+        ((Q(2), 1), (1, 2)),
+        ((2.0, 1), (1, 2)),
+        ((1, 0, 0),),
+        ((1,), (0,), (0,)),
+        ((1, 2), (3,)),
+    ],
+    ids=["fraction", "integral-fraction", "float", "1x3", "3x1", "ragged"],
+)
+def test_gram_routines_refuse_non_integer_entries(routine, m):
+    """Every matrix routine refuses a non-int entry, put in the first row its elimination reads, or a wrong shape.
+
+    An entry is refused, never truncated: int(5/2) would read the Gram as
+    ((2, 1), (1, 2)).  rank takes rectangular matrices, so it ranks the
+    1 x 3 and 3 x 1 ones instead; a ragged one it refuses.
+    """
+    if routine is linalg.rank and len(m[0]) == len(m[-1]) and len(m) != len(m[0]):
+        assert linalg.rank(m) == 1
+        return
+    with pytest.raises(ValueError, match="^not a (square|rectangular) integer matrix$"):
+        routine(m)
 
 
 def oracle_grams():

@@ -264,6 +264,19 @@ class TestExpandProduct:
             f"is a number of {digits} digits over its first 1 factors, which exceeds the term cap of 200000"
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4000).flatmap(lambda k: st.integers(1, 10**k)))
+    def test_digits_is_the_length_of_the_decimal_string(self, n):
+        assert series_mod._digits(n) == len(str(n))
+
+    def test_digits_at_every_power_of_ten(self):
+        # 10^k - 1, 10^k and 10^k + 1 for every k up to 4000: the boundaries where a count off by one shows
+        p = 1
+        for k in range(4001):
+            assert series_mod._digits(p) == series_mod._digits(p + 1) == k + 1
+            assert k == 0 or series_mod._digits(p - 1) == k
+            p *= 10
+
     def test_overflow_message_names_the_factor(self):
         phi, wv = acceptance_dataset("G2")
         with mock.patch.object(series_mod, "DEFAULT_TERM_CAP", 500), pytest.raises(SeriesOverflowError) as exc:
