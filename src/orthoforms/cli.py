@@ -2,8 +2,9 @@
 
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
-on stderr: ``_read_json`` maps a file that cannot be read or parsed to
-exit 2 naming it, ``_series_doc`` a series too long to print to exit 2,
+on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
+``cmd_jacobian`` a series with a negative exponent, to exit 2 naming it,
+``_series_doc`` and ``cmd_lattice`` a number too long to print to exit 2,
 and ``main`` the library's ValueError and ArithmeticError to exit 2 and
 its SeriesOverflowError (a series past the term cap) to exit 1.  A stderr
 that cannot be written loses that line, not the exit code.
@@ -125,6 +126,10 @@ def _lines(*lines: str) -> str:
 def cmd_lattice(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
     disc = lattice_mod.discriminant_group(lat)
+    limit = sys.get_int_max_str_digits()  # 0 when there is none
+    for name, n in (("determinant", lat.determinant), ("level", disc.level)):  # the order is |det|; the divisors divide it
+        if limit and abs(n) >= 10**limit:
+            raise CliError(f"lattice {args.ref} has a {name} of more than {limit} digits, too long to print")
     doc = {
         "label": lat.label,
         "rank": lat.rank,
@@ -266,7 +271,10 @@ def cmd_jacobian(args) -> tuple[str, dict]:
 
     loaded = [_read_json(path, "series file", parse) for path in args.series]
     forms = [series_mod.WeightedSeries(s, w) for s, w in zip(loaded, weights)]
-    result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
+    try:
+        result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
+    except series_mod._NotModular as exc:  # the library names the form; its file is named here
+        raise CliError(f"invalid series file {args.series[exc.args[0]]}: {exc}")
     doc = _series_doc(result, "the syzygy sum" if args.syzygy else "the Jacobian")
     s = forms[0].series.rank
     try:

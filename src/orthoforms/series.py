@@ -35,7 +35,7 @@ step: a Jacobian minor (under 3 term pairs), or the syzygy sum's first row.
 A minor is built only on the box from which its terms can reach the rect
 (the cut of ``_determinants``), and is its terms alone there, with no head,
 floors or sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).
-Every other step is one ``_laplace``: its head, then ``_accumulate``.
+``syzygy_sum``'s last step is one ``_laplace``: its head, then ``_accumulate``.
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion
@@ -88,6 +88,13 @@ class SeriesOverflowError(RuntimeError):
 
 class ZeroSeriesError(ValueError):
     """Raised where a leading order is requested of a series with no terms."""
+
+
+class _NotModular(ValueError):
+    """A nonempty form of ``jacobian`` or ``syzygy_sum`` with an exponent below 0: args (index, name, value)."""
+
+    def __str__(self):
+        return "form {} has {} = {} below 0: the Jacobian takes modular forms only, every exponent a, t >= 0".format(*self.args)
 
 
 class Monomial(NamedTuple):
@@ -341,17 +348,15 @@ class WeightedSeries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _product_heads(pairs, head) -> tuple:
-    """The sum head of the pairs (m, x, y) of grid operands, after head.
+def _product_heads(pairs) -> tuple:
+    """The sum head (A, B, C, a bound, t bound) of the pairs (m, x, y) of grid operands.
 
     The one place of the product-rect rule, used by ``_product`` and
     ``_laplace``, on operands (items, floors, A, B, C, a bound, t bound) whose
     floors and bounds are absolute, as stored: the lowest a and t of items
-    (an empty operand's A and C, ``_operand``) and (A + r)*den.  head is a
-    zero summand (A, B, C, a bound, t bound), or None given a pair.  The
-    sum head is that of head plus all products, by the rule of ``+``
-    (``_sum``): the min a and c of their prefactors, the first b and the min
-    rect; m does not enter it.
+    (an empty operand's A and C, ``_operand``) and (A + r)*den.  The sum head
+    is that of all products, by the rule of ``+`` (``_sum``): the min a and c
+    of their prefactors, the first b and the min rect; m does not enter it.
 
     A product's prefactor is the sum of the prefactors.  Its rect is
     min(R1 + F2, R2 + F1), each operand's bound R plus the other's floor F (a
@@ -371,33 +376,28 @@ def _product_heads(pairs, head) -> tuple:
       its t floor is the true one and products of them never meet this gap.
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
-    pa, pb, pc, ra, rt = head or (None,) * 5
+    heads = []
     for _, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
-        qa, qb, qc = pa1 + pa2, tuple(map(add, pb1, pb2)) if any(pb2) else pb1, pc1 + pc2
         if not (i1 and i2):  # no floor shifts a rect: the smaller one, relative to its prefactor, holds
             fa1, ft1, fa2, ft2 = pa1, pc1, pa2, pc2
-        ra1, rt1 = ra1 + fa2, rt1 + ft2
-        ra2, rt2 = ra2 + fa1, rt2 + ft1
-        ra1, rt1 = ra1 if ra1 < ra2 else ra2, rt1 if rt1 < rt2 else rt2
-        if pa is None:  # no head given: the first pair's own head seeds the minima
-            pa, pb, pc, ra, rt = qa, qb, qc, ra1, rt1
-        pa, pb, pc = pa if pa < qa else qa, pb or qb, pc if pc < qc else qc
-        ra, rt = ra if ra < ra1 else ra1, rt if rt < rt1 else rt1
-    return pa, pb, pc, ra, rt
+        pb = tuple(map(add, pb1, pb2)) if any(pb2) else pb1
+        heads.append((pa1 + pa2, pb, pc1 + pc2, min(ra1 + fa2, ra2 + fa1), min(rt1 + ft2, rt2 + ft1)))
+    pa, pb, pc, ra, rt = zip(*heads)
+    return min(pa), pb[0], min(pc), min(ra), min(rt)
 
 
 def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
     return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
 
 
-def _laplace(pairs, head, den: int, what) -> tuple:
-    """The grid operand of one Laplace step, the sum of m * x * y over the pairs (m, x, y), after head.
+def _laplace(pairs, den: int, what) -> tuple:
+    """The grid operand of ``syzygy_sum``'s last step, the sum of m * x * y over the pairs (m, x, y).
 
-    Its head is ``_product_heads(pairs, head)``, of every pair; the pairs with
-    m = 0 or x empty add no term, and the rest go to ``_accumulate``, cut at
-    that head's floored rect.
+    Its head is ``_product_heads(pairs)``, of every pair; the pairs with m = 0
+    or x empty add no term, and the rest go to ``_accumulate``, cut at that
+    head's floored rect.
     """
-    head = _product_heads(pairs, head)
+    head = _product_heads(pairs)
     products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
     items = _accumulate(products, head, den, what, (math.floor(head[3]), math.floor(head[4])))
     return _operand(items, *head)
@@ -412,7 +412,7 @@ def _accumulate(products, head, den: int, what, box) -> list:
     ints.  head is the sum's (A, B, C, a bound, t bound), its rect inside
     every product's, so cutting at its floors drops only terms the merge
     would drop too.  box is the a and t caps of the keys: those floors, or
-    under a minor's cut the lower of them and its caps.  y runs outside, times
+    for a minor the lower of them and its cut's caps.  y runs outside, times
     m once per term and leaving x the limits a_lim and t_lim; x stops at its
     first term past a_lim.  More than DEFAULT_TERM_CAP keys, zero sums
     included, raise SeriesOverflowError naming what().
@@ -467,7 +467,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     right = sorted([(a, t, packed[l], c) for (a, l, t), c in yterms.items()])
     xfloors = _floors(xterms)
     pair = (1, (left, xfloors, *xhead), (right, _floors(yterms), *yhead))
-    pa, pb, pc, ra, rt = _product_heads([pair], None)
+    pa, pb, pc, ra, rt = _product_heads([pair])
     a_hi, t_hi, cap, reached = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, 0
     out: dict = {}
     for a2, t2, k2, c2 in right:
@@ -578,10 +578,9 @@ def _factors(coeffs, rect, rank, b=()):
     boundary = {l for l, _ in support.get(0, ()) if is_positive_direction([-x for x in l])}
     count = len(boundary) + len(support.get(0, ())) * (max(n_hi, 0) + max(t_hi, 0))
     count += sum(len(support[n0]) * len(m) for n0, m in ms.items())
-    if count > DEFAULT_TERM_CAP:
-        raise SeriesOverflowError(
-            f"the expansion has {count} factors, more than the term cap of {DEFAULT_TERM_CAP}"
-        )
+    if count > DEFAULT_TERM_CAP:  # a count past 10^20 by its digits, as str() refuses more than 4300
+        size = count if count < 10**20 else f"a {_digits(count)}-digit number of"
+        raise SeriesOverflowError(f"the expansion has {size} factors, more than the term cap of {DEFAULT_TERM_CAP}")
     keyed = []  # (n >= 0, m, n, l, f): unique on the first four
     for n0, entries in support.items():
         for l, f in entries:
@@ -793,6 +792,7 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     domain coordinate tau, z_1..z_s, omega, plus one): the matrix rows are
     the weighted forms, then the derivatives along tau, z_1..z_s, omega.  The
     Laplace expansion runs on int terms on one grid; see ``_determinants``.
+    A nonempty form with an exponent below 0, prefactor included, raises ValueError.
     """
     s, den, z, w, _, det = _determinants(forms, 3, "")
     (items, _, *head), d = det(tuple(range(s + 3)))
@@ -809,13 +809,13 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     expanded on the grid of all s + 4 forms and share its minors wherever
     their rects agree (J_t's is the min of the other forms' rects).  The last
     step is ``_laplace`` over the pairs (+-k_t, f_t, J_t), each over d_1 ..
-    d_(s+4) den^2 z^s.
+    d_(s+4) den^2 z^s.  The forms must be those ``jacobian`` takes.
     """
     s, den, z, w, grid, det = _determinants(forms, 4, "syzygy ")
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
     pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
     d = forms[0].series._d * minors[0][1]
-    items, _, *head = _laplace(pairs, None, den, lambda: f"sum of {len(pairs)} products")
+    items, _, *head = _laplace(pairs, den, lambda: f"sum of {len(pairs)} products")
     return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
@@ -842,8 +842,9 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     relative rect: short of the rule's by the prefactors' sum (a strict xfail).
 
     The cut.  Let f_j be form j's floors (its lowest stored a and t, which
-    include its prefactor) and R the head's rect.  When every form is
-    nonempty with A, C >= 0 and f_j >= 0, a term of the minor on rows i >= 1
+    include its prefactor; an empty form's A and C) and R the head's rect.
+    A nonempty form must have A, C >= 0 and f_j >= 0, else ValueError names
+    it; an empty one is a zero column.  A term of the minor on rows i >= 1
     and columns S reaches det times one entry of the rows above from each
     column outside S, which adds at least sum_{j not in S} f_j.  So the
     minor is built only on the box cap(S) = floor(R) - (sum_{j not in S} f_j
@@ -877,25 +878,22 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         grid.append(_operand([(k, c) for k, c, _ in keyed], *head))
         for r, row in enumerate(rows):
             row.append([(k, c * e[r]) for k, c, e in keyed if e[r]])
+    for i, (items, (fa, ft), pa, _, pc, _, _) in enumerate(grid):
+        for name, x in (("prefactor A", pa), ("prefactor C", pc), ("a term at absolute a", fa), ("a term at absolute t", ft)):
+            if items and x < 0:  # an empty form is a zero column whatever its prefactor
+                raise _NotModular(i, name, Q(x, den))
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
     floors = [g[1] for g in grid]
-    reach = None  # sum_j f_j - spare * max_j f_j per axis, where the cut applies
-    if all(g[0] and g[2] >= 0 and g[4] >= 0 for g in grid) and min(map(min, floors)) >= 0:
-        reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]
-    else:  # each minor takes its head from the rule, which reads the floors of its entries
-        rows = [[x and _operand(x, *g[2:]) for x, g in zip(row, grid)] for row in rows]
+    reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]  # sum_j f_j - spare * max_j f_j per axis
 
     def det(cols: tuple[int, ...]) -> tuple:
         # the zero summand every minor starts from: prefactor 0 and the forms' smallest relative rect
         head = (0, zeros, 0, min(grid[j][5] - grid[j][2] for j in cols), min(grid[j][6] - grid[j][4] for j in cols))
         d = math.prod(forms[j].series._d for j in cols) * scale
-        unit = [((0, 0, 0), 1)] if head[3] >= 0 and head[4] >= 0 else []  # term 1, if the head's rect holds it
-        minors = memo.setdefault(head, {(): unit if reach else _operand(unit, *head)})
-        if not reach:
-            return _minor(rows, minors, den, cols, head, None, floors), d
         gap = [math.floor(head[3 + x]) - reach[x] for x in (0, 1)]
         if min(gap) < 0:
             return _operand([], *head), d
+        minors = memo.setdefault(head, {(): [((0, 0, 0), 1)]})  # term 1: under a box below 0 no pair keeps it
         box = tuple(gap[x] + sum(floors[j][x] for j in cols) for x in (0, 1))
         return _operand(_minor(rows, minors, den, cols, head, box, floors), *head), d
 
@@ -906,13 +904,11 @@ def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, 
     """The minor on the last len(cols) rows and columns cols.
 
     One Laplace step along its first row over the pairs (+-1, entry, minor
-    below).  box is cap(cols) of ``_determinants``' cut, less f_j for the
-    minor below column j, or None.  Under the cut the step is one
-    ``_accumulate`` call at the lower of box and R's floors, and a minor is
-    its terms alone, its prefactor 0 and its rect R; else it is ``_laplace``
-    after head, the determinant's zero summand.  memo maps cols to the
-    minors from head, the unit at (); as this is no closure, it is freed with
-    its last caller, not by the cycle collector.
+    below), one ``_accumulate`` call at the lower of box and R's floors: box
+    is cap(cols) of ``_determinants``' cut, less f_j for the minor below
+    column j.  A minor is its terms alone, its prefactor 0 and its rect R.
+    memo maps cols to the minors from head, the unit at (); as this is no
+    closure, it is freed with its last caller, not by the cycle collector.
     """
     pairs, row = [], rows[len(rows) - len(cols)]
     for pos, j in enumerate(cols):
@@ -920,14 +916,12 @@ def _minor(rows, memo: dict, den: int, cols: tuple[int, ...], head: tuple, box, 
             rest = cols[:pos] + cols[pos + 1 :]
             if (below := memo.get(rest)) is None:  # a minor with no terms is an empty list
                 fa, ft = floors[j]
-                memo[rest] = below = _minor(rows, memo, den, rest, head, box and (box[0] - fa, box[1] - ft), floors)
+                memo[rest] = below = _minor(rows, memo, den, rest, head, (box[0] - fa, box[1] - ft), floors)
             pairs.append((-1 if pos % 2 else 1, entry, below))
     what = lambda: f"{len(cols)}x{len(cols)} minor at row {len(rows) - len(cols)}, columns {list(cols)},"
-    if box:  # conditional expressions, not min(): this runs once per minor
-        a_hi, t_hi = math.floor(head[3]), math.floor(head[4])
-        box = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
-        return _accumulate(pairs, head, den, what, box)
-    return _laplace(pairs, head, den, what)
+    a_hi, t_hi = math.floor(head[3]), math.floor(head[4])  # conditional expressions, not min(): this runs once per minor
+    box = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
+    return _accumulate(pairs, head, den, what, box)
 
 
 # ---------------------------------------------------------------------------

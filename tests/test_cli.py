@@ -83,6 +83,23 @@ class TestLattice:
         code, out, _ = run(capsys, "lattice", path, "--format", "json")
         assert code == 0 and json.loads(out)["label"] is None
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "gram, invariant",
+        [
+            # diag(2 * 10^600) of rank 8 is even: its determinant 2^8 * 10^4800 has 4803 digits
+            ([[2 * 10**600 if i == j else 0 for j in range(8)] for i in range(8)], "determinant"),
+            # (2d) with 2d of 4300 digits: the determinant prints, but the level 4d has 4301
+            ([[6 * 10**4299]], "level"),
+        ],
+        ids=["diag(2e600)x8", "(6e4299)"],
+    )
+    def test_invariant_too_long_to_print(self, capsys, tmp_path, fmt, gram, invariant):
+        path = write_json(tmp_path / "lat.json", {"gram": gram})
+        code, out, err = run(capsys, "lattice", path, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: lattice {path} has a {invariant} of more than 4300 digits, too long to print\n"
+
 
 # SHA-256 of `lattice builtin:NAME(s) --format json` stdout for the 23 built-ins at four scales,
 # recorded before any change to the Smith form or the discriminant group, so that one must keep them
@@ -512,6 +529,16 @@ class TestBorch:
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.endswith("factors, more than the term cap of 200000\n")
 
+    def test_factor_count_too_long_to_print(self, capsys, tmp_path, deadline):
+        # f(0, +-1/2) = 1 on rect (9e4299, 9e4299): about 5.4e4300 factors, a count str() cannot print
+        coeffs = [{"n": -1, "l": ["0"], "f": 1}, {"n": 0, "l": ["1/2"], "f": 1}, {"n": 0, "l": ["-1/2"], "f": 1}]
+        path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs, "k": "symbolic"})
+        with deadline(10):
+            code, out, err = run(capsys, "borch", path, "--rect", "9e4299,9e4299")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and len(err) < 300
+        assert err == "error: the expansion has a 4301-digit number of factors, more than the term cap of 200000\n"
+
     @pytest.mark.parametrize(
         "rect, message",
         [
@@ -652,6 +679,43 @@ class TestJacobian:
         )
         assert code == 0
         assert "vanishes to rectangle order" in out
+
+    @pytest.mark.parametrize("syzygy", [[], ["--syzygy"]])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("prefactor", {"A": "-1/1", "B": ["0/1"], "C": "0/1"}, "prefactor A = -1"),
+            ("terms", [{"a": "0/1", "l": ["0/1"], "t": "-1/1", "c": "1/1"}], "a term at absolute t = -1"),
+        ],
+    )
+    def test_negative_exponent_refused(self, capsys, tmp_path, syzygy, field, value, message):
+        # a modular form has no exponent below 0: the one line names the file of the second form
+        paths = [write_json(tmp_path / f"f{i}.json", self.series_doc(a, l, t))
+                 for i, (a, l, t) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)])]
+        bad = self.series_doc(1, 0, 0)
+        bad[field] = value
+        paths[1] = write_json(tmp_path / "bad.json", bad)
+        count = 5 if syzygy else 4
+        code, out, err = run(capsys, "jacobian", *paths[:count], "--weights", ",".join(["1"] * count), *syzygy)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: invalid series file {paths[1]}: form 1 has {message} below 0: "
+            "the Jacobian takes modular forms only, every exponent a, t >= 0\n"
+        )
+
+    @pytest.mark.parametrize("syzygy", [[], ["--syzygy"]])
+    def test_all_zero_file_vanishes(self, capsys, tmp_path, syzygy):
+        # a file with no terms is a zero column whatever its prefactor: never refused
+        paths = [write_json(tmp_path / f"f{i}.json", self.series_doc(a, l, t))
+                 for i, (a, l, t) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)])]
+        for prefactor in ({"A": "0/1", "B": ["0/1"], "C": "0/1"}, {"A": "-1/1", "B": ["0/1"], "C": "-2/1"}):
+            doc = self.series_doc(0, 0, 0)
+            doc["terms"], doc["prefactor"] = [], prefactor
+            paths[2] = write_json(tmp_path / "zero.json", doc)
+            count = 5 if syzygy else 4
+            code, out, err = run(capsys, "jacobian", *paths[:count], "--weights", ",".join(["1"] * count), *syzygy)
+            assert (code, err) == (0, "")
+            assert out.startswith("vanishes to rectangle order\n")
 
     @pytest.mark.parametrize("spelling", [["--weights", "-2,1,1,1"], ["--weights=-2,1,1,1"]])
     def test_negative_first_weight(self, capsys, tmp_path, spelling):

@@ -912,7 +912,8 @@ class TestProductFactors:
         # one factor per n <= n_hi for each n = 0 entry: counted, not built
         phi, wv = acceptance_dataset("A2")
         start = time.perf_counter()
-        match = r"^the expansion has \d+ factors, more than the term cap of 200000$"
+        # the count, 10^400 and more, is printed by its digits, as the boundary block's bound is
+        match = r"^the expansion has a 40\d-digit number of factors, more than the term cap of 200000$"
         with deadline(10), pytest.raises(SeriesOverflowError, match=match):
             expand_product(phi.coefficient_table(), wv, (Q(10**400), Q(1)), phi.lattice.rank)
         assert time.perf_counter() - start < 1
@@ -1214,18 +1215,20 @@ ZETA_12 = st.sampled_from([1, 2]).flatmap(
 
 
 @st.composite
-def grid_series(draw, rank, zeta=ZETA_12):
+def grid_series(draw, rank, zeta=ZETA_12, modular=False):
     """One to four terms on the series' own den grid (den 12, 24 or 48).
 
     The rect lies on (1/12)Z or, off the den grid, on (1/7)Z or (1/36)Z, so
     sums and Laplace steps meet bounds that are not whole multiples of
-    1/den.  The prefactor's a and c lie on (1/den)Z, and zeta entries, drawn
-    from zeta, have denominator 1 or 2 by default.  Exponents and prefactors
-    stay small enough that most Jacobians keep terms inside their rect.
+    1/den.  The prefactor's a and c lie on (1/den)Z, in [-1/2, 1/4], or in
+    [0, 1/4] if modular, which puts the series in the domain of ``jacobian``.
+    Zeta entries, drawn from zeta, have denominator 1 or 2 by default.
+    Exponents and prefactors stay small enough that most Jacobians keep
+    terms inside their rect.
     """
     den = draw(st.sampled_from([12, 24, 48]))
     exponent = st.integers(0, den).map(lambda n: Q(n, den))
-    pref_part = st.integers(-den // 2, den // 4).map(lambda n: Q(n, den))
+    pref_part = st.integers(0 if modular else -den // 2, den // 4).map(lambda n: Q(n, den))
     entries = draw(
         st.lists(
             st.tuples(exponent, st.tuples(*[zeta] * rank), exponent, COEFF),
@@ -1256,15 +1259,36 @@ def flattened(x, axis):
 EMPTYING = [lambda x: x.scale(0), lambda x: flattened(x, 0), lambda x: flattened(x, 2)]
 
 
-def weighted_forms(rank):
+def weighted_forms(rank, modular=False):
     """rank + 4 weighted grid_series, about a third of them emptied or with an empty tau or omega row.
 
     Those make Laplace pairs with an empty operand, whose prefactor and rect
-    still enter the sum's.
+    still enter the sum's.  A flattened form keeps its floor at 0.
     """
-    emptied = st.builds(lambda x, f: f(x), grid_series(rank), st.sampled_from(EMPTYING))
-    form = st.builds(WeightedSeries, st.one_of(grid_series(rank), grid_series(rank), emptied), st.integers(0, 6))
+    emptied = st.builds(lambda x, f: f(x), grid_series(rank, modular=modular), st.sampled_from(EMPTYING))
+    drawn = grid_series(rank, modular=modular)
+    form = st.builds(WeightedSeries, st.one_of(drawn, drawn, emptied), st.integers(0, 6))
     return st.lists(form, min_size=rank + 4, max_size=rank + 4)
+
+
+def outside_the_domain(forms):
+    """The index of the first nonempty form with an exponent below 0, prefactor included, or None."""
+    for i, f in enumerate(forms):
+        p, keys = f.series.prefactor, f.series.absolute_terms()
+        if keys and min(p.a, p.c, *(a for a, _, _ in keys), *(t for _, _, t in keys)) < 0:
+            return i
+    return None
+
+
+def assert_fold_or_refusal(forms):
+    """jacobian and syzygy_sum refuse the forms exactly when a nonempty one is outside the domain, else equal the fold."""
+    for operation, part, fold in ((jacobian, forms[:-1], reference_jacobian), (syzygy_sum, forms, reference_syzygy_sum)):
+        index = outside_the_domain(part)
+        if index is None:
+            assert json_of(operation(part)) == json_of(fold(part))
+        else:
+            with pytest.raises(ValueError, match=rf"^form {index} has (prefactor [AC]|a term at absolute [at]) = -\d"):
+                operation(part)
 
 
 def rank1_forms(rect, *forms):
@@ -1278,10 +1302,9 @@ def replaced(forms, i, x):
     return [WeightedSeries(x, f.weight) if j == i else f for j, f in enumerate(forms)]
 
 
-# 1, q, zeta, xi and a fifth form, each with a second term, on rect (4, 4); the three variants
-# below fall outside the minor cut of _determinants, so each minor there takes its own head
-# from the rect rule: form 0 with prefactor A = -1, form 1 emptied by scale(0), and form 2 with
-# a term at t = -1
+# 1, q, zeta, xi and a fifth form, each with a second term, on rect (4, 4); of the three variants
+# below, form 1 emptied by scale(0) is a zero column of every Jacobian, and form 0 with prefactor
+# A = -1 and form 2 with a term at t = -1 are no modular forms' expansions, so both are refused
 BASE_FORMS = rank1_forms(
     (4, 4),
     (4, {(0, 0, 0): 1, (1, 1, 1): 2}),
@@ -1297,13 +1320,30 @@ NEGATIVE_T = replaced(BASE_FORMS, 2, BASE_FORMS[2].series + monomial(1, (4, 4), 
 
 class TestAgainstFold:
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from([1, 1, 2]).flatmap(weighted_forms))
-    @example(NEGATIVE_A)
+    @given(st.sampled_from([1, 1, 2]).flatmap(lambda rank: weighted_forms(rank, modular=True)))
     @example(EMPTIED)
-    @example(NEGATIVE_T)
     def test_jacobian_and_syzygy(self, forms):
+        # the forms are in the domain: prefactors in [0, 1/4], terms at a, t >= 0, some emptied or flattened
+        assert outside_the_domain(forms) is None
         assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
         assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([1, 1, 2]).flatmap(weighted_forms))
+    @example(NEGATIVE_A)
+    @example(NEGATIVE_T)
+    def test_domain(self, forms):
+        # prefactors in [-1/2, 1/4]: most draws hold a form outside the domain, named by the refusal
+        assert_fold_or_refusal(forms)
+
+    @pytest.mark.parametrize("forms, message", [
+        (NEGATIVE_A, "form 0 has prefactor A = -1 below 0"),
+        (NEGATIVE_T, "form 2 has a term at absolute t = -1 below 0"),
+    ])
+    def test_refusal_names_the_form_and_exponent(self, forms, message):
+        for operation, part in ((jacobian, forms[:-1]), (syzygy_sum, forms)):
+            with pytest.raises(ValueError, match=f"^{message}: the Jacobian takes modular forms only"):
+                operation(part)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 2).flatmap(lambda r: st.tuples(grid_series(r), grid_series(r))))
@@ -1321,9 +1361,9 @@ class TestAgainstFold:
         assert json_of(y + (-y)) == json_of(reference_add(y, -y))
 
 
-def wide_forms(rank):
-    """rank + 4 weighted forms with zeta entries up to 40 (WIDE_ZETA), some under the minor cut and some emptied."""
-    wide = st.one_of(grid_series(rank, WIDE_ZETA), floored_series(rank, WIDE_ZETA))
+def wide_forms(rank, modular=False):
+    """rank + 4 weighted forms with zeta entries up to 40 (WIDE_ZETA), some with floors above 0 and some emptied."""
+    wide = st.one_of(grid_series(rank, WIDE_ZETA, modular), floored_series(rank, WIDE_ZETA))
     form = st.builds(WeightedSeries, st.one_of(wide, wide, wide.map(lambda x: x.scale(0))), st.integers(0, 6))
     return st.lists(form, min_size=rank + 4, max_size=rank + 4)
 
@@ -1337,12 +1377,18 @@ WIDE_MONOMIALS = rank1_forms(
 
 class TestWideZeta:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from([1, 2]).flatmap(wide_forms))
+    @given(st.sampled_from([1, 2]).flatmap(lambda rank: wide_forms(rank, modular=True)))
     @example(WIDE_MONOMIALS)
     def test_jacobian_and_syzygy(self, forms):
         # the Laplace expansions on packed keys, whose digits run wide and carry, against the fold
+        assert outside_the_domain(forms) is None
         assert json_of(jacobian(forms[:-1])) == json_of(reference_jacobian(forms[:-1]))
         assert json_of(syzygy_sum(forms)) == json_of(reference_syzygy_sum(forms))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(wide_forms))
+    def test_domain(self, forms):
+        assert_fold_or_refusal(forms)
 
 
 def naive_mul(x, y):
@@ -1375,8 +1421,12 @@ class TestPackedProduct:
         assert json_of(x * y) == json_of(naive_mul(x, y))
 
 
-def seeded_forms(s, seed, count):
-    """Forms of mixed den, rect and prefactor, drawn from a fixed seed."""
+def seeded_forms(s, seed, count, modular=False):
+    """Forms of mixed den, rect and prefactor, drawn from a fixed seed.
+
+    The prefactor's A and C lie in [-1, 1], or in [0, 1/4] if modular: the
+    same draws of every other field, in the domain of ``jacobian``.
+    """
     rng = random.Random(seed)
     forms = []
     for _ in range(count):
@@ -1390,34 +1440,39 @@ def seeded_forms(s, seed, count):
             )
             terms[k] = terms.get(k, Q(0)) + Q(rng.randint(-4, 4), rng.randint(1, 3))
         rect = (Q(rng.randint(36, 60), 12), Q(rng.randint(36, 60), 12))
+        low, high = (0, den // 4) if modular else (-den, den)
         pref = Monomial(
-            Q(rng.randint(-den, den), den),
+            Q(rng.randint(low, high), den),
             tuple(Q(rng.randint(-2, 2), 2) for _ in range(s)),
-            Q(rng.randint(-den, den), den),
+            Q(rng.randint(low, high), den),
         )
         series = TruncatedSeries(s, terms, rect, pref, den)
         forms.append(WeightedSeries(series, rng.randint(1, 6)))
     return forms
 
 
-# SHA-256 of series_to_json for seeded_forms(s, 100 * s + seed, s + 4), recorded
-# before syzygy_sum shared its minors and _det merged its terms in one pass
+# SHA-256 of series_to_json for seeded_forms(s, 100 * s + seed, s + 4, modular=True), recorded
+# while _determinants still kept an uncut path for forms outside the domain
 JACOBIAN_DIGESTS = {
-    ("jacobian", 1, 1): "202e0472f70d3dd61bf071ec5db5c6bed34ca69394142e13cc77fa9fa4d7b4c4",
-    ("syzygy_sum", 1, 1): "d64e30f032776312fa344497b57ef4ed517a77a9d29295045d2dbc493bd14e78",
-    ("jacobian", 1, 3): "e830f86bd5c10fe46b55edebabd7ad394dcf344aa052d6035b3120d04790554d",
-    ("syzygy_sum", 1, 3): "93305c8187bb517d5c12429a105988cf8d35f2363ee7b5b778693d1c82339109",
-    ("jacobian", 2, 3): "af4ca00c10c0f83fd52adf7a19ed8d6b92b7a7ec0a230dae2fbe9a8c0f52ebbd",
-    ("syzygy_sum", 2, 3): "f5fbcd4eed47645bfa63df278462badda9aca822967f53d379ede183b9d6b807",
-    ("jacobian", 2, 5): "fa49c2d6c4a791d794477e616fc8e67150c3b8143d3e96d342dbc34d61d0ba72",
-    ("syzygy_sum", 2, 5): "bd5fba359a6b0437e6501288c36cc200fb85ac7f4225224be0e35365eab97080",
+    ("jacobian", 1, 1): "f9010ffd83c088f1bb685cbdecf515d34d73b26e64c1494101d59d05198a2243",
+    ("syzygy_sum", 1, 1): "64fdadbbbf776f5af6d94a0e79fd3bb3ecc3af7632bf5a31e6d8bf6d19c19093",
+    ("jacobian", 1, 3): "5c530694b0e85771d4c448f85d350ece1144fa23699bc2767edfbc0dc1c176ea",
+    ("syzygy_sum", 1, 3): "5005ca58820748426c47733ee6de653bd455ed656c69e573a41a31ee675f8227",
+    ("jacobian", 2, 3): "e83ed2a6e0b60a201e445fe02a954fa2eb9ddfd0d7ab8a3c7ddccd891fa42c89",
+    ("syzygy_sum", 2, 3): "ea39a9c735d46e245fcd3649390e67398df1d126e679097601d76db82321a50b",
+    ("jacobian", 2, 5): "52721602dec078a918c4c53606040958aaa99bc0529cb968712f2a643bf66046",
+    ("syzygy_sum", 2, 5): "b1eacb06ef906eeb7d2067ccf5087ae435bfc3cd8cf081616170f7b1153fdfe2",
 }
 
 
 @pytest.mark.parametrize("what, s, seed", sorted(JACOBIAN_DIGESTS))
 def test_jacobian_json_unchanged(what, s, seed):
-    forms = seeded_forms(s, 100 * s + seed, s + 4)
-    out = jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
+    operation, size = (jacobian, s + 3) if what == "jacobian" else (syzygy_sum, s + 4)
+    # the draw on the same seed with prefactors in [-1, 1] has a negative one: refused, naming its form
+    forms = seeded_forms(s, 100 * s + seed, s + 4)[:size]
+    with pytest.raises(ValueError, match=rf"^form {outside_the_domain(forms)} has prefactor [AC] = -"):
+        operation(forms)
+    out = operation(seeded_forms(s, 100 * s + seed, s + 4, modular=True)[:size])
     assert digest_of(out) == JACOBIAN_DIGESTS[(what, s, seed)]
 
 
