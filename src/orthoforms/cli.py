@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _check_str_limit, _json_int, _json_list, _json_q, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -55,6 +55,8 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     try:
         bounds = Q(parts[0]), Q(parts[1])
     except (ValueError, ZeroDivisionError):
+        for part in parts:
+            _check_str_limit(part, "--rect bound")
         raise CliError(f"cannot parse rectangle bounds {text!r}")
     return _check_digits(bounds[0], "--rect bound"), _check_digits(bounds[1], "--rect bound")
 

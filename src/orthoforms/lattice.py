@@ -7,6 +7,7 @@ vectors carry Fraction coordinates in the same basis.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
@@ -245,6 +246,7 @@ def _json_int(value, what: str, least: int | None = None) -> int:
 _MAX_DIGITS = 4300
 _TOO_LONG = 10**_MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
+_DIGIT_RUN = re.compile(r"[0-9_]+")
 
 
 def _check_exponent(text: str, what: str) -> None:
@@ -262,6 +264,18 @@ def _check_digits(x: Q, what: str) -> Q:
     return x
 
 
+def _check_str_limit(text: str, what: str) -> None:
+    """Refuse text, without echoing it, when a run of its digits is past the interpreter's int string limit.
+
+    Called where Fraction(text) has raised: that limit
+    (``sys.get_int_max_str_digits()``, 0 for none) raises the same error as
+    malformed text does, so this names the limit instead.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"{what} has a run of more than {limit} digits, past the interpreter's limit on converting a string to an int")
+
+
 def _json_q(value, what: str) -> Q:
     """A rational from a string or an integer; floats, booleans and unprintably long values are rejected."""
     if isinstance(value, str):
@@ -270,7 +284,8 @@ def _json_q(value, what: str) -> Q:
         try:
             x = Q(value)
         except (ValueError, ZeroDivisionError):
-            pass
+            if isinstance(value, str):
+                _check_str_limit(value, what)
         else:
             return _check_digits(x, what)
     raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")

@@ -80,7 +80,7 @@ def _int_row(row: Sequence) -> tuple[int, ...]:
 def _int_rows(m: Sequence[Sequence[int]], width: int | None = None) -> Iterator[Sequence[int]]:
     """The rows of m as ``_echelon`` takes them, each checked to be n ints (n = width, else len(m)).
 
-    Lazy, so that ``rank`` reads no row past full column rank; a row that fails is a ValueError.
+    Lazy, so that ``rank`` reads no entry of a row past full column rank; a row that fails is a ValueError.
     """
     n = len(m) if width is None else width
     for row in m:
@@ -153,8 +153,16 @@ def inverse(m: Sequence[Sequence[int]]) -> Mat:
 
 
 def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, each row as wide as the first: the number of pivot rows."""
-    return len(_echelon(_int_rows(m, len(m[0]) if m else 0)))
+    """Rank of an integer matrix, each row as wide as the first: the number of pivot rows.
+
+    At full column rank the elimination stops early; the rows it never read
+    are checked for their width only, in one pass at C speed.
+    """
+    n = len(m[0]) if m else 0
+    pivots = len(_echelon(_int_rows(m, n)))
+    if pivots == n and set(map(len, m)) - {n}:
+        raise ValueError("not a rectangular integer matrix")
+    return pivots
 
 
 def _divided(vectors: Sequence[Sequence[int]], den: int) -> list[Vec]:

@@ -986,6 +986,29 @@ class TestInputFiles:
         message = f"error: invalid lattice {ref}: scale {scale!r} is not an integer in ASCII digits\n"
         assert run(capsys, "lattice", ref) == (2, "", message)
 
+    @pytest.mark.parametrize("field", ["k", "c", "rect"])
+    def test_interpreter_digit_limit_is_named(self, capsys, tmp_path, field):
+        # under a digit limit of 640, Fraction refuses a 1,001-digit string as it refuses a malformed one:
+        # the line names the field and the limit, and does not echo the digits
+        big = "1" + "0" * 1000
+        phi = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=big if field == "k" else 12))
+        doc = {"rank": 1, "terms": [{"a": "0", "l": ["0"], "t": "0", "c": big}], "rect": ["4", "4"]}
+        argv = {
+            "k": ["weyl", phi],
+            "c": ["jacobian", *[write_json(tmp_path / "f.json", doc)] * 4, "--weights", "1,1,1,1"],
+            "rect": ["borch", phi, "--rect", f"1,{big}"],
+        }[field]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 300
+        name = {"k": "'k'", "c": "terms[0].c", "rect": "--rect bound"}[field]
+        assert f"{name} has a run of more than 640 digits, past the interpreter's limit" in err
+
     @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
     def test_weight_spellings(self, capsys, tmp_path, k, weight):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))

@@ -420,15 +420,18 @@ def test_smith_normal_form_refuses_fuzz_slices_at_once(deadline, name):
         ((1, 0, 0),),
         ((1,), (0,), (0,)),
         ((1, 2), (3,)),
+        # rank's elimination stops at full column rank after the second row and never reads the third
+        ((1,), (2,), (3, 4)),
     ],
-    ids=["fraction", "integral-fraction", "float", "1x3", "3x1", "ragged"],
+    ids=["fraction", "integral-fraction", "float", "1x3", "3x1", "ragged", "ragged-past-full-rank"],
 )
 def test_gram_routines_refuse_non_integer_entries(routine, m):
     """Every matrix routine refuses a non-int entry, put in the first row its elimination reads, or a wrong shape.
 
     An entry is refused, never truncated: int(5/2) would read the Gram as
     ((2, 1), (1, 2)).  rank takes rectangular matrices, so it ranks the
-    1 x 3 and 3 x 1 ones instead; a ragged one it refuses.
+    1 x 3 and 3 x 1 ones instead; a ragged one it refuses, also where the
+    wrong width is in a row past full column rank.
     """
     if routine is linalg.rank and len(m[0]) == len(m[-1]) and len(m) != len(m[0]):
         assert linalg.rank(m) == 1

@@ -1543,6 +1543,35 @@ def test_jacobian_term_cap(monkeypatch, what):
         jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
 
 
+# the first overflow of a pool instance under a small cap, in a minor whose columns are not
+# consecutive: its column list is spelled from the memo key, so each line is pinned whole
+@pytest.mark.parametrize("what, s, index, cap, line", [
+    ("jacobian", 1, 6, 1, "2x2 minor at row 2, columns [1, 3], on rect (3, 3) exceeded the cap of 1 stored terms"),
+    ("syzygy_sum", 1, 1, 8, "3x3 minor at row 1, columns [0, 2, 4], on rect (3, 3) exceeded the cap of 8 stored terms"),
+    ("syzygy_sum", 1, 4, 8, "4x4 minor at row 0, columns [0, 1, 3, 4], on rect (3, 3) exceeded the cap of 8 stored terms"),
+    ("syzygy_sum", 2, 0, 6, "3x3 minor at row 2, columns [1, 2, 5], on rect (3, 3) exceeded the cap of 6 stored terms"),
+])
+def test_overflow_names_non_consecutive_columns(monkeypatch, what, s, index, cap, line):
+    forms = pool_forms(s, index)
+    monkeypatch.setattr(series_mod, "DEFAULT_TERM_CAP", cap)
+    with pytest.raises(SeriesOverflowError) as caught:
+        jacobian(forms[:-1]) if what == "jacobian" else syzygy_sum(forms)
+    assert str(caught.value) == line
+
+
+def test_sparse_rank_40_jacobian(deadline):
+    # 1, q, zeta_1 .. zeta_40 and xi: the matrix is triangular up to its first column, and the
+    # Jacobian is the one term q zeta^(1, .., 1) xi; a memo with a slot per column subset needs 2^43
+    s = 40
+    forms = [monomial(s, (2, 2), 0, (0,) * s, 0), monomial(s, (2, 2), 1, (0,) * s, 0)]
+    forms += [monomial(s, (2, 2), 0, tuple(int(i == j) for i in range(s)), 0) for j in range(s)]
+    forms.append(monomial(s, (2, 2), 0, (0,) * s, 1))
+    with deadline(10):
+        out = jacobian([WeightedSeries(f, 1) for f in forms])
+    assert out.terms == {(Q(1), (Q(1),) * s, Q(1)): Q(1)}
+    assert out.rect == (Q(2), Q(2))
+
+
 # ---------------------------------------------------------------------------
 # the minor cut: forms with nonnegative prefactors and floors, against the fold
 # ---------------------------------------------------------------------------
