@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _check_str_limit, _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _check_str_limit, _json_int, _json_list, _json_q, _quoted, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,7 +49,7 @@ class CliError(Exception):
 def _parse_rect(text: str) -> tuple[Q, Q]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"--rect expects 'A,T', got {text!r}")
+        raise CliError(f"--rect expects 'A,T', got {_quoted(text)}")
     for part in parts:
         _check_exponent(part, "--rect bound")
     try:
@@ -57,7 +57,7 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     except (ValueError, ZeroDivisionError):
         for part in parts:
             _check_str_limit(part, "--rect bound")
-        raise CliError(f"cannot parse rectangle bounds {text!r}")
+        raise CliError(f"cannot parse rectangle bounds {_quoted(text)}")
     return _check_digits(bounds[0], "--rect bound"), _check_digits(bounds[1], "--rect bound")
 
 
@@ -101,8 +101,8 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
     entries: dict[tuple[int, tuple], int] = {}
     for index, item in enumerate(_json_list(doc.get("coeffs", []), "'coeffs'")):
         if not isinstance(item, dict):
-            raise ValueError(f"coefficient entry {index} must be an object, got {item!r}")
-        entry = f"coefficient entry {index} {item!r}"
+            raise ValueError(f"coefficient entry {index} must be an object, got {_quoted(item)}")
+        entry = f"coefficient entry {index} {_quoted(item)}"
         n, f = (_json_int(item.get(field), f"{entry}: '{field}'") for field in ("n", "f"))
         coords = tuple(_json_q(v, f"{entry}: 'l' entry") for v in _json_list(item.get("l"), f"{entry}: 'l'"))
         if entries.setdefault((n, coords), f) != f:
@@ -261,7 +261,7 @@ def cmd_jacobian(args) -> tuple[str, dict]:
     try:
         weights = [int(w) for w in args.weights.split(",")]
     except ValueError:
-        raise CliError(f"--weights expects comma-separated integers, got {args.weights!r}")
+        raise CliError(f"--weights expects comma-separated integers, got {_quoted(args.weights)}")
     if len(weights) != len(args.series):
         raise CliError(f"{len(args.series)} series but {len(weights)} weights")
     extra = 4 if args.syzygy else 3
@@ -335,6 +335,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _int_arg(text: str) -> int:
+    """The type of the int options: argparse's own refusal would quote the whole of a long value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+
+
 def _joined_lists(argv) -> list[str]:
     """'--weights -2,1' and '--rect -1,2' joined by '=': argparse reads a leading '-' as an option."""
     out: list[str] = []
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="detect and identify root systems")
     p.add_argument("ref")
-    p.add_argument("--max-norm", type=int, default=2)
+    p.add_argument("--max-norm", type=_int_arg, default=2)
     outputs(p, cmd_roots)
 
     p = sub.add_parser("weyl", help="Weyl vector and weight of a coefficient file")
@@ -376,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("borch", help="expand the product of a coefficient file")
     p.add_argument("coeffs")
     p.add_argument("--rect", default="2,2", help="exactness rectangle 'A,T'")
-    p.add_argument("--den", type=int, default=DEFAULT_DEN)
+    p.add_argument("--den", type=_int_arg, default=DEFAULT_DEN)
     outputs(p, cmd_borch, table=False)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant of series files")
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     outputs(p, cmd_jacobian, table=False)
 
     p = sub.add_parser("classify", help="emit the 26-pair classification table")
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=_int_arg, default=8)
     outputs(p, cmd_classify)
 
     return parser

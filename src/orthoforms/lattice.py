@@ -37,7 +37,7 @@ class Lattice(_LatticeFields):
 
     def __new__(cls, gram: tuple[tuple[int, ...], ...], label: str | None = None):
         if label is not None and not isinstance(label, str):
-            raise ValueError(f"'label' must be a string or null, got {label!r}")
+            raise ValueError(f"'label' must be a string or null, got {_quoted(label)}")
         if not isinstance(gram, tuple) or not all(isinstance(row, tuple) for row in gram):
             raise ValueError("gram matrix must be a tuple of tuple rows")
         n = len(gram)
@@ -228,17 +228,23 @@ def q_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _quoted(value) -> str:
+    """repr(value) as a refusal line quotes it: whole up to 80 characters, else its first 40 and its length."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _json_list(value, what: str, length: int | None = None) -> list:
     if not isinstance(value, list) or (length is not None and len(value) != length):
         shape = "a list" if length is None else f"a list of length {length}"
-        raise ValueError(f"{what} must be {shape}, got {value!r}")
+        raise ValueError(f"{what} must be {shape}, got {_quoted(value)}")
     return value
 
 
 def _json_int(value, what: str, least: int | None = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+        raise ValueError(f"{what} must be an integer{bound}, got {_quoted(value)}")
     return value
 
 
@@ -254,7 +260,7 @@ def _check_exponent(text: str, what: str) -> None:
     m = _EXPONENT.search(text)
     digits = m[1].replace("_", "").lstrip("0") if m else ""
     if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
-        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_DIGITS} in absolute value, got {text!r}")
+        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_DIGITS} in absolute value, got {_quoted(text)}")
 
 
 def _check_digits(x: Q, what: str) -> Q:
@@ -288,7 +294,7 @@ def _json_q(value, what: str) -> Q:
                 _check_str_limit(value, what)
         else:
             return _check_digits(x, what)
-    raise ValueError(f"{what} must be a rational 'p/q', got {value!r}")
+    raise ValueError(f"{what} must be a rational 'p/q', got {_quoted(value)}")
 
 
 def lattice_from_json(doc: dict) -> Lattice:

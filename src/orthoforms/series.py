@@ -28,22 +28,19 @@ Products run through three int loops, each serving the callers it measured
 fastest on (in-process A/Bs, best of 20 per job, on a 2-CPU x86-64 host).
 ``__mul__`` multiplies two large sparse series, as the residual oracles do:
 x as rows {(a, t): {packed l: c}} times y as a list of packed terms, the box
-tested once per y term and x row.  That made the 18 perfbench expand jobs
-x1.18 faster than ``_accumulate`` did.  ``_accumulate`` sums m*x*y over many
-pairs of tiny operands on flat keys (a, t, packed l), each sum one Laplace
-step: a Jacobian minor (under 3 term pairs), or the syzygy sum's first row.
-A minor is built only on the box from which its terms can reach the rect
-(the cut of ``_determinants``), and is its terms alone there, with no head,
-floors or sort: perfbench jacobian's jobs/s rose x1.41 (10-pair medians).
-Keying the minors by int column masks and taking each det's floors once
-raised perfbench jacobian's median jobs/s x1.12 and x1.19 (two sets of 10
-alternated pairs); at paper scale the time stays in the pair loop, unchanged.
-``syzygy_sum``'s last step is one ``_laplace``: its head, then ``_accumulate``.
+tested once per y term and x row (x1.18 on the 18 perfbench expand jobs
+against ``_accumulate``).  ``_accumulate`` sums m*x*y over many pairs of tiny
+operands on flat keys (a, t, packed l): a Jacobian minor (under 3 term
+pairs), or the syzygy sum's last step.  A minor is built only on the box
+from which its terms can reach the rect (the cut of ``_determinants``), and
+is its terms alone there, keyed by an int column mask: perfbench jacobian's
+jobs/s rose x1.41, then x1.12 to x1.19 (medians of 10 alternated pairs).
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion
 with a loop other than its own; they share only ``_pack`` and ``_unpack``.
-The rect rule of ``__mul__`` and ``_laplace`` lives in ``_product_heads``.
+The rect rule of a product lives in ``_product_head`` (``__mul__`` and
+``syzygy_sum`` call it), that of ``+`` in ``_sum_head`` (``_sum`` and ``syzygy_sum``).
 A packed key is the zeta vector as one int of signed base-2^w digits
 (Kronecker substitution), so keys add as ints.  That is safe because w puts
 2^(w-1) above every digit a product can reach: the sum of the operands'
@@ -71,7 +68,7 @@ from operator import add, itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, q_str
+from .lattice import DEFAULT_DEN, _json_int, _json_list, _json_q, _quoted, q_str
 from .linalg import _scaled, is_positive_direction
 
 if TYPE_CHECKING:  # an annotation only: the jacobian command never runs weyl
@@ -285,9 +282,17 @@ def _new(rank, den, z, d, terms, pa, pb, pc, ra, rt) -> TruncatedSeries:
     return x
 
 
-def _floors(terms) -> tuple[int, int]:
-    """Lowest a and lowest t of int keys, 0 when there are none."""
-    return (min(terms)[0], min(t for _, _, t in terms)) if terms else (0, 0)
+def _floors(terms) -> tuple[int, int] | None:
+    """Lowest a and lowest t of int keys (a, l, t), None when there are none."""
+    return (min(terms)[0], min(t for _, _, t in terms)) if terms else None
+
+
+def _item_floors(items) -> tuple[int, int] | None:
+    """Lowest a and lowest t of the terms ((a, t, packed l), c), None when there are none; one loop, as it runs per form."""
+    fa, ft = items[0][0][:2] if items else (None, None)
+    for (a, t, _), _ in items:
+        fa, ft = a if a < fa else fa, t if t < ft else ft
+    return (fa, ft) if items else None
 
 
 def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
@@ -299,33 +304,27 @@ def _on(x: TruncatedSeries, den: int, z: int) -> tuple:
     return terms, x._pa * k, tuple(v * m for v in x._pb), x._pc * k, x._ra * k, x._rt * k
 
 
-def _operand(items: list, *head) -> tuple:
-    """The grid operand (items, floors, *head) of terms ((a, t, packed l), c), floors their lowest a and t or A and C."""
-    fa, ft = items[0][0][:2] if items else (head[0], head[2])
-    for (a, t, _), _ in items:
-        fa, ft = a if a < fa else fa, t if t < ft else ft
-    return (items, (fa, ft), *head)
+def _sum_head(heads) -> tuple:
+    """The rule of ``+`` on heads (A, B, C, a bound, t bound), absolute as stored: min A and C, first B, min bounds."""
+    pa, pb, pc, ra, rt = zip(*heads)
+    return min(pa), pb[0], min(pc), min(ra), min(rt)
 
 
 def _sum(x: TruncatedSeries, y: TruncatedSeries, sign: int) -> TruncatedSeries:
-    """x + sign * y, sign +-1, on the lcm of the dens.
-
-    Its prefactor is the min of the a and the c and x's b, its rect the min of
-    the absolute rects (prefactor plus rect); zero sums and terms past it go.
-    """
+    """x + sign * y, sign +-1, on the lcm of the dens, on ``_sum_head``; zero sums and terms past its rect go."""
     if x.rank != y.rank:
         raise ValueError("series rank mismatch")
     den, z, d = math.lcm(x.den, y.den), math.lcm(x._z, y._z), math.lcm(x._d, y._d)
-    xterms, pa, pb, pc, ra, rt = _on(x, den, z)
-    yterms, ya, _, yc, yra, yrt = _on(y, den, z)
+    xterms, *xhead = _on(x, den, z)
+    yterms, *yhead = _on(y, den, z)
     mx, my = d // x._d, sign * (d // y._d)
     merged = dict(xterms) if mx == 1 else {k: c * mx for k, c in xterms.items()}
     for key, c in yterms.items():
         merged[key] = merged.get(key, 0) + c * my
-    ra, rt = min(ra, yra), min(rt, yrt)
-    a_hi, t_hi = math.floor(ra), math.floor(rt)
+    head = _sum_head((xhead, yhead))
+    a_hi, t_hi = math.floor(head[3]), math.floor(head[4])
     terms = {k: c for k, c in merged.items() if c and k[0] <= a_hi and k[2] <= t_hi}
-    return _new(x.rank, den, z, d, terms, min(pa, ya), pb, min(pc, yc), ra, rt)
+    return _new(x.rank, den, z, d, terms, *head)
 
 
 def one(rank: int, rect, den: int = DEFAULT_DEN) -> TruncatedSeries:
@@ -351,17 +350,15 @@ class WeightedSeries(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _product_heads(pairs) -> tuple:
-    """The sum head (A, B, C, a bound, t bound) of the pairs (m, x, y) of grid operands.
+def _product_head(xfloors, xhead, yfloors, yhead) -> tuple:
+    """The head (A, B, C, a bound, t bound) of x * y, from each operand's floors and head.
 
     The one place of the product-rect rule, used by ``_product`` and
-    ``_laplace``, on operands (items, floors, A, B, C, a bound, t bound) whose
-    floors and bounds are absolute, as stored: the lowest a and t of items
-    (an empty operand's A and C, ``_operand``) and (A + r)*den.  The sum head
-    is that of all products, by the rule of ``+`` (``_sum``): the min a and c
-    of their prefactors, the first b and the min rect; m does not enter it.
+    ``syzygy_sum``, on floors and heads that are absolute, as stored: the
+    lowest a and t of the terms (None for an empty operand) and (A, B, C,
+    (A + a_max)*den, (C + t_max)*den).
 
-    A product's prefactor is the sum of the prefactors.  Its rect is
+    The prefactor is the sum of the prefactors.  The rect is
     min(R1 + F2, R2 + F1), each operand's bound R plus the other's floor F (a
     term at a needs one factor up to a minus the other's lowest exponent);
     with an empty operand both floors are the prefactors, which gives the
@@ -379,31 +376,15 @@ def _product_heads(pairs) -> tuple:
       its t floor is the true one and products of them never meet this gap.
     Both gaps are pinned by strict xfails in tests/test_series.py.
     """
-    heads = []
-    for _, (i1, (fa1, ft1), pa1, pb1, pc1, ra1, rt1), (i2, (fa2, ft2), pa2, pb2, pc2, ra2, rt2) in pairs:
-        if not (i1 and i2):  # no floor shifts a rect: the smaller one, relative to its prefactor, holds
-            fa1, ft1, fa2, ft2 = pa1, pc1, pa2, pc2
-        pb = tuple(map(add, pb1, pb2)) if any(pb2) else pb1
-        heads.append((pa1 + pa2, pb, pc1 + pc2, min(ra1 + fa2, ra2 + fa1), min(rt1 + ft2, rt2 + ft1)))
-    pa, pb, pc, ra, rt = zip(*heads)
-    return min(pa), pb[0], min(pc), min(ra), min(rt)
+    (pa1, pb1, pc1, ra1, rt1), (pa2, pb2, pc2, ra2, rt2) = xhead, yhead
+    # with an empty operand no floor shifts a rect: the smaller one, relative to its prefactor, holds
+    (fa1, ft1), (fa2, ft2) = (xfloors, yfloors) if xfloors and yfloors else ((pa1, pc1), (pa2, pc2))
+    pb = tuple(map(add, pb1, pb2)) if any(pb2) else pb1
+    return pa1 + pa2, pb, pc1 + pc2, min(ra1 + fa2, ra2 + fa1), min(rt1 + ft2, rt2 + ft1)
 
 
 def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
     return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
-
-
-def _laplace(pairs, den: int, what) -> tuple:
-    """The grid operand of ``syzygy_sum``'s last step, the sum of m * x * y over the pairs (m, x, y).
-
-    Its head is ``_product_heads(pairs)``, of every pair; the pairs with m = 0
-    or x empty add no term, and the rest go to ``_accumulate``, cut at that
-    head's floored rect.
-    """
-    head = _product_heads(pairs)
-    products = [(m, x[0], y[0]) for m, x, y in pairs if m and x[0]]
-    items = _accumulate(products, head, den, what, (math.floor(head[3]), math.floor(head[4])))
-    return _operand(items, *head)
 
 
 def _accumulate(products, head, den: int, what, box) -> list:
@@ -448,7 +429,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     Both go onto one den and zeta grid.  x becomes rows {(a, t): {packed l:
     c}} and y a list of packed terms sorted by a; 2^(w-1) lies above the sum
     of their largest zeta entries, so no digit of a sum overflows and a pair's
-    key is k1 + k2.  The box of the rect ``_product_heads`` gives is tested
+    key is k1 + k2.  The box of the rect ``_product_head`` gives is tested
     once per y term and x row, and each distinct key is unpacked once at the
     end.  More than DEFAULT_TERM_CAP keys reached, zero sums included, raise
     SeriesOverflowError, as in ``_accumulate``.
@@ -469,11 +450,10 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     left = sorted(rows.items())
     right = sorted([(a, t, packed[l], c) for (a, l, t), c in yterms.items()])
     xfloors = _floors(xterms)
-    pair = (1, (left, xfloors, *xhead), (right, _floors(yterms), *yhead))
-    pa, pb, pc, ra, rt = _product_heads([pair])
+    pa, pb, pc, ra, rt = _product_head(xfloors, xhead, _floors(yterms), yhead)
     a_hi, t_hi, cap, reached = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, 0
     out: dict = {}
-    for a2, t2, k2, c2 in right:
+    for a2, t2, k2, c2 in right if xfloors else ():
         if a2 + xfloors[0] > a_hi:
             break
         for (a1, t1), row1 in left:
@@ -797,8 +777,8 @@ def jacobian(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     Laplace expansion runs on int terms on one grid; see ``_determinants``.
     A nonempty form with an exponent below 0, prefactor included, raises ValueError.
     """
-    s, den, z, w, _, det = _determinants(forms, 3, "")
-    (items, _, *head), d = det(tuple(range(s + 3)))
+    s, den, z, w, d, _, det = _determinants(forms, 3, "")
+    items, head = det(tuple(range(s + 3)))
     return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
@@ -811,14 +791,18 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     J_t is its minor on rows 2.. over the columns other than t.  All J_t are
     expanded on the grid of all s + 4 forms and share its minors wherever
     their rects agree (J_t's is the min of the other forms' rects).  The last
-    step is ``_laplace`` over the pairs (+-k_t, f_t, J_t), each over d_1 ..
-    d_(s+4) den^2 z^s.  The forms must be those ``jacobian`` takes.
+    step sums the products +-k_t f_t J_t, each over d_1 .. d_(s+4) den^2 z^s:
+    its head is ``_sum_head`` of the s + 4 ``_product_head``s, and one
+    ``_accumulate`` call at that head's floored rect adds the products with
+    k_t != 0 and f_t nonempty.  The forms must be those ``jacobian`` takes.
     """
-    s, den, z, w, grid, det = _determinants(forms, 4, "syzygy ")
+    s, den, z, w, d, grid, det = _determinants(forms, 4, "syzygy ")
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
-    pairs = [(f.weight if t % 2 else -f.weight, grid[t], minors[t][0]) for t, f in enumerate(forms)]
-    d = forms[0].series._d * minors[0][1]
-    items, _, *head = _laplace(pairs, den, lambda: f"sum of {len(pairs)} products")
+    head = _sum_head([_product_head(floors, fhead, _item_floors(items), jhead)
+                      for (_, floors, fhead), (items, jhead) in zip(grid, minors)])
+    products = [(f.weight if t % 2 else -f.weight, x, y)
+                for t, (f, (x, _, _), (y, _)) in enumerate(zip(forms, grid, minors)) if f.weight and x]
+    items = _accumulate(products, head, den, lambda: f"sum of {len(forms)} products", (math.floor(head[3]), math.floor(head[4])))
     return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
@@ -829,25 +813,27 @@ def _unpacked(items, rank: int, w: int) -> dict:
 
 
 def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
-    """(s, den, z, w, grid, det): the forms' rank, grid and Jacobians on that grid.
+    """(s, den, z, w, d, grid, det): the forms' rank, grid and Jacobians on that grid.
 
     The grid is the lcm den of the forms' dens and the lcm z of their zeta
     denominators; each stored term goes on it once, its absolute key (a, l,
     t) as (a, t, _pack(l, w)), 2^(w-1) above the sum over the forms of their
     largest zeta entry, as a minor's term takes one term per column.
-    grid[j] is f_j as a grid operand sorted by key, numerators over d_j, and
-    entry (r, j) its terms times k_j in row 0 and times their exponent along
-    tau, z_1..z_s, omega below, over d_j times the row's scale 1, den, z, ..,
-    z, den.  So a minor is over the product of its d_j and its rows' scales,
-    and its Laplace pairs all enter with m = +-1.  det(cols) is (the grid
-    operand of the minor on all rows and the columns cols, unreduced, its d).
+    grid[j] is form j as (items, floors, head): its terms ((a, t, packed l),
+    c) sorted by key, numerators over d_j; their lowest a and t (None when
+    there are none); its (A, B, C, a bound, t bound).  Entry (r, j) is its
+    terms times k_j in row 0 and times their exponent along tau, z_1..z_s,
+    omega below, over d_j times the row's scale 1, den, z, .., z, den.  So a
+    minor is over the product of its d_j and its rows' scales, and its
+    Laplace pairs all enter with m = +-1; d is that of all s + extra
+    columns, d_1 .. d_(s+extra) den^2 z^s.  det(cols) is (the terms of the
+    minor on all rows and the columns cols, unreduced and unsorted, its head).
     Each minor starts from det's zero head, prefactor 0 and the forms' least
     relative rect: short of the rule's by the prefactors' sum (a strict xfail).
     The minors from one head are memoized across det's calls, keyed by an int
     column mask (bit 1 << j for column j), the unit at 0; ``syzygy_sum``'s J_t
-    share them that way.  Each det works out once what its minors read: the
-    forms' relative rects and d_j come from lists built here, and the head's
-    floors, the cut's gap and top box and the mask of cols once per call.
+    share them that way.  det takes the head's floors, the cut's gap and top
+    box and the mask of cols once per call.
 
     The cut.  Let f_j be form j's floors (its lowest stored a and t, which
     include its prefactor; an empty form's A and C) and R the head's rect.
@@ -861,12 +847,12 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     yet must be exact on its own head, as the last step's rect reads J_t's
     floors.  On row 0 the cap is at least floor(R), so det itself is never
     cut.  A minor's terms start at sum_{j in S} f_j, and cap(S) less that is
-    the same for every S: below 0 on either axis, det returns the empty
-    operand on its head without building a minor.  No rect moves: every
-    product of the expansion has prefactor >= 0 and an absolute rect of at
-    least R (an entry's is at least its form's relative rect, and a minor's
-    floors are >= 0), so each minor's rect is R and its prefactor 0 whatever
-    terms it keeps: no minor needs a head of its own.
+    the same for every S: below 0 on either axis, det returns no terms on
+    its head without building a minor.  No rect moves: every product of the
+    expansion has prefactor >= 0 and an absolute rect of at least R (an
+    entry's is at least its form's relative rect, and a minor's floors are
+    >= 0), so each minor's rect is R and its prefactor 0 whatever terms it
+    keeps: no minor needs a head of its own.
     """
     if not forms:
         raise ValueError("no forms given")
@@ -883,33 +869,32 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     for f, (terms, *head) in zip(forms, grids):
         # each term's key and factor per row: k_j, then its exponents
         keyed = sorted([((a, t, packed[l]), c, (f.weight, a, *l, t)) for (a, l, t), c in terms.items()])
-        grid.append(_operand([(k, c) for k, c, _ in keyed], *head))
+        grid.append(((items := [(k, c) for k, c, _ in keyed]), _item_floors(items), head))
         for r, row in enumerate(rows):
             row.append([(k, c * e[r]) for k, c, e in keyed if e[r]])
-    for i, (items, (fa, ft), pa, _, pc, _, _) in enumerate(grid):
+    floors = [fs or (head[0], head[2]) for _, fs, head in grid]  # f_j of the cut
+    for i, ((items, _, (pa, _, pc, _, _)), (fa, ft)) in enumerate(zip(grid, floors)):
         for name, x in (("prefactor A", pa), ("prefactor C", pc), ("a term at absolute a", fa), ("a term at absolute t", ft)):
             if items and x < 0:  # an empty form is a zero column whatever its prefactor
                 raise _NotModular(i, name, Q(x, den))
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
-    floors = [g[1] for g in grid]
     reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]  # sum_j f_j - spare * max_j f_j per axis
-    # per form: its rect relative to its prefactor and its d, read by every det
-    ras, rts, ds = [g[5] - g[2] for g in grid], [g[6] - g[4] for g in grid], [f.series._d for f in forms]
+    # per form: its rect relative to its prefactor, read by every det
+    ras, rts = [h[3] - h[0] for _, _, h in grid], [h[4] - h[2] for _, _, h in grid]
 
     def det(cols: tuple[int, ...]) -> tuple:
         # the zero summand every minor starts from: prefactor 0 and the forms' smallest relative rect
         head = (0, zeros, 0, min([ras[j] for j in cols]), min([rts[j] for j in cols]))
-        d = math.prod([ds[j] for j in cols]) * scale
         top = math.floor(head[3]), math.floor(head[4])  # R's floors, once per det: off the den grid a Python call
         gap_a, gap_t = top[0] - reach[0], top[1] - reach[1]
         if gap_a < 0 or gap_t < 0:
-            return _operand([], *head), d
+            return [], head
         minors = memo.setdefault(head, {0: [((0, 0, 0), 1)]})  # term 1: under a box below 0 no pair keeps it
         box = gap_a + sum([floors[j][0] for j in cols]), gap_t + sum([floors[j][1] for j in cols])
         mask = sum([1 << j for j in cols])
-        return _operand(_minor(rows, minors, den, mask, head, box, top, floors), *head), d
+        return _minor(rows, minors, den, mask, head, box, top, floors), head
 
-    return s, den, z, w, grid, det
+    return s, den, z, w, math.prod([f.series._d for f in forms]) * scale, grid, det
 
 
 def _minor(rows, memo: dict, den: int, mask: int, head: tuple, box, top, floors):
@@ -969,14 +954,14 @@ def series_to_json(x: TruncatedSeries) -> dict:
 def series_from_json(doc: dict) -> TruncatedSeries:
     """Inverse of series_to_json; a malformed document raises ValueError."""
     if not isinstance(doc, dict):
-        raise ValueError(f"a series must be a JSON object, got {doc!r}")
+        raise ValueError(f"a series must be a JSON object, got {_quoted(doc)}")
     if missing := [field for field in ("rank", "rect") if field not in doc]:
         raise ValueError(f"series document must contain a {missing[0]!r} field")
     rank = _json_int(doc["rank"], "rank", 0)
     den = _json_int(doc.get("den", DEFAULT_DEN), "den", 1)
     pref = doc.get("prefactor", {})
     if not isinstance(pref, dict):
-        raise ValueError(f"prefactor must be an object, got {pref!r}")
+        raise ValueError(f"prefactor must be an object, got {_quoted(pref)}")
     if "B" not in pref and rank > _DEFAULT_B_RANKS:  # refused before the default B is built
         raise ValueError(f"rank must be at most {_DEFAULT_B_RANKS} when prefactor B is omitted, got {rank}")
     b = pref["B"] if "B" in pref else ["0/1"] * rank
@@ -991,7 +976,7 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     terms = {}
     for i, item in enumerate(_json_list(doc.get("terms", []), "terms")):
         if not isinstance(item, dict) or not {"a", "l", "t", "c"} <= item.keys():
-            raise ValueError(f"terms[{i}] must be an object with a, l, t and c, got {item!r}")
+            raise ValueError(f"terms[{i}] must be an object with a, l, t and c, got {_quoted(item)}")
         l = _json_list(item["l"], f"terms[{i}].l", rank)
         key = (
             _json_q(item["a"], f"terms[{i}].a"),

@@ -1009,6 +1009,24 @@ class TestInputFiles:
         name = {"k": "'k'", "c": "terms[0].c", "rect": "--rect bound"}[field]
         assert f"{name} has a run of more than 640 digits, past the interpreter's limit" in err
 
+    @pytest.mark.parametrize("field", ["--max-norm", "--weights", "--rect bound", "'k'"])
+    def test_long_value_is_not_echoed_whole(self, capsys, tmp_path, field):
+        # each value is about 5,000 characters, inside the interpreter's digit limit where it has digits;
+        # the refusal quotes its start and its length, so the line stays short and still names the field
+        ones = "1" * 5001
+        phi = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        form = write_json(tmp_path / "f.json", {"rank": 1, "terms": [], "rect": ["4", "4"]})
+        argv = {
+            "--max-norm": ["roots", "builtin:E8", "--max-norm", ones],
+            "--weights": ["jacobian", form, form, form, form, "--weights", f"{ones},1,1,1"],
+            "--rect bound": ["borch", phi, "--rect", f"1,{ones}e99999"],
+            "'k'": ["weyl", write_json(tmp_path / "k.json", dict(EMPTY_PHI, k="x" * 5000))],
+        }[field]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 300 and field in err
+        assert re.search(r"\.\.\. \(500\d characters\)$", err.rstrip("\n"))
+
     @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
     def test_weight_spellings(self, capsys, tmp_path, k, weight):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))
@@ -1166,7 +1184,7 @@ class TestParser:
         ("roots", [
             HELP,
             ((), "ref", None, None, True, None, None, None),
-            (("--max-norm",), "max_norm", 2, None, False, None, "int", None),
+            (("--max-norm",), "max_norm", 2, None, False, None, "_int_arg", None),
             FORMAT,
             OUTPUT,
         ]),
@@ -1175,7 +1193,7 @@ class TestParser:
             HELP,
             ((), "coeffs", None, None, True, None, None, None),
             (("--rect",), "rect", "2,2", None, False, None, None, "exactness rectangle 'A,T'"),
-            (("--den",), "den", 24, None, False, None, "int", None),
+            (("--den",), "den", 24, None, False, None, "_int_arg", None),
             OUTPUT,
         ]),
         ("jacobian", [
@@ -1185,7 +1203,7 @@ class TestParser:
             (("--syzygy",), "syzygy", False, None, False, 0, None, "alternating-sum mode"),
             OUTPUT,
         ]),
-        ("classify", [HELP, (("--max-rank",), "max_rank", 8, None, False, None, "int", None), FORMAT, OUTPUT]),
+        ("classify", [HELP, (("--max-rank",), "max_rank", 8, None, False, None, "_int_arg", None), FORMAT, OUTPUT]),
     ]
 
     def test_structure(self):

@@ -697,6 +697,8 @@ def naive_expand(coeffs, rect, rank, term_cap):
     """expand_product's reduced terms by Fraction convolution, or None on overflow."""
     a_max, t_max = rect
     factors = product_factors(coeffs, rect, rank)
+    if len(factors) > term_cap:  # the factors are counted, and refused, before any is built
+        return None
     budget = 1
     for fac in factors:
         if fac.m == 0 and fac.n == 0:
@@ -756,6 +758,8 @@ class TestExpandAgainstNaive:
         st.integers(0, 48).map(lambda n: Q(n, 24)),
         st.integers(0, 40),
     )
+    # three factors under a cap of 2 whose expansion keeps 2 terms: the factor count refuses it
+    @example((1, {(1, (Q(0),)): -2, (-1, (Q(0),)): -2, (1, (Q(1),)): -2}), Q(0), Q(1), 2)
     def test_expand_product(self, table_of_rank, a_max, t_max, term_cap):
         rank, table = table_of_rank
         rect = (a_max, t_max)
