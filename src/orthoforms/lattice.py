@@ -207,10 +207,10 @@ def builtin_lattice(name: str) -> Lattice:
     if name.endswith(")") and "(" in name:
         base, digits = name[:-1].split("(", 1)
         if not re.fullmatch(r"-?(0|[1-9][0-9]*)", digits):
-            raise ValueError(f"scale {digits!r} is not an integer in ASCII digits")
+            raise ValueError(f"scale {_quoted(digits)} is not an integer in ASCII digits")
         scale = int(digits)
     if base not in _BUILTINS:
-        raise KeyError(f"unknown built-in lattice {name!r}")
+        raise KeyError(f"unknown built-in lattice {_quoted(name)}")
     lat = Lattice(_dynkin(*_BUILTINS[base]), base)
     return rescale(lat, scale) if scale != 1 else lat
 
