@@ -32,7 +32,7 @@ import sys
 from fractions import Fraction as Q
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
-from .lattice import DEFAULT_DEN, _check_digits, _check_exponent, _check_str_limit, _json_int, _json_list, _json_q, _quoted, q_str
+from .lattice import DEFAULT_DEN, _ascii_int, _json_int, _json_list, _json_q, _quoted, q_str
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -50,15 +50,7 @@ def _parse_rect(text: str) -> tuple[Q, Q]:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"--rect expects 'A,T', got {_quoted(text)}")
-    for part in parts:
-        _check_exponent(part, "--rect bound")
-    try:
-        bounds = Q(parts[0]), Q(parts[1])
-    except (ValueError, ZeroDivisionError):
-        for part in parts:
-            _check_str_limit(part, "--rect bound")
-        raise CliError(f"cannot parse rectangle bounds {_quoted(text)}")
-    return _check_digits(bounds[0], "--rect bound"), _check_digits(bounds[1], "--rect bound")
+    return _json_q(parts[0], "--rect bound"), _json_q(parts[1], "--rect bound")
 
 
 def _read_json(path: str, what: str, parse):
@@ -83,7 +75,7 @@ def _load_lattice(ref: str) -> lattice_mod.Lattice:
     except KeyError as exc:
         raise CliError(exc.args[0])
     except ValueError as exc:
-        raise CliError(f"invalid lattice {ref}: {exc}")
+        raise CliError(f"invalid lattice {_quoted(ref, str)}: {exc}")
 
 
 def _load_qzero(path: str) -> weyl_mod.QZeroData:
@@ -99,6 +91,7 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
     if not lat.is_positive_definite:
         raise ValueError("its lattice is not positive definite")
     entries: dict[tuple[int, tuple], int] = {}
+    named: dict[tuple[int, tuple], tuple[int, str]] = {}  # each (n, l) -> its first entry's index and name
     for index, item in enumerate(_json_list(doc.get("coeffs", []), "'coeffs'")):
         if not isinstance(item, dict):
             raise ValueError(f"coefficient entry {index} must be an object, got {_quoted(item)}")
@@ -107,8 +100,16 @@ def _qzero_from_json(doc, path: str) -> weyl_mod.QZeroData:
         coords = tuple(_json_q(v, f"{entry}: 'l' entry") for v in _json_list(item.get("l"), f"{entry}: 'l'"))
         if entries.setdefault((n, coords), f) != f:
             raise ValueError(f"{entry} conflicts with an earlier entry for the same n and l")
-    # structural completeness: the principal part and every evenness partner are stored
+        named.setdefault((n, coords), (index, entry))
+    # structural completeness: the principal part and every evenness partner are stored, with the value they need
     missing = weyl_mod._missing_coefficients(entries, lat.rank)
+    for n, coords in missing:
+        if (n, coords) in named:  # the file holds it with another value: a conflict, not a gap
+            partner = named[n, tuple(-x for x in coords)]
+            if partner == named[n, coords]:  # (-1, 0), the one missing entry that is its own partner
+                raise ValueError(f"{partner[1]} conflicts with the principal part f(-1, 0) = 1")
+            first, second = sorted((named[n, coords], partner))
+            raise ValueError(f"{first[1]} and {second[1]} conflict: f(n, -l) must equal f(n, l)")
     if missing:
         listing = ", ".join(f"(n={n}, l=[{', '.join(map(q_str, coords))}])" for n, coords in sorted(missing))
         raise CliError(f"{path}: missing required coefficients: {listing}", EXIT_MISSING)
@@ -258,9 +259,8 @@ def _series_doc(x, what: str) -> dict:
 
 
 def cmd_jacobian(args) -> tuple[str, dict]:
-    try:
-        weights = [int(w) for w in args.weights.split(",")]
-    except ValueError:
+    weights = [_ascii_int(w) for w in args.weights.split(",")]
+    if None in weights:
         raise CliError(f"--weights expects comma-separated integers, got {_quoted(args.weights)}")
     if len(weights) != len(args.series):
         raise CliError(f"{len(args.series)} series but {len(weights)} weights")
@@ -329,18 +329,21 @@ def _write(args, text: str, doc: dict) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are one exit-2 line from main."""
+    """An ArgumentParser whose usage errors are one exit-2 line from main, quoting a value by _quoted's rule."""
 
     def error(self, message):
         raise CliError(message)
 
+    def _check_value(self, action, value):  # argparse's check of --format and of the command name
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {_quoted(value)} (choose from {', '.join(map(repr, action.choices))})")
+
 
 def _int_arg(text: str) -> int:
-    """The type of the int options: argparse's own refusal would quote the whole of a long value."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
+    """The type of the int options: an integer in ASCII digits, refused in argparse's words with the value quoted."""
+    if (value := _ascii_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}")
+    return value
 
 
 def _joined_lists(argv) -> list[str]:
@@ -403,7 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_joined_lists(argv))
+        args, extra = build_parser().parse_known_args(_joined_lists(argv))
+        if extra:  # parse_args would repeat them whole
+            raise CliError(f"unrecognized arguments: {_quoted(' '.join(extra), str)}")
         if args.output == "-":  # standard output: the run is the one without -o
             args.output = None
         if args.output and getattr(args, "format", "json") == "table":

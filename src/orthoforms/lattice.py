@@ -206,9 +206,8 @@ def builtin_lattice(name: str) -> Lattice:
     scale = 1
     if name.endswith(")") and "(" in name:
         base, digits = name[:-1].split("(", 1)
-        if not re.fullmatch(r"-?(0|[1-9][0-9]*)", digits):
+        if (scale := _ascii_int(digits)) is None:
             raise ValueError(f"scale {_quoted(digits)} is not an integer in ASCII digits")
-        scale = int(digits)
     if base not in _BUILTINS:
         raise KeyError(f"unknown built-in lattice {_quoted(name)}")
     lat = Lattice(_dynkin(*_BUILTINS[base]), base)
@@ -228,10 +227,18 @@ def q_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _quoted(value) -> str:
-    """repr(value) as a refusal line quotes it: whole up to 80 characters, else its first 40 and its length."""
-    text = repr(value)
+def _quoted(value, show=repr) -> str:
+    """show(value) as a refusal line quotes it: whole up to 80 characters, else its first 40 and its length."""
+    text = show(value)
     return text if len(text) <= 80 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _ascii_int(text: str) -> int | None:
+    """text as an integer in ASCII digits, -?(0|[1-9][0-9]*), else None: also for a digit run past the interpreter's limit."""
+    try:
+        return int(text) if re.fullmatch(r"-?(0|[1-9][0-9]*)", text) else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
 
 
 def _json_list(value, what: str, length: int | None = None) -> list:
@@ -255,46 +262,33 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
 _DIGIT_RUN = re.compile(r"[0-9_]+")
 
 
-def _check_exponent(text: str, what: str) -> None:
-    """Refuse a decimal exponent above _MAX_DIGITS in absolute value, before Fraction expands it."""
-    m = _EXPONENT.search(text)
-    digits = m[1].replace("_", "").lstrip("0") if m else ""
-    if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
-        raise ValueError(f"{what} has a decimal exponent beyond {_MAX_DIGITS} in absolute value, got {_quoted(text)}")
-
-
-def _check_digits(x: Q, what: str) -> Q:
-    """x, refused when its numerator or denominator has more than _MAX_DIGITS digits."""
-    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
-        raise ValueError(f"{what} has a numerator or denominator of more than {_MAX_DIGITS} digits")
-    return x
-
-
-def _check_str_limit(text: str, what: str) -> None:
-    """Refuse text, without echoing it, when a run of its digits is past the interpreter's int string limit.
-
-    Called where Fraction(text) has raised: that limit
-    (``sys.get_int_max_str_digits()``, 0 for none) raises the same error as
-    malformed text does, so this names the limit instead.
-    """
-    limit = sys.get_int_max_str_digits()
-    if limit and any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(text)):
-        raise ValueError(f"{what} has a run of more than {limit} digits, past the interpreter's limit on converting a string to an int")
-
-
 def _json_q(value, what: str) -> Q:
-    """A rational from a string or an integer; floats, booleans and unprintably long values are rejected."""
-    if isinstance(value, str):
-        _check_exponent(value, what)
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+    """A rational from a string or an integer; floats, booleans and unprintably long values are rejected.
+
+    A string's decimal exponent above _MAX_DIGITS in absolute value is refused
+    before Fraction expands it, and a string Fraction refuses for a digit run
+    past the interpreter's limit (``sys.get_int_max_str_digits()``, 0 for
+    none) is refused naming that limit, not the digits.
+    """
+    x = None
+    if isinstance(value, int) and not isinstance(value, bool):
+        x = Q(value)
+    elif isinstance(value, str):
+        m = _EXPONENT.search(value)
+        digits = m[1].replace("_", "").lstrip("0") if m else ""
+        if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
+            raise ValueError(f"{what} has a decimal exponent beyond {_MAX_DIGITS} in absolute value, got {_quoted(value)}")
         try:
             x = Q(value)
         except (ValueError, ZeroDivisionError):
-            if isinstance(value, str):
-                _check_str_limit(value, what)
-        else:
-            return _check_digits(x, what)
-    raise ValueError(f"{what} must be a rational 'p/q', got {_quoted(value)}")
+            limit = sys.get_int_max_str_digits()
+            if limit and any(len(run.replace("_", "")) > limit for run in _DIGIT_RUN.findall(value)):
+                raise ValueError(f"{what} has a run of more than {limit} digits, past the interpreter's limit on converting a string to an int")
+    if x is None:
+        raise ValueError(f"{what} must be a rational 'p/q', got {_quoted(value)}")
+    if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+        raise ValueError(f"{what} has a numerator or denominator of more than {_MAX_DIGITS} digits")
+    return x
 
 
 def lattice_from_json(doc: dict) -> Lattice:

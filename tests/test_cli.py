@@ -415,6 +415,16 @@ class TestWeyl:
                 [{"n": -1, "l": ["0/1"], "f": 1}, {"n": 0, "l": ["1/2"], "f": 1}, {"n": 0, "l": ["2/4"], "f": 2}],
                 "entry 2 {'n': 0, 'l': ['2/4'], 'f': 2} conflicts with an earlier entry",
             ),
+            # an entry its partner or the principal part needs with another value is a conflict, not a gap
+            (
+                [{"n": -1, "l": ["0/1"], "f": 1}, {"n": 0, "l": ["1/1"], "f": 1}, {"n": 0, "l": ["-1/1"], "f": 3}],
+                "coefficient entry 1 {'n': 0, 'l': ['1/1'], 'f': 1} and coefficient entry 2 {'n': 0, 'l': ['-1/1'], 'f': 3}"
+                " conflict: f(n, -l) must equal f(n, l)",
+            ),
+            (
+                [{"n": -1, "l": ["0/1"], "f": 2}],
+                "coefficient entry 0 {'n': -1, 'l': ['0/1'], 'f': 2} conflicts with the principal part f(-1, 0) = 1",
+            ),
         ],
     )
     def test_malformed_coeffs(self, capsys, tmp_path, coeffs, named):
@@ -544,8 +554,8 @@ class TestBorch:
         [
             ("1", "--rect expects 'A,T', got '1'"),
             ("1,2,3", "--rect expects 'A,T', got '1,2,3'"),
-            ("a,b", "cannot parse rectangle bounds 'a,b'"),
-            ("1/0,1", "cannot parse rectangle bounds '1/0,1'"),
+            ("a,b", "--rect bound must be a rational 'p/q', got 'a'"),
+            ("1/0,1", "--rect bound must be a rational 'p/q', got '1/0'"),
         ],
     )
     def test_malformed_rect_refused(self, capsys, tmp_path, rect, message):
@@ -915,7 +925,7 @@ class TestClassify:
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: internal check failed: unresolved candidates \['[^']+'\]\n", err)
 
-    @pytest.mark.parametrize("bound", ["-3", "0", "9"])
+    @pytest.mark.parametrize("bound", ["-3", "0", "9", "-2", "12"])
     def test_rank_bound_out_of_range(self, capsys, bound):
         code, out, err = run(capsys, "classify", "--max-rank", bound)
         assert (code, out) == (2, "")
@@ -978,13 +988,68 @@ class TestInputFiles:
         assert err.count("\n") == 1 and path in err and "'k' must be" in err and repr(k) in err
 
     @pytest.mark.parametrize(
-        "scale", ["2_0", "+2", " 2", "02", "\u0663", "x"], ids=["underscore", "plus", "space", "leading-zero", "arabic-indic", "letter"]
+        "scale",
+        ["2_0", "+2", " 2", "02", "\u0663", "\uff12", "x"],
+        ids=["underscore", "plus", "space", "leading-zero", "arabic-indic", "fullwidth", "letter"],
     )
     def test_builtin_scale_is_an_integer_in_ascii_digits(self, capsys, scale):
-        # int() would read the first five as 20, 2, 2, 2 and 3
+        # int() would read the first six as 20, 2, 2, 2, 3 and 2
         ref = f"builtin:A2({scale})"
         message = f"error: invalid lattice {ref}: scale {scale!r} is not an integer in ASCII digits\n"
         assert run(capsys, "lattice", ref) == (2, "", message)
+
+    # each run that reads an integer from the command line, with the integer spelled {v}
+    INT_ARGV = {
+        "--max-norm": ["roots", "builtin:A2", "--max-norm={v}"],
+        "--den": ["borch", "{phi}", "--rect", "1,1", "--den={v}"],
+        "--max-rank": ["classify", "--max-rank={v}"],
+        "--weights": ["jacobian", "{f0}", "{f1}", "{f2}", "{f3}", "--weights={v},1,1,1"],
+        "scale": ["lattice", "builtin:A2({v})"],
+    }
+
+    def int_argv(self, tmp_path, option, value):
+        files = {"{phi}": write_json(tmp_path / "phi.json", EMPTY_PHI)}
+        for i, (a, l, t) in enumerate([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            doc = {"rank": 1, "terms": [{"a": f"{a}/1", "l": [f"{l}/1"], "t": f"{t}/1", "c": "1/1"}], "rect": ["4/1", "4/1"]}
+            files[f"{{f{i}}}"] = write_json(tmp_path / f"f{i}.json", doc)
+        return [files.get(arg, arg).replace("{v}", value) for arg in self.INT_ARGV[option]]
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff12", " 4", "+4", "04"], ids=["underscore", "fullwidth", "space", "plus", "leading-zero"])
+    @pytest.mark.parametrize("option", ["--max-norm", "--den", "--max-rank", "--weights"])
+    def test_integer_text_refused(self, capsys, tmp_path, option, value):
+        # int() would read them as 10, 2, 4, 4 and 4; the scale's refusals are
+        # test_builtin_scale_is_an_integer_in_ascii_digits's
+        if option == "--weights":
+            refusal = f"--weights expects comma-separated integers, got {value + ',1,1,1'!r}"
+        else:
+            refusal = f"argument {option}: invalid int value: {value!r}"
+        assert run(capsys, *self.int_argv(tmp_path, option, value)) == (2, "", f"error: {refusal}\n")
+
+    @pytest.mark.parametrize(
+        "option, value, shown",
+        [
+            ("--max-norm", "-2", "error: max_norm must be a positive even integer"),
+            ("--max-norm", "0", "error: max_norm must be a positive even integer"),
+            ("--max-norm", "12", "12 reflective vectors up to norm 12"),
+            ("--den", "-2", "error: den must be an integer >= 1, got -2"),
+            ("--den", "0", "error: den must be an integer >= 1, got 0"),
+            ("--den", "12", '"den": 12'),
+            ("--weights", "-2", '"c": "-2/1"'),
+            ("--weights", "0", "vanishes to rectangle order"),
+            ("--weights", "12", '"c": "12/1"'),
+            ("scale", "-2", "lattice A2(-2)"),
+            ("scale", "0", "error: invalid lattice builtin:A2(0): rescaling by zero is not allowed"),
+            ("scale", "12", "lattice A2(12)"),
+        ],
+    )
+    def test_integer_text_accepted(self, capsys, tmp_path, option, value, shown):
+        # each value reaches the command, which runs on it or refuses it by its own range;
+        # --max-rank's are test_rank_bound_out_of_range's
+        code, out, err = run(capsys, *self.int_argv(tmp_path, option, value))
+        if shown.startswith("error: "):
+            assert (code, out, err) == (2, "", shown + "\n")
+        else:
+            assert code == 0 and err == "" and shown in out
 
     @pytest.mark.parametrize("field", ["k", "c", "rect"])
     def test_interpreter_digit_limit_is_named(self, capsys, tmp_path, field):
@@ -1009,23 +1074,38 @@ class TestInputFiles:
         name = {"k": "'k'", "c": "terms[0].c", "rect": "--rect bound"}[field]
         assert f"{name} has a run of more than 640 digits, past the interpreter's limit" in err
 
-    @pytest.mark.parametrize("field", ["--max-norm", "--weights", "--rect bound", "'k'"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "--max-norm", "--weights", "--rect bound", "'k'", "--den", "--max-rank", "scale",
+            "--format", "argument command", "unrecognized arguments", "invalid lattice",
+        ],
+    )
     def test_long_value_is_not_echoed_whole(self, capsys, tmp_path, field):
-        # each value is about 5,000 characters, inside the interpreter's digit limit where it has digits;
-        # the refusal quotes its start and its length, so the line stays short and still names the field
+        # each value is about 5,000 characters, past the interpreter's digit limit where it is an integer
+        # and inside it where it is a rational; the refusal quotes its start and its length, so the line
+        # stays short and still names the field; tail is what the line says after the value
         ones = "1" * 5001
+        xs = "x" * 5000
         phi = write_json(tmp_path / "phi.json", EMPTY_PHI)
         form = write_json(tmp_path / "f.json", {"rank": 1, "terms": [], "rect": ["4", "4"]})
-        argv = {
-            "--max-norm": ["roots", "builtin:E8", "--max-norm", ones],
-            "--weights": ["jacobian", form, form, form, form, "--weights", f"{ones},1,1,1"],
-            "--rect bound": ["borch", phi, "--rect", f"1,{ones}e99999"],
-            "'k'": ["weyl", write_json(tmp_path / "k.json", dict(EMPTY_PHI, k="x" * 5000))],
+        argv, tail = {
+            "--max-norm": (["roots", "builtin:E8", "--max-norm", ones], ""),
+            "--weights": (["jacobian", form, form, form, form, "--weights", f"{ones},1,1,1"], ""),
+            "--rect bound": (["borch", phi, "--rect", f"1,{ones}e99999"], ""),
+            "'k'": (["weyl", write_json(tmp_path / "k.json", dict(EMPTY_PHI, k=xs))], ""),
+            "--den": (["borch", phi, "--den", ones], ""),
+            "--max-rank": (["classify", "--max-rank", ones], ""),
+            "scale": (["lattice", f"builtin:A2({ones})"], " is not an integer in ASCII digits"),
+            "--format": (["lattice", "builtin:E8", "--format", xs], " (choose from 'json', 'table')"),
+            "argument command": ([xs], " (choose from 'lattice', 'roots', 'weyl', 'borch', 'jacobian', 'classify')"),
+            "unrecognized arguments": (["lattice", "builtin:E8", xs], ""),
+            "invalid lattice": (["lattice", f"builtin:A2({xs})"], " is not an integer in ASCII digits"),
         }[field]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 300 and field in err
-        assert re.search(r"\.\.\. \(500\d characters\)$", err.rstrip("\n"))
+        assert re.search(rf"\.\.\. \(500\d characters\){re.escape(tail)}$", err.rstrip("\n"))
 
     @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
     def test_weight_spellings(self, capsys, tmp_path, k, weight):

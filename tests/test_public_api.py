@@ -25,6 +25,7 @@ PACKAGE = ROOT / "src" / "orthoforms"
 KEEP: dict[str, str] = {}
 KEEP_METHODS = {
     "series.TruncatedSeries.absolute_terms": "tests state other operations' results with it",
+    "cli._Parser._check_value": "argparse calls it to check a choice, which it quotes by _quoted's rule",
 }
 
 
