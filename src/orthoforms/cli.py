@@ -30,6 +30,7 @@ import json
 import os
 import sys
 from fractions import Fraction as Q
+from math import gcd
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
 from .lattice import DEFAULT_DEN, _ascii_int, _json_int, _json_list, _json_q, _quoted, q_str
@@ -60,11 +61,11 @@ def _read_json(path: str, what: str, parse):
             doc = json.load(fh)
         return parse(doc)
     except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
+        raise CliError(f"no such file: {_quoted(path, str)}")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}")
+        raise CliError(f"cannot read {_quoted(path, str)}: {exc.strerror}")
     except (ValueError, KeyError, RecursionError) as exc:
-        raise CliError(f"invalid {what} {path}: {exc}")
+        raise CliError(f"invalid {what} {_quoted(path, str)}: {exc}")
 
 
 def _load_lattice(ref: str) -> lattice_mod.Lattice:
@@ -132,7 +133,7 @@ def cmd_lattice(args) -> tuple[str, dict]:
     limit = sys.get_int_max_str_digits()  # 0 when there is none
     for name, n in (("determinant", lat.determinant), ("level", disc.level)):  # the order is |det|; the divisors divide it
         if limit and abs(n) >= 10**limit:
-            raise CliError(f"lattice {args.ref} has a {name} of more than {limit} digits, too long to print")
+            raise CliError(f"lattice {_quoted(args.ref, str)} has a {name} of more than {limit} digits, too long to print")
     doc = {
         "label": lat.label,
         "rank": lat.rank,
@@ -158,9 +159,11 @@ def cmd_roots(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
     try:
         rd = roots_mod.detect_roots(lat, args.max_norm)
-        comps = roots_mod.decompose(rd) if rd.roots else []
     except lattice_mod.NotPositiveDefiniteError:
-        raise CliError(f"lattice {args.ref} is not positive definite, so it has no finite root set")
+        raise CliError(f"lattice {_quoted(args.ref, str)} is not positive definite, so it has no finite root set")
+    # the mirrors: a reflective k*u, k >= 2, reflects in u's mirror and would join u's component
+    rd = roots_mod.RootDatum(lat, tuple([r for r in rd.roots if gcd(*r) == 1]))
+    comps = roots_mod.decompose(rd) if rd.roots else []
     reports = [
         {
             "type": comp.type_tag,
@@ -276,7 +279,7 @@ def cmd_jacobian(args) -> tuple[str, dict]:
     try:
         result = (series_mod.syzygy_sum if args.syzygy else series_mod.jacobian)(forms)
     except series_mod._NotModular as exc:  # the library names the form; its file is named here
-        raise CliError(f"invalid series file {args.series[exc.args[0]]}: {exc}")
+        raise CliError(f"invalid series file {_quoted(args.series[exc.args[0]], str)}: {exc}")
     doc = _series_doc(result, "the syzygy sum" if args.syzygy else "the Jacobian")
     s = forms[0].series.rank
     try:
@@ -317,7 +320,7 @@ def _write(args, text: str, doc: dict) -> None:
             with open(args.output, "w") as fh:
                 fh.write(body)
         except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc.strerror}")
+            raise CliError(f"cannot write {_quoted(args.output, str)}: {exc.strerror}")
     else:
         out += body
     try:

@@ -35,10 +35,16 @@ pairs), or the syzygy sum's last step.  A minor is built only on the box
 from which its terms can reach the rect (the cut of ``_determinants``), and
 is its terms alone there, keyed by an int column mask: perfbench jacobian's
 jobs/s rose x1.41, then x1.12 to x1.19 (medians of 10 alternated pairs).
+Around that loop a Jacobian call pays little fixed cost: ``_determinants``
+reads each form in one pass, a minor makes no closure and builds its
+overflow line only past the cap, and a result's packed keys are unpacked in
+one batch (in process, x1.10 to x1.14 on the benchmark's small Jacobians).
 ``_multiply_out`` multiplies the product expansion's binomials into rows in
 place, reading each row before a lower one adds into it.  It and ``__mul__``
 do not call each other, so ``log_derivative_residual`` checks the expansion
-with a loop other than its own; they share only ``_pack`` and ``_unpack``.
+with a loop other than its own; they share only ``_pack`` and ``_unpack``,
+which turns all of a result's keys into vectors at once, one digit position
+at a time over every key.
 The rect rule of a product lives in ``_product_head`` (``__mul__`` and
 ``syzygy_sum`` call it), that of ``+`` in ``_sum_head`` (``_sum`` and ``syzygy_sum``).
 A packed key is the zeta vector as one int of signed base-2^w digits
@@ -64,7 +70,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
-from operator import add, itemgetter
+from itertools import chain
+from operator import add, itemgetter, lshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -288,7 +295,7 @@ def _floors(terms) -> tuple[int, int] | None:
 
 
 def _item_floors(items) -> tuple[int, int] | None:
-    """Lowest a and lowest t of the terms ((a, t, packed l), c), None when there are none; one loop, as it runs per form."""
+    """Lowest a and lowest t of the terms ((a, t, packed l), c), None when there are none; one loop, as it runs per J_t."""
     fa, ft = items[0][0][:2] if items else (None, None)
     for (a, t, _), _ in items:
         fa, ft = a if a < fa else fa, t if t < ft else ft
@@ -383,25 +390,27 @@ def _product_head(xfloors, xhead, yfloors, yhead) -> tuple:
     return pa1 + pa2, pb, pc1 + pc2, min(ra1 + fa2, ra2 + fa1), min(rt1 + ft2, rt2 + ft1)
 
 
-def _overflow(what: str, ra, rt, den: int, cap: int) -> SeriesOverflowError:
-    return SeriesOverflowError(f"{what} on rect ({Q(ra, den)}, {Q(rt, den)}) exceeded the cap of {cap} stored terms")
+def _overflow(what: str, head, den: int) -> SeriesOverflowError:
+    """The cap's error for what, on the relative rect of head (A, B, C, a bound, t bound)."""
+    pa, _, pc, ra, rt = head
+    return SeriesOverflowError(f"{what} on rect ({Q(ra - pa, den)}, {Q(rt - pc, den)}) "
+                               f"exceeded the cap of {DEFAULT_TERM_CAP} stored terms")
 
 
-def _accumulate(products, head, den: int, what, box) -> list:
-    """The nonzero terms, unsorted, of the sum of m * x * y over the products (m, x, y), on its head.
+def _accumulate(products, box) -> list | None:
+    """The nonzero terms, unsorted, of the sum of m * x * y over the products (m, x, y), in box; None past the cap.
 
     The pair loop of the Laplace expansions, once per minor and once for the
-    syzygy sum's first row, on the terms ((a, t, packed l), c) of
+    syzygy sum's last step, on the terms ((a, t, packed l), c) of
     ``_determinants`` (x nonempty and sorted by a): a pair's key is a sum of
-    ints.  head is the sum's (A, B, C, a bound, t bound), its rect inside
-    every product's, so cutting at its floors drops only terms the merge
-    would drop too.  box is the a and t caps of the keys: those floors, or
-    for a minor the lower of them and its cut's caps.  y runs outside, times
-    m once per term and leaving x the limits a_lim and t_lim; x stops at its
-    first term past a_lim.  More than DEFAULT_TERM_CAP keys, zero sums
-    included, raise SeriesOverflowError naming what().
+    ints.  box is the a and t caps of the keys: the floors of the sum's rect,
+    which lies inside every product's, so the cut drops only terms the merge
+    would drop too, or for a minor the lower of them and its cut's caps.  y
+    runs outside, times m once per term and leaving x the limits a_lim and
+    t_lim; x stops at its first term past a_lim.  More than DEFAULT_TERM_CAP
+    keys, zero sums included, return None, and the caller raises
+    ``_overflow`` naming what it sums: no message is built on the way.
     """
-    pa, _, pc, ra, rt = head
     (a_hi, t_hi), cap, out = box, DEFAULT_TERM_CAP, {}
     get = out.get
     for mult, left, right in products:
@@ -419,8 +428,8 @@ def _accumulate(products, head, den: int, what, box) -> list:
                 key = (a1 + a2, t1 + t2, k1 + k2)
                 out[key] = get(key, 0) + c1 * c2
             if len(out) > cap:
-                raise _overflow(what(), ra - pa, rt - pc, den, cap)
-    return list(filter(itemgetter(1), out.items()))
+                return None
+    return [kc for kc in out.items() if kc[1]]
 
 
 def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
@@ -450,7 +459,7 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
     left = sorted(rows.items())
     right = sorted([(a, t, packed[l], c) for (a, l, t), c in yterms.items()])
     xfloors = _floors(xterms)
-    pa, pb, pc, ra, rt = _product_head(xfloors, xhead, _floors(yterms), yhead)
+    head = pa, pb, pc, ra, rt = _product_head(xfloors, xhead, _floors(yterms), yhead)
     a_hi, t_hi, cap, reached = math.floor(ra), math.floor(rt), DEFAULT_TERM_CAP, 0
     out: dict = {}
     for a2, t2, k2, c2 in right if xfloors else ():
@@ -475,29 +484,33 @@ def _product(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
                 row[k] = c1 * c2 if v is None else v + c1 * c2
             reached += len(row) - size
         if reached > cap:
-            raise _overflow(f"product of {len(x._terms)} and {len(y._terms)} terms", ra - pa, rt - pc, den, cap)
-    ls = {k: _unpack(k, rank, w) for k in set().union(*out.values())}
+            raise _overflow(f"product of {len(x._terms)} and {len(y._terms)} terms", head, den)
+    ls = _unpack(set().union(*out.values()), rank, w)
     terms = {(a, ls[k], t): c for (a, t), row in out.items() for k, c in row.items() if c}
     return _new(rank, den, z, x._d * y._d, terms, pa, pb, pc, ra, rt)
 
 
 def _pack(l, w: int) -> int:
-    """The int vector l as one int of signed base-2^w digits, l[0] lowest.
+    """The int vector l as one int of signed base-2^w digits, l[0] lowest: one map over the digit shifts.
 
     Linear: _pack(l1 + l2) == _pack(l1) + _pack(l2).
     """
-    return sum(x << (w * i) for i, x in enumerate(l))
+    return sum(map(lshift, l, range(0, w * len(l), w)))
 
 
-def _unpack(k: int, rank: int, w: int) -> tuple[int, ...]:
-    """Inverse of _pack for rank digits below 2^(w-1) in absolute value."""
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    l = []
-    for _ in range(rank):
-        x = ((k + half) & mask) - half
-        l.append(x)
-        k = (k - x) >> w
-    return tuple(l)
+def _unpack(keys, rank: int, w: int) -> dict:
+    """{k: l} for the packed keys k: the inverse of _pack on rank digits below 2^(w-1) in absolute value.
+
+    One digit position at a time over all keys: each key's lowest digit, then
+    the keys with it shifted out; the last digit is what is left, so at rank
+    1 it is the key itself.
+    """
+    keys = rest = list(keys)
+    half, mask, digits = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(rank - 1):
+        digits.append([((k + half) & mask) - half for k in rest])
+        rest = [(k + half) >> w for k in rest]
+    return dict(zip(keys, zip(*digits, rest))) if rank else dict.fromkeys(keys, ())
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +693,7 @@ def _multiply_out(factors, rank, a_max, t_max, den, z, prefactor):
             fac = ProductFactor(n, tuple([Q(x, z) for x in l]), m, f)
             raise SeriesOverflowError(f"expansion exceeded {DEFAULT_TERM_CAP} stored terms at factor {i} of {len(factors)}: {fac}")
     acc = {(a * den + pa, t * den + pc): row for (a, t), row in acc.items() if a <= a_max}
-    unpacked = {k: _unpack(k, rank, w) for k in set().union(*acc.values())}
+    unpacked = _unpack(set().union(*acc.values()), rank, w)
     return {(a, unpacked[k], t): c for (a, t), row in acc.items() for k, c in row.items()}
 
 
@@ -794,21 +807,25 @@ def syzygy_sum(forms: Sequence[WeightedSeries]) -> TruncatedSeries:
     step sums the products +-k_t f_t J_t, each over d_1 .. d_(s+4) den^2 z^s:
     its head is ``_sum_head`` of the s + 4 ``_product_head``s, and one
     ``_accumulate`` call at that head's floored rect adds the products with
-    k_t != 0 and f_t nonempty.  The forms must be those ``jacobian`` takes.
+    k_t != 0 and f_t nonempty, each as +-1 times row 0's entry k_t f_t and J_t.
+    The forms must be those ``jacobian`` takes.
     """
     s, den, z, w, d, grid, det = _determinants(forms, 4, "syzygy ")
     minors = [det(tuple(j for j in range(s + 4) if j != t)) for t in range(s + 4)]
     head = _sum_head([_product_head(floors, fhead, _item_floors(items), jhead)
                       for (_, floors, fhead), (items, jhead) in zip(grid, minors)])
-    products = [(f.weight if t % 2 else -f.weight, x, y)
-                for t, (f, (x, _, _), (y, _)) in enumerate(zip(forms, grid, minors)) if f.weight and x]
-    items = _accumulate(products, head, den, lambda: f"sum of {len(forms)} products", (math.floor(head[3]), math.floor(head[4])))
+    products = [(1 if t % 2 else -1, x, y) for t, ((x, _, _), (y, _)) in enumerate(zip(grid, minors)) if x]
+    items = _accumulate(products, (math.floor(head[3]), math.floor(head[4])))
+    if items is None:
+        raise _overflow(f"sum of {len(forms)} products", head, den)
     return _new(s, den, z, d, _unpacked(items, s, w), *head)
 
 
 def _unpacked(items, rank: int, w: int) -> dict:
     """The terms items as int keys (a, l, t), sorted by key, each packed l unpacked once."""
-    ls = {k: _unpack(k, rank, w) for k in {k for (_, _, k), _ in items}}
+    if not items:  # as every syzygy sum and most small Jacobians
+        return {}
+    ls = _unpack({k for (_, _, k), _ in items}, rank, w)
     return dict(sorted([((a, ls[k], t), c) for (a, t, k), c in items]))
 
 
@@ -816,18 +833,23 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
     """(s, den, z, w, d, grid, det): the forms' rank, grid and Jacobians on that grid.
 
     The grid is the lcm den of the forms' dens and the lcm z of their zeta
-    denominators; each stored term goes on it once, its absolute key (a, l,
-    t) as (a, t, _pack(l, w)), 2^(w-1) above the sum over the forms of their
-    largest zeta entry, as a minor's term takes one term per column.
-    grid[j] is form j as (items, floors, head): its terms ((a, t, packed l),
-    c) sorted by key, numerators over d_j; their lowest a and t (None when
-    there are none); its (A, B, C, a bound, t bound).  Entry (r, j) is its
-    terms times k_j in row 0 and times their exponent along tau, z_1..z_s,
-    omega below, over d_j times the row's scale 1, den, z, .., z, den.  So a
-    minor is over the product of its d_j and its rows' scales, and its
-    Laplace pairs all enter with m = +-1; d is that of all s + extra
-    columns, d_1 .. d_(s+extra) den^2 z^s.  det(cols) is (the terms of the
-    minor on all rows and the columns cols, unreduced and unsorted, its head).
+    denominators.  Each form is read in one pass.  Its distinct l give, by
+    one max, its largest zeta entry, and 2^(w-1) lies above the sum of those
+    over the forms, as a minor's term takes one term per column; each
+    distinct l is packed once, by ``_pack``'s map over the digit shifts.
+    Each stored term goes on the grid once, its absolute key (a, l, t) as
+    (a, t, packed l), the terms sorted by key with their l beside them, from
+    which the form's s + 3 entries are built: entry (r, j) is its terms times
+    k_j in row 0 and times their exponent along tau, z_1..z_s, omega below,
+    numerators over d_j times the row's scale 1, den, z, .., z, den.  A
+    nonempty form passes one test, min(A, C, f_a, f_t) >= 0, before the loop
+    that names its first exponent below 0 runs.  grid[j] is form j as (entry
+    (0, j), floors, head): its lowest a and t (None when it has no terms) and
+    its (A, B, C, a bound, t bound).  So a minor is over the product of its
+    d_j and its rows' scales, and its Laplace pairs all enter with m = +-1; d
+    is that of all s + extra columns, d_1 .. d_(s+extra) den^2 z^s.  det(cols)
+    is (the terms of the minor on all rows and the columns cols, unreduced
+    and unsorted, its head).
     Each minor starts from det's zero head, prefactor 0 and the forms' least
     relative rect: short of the rule's by the prefactors' sum (a strict xfail).
     The minors from one head are memoized across det's calls, keyed by an int
@@ -863,20 +885,30 @@ def _determinants(forms: Sequence[WeightedSeries], extra: int, what: str):
         raise ValueError("series rank mismatch")
     den, z = math.lcm(*{f.series.den for f in forms}), math.lcm(*{f.series._z for f in forms})
     grids = [_on(f.series, den, z) for f in forms]
-    w = sum(max((abs(v) for _, l, _ in terms for v in l), default=0) for terms, *_ in grids).bit_length() + 1
-    packed = {l: _pack(l, w) for l in {l for terms, *_ in grids for _, l, _ in terms}}
-    grid, rows = [], [[] for _ in range(s + 3)]
-    for f, (terms, *head) in zip(forms, grids):
-        # each term's key and factor per row: k_j, then its exponents
-        keyed = sorted([((a, t, packed[l]), c, (f.weight, a, *l, t)) for (a, l, t), c in terms.items()])
-        grid.append(((items := [(k, c) for k, c, _ in keyed]), _item_floors(items), head))
-        for r, row in enumerate(rows):
-            row.append([(k, c * e[r]) for k, c, e in keyed if e[r]])
-    floors = [fs or (head[0], head[2]) for _, fs, head in grid]  # f_j of the cut
-    for i, ((items, _, (pa, _, pc, _, _)), (fa, ft)) in enumerate(zip(grid, floors)):
-        for name, x in (("prefactor A", pa), ("prefactor C", pc), ("a term at absolute a", fa), ("a term at absolute t", ft)):
-            if items and x < 0:  # an empty form is a zero column whatever its prefactor
-                raise _NotModular(i, name, Q(x, den))
+    ls = [{l for _, l, _ in terms} for terms, *_ in grids]  # each form's distinct l
+    w = sum([max(map(abs, chain.from_iterable(lj))) if lj else 0 for lj in ls]).bit_length() + 1
+    shifts = range(0, w * s, w)  # _pack's rule, its digit shifts taken once
+    packed = {l: sum(map(lshift, l, shifts)) for l in set().union(*ls)}
+    grid, rows, floors = [], [[] for _ in range(s + 3)], []
+    tau, zetas, omega = rows[1], rows[2:-1], rows[-1]
+    for i, (f, (terms, *head)) in enumerate(zip(forms, grids)):
+        keyed = sorted([((a, t, packed[l]), c, l) for (a, l, t), c in terms.items()])
+        pa, pc, weight = head[0], head[2], f.weight
+        fs = (keyed[0][0][0], min([k[1] for k, _, _ in keyed])) if keyed else None
+        # an empty form is a zero column whatever its prefactor; the names are read only past this one test
+        if fs and min(pa, pc, *fs) < 0:
+            for name, x in (("prefactor A", pa), ("prefactor C", pc), ("a term at absolute a", fs[0]), ("a term at absolute t", fs[1])):
+                if x < 0:
+                    raise _NotModular(i, name, Q(x, den))
+        entry = [(k, c * weight) for k, c, _ in keyed] if weight else []
+        grid.append((entry, fs, head))
+        floors.append(fs or (pa, pc))  # f_j of the cut
+        # the form's entry per row: its terms times k_j, then times their exponents along tau, z_1..z_s, omega
+        rows[0].append(entry)
+        tau.append([(k, c * k[0]) for k, c, _ in keyed if k[0]])
+        for r, row in enumerate(zetas):
+            row.append([(k, c * l[r]) for k, c, l in keyed if l[r]])
+        omega.append([(k, c * k[1]) for k, c, _ in keyed if k[1]])
     scale, zeros, memo = den * den * z**s, (0,) * s, {}
     reach = [sum(fs) - (extra - 3) * max(fs) for fs in zip(*floors)]  # sum_j f_j - spare * max_j f_j per axis
     # per form: its rect relative to its prefactor, read by every det
@@ -910,7 +942,7 @@ def _minor(rows, memo: dict, den: int, mask: int, head: tuple, box, top, floors)
     last caller, not by the cycle collector.
     """
     n = mask.bit_count()
-    pairs, row, sign, left = [], rows[len(rows) - n], 1, mask
+    pairs, row, sign, left = [], rows[-n], 1, mask
     while left:
         bit = left & -left
         left ^= bit
@@ -922,10 +954,12 @@ def _minor(rows, memo: dict, den: int, mask: int, head: tuple, box, top, floors)
                 memo[rest] = below = _minor(rows, memo, den, rest, head, (box[0] - fa, box[1] - ft), top, floors)
             pairs.append((sign, entry, below))
         sign = -sign
-    what = lambda: f"{n}x{n} minor at row {len(rows) - n}, columns {[j for j in range(mask.bit_length()) if mask >> j & 1]},"
     a_hi, t_hi = top  # conditional expressions, not min(): this runs once per minor
-    box = box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi
-    return _accumulate(pairs, head, den, what, box)
+    items = _accumulate(pairs, (box[0] if box[0] < a_hi else a_hi, box[1] if box[1] < t_hi else t_hi))
+    if items is None:
+        columns = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        raise _overflow(f"{n}x{n} minor at row {len(rows) - n}, columns {columns},", head, den)
+    return items
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -284,6 +285,37 @@ class TestRoots:
             code, out, err = run(capsys, "roots", "builtin:A8", "--max-norm", "1000000")
         assert (code, out) == (2, "")
         assert err == "error: short vectors of norm <= 162 in rank 8 exceed the cap of 200000\n"
+
+    @pytest.mark.parametrize("name, max_norm", [("A1", "8"), ("A1", "1000000")] + [(f"{n}A1", "1000000") for n in range(2, 9)])
+    def test_only_mirrors_decompose(self, capsys, name, max_norm):
+        # 2r reflects in r's mirror and would join r's component: only the primitive reflective
+        # vectors are counted and decomposed, so A1 is A1 and nA1, with its e_i +- e_j, is B_n
+        n = int(name[:-2] or 1)
+        code, out, err = run(capsys, "roots", f"builtin:{name}", "--max-norm", max_norm, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        shape = ("A", 1, 2) if n == 1 else ("B", n, 2 * n * n)
+        assert doc["total_roots"] == shape[2]
+        assert [(c["type"], c["rank"], c["roots"]) for c in doc["components"]] == [shape]
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "2A1", "3A1", "A2(2)", "D4(3)"])
+    @pytest.mark.parametrize("max_norm", [2, 4, 8])
+    def test_a_set_that_decomposes_is_reported_whole(self, capsys, name, max_norm):
+        # an imprimitive reflective vector comes with its primitive one at a norm ratio of at least 4,
+        # so a set that decomposes holds none: there the report is that of every reflective vector
+        rd = roots_mod.detect_roots(builtin_lattice(name), max_norm)
+        try:
+            comps = roots_mod.decompose(rd) if rd.roots else []
+        except roots_mod.UnrecognizedRootSystemError:
+            assert any(math.gcd(*r) > 1 for r in rd.roots)
+            return
+        code, out, _ = run(capsys, "roots", f"builtin:{name}", "--max-norm", str(max_norm), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total_roots"] == len(rd.roots)
+        assert [(c["type"], c["rank"], c["roots"]) for c in doc["components"]] == [
+            (c.type_tag, c.rank, len(c.roots)) for c in comps
+        ]
 
     @pytest.mark.parametrize("gram", [[[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[2, 3], [3, 2]]])
     def test_not_positive_definite_names_the_lattice(self, capsys, tmp_path, gram):
@@ -1106,6 +1138,40 @@ class TestInputFiles:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 300 and field in err
         assert re.search(rf"\.\.\. \(500\d characters\){re.escape(tail)}$", err.rstrip("\n"))
+
+    @pytest.mark.parametrize("argv, tail", [
+        (["lattice", f"builtin:A2(1{'0' * 4299})"], " has a determinant of more than 4300 digits, too long to print"),
+        (["roots", f"builtin:A2(-1{'0' * 4299})"], " is not positive definite, so it has no finite root set"),
+        (["lattice", "x" * 5000], ": File name too long"),
+    ])
+    def test_long_reference_is_quoted(self, capsys, argv, tail):
+        # the lattice reference or file path these lines name is quoted by its start and length
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 300
+        assert re.search(rf"\.\.\. \((43\d\d|5000) characters\){re.escape(tail)}$", err.rstrip("\n"))
+
+    def test_long_value_in_every_position(self, capsys, tmp_path):
+        # each argument of a command that runs, in turn replaced by a 5,000-character value: every
+        # such command is refused with exit 2, nothing on stdout and one short line on stderr
+        phi = write_json(tmp_path / "phi.json", EMPTY_PHI)
+        form = write_json(tmp_path / "f.json", {"rank": 1, "terms": [], "rect": ["4", "4"]})
+        commands = [
+            ["lattice", "builtin:A1", "--format", "json", "-o", "-"],
+            ["roots", "builtin:A1", "--max-norm", "2", "--format", "json", "-o", "-"],
+            ["weyl", phi, "--format", "json", "-o", "-"],
+            ["borch", phi, "--rect", "1,1", "--den", "24", "-o", "-"],
+            ["jacobian", form, form, form, form, "--weights", "1,1,1,1", "-o", "-"],
+            ["jacobian", form, form, form, form, form, "--weights", "1,1,1,1,1", "--syzygy", "-o", "-"],
+            ["classify", "--max-rank", "1", "--format", "json", "-o", "-"],
+        ]
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0
+            for i in range(len(argv)):
+                for value in ("x" * 5000, "1" * 5000):
+                    code, out, err = run(capsys, *argv[:i], value, *argv[i + 1:])
+                    assert (code, out) == (2, ""), (argv, i)
+                    assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 300, (argv, i, err[:100])
 
     @pytest.mark.parametrize("k, weight", [(12, "12/1"), ("5/2", "5/2"), ("-4", "-4/1")])
     def test_weight_spellings(self, capsys, tmp_path, k, weight):

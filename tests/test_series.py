@@ -1001,7 +1001,8 @@ class TestPacking:
     )))
     def test_round_trip_at_the_digit_boundary(self, wl):
         w, l = wl
-        assert series_mod._unpack(series_mod._pack(l, w), len(l), w) == tuple(l)
+        k = series_mod._pack(l, w)
+        assert series_mod._unpack([k], len(l), w) == {k: tuple(l)}
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(3, 12).flatmap(lambda w: st.tuples(
@@ -1011,7 +1012,19 @@ class TestPacking:
         # digits up to a quarter of 2^w: sums of two stay inside the digit range
         w, l1, l2 = wl
         k = series_mod._pack(l1, w) + series_mod._pack(l2, w)
-        assert series_mod._unpack(k, 4, w) == tuple(x + y for x, y in zip(l1, l2))
+        assert series_mod._unpack([k], 4, w) == {k: tuple(x + y for x, y in zip(l1, l2))}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 40).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.one_of(
+        st.sampled_from([(1 << (w - 1)) - 1, 1 - (1 << (w - 1)), 0]),
+        st.integers(1 - (1 << (w - 1)), (1 << (w - 1)) - 1),
+    ), min_size=40, max_size=40), st.integers(0, 8))))
+    def test_batch_is_the_keys_one_by_one(self, rank, drawn):
+        # one call over up to 8 keys, unpacked one digit position at a time, gives each key its own vector
+        w, digits, count = drawn
+        ls = [digits[i * rank:(i + 1) * rank] for i in range(count)] if rank else [[]] * count
+        keys = [series_mod._pack(l, w) for l in ls]
+        assert series_mod._unpack(keys, rank, w) == {k: tuple(l) for k, l in zip(keys, ls)}
 
 
 # SHA-256 of series_to_json(expand_product(...)) on rect (3,3), recorded
@@ -1347,6 +1360,27 @@ class TestAgainstFold:
     def test_refusal_names_the_form_and_exponent(self, forms, message):
         for operation, part in ((jacobian, forms[:-1]), (syzygy_sum, forms)):
             with pytest.raises(ValueError, match=f"^{message}: the Jacobian takes modular forms only"):
+                operation(part)
+
+    @pytest.mark.parametrize("name, x", [
+        ("prefactor A", TruncatedSeries(1, {key(1, (0,), 0): 1}, (4, 4), Monomial(-1, (0,), 0))),
+        ("prefactor C", TruncatedSeries(1, {key(0, (0,), 1): 1}, (4, 4), Monomial(0, (0,), -1))),
+        ("a term at absolute a", TruncatedSeries(1, {key(-1, (0,), 0): 1, key(0, (1,), 0): 1}, (4, 4))),
+        ("a term at absolute t", TruncatedSeries(1, {key(0, (0,), -1): 1, key(1, (0,), 0): 1}, (4, 4))),
+    ])
+    def test_each_exponent_below_0_alone_is_named(self, name, x):
+        # form 2 has exactly one exponent below 0, prefactor included: the refusal names that one
+        forms = replaced(BASE_FORMS, 2, x)
+        for operation, part in ((jacobian, forms[:-1]), (syzygy_sum, forms)):
+            with pytest.raises(series_mod._NotModular, match=f"^form 2 has {name} = -1 below 0: the Jacobian") as caught:
+                operation(part)
+            assert caught.value.args == (2, name, -1)
+
+    def test_two_exponents_below_0_name_the_first(self):
+        # prefactor C = -1 and a term at absolute a = -1: the names run A, C, a, t, so C is named
+        forms = replaced(BASE_FORMS, 1, TruncatedSeries(1, {key(-1, (0,), 1): 1}, (4, 4), Monomial(0, (0,), -1)))
+        for operation, part in ((jacobian, forms[:-1]), (syzygy_sum, forms)):
+            with pytest.raises(ValueError, match="^form 1 has prefactor C = -1 below 0: the Jacobian takes modular forms only"):
                 operation(part)
 
     @settings(max_examples=150, deadline=None)
