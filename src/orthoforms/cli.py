@@ -157,8 +157,13 @@ def cmd_lattice(args) -> tuple[str, dict]:
 
 def cmd_roots(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
+    # a mirror's primitive vector v has norm(v) <= 2 div(v) <= 2e, e the exponent of L*/L, so an
+    # even max norm past 2e finds no more; as e >= c, the content of the Gram, e is only needed above 2c
+    max_norm = args.max_norm
+    if max_norm > 2 * gcd(*(x for row in lat.gram for x in row)) and not max_norm % 2:
+        max_norm = min(max_norm, 2 * lattice_mod.discriminant_exponent(lat))
     try:
-        rd = roots_mod.detect_roots(lat, args.max_norm)
+        rd = roots_mod.detect_roots(lat, max_norm)
     except lattice_mod.NotPositiveDefiniteError:
         raise CliError(f"lattice {_quoted(args.ref, str)} is not positive definite, so it has no finite root set")
     # the mirrors: a reflective k*u, k >= 2, reflects in u's mirror and would join u's component

@@ -31,11 +31,13 @@ Fractions appear only where a caller asks for ``coords``.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
-from typing import Callable, NamedTuple, Sequence
+from operator import itemgetter, mul, neg
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .lattice import Lattice, _short_half, builtin_lattice, discriminant_exponent
@@ -127,17 +129,19 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
     the gcd of the Gram entries, e is only computed above 2c² or 4c².
     """
-    return RootDatum(lat, tuple([r for r, _, _ in _detected(lat, max_norm)]))
+    return RootDatum(lat, tuple(linalg._mirrored([r for r, _, _ in _detected(lat, max_norm)])))
 
 
 def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """The (r, G·r, norm) of every root ``detect_roots`` finds, in lex order of r.
+    """The (r, G·r, norm) of the lex-positive roots ``detect_roots`` finds, in lex order of r.
 
     The short vectors are closed under v -> -v, and v is a root exactly
     when -v is: only the lex-positive half is tested, and the roots are the
-    negatives of those found, with -G·v, in reverse order, followed by
-    them, which is lex order.  The enumeration hands over each vector's G·v
-    and norm with it, so no product with the Gram matrix is taken here.
+    negatives of those found, in reverse order, followed by them, which is
+    lex order.  Each caller mirrors what it reads: ``detect_roots`` the
+    roots, ``realize`` the records.  The enumeration hands over each
+    vector's G·v and norm with it, so no product with the Gram matrix is
+    taken here.
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
@@ -146,9 +150,7 @@ def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[
     if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
         max_norm = min(max_norm, scale * e * e)
-    found = [t for t in _short_half(lat, max_norm) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
-    negatives = [(tuple([-x for x in v]), tuple([-x for x in gv]), norm) for v, gv, norm in reversed(found)]
-    return negatives + found
+    return [t for t in _short_half(lat, max_norm) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,12 @@ class IrreducibleComponent:
         return "{}({})".format(*display_name(self.type_tag, self.rank, self.d))
 
 
-def _class_div(divs: list[int]) -> int:
-    if len(set(divs)) != 1:
-        raise UnrecognizedRootSystemError(f"length class has non-constant div values {sorted(set(divs))}")
-    return divs[0]
+def _class_div(divs: Iterable[int]) -> int:
+    """The one div of a norm class, given its divs (a list, or a Counter of them)."""
+    values = set(divs)
+    if len(values) != 1:
+        raise UnrecognizedRootSystemError(f"length class has non-constant div values {sorted(values)}")
+    return values.pop()
 
 
 def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
@@ -230,10 +234,10 @@ def _match(rank: int, ratio, counts: tuple[int, int]) -> str | None:
 
 def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]]) -> IrreducibleComponent:
     """The component of the (root, norm, div) entries, sorted by root."""
-    roots = tuple(r for r, _, _ in entries)
-    by_norm: dict[int, list] = {}  # the divs of each norm class
-    for _, nn, div in entries:
-        by_norm.setdefault(nn, []).append(div)
+    roots = tuple(map(itemgetter(0), entries))
+    by_norm: dict[int, Counter] = {}  # div -> count in each norm class
+    for (nn, div), count in Counter(map(itemgetter(1, 2), entries)).items():
+        by_norm.setdefault(nn, Counter())[div] = count
     norms = sorted(by_norm)
     k = linalg.rank(roots)
     if len(norms) == 1:
@@ -246,7 +250,7 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
         return IrreducibleComponent(lat, tag, k, nn // 2, roots, _class_div(by_norm[nn]), None)
     if len(norms) == 2:
         n1, n2 = norms
-        c1, c2 = len(by_norm[n1]), len(by_norm[n2])
+        c1, c2 = by_norm[n1].total(), by_norm[n2].total()
         if n1 % 2:
             raise UnrecognizedRootSystemError(f"odd short norm {n1}")
         short_div, long_div = _class_div(by_norm[n1]), _class_div(by_norm[n2])
@@ -259,7 +263,7 @@ def _identify(lat: Lattice, entries: Sequence[tuple[tuple[int, ...], int, int]])
                 if ratio == 2
                 else f"norm ratio {ratio} matches no crystallographic type"
             )
-        longs = tuple(r for r, nn, _ in entries if nn == n2)
+        longs = tuple([r for r, nn, _ in entries if nn == n2])
         return IrreducibleComponent(lat, tag, k, n1 // 2, roots, short_div, long_div, long_roots=longs)
     raise UnrecognizedRootSystemError(f"{len(norms)} distinct root norms")
 
@@ -293,29 +297,39 @@ def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable)
     when the later of the two was placed, and with r itself; so -r would
     join that component and merge nothing.  It is added to its partner's
     final component after the scan, with the partner's norm and div.  An
-    isotropic r pairs to 0 with -r, and both go through the scan.
+    isotropic r pairs to 0 with -r, and both go through the scan.  The
+    negative of a placed root is built once, as the key its partner finds
+    it by; a root that skips the scan builds none.
     """
     if not roots:
         raise ValueError("cannot decompose an empty root set")
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
-    placed: dict = {}  # non-isotropic root -> its entry
+    placed: dict = {}  # -r -> the entry of r, for each non-isotropic r placed
     deferred = []  # (-r, the entry of r)
     for r in roots:
-        partner = placed.get(tuple([-x for x in r]))
+        partner = placed.get(r)
         if partner is not None:
             deferred.append((r, partner))
             continue
         gr, nn = image(r)
-        hit = [g for g in groups if any(sum(map(mul, gr, s)) for s, _, _ in g)] or [[]]
-        if not hit[0]:  # r pairs with no component yet: a new one
-            groups.append(hit[0])
-        for g in hit[1:]:  # into the hit with the earliest first root
-            hit[0] += g
-            g.clear()
+        hit = []
+        for g in groups:
+            for s, _, _ in g:
+                if sum(map(mul, gr, s)):
+                    hit.append(g)
+                    break
+        if hit:  # into the hit with the earliest first root
+            home = hit[0]
+            for g in hit[1:]:
+                home += g
+                g.clear()
+        else:  # r pairs with no component yet: a new one
+            home = []
+            groups.append(home)
         entry = (r, nn, gcd(*gr))
-        hit[0].append(entry)
+        home.append(entry)
         if nn:
-            placed[r] = entry
+            placed[tuple(map(neg, r))] = entry
     if deferred:
         home = {s: g for g in groups for s, _, _ in g}
         for r, (s, nn, div) in deferred:
@@ -366,10 +380,12 @@ def build_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
         parts.append((comp.long_roots, comp.long_div, False))
     # r / m is r * (scale / m) over scale: integers in the order of the Fractions
     scale = lcm(*(m for _, m, _ in parts))
-    return tuple(sorted(
-        (DualRoot(tuple([v * (scale // m) for v in r]), scale, half) for vectors, m, half in parts for r in vectors),
-        key=itemgetter(0),
-    ))
+    members: list = []
+    for vectors, m, half in parts:
+        f = scale // m
+        members += zip(vectors if f == 1 else [tuple([v * f for v in r]) for r in vectors], repeat(scale), repeat(half))
+    members.sort(key=itemgetter(0))
+    return tuple(map(DualRoot._make, members))
 
 
 def _plain_dual_set(comp: IrreducibleComponent) -> tuple[DualRoot, ...]:
@@ -462,7 +478,8 @@ def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
     """
     ct = _checked(type_tag, rank, f"unknown type {type_tag}")
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
-    found = _detected(lat, 2 * d * (ct.ratio or 1))
+    half = _detected(lat, 2 * d * (ct.ratio or 1))
+    found = [(tuple(map(neg, v)), tuple(map(neg, gv)), nn) for v, gv, nn in reversed(half)] + half
     if type_tag == "C":
         shorts = [t for t in found if t[2] == 2 * d]
         frame = _orthogonal_frame([t for t in found if t[2] != 2 * d])

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul, neg
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .lattice import Lattice
@@ -70,6 +70,41 @@ def _missing_coefficients(table: Mapping[tuple[int, tuple], int], rank: int) -> 
     return missing
 
 
+def _image_reader(gram: Sequence[Sequence[int]], den: int) -> Callable[[Ints], Ints | None]:
+    """x -> G x / den for integer vectors x, or None where den does not divide G x: one product per x.
+
+    Column j of G packs in w-bit digits as sum_i G_ij 2^(w i), so x times
+    the packed columns is s = sum_i (G x)_i 2^(w i).  w is one bit more
+    than the bits of max_i sum_j |G_ij| and of max_j |x_j| together, so
+    every |(G x)_i| < 2^(w-1): adding 2^(w-1) to every digit makes each one
+    nonnegative and below 2^w, so no digit borrows from the next and each
+    is read off by a shift and a mask.  Each digit is floor-divided by den;
+    den divides them all exactly when the quotients, packed the same way,
+    give s back (a remainder r_i >= 0 would leave sum_i r_i 2^(w i) > 0).
+    A packing is made once per bit length of max_j |x_j| that a reader
+    meets.
+    """
+    n, row_bits = len(gram), max(sum(map(abs, row)) for row in gram).bit_length()
+    packings: dict[int, tuple] = {}
+
+    def packing(bits: int) -> tuple:
+        w = row_bits + bits + 1
+        columns = [sum(v << (w * i) for i, v in enumerate(col)) for col in zip(*gram)]
+        places = [den << (w * i) for i in range(n)]
+        bias = sum(1 << (w * i + w - 1) for i in range(n))
+        return columns, places, bias, (1 << w) - 1, 1 << (w - 1), range(0, w * n, w)
+
+    def image(x: Ints) -> Ints | None:
+        bits = max(max(x), -min(x)).bit_length()
+        columns, places, bias, mask, half, shifts = packings.get(bits) or packings.setdefault(bits, packing(bits))
+        s = sum(map(mul, x, columns))
+        u = s + bias
+        gx = tuple([(((u >> t) & mask) - half) // den for t in shifts])
+        return gx if sum(map(mul, gx, places)) == s else None
+
+    return image
+
+
 class QZeroData:
     """Principal part plus q^0 coefficients of a product input.
 
@@ -96,14 +131,26 @@ class QZeroData:
     def _store(self, lattice: Lattice, k: Q | None, den: int, entries) -> "QZeroData":
         """Validate ((n, den * l), f(n, l)) pairs on integers and keep them, with G l per ± pair.
 
-        An entry whose partner -x came first reuses the partner's image: G x
-        is -G(-x), so it is divisible by den exactly when the partner's was,
-        which passed the check before its image was kept.
+        The work is per ± pair, keyed by the member whose first nonzero
+        coordinate is positive (x > 0 as tuples).  The pair's first member
+        to arrive takes G x, one product with the packed Gram
+        (``_image_reader``),
+        and checks it is divisible by den; its partner's image is the
+        negative, so it passes the same check.  The second member to arrive
+        is the partner, as a repeated entry adds nothing, and the pair is
+        even when its value is the first's.  Only a table with a pair that
+        is not even, or with no principal part, is read by
+        ``_missing_coefficients`` for the first entry to name.
         """
-        rank, gram = lattice.rank, lattice.gram
+        entries = list(entries)
+        rank = lattice.rank
+        image = _image_reader(lattice.gram, den)
+        zero = (0,) * rank
         table: dict[tuple[int, Ints], int] = {}
-        images: dict[Ints, Ints] = {}  # x with first nonzero coordinate > 0 -> G x / den
-        for (n, x), value in entries:
+        images: dict[Ints, tuple[Ints, int]] = {}  # positive member of a pair -> (G x / den, f(0, x))
+        even = 0
+        for key, value in entries:
+            n, x = key
             if len(x) != rank:
                 raise ValueError("coefficient vector has wrong length")
             if value == 0:
@@ -116,20 +163,24 @@ class QZeroData:
                 raise ValueError(
                     "principal part must be exactly f(-1, 0) = 1"
                 )
-            if n == 0:
-                if not any(x):
-                    raise ValueError("f(0, 0) is carried by k, not by the table")
-                pos = x if next(filter(None, x)) > 0 else tuple(map(neg, x))
-                if pos not in images:
-                    gx = [sum(map(mul, row, pos)) for row in gram]
-                    if any(v % den for v in gx):
-                        raise ValueError(f"vector {_shown(x, den)} does not pair integrally")
-                    images[pos] = tuple([v // den for v in gx])
-            if table.setdefault((n, x), value) != value:
+            size = len(table)
+            if table.setdefault(key, value) != value:
                 raise CoefficientConflictError(f"conflicting values at ({n}, {_shown(x, den)})")
-        missing = _missing_coefficients(table, rank)
-        if missing:
-            n, x = missing[0]
+            if n < 0 or len(table) == size:
+                continue
+            if x == zero:
+                raise ValueError("f(0, 0) is carried by k, not by the table")
+            pos = x if x > zero else tuple(map(neg, x))
+            pair = images.get(pos)
+            if pair is None:
+                gl = image(pos)
+                if gl is None:
+                    raise ValueError(f"vector {_shown(x, den)} does not pair integrally")
+                images[pos] = (gl, value)
+            elif pair[1] == value:
+                even += 1
+        if even != len(images) or (-1, zero) not in table:
+            n, x = _missing_coefficients(table, rank)[0]
             if n < 0:
                 raise ValueError("missing principal part f(-1, 0) = 1")
             raise ValueError(f"coefficients are not even in l: f({n}, {_shown(tuple(map(neg, x)), den)}) has no partner")
@@ -210,22 +261,25 @@ def qzero_from_dual_sets(
     """
     members = [dr for ds in dual_sets for dr in ds]
     den = 2 * lcm(*(dr.den for dr in members))
-    flags: dict[Ints, bool] = {}
+    # each member once, over den, with its flag and its half: over den / 2 the member's own x
+    flags: dict[Ints, tuple[bool, Ints]] = {}
     for x, d, flag in members:
         m = den // d
+        half = x if m == 2 else tuple([v * (m >> 1) for v in x])
         x = tuple([v * m for v in x])
-        if flags.setdefault(x, flag) != flag:
+        if flags.setdefault(x, (flag, half))[0] != flag:
             raise CoefficientConflictError(f"inconsistent duality flags for {_shown(x, den)}")
-    contributions: dict[Ints, int] = {}
-    for x, flag in flags.items():
+    # x is twice a member exactly when it is a member's half; as each x is a distinct
+    # member and a half gets -1 only when it is not one, every value is +-1
+    halves = {half for _, half in flags.values()}
+    entries = []
+    for x, (flag, half) in flags.items():
         if flag:
-            contributions[x] = contributions.get(x, 0) + 1
-            half = tuple([v // 2 for v in x])
+            entries.append(((0, x), 1))
             if half not in flags:
-                contributions[half] = contributions.get(half, 0) - 1
-        elif tuple([2 * v for v in x]) not in flags:
-            contributions[x] = contributions.get(x, 0) + 1
-    entries = [((0, x), v) for x, v in contributions.items() if v]
+                entries.append(((0, half), -1))
+        elif x not in halves:
+            entries.append(((0, x), 1))
     entries.append(((-1, (0,) * lattice.rank), 1))
     return QZeroData.__new__(QZeroData)._store(lattice, None if k is None else Q(k), den, entries)
 
@@ -240,12 +294,11 @@ def weyl_vector(phi: QZeroData) -> WeylVector:
     """Exact (A, B, C) of the product with input phi."""
     if phi.k is None:
         raise SymbolicWeightError("Weyl vector needs a numeric f(0,0); solve k first")
-    rank, den, table = phi.lattice.rank, phi._den, phi._map
+    rank, den = phi.lattice.rank, phi._den
     a = Q(sum(v for _, v in phi._q0_items()) + 2 * phi.k, 24)
     b = [0] * rank
     c = 0
-    for x, gl in phi._images.items():
-        value = table[0, x]
+    for x, (gl, value) in phi._images.items():
         for i, v in enumerate(x):
             b[i] += value * v
         c += value * sum(map(mul, x, gl))
@@ -276,8 +329,7 @@ def quadratic_weyl_constant(phi: QZeroData) -> SumRuleReport:
     if not phi._images:
         return SumRuleReport(None, "no nonzero q^0 coefficients")
     # the kept G l of each ± pair, whose two members add the same term
-    table = phi._map
-    images = [(gl, 2 * table[0, x]) for x, gl in phi._images.items()]
+    images = [(gl, 2 * value) for gl, value in phi._images.values()]
     return SumRuleReport(*linalg._sum_rule(phi.lattice.gram, images))
 
 

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from orthoforms import build_dual_set, builtin_lattice, qzero_from_dual_sets, realize
 from orthoforms import classify as classify_mod, roots as roots_mod, series as series_mod
 from orthoforms.cli import build_parser, main
-from orthoforms.lattice import _short_half
+from orthoforms.lattice import _quoted, _short_half, builtin_names
 from orthoforms.series import series_from_json
 
 
@@ -31,6 +31,14 @@ def run(capsys, *argv):
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def shown(path) -> str:
+    """A file path or lattice reference as refusal lines quote it: whole up to 80 characters, else shortened.
+
+    Expected lines are built through it, so they hold wherever pytest puts its temporary files.
+    """
+    return _quoted(str(path), str)
 
 
 EMPTY_PHI = {
@@ -77,7 +85,7 @@ class TestLattice:
         path = write_json(tmp_path / "lat.json", {"gram": [[2, 1], [1, 2]], "label": label})
         code, out, err = run(capsys, "lattice", path, "--format", "json")
         assert (code, out) == (2, "")
-        assert err == f"error: invalid lattice {path}: 'label' must be a string or null, got {label!r}\n"
+        assert err == f"error: invalid lattice {shown(path)}: 'label' must be a string or null, got {label!r}\n"
 
     def test_null_label_is_unlabelled(self, capsys, tmp_path):
         path = write_json(tmp_path / "lat.json", {"gram": [[2, 1], [1, 2]], "label": None})
@@ -99,7 +107,7 @@ class TestLattice:
         path = write_json(tmp_path / "lat.json", {"gram": gram})
         code, out, err = run(capsys, "lattice", path, "--format", fmt)
         assert (code, out) == (2, "")
-        assert err == f"error: lattice {path} has a {invariant} of more than 4300 digits, too long to print\n"
+        assert err == f"error: lattice {shown(path)} has a {invariant} of more than 4300 digits, too long to print\n"
 
 
 # SHA-256 of `lattice builtin:NAME(s) --format json` stdout for the 23 built-ins at four scales,
@@ -279,12 +287,34 @@ class TestRoots:
         assert components == outs["table", "2"].splitlines()[1:]
         assert len(asked) == 4, "the enumeration detect_roots calls was not the one watched"
 
-    def test_enumeration_past_the_cap_is_one_error_line(self, capsys, deadline):
-        # A8 has e = 9, so the clamp leaves norm 2e^2 = 162: about 10^9 short vectors
+    def test_enumeration_past_the_cap_is_one_error_line(self, capsys, tmp_path, deadline):
+        # 7A1 + <100> has e = 100, so a max norm past 2e = 200 is clamped there, and up to norm 200
+        # it has about 5 * 10^7 short vectors
+        gram = [[2 * (i == j) + 98 * (i == j == 7) for j in range(8)] for i in range(8)]
+        path = write_json(tmp_path / "wide.json", {"gram": gram})
         with deadline(10):
-            code, out, err = run(capsys, "roots", "builtin:A8", "--max-norm", "1000000")
+            code, out, err = run(capsys, "roots", path, "--max-norm", "1000000")
         assert (code, out) == (2, "")
-        assert err == "error: short vectors of norm <= 162 in rank 8 exceed the cap of 200000\n"
+        assert err == "error: short vectors of norm <= 200 in rank 8 exceed the cap of 200000\n"
+
+    # the one component the mirrors of each built-in form (ROADMAP item 17): its type and rank
+    MIRROR_SYSTEMS = {
+        "A1": ("A", 1), "A2": ("G2", 2), "A3": ("C", 3), **{f"A{n}": ("A", n) for n in range(4, 9)},
+        "D4": ("F4", 4), **{f"D{n}": ("C", n) for n in range(5, 9)},
+        **{f"E{n}": (f"E{n}", n) for n in (6, 7, 8)}, **{f"{n}A1": ("B", n) for n in range(2, 9)},
+    }
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_at_a_max_norm_past_2e(self, capsys, deadline, name, scale):
+        # a mirror's primitive vector has norm <= 2e, so --max-norm 10^6 enumerates only to 2e: each of
+        # the 46 took under 0.4 s when measured (A8, whose 2e is 18, the longest), and each is given 10 s
+        with deadline(10):
+            code, out, err = run(capsys, "roots", f"builtin:{name}({scale})", "--max-norm", "1000000", "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [(c["type"], c["rank"], c["d"]) for c in doc["components"]] == [(*self.MIRROR_SYSTEMS[name], scale)]
+        assert doc["total_roots"] == doc["components"][0]["roots"]
 
     @pytest.mark.parametrize("name, max_norm", [("A1", "8"), ("A1", "1000000")] + [(f"{n}A1", "1000000") for n in range(2, 9)])
     def test_only_mirrors_decompose(self, capsys, name, max_norm):
@@ -322,7 +352,7 @@ class TestRoots:
         for ref in ("builtin:A2(-1)", write_json(tmp_path / "indefinite.json", {"gram": gram})):
             code, out, err = run(capsys, "roots", ref, "--max-norm", "2")
             assert code == 2 and out == ""
-            assert err == f"error: lattice {ref} is not positive definite, so it has no finite root set\n"
+            assert err == f"error: lattice {shown(ref)} is not positive definite, so it has no finite root set\n"
 
 
 class TestWeyl:
@@ -364,7 +394,7 @@ class TestWeyl:
             code, out, err = run(capsys, command, path)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: invalid coefficient file {path}: its lattice is not positive definite\n"
+        assert err == f"error: invalid coefficient file {shown(path)}: its lattice is not positive definite\n"
 
     @pytest.mark.parametrize("field,value,named", [("k", "1e-99999999", "'k'"), ("l", ["1E4_301"], "'l' entry")])
     def test_huge_decimal_exponent_in_coefficients(self, capsys, tmp_path, deadline, field, value, named):
@@ -473,21 +503,21 @@ class TestWeyl:
         path = write_json(tmp_path / "phi.json", {"lattice": "builtin:A1", "coeffs": coeffs})
         code, out, err = run(capsys, "weyl", path)
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and path in err
+        assert err.count("\n") == 1 and shown(path) in err
         assert f"coefficient entry 1 {coeffs[1]!r}: 'l' entry must be a rational 'p/q', got {l[0]!r}" in err
 
     def test_invalid_inline_lattice_names_the_file(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice={"gram": [[0]]}))
         code, out, err = run(capsys, "weyl", path)
         assert code == 2 and out == ""
-        assert err == f"error: invalid coefficient file {path}: degenerate lattice\n"
+        assert err == f"error: invalid coefficient file {shown(path)}: degenerate lattice\n"
 
     @pytest.mark.parametrize("label", [[1], 5], ids=["list", "int"])
     def test_inline_lattice_label_that_is_not_a_string_refused(self, capsys, tmp_path, label):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice={"gram": [[2]], "label": label}))
         code, out, err = run(capsys, "weyl", path)
         assert (code, out) == (2, "")
-        assert err == f"error: invalid coefficient file {path}: 'label' must be a string or null, got {label!r}\n"
+        assert err == f"error: invalid coefficient file {shown(path)}: 'label' must be a string or null, got {label!r}\n"
 
     def test_lattice_path_is_a_directory(self, capsys, tmp_path):
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, lattice=str(tmp_path)))
@@ -741,7 +771,7 @@ class TestJacobian:
         code, out, err = run(capsys, "jacobian", *paths[:count], "--weights", ",".join(["1"] * count), *syzygy)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: invalid series file {paths[1]}: form 1 has {message} below 0: "
+            f"error: invalid series file {shown(paths[1])}: form 1 has {message} below 0: "
             "the Jacobian takes modular forms only, every exponent a, t >= 0\n"
         )
 
@@ -853,7 +883,7 @@ class TestJacobian:
             code, out, err = run(capsys, "jacobian", *[p] * count, "--weights", ",".join(["1"] * count), *syzygy)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: invalid series file {p}: rank {2**62} needs exactly {2**62 + extra} forms, got {count}\n"
+        assert err == f"error: invalid series file {shown(p)}: rank {2**62} needs exactly {2**62 + extra} forms, got {count}\n"
 
     def test_huge_decimal_exponent_refused(self, capsys, tmp_path, deadline):
         doc = self.series_doc(1, 0, 0)
@@ -865,7 +895,7 @@ class TestJacobian:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == (
-            f"error: invalid series file {p}: rect entry has a decimal exponent beyond 4300 "
+            f"error: invalid series file {shown(p)}: rect entry has a decimal exponent beyond 4300 "
             "in absolute value, got '1e100000000'\n"
         )
 
@@ -888,7 +918,7 @@ class TestJacobian:
         p = write_json(tmp_path / "f.json", doc)
         code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: invalid series file {p}: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: invalid series file {shown(p)}: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["rank", "rect"])
     def test_missing_series_field(self, capsys, tmp_path, field):
@@ -897,7 +927,7 @@ class TestJacobian:
         p = write_json(tmp_path / "f.json", doc)
         code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
         assert (code, out) == (2, "")
-        assert err == f"error: invalid series file {p}: series document must contain a '{field}' field\n"
+        assert err == f"error: invalid series file {shown(p)}: series document must contain a '{field}' field\n"
 
     @pytest.mark.parametrize(
         "field, value, named",
@@ -914,7 +944,7 @@ class TestJacobian:
         code, out, err = run(capsys, "jacobian", p, p, p, p, "--weights", "1,1,1,1")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
-        assert p in err and f"{named} must be a rational 'p/q'" in err
+        assert shown(p) in err and f"{named} must be a rational 'p/q'" in err
 
 
 class TestUsage:
@@ -997,7 +1027,7 @@ class TestInputFiles:
         path.write_bytes(content)
         code, out, err = run(capsys, *self.ARGV[command](str(path)))
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and shown(path) in err
 
     def test_utf8_label(self, capsys, tmp_path):
         path = tmp_path / "lattice.json"
@@ -1017,7 +1047,7 @@ class TestInputFiles:
         path = write_json(tmp_path / "phi.json", dict(EMPTY_PHI, k=k))
         code, out, err = run(capsys, "weyl", path)
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and path in err and "'k' must be" in err and repr(k) in err
+        assert err.count("\n") == 1 and shown(path) in err and "'k' must be" in err and repr(k) in err
 
     @pytest.mark.parametrize(
         "scale",
@@ -1222,7 +1252,7 @@ class TestOutputOption:
             out_path, reason = tmp_path, os.strerror(errno.EISDIR)
         code, out, err = run(capsys, *argv, "-o", str(out_path))
         assert (code, out) == (2, "")
-        assert err == f"error: cannot write {out_path}: {reason}\n"
+        assert err == f"error: cannot write {shown(out_path)}: {reason}\n"
 
     @pytest.mark.parametrize("command", ["lattice", "roots", "weyl", "classify", "borch", "jacobian"])
     def test_output_file_and_stdout_carry_the_same_document(self, capsys, tmp_path, command):

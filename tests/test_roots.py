@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -37,7 +39,7 @@ from orthoforms.roots import (
     _class_div,
     _identify,
 )
-from orthoforms.lattice import _short_half
+from orthoforms.lattice import _short_half, builtin_names
 
 from helpers import direct_sum, div, reflect
 
@@ -78,6 +80,23 @@ class TestDetect:
             rr = rd.lattice.norm(r)
             for x in rd.roots:
                 assert Q(2 * rd.lattice.pairing(r, x), rr).denominator == 1
+
+
+# sha256 of detect_roots + decompose on every built-in at norms 2 and 4, the shapes of the benchmark's
+# root-system jobs: each root set with each component's type, rank, d, divs, roots and long roots
+# (no decompose fails there), recorded before the per-vector work of detection and decomposition was cut
+BUILTIN_ROOTS_DIGEST = "a3f70b6cc4fd274a2a419345a78bc3ca456b65b633aab6f277874250a6454c3e"
+
+
+def test_builtin_root_systems_pinned():
+    docs = []
+    for name in builtin_names():
+        for norm in (2, 4):
+            rd = detect_roots(builtin_lattice(name), norm)
+            comps = [[c.type_tag, c.rank, c.d, c.short_div, c.long_div, c.roots, c.long_roots] for c in decompose(rd)]
+            docs.append([name, norm, rd.roots, comps])
+    assert len(docs) == 46
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == BUILTIN_ROOTS_DIGEST
 
 
 class TestDecompose:

@@ -387,15 +387,22 @@ def negated(dr):
     return DualRoot(tuple(-x for x in dr.x), dr.den, dr.half_in_dual)
 
 
+# the rank-7/8 components, whose tables are the largest the benchmark builds: E7, E8, C8, and B8
+# in each subcase and with short div d
+BIG_CASES = [("E7", 7, 1, None, None), ("E8", 8, 1, None, None), ("C", 8, 1, None, None)] + [
+    ("B", 8, 1, sub, None) for sub in ("i", "ii", "iii")
+] + [("B", 8, 1, None, 1)]
+
+
 @st.composite
-def even_dual_sets(draw):
+def even_dual_sets(draw, cases=SMALL_CASES):
     """A sublist of a component's dual set closed under negation, flags chosen per pair.
 
     A flag is set only where the half pairs integrally, so the table has at
     most one faulty vector: the injected one (a vector off the dual lattice,
     or a repeat with the other flag).
     """
-    case = draw(st.sampled_from(SMALL_CASES))
+    case = draw(st.sampled_from(cases))
     lat = table_component(case).lattice
     positive = [dr for dr in table_dual_set(case) if is_positive_direction(dr.x)]
     chosen = draw(st.lists(st.sampled_from(positive), unique=True))
@@ -428,14 +435,22 @@ def test_dual_sets_against_reference(lat_ds, k):
     assert got == outcome(lambda: reference_qzero_from_dual_sets(lat, [ds], k))
 
 
+@settings(max_examples=40, deadline=None)
+@given(even_dual_sets(BIG_CASES), st.sampled_from([None, 12]))
+def test_big_dual_sets_against_reference(lat_ds, k):
+    lat, ds = lat_ds
+    got = outcome(lambda: qzero_from_dual_sets(lat, [ds], k))
+    assert got == outcome(lambda: reference_qzero_from_dual_sets(lat, [ds], k))
+
+
 @st.composite
-def any_dual_sets(draw):
+def any_dual_sets(draw, cases=SMALL_CASES):
     """Any sublist of a component's dual set with any flags, split into one or two sets.
 
     Each set is over its own den, a multiple of the lcm of its denominators,
     so a vector may be spelled over two dens.
     """
-    case = draw(st.sampled_from(SMALL_CASES))
+    case = draw(st.sampled_from(cases))
     lat = table_component(case).lattice
     ds = draw(st.lists(st.sampled_from(table_dual_set(case)), unique=True))
     cut = draw(st.integers(0, len(ds)))
@@ -455,7 +470,17 @@ def test_any_dual_sets_against_reference(lat_sets):
     code visits them in input order, so only the failing check, the
     exception type and the message up to the vector named must agree.
     """
-    lat, sets = lat_sets
+    check_against_reference(*lat_sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_dual_sets(BIG_CASES))
+def test_any_big_dual_sets_against_reference(lat_sets):
+    check_against_reference(*lat_sets)
+
+
+def check_against_reference(lat, sets):
+    """The same table as the reference, or the same failing check, exception type and message up to the vector."""
     got, got_err = outcome(lambda: qzero_from_dual_sets(lat, sets))
     want, want_err = outcome(lambda: reference_qzero_from_dual_sets(lat, sets))
     assert got == want
@@ -537,9 +562,9 @@ def reference_sum_rule_c(phi):
 
 
 @st.composite
-def reordered_tables(draw):
+def reordered_tables(draw, cases=SMALL_CASES):
     """A component's q^0 table entered in any order, so either member of a pair may come first."""
-    case = draw(st.sampled_from(SMALL_CASES))
+    case = draw(st.sampled_from(cases))
     comp = table_component(case)
     table = qzero_from_dual_sets(comp.lattice, [table_dual_set(case)]).coefficient_table()
     return comp.lattice, dict(draw(st.permutations(list(table.items()))))
@@ -548,7 +573,17 @@ def reordered_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(reordered_tables(), st.sampled_from([0, 12, Q(5, 2)]))
 def test_kept_images_against_definitions(lat_table, k):
-    lat, table = lat_table
+    check_kept_images(*lat_table, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(reordered_tables(BIG_CASES), st.sampled_from([0, 12]))
+def test_big_kept_images_against_definitions(lat_table, k):
+    check_kept_images(*lat_table, k)
+
+
+def check_kept_images(lat, table, k):
+    """The Weyl vector and the sum-rule C from the kept images, against the Fraction definitions."""
     phi = QZeroData(lat, table, k)
     wv = weyl_vector(phi)
     assert (wv.a, wv.b, wv.c) == reference_weyl_vector(phi)
@@ -584,3 +619,37 @@ def test_first_error_with_partners_before_and_after(entries, message, principal_
     got = outcome(lambda: QZeroData(A2, table))
     assert got == outcome(lambda: ReferenceQZeroData(A2, table))
     assert got[1][1] == message
+
+
+def b8_ii_set():
+    return table_component(("B", 8, 1, "ii", None)).lattice, list(table_dual_set(("B", 8, 1, "ii", None)))
+
+
+# on 8A1, G l = 2 l: (1/3, 0, ...) pairs to 2/3, off the dual lattice
+OFF_DUAL_B8 = dual_root((Q(1, 3),) + (0,) * 7, False)
+
+
+@pytest.mark.parametrize(
+    "edit,error,message",
+    [
+        # the flag conflict is found over the whole set before any member is paired
+        (lambda ds: [OFF_DUAL_B8] + ds + [ds[5]._replace(half_in_dual=not ds[5].half_in_dual)],
+         CoefficientConflictError, "inconsistent duality flags for (-1/2, 0, 0, 0, 0, -1/2, 0, 0)"),
+        (lambda ds: ds + [ds[5]._replace(half_in_dual=not ds[5].half_in_dual), OFF_DUAL_B8],
+         CoefficientConflictError, "inconsistent duality flags for (-1/2, 0, 0, 0, 0, -1/2, 0, 0)"),
+        # an off-dual member is named where it is stored, before any pair is found odd
+        (lambda ds: ds[1:] + [OFF_DUAL_B8], ValueError, "vector (1/3, 0, 0, 0, 0, 0, 0, 0) does not pair integrally"),
+        # a missing partner: the first entry in table order whose partner is absent is named
+        (lambda ds: ds[:-1], ValueError,
+         "coefficients are not even in l: f(0, (-1, 0, 0, 0, 0, 0, 0, 0)) has no partner"),
+        (lambda ds: ds[1:], ValueError,
+         "coefficients are not even in l: f(0, (-1/2, 0, 0, 0, 0, 0, 0, 0)) has no partner"),
+    ],
+    ids=["off-dual-before-conflict", "off-dual-after-conflict", "off-dual-and-missing-partner",
+         "missing-last-partner", "missing-first-partner"],
+)
+def test_first_error_of_a_malformed_b8_set(edit, error, message):
+    lat, ds = b8_ii_set()
+    sets = [edit(ds)]
+    assert outcome(lambda: qzero_from_dual_sets(lat, sets)) == (None, (error, message))
+    check_against_reference(lat, sets)
