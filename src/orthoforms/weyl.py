@@ -16,8 +16,9 @@ pairs integrally with the lattice (lies in its dual) exactly when
 G x = 0 mod D, and G l = G x / D is then the integer image the sum rule
 reads; D > 0 keeps the order and the signs.  The table is even in l, and
 G(-l) = -G l, so G l is computed once per ± pair, on the member whose first
-nonzero coordinate is positive, and kept: the sum rule and the Weyl vector
-read those images and add each pair's term twice.
+nonzero coordinate is positive, by one product with the Gram's columns
+packed into integers, and kept with the pair's value: the sum rule and the
+Weyl vector read those and add each pair's term twice.
 """
 
 from __future__ import annotations
@@ -75,32 +76,37 @@ def _image_reader(gram: Sequence[Sequence[int]], den: int) -> Callable[[Ints], I
 
     Column j of G packs in w-bit digits as sum_i G_ij 2^(w i), so x times
     the packed columns is s = sum_i (G x)_i 2^(w i).  w is one bit more
-    than the bits of max_i sum_j |G_ij| and of max_j |x_j| together, so
-    every |(G x)_i| < 2^(w-1): adding 2^(w-1) to every digit makes each one
-    nonnegative and below 2^w, so no digit borrows from the next and each
-    is read off by a shift and a mask.  Each digit is floor-divided by den;
-    den divides them all exactly when the quotients, packed the same way,
-    give s back (a remainder r_i >= 0 would leave sum_i r_i 2^(w i) > 0).
-    A packing is made once per bit length of max_j |x_j| that a reader
-    meets.
+    than the bits of max_i sum_j |G_ij| and of a bound on the |x_j|, so
+    every |(G x)_i| < h = 2^(w-1): s is spelled in balanced digits, and in
+    only one way.  When den divides every (G x)_i, the quotients are the
+    digits of s / den; adding h to every digit makes each one nonnegative
+    and below 2^w, so none borrows from the next, and each is read off by
+    a shift and a mask.  Conversely, if den divides s and the digits q_i
+    read off s / den have |den q_i| < h, then den q spells s in balanced
+    digits, so den q = G x.  So den divides G x exactly when it divides s
+    and every |q_i| <= (h - 1) // den.  The packing is made again, wider,
+    only for an x past the bound of the last one.
     """
     n, row_bits = len(gram), max(sum(map(abs, row)) for row in gram).bit_length()
-    packings: dict[int, tuple] = {}
-
-    def packing(bits: int) -> tuple:
-        w = row_bits + bits + 1
-        columns = [sum(v << (w * i) for i, v in enumerate(col)) for col in zip(*gram)]
-        places = [den << (w * i) for i in range(n)]
-        bias = sum(1 << (w * i + w - 1) for i in range(n))
-        return columns, places, bias, (1 << w) - 1, 1 << (w - 1), range(0, w * n, w)
+    bound = -1  # the packing below is made at the first x
+    columns: list[int] = []
+    bias = mask = half = top = 0
+    shifts = range(0)
 
     def image(x: Ints) -> Ints | None:
-        bits = max(max(x), -min(x)).bit_length()
-        columns, places, bias, mask, half, shifts = packings.get(bits) or packings.setdefault(bits, packing(bits))
+        nonlocal bound, columns, bias, mask, half, top, shifts
+        if max(x) > bound or min(x) < -bound:
+            bits = max(max(x), -min(x)).bit_length()
+            w = row_bits + bits + 1
+            bound, mask, half = (1 << bits) - 1, (1 << w) - 1, 1 << (w - 1)
+            columns = [sum(v << (w * i) for i, v in enumerate(col)) for col in zip(*gram)]
+            bias, top, shifts = half * sum(1 << (w * i) for i in range(n)), (half - 1) // den, range(0, w * n, w)
         s = sum(map(mul, x, columns))
-        u = s + bias
-        gx = tuple([(((u >> t) & mask) - half) // den for t in shifts])
-        return gx if sum(map(mul, gx, places)) == s else None
+        if s % den:
+            return None
+        u = s // den + bias
+        q = tuple([((u >> t) & mask) - half for t in shifts])
+        return q if max(q) <= top and min(q) >= -top else None
 
     return image
 
@@ -134,15 +140,13 @@ class QZeroData:
         The work is per ± pair, keyed by the member whose first nonzero
         coordinate is positive (x > 0 as tuples).  The pair's first member
         to arrive takes G x, one product with the packed Gram
-        (``_image_reader``),
-        and checks it is divisible by den; its partner's image is the
-        negative, so it passes the same check.  The second member to arrive
-        is the partner, as a repeated entry adds nothing, and the pair is
-        even when its value is the first's.  Only a table with a pair that
-        is not even, or with no principal part, is read by
-        ``_missing_coefficients`` for the first entry to name.
+        (``_image_reader``), and checks it is divisible by den; its
+        partner's image is the negative, so it passes the same check.  The
+        second member to arrive is the partner, as a repeated entry adds
+        nothing, and the pair is even when its value is the first's.  Only
+        a table with a pair that is not even, or with no principal part, is
+        read by ``_missing_coefficients`` for the first entry to name.
         """
-        entries = list(entries)
         rank = lattice.rank
         image = _image_reader(lattice.gram, den)
         zero = (0,) * rank

@@ -23,7 +23,7 @@ from orthoforms import (
 from orthoforms.lattice import Lattice
 from orthoforms.linalg import is_positive_direction
 from orthoforms.roots import DualRoot
-from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError
+from orthoforms.weyl import CoefficientConflictError, Coords, SymbolicWeightError, _image_reader
 
 from helpers import dual_root
 
@@ -653,3 +653,21 @@ def test_first_error_of_a_malformed_b8_set(edit, error, message):
     sets = [edit(ds)]
     assert outcome(lambda: qzero_from_dual_sets(lat, sets)) == (None, (error, message))
     check_against_reference(lat, sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3) | st.integers(-10**30, 10**30), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-4, 4) | st.integers(-10**40, 10**40), min_size=n, max_size=n), min_size=1, max_size=6),
+    st.sampled_from([1, 2, 3, 4, 6, 12, 10**20 + 39]),
+)))
+def test_image_reader_against_products(data):
+    """G x / den or None, from one reader over x of growing and shrinking size, against the sums."""
+    gram, xs, den = data
+    image = _image_reader(gram, den)
+    for x in xs:
+        gx = [sum(g * v for g, v in zip(row, x)) for row in gram]
+        want = tuple(v // den for v in gx) if all(v % den == 0 for v in gx) else None
+        assert image(tuple(x)) == want
+        # a multiple of den times x always pairs into den
+        assert image(tuple(den * v for v in x)) == tuple(gx)
