@@ -34,7 +34,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -145,7 +145,7 @@ def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    c = gcd(*(x for row in lat.gram for x in row))
+    c = gcd(*chain.from_iterable(lat.gram))
     scale = 2 if lat.is_even else 4
     if max_norm > scale * c * c and not max_norm % 2:
         e = discriminant_exponent(lat)
@@ -296,16 +296,19 @@ def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable)
     nonzero with exactly the roots r pairs with, which joined r's component
     when the later of the two was placed, and with r itself; so -r would
     join that component and merge nothing.  It is added to its partner's
-    final component after the scan, with the partner's norm and div.  An
-    isotropic r pairs to 0 with -r, and both go through the scan.  The
-    negative of a placed root is built once, as the key its partner finds
-    it by; a root that skips the scan builds none.
+    final component after the scan, with the partner's norm and div: the
+    group its partner was placed in, or, where a merge emptied that group,
+    the group the merge moved it into.  An isotropic r pairs to 0 with -r,
+    and both go through the scan.  The negative of a placed root is built
+    once, as the key its partner finds it by; a root that skips the scan
+    builds none.
     """
     if not roots:
         raise ValueError("cannot decompose an empty root set")
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
-    placed: dict = {}  # -r -> the entry of r, for each non-isotropic r placed
-    deferred = []  # (-r, the entry of r)
+    placed: dict = {}  # -r -> (the entry of r, its group), for each non-isotropic r placed
+    deferred = []  # (-r, (the entry of r, its group))
+    merged: dict = {}  # id of an emptied group -> the group it was merged into
     for r in roots:
         partner = placed.get(r)
         if partner is not None:
@@ -323,17 +326,18 @@ def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable)
             for g in hit[1:]:
                 home += g
                 g.clear()
+                merged[id(g)] = home
         else:  # r pairs with no component yet: a new one
             home = []
             groups.append(home)
         entry = (r, nn, gcd(*gr))
         home.append(entry)
         if nn:
-            placed[tuple(map(neg, r))] = entry
-    if deferred:
-        home = {s: g for g in groups for s, _, _ in g}
-        for r, (s, nn, div) in deferred:
-            home[s].append((r, nn, div))
+            placed[tuple(map(neg, r))] = entry, home
+    for r, ((_, nn, div), home) in deferred:
+        while not home:  # emptied by a merge
+            home = merged[id(home)]
+        home.append((r, nn, div))
     comps = (_identify(lat, sorted(g)) for g in groups if g)
     return sorted(comps, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
 
