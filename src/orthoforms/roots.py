@@ -295,29 +295,33 @@ def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable)
     and ``image`` is not asked for it.  As (-r, s) = -(r, s), -r pairs
     nonzero with exactly the roots r pairs with, which joined r's component
     when the later of the two was placed, and with r itself; so -r would
-    join that component and merge nothing.  It is added to its partner's
-    final component after the scan, with the partner's norm and div: the
-    group its partner was placed in, or, where a merge emptied that group,
-    the group the merge moved it into.  An isotropic r pairs to 0 with -r,
-    and both go through the scan.  The negative of a placed root is built
-    once, as the key its partner finds it by; a root that skips the scan
-    builds none.
+    join that component and merge nothing.  It joins its partner's group
+    at once, with the partner's norm and div: the group its partner was
+    placed in, or, where a merge emptied that group, the group the merge
+    moved it into.  As a member it changes no later root's hits, as a root
+    pairs nonzero with -r exactly when it does with r.  An isotropic r
+    pairs to 0 with -r, and both go through the scan.  The negative of a
+    placed root is built once, as the key its partner finds it by; a root
+    that skips the scan builds none.
     """
     if not roots:
         raise ValueError("cannot decompose an empty root set")
     groups: list[list] = []  # (root, norm, div) entries; merged groups are emptied
     placed: dict = {}  # -r -> (the entry of r, its group), for each non-isotropic r placed
-    deferred = []  # (-r, (the entry of r, its group))
     merged: dict = {}  # id of an emptied group -> the group it was merged into
     for r in roots:
         partner = placed.get(r)
         if partner is not None:
-            deferred.append((r, partner))
+            (_, nn, div), home = partner
+            while not home:  # emptied by a merge
+                home = merged[id(home)]
+            home.append((r, nn, div))
             continue
         gr, nn = image(r)
         hit = []
         for g in groups:
-            for s, _, _ in g:
+            # the latest member first: in lex order a root pairs with a recent one far more often
+            for s, _, _ in reversed(g):
                 if sum(map(mul, gr, s)):
                     hit.append(g)
                     break
@@ -334,10 +338,6 @@ def _components(lat: Lattice, roots: Sequence[tuple[int, ...]], image: Callable)
         home.append(entry)
         if nn:
             placed[tuple(map(neg, r))] = entry, home
-    for r, ((_, nn, div), home) in deferred:
-        while not home:  # emptied by a merge
-            home = merged[id(home)]
-        home.append((r, nn, div))
     comps = (_identify(lat, sorted(g)) for g in groups if g)
     return sorted(comps, key=lambda c: (c.rank, c.type_tag, c.d, c.roots))
 
