@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -126,8 +126,11 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
     primitive, has div(w) | e and k·norm(w) <= 2 div(w) <= 2e, so norm(v) =
     k·(k·norm(w)) <= (2e)².  On an even lattice norm(w) >= 2, so k <= div(w)
     and norm(v) <= k·2 div(w) <= 2 div(w)² <= 2e².  A larger even max_norm is
-    clamped to 2e² on an even lattice and to 4e² on an odd one; as e >= c,
-    the gcd of the Gram entries, e is only computed above 2c² or 4c².
+    clamped to 2e² on an even lattice and to 4e² on an odd one.  e is only
+    computed where the clamp can bind: e >= c, the gcd of the Gram entries,
+    and e^n >= |det|, as L*/L has |det| elements in at most n cyclic factors
+    of order dividing e; so with m the largest integer whose 2m² (4m²) is
+    below max_norm, e is needed only when c <= m and |det| <= m^n.
     """
     return RootDatum(lat, tuple(linalg._mirrored([r for r, _, _ in _detected(lat, max_norm)])))
 
@@ -148,8 +151,10 @@ def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[
     c = gcd(*chain.from_iterable(lat.gram))
     scale = 2 if lat.is_even else 4
     if max_norm > scale * c * c and not max_norm % 2:
-        e = discriminant_exponent(lat)
-        max_norm = min(max_norm, scale * e * e)
+        m = isqrt((max_norm - 1) // scale)
+        if abs(lat.determinant) <= m ** lat.rank:
+            e = discriminant_exponent(lat)
+            max_norm = min(max_norm, scale * e * e)
     return [t for t in _short_half(lat, max_norm) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
 
 

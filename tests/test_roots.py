@@ -6,7 +6,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction as Q
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -992,3 +992,28 @@ class TestDecomposeArbitraryVectors:
     @given(small_lattices(), st.data())
     def test_identify_against_chain(self, lat, data):
         check_identify(lat, data.draw(vector_sets(lat.rank)))
+
+
+class TestClampNeedsTheExponent:
+    """e is computed only where the clamp can bind: e >= c and e^n >= |det| rule it out elsewhere."""
+
+    @pytest.mark.parametrize("name,max_norm", [("E7", 4), ("A8", 4), ("D7", 4), ("D8", 4), ("E8", 2), ("A2", 6)])
+    def test_not_computed_where_it_cannot_bind(self, monkeypatch, name, max_norm):
+        lat = builtin_lattice(name)
+        want = detect_roots(lat, max_norm)
+        monkeypatch.setattr(roots_mod, "discriminant_exponent", lambda lat: pytest.fail("e computed"))
+        assert detect_roots(lat, max_norm) == want
+
+    @pytest.mark.parametrize("name,max_norm,bound", [("E8", 4, 2), ("E8", 10**6, 2), ("A2", 10**6, 18), ("E7", 10**6, 8)])
+    def test_computed_where_it_binds(self, name, max_norm, bound):
+        lat = builtin_lattice(name)
+        assert detect_roots(lat, max_norm) == detect_roots(lat, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_lattices(), st.sampled_from([2, 4, 6, 8, 12, 18, 24, 50]))
+    def test_skipping_the_exponent_changes_nothing(self, lat, max_norm):
+        # the clamp as it was: e computed whenever max_norm is even and above 2c² (4c²)
+        c = gcd(*itertools.chain.from_iterable(lat.gram))
+        scale = 2 if lat.is_even else 4
+        bound = min(max_norm, scale * exponent(lat) ** 2) if max_norm > scale * c * c else max_norm
+        assert detect_roots(lat, max_norm) == detect_roots(lat, bound)
