@@ -2,8 +2,9 @@
 
 Exit codes form a stable contract: 0 success, 1 internal check failure,
 2 input validation error, 3 missing data.  An error is one ``error:`` line
-on stderr: ``_read_json`` maps a file that cannot be read or parsed, and
-``cmd_jacobian`` a series with a negative exponent, to exit 2 naming it,
+on stderr: ``_read_json`` maps a file that cannot be read or parsed,
+``cmd_roots`` mirrors that match no type in the table, and ``cmd_jacobian``
+a series with a negative exponent, to exit 2 naming it,
 ``_series_doc`` and ``cmd_lattice`` a number too long to print to exit 2,
 and ``main`` the library's ValueError and ArithmeticError to exit 2 and
 its SeriesOverflowError (a series past the term cap) to exit 1.  A stderr
@@ -157,18 +158,16 @@ def cmd_lattice(args) -> tuple[str, dict]:
 
 def cmd_roots(args) -> tuple[str, dict]:
     lat = _load_lattice(args.ref)
-    # a mirror's primitive vector v has norm(v) <= 2 div(v) <= 2e, e the exponent of L*/L, so an
-    # even max norm past 2e finds no more; as e >= c, the content of the Gram, e is only needed above 2c
-    max_norm = args.max_norm
-    if max_norm > 2 * gcd(*(x for row in lat.gram for x in row)) and not max_norm % 2:
-        max_norm = min(max_norm, 2 * lattice_mod.discriminant_exponent(lat))
     try:
-        rd = roots_mod.detect_roots(lat, max_norm)
+        rd = roots_mod.detect_roots(lat, args.max_norm)
     except lattice_mod.NotPositiveDefiniteError:
         raise CliError(f"lattice {_quoted(args.ref, str)} is not positive definite, so it has no finite root set")
     # the mirrors: a reflective k*u, k >= 2, reflects in u's mirror and would join u's component
     rd = roots_mod.RootDatum(lat, tuple([r for r in rd.roots if gcd(*r) == 1]))
-    comps = roots_mod.decompose(rd) if rd.roots else []
+    try:
+        comps = roots_mod.decompose(rd) if rd.roots else []
+    except roots_mod.UnrecognizedRootSystemError as exc:
+        raise CliError(f"the mirrors of lattice {_quoted(args.ref, str)} match no type in the table: {exc}")
     reports = [
         {
             "type": comp.type_tag,

@@ -1,9 +1,10 @@
 """Root sets in positive definite lattices.
 
-Detection keeps the short vectors, up to norm 4e² (e the exponent of L*/L),
-whose reflections preserve the lattice; decomposition grows the components
-of the non-orthogonality graph one root at a time and identifies each piece
-by rank, root count and norm multiset.  Every root set here is closed under
+Detection keeps the short vectors up to norm 2e (e the exponent of L*/L)
+whose reflections preserve the lattice, and the multiples of the primitive
+ones past 2e; decomposition grows the components of the non-orthogonality
+graph one root at a time and identifies each piece by rank, root count and
+norm multiset.  Every root set here is closed under
 r -> -r, and the work is done once per ± pair: detection tests the
 lex-positive short vectors, with the G·v and norm their enumeration carries,
 and mirrors the result, decomposition places -r with r without a scan, and
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import chain, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -117,26 +118,25 @@ class RootDatum:
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
-    """All vectors of norm <= max_norm whose reflection preserves the lattice.
+    """All vectors of norm <= max_norm whose reflection preserves the lattice, in lex order.
 
     A root is a v with norm(v) | 2 div(v), div(v) = gcd(G·v); that holds
-    exactly when h = norm / gcd(norm, 2) divides div(v).
-
-    Roots have norm <= 4e², e the exponent of L*/L: a root v = k·w, w
-    primitive, has div(w) | e and k·norm(w) <= 2 div(w) <= 2e, so norm(v) =
-    k·(k·norm(w)) <= (2e)².  On an even lattice norm(w) >= 2, so k <= div(w)
-    and norm(v) <= k·2 div(w) <= 2 div(w)² <= 2e².  A larger even max_norm is
-    clamped to 2e² on an even lattice and to 4e² on an odd one.  e is only
-    computed where the clamp can bind: e >= c, the gcd of the Gram entries,
-    and e^n >= |det|, as L*/L has |det| elements in at most n cyclic factors
-    of order dividing e; so with m the largest integer whose 2m² (4m²) is
-    below max_norm, e is needed only when c <= m and |det| <= m^n.
+    exactly when h = norm / gcd(norm, 2) divides div(v).  The search stops
+    at 2e, e the exponent of L*/L; past it roots are multiples (``_detected``).
     """
     return RootDatum(lat, tuple(linalg._mirrored([r for r, _, _ in _detected(lat, max_norm)])))
 
 
 def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The (r, G·r, norm) of the lex-positive roots ``detect_roots`` finds, in lex order of r.
+
+    The short vectors are enumerated to min(max_norm, 2e): a primitive root
+    w has div(w) | e, so norm(w) <= 2 div(w) <= 2e on any lattice.  Past 2e
+    each root is k·w, k >= 2, for a primitive root w found below, and k·w
+    is a root exactly when k·norm(w) divides 2 div(w).  e is computed only
+    where 2e < max_norm can hold: an even max_norm above 2c, c the Gram
+    content (e >= c), and |det| <= m^n, m = (max_norm - 1) // 2 (e^n >=
+    |det|: L*/L has at most n cyclic factors, of order dividing e).
 
     The short vectors are closed under v -> -v, and v is a root exactly
     when -v is: only the lex-positive half is tested, and the roots are the
@@ -148,14 +148,19 @@ def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    c = gcd(*chain.from_iterable(lat.gram))
-    scale = 2 if lat.is_even else 4
-    if max_norm > scale * c * c and not max_norm % 2:
-        m = isqrt((max_norm - 1) // scale)
-        if abs(lat.determinant) <= m ** lat.rank:
-            e = discriminant_exponent(lat)
-            max_norm = min(max_norm, scale * e * e)
-    return [t for t in _short_half(lat, max_norm) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
+    bound = max_norm
+    if max_norm > 2 * gcd(*chain.from_iterable(lat.gram)) and not max_norm % 2:
+        if abs(lat.determinant) <= ((max_norm - 1) // 2) ** lat.rank:
+            bound = min(max_norm, 2 * discriminant_exponent(lat))
+    found = [t for t in _short_half(lat, bound) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
+    # past 2e, k·w is a root exactly when k divides q = 2 div(w) / norm(w)
+    multiples = bound < max_norm and [
+        (tuple([k * x for x in w]), tuple([k * x for x in gw]), k * k * nn)
+        for w, gw, nn in found if 4 * nn <= max_norm and gcd(*w) == 1
+        for q in [2 * gcd(*gw) // nn]
+        for k in range(2, q + 1) if not q % k and bound < k * k * nn <= max_norm
+    ]
+    return sorted(found + multiples) if multiples else found
 
 
 @dataclass(frozen=True)

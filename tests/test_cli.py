@@ -347,6 +347,14 @@ class TestRoots:
             (c.type_tag, c.rank, len(c.roots)) for c in comps
         ]
 
+    @pytest.mark.parametrize("gram, reason", [([[1]], "odd root norm 1"), ([[1, 0], [0, 1]], "odd short norm 1")])
+    def test_unrecognized_mirrors_name_the_lattice(self, capsys, tmp_path, gram, reason):
+        # the mirrors of Z and Z^2 have norm 1, which no type in the table has: the line names the file
+        path = write_json(tmp_path / "odd.json", {"gram": gram})
+        code, out, err = run(capsys, "roots", path, "--max-norm", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: the mirrors of lattice {shown(path)} match no type in the table: {reason}\n"
+
     @pytest.mark.parametrize("gram", [[[-2, 1], [1, -2]], [[0, 1], [1, 0]], [[2, 3], [3, 2]]])
     def test_not_positive_definite_names_the_lattice(self, capsys, tmp_path, gram):
         for ref in ("builtin:A2(-1)", write_json(tmp_path / "indefinite.json", {"gram": gram})):
