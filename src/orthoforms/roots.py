@@ -14,9 +14,13 @@ enumeration's (r, G·r, norm) to the decomposition step as they are, and
 itself.  A component's long roots are a field, as the short/long split is
 part of the component, so ``build_dual_set`` takes no norm; no record
 keeps a per-root value beside its roots for a copy to leave stale.
-Modified Coxeter numbers follow the thirteen-case table keyed by the
-divisor data of the short roots and, where that data is ambiguous, an
-explicit subcase tag supplied by the caller.
+``realize`` detects each (type, rank) of ``TYPES`` once per process, on
+the unscaled lattice, so its memo holds at most 31 components; scale d is
+that component with d, short_div and long_div times d (scaling multiplies
+every norm and div by d and moves no mirror), and it passes the component
+checks again.  Modified Coxeter numbers follow the thirteen-case table
+keyed by the divisor data of the short roots and, where that data is
+ambiguous, an explicit subcase tag supplied by the caller.
 
 ``TYPES`` is the single source of the facts of the nine Cartan types; the
 component checks, ``_identify``, ``modified_coxeter_value``, ``realize``,
@@ -35,6 +39,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
@@ -485,25 +490,48 @@ def modified_coxeter(comp: IrreducibleComponent) -> Q:
 
 
 def realize(type_tag: str, rank: int, d: int = 1) -> IrreducibleComponent:
-    """Build a concrete component of the given type on its built-in lattice.
+    """Build a concrete component of the given type on its built-in lattice rescaled by d.
 
-    The lattice ``TYPES`` names is rescaled by d and searched up to norm
-    2d * ratio; C_n keeps an orthogonal frame of its long vectors.
+    The roots are detected once per (type, rank), on the unscaled lattice
+    (``_realized``), and every d is derived from that component: scaling
+    multiplies every norm and div by d, so the roots, their order, the
+    long roots and the type stay, and only d, short_div and long_div
+    scale.  The result passes ``IrreducibleComponent``'s checks again.
+    The scaled lattice is built first, so a scale ``builtin_lattice``
+    refuses keeps its message.
     """
     ct = _checked(type_tag, rank, f"unknown type {type_tag}")
     lat = builtin_lattice(f"{ct.lattice(rank)}({d})")
-    half = _detected(lat, 2 * d * (ct.ratio or 1))
+    comp = _realized(type_tag, rank)
+    if d == 1:
+        return comp
+    return dataclasses.replace(
+        comp, lattice=lat, d=d, short_div=comp.short_div * d, long_div=comp.long_div and comp.long_div * d
+    )
+
+
+@lru_cache(maxsize=None)
+def _realized(type_tag: str, rank: int) -> IrreducibleComponent:
+    """The component of a (type, rank) that ``_checked`` admits, on its unscaled lattice.
+
+    The lattice ``TYPES`` names is searched up to norm 2 * ratio; C_n keeps
+    an orthogonal frame of its long vectors.  ``TYPES`` has 31 (type, rank)
+    pairs, so the memo holds at most 31 components.
+    """
+    ct = TYPES[type_tag]
+    lat = builtin_lattice(ct.lattice(rank))
+    half = _detected(lat, 2 * (ct.ratio or 1))
     found = [(tuple(map(neg, v)), tuple(map(neg, gv)), nn) for v, gv, nn in reversed(half)] + half
     if type_tag == "C":
-        shorts = [t for t in found if t[2] == 2 * d]
-        frame = _orthogonal_frame([t for t in found if t[2] != 2 * d])
+        shorts = [t for t in found if t[2] == 2]
+        frame = _orthogonal_frame([t for t in found if t[2] != 2])
         if len(frame) != 2 * rank:
             raise AssertionError(f"C{rank} long frame has {len(frame)} vectors")
         found = sorted(shorts + frame)
     images = {r: (gr, nn) for r, gr, nn in found}
     comps = _components(lat, [r for r, _, _ in found], images.__getitem__)
     if len(comps) != 1 or comps[0].type_tag != type_tag or comps[0].rank != rank:
-        raise AssertionError(f"realization of {type_tag}{rank}({d}) failed: {comps}")
+        raise AssertionError(f"realization of {type_tag}{rank}(1) failed: {comps}")
     return comps[0]
 
 

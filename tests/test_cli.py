@@ -264,11 +264,11 @@ class TestRoots:
             assert comp[field] == value
 
     def test_large_max_norm_matches_norm_2(self, capsys, monkeypatch):
-        # E8 has e = 1, so no root has norm above 4e^2 = 4 and the search stops there
+        # E8 has e = 1, so a primitive root has norm <= 2e = 2 and the search stops there
         asked = []
 
         def bounded(lat, max_norm):
-            assert max_norm <= 4, f"short vectors enumerated up to norm {max_norm}"
+            assert max_norm <= 2, f"short vectors enumerated up to norm {max_norm}"
             asked.append(max_norm)
             return _short_half(lat, max_norm)
 

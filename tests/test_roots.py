@@ -231,15 +231,67 @@ class TestGuards:
         with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
             coxeter_number(realize("A", 2))
 
+    # realize detects on the unscaled lattice once per (type, rank): the memo is cleared around
+    # each patch, so the detection runs under it and no component it built outlives it
+
     def test_realize_checks_the_c_frame(self, monkeypatch):
         monkeypatch.setattr(roots_mod, "_orthogonal_frame", lambda vectors: vectors[:2])
-        with pytest.raises(AssertionError, match=r"^C3 long frame has 2 vectors$"):
-            realize("C", 3)
+        roots_mod._realized.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=r"^C3 long frame has 2 vectors$"):
+                realize("C", 3)
+        finally:
+            roots_mod._realized.cache_clear()
 
     def test_realize_checks_its_component(self, monkeypatch):
         monkeypatch.setattr(roots_mod, "_components", lambda lat, roots, image: [])
-        with pytest.raises(AssertionError, match=r"^realization of A2\(1\) failed: \[\]$"):
-            realize("A", 2)
+        roots_mod._realized.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=r"^realization of A2\(1\) failed: \[\]$"):
+                realize("A", 2)
+        finally:
+            roots_mod._realized.cache_clear()
+
+
+def table_cases() -> list[tuple[str, int, int]]:
+    """The (type, rank, d) of the 165 modified-Coxeter table cases, one per subcase and div override."""
+    out = []
+    for d in (1, 2, 3):
+        out += [("A", 1, d)] * 4 + [("A", n, d) for n in range(2, 9)]
+        out += [("B", n, d) for n in range(2, 9) for _ in range(4)]
+        out += [("C", n, d) for n in range(3, 9)] + [("D", n, d) for n in range(4, 9)]
+        out += [(tag, int(tag[1]), d) for tag in ("E6", "E7", "E8", "G2", "F4")]
+    return out
+
+
+class TestRealizeMemo:
+    def test_one_detection_per_type_and_rank(self, monkeypatch):
+        calls = []
+        real = roots_mod._detected
+
+        def spy(lat, max_norm):
+            calls.append((lat.label, max_norm))
+            return real(lat, max_norm)
+
+        monkeypatch.setattr(roots_mod, "_detected", spy)
+        roots_mod._realized.cache_clear()
+        cases = table_cases()
+        assert len(cases) == 165
+        for tag, n, d in cases:
+            assert realize(tag, n, d).d == d
+        # one detection per (type, rank) of TYPES, each on the unscaled lattice
+        pairs = sorted({(tag, n) for tag, n, _ in cases})
+        assert len(calls) == len(pairs) == sum(len(ct.ranks) for ct in TYPES.values()) == 31
+        assert all("(" not in label for label, _ in calls)
+        assert all(realize(tag, n, 1) is realize(tag, n, 1) for tag, n in pairs)
+        assert roots_mod._realized.cache_info().currsize == 31
+        assert len(calls) == 31  # the identity checks read the memo
+
+    @pytest.mark.parametrize("d", [-1, -3])
+    def test_negative_scale(self, d):
+        # the lattice is built, and the rescaled component's own check refuses the scale
+        with pytest.raises(ValueError, match=r"^rescale must be positive$"):
+            realize("A", 2, d)
 
 
 class TestCoxeterNumber:
@@ -799,7 +851,8 @@ class TestTableAgainstChains:
             assert outcome(modified_coxeter_value, *args) == outcome(chain_modified_coxeter_value, *args), args
 
     def test_realize(self):
-        for tag, n, d in itertools.product(GRID_TAGS, range(10), range(4)):
+        # realize detects at scale 1 only and derives every other scale, up to 10**30, from it
+        for tag, n, d in itertools.product(GRID_TAGS, range(10), (0, 1, 2, 3, 5, 7, 10**30)):
             new = outcome(realize, tag, n, d)
             if tag in TYPES and n not in TYPES[tag].ranks:
                 assert new == (ValueError, f"rank {n} out of range for type {tag}")
