@@ -31,7 +31,6 @@ import json
 import os
 import sys
 from fractions import Fraction as Q
-from math import gcd
 
 from . import classify, lattice as lattice_mod, roots as roots_mod, series as series_mod, weyl as weyl_mod
 from .lattice import DEFAULT_DEN, _ascii_int, _json_int, _json_list, _json_q, _quoted, q_str
@@ -162,8 +161,6 @@ def cmd_roots(args) -> tuple[str, dict]:
         rd = roots_mod.detect_roots(lat, args.max_norm)
     except lattice_mod.NotPositiveDefiniteError:
         raise CliError(f"lattice {_quoted(args.ref, str)} is not positive definite, so it has no finite root set")
-    # the mirrors: a reflective k*u, k >= 2, reflects in u's mirror and would join u's component
-    rd = roots_mod.RootDatum(lat, tuple([r for r in rd.roots if gcd(*r) == 1]))
     try:
         comps = roots_mod.decompose(rd) if rd.roots else []
     except roots_mod.UnrecognizedRootSystemError as exc:

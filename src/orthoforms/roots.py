@@ -1,10 +1,11 @@
 """Root sets in positive definite lattices.
 
-Detection keeps the short vectors up to norm 2e (e the exponent of L*/L)
-whose reflections preserve the lattice, and the multiples of the primitive
-ones past 2e; decomposition grows the components of the non-orthogonality
-graph one root at a time and identifies each piece by rank, root count and
-norm multiset.  Every root set here is closed under
+Detection keeps the mirrors: the primitive short vectors whose reflections
+preserve the lattice, one per reflection up to sign.  Each has norm at most
+2e (e the exponent of L*/L), so the search never goes past 2e.
+Decomposition grows the components of the non-orthogonality graph one
+root at a time and identifies each piece by rank, root count and norm
+multiset.  Every root set here is closed under
 r -> -r, and the work is done once per ± pair: detection tests the
 lex-positive short vectors, with the G·v and norm their enumeration carries,
 and mirrors the result, decomposition places -r with r without a scan, and
@@ -40,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -123,49 +124,36 @@ class RootDatum:
 
 
 def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
-    """All vectors of norm <= max_norm whose reflection preserves the lattice, in lex order.
+    """The mirrors of norm <= max_norm: the primitive v whose reflection preserves the lattice, in lex order.
 
-    A root is a v with norm(v) | 2 div(v), div(v) = gcd(G·v); that holds
-    exactly when h = norm / gcd(norm, 2) divides div(v).  The search stops
-    at 2e, e the exponent of L*/L; past it roots are multiples (``_detected``).
+    v is reflective when norm(v) | 2 div(v), div(v) = gcd(G·v); that holds
+    exactly when h = norm / gcd(norm, 2) divides div(v).  A reflective k·w,
+    k >= 2, reflects in w's mirror and is left out.  The search stops at
+    2e, e the exponent of L*/L (``_detected``).
     """
     return RootDatum(lat, tuple(linalg._mirrored([r for r, _, _ in _detected(lat, max_norm)])))
 
 
 def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """The (r, G·r, norm) of the lex-positive roots ``detect_roots`` finds, in lex order of r.
+    """The (r, G·r, norm) of the lex-positive mirrors ``detect_roots`` finds, in lex order of r.
 
-    The short vectors are enumerated to min(max_norm, 2e): a primitive root
-    w has div(w) | e, so norm(w) <= 2 div(w) <= 2e on any lattice.  Past 2e
-    each root is k·w, k >= 2, for a primitive root w found below, and k·w
-    is a root exactly when k·norm(w) divides 2 div(w).  e is computed only
-    where 2e < max_norm can hold: an even max_norm above 2c, c the Gram
-    content (e >= c), and |det| <= m^n, m = (max_norm - 1) // 2 (e^n >=
-    |det|: L*/L has at most n cyclic factors, of order dividing e).
+    The short vectors are enumerated to min(max_norm, 2e): a primitive
+    reflective w has div(w) | e, so norm(w) <= 2 div(w) <= 2e on any
+    lattice.  An odd max_norm is passed on whole, for the enumeration to
+    refuse.
 
-    The short vectors are closed under v -> -v, and v is a root exactly
-    when -v is: only the lex-positive half is tested, and the roots are the
-    negatives of those found, in reverse order, followed by them, which is
-    lex order.  Each caller mirrors what it reads: ``detect_roots`` the
+    The short vectors are closed under v -> -v, and v is a mirror exactly
+    when -v is: only the lex-positive half is tested, and the mirrors are
+    the negatives of those found, in reverse order, followed by them, which
+    is lex order.  Each caller mirrors what it reads: ``detect_roots`` the
     roots, ``realize`` the records.  The enumeration hands over each
     vector's G·v and norm with it, so no product with the Gram matrix is
     taken here.
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    bound = max_norm
-    if max_norm > 2 * gcd(*chain.from_iterable(lat.gram)) and not max_norm % 2:
-        if abs(lat.determinant) <= ((max_norm - 1) // 2) ** lat.rank:
-            bound = min(max_norm, 2 * discriminant_exponent(lat))
-    found = [t for t in _short_half(lat, bound) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2))]
-    # past 2e, k·w is a root exactly when k divides q = 2 div(w) / norm(w)
-    multiples = bound < max_norm and [
-        (tuple([k * x for x in w]), tuple([k * x for x in gw]), k * k * nn)
-        for w, gw, nn in found if 4 * nn <= max_norm and gcd(*w) == 1
-        for q in [2 * gcd(*gw) // nn]
-        for k in range(2, q + 1) if not q % k and bound < k * k * nn <= max_norm
-    ]
-    return sorted(found + multiples) if multiples else found
+    bound = max_norm if max_norm % 2 else min(max_norm, 2 * discriminant_exponent(lat))
+    return [t for t in _short_half(lat, bound) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2)) and gcd(*t[0]) == 1]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import dataclasses
 import errno
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -331,20 +330,15 @@ class TestRoots:
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "D4", "D5", "E6", "2A1", "3A1", "A2(2)", "D4(3)"])
     @pytest.mark.parametrize("max_norm", [2, 4, 8])
     def test_a_set_that_decomposes_is_reported_whole(self, capsys, name, max_norm):
-        # an imprimitive reflective vector comes with its primitive one at a norm ratio of at least 4,
-        # so a set that decomposes holds none: there the report is that of every reflective vector
+        # the CLI reports what the library detects and decomposes
         rd = roots_mod.detect_roots(builtin_lattice(name), max_norm)
-        try:
-            comps = roots_mod.decompose(rd) if rd.roots else []
-        except roots_mod.UnrecognizedRootSystemError:
-            assert any(math.gcd(*r) > 1 for r in rd.roots)
-            return
+        comps = roots_mod.decompose(rd) if rd.roots else []
         code, out, _ = run(capsys, "roots", f"builtin:{name}", "--max-norm", str(max_norm), "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["total_roots"] == len(rd.roots)
-        assert [(c["type"], c["rank"], c["roots"]) for c in doc["components"]] == [
-            (c.type_tag, c.rank, len(c.roots)) for c in comps
+        assert [(c["type"], c["rank"], c["d"], c["roots"]) for c in doc["components"]] == [
+            (c.type_tag, c.rank, c.d, len(c.roots)) for c in comps
         ]
 
     @pytest.mark.parametrize("gram, reason", [([[1]], "odd root norm 1"), ([[1, 0], [0, 1]], "odd short norm 1")])

@@ -936,8 +936,8 @@ class TestDetectAgainstDefinition:
     @settings(max_examples=80, deadline=None)
     @given(small_lattices(), st.sampled_from([2, 4, 6, 8, 12]))
     def test_box_enumeration(self, lat, max_norm):
-        # |v_i| <= sqrt(max_norm (G^-1)_ii) on the ellipsoid, independent of short_vectors; at 8 and 12
-        # the search often stops at 2e and the longer roots are multiples; boxes above 20,000 points are skipped
+        # |v_i| <= sqrt(max_norm (G^-1)_ii) on the ellipsoid, independent of short_vectors; the mirrors
+        # are the primitive reflective vectors; boxes above 20,000 points are skipped
         dual = lat.dual_basis()
         radii = [isqrt(int(max_norm * dual[i][i])) for i in range(lat.rank)]
         assume(prod(2 * r + 1 for r in radii) <= 20_000)
@@ -945,18 +945,23 @@ class TestDetectAgainstDefinition:
             v for v in itertools.product(*(range(-r, r + 1) for r in radii))
             if any(v) and lat.norm(v) <= max_norm
         ]
-        expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0]
+        expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0 and gcd(*v) == 1]
         rd = detect_roots(lat, max_norm)
         assert rd.roots == tuple(sorted(expected))
 
-    @pytest.mark.parametrize("lat,max_norm,roots", [
-        # e = 2 on A1: the search stops at 4, and 2r (norm 8, div 4) is the multiple of r
-        (builtin_lattice("A1"), 8, ((-2,), (-1,), (1,), (2,))),
-        # e = 1 on Z: the search stops at 2, and 2 (norm 4, div 2) is the multiple of 1
-        (Lattice(((1,),)), 4, ((-2,), (-1,), (1,), (2,))),
-    ])
-    def test_multiples_past_2e(self, lat, max_norm, roots):
-        assert detect_roots(lat, max_norm).roots == roots
+    @pytest.mark.parametrize("lat,max_norm,roots,labels", [
+        # 2r on A1 (norm 8, div 4) is reflective and past 2e = 4; with it the set would not decompose
+        (builtin_lattice("A1"), 8, ((-1,), (1,)), ["A1(1)"]),
+        # 2 on Z (norm 4, div 2) is reflective and past 2e = 2; norm 1 is no type in the table
+        (Lattice(((1,),)), 4, ((-1,), (1,)), None),
+        # (2, 0) on <2> + <6> (norm 8, div 4) is reflective and below 2e = 12: the enumeration meets it
+        (Lattice(((2, 0), (0, 6))), 12, ((-1, 0), (0, -1), (0, 1), (1, 0)), ["A1(1)", "A1(3)"]),
+    ], ids=["A1", "Z", "2+6"])
+    def test_imprimitive_reflective_vectors_are_left_out(self, lat, max_norm, roots, labels):
+        rd = detect_roots(lat, max_norm)
+        assert rd.roots == roots
+        if labels:
+            assert [c.label for c in decompose(rd)] == labels
 
 
 def exponent(lat):
@@ -965,8 +970,8 @@ def exponent(lat):
 
 
 class TestMaxNormClamp:
-    # no root has norm above 4e² on the odd lattices, or 2e² on the even ones (E8, A2, D4(2)), and
-    # the enumeration stops at 2e on both: the roots past it are multiples
+    # no reflective vector has norm above 4e² on the odd lattices, or 2e² on the even ones (E8, A2,
+    # D4(2)), and the enumeration stops at 2e on both: a mirror has norm <= 2 div <= 2e
     @pytest.mark.parametrize("lat", [builtin_lattice("E8"), builtin_lattice("A2"), builtin_lattice("D4(2)"), *ODD])
     def test_large_max_norm_is_clamped_to_2e(self, lat, monkeypatch):
         asked = []
@@ -1008,9 +1013,9 @@ class TestMaxNormClamp:
         e8 = builtin_lattice("E8")
         assert detect_roots(e8, 10**6) == detect_roots(e8, 2)
 
-    def test_bound_is_attained(self):
-        # on Z, e = 1 and 2 is a root of norm 4 = 4e^2: (2, Z) = 2Z and 4 | 2 * 2
-        assert detect_roots(Lattice(((1,),)), 10**6).roots == ((-2,), (-1,), (1,), (2,))
+    def test_z_has_only_its_mirror(self):
+        # on Z, e = 1 and 2 is reflective of norm 4 = 4e^2, (2, Z) = 2Z and 4 | 2 * 2, but it is 2·1
+        assert detect_roots(Lattice(((1,),)), 10**6).roots == ((-1,), (1,))
 
     def test_odd_max_norm_still_rejected(self):
         with pytest.raises(ValueError, match="positive even"):
@@ -1069,14 +1074,7 @@ class TestDecomposeArbitraryVectors:
 
 
 class TestClampNeedsTheExponent:
-    """e is computed only where the clamp can bind: e >= c and e^n >= |det| rule it out elsewhere."""
-
-    @pytest.mark.parametrize("name,max_norm", [("E7", 4), ("A8", 4), ("D7", 4), ("D8", 4), ("E8", 2), ("A2", 4)])
-    def test_not_computed_where_it_cannot_bind(self, monkeypatch, name, max_norm):
-        lat = builtin_lattice(name)
-        want = detect_roots(lat, max_norm)
-        monkeypatch.setattr(roots_mod, "discriminant_exponent", lambda lat: pytest.fail("e computed"))
-        assert detect_roots(lat, max_norm) == want
+    """The search stops at min(max_norm, 2e): a larger max_norm finds nothing more."""
 
     @pytest.mark.parametrize("name,max_norm,bound", [("E8", 4, 2), ("E8", 10**6, 2), ("A2", 10**6, 18), ("E7", 10**6, 8)])
     def test_computed_where_it_binds(self, name, max_norm, bound):
