@@ -28,7 +28,9 @@ followed by them.  Each vector comes with G·v and its norm, read off the
 search itself: one integer list carried down the recursion holds G·v so far
 and the pending shift of every level below, fixing a coordinate adds one
 precomputed column to it, and a leaf's norm is the budget it spent.  More
-than ``VECTOR_CAP`` vectors, both signs counted, is refused.
+than ``VECTOR_CAP`` vectors, both signs counted, is refused.  What the search
+needs of the Gram alone, its elimination, weights and columns, is computed
+once per Gram (``_search_plan``).
 
 ``_int_image`` computes G·x for an integral Gram matrix G as G·(D·x) / D,
 with D the lcm of the denominators of x; so x lies in the dual lattice
@@ -43,6 +45,7 @@ span of its vectors, as a change of Gram matrix.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
@@ -320,6 +323,29 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 VECTOR_CAP = 200_000
 
 
+@lru_cache(maxsize=None)
+def _search_plan(gram: Mat) -> tuple[int, tuple[tuple[int, int, int, tuple[int, ...]], ...]] | None:
+    """The D and the (w_i, L_i, coordinate, column) of each level of ``_half_of_form`` on an integer Gram.
+
+    None unless the Gram is positive definite.  They depend on the Gram
+    alone, so each Gram is eliminated once per process; the multiples of
+    each column are built per search, and none is kept.
+    """
+    n = len(gram)
+    rows = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
+    if rows is None:
+        return None
+    minors = [1] + [r[i] for i, r in enumerate(rows)]
+    rows = [[x // g for x in r] for r, g in zip(rows, [gcd(*r) for r in rows])]
+    row_den = [r[i] for i, r in enumerate(rows)]
+    scale = lcm(*(minors[i] // gcd(minors[i], minors[i + 1]) * l * l for i, l in enumerate(row_den)))
+    weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
+    return scale, tuple(
+        (w, l, n - 1 - i, tuple([row[n - 1 - i] for row in gram] + [rows[k][i] for k in range(i)]))
+        for i, (w, l) in enumerate(zip(weights, row_den))
+    )
+
+
 def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """(v, G·v, v^T G v) for each lex-positive short vector v, in lex order.
 
@@ -351,7 +377,9 @@ def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int,
     its coordinate followed by each lower level's coefficient b_k[i] / g_k,
     and drops y_i's own shift; so no shift is summed and no product with
     the Gram is taken per vector.  Each multiple y·column is built the
-    first time y is met at that level and kept.
+    first time y is met at that level and kept for the search.  The
+    elimination, the w_i and the columns are the Gram's ``_search_plan``,
+    computed once per Gram.
 
     The set is closed under v -> -v, so it is enumerated up to sign
     (Fincke and Pohst, Math. Comp. 44, 1985): while every coordinate fixed
@@ -361,19 +389,12 @@ def _half_of_form(gram: Mat, max_norm) -> list[tuple[tuple[int, ...], tuple[int,
     as each range ascends and x_0 is fixed first.
     """
     n = len(gram)
-    rows = _definite_rows(tuple(row[::-1] for row in gram[::-1]))
-    if rows is None:
+    plan = _search_plan(tuple(map(tuple, _int_rows(gram))))
+    if plan is None:
         raise ArithmeticError("form is not positive definite")
-    minors = [1] + [r[i] for i, r in enumerate(rows)]
-    rows = [[x // g for x in r] for r, g in zip(rows, [gcd(*r) for r in rows])]
-    row_den = [r[i] for i, r in enumerate(rows)]
-    scale = lcm(*(minors[i] // gcd(minors[i], minors[i + 1]) * l * l for i, l in enumerate(row_den)))
-    weights = [scale // (l * l) * minors[i + 1] // minors[i] for i, l in enumerate(row_den)]
+    scale, fixed = plan
     # (w_i, L_i, coordinate p = n-1-i, column, its multiples by y) for each level i
-    levels = [
-        (w, l, n - 1 - i, [row[n - 1 - i] for row in gram] + [rows[k][i] for k in range(i)], {})
-        for i, (w, l) in enumerate(zip(weights, row_den))
-    ]
+    levels = [(*level, {}) for level in fixed]
     bound = Q(max_norm) * scale
     budget = bound.numerator // bound.denominator
     half: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []

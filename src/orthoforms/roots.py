@@ -1,13 +1,16 @@
 """Root sets in positive definite lattices.
 
-Detection keeps the mirrors: the primitive short vectors whose reflections
-preserve the lattice, one per reflection up to sign.  Each has norm at most
-2e (e the exponent of L*/L), so the search never goes past 2e.
+Detection keeps the mirrors: the primitive vectors whose reflections
+preserve the lattice, one per reflection up to sign.  With c the content of
+the Gram, every vector of norm <= 2c is a mirror and every other one is a
+multiple of a vector of L* of norm <= 1/c, so two small enumerations find
+them all; where those would be the larger search, L is searched up to 2e,
+e the exponent of L*/L, past which no mirror lies (``_detected``).
 Decomposition grows the components of the non-orthogonality graph one
 root at a time and identifies each piece by rank, root count and norm
 multiset.  Every root set here is closed under
-r -> -r, and the work is done once per ± pair: detection tests the
-lex-positive short vectors, with the G·v and norm their enumeration carries,
+r -> -r, and the work is done once per ± pair: detection finds the
+lex-positive mirrors, each with the G·v and norm its enumeration carries,
 and mirrors the result, decomposition places -r with r without a scan, and
 one G·r per pair gives both norms and divs.  ``realize`` hands the
 enumeration's (r, G·r, norm) to the decomposition step as they are, and
@@ -41,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -128,8 +131,10 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
 
     v is reflective when norm(v) | 2 div(v), div(v) = gcd(G·v); that holds
     exactly when h = norm / gcd(norm, 2) divides div(v).  A reflective k·w,
-    k >= 2, reflects in w's mirror and is left out.  The search stops at
-    2e, e the exponent of L*/L (``_detected``).
+    k >= 2, reflects in w's mirror and is left out.  The mirrors are found
+    in L up to norm 2c and L* up to 1/c, c the content of the Gram, or, where
+    those volumes would be the larger, in L up to 2e, e the exponent of
+    L*/L (``_detected``).
     """
     return RootDatum(lat, tuple(linalg._mirrored([r for r, _, _ in _detected(lat, max_norm)])))
 
@@ -137,23 +142,62 @@ def detect_roots(lat: Lattice, max_norm: int) -> RootDatum:
 def _detected(lat: Lattice, max_norm: int) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The (r, G·r, norm) of the lex-positive mirrors ``detect_roots`` finds, in lex order of r.
 
-    The short vectors are enumerated to min(max_norm, 2e): a primitive
-    reflective w has div(w) | e, so norm(w) <= 2 div(w) <= 2e on any
-    lattice.  An odd max_norm is passed on whole, for the enumeration to
-    refuse.
-
-    The short vectors are closed under v -> -v, and v is a mirror exactly
-    when -v is: only the lex-positive half is tested, and the mirrors are
-    the negatives of those found, in reverse order, followed by them, which
-    is lex order.  Each caller mirrors what it reads: ``detect_roots`` the
-    roots, ``realize`` the records.  The enumeration hands over each
-    vector's G·v and norm with it, so no product with the Gram matrix is
-    taken here.
+    Let c be the content of the Gram, M = L/c (scaling moves no mirror), e
+    the exponent of M*/M and H = e G_M^-1, an integer matrix.  In M, a
+    mirror v has h = div(v) | norm(v) <= 2h, so u = v / h is a primitive
+    vector of M* of order h and norm 2/h or 1/h.  So either h = 1, v has
+    norm 1 or 2 and every such v is a mirror, or norm(u) <= 1.  Two balls
+    hold them all (Fincke and Pohst, Math. Comp. 44, 1985; Nikulin, 1980,
+    for M*/M): L up to norm 2c, taken whole, and the y = G_M u of content 1
+    with y^T H y <= e.  Each y gives k = gcd(e, H y), h = e / k and
+    v = H y / k, kept up to sign when 2 < norm(v) <= max_norm / c and
+    norm(v) | 2h; in L, G·v is c h y.  Where those are the larger search
+    (``_dual_is_smaller``), as on small lattices and on skewed ones such as
+    <2> + <2·10^12>, L is enumerated up to min(max_norm, 2ce) instead: in
+    L, norm(v) <= 2 div(v) <= 2ce.  An odd or non-positive max_norm is
+    passed on whole, for the enumeration to refuse.
     """
     if lat.rank > 8:
         raise ValueError("root detection is limited to rank <= 8")
-    bound = max_norm if max_norm % 2 else min(max_norm, 2 * discriminant_exponent(lat))
-    return [t for t in _short_half(lat, bound) if not gcd(*t[1]) % (t[2] // gcd(t[2], 2)) and gcd(*t[0]) == 1]
+    if max_norm <= 0 or max_norm % 2:
+        return _short_half(lat, max_norm)
+    c, e_l = gcd(*chain.from_iterable(lat.gram)), discriminant_exponent(lat)
+    e = e_l // c  # L*/L has exponent c e
+    bound = min(max_norm, 2 * e_l)
+    if not _dual_is_smaller(lat.rank, c, e, lat.determinant // c**lat.rank, bound):
+        # every vector of norm <= 2c is a mirror: only the longer ones are tested
+        return [
+            t for t in _short_half(lat, bound)
+            if t[2] <= 2 * c or not gcd(*t[1]) % (t[2] // gcd(t[2], 2)) and gcd(*t[0]) == 1
+        ]
+    half = _short_half(lat, min(max_norm, 2 * c))
+    form = tuple(linalg._scaled(row, e_l) for row in lat.dual_basis())  # H = e G_M^-1 = e_L G^-1
+    try:
+        dual = linalg._half_of_form(form, e)
+    except ValueError:
+        raise ValueError(f"dual vectors of norm <= {Q(1, c)} in rank {lat.rank} exceed the cap of {linalg.VECTOR_CAP}") from None
+    for y, hy, q in dual:
+        k = gcd(e, *hy)
+        h, nm = e // k, e * q // (k * k)  # the order of u, and norm(v) in M
+        if 2 < nm and c * nm <= max_norm and not 2 * h % nm and gcd(*y) == 1:
+            v, f = tuple([x // k for x in hy]), c * h
+            if not linalg.is_positive_direction(v):
+                v, f = tuple(map(neg, v)), -f
+            half.append((v, tuple([f * x for x in y]), c * nm))
+    half.sort(key=itemgetter(0))
+    return half
+
+
+def _dual_is_smaller(n: int, c: int, e: int, det_m: int, bound: int) -> bool:
+    """Whether M up to norm 2 and M* up to 1 are the smaller search than M up to r = bound / c.
+
+    By volume they hold about 2^(n/2) / sqrt(det M), sqrt(det M) and
+    r^(n/2) / sqrt(det M) vectors, n the rank.  The dual route needs the
+    last to exceed 2^(n/2) sqrt(det M), a margin that keeps small
+    lattices, where a second enumeration's fixed cost outweighs its
+    saving, on M's ball.
+    """
+    return e > 1 and (2 * c) ** n * det_m * det_m < bound**n
 
 
 @dataclass(frozen=True)

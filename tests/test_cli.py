@@ -287,14 +287,36 @@ class TestRoots:
         assert len(asked) == 4, "the enumeration detect_roots calls was not the one watched"
 
     def test_enumeration_past_the_cap_is_one_error_line(self, capsys, tmp_path, deadline):
-        # 7A1 + <100> has e = 100, so a max norm past 2e = 200 is clamped there, and up to norm 200
-        # it has about 5 * 10^7 short vectors
-        gram = [[2 * (i == j) + 98 * (i == j == 7) for j in range(8)] for i in range(8)]
+        # 7A1 + <2·10^10> is refused on both routes: L up to 10^6 is a 7-dimensional ball of radius
+        # about 707, and L* up to norm 1/2 has 10^5 pairs ± t e_8 / (2·10^10); the dual route is taken
+        gram = [[2 * (i == j) + (2 * 10**10 - 2) * (i == j == 7) for j in range(8)] for i in range(8)]
         path = write_json(tmp_path / "wide.json", {"gram": gram})
         with deadline(10):
             code, out, err = run(capsys, "roots", path, "--max-norm", "1000000")
         assert (code, out) == (2, "")
-        assert err == "error: short vectors of norm <= 200 in rank 8 exceed the cap of 200000\n"
+        assert err == "error: dual vectors of norm <= 1/2 in rank 8 exceed the cap of 200000\n"
+
+    def test_answers_where_the_ball_up_to_2e_passes_the_cap(self, capsys, tmp_path, deadline):
+        # 7A1 + <100>: L up to 2e = 200 has about 5 * 10^7 vectors, which the cap refused; L up to 4
+        # and L* up to norm 1/2 hold its 100 mirrors, e_8 of norm 100 = div among them
+        gram = [[2 * (i == j) + 98 * (i == j == 7) for j in range(8)] for i in range(8)]
+        path = write_json(tmp_path / "wide.json", {"gram": gram})
+        with deadline(10):
+            code, out, err = run(capsys, "roots", path, "--max-norm", "1000000")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "100 reflective vectors up to norm 1000000",
+            "  A1(50): 2 roots, coxeter 2, modified None",
+            "  B7(2): 98 roots, coxeter 8, modified None",
+        ]
+
+    def test_skewed_lattice_answers(self, capsys, tmp_path, deadline):
+        # <2> + <2 * 10^12>: L* up to norm 1/2 would hold about 2 * 10^6 vectors, L up to 10^6 holds 707 pairs
+        path = write_json(tmp_path / "skewed.json", {"gram": [[2, 0], [0, 2 * 10**12]]})
+        with deadline(10):
+            code, out, err = run(capsys, "roots", path, "--max-norm", "1000000")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["2 reflective vectors up to norm 1000000", "  A1(1): 2 roots, coxeter 2, modified None"]
 
     # the one component the mirrors of each built-in form (ROADMAP item 17): its type and rank
     MIRROR_SYSTEMS = {
@@ -306,8 +328,8 @@ class TestRoots:
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtin_at_a_max_norm_past_2e(self, capsys, deadline, name, scale):
-        # a mirror's primitive vector has norm <= 2e, so --max-norm 10^6 enumerates only to 2e: each of
-        # the 46 took under 0.4 s when measured (A8, whose 2e is 18, the longest), and each is given 10 s
+        # a mirror has norm <= 2e, so --max-norm 10^6 enumerates L up to 2e at most, or L up to 2c and L*
+        # up to norm 1/c: each of the 46 took under 0.4 s when measured, and each is given 10 s
         with deadline(10):
             code, out, err = run(capsys, "roots", f"builtin:{name}({scale})", "--max-norm", "1000000", "--format", "json")
         assert (code, err) == (0, "")

@@ -5,6 +5,7 @@ import json
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import gcd, isqrt, lcm, prod
 from types import SimpleNamespace
@@ -39,7 +40,7 @@ from orthoforms.roots import (
     _class_div,
     _identify,
 )
-from orthoforms.lattice import _short_half, builtin_names
+from orthoforms.lattice import builtin_names
 
 from helpers import direct_sum, div, reflect
 
@@ -932,22 +933,31 @@ def small_lattices(draw):
     return direct_sum(*lattices)
 
 
+def box_mirrors(lat, max_norm):
+    """The mirrors of norm <= max_norm, sorted, by box enumeration; None past 20,000 points.
+
+    |v_i| <= sqrt(max_norm (G^-1)_ii) on the ellipsoid, independent of short_vectors; the mirrors are
+    the primitive reflective vectors.
+    """
+    dual = lat.dual_basis()
+    radii = [isqrt(int(max_norm * dual[i][i])) for i in range(lat.rank)]
+    if prod(2 * r + 1 for r in radii) > 20_000:
+        return None
+    box = [
+        v for v in itertools.product(*(range(-r, r + 1) for r in radii))
+        if any(v) and lat.norm(v) <= max_norm
+    ]
+    return sorted(v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0 and gcd(*v) == 1)
+
+
 class TestDetectAgainstDefinition:
     @settings(max_examples=80, deadline=None)
     @given(small_lattices(), st.sampled_from([2, 4, 6, 8, 12]))
     def test_box_enumeration(self, lat, max_norm):
-        # |v_i| <= sqrt(max_norm (G^-1)_ii) on the ellipsoid, independent of short_vectors; the mirrors
-        # are the primitive reflective vectors; boxes above 20,000 points are skipped
-        dual = lat.dual_basis()
-        radii = [isqrt(int(max_norm * dual[i][i])) for i in range(lat.rank)]
-        assume(prod(2 * r + 1 for r in radii) <= 20_000)
-        box = [
-            v for v in itertools.product(*(range(-r, r + 1) for r in radii))
-            if any(v) and lat.norm(v) <= max_norm
-        ]
-        expected = [v for v in box if (2 * div(lat, v)) % lat.norm(v) == 0 and gcd(*v) == 1]
+        expected = box_mirrors(lat, max_norm)
+        assume(expected is not None)
         rd = detect_roots(lat, max_norm)
-        assert rd.roots == tuple(sorted(expected))
+        assert rd.roots == tuple(expected)
 
     @pytest.mark.parametrize("lat,max_norm,roots,labels", [
         # 2r on A1 (norm 8, div 4) is reflective and past 2e = 4; with it the set would not decompose
@@ -969,27 +979,58 @@ def exponent(lat):
     return lcm(*(x.denominator for row in lat.dual_basis() for x in row))
 
 
+def diagonal(*entries) -> Lattice:
+    """The lattice whose Gram is diagonal with these entries."""
+    return Lattice(tuple(tuple(x if i == j else 0 for j in range(len(entries))) for i, x in enumerate(entries)))
+
+
+def content(lat):
+    """The gcd of the Gram entries."""
+    return gcd(*itertools.chain.from_iterable(lat.gram))
+
+
+@contextmanager
+def routed(dual: bool):
+    """A context in which ``_detected`` takes the dual route when dual is true, L's ball up to 2e else."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots_mod, "_dual_is_smaller", lambda *args: dual)
+        yield
+
+
+# lattices on which detect_roots takes the dual route at a max norm past 2e: their ball up to 2e is the larger
+DUAL_ROUTE = [builtin_lattice("A3"), builtin_lattice("A3(2)"), builtin_lattice("A8"), builtin_lattice("E7"), diagonal(1, 1, 3)]
+
+
 class TestMaxNormClamp:
     # no reflective vector has norm above 4e² on the odd lattices, or 2e² on the even ones (E8, A2,
-    # D4(2)), and the enumeration stops at 2e on both: a mirror has norm <= 2 div <= 2e
-    @pytest.mark.parametrize("lat", [builtin_lattice("E8"), builtin_lattice("A2"), builtin_lattice("D4(2)"), *ODD])
+    # D4(2), ...), and the search never goes past it: either L up to 2e (a mirror has norm <= 2 div
+    # <= 2e), or L up to 2c and y^T H y <= e/c, H = e G^-1, the dual vectors of norm <= 1/c
+    @pytest.mark.parametrize(
+        "lat", [builtin_lattice("E8"), builtin_lattice("A2"), builtin_lattice("D4(2)"), *ODD, *DUAL_ROUTE]
+    )
     def test_large_max_norm_is_clamped_to_2e(self, lat, monkeypatch):
         asked = []
+        real = linalg._half_of_form
 
-        def spy(lat, max_norm):
-            asked.append(max_norm)
-            return _short_half(lat, max_norm)
+        def spy(gram, max_norm):
+            asked.append((gram, max_norm))
+            return real(gram, max_norm)
 
-        monkeypatch.setattr(roots_mod, "_short_half", spy)
+        monkeypatch.setattr(linalg, "_half_of_form", spy)
         bound = (2 if lat.is_even else 4) * exponent(lat) ** 2
         assert detect_roots(lat, 10**6) == detect_roots(lat, bound)
-        assert asked == [2 * exponent(lat)] * 2
+        e, c = exponent(lat), content(lat)
+        if lat in DUAL_ROUTE:
+            h = tuple(tuple(int(x * e) for x in row) for row in lat.dual_basis())
+            assert asked == [(lat.gram, 2 * c), (h, e // c)] * 2
+        else:
+            assert asked == [(lat.gram, 2 * e)] * 2
 
     @pytest.mark.parametrize("scale", [1, 3])
     @pytest.mark.parametrize("name", ["A6", "A7", "A8", "D7"])
     def test_answers_past_2e(self, deadline, name, scale):
-        # a search to 2e² (98 on A6) passed the 200,000-vector cap; each search to 2e took under 0.3 s
-        # when measured (A8, whose 2e is 18, the longest), and each case is given 10 s
+        # a search to 2e² (98 on A6) passed the 200,000-vector cap, and A8's ball up to 2e = 18 holds
+        # 87,027 pairs; both sides take the dual route, and each case is given 10 s
         lat = builtin_lattice(f"{name}({scale})")
         with deadline(10):
             assert detect_roots(lat, 10**6) == detect_roots(lat, 2 * exponent(lat))
@@ -1073,19 +1114,93 @@ class TestDecomposeArbitraryVectors:
         check_identify(lat, data.draw(vector_sets(lat.rank)))
 
 
-class TestClampNeedsTheExponent:
-    """The search stops at min(max_norm, 2e): a larger max_norm finds nothing more."""
+class TestReflectiveNormBound:
+    """A reflective vector has norm at most 2e² on an even lattice and 4e² on an odd one, e the
+    exponent of L*/L: a larger max_norm finds nothing more."""
 
     @pytest.mark.parametrize("name,max_norm,bound", [("E8", 4, 2), ("E8", 10**6, 2), ("A2", 10**6, 18), ("E7", 10**6, 8)])
-    def test_computed_where_it_binds(self, name, max_norm, bound):
+    def test_builtins_find_nothing_past_it(self, name, max_norm, bound):
         lat = builtin_lattice(name)
         assert detect_roots(lat, max_norm) == detect_roots(lat, bound)
 
     @settings(max_examples=60, deadline=None)
     @given(small_lattices(), st.sampled_from([2, 4, 6, 8, 12, 18, 24, 50]))
-    def test_skipping_the_exponent_changes_nothing(self, lat, max_norm):
-        # the clamp as it was: e computed whenever max_norm is even and above 2c² (4c²)
-        c = gcd(*itertools.chain.from_iterable(lat.gram))
-        scale = 2 if lat.is_even else 4
-        bound = min(max_norm, scale * exponent(lat) ** 2) if max_norm > scale * c * c else max_norm
+    def test_small_lattices_find_nothing_past_it(self, lat, max_norm):
+        bound = min(max_norm, (2 if lat.is_even else 4) * exponent(lat) ** 2)
         assert detect_roots(lat, max_norm) == detect_roots(lat, bound)
+
+
+class TestBothRoutes:
+    """Each route of ``_detected`` finds the box oracle's mirrors on its own, whichever the rule picks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_lattices(), st.sampled_from([2, 4, 6, 8, 12]))
+    def test_box_enumeration(self, lat, max_norm):
+        expected = box_mirrors(lat, max_norm)
+        assume(expected is not None)
+        for dual in (False, True):
+            with routed(dual):
+                assert detect_roots(lat, max_norm).roots == tuple(expected), f"dual route: {dual}"
+
+    @pytest.mark.parametrize("lat,max_norm", [
+        # odd; <1> + <4> and <1> + <1> + <4> have the mirror (.., 1) of norm 4 = div, so u = v/4 has norm 1/4
+        *[(lat, 12) for lat in ODD], (diagonal(1, 4), 8), (diagonal(1, 1, 4), 8), (diagonal(1, 1, 3), 12),
+        # rescaled: the content c is 2 or 3, and the dual ball is taken in M = L/c
+        (direct_sum(builtin_lattice("A2(2)"), builtin_lattice("A1(2)")), 24), (builtin_lattice("D4(3)"), 24),
+        (builtin_lattice("A3(2)"), 16),
+        # skewed: the mirror of norm 2000 (or 100) is h u in M with h = 1000 (50) and norm(u) = 1/h
+        (diagonal(2, 2000), 2000), (direct_sum(builtin_lattice("3A1"), diagonal(100)), 100),
+    ], ids=lambda x: x if isinstance(x, int) else str(x.gram))
+    def test_named_lattices(self, lat, max_norm):
+        expected = box_mirrors(lat, max_norm)
+        assert expected is not None
+        for dual in (False, True):
+            with routed(dual):
+                assert detect_roots(lat, max_norm).roots == tuple(expected), f"dual route: {dual}"
+
+    @pytest.mark.parametrize("name,dual_count,ball_count", [("A8", 45, 414), ("D8", 64, 624), ("E7", 63, 441)])
+    def test_lex_positive_vectors_enumerated_at_norm_4(self, name, dual_count, ball_count, monkeypatch):
+        # the dual route enumerates L up to 2 (36, 56 and 63 pairs of roots) and L* up to 1 (9, 8 and
+        # 0); the other route, L up to min(4, 2e) = 4, enumerates 414, 624 and 441
+        seen = []
+        real = linalg._half_of_form
+
+        def spy(gram, max_norm):
+            found = real(gram, max_norm)
+            seen.append(len(found))
+            return found
+
+        monkeypatch.setattr(linalg, "_half_of_form", spy)
+        lat = builtin_lattice(name)
+        rd = detect_roots(lat, 4)
+        assert sum(seen) == dual_count and len(seen) == 2
+        seen.clear()
+        with routed(False):
+            assert detect_roots(lat, 4) == rd
+        assert seen == [ball_count]
+
+
+class TestCap:
+    def test_skewed_lattice_answers(self, deadline):
+        # <2> + <2·10^12>: L* up to norm 1/2 holds about 2·10^6 vectors, past the cap, and L up to
+        # 10^6 holds 707 pairs: the rule takes L's ball, and the mirror (0, 1) is past 10^6
+        with deadline(10):
+            assert detect_roots(diagonal(2, 2 * 10**12), 10**6).roots == ((-1, 0), (1, 0))
+
+    def test_answers_where_the_ball_up_to_2e_passes_the_cap(self, deadline):
+        # 7A1 + <100> has 2e = 200, and L up to 200 has about 5·10^7 vectors; L* up to norm 1/2 has
+        # 7 + 7 pairs, and e_8 = 50 u of norm 100 = div is the mirror of A1(50)
+        with deadline(10):
+            rd = detect_roots(diagonal(*[2] * 7, 100), 10**6)
+        assert len(rd.roots) == 100
+        assert [c.label for c in decompose(rd)] == ["A1(50)", "B7(2)"]
+
+    @pytest.mark.parametrize("dual,message", [
+        (False, "short vectors of norm <= 1000000 in rank 8 exceed the cap of 200000"),
+        (True, "dual vectors of norm <= 1/2 in rank 8 exceed the cap of 200000"),
+    ])
+    def test_both_routes_refuse_past_the_cap(self, deadline, dual, message):
+        # 7A1 + <2·10^10>: L up to 10^6 is a 7-dimensional ball of radius about 707, and L* up to 1/2
+        # has the 10^5 pairs ± t e_8 / (2·10^10), 1 <= t <= 10^5; the rule takes the dual route
+        with deadline(10), routed(dual), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detect_roots(diagonal(*[2] * 7, 2 * 10**10), 10**6)
